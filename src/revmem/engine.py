@@ -137,18 +137,20 @@ class SavedStore:
         self.consumed = False
 
     def activation_arrays(self):
-        """All cached ndarrays, deduplicated by object identity."""
-        seen = {}
+        """All cached ndarrays, deduplicated by object identity.
 
-        def visit(obj):
+        Walks the nested payloads with an explicit stack: a self-referencing
+        nested function would form a reference cycle holding every array
+        until the cyclic garbage collector runs.
+        """
+        seen = {}
+        stack = [payload for _, _, payload in reversed(self.entries)]
+        while stack:
+            obj = stack.pop()
             if isinstance(obj, np.ndarray):
                 seen[id(obj)] = obj
             elif isinstance(obj, (list, tuple)):
-                for item in obj:
-                    visit(item)
-
-        for kind, _, payload in self.entries:
-            visit(payload)
+                stack.extend(reversed(obj))
         return list(seen.values())
 
     def activation_nbytes(self) -> int:
@@ -169,6 +171,11 @@ def run_forward(net: Network, batch: np.ndarray, mode: str):
         raise ShapeError(
             f"batch shape {batch.shape} does not match input spec "
             f"(n, {c_in}, {f_in}, T)"
+        )
+    if batch.dtype != net.dtype:
+        raise ConfigError(
+            f"batch dtype {batch.dtype} does not match network dtype {net.dtype}; "
+            "cast the batch before running the network"
         )
 
     store = SavedStore(net, mode)

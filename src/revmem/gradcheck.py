@@ -138,6 +138,26 @@ def _op_checks(rng, fault_op=None):
     results.append(CheckResult("relu_mask", max_mixed_err(
         vjp(xr, np.ones(2)), np.array([0.0, 1.0])), FD_TOL))
 
+    # strided 1x1 conv (matmul path) and strided depthwise conv; drawn last so
+    # the rows above keep their random draws
+    x1 = rng.normal(size=(1, 3, 5, 5))
+    w1 = rng.normal(size=(2, 3, 1, 1))
+    r1 = rng.normal(size=(1, 2, 3, 3))
+    vjp = _fault_wrap(ops.conv2d_vjp, fault_op == "conv2d")
+    gx, gw = vjp(x1, w1, r1, 2, 0)
+    pconv_out = lambda: ops.conv2d(x1, w1, 2, 0)
+    check("conv2d_1x1_s2_dx", gx, fd_grad(pconv_out, r1, x1))
+    check("conv2d_1x1_s2_dw", gw, fd_grad(pconv_out, r1, w1))
+
+    xs = rng.normal(size=(1, 2, 5, 5))
+    ws = rng.normal(size=(2, 1, 3, 3))
+    rs = rng.normal(size=(1, 2, 3, 3))
+    vjp = _fault_wrap(ops.depthwise_conv2d_vjp, fault_op == "depthwise_conv2d")
+    gx, gw = vjp(xs, ws, rs, 2, 1)
+    sconv_out = lambda: ops.depthwise_conv2d(xs, ws, 2, 1)
+    check("depthwise_conv2d_s2_dx", gx, fd_grad(sconv_out, rs, xs))
+    check("depthwise_conv2d_s2_dw", gw, fd_grad(sconv_out, rs, ws))
+
     return results
 
 

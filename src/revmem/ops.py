@@ -8,7 +8,25 @@ cotangent back to input/parameter cotangents. The VJPs are checked against
 central finite differences in the test suite.
 
 Convolutions are cross-correlations (no kernel flip). Output spatial sizes
-follow the usual floor rule ``(d + 2*pad - k)//stride + 1``.
+follow the usual floor rule ``(d + 2*pad - k)//stride + 1``. Each conv form
+uses the kernel that measured fastest for it (float32, one OpenBLAS thread
+on a 2-vCPU x86-64 machine, numpy 2.4):
+
+- Unpadded 1x1 ``conv2d`` and its VJP are batched matrix products over
+  ``(n, c, f*t)`` on the strided input ``x[:, :, ::s, ::s]``. Against the
+  window einsum on five 1x1 layer shapes up to (4, 32, 80, 32), at strides
+  1 and 2, the forward is 1.9-3.2x and the VJP 1.9-2.7x faster.
+- ``depthwise_conv2d_vjp`` loops over the kh*kw taps. Each tap adds its
+  shifted slice of ``gy * w`` into ``dL/dx`` and contracts the matching
+  strided slice of the padded input with ``gy`` for ``dL/dw``. The window
+  einsum it replaces copied the kh*kw-fold window tensor: at
+  (4, 32, 80, 32) it took 14 ms with a 14.5 MB peak, against 7 ms and
+  4.2 MB.
+- ``depthwise_conv2d`` forward and the dense k>1 ``conv2d`` and VJP keep the
+  ``sliding_window_view`` einsum. At (4, 32, 80, 32) the depthwise forward
+  took 3.3-3.9 ms that way against 5.0-6.2 ms as a sum of shifted slices.
+  For the dense VJP, a per-tap einsum ``dL/dw`` moved the time by -11% to
+  +14% on four layer shapes of a width-64 toy net, no clear win.
 """
 
 from __future__ import annotations
@@ -58,6 +76,24 @@ def _check_conv_args(x, w, stride, pad):
         raise ConfigError(f"kernel sides must be odd, got {kh}x{kw}")
 
 
+def _is_pointwise(w: np.ndarray, pad: int) -> bool:
+    return w.shape[2] == 1 and w.shape[3] == 1 and pad == 0
+
+
+def _pointwise_conv2d_vjp(x, w, gy, stride):
+    n, c = x.shape[:2]
+    o, fo, to = gy.shape[1:]
+    xs = x[:, :, ::stride, ::stride].reshape(n, c, fo * to)
+    g = gy.reshape(n, o, fo * to)
+    gw = np.matmul(g, xs.transpose(0, 2, 1)).sum(axis=0)[:, :, None, None]
+    gxs = np.matmul(w[:, :, 0, 0].T, g).reshape(n, c, fo, to)
+    if stride == 1:
+        return gxs, gw
+    gx = np.zeros_like(x, dtype=gxs.dtype)
+    gx[:, :, ::stride, ::stride] = gxs
+    return gx, gw
+
+
 def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Cross-correlate x (n, c_in, f, t) with w (c_out, c_in, kh, kw)."""
     _check_conv_args(x, w, stride, pad)
@@ -68,6 +104,11 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.nd
     kh, kw = w.shape[2], w.shape[3]
     _conv_out_size(x.shape[2], kh, stride, pad)
     _conv_out_size(x.shape[3], kw, stride, pad)
+    if _is_pointwise(w, pad):
+        xs = x[:, :, ::stride, ::stride]
+        n, c, fo, to = xs.shape
+        y = np.matmul(w[:, :, 0, 0], xs.reshape(n, c, fo * to))
+        return y.reshape(n, w.shape[0], fo, to)
     win = _windows(x, kh, kw, stride, pad)
     return np.einsum("ncftij,ocij->noft", win, w, optimize=True)
 
@@ -76,6 +117,8 @@ def conv2d_vjp(
     x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int = 1, pad: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cotangents (dL/dx, dL/dw) of conv2d given dL/dy."""
+    if _is_pointwise(w, pad):
+        return _pointwise_conv2d_vjp(x, w, gy, stride)
     kh, kw = w.shape[2], w.shape[3]
     win = _windows(x, kh, kw, stride, pad)
     gw = np.einsum("ncftij,noft->ocij", win, gy, optimize=True)
@@ -113,17 +156,16 @@ def depthwise_conv2d_vjp(
     x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int = 1, pad: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     kh, kw = w.shape[2], w.shape[3]
-    win = _windows(x, kh, kw, stride, pad)
-    gw = np.einsum("ncftij,ncft->cij", win, gy, optimize=True)[:, None]
-
     n, c, f, t = x.shape
     fo, to = gy.shape[2], gy.shape[3]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    gw = np.empty((c, 1, kh, kw), dtype=np.result_type(x, gy))
     gxp = np.zeros((n, c, f + 2 * pad, t + 2 * pad), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            gxp[:, :, i : i + stride * fo : stride, j : j + stride * to : stride] += (
-                gy * w[:, 0, i, j][None, :, None, None]
-            )
+            tap = (..., slice(i, i + stride * fo, stride), slice(j, j + stride * to, stride))
+            gw[:, 0, i, j] = np.einsum("ncft,ncft->c", xp[tap], gy)
+            gxp[tap] += gy * w[:, 0, i, j][None, :, None, None]
     gx = gxp[:, :, pad : pad + f, pad : pad + t] if pad else gxp
     return gx, gw
 

@@ -25,6 +25,9 @@ class TestGradcheckCommand:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "check,max_error,tolerance,status"
         assert all(line.endswith("pass") for line in lines[1:])
+        names = {line.split(",")[0] for line in lines[1:]}
+        assert {"conv2d_1x1_s2_dx", "conv2d_1x1_s2_dw",
+                "depthwise_conv2d_s2_dx", "depthwise_conv2d_s2_dw"} <= names
 
     def test_fault_injection_names_op(self, tmp_path, capsys):
         out = tmp_path / "gc.csv"
@@ -33,6 +36,14 @@ class TestGradcheckCommand:
         err = capsys.readouterr().err
         assert "batchnorm2d" in err
         assert "FAIL" in out.read_text()
+
+    @pytest.mark.parametrize("op, row", [("conv2d", "conv2d_1x1_s2_dx"),
+                                         ("depthwise_conv2d", "depthwise_conv2d_s2_dx")])
+    def test_fault_injection_reaches_strided_rows(self, tmp_path, op, row):
+        out = tmp_path / "gc.csv"
+        assert run(["gradcheck", "--inject-vjp-fault", op, "--out", str(out)]) == 1
+        rows = {line.split(",")[0]: line for line in out.read_text().split("\n")}
+        assert rows[row].endswith("FAIL")
 
     def test_zero_depth_net_vacuous_pass(self, tmp_path):
         # the block-free net row has nothing to disagree about

@@ -1,5 +1,8 @@
 """Dual-mode execution, saved-store accounting, and the memory ledger."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,15 @@ class TestRunForward:
         net = toy_net()
         with pytest.raises(ShapeError):
             run_forward(net, rng.normal(size=(2, 1, 40, 8)), "stored")
+
+    @pytest.mark.parametrize("net_dtype, batch_dtype",
+                             [(np.float32, np.float64), (np.float64, np.float32)])
+    def test_batch_dtype_must_match_network(self, rng, net_dtype, batch_dtype):
+        net = toy_net(dtype=net_dtype)
+        with pytest.raises(ConfigError) as info:
+            run_forward(net, batch(rng, dtype=batch_dtype), "reversible")
+        msg = str(info.value)
+        assert np.dtype(net_dtype).name in msg and np.dtype(batch_dtype).name in msg
 
     def test_empty_net_passthrough_caches_nothing(self, rng):
         net = zoo.build(zoo.NetworkSpec("empty", []), dtype=np.float64)
@@ -176,6 +188,21 @@ class TestLedger:
                 assert ledger.weights == plan.weights
                 assert ledger.workspace == plan.workspace
                 assert store.activation_nbytes() == plan.activations
+
+    def test_counting_saved_bytes_leaves_no_reference_cycle(self, rng):
+        # saved arrays must die with the store, not wait for the cyclic GC
+        net = toy_net(dtype=np.float32, kind="df_bottleneck")
+        x = batch(rng, dtype=np.float32)
+        gc.collect()
+        gc.disable()
+        try:
+            out, store, _ = run_forward(net, x, "stored")
+            assert store.activation_nbytes() > 0
+            saved = weakref.ref([a for a in store.activation_arrays() if a is not x][-1])
+            del out, store
+            assert saved() is None
+        finally:
+            gc.enable()
 
     def test_weights_bytes_exact(self):
         net = toy_net(dtype=np.float32)

@@ -1,5 +1,7 @@
 """Primitive op semantics and VJPs against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,9 +27,9 @@ class TestConv2d:
         np.testing.assert_array_equal(ops.conv2d(x, w, 1, 1), x)
 
     def test_matches_direct_loop_oracle(self, rng):
-        for stride, pad in [(1, 0), (1, 1), (2, 1)]:
+        for k, stride, pad in [(3, 1, 0), (3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0)]:
             x = rng.normal(size=(2, 3, 7, 6))
-            w = rng.normal(size=(4, 3, 3, 3))
+            w = rng.normal(size=(4, 3, k, k))
             got = ops.conv2d(x, w, stride, pad)
             ref = conv2d_direct(x, w, stride, pad)
             assert mixed_err(got, ref) <= 1e-6
@@ -51,6 +53,19 @@ class TestConv2d:
         assert mixed_err(gx, central_diff_proj(out, r, x)) <= 1e-6
         assert mixed_err(gw, central_diff_proj(out, r, w)) <= 1e-6
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_pointwise_gradients(self, rng, stride):
+        # unpadded 1x1 kernels take the matmul path; the odd frequency extent
+        # leaves the last row out of every stride-2 window
+        x = rng.normal(size=(2, 3, 5, 4))
+        w = rng.normal(size=(4, 3, 1, 1))
+        r = rng.normal(size=ops.conv2d(x, w, stride, 0).shape)
+        gx, gw = ops.conv2d_vjp(x, w, r, stride, 0)
+        out = lambda: ops.conv2d(x, w, stride, 0)
+        assert gx.shape == x.shape and gw.shape == w.shape
+        assert mixed_err(gx, central_diff_proj(out, r, x)) <= 1e-6
+        assert mixed_err(gw, central_diff_proj(out, r, w)) <= 1e-6
+
     def test_channel_mismatch_raises(self, rng):
         with pytest.raises(ShapeError, match="channels"):
             ops.conv2d(np.zeros((1, 3, 4, 4)), np.zeros((2, 2, 3, 3)))
@@ -62,6 +77,19 @@ class TestConv2d:
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError, match="odd"):
             ops.conv2d(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 2, 2)))
+
+
+class TestConvDtype:
+    @pytest.mark.parametrize("k, stride, pad", [(1, 1, 0), (1, 2, 0), (3, 1, 1), (3, 2, 1)])
+    def test_float32_in_float32_out(self, rng, k, stride, pad):
+        x = rng.normal(size=(2, 4, 6, 6)).astype(np.float32)
+        w = rng.normal(size=(3, 4, k, k)).astype(np.float32)
+        wd = rng.normal(size=(4, 1, k, k)).astype(np.float32)
+        y = ops.conv2d(x, w, stride, pad)
+        yd = ops.depthwise_conv2d(x, wd, stride, pad)
+        outs = [y, *ops.conv2d_vjp(x, w, np.ones_like(y), stride, pad),
+                yd, *ops.depthwise_conv2d_vjp(x, wd, np.ones_like(yd), stride, pad)]
+        assert [o.dtype for o in outs] == [np.float32] * 6
 
 
 class TestDepthwiseConv2d:
@@ -87,6 +115,29 @@ class TestDepthwiseConv2d:
         out = lambda: ops.depthwise_conv2d(x, w, 1, 1)
         assert mixed_err(gx, central_diff_proj(out, r, x)) <= 1e-6
         assert mixed_err(gw, central_diff_proj(out, r, w)) <= 1e-6
+
+    def test_strided_gradients_vs_finite_differences(self, rng):
+        x = rng.normal(size=(1, 2, 5, 6))
+        w = rng.normal(size=(2, 1, 3, 3))
+        r = rng.normal(size=ops.depthwise_conv2d(x, w, 2, 1).shape)
+        gx, gw = ops.depthwise_conv2d_vjp(x, w, r, 2, 1)
+        out = lambda: ops.depthwise_conv2d(x, w, 2, 1)
+        assert mixed_err(gx, central_diff_proj(out, r, x)) <= 1e-6
+        assert mixed_err(gw, central_diff_proj(out, r, w)) <= 1e-6
+
+    def test_vjp_peak_memory_stays_near_input_size(self, rng):
+        # padded input + padded dL/dx + one tap product is ~3.2x the input;
+        # a (kh*kw)-fold window copy would be ~11x
+        x = rng.standard_normal((4, 32, 80, 32), dtype=np.float32)
+        w = rng.standard_normal((32, 1, 3, 3), dtype=np.float32)
+        gy = rng.standard_normal(x.shape, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            ops.depthwise_conv2d_vjp(x, w, gy, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * x.nbytes
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
