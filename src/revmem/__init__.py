@@ -7,13 +7,7 @@ from .engine import (
     SavedStore,
     gpus_required,
     ledger_plan,
-    ledger_report,
     max_batch,
-    rev_backward,
-    rev_downsample,
-    rev_downsample_inverse,
-    rev_forward,
-    rev_inverse,
     run_backward,
     run_forward,
 )

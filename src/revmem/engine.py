@@ -2,13 +2,18 @@
 
 A network is a flat sequence of layers. Consecutive reversible layers
 (coupling blocks and rearrangement downsamplers) form *reversible runs*.
+Plain layers take and return tensors. Run members take and return tuples of
+channel streams: the engine hands a run's tensor to its members as one
+stream, splits it into the pair (x1, x2) once, at the run's first coupling
+block, and concatenates the pair once, at the run's end. Backward walks a
+run with the same split point.
 
-Stored mode caches every primitive's input on a tape and walks it backward.
-Reversible mode caches only the inputs of non-reversible layers, the final
-output of each reversible run, and per-batch-norm statistics; gradients
-inside a run are computed by reconstructing block inputs from block outputs.
-Both modes accumulate gradients into the same Param objects and must agree
-to rounding error.
+Stored mode caches every primitive's input on a tape and walks it backward;
+a whole run keeps one list of tape entries. Reversible mode caches only the
+inputs of non-reversible layers, the final output of each reversible run,
+and per-batch-norm statistics; gradients inside a run are computed by
+reconstructing block inputs from block outputs. Both modes accumulate
+gradients into the same Param objects and must agree to rounding error.
 
 The ledger counts semantic bytes only (element count times scalar width):
 allocator slack and framework overhead are deliberately out of scope.
@@ -53,14 +58,11 @@ class MemoryLedger:
         tot = self.total()
         return {k: (getattr(self, k) / tot if tot else 0.0) for k in LEDGER_CATEGORIES}
 
-    def rows(self) -> list[tuple[str, int, float]]:
-        shares = self.shares()
-        return [(k, getattr(self, k), shares[k]) for k in LEDGER_CATEGORIES]
-
     def to_csv(self) -> str:
+        """CSV rows `category,bytes,share` in fixed category order."""
+        shares = self.shares()
         lines = ["category,bytes,share"]
-        for name, nbytes, share in self.rows():
-            lines.append(f"{name},{nbytes},{share:.6f}")
+        lines += [f"{k},{getattr(self, k)},{shares[k]:.6f}" for k in LEDGER_CATEGORIES]
         return "\n".join(lines) + "\n"
 
 
@@ -83,10 +85,6 @@ class Network:
     @property
     def param_count(self) -> int:
         return sum(p.size for p in self.params())
-
-    @property
-    def layer_count(self) -> int:
-        return len(self.layers)
 
     def param_nbytes(self) -> int:
         return sum(p.nbytes for p in self.params())
@@ -124,16 +122,20 @@ def _group_units(layers):
 class SavedStore:
     """Per-step cache of tensors retained for backward.
 
-    Stored mode keeps one tape entry per layer; reversible mode keeps the
-    inputs of non-reversible layers and one output tensor per reversible
-    run. Batch statistics live on the batch-norm layers and are booked as
-    workspace, not activations.
+    Stored mode keeps one entry per unit: a layer's tape, or one list of
+    tape entries for a whole reversible run. Reversible mode keeps the inputs
+    of non-reversible layers and one output tensor per reversible run. Batch
+    statistics live on the batch-norm layers and are booked as workspace,
+    not activations. The output's shape and dtype are kept to check the
+    cotangent that run_backward receives.
     """
 
     def __init__(self, net: Network, mode: str):
         self.net = net
         self.mode = mode
         self.entries = []  # aligned with net.units
+        self.out_shape = None
+        self.out_dtype = None
         self.consumed = False
 
     def activation_arrays(self):
@@ -160,6 +162,19 @@ class SavedStore:
         return len(self.activation_arrays())
 
 
+def _run_head(net: Network, idxs):
+    """Index of a run's first coupling block, where its tensor splits into a pair.
+
+    Downsamplers ahead of it rearrange the whole tensor, whose channel count
+    may be odd. None when the run has no coupling block.
+    """
+    return next((i for i in idxs if isinstance(net.layers[i], RevBlock)), None)
+
+
+def _join(streams):
+    return streams[0] if len(streams) == 1 else ops.channel_concat(*streams)
+
+
 def run_forward(net: Network, batch: np.ndarray, mode: str):
     """Execute the network, returning (output, SavedStore, MemoryLedger)."""
     if mode not in MODES:
@@ -181,26 +196,23 @@ def run_forward(net: Network, batch: np.ndarray, mode: str):
     store = SavedStore(net, mode)
     x = batch
     for kind, idxs in net.units:
+        tape = [] if mode == "stored" else None
         if kind == "layer":
-            layer = net.layers[idxs]
-            if mode == "stored":
-                tape = []
-                y = layer.forward(x, tape=tape)
-                store.entries.append(("layer", idxs, tape))
-            else:
-                store.entries.append(("input", idxs, x))
-                y = layer.forward(x, tape=None)
+            y = net.layers[idxs].forward(x, tape=tape)
+            store.entries.append(("layer", idxs, tape) if tape is not None
+                                 else ("input", idxs, x))
             x = y
-        else:  # reversible run
-            if mode == "stored":
-                for i in idxs:
-                    tape = []
-                    x = net.layers[i].forward(x, tape=tape)
-                    store.entries.append(("layer", i, tape))
-            else:
-                for i in idxs:
-                    x = net.layers[i].forward(x, tape=None)
-                store.entries.append(("run_out", idxs, x))
+        else:  # reversible run: split once at its head, concat once at its end
+            head = _run_head(net, idxs)
+            xs = (x,)
+            for i in idxs:
+                if i == head:
+                    xs = ops.channel_split(xs[0])
+                xs = net.layers[i].forward(xs, tape=tape)
+            x = _join(xs)
+            store.entries.append(("run", idxs, tape) if tape is not None
+                                 else ("run_out", idxs, x))
+    store.out_shape, store.out_dtype = x.shape, x.dtype
 
     ledger = MemoryLedger(
         activations=store.activation_nbytes(),
@@ -223,6 +235,15 @@ def run_backward(net: Network, store: SavedStore, g_out: np.ndarray, mode: str):
         raise StateError(f"saved store was built in {store.mode!r} mode, not {mode!r}")
     if store.consumed:
         raise StateError("saved store already consumed by a previous backward pass")
+    if g_out.shape != store.out_shape:
+        raise ShapeError(
+            f"cotangent shape {g_out.shape} does not match output shape {store.out_shape}"
+        )
+    if g_out.dtype != store.out_dtype:
+        raise ConfigError(
+            f"cotangent dtype {g_out.dtype} does not match output dtype {store.out_dtype}; "
+            "cast the cotangent before running backward"
+        )
     store.consumed = True
 
     g = g_out
@@ -231,41 +252,22 @@ def run_backward(net: Network, store: SavedStore, g_out: np.ndarray, mode: str):
             g = net.layers[idx].backward(g, payload[0])
         elif kind == "input":
             g = net.layers[idx].backward_from_input(g, payload)
-        else:  # run_out
-            y = payload
-            for i in reversed(idx):
-                layer = net.layers[i]
-                y, g = layer.rev_backward(y, g)
+        else:  # reversible run, walked with the same split point as forward
+            head = _run_head(net, idx)
+            gs = (g,) if head is None else ops.channel_split(g)
+            if kind == "run":
+                for i, entry in zip(reversed(idx), reversed(payload)):
+                    gs = net.layers[i].backward(gs, entry)
+                    if i == head:
+                        gs = (_join(gs),)
+            else:  # run_out: rebuild each member's input from its output
+                ys = (payload,) if head is None else ops.channel_split(payload)
+                for i in reversed(idx):
+                    ys, gs = net.layers[i].rev_backward(ys, gs)
+                    if i == head:
+                        ys, gs = (_join(ys),), (_join(gs),)
+            g = gs[0]
     return g
-
-
-# -- pair-level reversible ops (thin, test-facing surface) ----------------
-
-def rev_forward(block: RevBlock, x1, x2):
-    return block.couple(x1, x2)
-
-
-def rev_inverse(block: RevBlock, y1, y2):
-    return block.invert(y1, y2)
-
-
-def rev_backward(block: RevBlock, y1, y2, gy1, gy2):
-    """Coupled-chain-rule backward; returns reconstructed inputs, input
-    cotangents, and this call's parameter gradient contributions for F and G."""
-    before_f = [p.grad.copy() for p in block.f.params()]
-    before_g = [p.grad.copy() for p in block.g.params()]
-    x1, x2, gx1, gx2 = block.rev_backward_pair(y1, y2, gy1, gy2)
-    grads_f = [p.grad - b for p, b in zip(block.f.params(), before_f)]
-    grads_g = [p.grad - b for p, b in zip(block.g.params(), before_g)]
-    return x1, x2, gx1, gx2, grads_f, grads_g
-
-
-def rev_downsample(x, r=2):
-    return ops.pixel_unshuffle(x, r)
-
-
-def rev_downsample_inverse(y, r=2):
-    return ops.pixel_shuffle(y, r)
 
 
 # -- analytic ledger -------------------------------------------------------
@@ -287,50 +289,33 @@ def ledger_plan(net: Network, batch: int, frames: int, mode: str,
     stat_elems = 0
     prev_was_run = False
     for kind, idxs in net.units:
-        if kind == "layer":
-            layer = net.layers[idxs]
+        # reversible mode saves a layer's input (unless it is the previous
+        # run's saved output) and each run's output
+        if mode == "reversible" and kind == "layer" and not prev_was_run:
+            act_elems += math.prod(shape)
+        for i in ([idxs] if kind == "layer" else idxs):
+            layer = net.layers[i]
             if mode == "stored":
                 act_elems += layer.plan_cached(shape)
-            else:
-                # a run's saved output is the same tensor as this input
-                if not prev_was_run:
-                    act_elems += _elems(shape)
             stat_elems += layer.plan_stats(shape)
             shape = layer.out_shape(shape)
-            prev_was_run = False
-        else:
-            for i in idxs:
-                layer = net.layers[i]
-                if mode == "stored":
-                    act_elems += layer.plan_cached(shape)
-                stat_elems += layer.plan_stats(shape)
-                shape = layer.out_shape(shape)
-            if mode == "reversible":
-                act_elems += _elems(shape)
-            prev_was_run = True
+        if mode == "reversible" and kind == "run":
+            act_elems += math.prod(shape)
+        prev_was_run = kind == "run"
 
-    n_params = net.param_count
+    params = net.params()
+    n_params = sum(p.size for p in params)
     ledger = MemoryLedger(
         activations=act_elems * width,
         weights=n_params * width,
         gradients=n_params * width,
-        optimizer_states=optimizer_state_nbytes(n_params, optimizer, width, block_size),
+        # 8-bit optimizers quantize each tensor in its own blocks
+        optimizer_states=sum(optimizer_state_nbytes(p.size, optimizer, width, block_size)
+                             for p in params),
         workspace=stat_elems * width,
     )
     ledger.touch()
     return ledger
-
-
-def _elems(shape) -> int:
-    n = 1
-    for d in shape:
-        n *= d
-    return n
-
-
-def ledger_report(ledger: MemoryLedger) -> str:
-    """CSV rows `category,bytes,share` in fixed category order."""
-    return ledger.to_csv()
 
 
 def max_batch(net: Network, mode: str, budget_bytes: int, frames: int = 200,

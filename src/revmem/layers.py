@@ -3,20 +3,25 @@
 Execution protocol (used by the engine):
 
 * ``forward(x, tape=None, replay=False)`` computes the layer output. When
-  ``tape`` is a list, the layer appends whatever its backward needs (stored
-  mode). With ``tape=None`` nothing is retained beyond per-layer batch-norm
-  statistics (reversible mode). ``replay=True`` makes batch norms reuse the
-  statistics captured on the step's first forward instead of recomputing
-  them, and suppresses running-stat updates.
-* ``backward(gy, entry)`` consumes one tape entry, accumulates parameter
+  ``tape`` is a list, the layer appends one entry holding whatever its
+  backward needs (stored mode). With ``tape=None`` nothing is retained beyond
+  per-layer batch-norm statistics (reversible mode). ``replay=True`` makes
+  batch norms reuse the statistics captured on the step's first forward
+  instead of recomputing them, and suppresses running-stat updates.
+* ``backward(gy, entry)`` consumes that tape entry, accumulates parameter
   gradients, and returns the input cotangent.
 * ``plan_cached(in_shape)`` / ``plan_stats(in_shape)`` report how many
   elements the layer would cache (stored mode) and how many batch-stat
   scalars it captures, so ledgers can be computed without running tensors.
 
-Reversible layers additionally expose ``inverse`` and ``rev_backward``;
-``rev_backward`` reconstructs the block inputs from its outputs and runs the
-coupled chain rule, so no forward activation of the block is ever read.
+Members of a reversible run (``RevBlock``, ``RevDownsample``) take and
+return tuples of channel streams instead of single tensors: a ``RevBlock``
+works on the pair ``(x1, x2)``, and a ``RevDownsample`` rearranges each
+stream it is given, one stream ahead of the run's first block and two after
+it. All their methods follow that convention. ``RevBlock.inverse(y)``
+reconstructs the inputs from the outputs, and ``rev_backward(y, gy)`` does
+so and runs the coupled chain rule, so no forward activation of the block is
+ever read.
 """
 
 from __future__ import annotations
@@ -55,13 +60,6 @@ def he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarra
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-def _shape_elems(shape) -> int:
-    n = 1
-    for d in shape:
-        n *= d
-    return n
-
-
 class Layer:
     reversible = False
 
@@ -82,7 +80,8 @@ class Layer:
         return self.backward(gy, x)
 
     def plan_cached(self, in_shape) -> int:
-        return 0
+        # a primitive's tape entry is its input
+        return math.prod(in_shape)
 
     def plan_stats(self, in_shape) -> int:
         return 0
@@ -104,7 +103,7 @@ class Conv2d(Layer):
     def out_shape(self, shape):
         n, c, f, t = shape
         if c != self.c_in:
-            raise ShapeError(f"conv expects {self.c_in} channels, got {c}")
+            raise ShapeError(f"{type(self).__name__} expects {self.c_in} channels, got {c}")
         fo = (f + 2 * self.pad - self.k) // self.stride + 1
         to = (t + 2 * self.pad - self.k) // self.stride + 1
         return (n, self.c_out, fo, to)
@@ -119,27 +118,16 @@ class Conv2d(Layer):
         self.w.grad += gw
         return gx
 
-    def plan_cached(self, in_shape):
-        return _shape_elems(in_shape)
 
+class DepthwiseConv2d(Conv2d):
+    """One k x k filter per channel; shares Conv2d's geometry and tape."""
 
-class DepthwiseConv2d(Layer):
     def __init__(self, c, k=3, stride=1, pad=None, *, rng, dtype):
-        self.c, self.k = c, k
+        self.c_in = self.c_out = c
+        self.k = k
         self.stride = stride
         self.pad = k // 2 if pad is None else pad
         self.w = Param(he_uniform(rng, (c, 1, k, k), k * k, dtype))
-
-    def params(self):
-        return [self.w]
-
-    def out_shape(self, shape):
-        n, c, f, t = shape
-        if c != self.c:
-            raise ShapeError(f"depthwise conv expects {self.c} channels, got {c}")
-        fo = (f + 2 * self.pad - self.k) // self.stride + 1
-        to = (t + 2 * self.pad - self.k) // self.stride + 1
-        return (n, c, fo, to)
 
     def forward(self, x, tape=None, replay=False):
         if tape is not None:
@@ -150,9 +138,6 @@ class DepthwiseConv2d(Layer):
         gx, gw = ops.depthwise_conv2d_vjp(x, self.w.value, gy, self.stride, self.pad)
         self.w.grad += gw
         return gx
-
-    def plan_cached(self, in_shape):
-        return _shape_elems(in_shape)
 
 
 class BatchNorm2d(Layer):
@@ -206,9 +191,6 @@ class BatchNorm2d(Layer):
         self.beta.grad += dbeta
         return gx
 
-    def plan_cached(self, in_shape):
-        return _shape_elems(in_shape)
-
     def plan_stats(self, in_shape):
         return 2 * self.c
 
@@ -228,9 +210,6 @@ class ReLU(Layer):
     def backward(self, gy, x):
         return ops.relu_vjp(x, gy)
 
-    def plan_cached(self, in_shape):
-        return _shape_elems(in_shape)
-
 
 class GlobalStatPool(Layer):
     def out_shape(self, shape):
@@ -244,9 +223,6 @@ class GlobalStatPool(Layer):
 
     def backward(self, gy, x):
         return ops.global_stat_pool_vjp(x, gy)
-
-    def plan_cached(self, in_shape):
-        return _shape_elems(in_shape)
 
 
 class Linear(Layer):
@@ -274,9 +250,6 @@ class Linear(Layer):
         self.w.grad += gw
         self.b.grad += gb
         return gx
-
-    def plan_cached(self, in_shape):
-        return _shape_elems(in_shape)
 
 
 class Sequential(Layer):
@@ -426,11 +399,13 @@ class ResidualBlock(Layer):
 
 
 class RevBlock(Layer):
-    """Additive-coupling block: y1 = x1 + F(x2); y2 = x2 + G(y1).
+    """Additive-coupling block on a stream pair: y1 = x1 + F(x2); y2 = x2 + G(y1).
 
-    Inputs split evenly on the channel axis (fixed first/second half). The
-    block is exactly invertible, so its backward can reconstruct (x1, x2)
-    from (y1, y2) and needs no cached activations.
+    Every method takes and returns pairs: the engine splits a run's tensor
+    evenly on the channel axis (fixed first/second half) at the run's first
+    block and concatenates it at the run's end. The block is exactly
+    invertible, so its backward can reconstruct (x1, x2) from (y1, y2) and
+    needs no cached activations.
     """
 
     reversible = True
@@ -451,61 +426,40 @@ class RevBlock(Layer):
             )
         return shape
 
-    # -- pair-level core -------------------------------------------------
-
-    def couple(self, x1, x2, tape_f=None, tape_g=None, replay=False):
+    def forward(self, x, tape=None, replay=False):
+        x1, x2 = x
         if x1.shape != x2.shape:
             raise ShapeError(f"stream shapes differ: {x1.shape} vs {x2.shape}")
-        y1 = x1 + self.f.forward(x2, tape=tape_f, replay=replay)
-        y2 = x2 + self.g.forward(y1, tape=tape_g, replay=replay)
+        f_tape, g_tape = ([], []) if tape is not None else (None, None)
+        y1 = x1 + self.f.forward(x2, tape=f_tape, replay=replay)
+        y2 = x2 + self.g.forward(y1, tape=g_tape, replay=replay)
+        if tape is not None:
+            tape.append((f_tape, g_tape))
         return y1, y2
 
-    def invert(self, y1, y2):
-        z1 = y1
-        x2 = y2 - self.g.forward(z1, replay=True)
-        x1 = z1 - self.f.forward(x2, replay=True)
-        return x1, x2
-
-    def rev_backward_pair(self, y1, y2, gy1, gy2):
-        """Reconstruct inputs and backpropagate without stored activations."""
-        z1 = y1
-        g_tape = []
-        x2 = y2 - self.g.forward(z1, tape=g_tape, replay=True)
-        f_tape = []
-        x1 = z1 - self.f.forward(x2, tape=f_tape, replay=True)
-        gz1 = gy1 + self.g.backward(gy2, g_tape)
-        gx2 = gy2 + self.f.backward(gz1, f_tape)
-        return x1, x2, gz1, gx2
-
-    # -- full-tensor layer interface -------------------------------------
-
-    def forward(self, x, tape=None, replay=False):
-        x1, x2 = ops.channel_split(x)
-        if tape is None:
-            y1, y2 = self.couple(x1, x2, replay=replay)
-        else:
-            f_tape, g_tape = [], []
-            y1, y2 = self.couple(x1, x2, f_tape, g_tape, replay=replay)
-            tape.append((f_tape, g_tape))
-        return ops.channel_concat(y1, y2)
-
     def backward(self, gy, entry):
-        f_tape, g_tape = entry
-        gy1, gy2 = ops.channel_split(gy)
-        gz1 = gy1 + self.g.backward(gy2, g_tape)
-        gx2 = gy2 + self.f.backward(gz1, f_tape)
-        return ops.channel_concat(gz1, gx2)
+        return self._coupled_vjp(gy, *entry)
 
     def inverse(self, y):
-        y1, y2 = ops.channel_split(y)
-        x1, x2 = self.invert(y1, y2)
-        return ops.channel_concat(x1, x2)
+        return self._reconstruct(y, None, None)
 
     def rev_backward(self, y, gy):
-        y1, y2 = ops.channel_split(y)
-        gy1, gy2 = ops.channel_split(gy)
-        x1, x2, gx1, gx2 = self.rev_backward_pair(y1, y2, gy1, gy2)
-        return ops.channel_concat(x1, x2), ops.channel_concat(gx1, gx2)
+        """Reconstruct the inputs and backpropagate without stored activations."""
+        f_tape, g_tape = [], []
+        x = self._reconstruct(y, f_tape, g_tape)
+        return x, self._coupled_vjp(gy, f_tape, g_tape)
+
+    def _reconstruct(self, y, f_tape, g_tape):
+        y1, y2 = y
+        x2 = y2 - self.g.forward(y1, tape=g_tape, replay=True)
+        x1 = y1 - self.f.forward(x2, tape=f_tape, replay=True)
+        return x1, x2
+
+    def _coupled_vjp(self, gy, f_tape, g_tape):
+        gy1, gy2 = gy
+        gz1 = gy1 + self.g.backward(gy2, g_tape)
+        gx2 = gy2 + self.f.backward(gz1, f_tape)
+        return gz1, gx2
 
     def plan_cached(self, in_shape):
         n, c, f, t = in_shape
@@ -522,7 +476,12 @@ class RevBlock(Layer):
 
 
 class RevDownsample(Layer):
-    """Invertible downsampling by tensor rearrangement (nothing cached)."""
+    """Invertible downsampling by tensor rearrangement (nothing cached).
+
+    Takes and returns a tuple of streams and rearranges each one. On a pair
+    this equals rearranging the concatenated tensor and splitting the result,
+    because output channel c*r*r + i*r + j keeps the two halves apart.
+    """
 
     reversible = True
 
@@ -537,19 +496,23 @@ class RevDownsample(Layer):
             )
         return (n, c * self.r * self.r, f // self.r, t // self.r)
 
+    def plan_cached(self, in_shape):
+        return 0
+
     def forward(self, x, tape=None, replay=False):
         if tape is not None:
             tape.append(None)
-        return ops.pixel_unshuffle(x, self.r)
+        return tuple(ops.pixel_unshuffle(s, self.r) for s in x)
 
     def backward(self, gy, entry=None):
-        return ops.pixel_shuffle(gy, self.r)
+        return self._shuffle(gy)
 
     def backward_from_input(self, gy, x):
-        return ops.pixel_shuffle(gy, self.r)
-
-    def inverse(self, y):
-        return ops.pixel_shuffle(y, self.r)
+        return self._shuffle(gy)
 
     def rev_backward(self, y, gy):
-        return ops.pixel_shuffle(y, self.r), ops.pixel_shuffle(gy, self.r)
+        return self._shuffle(y), self._shuffle(gy)
+
+    def _shuffle(self, streams):
+        # the rearrangement is a permutation, so its VJP is its inverse
+        return tuple(ops.pixel_shuffle(s, self.r) for s in streams)

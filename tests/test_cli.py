@@ -38,7 +38,12 @@ class TestGradcheckCommand:
         assert "FAIL" in out.read_text()
 
     @pytest.mark.parametrize("op, row", [("conv2d", "conv2d_1x1_s2_dx"),
-                                         ("depthwise_conv2d", "depthwise_conv2d_s2_dx")])
+                                         ("depthwise_conv2d", "depthwise_conv2d_s2_dx"),
+                                         ("conv2d", "conv2d_dw"),
+                                         ("conv2d", "conv2d_1x1_s2_dw"),
+                                         ("depthwise_conv2d", "depthwise_conv2d_s2_dw"),
+                                         ("batchnorm2d", "batchnorm2d_dgamma"),
+                                         ("linear", "linear_db")])
     def test_fault_injection_reaches_strided_rows(self, tmp_path, op, row):
         out = tmp_path / "gc.csv"
         assert run(["gradcheck", "--inject-vjp-fault", op, "--out", str(out)]) == 1

@@ -6,18 +6,18 @@ import weakref
 import numpy as np
 import pytest
 
-from revmem import zoo
+from revmem import ops, zoo
 from revmem.engine import (
     MemoryLedger,
     gpus_required,
     ledger_plan,
-    ledger_report,
     max_batch,
     run_backward,
     run_forward,
 )
 from revmem.errors import CapacityError, ConfigError, ShapeError, StateError
 from revmem.layers import BatchNorm2d
+from revmem.optim import Adam8, Sgd8
 
 from conftest import mixed_err, random_toy_spec
 
@@ -134,6 +134,31 @@ class TestRunBackward:
         with pytest.raises(StateError, match="different network"):
             run_backward(other, store, np.zeros_like(out), "stored")
 
+    def test_cotangent_shape_checked(self, rng):
+        net = toy_net()
+        out, store, _ = run_forward(net, batch(rng), "stored")
+        with pytest.raises(ShapeError, match="cotangent shape"):
+            run_backward(net, store, np.zeros((out.shape[0], out.shape[1] + 1)), "stored")
+        # a rejected cotangent leaves the store usable
+        run_backward(net, store, np.zeros_like(out), "stored")
+
+    def test_cotangent_dtype_checked(self, rng):
+        net = toy_net(dtype=np.float32)
+        out, store, _ = run_forward(net, batch(rng, dtype=np.float32), "reversible")
+        with pytest.raises(ConfigError) as info:
+            run_backward(net, store, np.zeros(out.shape, np.float64), "reversible")
+        assert "float64" in str(info.value) and "float32" in str(info.value)
+
+    def test_state_checks_precede_cotangent_checks(self, rng):
+        net = toy_net()
+        out, store, _ = run_forward(net, batch(rng), "stored")
+        bad = np.zeros((1, 1), np.float32)
+        with pytest.raises(StateError, match="mode"):
+            run_backward(net, store, bad, "reversible")
+        run_backward(net, store, np.zeros_like(out), "stored")
+        with pytest.raises(StateError, match="consumed"):
+            run_backward(net, store, bad, "stored")
+
     def test_grad_accumulation_is_additive(self, rng):
         net = toy_net()
         x = batch(rng)
@@ -174,6 +199,71 @@ class TestRunBackward:
             run_backward(net, store2, r, "reversible")
             for p, g in zip(net.params(), ref):
                 assert mixed_err(p.grad, g) <= 1e-6
+
+
+# conv(3) puts an odd channel count at a run head (rev_ds before the first
+# block), and the second rev_ds sits between two rev_res stages of one run
+ODD_HEAD_SPEC = """{
+  "name": "odd-head",
+  "stages": [
+    {"op": "conv", "c": 3},
+    {"op": "rev_ds", "r": 2, "c_out": 12},
+    {"op": "rev_res", "kind": "basic", "c_half": 6, "repeat": 2},
+    {"op": "rev_ds", "r": 2, "c_out": 48},
+    {"op": "rev_res", "kind": "df_bottleneck", "c_half": 24, "repeat": 1},
+    {"op": "pooling"},
+    {"op": "fc", "d_in": 1920, "d_out": 16}
+  ],
+  "embedding_dim": 16
+}"""
+
+
+class TestRunShapes:
+    def test_odd_head_modes_agree(self, rng):
+        net = zoo.build(zoo.spec_from_json(ODD_HEAD_SPEC), dtype=np.float64, seed=5)
+        x = batch(rng)
+        out, store, _ = run_forward(net, x, "stored")
+        r = rng.normal(size=out.shape)
+        net.zero_grad()
+        gx = run_backward(net, store, r, "stored")
+        ref = [p.grad.copy() for p in net.params()]
+        net.zero_grad()
+        out2, store2, _ = run_forward(net, x, "reversible")
+        gx2 = run_backward(net, store2, r, "reversible")
+        np.testing.assert_array_equal(out, out2)
+        assert mixed_err(gx2, gx) <= 1e-6
+        for p, g in zip(net.params(), ref):
+            assert mixed_err(p.grad, g) <= 1e-6
+
+    @pytest.mark.parametrize("mode", ["stored", "reversible"])
+    def test_odd_head_plan_matches_real_run(self, rng, mode):
+        net = zoo.build(zoo.spec_from_json(ODD_HEAD_SPEC), dtype=np.float32, seed=5)
+        _, store, ledger = run_forward(net, batch(rng, dtype=np.float32), mode)
+        assert ledger.activations == ledger_plan(net, 2, 8, mode).activations
+        assert store.activation_nbytes() == ledger.activations
+
+    @pytest.mark.parametrize("mode", ["stored", "reversible"])
+    @pytest.mark.parametrize("spec, runs", [
+        (zoo.spec_from_json(ODD_HEAD_SPEC), 1),
+        (zoo.toy_spec([3, 2], 8, "basic"), 2),
+    ], ids=["odd-head", "two-runs"])
+    def test_forward_splits_and_concats_once_per_run(self, rng, monkeypatch, mode, spec, runs):
+        calls = {"channel_split": 0, "channel_concat": 0}
+
+        def counted(name):
+            original = getattr(ops, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        net = zoo.build(spec, dtype=np.float32, seed=1)
+        for name in calls:
+            monkeypatch.setattr(ops, name, counted(name))
+        run_forward(net, batch(rng, dtype=np.float32), mode)
+        assert calls == {"channel_split": runs, "channel_concat": runs}
 
 
 class TestLedger:
@@ -232,13 +322,15 @@ class TestLedger:
         n = net.param_count
         assert ledger_plan(net, 1, 8, "stored", optimizer="sgd").optimizer_states == 4 * n
         assert ledger_plan(net, 1, 8, "stored", optimizer="adamw").optimizer_states == 8 * n
-        got = ledger_plan(net, 1, 8, "stored", optimizer="sgd8", block_size=2048)
-        assert got.optimizer_states == n + 4 * ((n + 2047) // 2048)
+        # 8-bit state is quantized per tensor, so the plan must equal the real optimizers
+        for name, cls in (("sgd8", Sgd8), ("adam8", Adam8)):
+            got = ledger_plan(net, 1, 8, "stored", optimizer=name, block_size=2048)
+            assert got.optimizer_states == cls(net.params(), block_size=2048).state_nbytes()
 
     def test_csv_report_format(self):
         led = MemoryLedger(activations=100, weights=50, gradients=50,
                            optimizer_states=0, workspace=0)
-        text = ledger_report(led)
+        text = led.to_csv()
         lines = text.strip().split("\n")
         assert lines[0] == "category,bytes,share"
         assert lines[1].startswith("activations,100,0.5")

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from revmem import engine
+from revmem import ops
 from revmem.errors import StateError
-from revmem.layers import Param, RevBlock, Sequential
+from revmem.layers import Param, RevBlock, RevDownsample, Sequential
 
 from conftest import central_diff_proj, mixed_err
 
@@ -48,31 +48,31 @@ def make_block(kind, half=4, dtype=np.float64, seed=0):
 class TestRevForward:
     def test_zero_branches_identity(self):
         blk = scalar_block(0.0, 0.0)
-        y1, y2 = engine.rev_forward(blk, np.array([1.5]), np.array([-2.0]))
+        y1, y2 = blk.forward((np.array([1.5]), np.array([-2.0])))
         assert y1.item() == 1.5 and y2.item() == -2.0
 
     def test_scalar_arithmetic(self):
         blk = scalar_block(2.0, 1.0)
-        y1, y2 = engine.rev_forward(blk, np.array([1.0]), np.array([3.0]))
+        y1, y2 = blk.forward((np.array([1.0]), np.array([3.0])))
         assert y1.item() == 7.0 and y2.item() == 10.0
 
     def test_shape_preserved(self):
         blk, rng = make_block("basic")
         x1 = rng.normal(size=(2, 4, 6, 5))
         x2 = rng.normal(size=(2, 4, 6, 5))
-        y1, y2 = engine.rev_forward(blk, x1, x2)
+        y1, y2 = blk.forward((x1, x2))
         assert y1.shape == x1.shape and y2.shape == x2.shape
 
 
 class TestRevInverse:
     def test_zero_branches(self):
         blk = scalar_block(0.0, 0.0)
-        x1, x2 = engine.rev_inverse(blk, np.array([4.0]), np.array([5.0]))
+        x1, x2 = blk.inverse((np.array([4.0]), np.array([5.0])))
         assert x1.item() == 4.0 and x2.item() == 5.0
 
     def test_scalar_inverse(self):
         blk = scalar_block(2.0, 1.0)
-        x1, x2 = engine.rev_inverse(blk, np.array([7.0]), np.array([10.0]))
+        x1, x2 = blk.inverse((np.array([7.0]), np.array([10.0])))
         assert x1.item() == 1.0 and x2.item() == 3.0
 
     @pytest.mark.parametrize("kind", ["basic", "bottleneck", "df_bottleneck"])
@@ -80,15 +80,14 @@ class TestRevInverse:
         blk, rng = make_block(kind, dtype=np.float32)
         x1 = rng.normal(size=(2, 4, 8, 6)).astype(np.float32)
         x2 = rng.normal(size=(2, 4, 8, 6)).astype(np.float32)
-        y1, y2 = engine.rev_forward(blk, x1, x2)
-        b1, b2 = engine.rev_inverse(blk, y1, y2)
+        b1, b2 = blk.inverse(blk.forward((x1, x2)))
         assert max(np.abs(b1 - x1).max(), np.abs(b2 - x2).max()) <= 1e-4
 
     def test_missing_stats_raises(self):
         blk, rng = make_block("basic")
         y = rng.normal(size=(2, 4, 8, 6))
         with pytest.raises(StateError, match="statistics"):
-            engine.rev_inverse(blk, y, y.copy())
+            blk.inverse((y, y.copy()))
 
 
 class TestRevBackward:
@@ -96,22 +95,22 @@ class TestRevBackward:
         # F(v)=2v, G(v)=v, upstream ones: dL/dz1 = 1 + 1*1 = 2; dL/dx2 = 1 + 2*2 = 5
         blk = scalar_block(2.0, 1.0)
         one = np.array([1.0])
-        y1, y2 = engine.rev_forward(blk, np.array([1.0]), np.array([3.0]))
-        x1, x2, gx1, gx2, gf, gg = engine.rev_backward(blk, y1, y2, one, one)
+        y = blk.forward((np.array([1.0]), np.array([3.0])))
+        (x1, x2), (gx1, gx2) = blk.rev_backward(y, (one, one))
         assert x1.item() == 1.0 and x2.item() == 3.0
         assert gx1.item() == 2.0 and gx2.item() == 5.0
 
     def test_zero_branches_pass_gradients_through(self):
         blk = scalar_block(0.0, 0.0)
         g1, g2 = np.array([0.3]), np.array([-0.7])
-        _, _, gx1, gx2, _, _ = engine.rev_backward(blk, np.array([1.0]), np.array([2.0]), g1, g2)
+        _, (gx1, gx2) = blk.rev_backward((np.array([1.0]), np.array([2.0])), (g1, g2))
         assert gx1.item() == 0.3 and gx2.item() == -0.7
 
     @pytest.mark.parametrize("kind", ["basic", "bottleneck", "df_bottleneck"])
     def test_matches_stored_mode_autodiff(self, kind):
         blk, rng = make_block(kind)
-        x = rng.normal(size=(2, 8, 8, 6))
-        gy = rng.normal(size=x.shape)
+        x = ops.channel_split(rng.normal(size=(2, 8, 8, 6)))
+        gy = ops.channel_split(rng.normal(size=(2, 8, 8, 6)))
 
         tape = []
         y = blk.forward(x, tape=tape)
@@ -123,43 +122,61 @@ class TestRevBackward:
         for p in blk.params():
             p.zero_grad()
         y2 = blk.forward(x)
-        np.testing.assert_array_equal(y, y2)
+        for a, b in zip(y, y2):
+            np.testing.assert_array_equal(a, b)
         x_rec, gx_rev = blk.rev_backward(y2, gy)
-        assert mixed_err(gx_rev, gx_stored) <= 1e-6
-        assert mixed_err(x_rec, x) <= 1e-6
+        for got, ref in zip(gx_rev, gx_stored):
+            assert mixed_err(got, ref) <= 1e-6
+        for got, ref in zip(x_rec, x):
+            assert mixed_err(got, ref) <= 1e-6
         for p, ref in zip(blk.params(), stored_grads):
             assert mixed_err(p.grad, ref) <= 1e-6
 
     def test_param_grad_slices_returned(self):
         blk = scalar_block(2.0, 1.0)
         one = np.array([1.0])
-        y1, y2 = engine.rev_forward(blk, np.array([1.0]), np.array([3.0]))
-        *_, gf, gg = engine.rev_backward(blk, y1, y2, one, one)
+        y = blk.forward((np.array([1.0]), np.array([3.0])))
+        for p in blk.params():
+            p.zero_grad()
+        blk.rev_backward(y, (one, one))
         # dL/dkf = x2 * dL/dz1 = 3*2; dL/dkg = z1 * dL/dy2 = 7*1
-        assert gf[0].item() == 6.0
-        assert gg[0].item() == 7.0
+        assert blk.f.params()[0].grad.item() == 6.0
+        assert blk.g.params()[0].grad.item() == 7.0
 
     def test_param_grads_vs_finite_differences(self):
         blk, rng = make_block("basic", half=3)
-        x = rng.normal(size=(2, 6, 6, 5))
-        r = rng.normal(size=x.shape)
+        x = ops.channel_split(rng.normal(size=(2, 6, 6, 5)))
+        r = rng.normal(size=(2, 6, 6, 5))
 
         y = blk.forward(x)
         for p in blk.params():
             p.zero_grad()
-        blk.rev_backward(y, r)
+        blk.rev_backward(y, ops.channel_split(r))
         for p in blk.params():
-            fd = central_diff_proj(lambda: blk.forward(x), r, p.value)
+            fd = central_diff_proj(lambda: ops.channel_concat(*blk.forward(x)), r, p.value)
             assert mixed_err(p.grad, fd) <= 1e-6
 
 
 class TestRevDownsample:
     def test_delegates_to_rearrangement(self, rng):
         x = rng.normal(size=(1, 3, 4, 6))
-        y = engine.rev_downsample(x, 2)
+        (y,) = RevDownsample(2).forward((x,))
         assert y.shape == (1, 12, 2, 3)
-        np.testing.assert_array_equal(engine.rev_downsample_inverse(y, 2), x)
+        np.testing.assert_array_equal(y, ops.pixel_unshuffle(x, 2))
+        np.testing.assert_array_equal(ops.pixel_shuffle(y, 2), x)
 
     def test_shape_rule_production_size(self):
         x = np.zeros((2, 48, 80, 200))
-        assert engine.rev_downsample(x, 2).shape == (2, 192, 40, 100)
+        assert ops.pixel_unshuffle(x, 2).shape == (2, 192, 40, 100)
+
+    def test_pair_matches_whole_tensor(self, rng):
+        # rearranging each half equals rearranging the whole tensor and splitting it
+        x = rng.normal(size=(2, 6, 4, 8))
+        layer = RevDownsample(2)
+        halves = layer.forward(ops.channel_split(x))
+        whole = ops.channel_split(ops.pixel_unshuffle(x, 2))
+        for a, b in zip(halves, whole):
+            np.testing.assert_array_equal(a, b)
+        (gx,) = layer.backward((ops.pixel_unshuffle(x, 2),), None)
+        np.testing.assert_array_equal(
+            ops.channel_concat(*layer.backward(halves, None)), gx)
