@@ -23,7 +23,7 @@ import numpy as np
 from . import gradcheck as gc
 from .eer import cosine_scores, eer_from_scores, read_score_file
 from .engine import ledger_plan, run_backward, run_forward
-from .errors import ConfigError, RevmemError
+from .errors import ConfigError, QuantizationError, RevmemError
 from .layers import Param
 from .loss import aam_softmax_loss
 from .optim import make_optimizer
@@ -131,6 +131,13 @@ def _train_step(net, head, x, labels, mode, margin, scale):
     return loss, emb, ledger
 
 
+def _diverged(cfg: RunConfig, rows: list[str], message: str) -> int:
+    """Write the loss log so far and report the divergence (exit code 1)."""
+    _write(cfg, "\n".join(rows) + "\n")
+    print(message, file=sys.stderr)
+    return 1
+
+
 def cmd_train(cfg: RunConfig) -> int:
     net, data, head, opt = _train_setup(cfg)
     rows = ["step,loss,activation_bytes,total_bytes"]
@@ -142,13 +149,15 @@ def cmd_train(cfg: RunConfig) -> int:
                                         cfg.margin, cfg.scale)
         rows.append(f"{step},{loss:.9e},{ledger.activations},{ledger.total()}")
         if not np.isfinite(loss):
-            _write(cfg, "\n".join(rows) + "\n")
-            print(f"training diverged at step {step}", file=sys.stderr)
-            return 1
+            return _diverged(cfg, rows, f"training diverged at step {step}")
         if step == cfg.steps:
             opt.zero_grad()
             break
-        opt.step()
+        try:
+            opt.step()
+        except QuantizationError:  # 8-bit state refuses a non-finite gradient
+            return _diverged(cfg, rows,
+                             f"training diverged at step {step} (non-finite gradient)")
         opt.zero_grad()
     _write(cfg, "\n".join(rows) + "\n")
     if cfg.out:
@@ -225,7 +234,7 @@ def cmd_quantbench(cfg: RunConfig) -> int:
                         f"{state.nbytes},{dense},{state.nbytes / dense:.6f}")
     _write(cfg, "\n".join(rows) + "\n")
     if not all_agree:
-        print("quantbench: binary-search codes disagree with exhaustive oracle",
+        print("quantbench: table-lookup codes disagree with exhaustive oracle",
               file=sys.stderr)
         return 1
     return 0

@@ -12,8 +12,10 @@ Stored mode caches every primitive's input on a tape and walks it backward;
 a whole run keeps one list of tape entries. Reversible mode caches only the
 inputs of non-reversible layers, the final output of each reversible run,
 and per-batch-norm statistics; gradients inside a run are computed by
-reconstructing block inputs from block outputs. Both modes accumulate
-gradients into the same Param objects and must agree to rounding error.
+reconstructing block inputs from block outputs, back to the run's first
+coupling block; downsamplers ahead of it need only the cotangent. Both modes
+accumulate gradients into the same Param objects and must agree to rounding
+error.
 
 The ledger counts semantic bytes only (element count times scalar width):
 allocator slack and framework overhead are deliberately out of scope.
@@ -260,12 +262,16 @@ def run_backward(net: Network, store: SavedStore, g_out: np.ndarray, mode: str):
                     gs = net.layers[i].backward(gs, entry)
                     if i == head:
                         gs = (_join(gs),)
-            else:  # run_out: rebuild each member's input from its output
-                ys = (payload,) if head is None else ops.channel_split(payload)
+            else:  # run_out: rebuild inputs from outputs back to the head; the
+                # downsamplers ahead of it need only the cotangent
+                ys = None if head is None else ops.channel_split(payload)
                 for i in reversed(idx):
-                    ys, gs = net.layers[i].rev_backward(ys, gs)
+                    if ys is None:
+                        gs = net.layers[i].backward(gs)
+                    else:
+                        ys, gs = net.layers[i].rev_backward(ys, gs)
                     if i == head:
-                        ys, gs = (_join(ys),), (_join(gs),)
+                        ys, gs = None, (_join(gs),)
             g = gs[0]
     return g
 

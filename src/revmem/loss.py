@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 _SIN_FLOOR = 1e-12  # keeps the margin chain rule finite for aligned pairs
 
@@ -28,6 +28,11 @@ def aam_softmax_loss(embeddings: np.ndarray, labels: np.ndarray, weights: np.nda
     if weights.ndim != 2 or weights.shape[0] != embeddings.shape[1]:
         raise ShapeError(
             f"weights must be (d={embeddings.shape[1]}, K), got {weights.shape}"
+        )
+    if embeddings.dtype != weights.dtype:
+        raise ConfigError(
+            f"embeddings dtype {embeddings.dtype} does not match head weights dtype "
+            f"{weights.dtype}; cast one before computing the loss"
         )
     if not 0.0 <= margin < math.pi / 2:
         raise ValueError(f"margin must lie in [0, pi/2), got {margin}")

@@ -9,10 +9,19 @@ dense both near zero (down to 1e-6) and near one (spacing 1/64).
 
 Tensors are quantized block by block: each block of ``block_size`` elements
 is normalized by its absolute maximum, every normalized element is mapped to
-the nearest code value (binary search over the sorted decode table, ties
-toward the smaller magnitude, then the smaller code byte), and the code plus
-the per-block absmax are stored. Dequantization is the reverse lookup times
-the absmax.
+the nearest code value (ties toward the smaller magnitude, then the smaller
+code byte), and the code plus the per-block absmax are stored.
+Dequantization is the reverse lookup times the absmax.
+
+The nearest value comes from a decision table, not a search. The map is
+symmetric, so only ``|x|`` is looked up and the sign bit is set afterwards.
+Between two adjacent non-negative values ``a < b`` the nearest-value rule
+switches from ``a`` to ``b`` at one float64 boundary, found exactly at build
+time by bisecting the float64 bit patterns between them. A bucket table,
+indexed by the top bits of ``|x|``'s bit pattern (exponent and 7 mantissa
+bits), holds the number of boundaries below each bucket's start and the one
+boundary, if any, inside the bucket. No bucket holds more than one boundary,
+so a gather and one compare give the index of the nearest value.
 """
 
 from __future__ import annotations
@@ -25,6 +34,10 @@ import numpy as np
 from .errors import QuantizationError, ShapeError
 
 ZERO_CODE = 0x00
+# A bucket key is |x|'s float64 bit pattern shifted right by this much: the
+# sign bit (always 0), the 11 exponent bits and the top 7 mantissa bits.
+BUCKET_SHIFT = 45
+_LOOKUP_CHUNK = 1 << 16
 
 
 def decode_byte(code: int) -> float:
@@ -41,21 +54,58 @@ def decode_byte(code: int) -> float:
 
 @dataclass(frozen=True)
 class DynamicTreeMap:
-    """Decode table plus sorted companions for nearest-value search.
+    """Decode table, its sorted companions and the nearest-code decision table.
 
     ``values[code]`` is the decoded real value. ``sorted_values`` is the
     strictly increasing array of distinct decoded values and
     ``canonical_codes[k]`` the smallest code byte decoding to
     ``sorted_values[k]`` (several byte patterns share a value; the zero code
     collapses 0x00/0x80).
+
+    The decision table serves ``nearest_codes``. A boundary is the smallest
+    float64 whose nearest non-negative value is the next one up. For bucket
+    ``key`` (see ``BUCKET_SHIFT``), ``bucket_counts[key - bucket_base]`` is
+    the number of boundaries below the bucket's start and ``bucket_bounds[key
+    - bucket_base]`` the boundary inside it, or inf. ``signed_codes[k]`` is
+    the code of the ``k``-th non-negative value and ``signed_codes[k + n]``,
+    with ``n`` the number of non-negative values, the code of its negative
+    (0x00 for zero).
     """
 
     values: np.ndarray
     sorted_values: np.ndarray
     canonical_codes: np.ndarray
+    bucket_base: int
+    bucket_counts: np.ndarray
+    bucket_bounds: np.ndarray
+    signed_codes: np.ndarray
 
     def max_adjacent_gap(self) -> float:
         return float(np.diff(self.sorted_values).max())
+
+    @property
+    def boundaries(self) -> np.ndarray:
+        """The boundaries in increasing order, one per adjacent value pair."""
+        return self.bucket_bounds[np.isfinite(self.bucket_bounds)]
+
+
+def _switch_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Smallest float64 x in (a, b] that the nearest-value rule maps to b.
+
+    The rule maps x to b when ``b - x < x - a`` in float64, a tie going to
+    the smaller magnitude a. Both sides are monotone in x, so the rule flips
+    once. Adjacent bit patterns of non-negative floats are ``np.nextafter``
+    neighbours, so bisecting the patterns finds the flip exactly.
+    """
+    lo = a.view(np.int64).copy()  # the rule picks a here
+    hi = b.view(np.int64).copy()  # and b here
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        x = mid.view(np.float64)
+        picks_b = (b - x) < (x - a)
+        hi = np.where(picks_b, mid, hi)
+        lo = np.where(picks_b, lo, mid)
+    return hi.view(np.float64)
 
 
 def build_dynamic_tree_map() -> DynamicTreeMap:
@@ -70,10 +120,32 @@ def build_dynamic_tree_map() -> DynamicTreeMap:
         else:
             uniq_vals.append(float(v))
             uniq_codes.append(int(code))
+    sorted_values = np.array(uniq_vals, dtype=np.float64)
+    canonical_codes = np.array(uniq_codes, dtype=np.uint8)
+
+    # the decision table over |x|; there are at most 128 non-negative values,
+    # so every index into signed_codes fits a uint8
+    nonneg = sorted_values >= 0
+    mags, mag_codes = sorted_values[nonneg], canonical_codes[nonneg]
+    boundaries = _switch_points(mags[:-1], mags[1:])
+    keys = boundaries.view(np.int64) >> BUCKET_SHIFT
+    slots = keys - keys[0]
+    crowded = int(np.bincount(slots).max())
+    if crowded > 1:
+        raise AssertionError(f"a bucket holds {crowded} boundaries; lower BUCKET_SHIFT")
+    bucket_bounds = np.full(int(slots[-1]) + 1, np.inf)
+    bucket_bounds[slots] = boundaries
+    holds_one = np.isfinite(bucket_bounds)
+    neg_codes = np.where(mag_codes == ZERO_CODE, ZERO_CODE, mag_codes | 0x80)
     return DynamicTreeMap(
         values=values,
-        sorted_values=np.array(uniq_vals, dtype=np.float64),
-        canonical_codes=np.array(uniq_codes, dtype=np.uint8),
+        sorted_values=sorted_values,
+        canonical_codes=canonical_codes,
+        bucket_base=int(keys[0]),
+        # the boundaries below a bucket's start are those of the buckets before it
+        bucket_counts=(np.cumsum(holds_one) - holds_one).astype(np.uint8),
+        bucket_bounds=bucket_bounds,
+        signed_codes=np.concatenate([mag_codes, neg_codes]).astype(np.uint8),
     )
 
 
@@ -130,16 +202,30 @@ def state_from_bytes(raw: bytes, shape: tuple[int, ...] | None = None) -> Quanti
 
 
 def nearest_codes(normalized: np.ndarray, qmap: DynamicTreeMap) -> np.ndarray:
-    """Nearest-code lookup by binary search over the sorted decode table."""
-    sv = qmap.sorted_values
-    pos = np.searchsorted(sv, normalized)
-    lo = np.clip(pos - 1, 0, sv.size - 1)
-    hi = np.clip(pos, 0, sv.size - 1)
-    dlo = np.abs(normalized - sv[lo])
-    dhi = np.abs(sv[hi] - normalized)
-    pick_hi = (dhi < dlo) | ((dhi == dlo) & (np.abs(sv[hi]) < np.abs(sv[lo])))
-    idx = np.where(pick_hi, hi, lo)
-    return qmap.canonical_codes[idx]
+    """Nearest-code lookup for finite values through the map's bucket table.
+
+    Per element: two gathers from ``|x|``'s bucket (the boundary count below
+    it and the boundary inside it), one compare and one gather of the signed
+    code. The codes equal the exhaustive scan's, tie rule included. The work
+    runs in slices of ``_LOOKUP_CHUNK`` elements so its temporaries stay in
+    cache.
+    """
+    x = np.asarray(normalized, dtype=np.float64)
+    codes = np.empty(x.shape, np.uint8)
+    x, out = x.reshape(-1), codes.reshape(-1)
+    last_bucket = qmap.bucket_counts.size - 1
+    n_mags = np.uint8(qmap.signed_codes.size // 2)
+    for start in range(0, x.size, _LOOKUP_CHUNK):
+        v = x[start : start + _LOOKUP_CHUNK]
+        mag = np.abs(v)
+        bucket = mag.view(np.int64) >> BUCKET_SHIFT
+        bucket -= qmap.bucket_base
+        np.clip(bucket, 0, last_bucket, out=bucket)
+        k = qmap.bucket_counts.take(bucket)
+        k += mag >= qmap.bucket_bounds.take(bucket)
+        k += np.signbit(v).view(np.uint8) * n_mags  # negatives: second half
+        qmap.signed_codes.take(k, out=out[start : start + _LOOKUP_CHUNK])
+    return codes
 
 
 def nearest_codes_exhaustive(
@@ -150,8 +236,8 @@ def nearest_codes_exhaustive(
 
     Recomputes the per-block normalization itself and, per element, picks the
     code minimizing (distance, |value|, code byte) lexicographically. Kept
-    deliberately independent of the binary-search path in
-    ``quantize_blockwise`` so the two can be checked against each other.
+    deliberately independent of the decision table that ``quantize_blockwise``
+    uses, so the two can be checked against each other.
     """
     qmap = qmap or default_map()
     flat = np.asarray(tensor, dtype=np.float64).reshape(-1)
@@ -194,7 +280,7 @@ def quantize_blockwise(
     if block_size < 1 or int(block_size) != block_size:
         raise QuantizationError(f"block size must be a positive integer, got {block_size}")
     qmap = qmap or default_map()
-    flat = np.asarray(tensor, dtype=np.float64).reshape(-1)
+    flat = np.array(tensor, dtype=np.float64).reshape(-1)  # a copy, normalized in place
     if flat.size == 0:
         return QuantizedState(
             codes=np.zeros(0, np.uint8),
@@ -202,21 +288,18 @@ def quantize_blockwise(
             block_size=int(block_size),
             shape=tuple(np.asarray(tensor).shape),
         )
-    if not np.all(np.isfinite(flat)):
-        raise QuantizationError("cannot quantize non-finite elements")
 
     offsets = _block_offsets(flat.size, block_size)
+    block_max = np.maximum.reduceat(np.abs(flat), offsets)
+    if not np.all(np.isfinite(block_max)):  # a NaN or inf sets its block's max
+        raise QuantizationError("cannot quantize non-finite elements")
     # normalization is defined against the float32 scalar that will actually
-    # be stored, so encode and decode see the same block scale exactly
-    absmax = np.maximum.reduceat(np.abs(flat), offsets).astype(np.float32)
+    # be stored, so encode and decode see the same block scale exactly; an
+    # all-zero block is divided by 1 and its zeros take the zero code
+    absmax = block_max.astype(np.float32)
     lengths = np.diff(np.append(offsets, flat.size))
-    per_elem_max = np.repeat(absmax.astype(np.float64), lengths)
-
-    codes = np.full(flat.size, ZERO_CODE, dtype=np.uint8)
-    live = per_elem_max > 0
-    if np.any(live):
-        normalized = flat[live] / per_elem_max[live]
-        codes[live] = nearest_codes(normalized, qmap)
+    flat /= np.repeat(np.where(absmax > 0, absmax, 1).astype(np.float64), lengths)
+    codes = nearest_codes(flat, qmap)
     return QuantizedState(
         codes=codes,
         absmax=absmax,

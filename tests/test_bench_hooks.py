@@ -9,6 +9,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from revmem import quant
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -30,3 +34,19 @@ def test_tracer_installs_and_restores_every_hook(monkeypatch):
                    for (owner, attr, _, _), orig in zip(hooks, originals))
     assert all(vars(owner)[attr] is orig
                for (owner, attr, _, _), orig in zip(hooks, originals))
+
+
+def test_quantize_reaches_nearest_codes_through_the_module(monkeypatch):
+    # the tracer times quant.nearest_codes by patching the module attribute;
+    # a quantizer that bound the function directly would read 0 s there
+    calls = []
+    original = quant.nearest_codes
+
+    def counted(normalized, qmap):
+        calls.append(normalized.size)
+        return original(normalized, qmap)
+
+    monkeypatch.setattr(quant, "nearest_codes", counted)
+    state = quant.quantize_blockwise(np.linspace(-1, 1, 100), block_size=32)
+    assert calls == [100]
+    assert state.codes.size == 100

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from revmem import zoo
+from revmem import cli, zoo
 from revmem.cli import main
+from revmem.loss import aam_softmax_loss
 
 
 def run(args):
@@ -108,6 +109,41 @@ class TestTrainCommand:
 
     def test_unknown_net_is_config_error(self):
         assert run(["train", "--net", "NotANet", "--steps", "1"]) == 2
+
+    def test_loss_dtype_mismatch_is_config_error(self, monkeypatch, capsys):
+        setup = cli._train_setup
+
+        def mixed(cfg):
+            net, data, head, opt = setup(cfg)
+            head.value = head.value.astype(np.float64)
+            return net, data, head, opt
+
+        monkeypatch.setattr(cli, "_train_setup", mixed)
+        assert run(["train", "--steps", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "embeddings dtype float32" in err and "head weights dtype float64" in err
+
+    @pytest.mark.parametrize("optim", ["adam8", "sgd8"])
+    def test_non_finite_gradient_diverges_with_log(self, tmp_path, monkeypatch, capsys,
+                                                   optim):
+        losses = []
+
+        def poisoned(emb, labels, weights, *args):
+            loss, demb, dhead = aam_softmax_loss(emb, labels, weights, *args)
+            losses.append(loss)
+            if len(losses) == 3:  # step 2: a finite loss with a NaN head gradient
+                dhead = dhead.copy()
+                dhead[0, 0] = np.nan
+            return loss, demb, dhead
+
+        monkeypatch.setattr(cli, "aam_softmax_loss", poisoned)
+        out = tmp_path / "train.csv"
+        assert run(["train", "--optim", optim, "--steps", "5", "--out", str(out)]) == 1
+        rows = out.read_text().strip().split("\n")
+        assert rows[0] == "step,loss,activation_bytes,total_bytes"
+        assert [int(r.split(",")[0]) for r in rows[1:]] == [0, 1, 2]
+        assert all(np.isfinite(float(r.split(",")[1])) for r in rows[1:])
+        assert "training diverged at step 2 (non-finite gradient)" in capsys.readouterr().err
 
     def test_net_and_spec_conflict(self, toy_spec_file):
         assert run(["train", "--net", "RevNet46", "--spec", toy_spec_file]) == 2

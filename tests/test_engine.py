@@ -265,6 +265,34 @@ class TestRunShapes:
         run_forward(net, batch(rng, dtype=np.float32), mode)
         assert calls == {"channel_split": runs, "channel_concat": runs}
 
+    @pytest.mark.parametrize("mode, shuffles", [("stored", (3, 1)), ("reversible", (5, 1))])
+    @pytest.mark.parametrize("spec, runs, case", [
+        (zoo.spec_from_json(ODD_HEAD_SPEC), 1, 0),
+        (zoo.toy_spec([3, 2], 8, "basic"), 2, 1),
+    ], ids=["odd-head", "two-runs"])
+    def test_backward_joins_only_the_cotangent(self, rng, monkeypatch, mode, shuffles,
+                                               spec, runs, case):
+        # the rebuilt input of a run's head is never read, so reversible mode
+        # joins and shuffles it no more than stored mode does; the odd head's
+        # second downsampler sits inside the run and must rebuild its input
+        calls = {"channel_concat": 0, "pixel_shuffle": 0}
+
+        def counted(name):
+            original = getattr(ops, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        net = zoo.build(spec, dtype=np.float32, seed=1)
+        out, store, _ = run_forward(net, batch(rng, dtype=np.float32), mode)
+        for name in calls:
+            monkeypatch.setattr(ops, name, counted(name))
+        run_backward(net, store, np.ones_like(out), mode)
+        assert calls == {"channel_concat": runs, "pixel_shuffle": shuffles[case]}
+
 
 class TestLedger:
     def test_plan_matches_real_run_both_modes(self, rng):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from revmem.errors import ShapeError
+from revmem.errors import ConfigError, ShapeError
 from revmem.loss import aam_softmax_loss
 
 from conftest import central_diff, mixed_err
@@ -45,6 +45,14 @@ class TestValues:
         with pytest.raises(ShapeError):
             aam_softmax_loss(rng.normal(size=(2, 4)), np.array([0, 1]),
                              rng.normal(size=(5, 3)))
+
+    @pytest.mark.parametrize("emb_dtype, w_dtype", [(np.float32, np.float64),
+                                                     (np.float64, np.float32)])
+    def test_dtype_mismatch_is_config_error(self, rng, emb_dtype, w_dtype):
+        emb = rng.normal(size=(2, 4)).astype(emb_dtype)
+        w = rng.normal(size=(4, 3)).astype(w_dtype)
+        with pytest.raises(ConfigError, match=f"{np.dtype(emb_dtype)}.*{np.dtype(w_dtype)}"):
+            aam_softmax_loss(emb, np.array([0, 1]), w)
 
 
 class TestGradients:

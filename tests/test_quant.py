@@ -1,5 +1,7 @@
 """Dynamic-tree decode table and the blockwise 8-bit codec."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,23 @@ class TestQuantize:
         with pytest.raises(QuantizationError, match="non-finite"):
             quant.quantize_blockwise(np.array([1.0, np.nan]), qmap, 2)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_rejected(self, qmap, bad):
+        # the finiteness check reads block maxima; an inf must still trip it
+        with pytest.raises(QuantizationError, match="non-finite"):
+            quant.quantize_blockwise(np.array([0.5, 0.25, bad]), qmap, 2)
+
+    def test_peak_memory_stays_near_input_size(self, qmap, rng):
+        x = rng.normal(size=327_680).astype(np.float32)
+        quant.quantize_blockwise(x[:10], qmap)  # warm lazily built state
+        tracemalloc.start()
+        try:
+            quant.quantize_blockwise(x, qmap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * x.nbytes  # 4.0x here, 23x with the search-based encoder
+
     def test_block_count_rule(self, qmap, rng):
         x = rng.normal(size=5000).astype(np.float32)
         state = quant.quantize_blockwise(x, qmap, 2048)
@@ -152,6 +171,80 @@ class TestQuantize:
         x = np.abs(rng.normal(size=4096)).astype(np.float32)
         back = quant.dequantize_blockwise(quant.quantize_blockwise(x, qmap, 128), qmap)
         assert np.all(back >= 0)
+
+
+def searchsorted_rule_codes(tensor, qmap, block_size):
+    """Codes by binary search over the sorted values, the earlier encoder.
+
+    Normalizes like ``quantize_blockwise`` (float32 block absmax, all-zero
+    blocks take the zero code), then picks the nearer of the two sorted
+    neighbours, a tie going to the smaller magnitude.
+    """
+    flat = np.asarray(tensor, dtype=np.float64).reshape(-1)
+    offsets = np.arange(0, flat.size, block_size)
+    absmax = np.maximum.reduceat(np.abs(flat), offsets).astype(np.float32)
+    scale = np.repeat(absmax.astype(np.float64), np.diff(np.append(offsets, flat.size)))
+    codes = np.full(flat.size, quant.ZERO_CODE, np.uint8)
+    live = scale > 0
+    normalized = flat[live] / scale[live]
+    sv = qmap.sorted_values
+    pos = np.searchsorted(sv, normalized)
+    lo = np.clip(pos - 1, 0, sv.size - 1)
+    hi = np.clip(pos, 0, sv.size - 1)
+    dlo = np.abs(normalized - sv[lo])
+    dhi = np.abs(sv[hi] - normalized)
+    pick_hi = (dhi < dlo) | ((dhi == dlo) & (np.abs(sv[hi]) < np.abs(sv[lo])))
+    codes[live] = qmap.canonical_codes[np.where(pick_hi, hi, lo)]
+    return codes
+
+
+class TestDecisionTable:
+    def test_one_boundary_per_adjacent_pair(self, qmap):
+        mags = qmap.sorted_values[qmap.sorted_values >= 0]
+        b = qmap.boundaries
+        assert b.size == mags.size - 1
+        assert np.all((mags[:-1] < b) & (b <= mags[1:]))
+
+    def test_boundaries_are_where_the_rule_flips(self, qmap):
+        mags = qmap.sorted_values[qmap.sorted_values >= 0]
+        a, c = mags[:-1], mags[1:]
+        b = qmap.boundaries
+        below = np.nextafter(b, 0)
+        assert np.all((c - b) < (b - a))  # the boundary picks the upper value
+        assert np.all((c - below) >= (below - a))  # one ulp below picks the lower
+
+    def test_buckets_hold_at_most_one_boundary(self, qmap):
+        bits = qmap.boundaries.view(np.int64)
+        keys = bits >> quant.BUCKET_SHIFT
+        assert np.unique(keys).size == keys.size
+        starts = (qmap.bucket_base + np.arange(qmap.bucket_counts.size)) << quant.BUCKET_SHIFT
+        np.testing.assert_array_equal(qmap.bucket_counts, np.searchsorted(bits, starts))
+
+    def test_boundary_sweep_matches_oracle_and_searchsorted_rule(self, qmap):
+        b = qmap.boundaries
+        near = [b]
+        down, up = b, b
+        for _ in range(2):
+            down, up = np.nextafter(down, 0), np.nextafter(up, 2)
+            near += [down, up]
+        tiny = np.array([0.0, 5e-324, 1e-320, np.finfo(np.float64).tiny,
+                         np.nextafter(0, 1) * 3, 1.0, np.nextafter(1.0, 0)])
+        mags = np.unique(np.concatenate(near + [tiny]))
+        mags = mags[mags <= 1.0]
+        x = np.concatenate([mags, -mags])
+        # each swept value shares a block with 1.0, so it is its own normalized value
+        pairs = np.stack([x, np.ones_like(x)], axis=1).reshape(-1)
+        # absmax just above 1 rounds down to a float32 1.0: normalized values > 1
+        above = [1 + 2.0**-30, 1 + 2.0**-25, np.nextafter(1.0, 2)]
+        assert all(np.float32(v) == 1.0 for v in above)
+        edge = [(a, -a) for a in above] + [(-a, 0.25) for a in above]
+        edge += [(0.0, -0.0), (-0.0, -0.0)]  # all-zero blocks take the zero code
+        tensor = np.concatenate([pairs, np.array(edge).reshape(-1), [-0.25]])
+        got = quant.quantize_blockwise(tensor, qmap, 2).codes
+        np.testing.assert_array_equal(got, quant.nearest_codes_exhaustive(tensor, qmap, 2))
+        np.testing.assert_array_equal(got, searchsorted_rule_codes(tensor, qmap, 2))
+        # the swept values land on both sides of every boundary
+        assert np.unique(got[: pairs.size : 2]).size == qmap.sorted_values.size
 
 
 class TestSerialization:
