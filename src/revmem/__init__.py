@@ -32,4 +32,8 @@ from .quant import (
 )
 from .zoo import NetworkSpec, REGISTRY_NAMES, build, registry_spec, spec_from_json, spec_to_json, toy_spec
 
+from . import heap
+
 __version__ = "0.1.0"
+
+heap.keep_freed_memory()

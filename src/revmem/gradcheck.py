@@ -158,6 +158,16 @@ def _op_checks(rng, fault_op=None):
     check("depthwise_conv2d_s2_dx", gx, fd_grad(sconv_out, rs, xs))
     check("depthwise_conv2d_s2_dw", gw, fd_grad(sconv_out, rs, ws))
 
+    # strided dense 3x3 conv: the per-tap strided-slice VJP, drawn last too
+    x3 = rng.normal(size=(1, 2, 5, 6))
+    w3 = rng.normal(size=(3, 2, 3, 3))
+    r3 = rng.normal(size=(1, 3, 3, 3))
+    vjp = _fault_wrap(ops.conv2d_vjp, fault_op == "conv2d")
+    gx, gw = vjp(x3, w3, r3, 2, 1)
+    s3conv_out = lambda: ops.conv2d(x3, w3, 2, 1)
+    check("conv2d_3x3_s2_dx", gx, fd_grad(s3conv_out, r3, x3))
+    check("conv2d_3x3_s2_dw", gw, fd_grad(s3conv_out, r3, w3))
+
     return results
 
 

@@ -8,25 +8,47 @@ cotangent back to input/parameter cotangents. The VJPs are checked against
 central finite differences in the test suite.
 
 Convolutions are cross-correlations (no kernel flip). Output spatial sizes
-follow the usual floor rule ``(d + 2*pad - k)//stride + 1``. Each conv form
-uses the kernel that measured fastest for it (float32, one OpenBLAS thread
-on a 2-vCPU x86-64 machine, numpy 2.4):
+follow the usual floor rule ``(d + 2*pad - k)//stride + 1``. Every forward
+output is a contiguous array that no larger buffer backs, so its ``nbytes``
+is the memory it holds. Each conv kernel's transient is a few times its
+input or output at most, with the forwards' window copies capped at
+``WINDOW_BYTES``. Each conv form uses the kernel that measured fastest for
+it under that bound (float32, one OpenBLAS thread on a 2-vCPU x86-64 machine,
+numpy 2.4; ``python3 scripts/conv_bench.py`` prints the time and peak of
+every conv call at the benchmark's layer shapes):
 
 - Unpadded 1x1 ``conv2d`` and its VJP are batched matrix products over
   ``(n, c, f*t)`` on the strided input ``x[:, :, ::s, ::s]``. Against the
   window einsum on five 1x1 layer shapes up to (4, 32, 80, 32), at strides
   1 and 2, the forward is 1.9-3.2x and the VJP 1.9-2.7x faster.
+- ``depthwise_conv2d`` and the dense k>1 ``conv2d`` forward run the
+  ``sliding_window_view`` einsum into a preallocated output, over bands of
+  output rows whose copied kh*kw-fold windows fit in ``WINDOW_BYTES``
+  (1.5 MiB). Bands are bit-identical to the whole-tensor einsum. At
+  (4, 32, 80, 32) the depthwise forward's peak fell from 14.5 to 4.4 MB
+  and its time from 2.6-4.0 to 2.2-3.4 ms; the dense 3x3 forward's peak at
+  (4, 16, 80, 32) fell from 6.8 to 2.5 MB at 1.5-2.5 ms either way. A sum
+  of shifted slices took 5.0-6.2 ms for that depthwise forward against
+  3.3-3.9 ms for the einsum. Writing into the preallocated output copies
+  the einsum's BLAS result once, which adds an output-sized buffer to the
+  peak of layers whose whole window fits in one band (0.4 to 0.7 MB for the
+  c=1 stem at (2, 1, 80, 8)).
+- Dense k>1 ``conv2d_vjp`` runs one GEMM per kernel tap: ``dL/dw[:, :, i, j]``
+  from ``gy`` and the tap's input, and ``dL/dx`` from ``w[:, :, i, j].T @ gy``
+  added at the tap's offset. At stride 1 each padded plane is read flat, so
+  a tap's input is a contiguous run of it (no copy); other strides copy the
+  tap's strided slice. Against the window einsum it replaces, on the six
+  stride-1 3x3 layer shapes of the benchmark nets it is 1.3-3.4x faster
+  (at (4, 16, 80, 32) with 4 outputs 8.0 -> 2.4 ms, and the peak 6.8 ->
+  2.4 MB), and at stride 2 on (2, 64, 80, 8) 1.2x faster (3.1 -> 2.6 ms).
+  The strided-slice form also covers stride 1, but the flat form measured
+  1.2-1.6x faster there on five of those six shapes (7% slower on the
+  (2, 1, 80, 8) stem).
 - ``depthwise_conv2d_vjp`` loops over the kh*kw taps. Each tap adds its
   shifted slice of ``gy * w`` into ``dL/dx`` and contracts the matching
   strided slice of the padded input with ``gy`` for ``dL/dw``. The window
-  einsum it replaces copied the kh*kw-fold window tensor: at
-  (4, 32, 80, 32) it took 14 ms with a 14.5 MB peak, against 7 ms and
-  4.2 MB.
-- ``depthwise_conv2d`` forward and the dense k>1 ``conv2d`` and VJP keep the
-  ``sliding_window_view`` einsum. At (4, 32, 80, 32) the depthwise forward
-  took 3.3-3.9 ms that way against 5.0-6.2 ms as a sum of shifted slices.
-  For the dense VJP, a per-tap einsum ``dL/dw`` moved the time by -11% to
-  +14% on four layer shapes of a width-64 toy net, no clear win.
+  einsum it replaced took 14 ms with a 14.5 MB peak at (4, 32, 80, 32),
+  against 7 ms and 4.2 MB.
 """
 
 from __future__ import annotations
@@ -39,6 +61,10 @@ from .errors import ConfigError, ShapeError
 # Keeps the std-pool gradient finite when a (channel, frequency) slice is
 # constant over time.
 GSP_VAR_EPS = 1e-10
+
+# Largest window copy one forward conv einsum may make (10 output rows of a
+# (4, 32, 80, 32) float32 depthwise input)
+WINDOW_BYTES = 3 << 19
 
 
 def _require_4d(x: np.ndarray, name: str) -> None:
@@ -55,12 +81,23 @@ def _conv_out_size(d: int, k: int, stride: int, pad: int) -> int:
     return span // stride + 1
 
 
-def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Sliding (kh, kw) patches of x: (n, c, fo, to, kh, kw)."""
+def _window_einsum(subscripts: str, x, w, y, stride: int, pad: int) -> np.ndarray:
+    """Write einsum(subscripts, (n, c, fo, to, kh, kw) windows of x, w) into y.
+
+    np.einsum copies the kh*kw-fold window tensor it is given, so the
+    contraction runs over bands of output rows whose windows fit in
+    WINDOW_BYTES (one row at least).
+    """
+    kh, kw = w.shape[-2:]
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(x, (kh, kw), axis=(2, 3))
-    return win[:, :, ::stride, ::stride]
+    win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    n, c, fo, to = win.shape[:4]
+    rows = max(1, WINDOW_BYTES // (n * c * to * kh * kw * y.itemsize))
+    for r in range(0, fo, rows):
+        band = slice(r, r + rows)
+        np.einsum(subscripts, win[:, :, band], w, out=y[:, :, band], optimize=True)
+    return y
 
 
 def _check_conv_args(x, w, stride, pad):
@@ -102,15 +139,14 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.nd
             f"input has {x.shape[1]} channels but kernel expects {w.shape[1]}"
         )
     kh, kw = w.shape[2], w.shape[3]
-    _conv_out_size(x.shape[2], kh, stride, pad)
-    _conv_out_size(x.shape[3], kw, stride, pad)
+    fo = _conv_out_size(x.shape[2], kh, stride, pad)
+    to = _conv_out_size(x.shape[3], kw, stride, pad)
     if _is_pointwise(w, pad):
-        xs = x[:, :, ::stride, ::stride]
-        n, c, fo, to = xs.shape
-        y = np.matmul(w[:, :, 0, 0], xs.reshape(n, c, fo * to))
+        n, c = x.shape[:2]
+        y = np.matmul(w[:, :, 0, 0], x[:, :, ::stride, ::stride].reshape(n, c, fo * to))
         return y.reshape(n, w.shape[0], fo, to)
-    win = _windows(x, kh, kw, stride, pad)
-    return np.einsum("ncftij,ocij->noft", win, w, optimize=True)
+    y = np.empty((x.shape[0], w.shape[0], fo, to), dtype=np.result_type(x, w))
+    return _window_einsum("ncftij,ocij->noft", x, w, y, stride, pad)
 
 
 def conv2d_vjp(
@@ -119,17 +155,58 @@ def conv2d_vjp(
     """Cotangents (dL/dx, dL/dw) of conv2d given dL/dy."""
     if _is_pointwise(w, pad):
         return _pointwise_conv2d_vjp(x, w, gy, stride)
-    kh, kw = w.shape[2], w.shape[3]
-    win = _windows(x, kh, kw, stride, pad)
-    gw = np.einsum("ncftij,noft->ocij", win, gy, optimize=True)
+    if stride == 1:
+        return _flat_conv2d_vjp(x, w, gy, pad)
+    return _strided_conv2d_vjp(x, w, gy, stride, pad)
 
-    n, _, f, t = x.shape
+
+def _tap(i: int, j: int, stride: int, fo: int, to: int) -> tuple:
+    """Index of the padded-input elements kernel tap (i, j) meets, (..., fo, to)."""
+    return (..., slice(i, i + stride * fo, stride), slice(j, j + stride * to, stride))
+
+
+def _flat_conv2d_vjp(x, w, gy, pad):
+    # Each padded plane is read as one flat row of (fp + 1) * tp elements,
+    # with output rows widened from to to tp columns. Tap (i, j) then meets
+    # the contiguous run that starts at i * tp + j, so its dL/dw entry and its
+    # dL/dx term are plain GEMMs. The tp - to extra columns of each output row
+    # hold zeros in the widened gy; the extra padded row keeps the last
+    # tap's run inside the buffer.
+    n, c, f, t = x.shape
+    o, _, kh, kw = w.shape
     fo, to = gy.shape[2], gy.shape[3]
-    gxp = np.zeros((n, x.shape[1], f + 2 * pad, t + 2 * pad), dtype=x.dtype)
+    fp, tp = f + 2 * pad, t + 2 * pad
+    dtype = np.result_type(x, gy)
+    xp = np.zeros((n, c, fp + 1, tp), dtype=dtype)
+    xp[:, :, pad : pad + f, pad : pad + t] = x
+    gyw = np.zeros((n, o, fo, tp), dtype=dtype)
+    gyw[..., :to] = gy
+    xf, gf = xp.reshape(n, c, -1), gyw.reshape(n, o, -1)
+    gxp = np.zeros((n, c, fp + 1, tp), dtype=x.dtype)
+    gxf = gxp.reshape(n, c, -1)
+    gw = np.empty(w.shape, dtype=dtype)
     for i in range(kh):
         for j in range(kw):
-            patch = np.einsum("noft,oc->ncft", gy, w[:, :, i, j], optimize=True)
-            gxp[:, :, i : i + stride * fo : stride, j : j + stride * to : stride] += patch
+            run = slice(i * tp + j, i * tp + j + fo * tp)
+            gw[:, :, i, j] = np.matmul(gf, xf[:, :, run].transpose(0, 2, 1)).sum(axis=0)
+            gxf[:, :, run] += np.matmul(w[:, :, i, j].T, gf)
+    return gxp[:, :, pad : pad + f, pad : pad + t], gw
+
+
+def _strided_conv2d_vjp(x, w, gy, stride, pad):
+    n, c, f, t = x.shape
+    o, _, kh, kw = w.shape
+    fo, to = gy.shape[2], gy.shape[3]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    g = gy.reshape(n, o, fo * to)
+    gxp = np.zeros((n, c, f + 2 * pad, t + 2 * pad), dtype=x.dtype)
+    gw = np.empty(w.shape, dtype=np.result_type(x, gy))
+    for i in range(kh):
+        for j in range(kw):
+            tap = _tap(i, j, stride, fo, to)
+            xs = xp[tap].reshape(n, c, fo * to)
+            gw[:, :, i, j] = np.matmul(g, xs.transpose(0, 2, 1)).sum(axis=0)
+            gxp[tap] += np.matmul(w[:, :, i, j].T, g).reshape(n, c, fo, to)
     gx = gxp[:, :, pad : pad + f, pad : pad + t] if pad else gxp
     return gx, gw
 
@@ -146,10 +223,10 @@ def depthwise_conv2d(
             f"input has {x.shape[1]} channels but depthwise kernel has {w.shape[0]}"
         )
     kh, kw = w.shape[2], w.shape[3]
-    _conv_out_size(x.shape[2], kh, stride, pad)
-    _conv_out_size(x.shape[3], kw, stride, pad)
-    win = _windows(x, kh, kw, stride, pad)
-    return np.einsum("ncftij,cij->ncft", win, w[:, 0], optimize=True)
+    fo = _conv_out_size(x.shape[2], kh, stride, pad)
+    to = _conv_out_size(x.shape[3], kw, stride, pad)
+    y = np.empty((x.shape[0], x.shape[1], fo, to), dtype=np.result_type(x, w))
+    return _window_einsum("ncftij,cij->ncft", x, w[:, 0], y, stride, pad)
 
 
 def depthwise_conv2d_vjp(
@@ -163,7 +240,7 @@ def depthwise_conv2d_vjp(
     gxp = np.zeros((n, c, f + 2 * pad, t + 2 * pad), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            tap = (..., slice(i, i + stride * fo, stride), slice(j, j + stride * to, stride))
+            tap = _tap(i, j, stride, fo, to)
             gw[:, 0, i, j] = np.einsum("ncft,ncft->c", xp[tap], gy)
             gxp[tap] += gy * w[:, 0, i, j][None, :, None, None]
     gx = gxp[:, :, pad : pad + f, pad : pad + t] if pad else gxp
@@ -215,15 +292,17 @@ def batchnorm2d_vjp(
     """Cotangents (dL/dx, dL/dgamma, dL/dbeta) treating mean/var as batch stats of x."""
     count = x.shape[0] * x.shape[2] * x.shape[3]
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
+    xhat = x - mean[None, :, None, None]
+    xhat *= inv[None, :, None, None]
     dgamma = np.einsum("ncft,ncft->c", gy, xhat, optimize=True)
     dbeta = gy.sum(axis=(0, 2, 3))
-    g = gamma[None, :, None, None] * inv[None, :, None, None]
-    gx = g * (
-        gy
-        - dbeta[None, :, None, None] / count
-        - xhat * dgamma[None, :, None, None] / count
-    )
+    # g * (gy - dbeta / count - xhat * dgamma / count), in that operation
+    # order, with xhat reused as the second term's buffer
+    gx = gy - dbeta[None, :, None, None] / count
+    xhat *= dgamma[None, :, None, None]
+    xhat /= count
+    gx -= xhat
+    gx *= gamma[None, :, None, None] * inv[None, :, None, None]
     return gx, dgamma, dbeta
 
 

@@ -9,14 +9,16 @@ Update rules (non-dampened momentum, no bias correction unless asked for):
 
 The 8-bit variants keep each state tensor as a QuantizedState; a step
 dequantizes, applies the exact 32-bit rule, and re-quantizes. Parameters
-themselves stay in full precision.
+themselves stay in full precision. Re-quantizing refuses non-finite state, so
+an 8-bit step checks every gradient before it updates anything: a step that
+raises for a non-finite gradient leaves every parameter and state as it was.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import QuantizationError, ShapeError
 from .quant import (
     DynamicTreeMap,
     QuantizedState,
@@ -144,7 +146,19 @@ def AdamW(params, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
     return Adam(params, lr, beta1, beta2, eps, weight_decay, bias_correction)
 
 
-class Sgd8(Optimizer):
+class _Optimizer8(Optimizer):
+    """Base of the optimizers whose state is blockwise-quantized 8-bit."""
+
+    def step(self):
+        for i, p in enumerate(self.params):
+            if not np.isfinite(p.grad).all():
+                raise QuantizationError(
+                    f"non-finite gradient in parameter {i} {p.value.shape}; step not taken"
+                )
+        super().step()
+
+
+class Sgd8(_Optimizer8):
     """SGD with momentum held as blockwise-quantized 8-bit state."""
 
     states_per_param = 1
@@ -166,7 +180,7 @@ class Sgd8(Optimizer):
         return sum(s.nbytes for s in self.m)
 
 
-class Adam8(Optimizer):
+class Adam8(_Optimizer8):
     """Adam/AdamW with both moments held as blockwise-quantized 8-bit state."""
 
     states_per_param = 2

@@ -275,7 +275,9 @@ def quantize_blockwise(
     """Quantize a tensor to 8-bit codes plus per-block absmax scalars.
 
     Blocks are taken over the row-major flattened tensor; the last block may
-    be ragged. An all-zero block stores absmax 0 and the zero code.
+    be ragged. An all-zero block stores absmax 0 and the zero code. Raises
+    QuantizationError for a non-finite element or for a block whose absmax
+    overflows the float32 block scale (about 3.4e38).
     """
     if block_size < 1 or int(block_size) != block_size:
         raise QuantizationError(f"block size must be a positive integer, got {block_size}")
@@ -296,7 +298,12 @@ def quantize_blockwise(
     # normalization is defined against the float32 scalar that will actually
     # be stored, so encode and decode see the same block scale exactly; an
     # all-zero block is divided by 1 and its zeros take the zero code
-    absmax = block_max.astype(np.float32)
+    with np.errstate(over="ignore"):
+        absmax = block_max.astype(np.float32)
+    if np.isinf(absmax).any():
+        raise QuantizationError(
+            f"block absmax {block_max.max():.3g} overflows the float32 block scale"
+        )
     lengths = np.diff(np.append(offsets, flat.size))
     flat /= np.repeat(np.where(absmax > 0, absmax, 1).astype(np.float64), lengths)
     codes = nearest_codes(flat, qmap)

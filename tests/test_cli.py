@@ -28,7 +28,8 @@ class TestGradcheckCommand:
         assert all(line.endswith("pass") for line in lines[1:])
         names = {line.split(",")[0] for line in lines[1:]}
         assert {"conv2d_1x1_s2_dx", "conv2d_1x1_s2_dw",
-                "depthwise_conv2d_s2_dx", "depthwise_conv2d_s2_dw"} <= names
+                "depthwise_conv2d_s2_dx", "depthwise_conv2d_s2_dw",
+                "conv2d_3x3_s2_dx", "conv2d_3x3_s2_dw"} <= names
 
     def test_fault_injection_names_op(self, tmp_path, capsys):
         out = tmp_path / "gc.csv"
@@ -44,7 +45,9 @@ class TestGradcheckCommand:
                                          ("conv2d", "conv2d_1x1_s2_dw"),
                                          ("depthwise_conv2d", "depthwise_conv2d_s2_dw"),
                                          ("batchnorm2d", "batchnorm2d_dgamma"),
-                                         ("linear", "linear_db")])
+                                         ("linear", "linear_db"),
+                                         ("conv2d", "conv2d_3x3_s2_dx"),
+                                         ("conv2d", "conv2d_3x3_s2_dw")])
     def test_fault_injection_reaches_strided_rows(self, tmp_path, op, row):
         out = tmp_path / "gc.csv"
         assert run(["gradcheck", "--inject-vjp-fault", op, "--out", str(out)]) == 1

@@ -27,12 +27,50 @@ class TestConv2d:
         np.testing.assert_array_equal(ops.conv2d(x, w, 1, 1), x)
 
     def test_matches_direct_loop_oracle(self, rng):
-        for k, stride, pad in [(3, 1, 0), (3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0)]:
-            x = rng.normal(size=(2, 3, 7, 6))
-            w = rng.normal(size=(4, 3, k, k))
+        for c, kh, kw, stride, pad in [(3, 3, 3, 1, 0), (3, 3, 3, 1, 1), (3, 3, 3, 2, 1),
+                                       (3, 1, 1, 1, 0), (3, 1, 1, 2, 0), (1, 3, 3, 1, 1),
+                                       (3, 1, 3, 1, 0), (3, 3, 1, 2, 1), (3, 3, 3, 2, 0)]:
+            x = rng.normal(size=(2, c, 7, 6))
+            w = rng.normal(size=(4, c, kh, kw))
             got = ops.conv2d(x, w, stride, pad)
             ref = conv2d_direct(x, w, stride, pad)
             assert mixed_err(got, ref) <= 1e-6
+            # depthwise is the dense conv with a block-diagonal kernel
+            wd = rng.normal(size=(c, 1, kh, kw))
+            dense = np.zeros((c, c, kh, kw))
+            dense[np.arange(c), np.arange(c)] = wd[:, 0]
+            got = ops.depthwise_conv2d(x, wd, stride, pad)
+            assert mixed_err(got, conv2d_direct(x, dense, stride, pad)) <= 1e-6
+
+    @pytest.mark.parametrize("c, kh, kw, stride, pad", [
+        (1, 3, 3, 1, 1), (3, 1, 3, 1, 0), (3, 3, 1, 1, 1), (2, 3, 1, 2, 1),
+        (2, 3, 3, 1, 0), (2, 3, 3, 2, 0), (2, 5, 5, 1, 2), (2, 1, 1, 1, 1)])
+    def test_tap_gradients(self, rng, c, kh, kw, stride, pad):
+        # the per-tap VJPs on kernels the benchmark nets do not use
+        x = rng.normal(size=(2, c, 7, 6))
+        w = rng.normal(size=(3, c, kh, kw))
+        r = rng.normal(size=ops.conv2d(x, w, stride, pad).shape)
+        gx, gw = ops.conv2d_vjp(x, w, r, stride, pad)
+        out = lambda: ops.conv2d(x, w, stride, pad)
+        assert gx.shape == x.shape and gw.shape == w.shape
+        assert mixed_err(gx, central_diff_proj(out, r, x)) <= 1e-6
+        assert mixed_err(gw, central_diff_proj(out, r, w)) <= 1e-6
+
+    def test_vjp_peak_memory_stays_near_input_size(self, rng):
+        # at stride 1 the padded input, padded dL/dx, widened dL/dy and one
+        # tap's product are ~4.4x the input; the kh*kw-fold window copy was ~11x
+        x = rng.standard_normal((4, 16, 80, 32), dtype=np.float32)
+        w = rng.standard_normal((16, 16, 3, 3), dtype=np.float32)
+        gy = rng.standard_normal(x.shape, dtype=np.float32)
+        for stride in (1, 2):
+            g = np.ascontiguousarray(gy[:, :, ::stride, ::stride])
+            tracemalloc.start()
+            try:
+                ops.conv2d_vjp(x, w, g, stride, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 5 * x.nbytes
 
     def test_gradients_vs_finite_differences(self, rng):
         x = rng.normal(size=(1, 2, 5, 5))
@@ -91,6 +129,18 @@ class TestConvDtype:
                 yd, *ops.depthwise_conv2d_vjp(x, wd, np.ones_like(yd), stride, pad)]
         assert [o.dtype for o in outs] == [np.float32] * 6
 
+    @pytest.mark.parametrize("k, stride, pad", [(1, 1, 0), (1, 2, 0), (3, 1, 1), (3, 2, 1)])
+    def test_forward_outputs_own_contiguous_memory(self, rng, k, stride, pad):
+        # the ledger counts nbytes, which is the memory held only when the
+        # output is contiguous and no larger buffer lies behind it
+        x = rng.normal(size=(2, 4, 6, 6))
+        for y in (ops.conv2d(x, rng.normal(size=(3, 4, k, k)), stride, pad),
+                  ops.depthwise_conv2d(x, rng.normal(size=(4, 1, k, k)), stride, pad)):
+            held = y
+            while held.base is not None:
+                held = held.base
+            assert y.flags.c_contiguous and held.nbytes == y.nbytes
+
 
 class TestDepthwiseConv2d:
     def test_ones_kernel_counts_neighbourhood(self):
@@ -124,6 +174,19 @@ class TestDepthwiseConv2d:
         out = lambda: ops.depthwise_conv2d(x, w, 2, 1)
         assert mixed_err(gx, central_diff_proj(out, r, x)) <= 1e-6
         assert mixed_err(gw, central_diff_proj(out, r, w)) <= 1e-6
+
+    def test_forward_peak_memory_stays_near_input_size(self, rng):
+        # padded input + output + one band of rows' window copy is ~3.3x the
+        # input; the window copy of the whole tensor at once was ~11x
+        x = rng.standard_normal((4, 32, 80, 32), dtype=np.float32)
+        w = rng.standard_normal((32, 1, 3, 3), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            ops.depthwise_conv2d(x, w, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * x.nbytes
 
     def test_vjp_peak_memory_stays_near_input_size(self, rng):
         # padded input + padded dL/dx + one tap product is ~3.2x the input;
@@ -172,6 +235,24 @@ class TestBatchNorm2d:
     def test_degenerate_single_element(self):
         with pytest.raises(ConfigError, match="degenerate"):
             ops.batchnorm2d(np.ones((1, 2, 1, 1)), np.ones(2), np.zeros(2), eps=0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_vjp_matches_out_of_place_formula_exactly(self, rng, dtype):
+        # the VJP reuses buffers in place; the operations and their order are
+        # those of this expression, so the results are bit-identical
+        x = rng.normal(size=(2, 3, 5, 4)).astype(dtype)
+        gamma = rng.uniform(0.5, 1.5, 3).astype(dtype)
+        gy = rng.normal(size=x.shape).astype(dtype)
+        _, mean, var = ops.batchnorm2d(x, gamma, np.zeros(3, dtype))
+        count = x.size // 3
+        inv = (1.0 / np.sqrt(var + 1e-5))[None, :, None, None]
+        xhat = (x - mean[None, :, None, None]) * inv
+        dgamma = np.einsum("ncft,ncft->c", gy, xhat, optimize=True)[None, :, None, None]
+        dbeta = gy.sum(axis=(0, 2, 3))[None, :, None, None]
+        ref = gamma[None, :, None, None] * inv * (gy - dbeta / count - xhat * dgamma / count)
+        gx, _, _ = ops.batchnorm2d_vjp(x, gamma, gy, mean, var, 1e-5)
+        assert gx.dtype == dtype
+        np.testing.assert_array_equal(gx, ref)
 
     def test_replayed_stats_reproduce_output(self, rng):
         x = rng.normal(size=(2, 3, 4, 4))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revmem.errors import QuantizationError
 from revmem.layers import Param
 from revmem.optim import (
     Adam,
@@ -176,6 +177,30 @@ class TestQuantizedVariants:
             dense.step()
             quantized.step()
         np.testing.assert_array_equal(pd.value, pq.value)
+
+    @pytest.mark.parametrize("cls", [Sgd8, Adam8])
+    def test_step_with_non_finite_gradient_changes_nothing(self, cls):
+        # the bad gradient sits between two good ones: neither the parameter
+        # before it nor any 8-bit state may take the step
+        rng = np.random.default_rng(5)
+        params = [param(rng.normal(size=7)) for _ in range(3)]
+        opt = cls(params, block_size=4)
+        for p in params:
+            p.grad[:] = rng.normal(size=7)
+        opt.step()
+        params[0].grad[:] = rng.normal(size=7)
+        params[1].grad[3] = np.nan
+        slots = opt.m + getattr(opt, "r", [])
+        values = [p.value.copy() for p in params]
+        states = [(s.state.codes.copy(), s.state.absmax.copy()) for s in slots]
+        with pytest.raises(QuantizationError, match="parameter 1"):
+            opt.step()
+        assert opt.step_count == 1
+        for p, v in zip(params, values):
+            np.testing.assert_array_equal(p.value, v)
+        for s, (codes, absmax) in zip(slots, states):
+            np.testing.assert_array_equal(s.state.codes, codes)
+            np.testing.assert_array_equal(s.state.absmax, absmax)
 
 
 class TestFactory:

@@ -1,6 +1,7 @@
 """Dynamic-tree decode table and the blockwise 8-bit codec."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,17 @@ class TestQuantize:
         # the finiteness check reads block maxima; an inf must still trip it
         with pytest.raises(QuantizationError, match="non-finite"):
             quant.quantize_blockwise(np.array([0.5, 0.25, bad]), qmap, 2)
+
+    def test_float32_scale_overflow_rejected(self, qmap):
+        # a float64 block maximum above the float32 range would store absmax
+        # inf and dequantize to NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuantizationError, match="float32"):
+                quant.quantize_blockwise(np.array([1e39, 1.0, -2.0]), qmap, 4)
+        top = float(np.finfo(np.float32).max)
+        state = quant.quantize_blockwise(np.array([top, -1.0]), qmap, 4)
+        assert state.absmax[0] == np.float32(top)
 
     def test_peak_memory_stays_near_input_size(self, qmap, rng):
         x = rng.normal(size=327_680).astype(np.float32)
