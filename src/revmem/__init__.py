@@ -18,6 +18,7 @@ from .errors import (
     RevmemError,
     ShapeError,
     StateError,
+    StateOverflowError,
 )
 from .layers import Param, RevBlock, RevDownsample
 from .loss import aam_softmax_loss

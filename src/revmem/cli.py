@@ -23,7 +23,7 @@ import numpy as np
 from . import gradcheck as gc
 from .eer import cosine_scores, eer_from_scores, read_score_file
 from .engine import ledger_plan, run_backward, run_forward
-from .errors import ConfigError, QuantizationError, RevmemError
+from .errors import ConfigError, QuantizationError, RevmemError, StateOverflowError
 from .layers import Param
 from .loss import aam_softmax_loss
 from .optim import make_optimizer
@@ -155,9 +155,10 @@ def cmd_train(cfg: RunConfig) -> int:
             break
         try:
             opt.step()
-        except QuantizationError:  # 8-bit state refuses a non-finite gradient
-            return _diverged(cfg, rows,
-                             f"training diverged at step {step} (non-finite gradient)")
+        except QuantizationError as exc:  # an 8-bit step refused, nothing written
+            reason = ("8-bit state overflow" if isinstance(exc, StateOverflowError)
+                      else "non-finite gradient")
+            return _diverged(cfg, rows, f"training diverged at step {step} ({reason}): {exc}")
         opt.zero_grad()
     _write(cfg, "\n".join(rows) + "\n")
     if cfg.out:

@@ -21,5 +21,9 @@ class QuantizationError(RevmemError):
     """Input cannot be quantized (e.g. non-finite elements)."""
 
 
+class StateOverflowError(QuantizationError):
+    """An 8-bit optimizer step could push its state past the float32 block scale."""
+
+
 class CapacityError(RevmemError):
     """A memory budget cannot fit even a single sample."""

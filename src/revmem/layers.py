@@ -35,7 +35,12 @@ from .errors import ConfigError, ShapeError, StateError
 
 
 class Param:
-    """A learnable tensor with an additive gradient accumulator."""
+    """A learnable tensor with an additive gradient accumulator.
+
+    ``value`` is the array passed in, not a copy, and an optimizer step
+    writes into it in place: an array (or view) handed to a Param changes
+    when the optimizer steps.
+    """
 
     __slots__ = ("value", "grad")
 

@@ -148,6 +148,26 @@ class TestTrainCommand:
         assert all(np.isfinite(float(r.split(",")[1])) for r in rows[1:])
         assert "training diverged at step 2 (non-finite gradient)" in capsys.readouterr().err
 
+    def test_state_overflow_diverges_with_log(self, tmp_path, monkeypatch, capsys):
+        losses = []
+
+        def huge(emb, labels, weights, *args):
+            loss, demb, dhead = aam_softmax_loss(emb, labels, weights, *args)
+            losses.append(loss)
+            if len(losses) == 2:  # step 1: a finite gradient that overflows Adam's r
+                dhead = dhead.copy()
+                dhead[0, 0] = 1e22
+            return loss, demb, dhead
+
+        monkeypatch.setattr(cli, "aam_softmax_loss", huge)
+        out = tmp_path / "train.csv"
+        assert run(["train", "--optim", "adam8", "--steps", "5", "--out", str(out)]) == 1
+        rows = out.read_text().strip().split("\n")
+        assert [int(r.split(",")[0]) for r in rows[1:]] == [0, 1]
+        err = capsys.readouterr().err
+        assert "training diverged at step 1 (8-bit state overflow)" in err
+        assert "could overflow the 8-bit state" in err
+
     def test_net_and_spec_conflict(self, toy_spec_file):
         assert run(["train", "--net", "RevNet46", "--spec", toy_spec_file]) == 2
 

@@ -1,13 +1,16 @@
 """Optimizer update rules and the quantized-state variants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revmem.errors import QuantizationError
+from revmem.errors import QuantizationError, StateOverflowError
 from revmem.layers import Param
 from revmem.optim import (
+    CHUNK_ELEMENTS,
     Adam,
     Adam8,
     AdamW,
@@ -18,6 +21,7 @@ from revmem.optim import (
     optimizer_state_nbytes,
     sgd_update,
 )
+from revmem.quant import default_map, dequantize_blockwise, quantize_blockwise
 
 
 def param(values):
@@ -201,6 +205,215 @@ class TestQuantizedVariants:
         for s, (codes, absmax) in zip(slots, states):
             np.testing.assert_array_equal(s.state.codes, codes)
             np.testing.assert_array_equal(s.state.absmax, absmax)
+
+
+def reference_sgd(w, g, m, lr, momentum):
+    """The whole-tensor, out-of-place SGD step that the chunked loop must reproduce."""
+    m = momentum * m + g
+    return w - lr * m, m
+
+
+def reference_adam(w, g, m, r, lr, beta1, beta2, eps, step, bias_correction):
+    """The whole-tensor, out-of-place Adam step that the chunked loop must reproduce."""
+    m = beta1 * m + (1.0 - beta1) * g
+    r = beta2 * r + (1.0 - beta2) * g * g
+    if bias_correction:
+        mh = m / (1.0 - beta1**step)
+        rh = r / (1.0 - beta2**step)
+    else:
+        mh, rh = m, r
+    return w - lr * mh / (np.sqrt(rh) + eps), m, r
+
+
+# name -> (build the optimizer, lr, weight decay, bias correction)
+SETTINGS = {
+    "sgd": (lambda ps, bs: Sgd(ps, lr=0.05, momentum=0.9), 0.05, 0.0, False),
+    "sgd8": (lambda ps, bs: Sgd8(ps, lr=0.05, momentum=0.9, block_size=bs), 0.05, 0.0, False),
+    "adam": (lambda ps, bs: Adam(ps, lr=1e-3), 1e-3, 0.0, False),
+    "adamw": (lambda ps, bs: AdamW(ps, lr=1e-3, weight_decay=0.05), 1e-3, 0.05, False),
+    "adam8": (lambda ps, bs: Adam8(ps, lr=1e-3, weight_decay=0.05, bias_correction=True,
+                                   block_size=bs), 1e-3, 0.05, True),
+}
+# Several chunks each, with a ragged last chunk and a ragged last block at
+# block size 2048, plus a single partial block.
+SHAPES = [(2 * CHUNK_ELEMENTS + 3 * 2048 + 100,), (37, 1000), (3,)]
+
+
+def reference_run(name, values, grads, block_size):
+    """Parameters and states after whole-tensor steps; 8-bit states as QuantizedState."""
+    _, lr, wd, bias_correction = SETTINGS[name]
+    qmap = default_map()
+    quantized = name.endswith("8")
+    ws = [v.copy() for v in values]
+    states = [[np.zeros_like(w) for w in ws] for _ in range(1 if name.startswith("sgd") else 2)]
+    if quantized:
+        states = [[quantize_blockwise(np.zeros(w.shape, np.float32), qmap, block_size)
+                   for w in ws] for _ in states]
+    for step, gs in enumerate(grads, 1):
+        for i, (w, g) in enumerate(zip(ws, gs)):
+            s = [st[i] for st in states]
+            if quantized:
+                s = [dequantize_blockwise(q, qmap, dtype=w.dtype) for q in s]
+            if name.startswith("sgd"):
+                w, *s = reference_sgd(w, g, *s, lr, 0.9)
+            else:
+                if wd:
+                    w = w - lr * wd * w
+                w, *s = reference_adam(w, g, *s, lr, 0.9, 0.999, 1e-8, step, bias_correction)
+            if quantized:
+                s = [quantize_blockwise(x, qmap, block_size) for x in s]
+            ws[i] = w
+            for st, x in zip(states, s):
+                st[i] = x
+    return ws, states
+
+
+def chunked_run(name, values, grads, block_size):
+    params = [Param(v.copy()) for v in values]
+    opt = SETTINGS[name][0](params, block_size)
+    for gs in grads:
+        for p, g in zip(params, gs):
+            p.grad[...] = g
+        opt.step()
+        opt.zero_grad()
+    return params, opt
+
+
+def random_steps(shapes, dtype, steps=5, seed=11):
+    rng = np.random.default_rng(seed)
+    values = [rng.normal(size=s).astype(dtype) for s in shapes]
+    grads = [[rng.normal(0, 10.0 ** rng.integers(-4, 2), s).astype(dtype) for s in shapes]
+             for _ in range(steps)]
+    return values, grads
+
+
+def assert_same_as_reference(name, shapes, dtype, block_size):
+    values, grads = random_steps(shapes, dtype)
+    ref_values, ref_states = reference_run(name, values, grads, block_size)
+    params, opt = chunked_run(name, values, grads, block_size)
+    for p, w in zip(params, ref_values):
+        assert p.value.dtype == w.dtype
+        np.testing.assert_array_equal(p.value, w)
+    for slots, refs in zip(state_lists(opt), ref_states):
+        for slot, ref in zip(slots, refs):
+            if name.endswith("8"):
+                np.testing.assert_array_equal(slot.state.codes, ref.codes)
+                np.testing.assert_array_equal(slot.state.absmax, ref.absmax)
+            else:
+                assert slot.dtype == ref.dtype
+                np.testing.assert_array_equal(slot, ref)
+
+
+def state_lists(opt):
+    return [opt.m, opt.r] if hasattr(opt, "r") else [opt.m]
+
+
+def snapshot(opt):
+    arrays = [p.value.copy() for p in opt.params]
+    for slots in state_lists(opt):
+        for s in slots:
+            arrays += [s.state.codes.copy(), s.state.absmax.copy()]
+    return opt.step_count, arrays
+
+
+class TestChunkedInPlaceStep:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", list(SETTINGS))
+    def test_matches_whole_tensor_reference_exactly(self, name, dtype):
+        assert_same_as_reference(name, SHAPES, dtype, 2048)
+
+    @pytest.mark.parametrize("name", ["sgd8", "adam8"])
+    @pytest.mark.parametrize("block_size", [5000, 3 * CHUNK_ELEMENTS // 2])
+    def test_chunks_are_whole_blocks_at_any_block_size(self, name, block_size):
+        # 5000 gives 3-block chunks and a ragged last block; a block above
+        # CHUNK_ELEMENTS gives one-block chunks
+        assert_same_as_reference(name, [(4 * CHUNK_ELEMENTS + 7,), (9,)], np.float32,
+                                 block_size)
+
+    @pytest.mark.parametrize("name", list(SETTINGS))
+    def test_step_writes_into_the_arrays_it_holds(self, name):
+        values, grads = random_steps(SHAPES, np.float32, steps=2)
+        params = [Param(v) for v in values]
+        opt = SETTINGS[name][0](params, 2048)
+        held = [p.value for p in params]
+        for slots in state_lists(opt):
+            for s in slots:
+                held += [s.state.codes, s.state.absmax] if name.endswith("8") else [s]
+        for gs in grads:
+            for p, g in zip(params, gs):
+                p.grad[...] = g
+            opt.step()
+        now = [p.value for p in params]
+        for slots in state_lists(opt):
+            for s in slots:
+                now += [s.state.codes, s.state.absmax] if name.endswith("8") else [s]
+        assert all(a is b for a, b in zip(held, now))
+        assert params[0].value is values[0]  # the caller's array took the step
+
+    @pytest.mark.parametrize("name", list(SETTINGS))
+    def test_step_lands_in_a_non_contiguous_value(self, name):
+        rng = np.random.default_rng(4)
+        base = rng.normal(size=(300, 70))
+        viewed = Param(base.T)  # Fortran-ordered: a flat reshape would copy
+        dense = Param(np.ascontiguousarray(base.T))
+        opts = [SETTINGS[name][0]([p], 64) for p in (viewed, dense)]
+        for _ in range(3):
+            g = rng.normal(size=dense.value.shape)
+            for p, opt in zip((viewed, dense), opts):
+                p.grad[...] = g
+                opt.step()
+        assert np.shares_memory(viewed.value, base)
+        np.testing.assert_array_equal(viewed.value, dense.value)
+        np.testing.assert_array_equal(base.T, dense.value)
+
+    def test_adam8_step_peak_stays_below_one_parameter(self):
+        # whole-tensor dequantize and re-quantize peaked at about 9.5 MB here
+        rng = np.random.default_rng(8)
+        p = Param(rng.normal(size=327_680).astype(np.float32))
+        opt = Adam8([p])
+        p.grad[...] = rng.normal(size=p.value.shape)
+        opt.step()
+        tracemalloc.start()
+        try:
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= p.value.nbytes
+
+    def test_adam8_step_that_would_overflow_changes_nothing(self):
+        # (1 - beta2) * g * g overflows float32 for g = 1e22; the parameter
+        # before it must not take the step either
+        rng = np.random.default_rng(6)
+        params = [Param(rng.normal(size=4).astype(np.float32)) for _ in range(3)]
+        opt = Adam8(params, block_size=4)
+        for p in params:
+            p.grad[:] = rng.normal(size=4)
+        opt.step()
+        for p in params:
+            p.grad[:] = rng.normal(size=4)
+        params[1].grad[0] = 1e22
+        count, before = snapshot(opt)
+        with pytest.raises(StateOverflowError, match=r"parameter 1 \(4,\)"):
+            opt.step()
+        after_count, after = snapshot(opt)
+        assert after_count == count
+        for a, b in zip(before, after):
+            np.testing.assert_array_equal(a, b)
+
+    def test_sgd8_momentum_that_would_overflow_changes_nothing(self):
+        params = [Param(np.ones(4, np.float32)) for _ in range(3)]
+        opt = Sgd8(params, block_size=4)
+        params[1].grad[0] = 3e38  # fits the float32 scale: taken
+        opt.step()
+        assert opt.m[1].state.absmax[0] == np.float32(3e38)
+        count, before = snapshot(opt)
+        # 0.9 * 3e38 + 3e38 does not fit
+        with pytest.raises(QuantizationError, match="parameter 1"):
+            opt.step()
+        assert snapshot(opt)[0] == count
+        for a, b in zip(before, snapshot(opt)[1]):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestFactory:
