@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,42 +36,11 @@ from .synth import SynthDataset
 from .zoo import RevRes, build, registry_spec, spec_from_json, toy_spec
 
 
-@dataclass
-class RunConfig:
-    command: str
-    net: str | None = None
-    spec_path: str | None = None
-    mode: str = "reversible"
-    optim: str = "adamw"
-    lr: float | None = None
-    momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.05
-    margin: float = 0.2
-    scale: float = 32.0
-    batch: int = 6
-    steps: int = 200
-    seed: int = 0
-    f64: bool = False
-    out: str | None = None
-    frames: int = 8
-    classes: int = 3
-    block_size: int = 2048
-    elements: int = 1_000_000
-    blocks: tuple = (2048,)
-    sweep_depths: tuple = ()
-    scores: str | None = None
-    emb: str | None = None
-    inject_vjp_fault: str | None = None
-
-    @property
-    def dtype(self):
-        return np.float64 if self.f64 else np.float32
+def _dtype(cfg):
+    return np.float64 if cfg.f64 else np.float32
 
 
-def _load_spec(cfg: RunConfig):
+def _load_spec(cfg):
     if cfg.net and cfg.spec_path:
         raise ConfigError("--net and --spec are mutually exclusive")
     if cfg.spec_path:
@@ -83,7 +51,7 @@ def _load_spec(cfg: RunConfig):
     return None
 
 
-def _write(cfg: RunConfig, text: str):
+def _write(cfg, text: str):
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text)
@@ -91,7 +59,7 @@ def _write(cfg: RunConfig, text: str):
         sys.stdout.write(text)
 
 
-def cmd_gradcheck(cfg: RunConfig) -> int:
+def cmd_gradcheck(cfg) -> int:
     results = gc.run_all_checks(seed=cfg.seed, fault_op=cfg.inject_vjp_fault)
     lines = ["check,max_error,tolerance,status"]
     lines += [r.row() for r in results]
@@ -107,14 +75,15 @@ def _default_lr(optim: str) -> float:
     return 0.02 if optim.startswith("sgd") else 1e-3
 
 
-def _train_setup(cfg: RunConfig):
+def _train_setup(cfg):
     spec = _load_spec(cfg)
     if spec is None:
         spec = toy_spec([2, 2], 16, "df_bottleneck")
-    net = build(spec, dtype=cfg.dtype, seed=cfg.seed)
-    data = SynthDataset(cfg.classes, frames=cfg.frames, seed=cfg.seed, dtype=cfg.dtype)
+    dtype = _dtype(cfg)
+    net = build(spec, dtype=dtype, seed=cfg.seed)
+    data = SynthDataset(cfg.classes, frames=cfg.frames, seed=cfg.seed, dtype=dtype)
     rng = np.random.default_rng(cfg.seed + 1)
-    head = Param(rng.normal(0, 0.1, (net.embedding_dim, cfg.classes)).astype(cfg.dtype))
+    head = Param(rng.normal(0, 0.1, (net.embedding_dim, cfg.classes)).astype(dtype))
     lr = cfg.lr if cfg.lr is not None else _default_lr(cfg.optim)
     opt = make_optimizer(cfg.optim, net.params() + [head], lr,
                          momentum=cfg.momentum, beta1=cfg.beta1, beta2=cfg.beta2,
@@ -131,15 +100,16 @@ def _train_step(net, head, x, labels, mode, margin, scale):
     return loss, emb, ledger
 
 
-def _diverged(cfg: RunConfig, rows: list[str], message: str) -> int:
+def _diverged(cfg, rows: list[str], message: str) -> int:
     """Write the loss log so far and report the divergence (exit code 1)."""
     _write(cfg, "\n".join(rows) + "\n")
     print(message, file=sys.stderr)
     return 1
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg) -> int:
     net, data, head, opt = _train_setup(cfg)
+    # total_bytes is run_forward's ledger: no optimizer state, no AAM head
     rows = ["step,loss,activation_bytes,total_bytes"]
     emb = None
     labels = None
@@ -169,20 +139,21 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_memreport(cfg: RunConfig) -> int:
+def cmd_memreport(cfg) -> int:
     spec = _load_spec(cfg)
     if spec is None:
         raise ConfigError("memreport needs --net or --spec")
-    if cfg.sweep_depths:
+    depths = _parse_int_list(cfg.sweep_depths)
+    if depths:
         rows = ["depth,mode,activations,weights,gradients,optimizer_states,workspace,total"]
-        for depth in cfg.sweep_depths:
+        for depth in depths:
             deep = type(spec)(
                 name=f"{spec.name}-d{depth}",
                 stages=[RevRes(s.kind, s.c_half, depth) if isinstance(s, RevRes) else s
                         for s in spec.stages],
                 embedding_dim=spec.embedding_dim,
             )
-            net = build(deep, dtype=cfg.dtype, seed=cfg.seed)
+            net = build(deep, dtype=_dtype(cfg), seed=cfg.seed)
             led = ledger_plan(net, cfg.batch, cfg.frames, cfg.mode, cfg.optim,
                               cfg.block_size)
             rows.append(f"{depth},{cfg.mode},{led.activations},{led.weights},"
@@ -190,7 +161,7 @@ def cmd_memreport(cfg: RunConfig) -> int:
                         f"{led.total()}")
         _write(cfg, "\n".join(rows) + "\n")
         return 0
-    net = build(spec, dtype=cfg.dtype, seed=cfg.seed)
+    net = build(spec, dtype=_dtype(cfg), seed=cfg.seed)
     led = ledger_plan(net, cfg.batch, cfg.frames, cfg.mode, cfg.optim, cfg.block_size)
     _write(cfg, led.to_csv())
     return 0
@@ -211,15 +182,16 @@ def _draw(dist: str, rng, n: int) -> np.ndarray:
     raise ConfigError(f"unknown distribution {dist!r}")
 
 
-def cmd_quantbench(cfg: RunConfig) -> int:
+def cmd_quantbench(cfg) -> int:
     qmap = default_map()
     rng = np.random.default_rng(cfg.seed)
     rows = ["distribution,block_size,elements,agreement,max_error,error_bound,"
             "mean_error,state_bytes,dense_bytes,bytes_ratio"]
+    blocks = _parse_int_list(cfg.blocks)
     all_agree = True
     for dist in _DISTRIBUTIONS:
         data = _draw(dist, rng, cfg.elements)
-        for block in cfg.blocks:
+        for block in blocks:
             state = quantize_blockwise(data, qmap, block)
             ref_codes = nearest_codes_exhaustive(data, qmap, block)
             agreement = float((state.codes == ref_codes).mean())
@@ -255,7 +227,7 @@ def _read_embeddings_csv(path):
     return np.asarray(vecs), np.asarray(labels)
 
 
-def cmd_eer(cfg: RunConfig) -> int:
+def cmd_eer(cfg) -> int:
     if bool(cfg.scores) == bool(cfg.emb):
         raise ConfigError("eer needs exactly one of --scores or --emb")
     if cfg.scores:
@@ -280,6 +252,17 @@ def _parse_int_list(text: str) -> tuple:
         raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
+def _count(text: str) -> int:
+    """argparse type for sizes and counts, which must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="revmem",
                                 description="Reversible-network training and "
@@ -292,12 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--mode", choices=["stored", "reversible"], default="reversible")
         sp.add_argument("--optim", default="adamw",
                         choices=["sgd", "sgd8", "adam", "adamw", "adam8"])
-        sp.add_argument("--batch", type=int, default=6)
+        sp.add_argument("--batch", type=_count, default=6)
         sp.add_argument("--steps", type=int, default=200)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--f64", action="store_true", help="64-bit scalars")
         sp.add_argument("--out", help="output CSV path (default stdout)")
-        sp.add_argument("--frames", type=int, default=8)
+        sp.add_argument("--frames", type=_count, default=8)
         if train_opts:
             sp.add_argument("--lr", type=float, default=None)
             sp.add_argument("--momentum", type=float, default=0.9)
@@ -307,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--weight-decay", type=float, default=0.05)
             sp.add_argument("--margin", type=float, default=0.2)
             sp.add_argument("--scale", type=float, default=32.0)
-            sp.add_argument("--classes", type=int, default=3)
+            sp.add_argument("--classes", type=_count, default=3)
             sp.add_argument("--block", dest="block_size", type=int, default=2048)
 
     sp = sub.add_parser("gradcheck", help="finite-difference and equivalence checks")
@@ -324,9 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sweep-depths", type=str, default="",
                     help="comma list; rebuild with every reversible stage at "
                          "this depth and emit bytes per depth")
+    sp.set_defaults(block_size=2048)
 
     sp = sub.add_parser("quantbench", help="codec agreement and error report")
-    sp.add_argument("--elements", type=int, default=1_000_000)
+    sp.add_argument("--elements", type=_count, default=1_000_000)
     sp.add_argument("--blocks", type=str, default="2048")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="output CSV path (default stdout)")
@@ -337,20 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="output CSV path (default stdout)")
 
     return p
-
-
-def config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in vars(args):
-        if name == "command":
-            continue
-        value = getattr(args, name)
-        if name == "blocks":
-            value = _parse_int_list(value)
-        if name == "sweep_depths":
-            value = _parse_int_list(value) if value else ()
-        setattr(cfg, name, value)
-    return cfg
 
 
 _COMMANDS = {
@@ -365,8 +335,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -17,8 +17,8 @@ coupling block; downsamplers ahead of it need only the cotangent. Both modes
 accumulate gradients into the same Param objects and must agree to rounding
 error.
 
-The ledger counts semantic bytes only (element count times scalar width):
-allocator slack and framework overhead are deliberately out of scope.
+The ledger counts semantic bytes only (element count times scalar width);
+``MemoryLedger`` lists what its categories leave out.
 """
 
 from __future__ import annotations
@@ -40,21 +40,33 @@ LEDGER_CATEGORIES = ("activations", "weights", "gradients", "optimizer_states", 
 
 @dataclass
 class MemoryLedger:
-    """Byte counts per category, queryable at any point in a step."""
+    """Bytes a step holds, per category.
+
+    ``activations`` are the arrays kept for backward, ``weights`` and
+    ``gradients`` one copy each of the network's parameters,
+    ``optimizer_states`` the state of a named optimizer (``ledger_plan``
+    only: run_forward's ledger has no optimizer and books 0) and
+    ``workspace`` the captured batch-norm statistics. No category includes:
+
+    - op and recompute transients, such as the branch tapes a ``RevBlock``
+      rebuilds in reversible backward (about 18.5 MB on
+      ``toy_spec([d, d], 16, "df_bottleneck")`` at batch 4 and 32 frames,
+      whatever the depth d);
+    - the optimizer step's chunk buffers;
+    - allocator slack;
+    - parameters outside the network, such as the AAM head that training
+      adds: its weight, gradient and optimizer state.
+    """
 
     activations: int = 0
     weights: int = 0
     gradients: int = 0
     optimizer_states: int = 0
     workspace: int = 0
-    peak: int = 0
 
     def total(self) -> int:
         return (self.activations + self.weights + self.gradients
                 + self.optimizer_states + self.workspace)
-
-    def touch(self):
-        self.peak = max(self.peak, self.total())
 
     def shares(self) -> dict[str, float]:
         tot = self.total()
@@ -183,6 +195,8 @@ def run_forward(net: Network, batch: np.ndarray, mode: str):
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
     if batch.ndim != 4:
         raise ShapeError(f"batch must be rank-4 (n, c, f, t), got {batch.shape}")
+    if batch.shape[0] == 0:
+        raise ShapeError(f"batch is empty: shape {batch.shape}")
     c_in, f_in = net.input_spec
     if net.layers and (batch.shape[1] != c_in or batch.shape[2] != f_in):
         raise ShapeError(
@@ -216,14 +230,12 @@ def run_forward(net: Network, batch: np.ndarray, mode: str):
                                  else ("run_out", idxs, x))
     store.out_shape, store.out_dtype = x.shape, x.dtype
 
-    ledger = MemoryLedger(
+    return x, store, MemoryLedger(
         activations=store.activation_nbytes(),
         weights=net.param_nbytes(),
         gradients=net.param_nbytes(),
         workspace=net.stat_nbytes(),
     )
-    ledger.touch()
-    return x, store, ledger
 
 
 def run_backward(net: Network, store: SavedStore, g_out: np.ndarray, mode: str):
@@ -282,17 +294,23 @@ def ledger_plan(net: Network, batch: int, frames: int, mode: str,
                 optimizer: str = "none", block_size: int = 2048) -> MemoryLedger:
     """Ledger for a hypothetical run, computed from shapes alone.
 
-    Matches the ledger a real run_forward would produce byte for byte, and
-    can additionally account optimizer state for a named optimizer.
+    One ``out_shape`` walk with a tape gives stored mode's cached shapes and
+    every batch norm's statistics. The result matches the ledger a real
+    run_forward would produce byte for byte, and also books the state of a
+    named optimizer for the network's parameters. It leaves out what
+    ``MemoryLedger`` lists, the optimizer step's buffers and any head
+    outside the network among them.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if batch < 1 or frames < 1:
+        raise ConfigError(f"batch and frames must be at least 1, got {batch} and {frames}")
     width = net.dtype.itemsize
     c_in, f_in = net.input_spec
     shape = (batch, c_in, f_in, frames)
 
+    tape = []
     act_elems = 0
-    stat_elems = 0
     prev_was_run = False
     for kind, idxs in net.units:
         # reversible mode saves a layer's input (unless it is the previous
@@ -300,18 +318,17 @@ def ledger_plan(net: Network, batch: int, frames: int, mode: str,
         if mode == "reversible" and kind == "layer" and not prev_was_run:
             act_elems += math.prod(shape)
         for i in ([idxs] if kind == "layer" else idxs):
-            layer = net.layers[i]
-            if mode == "stored":
-                act_elems += layer.plan_cached(shape)
-            stat_elems += layer.plan_stats(shape)
-            shape = layer.out_shape(shape)
+            shape = net.layers[i].out_shape(shape, tape)
         if mode == "reversible" and kind == "run":
             act_elems += math.prod(shape)
         prev_was_run = kind == "run"
+    if mode == "stored":
+        act_elems = sum(math.prod(s) for _, s in tape)
+    stat_elems = sum(layer.stat_elems for layer, _ in tape)
 
     params = net.params()
     n_params = sum(p.size for p in params)
-    ledger = MemoryLedger(
+    return MemoryLedger(
         activations=act_elems * width,
         weights=n_params * width,
         gradients=n_params * width,
@@ -320,8 +337,6 @@ def ledger_plan(net: Network, batch: int, frames: int, mode: str,
                              for p in params),
         workspace=stat_elems * width,
     )
-    ledger.touch()
-    return ledger
 
 
 def max_batch(net: Network, mode: str, budget_bytes: int, frames: int = 200,

@@ -10,9 +10,12 @@ Execution protocol (used by the engine):
   instead of recomputing them, and suppresses running-stat updates.
 * ``backward(gy, entry)`` consumes that tape entry, accumulates parameter
   gradients, and returns the input cotangent.
-* ``plan_cached(in_shape)`` / ``plan_stats(in_shape)`` report how many
-  elements the layer would cache (stored mode) and how many batch-stat
-  scalars it captures, so ledgers can be computed without running tensors.
+* ``out_shape(shape, tape=None)`` is the shape-only twin of ``forward``: it
+  returns the output shape, and when ``tape`` is a list it appends
+  ``(layer, input shape)`` wherever ``forward(x, tape)`` appends an array.
+  The ledger is planned from that one walk: the shapes on the tape are what
+  stored mode caches, and each entry's ``stat_elems`` (``2 * c`` for a
+  batch norm, else 0) is what the layer captures as batch statistics.
 
 Members of a reversible run (``RevBlock``, ``RevDownsample``) take and
 return tuples of channel streams instead of single tensors: a ``RevBlock``
@@ -65,13 +68,21 @@ def he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarra
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
+def _tape_shape(tape, layer, shape):
+    """Planning twin of forward's ``tape.append(x)``."""
+    if tape is not None:
+        tape.append((layer, shape))
+
+
 class Layer:
     reversible = False
+    stat_elems = 0  # batch-statistic scalars captured per forward
 
     def params(self) -> list[Param]:
         return []
 
-    def out_shape(self, shape):
+    def out_shape(self, shape, tape=None):
+        _tape_shape(tape, self, shape)
         return shape
 
     def forward(self, x, tape=None, replay=False):
@@ -83,13 +94,6 @@ class Layer:
     def backward_from_input(self, gy, x):
         """Backward given only the cached input (reversible-mode path)."""
         return self.backward(gy, x)
-
-    def plan_cached(self, in_shape) -> int:
-        # a primitive's tape entry is its input
-        return math.prod(in_shape)
-
-    def plan_stats(self, in_shape) -> int:
-        return 0
 
     def stat_nbytes(self) -> int:
         return 0
@@ -105,13 +109,13 @@ class Conv2d(Layer):
     def params(self):
         return [self.w]
 
-    def out_shape(self, shape):
+    def out_shape(self, shape, tape=None):
         n, c, f, t = shape
         if c != self.c_in:
             raise ShapeError(f"{type(self).__name__} expects {self.c_in} channels, got {c}")
-        fo = (f + 2 * self.pad - self.k) // self.stride + 1
-        to = (t + 2 * self.pad - self.k) // self.stride + 1
-        return (n, self.c_out, fo, to)
+        _tape_shape(tape, self, shape)
+        return (n, self.c_out, ops.conv_out_size(f, self.k, self.stride, self.pad),
+                ops.conv_out_size(t, self.k, self.stride, self.pad))
 
     def forward(self, x, tape=None, replay=False):
         if tape is not None:
@@ -155,6 +159,7 @@ class BatchNorm2d(Layer):
 
     def __init__(self, c, eps=1e-5, momentum=0.1, *, dtype):
         self.c = c
+        self.stat_elems = 2 * c
         self.eps = eps
         self.momentum = momentum
         self.gamma = Param(np.ones(c, dtype))
@@ -166,9 +171,10 @@ class BatchNorm2d(Layer):
     def params(self):
         return [self.gamma, self.beta]
 
-    def out_shape(self, shape):
+    def out_shape(self, shape, tape=None):
         if shape[1] != self.c:
             raise ShapeError(f"batch norm expects {self.c} channels, got {shape[1]}")
+        _tape_shape(tape, self, shape)
         return shape
 
     def forward(self, x, tape=None, replay=False):
@@ -196,9 +202,6 @@ class BatchNorm2d(Layer):
         self.beta.grad += dbeta
         return gx
 
-    def plan_stats(self, in_shape):
-        return 2 * self.c
-
     def stat_nbytes(self):
         if self.saved_stats is None:
             return 0
@@ -217,7 +220,8 @@ class ReLU(Layer):
 
 
 class GlobalStatPool(Layer):
-    def out_shape(self, shape):
+    def out_shape(self, shape, tape=None):
+        _tape_shape(tape, self, shape)
         n, c, f, t = shape
         return (n, 2 * c * f)
 
@@ -239,10 +243,11 @@ class Linear(Layer):
     def params(self):
         return [self.w, self.b]
 
-    def out_shape(self, shape):
+    def out_shape(self, shape, tape=None):
         n, d = shape
         if d != self.d_in:
             raise ShapeError(f"linear expects width {self.d_in}, got {d}")
+        _tape_shape(tape, self, shape)
         return (n, self.d_out)
 
     def forward(self, x, tape=None, replay=False):
@@ -266,9 +271,9 @@ class Sequential(Layer):
     def params(self):
         return [p for l in self.layers for p in l.params()]
 
-    def out_shape(self, shape):
+    def out_shape(self, shape, tape=None):
         for l in self.layers:
-            shape = l.out_shape(shape)
+            shape = l.out_shape(shape, tape)
         return shape
 
     def forward(self, x, tape=None, replay=False):
@@ -280,20 +285,6 @@ class Sequential(Layer):
         for l, e in zip(reversed(self.layers), reversed(entries)):
             gy = l.backward(gy, e)
         return gy
-
-    def plan_cached(self, in_shape):
-        total = 0
-        for l in self.layers:
-            total += l.plan_cached(in_shape)
-            in_shape = l.out_shape(in_shape)
-        return total
-
-    def plan_stats(self, in_shape):
-        total = 0
-        for l in self.layers:
-            total += l.plan_stats(in_shape)
-            in_shape = l.out_shape(in_shape)
-        return total
 
     def stat_nbytes(self):
         return sum(l.stat_nbytes() for l in self.layers)
@@ -366,8 +357,10 @@ class ResidualBlock(Layer):
             ps = ps + self.proj.params()
         return ps
 
-    def out_shape(self, shape):
-        return self.branch.out_shape(shape)
+    def out_shape(self, shape, tape=None):
+        # the tape's x is the branch's first entry, and the projection runs
+        # untaped, so the branch's walk is the whole plan
+        return self.branch.out_shape(shape, tape)
 
     def forward(self, x, tape=None, replay=False):
         sub = [] if tape is not None else None
@@ -391,13 +384,6 @@ class ResidualBlock(Layer):
         sub = []
         self.branch.forward(x, tape=sub, replay=True)
         return self.backward(gy, (x, sub))
-
-    def plan_cached(self, in_shape):
-        # the projection input is the same tensor as the branch's first entry
-        return self.branch.plan_cached(in_shape)
-
-    def plan_stats(self, in_shape):
-        return self.branch.plan_stats(in_shape)
 
     def stat_nbytes(self):
         return self.branch.stat_nbytes()
@@ -424,11 +410,15 @@ class RevBlock(Layer):
     def params(self):
         return self.f.params() + self.g.params()
 
-    def out_shape(self, shape):
-        if shape[1] != 2 * self.half_width:
+    def out_shape(self, shape, tape=None):
+        # planned on the whole tensor; each branch sees one half
+        n, c, f, t = shape
+        if c != 2 * self.half_width:
             raise ShapeError(
-                f"reversible block expects {2 * self.half_width} channels, got {shape[1]}"
+                f"reversible block expects {2 * self.half_width} channels, got {c}"
             )
+        half = (n, self.half_width, f, t)
+        self.g.out_shape(self.f.out_shape(half, tape), tape)
         return shape
 
     def forward(self, x, tape=None, replay=False):
@@ -466,16 +456,6 @@ class RevBlock(Layer):
         gx2 = gy2 + self.f.backward(gz1, f_tape)
         return gz1, gx2
 
-    def plan_cached(self, in_shape):
-        n, c, f, t = in_shape
-        half = (n, c // 2, f, t)
-        return self.f.plan_cached(half) + self.g.plan_cached(half)
-
-    def plan_stats(self, in_shape):
-        n, c, f, t = in_shape
-        half = (n, c // 2, f, t)
-        return self.f.plan_stats(half) + self.g.plan_stats(half)
-
     def stat_nbytes(self):
         return self.f.stat_nbytes() + self.g.stat_nbytes()
 
@@ -493,16 +473,13 @@ class RevDownsample(Layer):
     def __init__(self, r=2):
         self.r = r
 
-    def out_shape(self, shape):
+    def out_shape(self, shape, tape=None):
         n, c, f, t = shape
         if f % self.r or t % self.r:
             raise ConfigError(
                 f"spatial dims ({f}, {t}) not divisible by ratio {self.r}"
             )
         return (n, c * self.r * self.r, f // self.r, t // self.r)
-
-    def plan_cached(self, in_shape):
-        return 0
 
     def forward(self, x, tape=None, replay=False):
         if tape is not None:

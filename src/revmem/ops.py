@@ -8,7 +8,8 @@ cotangent back to input/parameter cotangents. The VJPs are checked against
 central finite differences in the test suite.
 
 Convolutions are cross-correlations (no kernel flip). Output spatial sizes
-follow the usual floor rule ``(d + 2*pad - k)//stride + 1``. Every forward
+follow the usual floor rule ``(d + 2*pad - k)//stride + 1``, computed by
+``conv_out_size``, which layer shape planning shares. Every forward
 output is a contiguous array that no larger buffer backs, so its ``nbytes``
 is the memory it holds. Each conv kernel's transient is a few times its
 input or output at most, with the forwards' window copies capped at
@@ -72,7 +73,7 @@ def _require_4d(x: np.ndarray, name: str) -> None:
         raise ShapeError(f"{name} must be rank-4 (n, c, f, t), got shape {x.shape}")
 
 
-def _conv_out_size(d: int, k: int, stride: int, pad: int) -> int:
+def conv_out_size(d: int, k: int, stride: int, pad: int) -> int:
     span = d + 2 * pad - k
     if span < 0:
         raise ConfigError(
@@ -139,8 +140,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.nd
             f"input has {x.shape[1]} channels but kernel expects {w.shape[1]}"
         )
     kh, kw = w.shape[2], w.shape[3]
-    fo = _conv_out_size(x.shape[2], kh, stride, pad)
-    to = _conv_out_size(x.shape[3], kw, stride, pad)
+    fo = conv_out_size(x.shape[2], kh, stride, pad)
+    to = conv_out_size(x.shape[3], kw, stride, pad)
     if _is_pointwise(w, pad):
         n, c = x.shape[:2]
         y = np.matmul(w[:, :, 0, 0], x[:, :, ::stride, ::stride].reshape(n, c, fo * to))
@@ -223,8 +224,8 @@ def depthwise_conv2d(
             f"input has {x.shape[1]} channels but depthwise kernel has {w.shape[0]}"
         )
     kh, kw = w.shape[2], w.shape[3]
-    fo = _conv_out_size(x.shape[2], kh, stride, pad)
-    to = _conv_out_size(x.shape[3], kw, stride, pad)
+    fo = conv_out_size(x.shape[2], kh, stride, pad)
+    to = conv_out_size(x.shape[3], kw, stride, pad)
     y = np.empty((x.shape[0], x.shape[1], fo, to), dtype=np.result_type(x, w))
     return _window_einsum("ncftij,cij->ncft", x, w[:, 0], y, stride, pad)
 

@@ -196,6 +196,49 @@ class TestMemreportCommand:
     def test_requires_net_or_spec(self):
         assert run(["memreport"]) == 2
 
+    @pytest.mark.parametrize("mode, activations", [("stored", 22_001_582_080),
+                                                   ("reversible", 1_111_982_080)])
+    def test_df_revnet89_bytes_pinned(self, tmp_path, mode, activations):
+        # the paper's net at its training shape, with 8-bit Adam
+        out = tmp_path / "mem.csv"
+        assert run(["memreport", "--net", "DF-RevNet89", "--batch", "64", "--frames", "200",
+                    "--optim", "adam8", "--mode", mode, "--out", str(out)]) == 0
+        rows = [r.split(",") for r in out.read_text().strip().split("\n")[1:]]
+        assert {r[0]: int(r[1]) for r in rows} == {
+            "activations": activations,
+            "weights": 17_964_160,
+            "gradients": 17_964_160,
+            "optimizer_states": 9_000_304,
+            "workspace": 76_992,
+        }
+
+
+class TestSizeBoundaries:
+    @pytest.mark.parametrize("argv, option", [
+        (["memreport", "--net", "ResNet34", "--batch", "-3", "--frames", "200"], "--batch"),
+        (["memreport", "--net", "ResNet34", "--frames", "-4"], "--frames"),
+        (["memreport", "--net", "ResNet34", "--frames", "0"], "--frames"),
+        (["train", "--batch", "0", "--steps", "1"], "--batch"),
+        (["train", "--batch", "-2", "--steps", "1"], "--batch"),
+        (["train", "--classes", "0", "--steps", "1"], "--classes"),
+        (["quantbench", "--elements", "-5"], "--elements"),
+    ], ids=["memreport-batch-neg", "memreport-frames-neg", "memreport-frames-zero",
+            "train-batch-zero", "train-batch-neg", "train-classes-zero",
+            "quantbench-elements-neg"])
+    def test_size_below_one_exits_2_naming_option(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {option}: must be at least 1" in captured.err
+        assert captured.out == ""
+
+    def test_non_integer_size_keeps_argparse_message(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["train", "--batch", "x"])
+        assert info.value.code == 2
+        assert "argument --batch: invalid int value: 'x'" in capsys.readouterr().err
+
 
 class TestQuantbenchCommand:
     def test_report_and_full_agreement(self, tmp_path):

@@ -16,7 +16,7 @@ from revmem.engine import (
     run_forward,
 )
 from revmem.errors import CapacityError, ConfigError, ShapeError, StateError
-from revmem.layers import BatchNorm2d
+from revmem.layers import BatchNorm2d, Layer
 from revmem.optim import Adam8, Sgd8
 
 from conftest import mixed_err, random_toy_spec
@@ -28,6 +28,17 @@ def toy_net(dtype=np.float64, blocks=(1, 1), width=8, kind="basic", seed=3):
 
 def batch(rng, n=2, frames=8, dtype=np.float64):
     return rng.normal(size=(n, 1, 80, frames)).astype(dtype)
+
+
+def batch_norms(layers):
+    """Every BatchNorm2d in `layers` or in their children."""
+    found = []
+    for l in layers:
+        if isinstance(l, BatchNorm2d):
+            found.append(l)
+        children = [v for v in vars(l).values() if isinstance(v, Layer)]
+        found += batch_norms(children + getattr(l, "layers", []))
+    return found
 
 
 class TestRunForward:
@@ -57,6 +68,11 @@ class TestRunForward:
         np.testing.assert_array_equal(out, x)
         assert ledger.activations == 0
         assert ledger.weights == 0
+
+    def test_empty_batch_rejected(self, rng):
+        net = toy_net()
+        with pytest.raises(ShapeError, match="empty"):
+            run_forward(net, batch(rng)[:0], "reversible")
 
     def test_embedding_shape_and_finiteness(self, rng):
         net = toy_net(dtype=np.float32)
@@ -296,16 +312,57 @@ class TestRunShapes:
 
 class TestLedger:
     def test_plan_matches_real_run_both_modes(self, rng):
-        for kind in ("basic", "df_bottleneck"):
-            net = toy_net(dtype=np.float32, blocks=(2, 1), kind=kind)
-            x = batch(rng, dtype=np.float32)
-            for mode in ("stored", "reversible"):
-                _, store, ledger = run_forward(net, x, mode)
-                plan = ledger_plan(net, 2, 8, mode)
-                assert ledger.activations == plan.activations
-                assert ledger.weights == plan.weights
-                assert ledger.workspace == plan.workspace
-                assert store.activation_nbytes() == plan.activations
+        # the plan's one shape walk against real arrays, on nets mixing
+        # residual kinds, projections, strided and odd-channel downsampling
+        specs = [zoo.toy_spec([2, 1], 8, kind) for kind in ("basic", "df_bottleneck")]
+        specs += [random_toy_spec(np.random.default_rng(seed)) for seed in range(500, 510)]
+        specs.append(zoo.spec_from_json(ODD_HEAD_SPEC))
+        for i, spec in enumerate(specs):
+            for dtype in (np.float32, np.float64):
+                net = zoo.build(spec, dtype=dtype, seed=i)
+                x = batch(rng, dtype=dtype)
+                for mode in ("stored", "reversible"):
+                    _, store, ledger = run_forward(net, x, mode)
+                    plan = ledger_plan(net, 2, 8, mode)
+                    assert ledger.activations == plan.activations
+                    assert ledger.weights == plan.weights
+                    assert ledger.gradients == plan.gradients
+                    assert ledger.workspace == plan.workspace
+                    assert store.activation_nbytes() == plan.activations
+
+    @pytest.mark.parametrize("spec", [zoo.spec_from_json(ODD_HEAD_SPEC),
+                                      zoo.toy_spec([1, 1], 8, "bottleneck", "type1")],
+                             ids=["odd-head", "type1"])
+    def test_plan_leaves_layer_state_untouched(self, rng, spec):
+        # planning reads shapes only: no batch norm statistic, running
+        # statistic, weight or gradient may change, not even its array
+        net = zoo.build(spec, dtype=np.float64, seed=5)
+        out, store, _ = run_forward(net, batch(rng), "stored")
+        run_backward(net, store, rng.normal(size=out.shape), "stored")
+        bns = batch_norms(net.layers)
+        assert bns
+        arrays = [(bn.saved_stats, bn.running_mean, bn.running_var) for bn in bns]
+        copies = [[a.copy() for a in (*bn.saved_stats, bn.running_mean, bn.running_var)]
+                  for bn in bns]
+        params = [(p, p.value, p.grad, p.value.copy(), p.grad.copy()) for p in net.params()]
+        for mode in ("stored", "reversible"):
+            for optimizer in ("none", "sgd8", "adam8"):
+                ledger_plan(net, 4, 32, mode, optimizer)
+        for bn, (saved, mean, var), copy in zip(bns, arrays, copies):
+            assert bn.saved_stats is saved
+            assert bn.running_mean is mean and bn.running_var is var
+            for a, b in zip((*bn.saved_stats, bn.running_mean, bn.running_var), copy):
+                np.testing.assert_array_equal(a, b)
+        for p, value, grad, value_copy, grad_copy in params:
+            assert p.value is value and p.grad is grad
+            np.testing.assert_array_equal(p.value, value_copy)
+            np.testing.assert_array_equal(p.grad, grad_copy)
+
+    @pytest.mark.parametrize("n, frames", [(0, 8), (-3, 200), (2, 0), (2, -4)])
+    def test_plan_rejects_sizes_below_one(self, n, frames):
+        net = toy_net(dtype=np.float32)
+        with pytest.raises(ConfigError, match="at least 1"):
+            ledger_plan(net, n, frames, "stored")
 
     def test_counting_saved_bytes_leaves_no_reference_cycle(self, rng):
         # saved arrays must die with the store, not wait for the cyclic GC
@@ -386,6 +443,12 @@ class TestCapacity:
         n = max_batch(net, "reversible", budget, frames=8)
         assert ledger_plan(net, n, 8, "reversible").total() <= budget
         assert ledger_plan(net, n + 1, 8, "reversible").total() > budget
+
+    @pytest.mark.parametrize("frames", [0, -4])
+    def test_max_batch_rejects_frames_below_one(self, frames):
+        net = toy_net(dtype=np.float32)
+        with pytest.raises(ConfigError, match="at least 1"):
+            max_batch(net, "reversible", 1 << 30, frames=frames)
 
     def test_max_batch_budget_too_small(self):
         net = toy_net(dtype=np.float32)
