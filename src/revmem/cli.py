@@ -153,7 +153,7 @@ def cmd_memreport(cfg) -> int:
                         for s in spec.stages],
                 embedding_dim=spec.embedding_dim,
             )
-            net = build(deep, dtype=_dtype(cfg), seed=cfg.seed)
+            net = build(deep, dtype=_dtype(cfg))
             led = ledger_plan(net, cfg.batch, cfg.frames, cfg.mode, cfg.optim,
                               cfg.block_size)
             rows.append(f"{depth},{cfg.mode},{led.activations},{led.weights},"
@@ -161,7 +161,7 @@ def cmd_memreport(cfg) -> int:
                         f"{led.total()}")
         _write(cfg, "\n".join(rows) + "\n")
         return 0
-    net = build(spec, dtype=_dtype(cfg), seed=cfg.seed)
+    net = build(spec, dtype=_dtype(cfg))
     led = ledger_plan(net, cfg.batch, cfg.frames, cfg.mode, cfg.optim, cfg.block_size)
     _write(cfg, led.to_csv())
     return 0
@@ -187,11 +187,10 @@ def cmd_quantbench(cfg) -> int:
     rng = np.random.default_rng(cfg.seed)
     rows = ["distribution,block_size,elements,agreement,max_error,error_bound,"
             "mean_error,state_bytes,dense_bytes,bytes_ratio"]
-    blocks = _parse_int_list(cfg.blocks)
     all_agree = True
     for dist in _DISTRIBUTIONS:
         data = _draw(dist, rng, cfg.elements)
-        for block in blocks:
+        for block in cfg.blocks:
             state = quantize_blockwise(data, qmap, block)
             ref_codes = nearest_codes_exhaustive(data, qmap, block)
             agreement = float((state.codes == ref_codes).mean())
@@ -252,15 +251,25 @@ def _parse_int_list(text: str) -> tuple:
         raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
-def _count(text: str) -> int:
-    """argparse type for sizes and counts, which must be at least 1."""
+def _count(text: str, minimum: int = 1) -> int:
+    """argparse type for sizes and counts: an int of at least `minimum`."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
     return value
+
+
+def _counts(text: str) -> tuple:
+    """argparse type for a comma-separated list of sizes (`--blocks`)."""
+    return tuple(_count(v) for v in text.split(",") if v)
+
+
+def _steps(text: str) -> int:
+    """argparse type for `--steps`: 0 runs one evaluation and no update."""
+    return _count(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--optim", default="adamw",
                         choices=["sgd", "sgd8", "adam", "adamw", "adam8"])
         sp.add_argument("--batch", type=_count, default=6)
-        sp.add_argument("--steps", type=int, default=200)
-        sp.add_argument("--seed", type=int, default=0)
+        if train_opts:
+            sp.add_argument("--steps", type=_steps, default=200)
+            sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--f64", action="store_true", help="64-bit scalars")
         sp.add_argument("--out", help="output CSV path (default stdout)")
         sp.add_argument("--frames", type=_count, default=8)
@@ -291,12 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--margin", type=float, default=0.2)
             sp.add_argument("--scale", type=float, default=32.0)
             sp.add_argument("--classes", type=_count, default=3)
-            sp.add_argument("--block", dest="block_size", type=int, default=2048)
+            sp.add_argument("--block", dest="block_size", type=_count, default=2048)
 
     sp = sub.add_parser("gradcheck", help="finite-difference and equivalence checks")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="output CSV path (default stdout)")
-    sp.add_argument("--inject-vjp-fault", metavar="OP",
+    sp.add_argument("--inject-vjp-fault", metavar="OP", choices=gc.FAULT_OPS,
                     help="corrupt the named op's VJP (testing hook)")
 
     sp = sub.add_parser("train", help="toy training on synthetic speakers")
@@ -311,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("quantbench", help="codec agreement and error report")
     sp.add_argument("--elements", type=_count, default=1_000_000)
-    sp.add_argument("--blocks", type=str, default="2048")
+    sp.add_argument("--blocks", type=_counts, default="2048")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="output CSV path (default stdout)")
 

@@ -83,14 +83,11 @@ class MemoryLedger:
 class Network:
     """An instantiated layer stack with (channel, frequency) input spec."""
 
-    def __init__(self, layers, name="net", input_spec=(1, 80), embedding_dim=None,
-                 dtype=np.float32, spec=None):
+    def __init__(self, layers, input_spec, embedding_dim, dtype):
         self.layers = list(layers)
-        self.name = name
         self.input_spec = input_spec
         self.embedding_dim = embedding_dim
         self.dtype = np.dtype(dtype)
-        self.spec = spec
         self.units = _group_units(self.layers)
 
     def params(self) -> list[Param]:

@@ -21,6 +21,10 @@ FD_TOL = 1e-6
 RECON_TOL_F64 = 1e-12
 EQUIV_TOL = 1e-6
 
+# ops whose VJP `--inject-vjp-fault` can corrupt (`ops.<name>_vjp`)
+FAULT_OPS = ("conv2d", "depthwise_conv2d", "batchnorm2d", "linear", "global_stat_pool",
+             "relu")
+
 
 def max_mixed_err(got, ref, floor: float = 1e-8) -> float:
     """Max elementwise error: relative above `floor`, absolute below."""
@@ -81,6 +85,7 @@ def _fault_wrap(vjp, corrupt: bool):
 
 def _op_checks(rng, fault_op=None):
     results = []
+    vjps = {op: _fault_wrap(getattr(ops, f"{op}_vjp"), op == fault_op) for op in FAULT_OPS}
 
     def check(name, analytic, numeric):
         results.append(CheckResult(name, max_mixed_err(analytic, numeric), FD_TOL))
@@ -89,8 +94,7 @@ def _op_checks(rng, fault_op=None):
     x = rng.normal(size=(1, 2, 5, 5))
     w = rng.normal(size=(3, 2, 3, 3))
     r = rng.normal(size=(1, 3, 5, 5))
-    vjp = _fault_wrap(ops.conv2d_vjp, fault_op == "conv2d")
-    gx, gw = vjp(x, w, r, 1, 1)
+    gx, gw = vjps["conv2d"](x, w, r, 1, 1)
     conv_out = lambda: ops.conv2d(x, w, 1, 1)
     check("conv2d_dx", gx, fd_grad(conv_out, r, x))
     check("conv2d_dw", gw, fd_grad(conv_out, r, w))
@@ -98,8 +102,7 @@ def _op_checks(rng, fault_op=None):
     xd = rng.normal(size=(1, 2, 4, 4))
     wd = rng.normal(size=(2, 1, 3, 3))
     rd = rng.normal(size=(1, 2, 4, 4))
-    vjp = _fault_wrap(ops.depthwise_conv2d_vjp, fault_op == "depthwise_conv2d")
-    gx, gw = vjp(xd, wd, rd, 1, 1)
+    gx, gw = vjps["depthwise_conv2d"](xd, wd, rd, 1, 1)
     dconv_out = lambda: ops.depthwise_conv2d(xd, wd, 1, 1)
     check("depthwise_conv2d_dx", gx, fd_grad(dconv_out, rd, xd))
     check("depthwise_conv2d_dw", gw, fd_grad(dconv_out, rd, wd))
@@ -110,8 +113,7 @@ def _op_checks(rng, fault_op=None):
     rb = rng.normal(size=xb.shape)
     bn_out = lambda: ops.batchnorm2d(xb, gamma, beta, 1e-5)[0]
     y, mean, var = ops.batchnorm2d(xb, gamma, beta, 1e-5)
-    vjp = _fault_wrap(ops.batchnorm2d_vjp, fault_op == "batchnorm2d")
-    gx, dgamma, dbeta = vjp(xb, gamma, rb, mean, var, 1e-5)
+    gx, dgamma, dbeta = vjps["batchnorm2d"](xb, gamma, rb, mean, var, 1e-5)
     check("batchnorm2d_dx", gx, fd_grad(bn_out, rb, xb))
     check("batchnorm2d_dgamma", dgamma, fd_grad(bn_out, rb, gamma))
     check("batchnorm2d_dbeta", dbeta, fd_grad(bn_out, rb, beta))
@@ -120,8 +122,7 @@ def _op_checks(rng, fault_op=None):
     wl = rng.normal(size=(4, 5))
     bl = rng.normal(size=5)
     rl = rng.normal(size=(3, 5))
-    vjp = _fault_wrap(ops.linear_vjp, fault_op == "linear")
-    gx, gw, gb = vjp(xl, wl, rl)
+    gx, gw, gb = vjps["linear"](xl, wl, rl)
     lin_out = lambda: ops.linear(xl, wl, bl)
     check("linear_dx", gx, fd_grad(lin_out, rl, xl))
     check("linear_dw", gw, fd_grad(lin_out, rl, wl))
@@ -129,22 +130,19 @@ def _op_checks(rng, fault_op=None):
 
     xg = rng.normal(size=(2, 3, 4, 6))
     rg = rng.normal(size=(2, 24))
-    vjp = _fault_wrap(ops.global_stat_pool_vjp, fault_op == "global_stat_pool")
-    gx = vjp(xg, rg)
+    gx = vjps["global_stat_pool"](xg, rg)
     check("global_stat_pool_dx", gx, fd_grad(lambda: ops.global_stat_pool(xg), rg, xg))
 
     xr = np.array([-1.0, 2.0])
-    vjp = _fault_wrap(ops.relu_vjp, fault_op == "relu")
     results.append(CheckResult("relu_mask", max_mixed_err(
-        vjp(xr, np.ones(2)), np.array([0.0, 1.0])), FD_TOL))
+        vjps["relu"](xr, np.ones(2)), np.array([0.0, 1.0])), FD_TOL))
 
     # strided 1x1 conv (matmul path) and strided depthwise conv; drawn last so
     # the rows above keep their random draws
     x1 = rng.normal(size=(1, 3, 5, 5))
     w1 = rng.normal(size=(2, 3, 1, 1))
     r1 = rng.normal(size=(1, 2, 3, 3))
-    vjp = _fault_wrap(ops.conv2d_vjp, fault_op == "conv2d")
-    gx, gw = vjp(x1, w1, r1, 2, 0)
+    gx, gw = vjps["conv2d"](x1, w1, r1, 2, 0)
     pconv_out = lambda: ops.conv2d(x1, w1, 2, 0)
     check("conv2d_1x1_s2_dx", gx, fd_grad(pconv_out, r1, x1))
     check("conv2d_1x1_s2_dw", gw, fd_grad(pconv_out, r1, w1))
@@ -152,8 +150,7 @@ def _op_checks(rng, fault_op=None):
     xs = rng.normal(size=(1, 2, 5, 5))
     ws = rng.normal(size=(2, 1, 3, 3))
     rs = rng.normal(size=(1, 2, 3, 3))
-    vjp = _fault_wrap(ops.depthwise_conv2d_vjp, fault_op == "depthwise_conv2d")
-    gx, gw = vjp(xs, ws, rs, 2, 1)
+    gx, gw = vjps["depthwise_conv2d"](xs, ws, rs, 2, 1)
     sconv_out = lambda: ops.depthwise_conv2d(xs, ws, 2, 1)
     check("depthwise_conv2d_s2_dx", gx, fd_grad(sconv_out, rs, xs))
     check("depthwise_conv2d_s2_dw", gw, fd_grad(sconv_out, rs, ws))
@@ -162,8 +159,7 @@ def _op_checks(rng, fault_op=None):
     x3 = rng.normal(size=(1, 2, 5, 6))
     w3 = rng.normal(size=(3, 2, 3, 3))
     r3 = rng.normal(size=(1, 3, 3, 3))
-    vjp = _fault_wrap(ops.conv2d_vjp, fault_op == "conv2d")
-    gx, gw = vjp(x3, w3, r3, 2, 1)
+    gx, gw = vjps["conv2d"](x3, w3, r3, 2, 1)
     s3conv_out = lambda: ops.conv2d(x3, w3, 2, 1)
     check("conv2d_3x3_s2_dx", gx, fd_grad(s3conv_out, r3, x3))
     check("conv2d_3x3_s2_dw", gw, fd_grad(s3conv_out, r3, w3))

@@ -19,10 +19,11 @@ building anything, which the tests cross-check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from . import ops
 from .engine import Network
 from .errors import ConfigError
 from .layers import (
@@ -156,35 +157,29 @@ def build(spec_or_name, dtype=np.float32, seed: int = 0) -> Network:
     pooled = False
     for si, stage in enumerate(spec.stages):
         where = f"stage {si} ({type(stage).__name__.lower()})"
+        if isinstance(stage, (Res, Ds, RevRes)) and stage.kind not in RESIDUAL_KINDS:
+            raise ConfigError(f"{where}: unknown kind {stage.kind!r}")
         if isinstance(stage, Conv):
             layers.append(Conv2d(c, stage.c, stage.k, stride=stage.stride, rng=rng, dtype=dtype))
             layers.append(BatchNorm2d(stage.c, dtype=dtype))
             layers.append(ReLU())
-            f = (f + 2 * (stage.k // 2) - stage.k) // stage.stride + 1
+            f = ops.conv_out_size(f, stage.k, stage.stride, stage.k // 2)
             c = stage.c
         elif isinstance(stage, Res):
-            if stage.kind not in RESIDUAL_KINDS:
-                raise ConfigError(f"{where}: unknown kind {stage.kind!r}")
             for _ in range(stage.repeat):
                 layers.append(ResidualBlock(stage.kind, c, stage.c, rng=rng, dtype=dtype))
                 c = stage.c
         elif isinstance(stage, Ds):
-            if stage.kind not in RESIDUAL_KINDS:
-                raise ConfigError(f"{where}: unknown kind {stage.kind!r}")
             layers.append(ResidualBlock(stage.kind, c, stage.c, rng=rng, dtype=dtype, stride=2))
-            # stride-2 first conv: 3x3/pad-1 and 1x1/pad-0 agree on floor((f-1)/2)+1
-            f = (f - 1) // 2 + 1
+            # stride-2 first conv: 3x3/pad-1 and 1x1/pad-0 give the same size
+            f = ops.conv_out_size(f, 3, 2, 1)
             c = stage.c
         elif isinstance(stage, RevRes):
-            if stage.kind not in RESIDUAL_KINDS:
-                raise ConfigError(f"{where}: unknown kind {stage.kind!r}")
             if c != 2 * stage.c_half:
                 raise ConfigError(
                     f"{where}: reversible stage needs {2 * stage.c_half} input "
                     f"channels, network has {c}"
                 )
-            if c % 2:
-                raise ConfigError(f"{where}: odd channel count {c}")
             for _ in range(stage.repeat):
                 layers.append(RevBlock(stage.kind, stage.c_half, rng=rng, dtype=dtype))
         elif isinstance(stage, RevDs):
@@ -213,124 +208,123 @@ def build(spec_or_name, dtype=np.float32, seed: int = 0) -> Network:
         else:
             raise ConfigError(f"{where}: unknown stage type")
 
-    net = Network(layers, name=spec.name, input_spec=(INPUT_CHANNELS, INPUT_FREQ),
-                  embedding_dim=spec.embedding_dim, dtype=dtype, spec=spec)
-    return net
+    return Network(layers, (INPUT_CHANNELS, INPUT_FREQ), spec.embedding_dim, dtype)
 
 
 # -- named architectures ----------------------------------------------------
+#
+# Every layout opens with a stem, runs one stage per entry of `widths` and
+# `blocks`, and closes with `_head`. Each stage after the first halves the
+# frequency axis.
 
-def _resnet(name, kind, blocks, base=32):
-    e = 1 if kind == "basic" else 4
-    widths = [base, base * 2, base * 4, base * 8]
-    stages = [Conv(base), Res(kind, e * widths[0], blocks[0])]
-    for i in (1, 2, 3):
-        stages.append(Ds(kind, e * widths[i]))
-        stages.append(Res(kind, e * widths[i], blocks[i] - 1))
-    stages += [Pooling(), Fc(2 * e * widths[3] * 10, DEFAULT_EMBEDDING_DIM)]
-    return NetworkSpec(name, stages)
+_W300 = (48, 96, 192, 300)
+_W384 = (48, 96, 192, 384)
 
 
-def _df_resnet(name, blocks, base=32):
-    widths = [base, base * 2, base * 4, base * 8]
-    stages = [Conv(base), Res("df_bottleneck", widths[0], blocks[0])]
-    for i in (1, 2, 3):
-        stages.append(Conv(widths[i], 3, 2))
-        stages.append(Res("df_bottleneck", widths[i], blocks[i]))
-    stages += [Pooling(), Fc(2 * widths[3] * 10, DEFAULT_EMBEDDING_DIM)]
-    return NetworkSpec(name, stages)
+def _widths(kind, channels):
+    """Block widths: a bottleneck block is 4x its nominal channel count."""
+    return [4 * c if kind == "bottleneck" else c for c in channels]
+
+
+def _head(name, stages, width, n_stages, embedding_dim=DEFAULT_EMBEDDING_DIM):
+    f = INPUT_FREQ >> (n_stages - 1)
+    stages = stages + [Pooling(), Fc(2 * width * f, embedding_dim)]
+    return NetworkSpec(name, stages, embedding_dim)
+
+
+def _resnet(name, kind, blocks):
+    w = _widths(kind, (32, 64, 128, 256))
+    stages = [Conv(32), Res(kind, w[0], blocks[0])]
+    for c, b in zip(w[1:], blocks[1:]):
+        stages += [Ds(kind, c), Res(kind, c, b - 1)]
+    return _head(name, stages, w[-1], len(w))
+
+
+def _df_resnet(name, blocks):
+    w = (32, 64, 128, 256)
+    stages = [Conv(32), Res("df_bottleneck", w[0], blocks[0])]
+    for c, b in zip(w[1:], blocks[1:]):
+        stages += [Conv(c, 3, 2), Res("df_bottleneck", c, b)]
+    return _head(name, stages, w[-1], len(w))
+
+
+def _type1(name, kind, widths, blocks, stem, conv_opener,
+          embedding_dim=DEFAULT_EMBEDDING_DIM):
+    """Partially reversible: a strided block (a `Ds` block, or a stride-2
+    conv if `conv_opener`) opens each stage after the first."""
+    stages = stem + [RevRes(kind, widths[0] // 2, blocks[0])]
+    for c, b in zip(widths[1:], blocks[1:]):
+        stages.append(Conv(c, 3, 2) if conv_opener else Ds(kind, c))
+        stages.append(RevRes(kind, c // 2, b))
+    return _head(name, stages, widths[-1], len(widths), embedding_dim)
+
+
+def _type2(name, kind, widths, blocks, stem, reducer_k,
+          embedding_dim=DEFAULT_EMBEDDING_DIM):
+    """Fully reversible: a conv reducer to a quarter of the width (kernel
+    sizes `reducer_k`) and an invertible 2x2 rearrangement open each stage
+    after the first."""
+    stages = stem + [RevRes(kind, widths[0] // 2, blocks[0])]
+    for c, b, k in zip(widths[1:], blocks[1:], reducer_k):
+        stages += [Conv(c // 4, k, 1), RevDs(2, c), RevRes(kind, c // 2, b)]
+    return _head(name, stages, widths[-1], len(widths), embedding_dim)
 
 
 def _revnet_type1(name, kind, channels, blocks):
-    e = 1 if kind == "basic" else 4
-    w = [e * c for c in channels]
-    stages = [Conv(48), Res(kind, w[0], 1), RevRes(kind, w[0] // 2, blocks[0])]
-    for i in (1, 2, 3):
-        stages.append(Ds(kind, w[i]))
-        stages.append(RevRes(kind, w[i] // 2, blocks[i]))
-    stages += [Pooling(), Fc(2 * w[3] * 10, DEFAULT_EMBEDDING_DIM)]
-    return NetworkSpec(name, stages)
+    w = _widths(kind, channels)
+    return _type1(name, kind, w, blocks, [Conv(48), Res(kind, w[0], 1)], False)
+
+
+def _df_revnet_type1(name, blocks):
+    return _type1(name, "df_bottleneck", _W384, blocks, [Conv(48), Conv(48)], True)
 
 
 def _revnet_type2_basic(name, channels, blocks):
-    w = channels
-    stages = [Conv(w[0]), RevRes("basic", w[0] // 2, blocks[0])]
-    for i in (1, 2, 3):
-        stages.append(Conv(w[i] // 4, 3, 1))
-        stages.append(RevDs(2, w[i]))
-        stages.append(RevRes("basic", w[i] // 2, blocks[i]))
-    stages += [Pooling(), Fc(2 * w[3] * 10, DEFAULT_EMBEDDING_DIM)]
-    return NetworkSpec(name, stages)
+    return _type2(name, "basic", channels, blocks, [Conv(channels[0])], (3, 3, 3))
 
 
 def _revnet_type2_bottleneck(name, channels, blocks):
-    # Fully-reversible downsampling variant of the wide bottleneck stack:
-    # block widths are 4x the nominal channels, so the stage entries are a
-    # 1x1 channel expansion after the stem, then 1x1/1x1/3x3 reducers ahead
-    # of each rearrangement.
-    w = [4 * c for c in channels]
-    stages = [Conv(48), Conv(w[0], 1, 1), RevRes("bottleneck", w[0] // 2, blocks[0])]
-    reducer_k = {1: 1, 2: 1, 3: 3}
-    for i in (1, 2, 3):
-        stages.append(Conv(w[i] // 4, reducer_k[i], 1))
-        stages.append(RevDs(2, w[i]))
-        stages.append(RevRes("bottleneck", w[i] // 2, blocks[i]))
-    stages += [Pooling(), Fc(2 * w[3] * 10, DEFAULT_EMBEDDING_DIM)]
-    return NetworkSpec(name, stages)
+    # the stem's 1x1 conv expands to the 4x-wide blocks; 1x1/1x1/3x3 reducers
+    w = _widths("bottleneck", channels)
+    return _type2(name, "bottleneck", w, blocks, [Conv(48), Conv(w[0], 1, 1)], (1, 1, 3))
 
 
-def _df_revnet_type1(name, blocks, channels=(48, 96, 192, 384)):
-    w = channels
-    stages = [Conv(48), Conv(48), RevRes("df_bottleneck", w[0] // 2, blocks[0])]
-    for i in (1, 2, 3):
-        stages.append(Conv(w[i], 3, 2))
-        stages.append(RevRes("df_bottleneck", w[i] // 2, blocks[i]))
-    stages += [Pooling(), Fc(2 * w[3] * 10, DEFAULT_EMBEDDING_DIM)]
-    return NetworkSpec(name, stages)
+def _df_revnet_type2(name, blocks):
+    return _type2(name, "df_bottleneck", _W384, blocks, [Conv(48)], (3, 3, 3))
 
 
-def _df_revnet_type2(name, blocks, channels=(48, 96, 192, 384)):
-    w = channels
-    stages = [Conv(48), RevRes("df_bottleneck", w[0] // 2, blocks[0])]
-    for i in (1, 2, 3):
-        stages.append(Conv(w[i] // 4, 3, 1))
-        stages.append(RevDs(2, w[i]))
-        stages.append(RevRes("df_bottleneck", w[i] // 2, blocks[i]))
-    stages += [Pooling(), Fc(2 * w[3] * 10, DEFAULT_EMBEDDING_DIM)]
-    return NetworkSpec(name, stages)
-
-
+# name -> (builder, arguments after the name)
 _REGISTRY_BUILDERS = {
     # plain residual baselines
-    "ResNet34": lambda: _resnet("ResNet34", "basic", [3, 4, 6, 3]),
-    "ResNet101": lambda: _resnet("ResNet101", "bottleneck", [3, 4, 23, 3]),
-    "ResNet152": lambda: _resnet("ResNet152", "bottleneck", [3, 8, 36, 3]),
+    "ResNet34": (_resnet, "basic", (3, 4, 6, 3)),
+    "ResNet101": (_resnet, "bottleneck", (3, 4, 23, 3)),
+    "ResNet152": (_resnet, "bottleneck", (3, 8, 36, 3)),
     # depthwise-bottleneck baselines
-    "DF-ResNet56": lambda: _df_resnet("DF-ResNet56", [3, 3, 8, 3]),
-    "DF-ResNet110": lambda: _df_resnet("DF-ResNet110", [3, 3, 26, 3]),
-    "DF-ResNet179": lambda: _df_resnet("DF-ResNet179", [3, 8, 44, 3]),
-    "DF-ResNet233": lambda: _df_resnet("DF-ResNet233", [3, 8, 62, 3]),
+    "DF-ResNet56": (_df_resnet, (3, 3, 8, 3)),
+    "DF-ResNet110": (_df_resnet, (3, 3, 26, 3)),
+    "DF-ResNet179": (_df_resnet, (3, 8, 44, 3)),
+    "DF-ResNet233": (_df_resnet, (3, 8, 62, 3)),
     # partially reversible (strided downsampling kept, inputs cached)
-    "RevNet46": lambda: _revnet_type1("RevNet46", "basic", [48, 96, 192, 300], [1, 2, 4, 2]),
-    "RevNet126": lambda: _revnet_type1("RevNet126", "basic", [48, 96, 192, 384], [2, 3, 22, 2]),
-    "RevNet140": lambda: _revnet_type1("RevNet140", "bottleneck", [48, 96, 192, 300], [2, 3, 14, 2]),
-    "RevNet178": lambda: _revnet_type1("RevNet178", "basic", [48, 96, 192, 384], [3, 8, 32, 3]),
-    "RevNet230": lambda: _revnet_type1("RevNet230", "bottleneck", [48, 96, 192, 300], [3, 8, 26, 3]),
+    "RevNet46": (_revnet_type1, "basic", _W300, (1, 2, 4, 2)),
+    "RevNet126": (_revnet_type1, "basic", _W384, (2, 3, 22, 2)),
+    "RevNet140": (_revnet_type1, "bottleneck", _W300, (2, 3, 14, 2)),
+    "RevNet178": (_revnet_type1, "basic", _W384, (3, 8, 32, 3)),
+    "RevNet230": (_revnet_type1, "bottleneck", _W300, (3, 8, 26, 3)),
     # fully reversible downsampling
-    "RevNet57": lambda: _revnet_type2_basic("RevNet57", [48, 96, 192, 300], [2, 3, 5, 3]),
-    "RevNet137": lambda: _revnet_type2_basic("RevNet137", [48, 96, 192, 384], [3, 4, 23, 3]),
-    "RevNet197": lambda: _revnet_type2_basic("RevNet197", [48, 96, 192, 384], [3, 8, 34, 3]),
-    "RevNet155": lambda: _revnet_type2_bottleneck("RevNet155", [48, 96, 192, 300], [3, 4, 15, 3]),
-    "RevNet245": lambda: _revnet_type2_bottleneck("RevNet245", [48, 96, 192, 300], [3, 8, 26, 3]),
+    "RevNet57": (_revnet_type2_basic, _W300, (2, 3, 5, 3)),
+    "RevNet137": (_revnet_type2_basic, _W384, (3, 4, 23, 3)),
+    "RevNet197": (_revnet_type2_basic, _W384, (3, 8, 34, 3)),
+    "RevNet155": (_revnet_type2_bottleneck, _W300, (3, 4, 15, 3)),
+    "RevNet245": (_revnet_type2_bottleneck, _W300, (3, 8, 26, 3)),
     # depthwise-bottleneck reversible variants
-    "DF-RevNet66": lambda: _df_revnet_type1("DF-RevNet66", [2, 2, 4, 2]),
-    "DF-RevNet126": lambda: _df_revnet_type1("DF-RevNet126", [3, 3, 15, 3]),
-    "DF-RevNet258": lambda: _df_revnet_type1("DF-RevNet258", [3, 8, 32, 3]),
-    "DF-RevNet354": lambda: _df_revnet_type1("DF-RevNet354", [3, 8, 48, 3]),
-    "DF-RevNet89": lambda: _df_revnet_type2("DF-RevNet89", [3, 3, 6, 2]),
-    "DF-RevNet149": lambda: _df_revnet_type2("DF-RevNet149", [3, 3, 15, 3]),
-    "DF-RevNet281": lambda: _df_revnet_type2("DF-RevNet281", [3, 8, 32, 3]),
-    "DF-RevNet377": lambda: _df_revnet_type2("DF-RevNet377", [3, 8, 48, 3]),
+    "DF-RevNet66": (_df_revnet_type1, (2, 2, 4, 2)),
+    "DF-RevNet126": (_df_revnet_type1, (3, 3, 15, 3)),
+    "DF-RevNet258": (_df_revnet_type1, (3, 8, 32, 3)),
+    "DF-RevNet354": (_df_revnet_type1, (3, 8, 48, 3)),
+    "DF-RevNet89": (_df_revnet_type2, (3, 3, 6, 2)),
+    "DF-RevNet149": (_df_revnet_type2, (3, 3, 15, 3)),
+    "DF-RevNet281": (_df_revnet_type2, (3, 8, 32, 3)),
+    "DF-RevNet377": (_df_revnet_type2, (3, 8, 48, 3)),
 }
 
 REGISTRY_NAMES = tuple(_REGISTRY_BUILDERS)
@@ -341,7 +335,8 @@ def registry_spec(name: str) -> NetworkSpec:
         raise ConfigError(
             f"unknown network {name!r}; known: {', '.join(REGISTRY_NAMES)}"
         )
-    return _REGISTRY_BUILDERS[name]()
+    builder, *args = _REGISTRY_BUILDERS[name]
+    return builder(name, *args)
 
 
 def toy_spec(stage_blocks, width: int, kind: str = "basic", net_type: str = "type2",
@@ -360,58 +355,31 @@ def toy_spec(stage_blocks, width: int, kind: str = "basic", net_type: str = "typ
     n_stages = len(stage_blocks)
     if n_stages < 1:
         raise ConfigError("need at least one stage")
-
+    stem = [Conv(width)]
     if net_type == "type2":
         if n_stages > 1 and width % 4:
             raise ConfigError(
                 f"multi-stage type2 toys need width divisible by 4, got {width}"
             )
-        stages = [Conv(width), RevRes(kind, width // 2, stage_blocks[0])]
-        for b in stage_blocks[1:]:
-            stages.append(Conv(width // 4, 3, 1))
-            stages.append(RevDs(2, width))
-            stages.append(RevRes(kind, width // 2, b))
-        f_final = INPUT_FREQ // (2 ** (n_stages - 1))
-        stages += [Pooling(), Fc(2 * width * f_final, embedding_dim)]
-        return NetworkSpec(f"toy-{kind}-t2-w{width}", stages, embedding_dim)
-
+        return _type2(f"toy-{kind}-t2-w{width}", kind, [width] * n_stages, stage_blocks,
+                      stem, [3] * (n_stages - 1), embedding_dim)
     if net_type == "type1":
-        stages = [Conv(width), RevRes(kind, width // 2, stage_blocks[0])]
-        c = width
-        for b in stage_blocks[1:]:
-            c *= 2
-            stages.append(Ds(kind, c))
-            stages.append(RevRes(kind, c // 2, b))
-        f_final = INPUT_FREQ // (2 ** (n_stages - 1))
-        stages += [Pooling(), Fc(2 * c * f_final, embedding_dim)]
-        return NetworkSpec(f"toy-{kind}-t1-w{width}", stages, embedding_dim)
-
+        return _type1(f"toy-{kind}-t1-w{width}", kind,
+                      [width * 2 ** i for i in range(n_stages)], stage_blocks, stem, False,
+                      embedding_dim)
     raise ConfigError(f"unknown net_type {net_type!r}")
 
 
 # -- JSON round trip --------------------------------------------------------
 
-_STAGE_FIELDS = {
-    "conv": (Conv, ("c", "k", "stride")),
-    "res": (Res, ("kind", "c", "repeat")),
-    "ds": (Ds, ("kind", "c")),
-    "rev_res": (RevRes, ("kind", "c_half", "repeat")),
-    "rev_ds": (RevDs, ("r", "c_out")),
-    "pooling": (Pooling, ()),
-    "fc": (Fc, ("d_in", "d_out")),
-}
+_STAGE_TYPES = {"conv": Conv, "res": Res, "ds": Ds, "rev_res": RevRes, "rev_ds": RevDs,
+                "pooling": Pooling, "fc": Fc}
 
-_STAGE_OPS = {cls: op for op, (cls, _) in _STAGE_FIELDS.items()}
+_STAGE_OPS = {cls: op for op, cls in _STAGE_TYPES.items()}
 
 
 def spec_to_json(spec: NetworkSpec) -> str:
-    stages = []
-    for stage in spec.stages:
-        op = _STAGE_OPS[type(stage)]
-        entry = {"op": op}
-        for name in _STAGE_FIELDS[op][1]:
-            entry[name] = getattr(stage, name)
-        stages.append(entry)
+    stages = [{"op": _STAGE_OPS[type(stage)], **asdict(stage)} for stage in spec.stages]
     doc = {"name": spec.name, "stages": stages, "embedding_dim": spec.embedding_dim}
     return json.dumps(doc, indent=2)
 
@@ -425,13 +393,13 @@ def spec_from_json(text: str) -> NetworkSpec:
     stages = []
     for i, entry in enumerate(doc.get("stages", [])):
         op = entry.get("op")
-        if op not in _STAGE_FIELDS:
+        if op not in _STAGE_TYPES:
             raise ConfigError(f"stage {i}: unknown op {op!r}")
-        cls, fields = _STAGE_FIELDS[op]
-        extra = set(entry) - {"op", *fields}
+        cls = _STAGE_TYPES[op]
+        kwargs = {k: v for k, v in entry.items() if k != "op"}
+        extra = set(kwargs) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"stage {i}: unknown keys {sorted(extra)}")
-        kwargs = {name: entry[name] for name in fields if name in entry}
         stages.append(cls(**kwargs))
     return NetworkSpec(
         name=doc.get("name", "unnamed"),

@@ -47,12 +47,20 @@ class TestGradcheckCommand:
                                          ("batchnorm2d", "batchnorm2d_dgamma"),
                                          ("linear", "linear_db"),
                                          ("conv2d", "conv2d_3x3_s2_dx"),
-                                         ("conv2d", "conv2d_3x3_s2_dw")])
+                                         ("conv2d", "conv2d_3x3_s2_dw"),
+                                         ("global_stat_pool", "global_stat_pool_dx"),
+                                         ("relu", "relu_mask")])
     def test_fault_injection_reaches_strided_rows(self, tmp_path, op, row):
         out = tmp_path / "gc.csv"
         assert run(["gradcheck", "--inject-vjp-fault", op, "--out", str(out)]) == 1
         rows = {line.split(",")[0]: line for line in out.read_text().split("\n")}
         assert rows[row].endswith("FAIL")
+
+    def test_unknown_fault_op_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["gradcheck", "--inject-vjp-fault", "conv2dd"])
+        assert info.value.code == 2
+        assert "argument --inject-vjp-fault: invalid choice: 'conv2dd'" in capsys.readouterr().err
 
     def test_zero_depth_net_vacuous_pass(self, tmp_path):
         # the block-free net row has nothing to disagree about
@@ -196,6 +204,13 @@ class TestMemreportCommand:
     def test_requires_net_or_spec(self):
         assert run(["memreport"]) == 2
 
+    @pytest.mark.parametrize("option", ["--steps", "--seed"])
+    def test_training_only_options_rejected(self, option):
+        # the ledger reads no weights, so a seed or step count changes nothing
+        with pytest.raises(SystemExit) as info:
+            run(["memreport", "--net", "ResNet34", option, "1"])
+        assert info.value.code == 2
+
     @pytest.mark.parametrize("mode, activations", [("stored", 22_001_582_080),
                                                    ("reversible", 1_111_982_080)])
     def test_df_revnet89_bytes_pinned(self, tmp_path, mode, activations):
@@ -222,9 +237,15 @@ class TestSizeBoundaries:
         (["train", "--batch", "-2", "--steps", "1"], "--batch"),
         (["train", "--classes", "0", "--steps", "1"], "--classes"),
         (["quantbench", "--elements", "-5"], "--elements"),
+        (["quantbench", "--blocks", "0"], "--blocks"),
+        (["quantbench", "--blocks=-5"], "--blocks"),
+        (["quantbench", "--blocks", "64,0"], "--blocks"),
+        (["train", "--optim", "adam8", "--block", "0", "--steps", "1"], "--block"),
+        (["train", "--optim", "adam", "--block", "0", "--steps", "1"], "--block"),
     ], ids=["memreport-batch-neg", "memreport-frames-neg", "memreport-frames-zero",
             "train-batch-zero", "train-batch-neg", "train-classes-zero",
-            "quantbench-elements-neg"])
+            "quantbench-elements-neg", "quantbench-blocks-zero", "quantbench-blocks-neg",
+            "quantbench-blocks-list-zero", "train-block-zero-adam8", "train-block-zero-adam"])
     def test_size_below_one_exits_2_naming_option(self, capsys, argv, option):
         with pytest.raises(SystemExit) as info:
             run(argv)
@@ -232,6 +253,14 @@ class TestSizeBoundaries:
         captured = capsys.readouterr()
         assert f"argument {option}: must be at least 1" in captured.err
         assert captured.out == ""
+
+    def test_negative_steps_exits_2_naming_option(self, tmp_path, capsys):
+        out = tmp_path / "train.csv"
+        with pytest.raises(SystemExit) as info:
+            run(["train", "--steps", "-1", "--out", str(out)])
+        assert info.value.code == 2
+        assert "argument --steps: must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_integer_size_keeps_argparse_message(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -33,6 +33,36 @@ PARAM_TABLE = {
     "DF-RevNet149": 6.5e6,
 }
 
+# exact analytic counts of every registry net; a layout change that moves
+# any stage of any net changes at least one of these
+PARAM_EXACT = {
+    "ResNet34": 6_629_664,
+    "ResNet101": 15_847_968,
+    "ResNet152": 19_751_200,
+    "DF-ResNet56": 4_535_136,
+    "DF-ResNet110": 6_995_808,
+    "DF-ResNet179": 9_634_400,
+    "DF-ResNet233": 12_095_072,
+    "RevNet46": 6_747_592,
+    "RevNet126": 14_973_616,
+    "RevNet140": 15_767_704,
+    "RevNet178": 20_059_600,
+    "RevNet230": 20_710_360,
+    "RevNet57": 6_102_190,
+    "RevNet137": 14_203_264,
+    "RevNet197": 18_189_568,
+    "RevNet155": 15_697_192,
+    "RevNet245": 19_462_312,
+    "DF-RevNet66": 4_801_840,
+    "DF-RevNet126": 7_175_920,
+    "DF-RevNet258": 10_031_728,
+    "DF-RevNet354": 12_526_192,
+    "DF-RevNet89": 4_491_040,
+    "DF-RevNet149": 6_500_896,
+    "DF-RevNet281": 9_356_704,
+    "DF-RevNet377": 11_851_168,
+}
+
 FC_TABLE = {
     "RevNet46": 6000, "RevNet57": 6000,
     "RevNet126": 7680, "RevNet137": 7680, "RevNet178": 7680, "RevNet197": 7680,
@@ -48,7 +78,7 @@ class TestRegistry:
     def test_builds_and_matches_analytic_count(self, name):
         spec = zoo.registry_spec(name)
         net = zoo.build(spec, dtype=np.float32)
-        assert net.param_count == spec.param_count()
+        assert net.param_count == spec.param_count() == PARAM_EXACT[name]
 
     @pytest.mark.parametrize("name,target", sorted(PARAM_TABLE.items()))
     def test_param_count_within_two_percent(self, name, target):
@@ -136,6 +166,18 @@ class TestToySpec:
     def test_odd_width_rejected(self):
         with pytest.raises(ConfigError, match="even"):
             zoo.toy_spec([1], 7, "basic")
+
+    # the argument sets the benchmark workloads pass to toy_spec
+    @pytest.mark.parametrize("args, name, stages", [
+        (([4, 4], 16, "df_bottleneck", "type2"), "toy-df_bottleneck-t2-w16",
+         [zoo.Conv(16), zoo.RevRes("df_bottleneck", 8, 4), zoo.Conv(4, 3, 1), zoo.RevDs(2, 16),
+          zoo.RevRes("df_bottleneck", 8, 4), zoo.Pooling(), zoo.Fc(1280, 32)]),
+        (([1, 1], 64, "basic", "type1"), "toy-basic-t1-w64",
+         [zoo.Conv(64), zoo.RevRes("basic", 32, 1), zoo.Ds("basic", 128),
+          zoo.RevRes("basic", 64, 1), zoo.Pooling(), zoo.Fc(10240, 32)]),
+    ], ids=["train-rev-df/train-stored-df", "train-wide-q8"])
+    def test_benchmark_layouts_pinned(self, args, name, stages):
+        assert zoo.toy_spec(*args) == zoo.NetworkSpec(name, stages, 32)
 
     def test_zero_block_stage_is_valid(self):
         net = zoo.build(zoo.toy_spec([0], 8, "basic"))
