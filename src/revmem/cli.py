@@ -44,8 +44,12 @@ def _load_spec(cfg):
     if cfg.net and cfg.spec_path:
         raise ConfigError("--net and --spec are mutually exclusive")
     if cfg.spec_path:
-        with open(cfg.spec_path) as fh:
-            return spec_from_json(fh.read())
+        try:
+            with open(cfg.spec_path) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read --spec file: {exc}") from exc
+        return spec_from_json(text)
     if cfg.net:
         return registry_spec(cfg.net)
     return None

@@ -48,10 +48,11 @@ class MemoryLedger:
     only: run_forward's ledger has no optimizer and books 0) and
     ``workspace`` the captured batch-norm statistics. No category includes:
 
-    - op and recompute transients, such as the branch tapes a ``RevBlock``
-      rebuilds in reversible backward (about 18.5 MB on
-      ``toy_spec([d, d], 16, "df_bottleneck")`` at batch 4 and 32 frames,
-      whatever the depth d);
+    - op and recompute transients: the branch tape a ``RevBlock`` rebuilds
+      in reversible backward (one branch at a time) and each op's scratch
+      buffers. A measured step rise exceeds the planned total by about
+      10 MB on ``toy_spec([d, d], 16, "df_bottleneck")`` at batch 4 and 32
+      frames, whatever the depth d;
     - the optimizer step's chunk buffers;
     - allocator slack;
     - parameters outside the network, such as the AAM head that training
@@ -139,6 +140,11 @@ class SavedStore:
     statistics live on the batch-norm layers and are booked as workspace,
     not activations. The output's shape and dtype are kept to check the
     cotangent that run_backward receives.
+
+    run_backward releases the store as it walks it: it pops each entry, and
+    each tape entry inside it, as that entry's VJP runs, so no array is held
+    past its last use and the store holds none afterwards. Its byte and
+    tensor counts keep their forward-time values.
     """
 
     def __init__(self, net: Network, mode: str):
@@ -148,6 +154,7 @@ class SavedStore:
         self.out_shape = None
         self.out_dtype = None
         self.consumed = False
+        self._counts = None  # (bytes, tensors), kept when backward releases them
 
     def activation_arrays(self):
         """All cached ndarrays, deduplicated by object identity.
@@ -166,11 +173,23 @@ class SavedStore:
                 stack.extend(reversed(obj))
         return list(seen.values())
 
+    def _tally(self) -> tuple[int, int]:
+        """(bytes, tensors) of the cached arrays, as forward left them."""
+        if self._counts is not None:
+            return self._counts
+        arrays = self.activation_arrays()
+        return sum(a.nbytes for a in arrays), len(arrays)
+
     def activation_nbytes(self) -> int:
-        return sum(a.nbytes for a in self.activation_arrays())
+        return self._tally()[0]
 
     def full_tensor_count(self) -> int:
-        return len(self.activation_arrays())
+        return self._tally()[1]
+
+    def consume(self):
+        """Mark the store consumed, keeping its counts for after the release."""
+        self._counts = self._tally()
+        self.consumed = True
 
 
 def _run_head(net: Network, idxs):
@@ -238,7 +257,11 @@ def run_forward(net: Network, batch: np.ndarray, mode: str):
 def run_backward(net: Network, store: SavedStore, g_out: np.ndarray, mode: str):
     """Walk the network backward, accumulating gradients into every Param.
 
-    Returns the cotangent of the network input.
+    Releases the store as it walks: each entry, and each tape entry inside
+    it, is popped as its VJP runs, and the saved output and the cotangent of
+    a run are dropped once split, so every cached array is freed after its
+    last use. The store keeps its byte and tensor counts. Returns the
+    cotangent of the network input.
     """
     if store.net is not net:
         raise StateError("saved store belongs to a different network")
@@ -255,25 +278,28 @@ def run_backward(net: Network, store: SavedStore, g_out: np.ndarray, mode: str):
             f"cotangent dtype {g_out.dtype} does not match output dtype {store.out_dtype}; "
             "cast the cotangent before running backward"
         )
-    store.consumed = True
+    store.consume()
 
     g = g_out
-    for kind, idx, payload in reversed(store.entries):
+    while store.entries:
+        kind, idx, payload = store.entries.pop()
         if kind == "layer":
-            g = net.layers[idx].backward(g, payload[0])
+            g = net.layers[idx].backward(g, payload.pop())
         elif kind == "input":
             g = net.layers[idx].backward_from_input(g, payload)
         else:  # reversible run, walked with the same split point as forward
             head = _run_head(net, idx)
             gs = (g,) if head is None else ops.channel_split(g)
+            g = None  # gs now holds the cotangent; keep no second reference
             if kind == "run":
-                for i, entry in zip(reversed(idx), reversed(payload)):
-                    gs = net.layers[i].backward(gs, entry)
+                for i in reversed(idx):
+                    gs = net.layers[i].backward(gs, payload.pop())
                     if i == head:
                         gs = (_join(gs),)
             else:  # run_out: rebuild inputs from outputs back to the head; the
                 # downsamplers ahead of it need only the cotangent
                 ys = None if head is None else ops.channel_split(payload)
+                payload = None  # only ys is read from here on
                 for i in reversed(idx):
                     if ys is None:
                         gs = net.layers[i].backward(gs)

@@ -9,7 +9,9 @@ Execution protocol (used by the engine):
   batch norms reuse the statistics captured on the step's first forward
   instead of recomputing them, and suppresses running-stat updates.
 * ``backward(gy, entry)`` consumes that tape entry, accumulates parameter
-  gradients, and returns the input cotangent.
+  gradients, and returns the input cotangent. A ``Sequential`` pops its
+  entries as it walks them, so each cached input is freed after its last
+  use and the tape is empty afterwards.
 * ``out_shape(shape, tape=None)`` is the shape-only twin of ``forward``: it
   returns the output shape, and when ``tape`` is a list it appends
   ``(layer, input shape)`` wherever ``forward(x, tape)`` appends an array.
@@ -282,8 +284,10 @@ class Sequential(Layer):
         return x
 
     def backward(self, gy, entries):
-        for l, e in zip(reversed(self.layers), reversed(entries)):
-            gy = l.backward(gy, e)
+        # pops each entry as its VJP runs, so a cached input is freed right
+        # after its last use
+        for l in reversed(self.layers):
+            gy = l.backward(gy, entries.pop())
         return gy
 
     def stat_nbytes(self):
@@ -433,28 +437,34 @@ class RevBlock(Layer):
         return y1, y2
 
     def backward(self, gy, entry):
-        return self._coupled_vjp(gy, *entry)
-
-    def inverse(self, y):
-        return self._reconstruct(y, None, None)
-
-    def rev_backward(self, y, gy):
-        """Reconstruct the inputs and backpropagate without stored activations."""
-        f_tape, g_tape = [], []
-        x = self._reconstruct(y, f_tape, g_tape)
-        return x, self._coupled_vjp(gy, f_tape, g_tape)
-
-    def _reconstruct(self, y, f_tape, g_tape):
-        y1, y2 = y
-        x2 = y2 - self.g.forward(y1, tape=g_tape, replay=True)
-        x1 = y1 - self.f.forward(x2, tape=f_tape, replay=True)
-        return x1, x2
-
-    def _coupled_vjp(self, gy, f_tape, g_tape):
+        f_tape, g_tape = entry
         gy1, gy2 = gy
         gz1 = gy1 + self.g.backward(gy2, g_tape)
         gx2 = gy2 + self.f.backward(gz1, f_tape)
         return gz1, gx2
+
+    def inverse(self, y):
+        y1, y2 = y
+        x2 = y2 - self.g.forward(y1, replay=True)
+        x1 = y1 - self.f.forward(x2, replay=True)
+        return x1, x2
+
+    def rev_backward(self, y, gy):
+        """Reconstruct the inputs and backpropagate without stored activations.
+
+        Runs in the order of RevNet's Algorithm 1 (Gomez et al. 2017): G's
+        tape is rebuilt and consumed by G's VJP before F is replayed, so at
+        most one branch tape is alive at a time.
+        """
+        y1, y2 = y
+        gy1, gy2 = gy
+        g_tape = []
+        x2 = y2 - self.g.forward(y1, tape=g_tape, replay=True)
+        gz1 = gy1 + self.g.backward(gy2, g_tape)
+        f_tape = []
+        x1 = y1 - self.f.forward(x2, tape=f_tape, replay=True)
+        gx2 = gy2 + self.f.backward(gz1, f_tape)
+        return (x1, x2), (gz1, gx2)
 
     def stat_nbytes(self):
         return self.f.stat_nbytes() + self.g.stat_nbytes()

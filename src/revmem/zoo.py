@@ -11,15 +11,16 @@ A NetworkSpec is an ordered stage list over a small grammar:
     fc(d_in, d_out)           embedding projection
 
 Inputs are (n, 1, 80, T) feature maps. `build` validates the stage list
-(channel bookkeeping, divisibility, the fc width rule) and instantiates
-parameters; `param_count` computes the same number analytically without
-building anything, which the tests cross-check.
+(integer fields, channel bookkeeping, divisibility, the fc width rule) and
+instantiates parameters; `param_count` computes the same number analytically
+without building anything, which the tests cross-check.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+import numbers
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -138,6 +139,17 @@ def _analytic_params(spec: NetworkSpec) -> int:
     return total
 
 
+def _check_stage_ints(stage, where):
+    """Every integer field is at least 1; a repeat count may be 0."""
+    for fl in fields(stage):
+        if fl.type not in ("int", int):
+            continue
+        value = getattr(stage, fl.name)
+        low = 0 if fl.name == "repeat" else 1
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ConfigError(f"{where}: {fl.name} must be an integer >= {low}, got {value!r}")
+
+
 def build(spec_or_name, dtype=np.float32, seed: int = 0) -> Network:
     """Instantiate a Network from a spec or a registry name.
 
@@ -159,6 +171,7 @@ def build(spec_or_name, dtype=np.float32, seed: int = 0) -> Network:
         where = f"stage {si} ({type(stage).__name__.lower()})"
         if isinstance(stage, (Res, Ds, RevRes)) and stage.kind not in RESIDUAL_KINDS:
             raise ConfigError(f"{where}: unknown kind {stage.kind!r}")
+        _check_stage_ints(stage, where)
         if isinstance(stage, Conv):
             layers.append(Conv2d(c, stage.c, stage.k, stride=stage.stride, rng=rng, dtype=dtype))
             layers.append(BatchNorm2d(stage.c, dtype=dtype))
@@ -385,13 +398,23 @@ def spec_to_json(spec: NetworkSpec) -> str:
 
 
 def spec_from_json(text: str) -> NetworkSpec:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"network document is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("network document must be a JSON object")
     allowed_top = {"name", "stages", "embedding_dim"}
     extra = set(doc) - allowed_top
     if extra:
         raise ConfigError(f"unknown keys in network document: {sorted(extra)}")
+    entries = doc.get("stages", [])
+    if not isinstance(entries, list):
+        raise ConfigError("network document's stages must be a JSON list")
     stages = []
-    for i, entry in enumerate(doc.get("stages", [])):
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"stage {i}: expected a JSON object, got {entry!r}")
         op = entry.get("op")
         if op not in _STAGE_TYPES:
             raise ConfigError(f"stage {i}: unknown op {op!r}")
@@ -400,6 +423,9 @@ def spec_from_json(text: str) -> NetworkSpec:
         extra = set(kwargs) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"stage {i}: unknown keys {sorted(extra)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in kwargs]
+        if missing:
+            raise ConfigError(f"stage {i} ({op}): missing keys {missing}")
         stages.append(cls(**kwargs))
     return NetworkSpec(
         name=doc.get("name", "unnamed"),

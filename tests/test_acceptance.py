@@ -13,6 +13,7 @@ Comparison conventions for gradient equivalence:
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,36 @@ def test_c03_constant_activation_memory_vs_depth():
     assert coef[0] > 0
     _report(3, f"reversible bytes constant at {rev_bytes[0]}; stored affine "
                f"(R^2 = {r2:.6f}) over depths {depths}")
+
+
+def _step_rise(net, x, g, mode):
+    """tracemalloc peak of one forward and backward above what was resident."""
+    tracemalloc.start()
+    try:
+        _, store, _ = run_forward(net, x, mode)
+        run_backward(net, store, g, mode)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_c03_measured_rise_vs_depth():
+    # the measured twin of C03: the whole step's rise, transients included
+    t0 = time.time()
+    rises = {"reversible": [], "stored": []}
+    x = np.random.default_rng(3).normal(size=(4, 1, 80, 32)).astype(np.float32)
+    for d in (2, 8):
+        net = zoo.build(zoo.toy_spec([d, d], 8, "df_bottleneck"), dtype=np.float32)
+        g = np.ones((4, net.embedding_dim), np.float32)
+        for mode, found in rises.items():
+            found.append(_step_rise(net, x, g, mode))
+    elapsed = time.time() - t0
+    rev, sto = rises["reversible"], rises["stored"]
+    assert abs(rev[1] - rev[0]) <= 0.02 * rev[0]
+    assert sto[1] > 2 * sto[0]
+    _report(3, f"measured reversible rise {rev[0] / 1e6:.2f} / {rev[1] / 1e6:.2f} MB, "
+               f"stored {sto[0] / 1e6:.2f} / {sto[1] / 1e6:.2f} MB at depth 2 / 8, "
+               f"{elapsed:.1f}s")
 
 
 def test_c04_stored_resnet34_activations_dominate():

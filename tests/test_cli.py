@@ -180,6 +180,20 @@ class TestTrainCommand:
         assert run(["train", "--net", "RevNet46", "--spec", toy_spec_file]) == 2
 
 
+@pytest.mark.parametrize("command", ["train", "memreport"])
+@pytest.mark.parametrize("content", [None, b'{"name": "x", "stages": [',
+                                     b'{"name": "x", "stages": [{"op": "res", "c": 8}]}',
+                                     b'\xff\xfe{}'],
+                         ids=["missing-file", "malformed-json", "missing-field", "not-utf8"])
+def test_bad_spec_file_exits_2(tmp_path, capsys, command, content):
+    path = tmp_path / "spec.json"
+    if content is not None:
+        path.write_bytes(content)
+    assert run([command, "--spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+
+
 class TestMemreportCommand:
     def test_resnet34_activation_share(self, tmp_path):
         out = tmp_path / "mem.csv"

@@ -216,6 +216,20 @@ class TestRunBackward:
             for p, g in zip(net.params(), ref):
                 assert mixed_err(p.grad, g) <= 1e-6
 
+    @pytest.mark.parametrize("mode", ["stored", "reversible"])
+    def test_backward_releases_store_but_keeps_counts(self, rng, mode):
+        net = toy_net(dtype=np.float32, kind="df_bottleneck")
+        x = batch(rng, dtype=np.float32)
+        out, store, ledger = run_forward(net, x, mode)
+        nbytes, count = store.activation_nbytes(), store.full_tensor_count()
+        saved = [weakref.ref(a) for a in store.activation_arrays() if a is not x]
+        assert saved and nbytes == ledger.activations
+        run_backward(net, store, np.ones_like(out), mode)
+        assert store.entries == [] and store.activation_arrays() == []
+        assert all(r() is None for r in saved)  # freed while the store lives
+        assert store.activation_nbytes() == nbytes
+        assert store.full_tensor_count() == count
+
 
 # conv(3) puts an odd channel count at a run head (rev_ds before the first
 # block), and the second rev_ds sits between two rev_res stages of one run

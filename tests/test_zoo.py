@@ -1,5 +1,7 @@
 """Registry fidelity, spec validation, analytic counts, JSON round trip."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,24 @@ class TestValidation:
         with pytest.raises(ConfigError, match="divisible by 4"):
             zoo.build(spec)
 
+    @pytest.mark.parametrize("stage, where, field", [
+        (zoo.Conv(8, 3, 0), "stage 1 (conv)", "stride"),
+        (zoo.Conv(0), "stage 1 (conv)", "c"),
+        (zoo.Conv(8, 0), "stage 1 (conv)", "k"),
+        (zoo.RevDs(0, 0), "stage 1 (revds)", "r"),
+        (zoo.Res("basic", 8, -2), "stage 1 (res)", "repeat"),
+        (zoo.Res("basic", 8, 1.5), "stage 1 (res)", "repeat"),
+        (zoo.Ds("basic", 0), "stage 1 (ds)", "c"),
+        (zoo.RevRes("basic", 4, -1), "stage 1 (revres)", "repeat"),
+        (zoo.Fc(0, 32), "stage 2 (fc)", "d_in"),
+    ])
+    def test_stage_integers_checked(self, stage, where, field):
+        stages = [zoo.Conv(8), stage]
+        if isinstance(stage, zoo.Fc):
+            stages.insert(1, zoo.Pooling())
+        with pytest.raises(ConfigError, match=rf"{re.escape(where)}: {field} must be"):
+            zoo.build(zoo.NetworkSpec("bad", stages))
+
 
 class TestToySpec:
     def test_basic_toy_builds(self):
@@ -204,6 +224,17 @@ class TestJsonRoundTrip:
         with pytest.raises(ConfigError, match="unknown keys"):
             zoo.spec_from_json(
                 '{"name": "x", "stages": [{"op": "conv", "c": 8, "pad": 3}]}')
+
+    @pytest.mark.parametrize("text, match", [
+        ('{"name": "x", "stages": [', "not valid JSON"),
+        ('[]', "JSON object"),
+        ('{"stages": {"op": "conv"}}', "JSON list"),
+        ('{"stages": [3]}', "stage 0: expected a JSON object"),
+        ('{"stages": [{"op": "res", "c": 8}]}', r"stage 0 \(res\): missing keys \['kind'\]"),
+    ])
+    def test_malformed_document_rejected(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            zoo.spec_from_json(text)
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ConfigError, match="unknown op"):
