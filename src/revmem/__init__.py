@@ -29,7 +29,6 @@ from .quant import (
     dequantize_blockwise,
     nearest_codes_exhaustive,
     quantize_blockwise,
-    state_from_bytes,
 )
 from .zoo import NetworkSpec, REGISTRY_NAMES, build, registry_spec, spec_from_json, spec_to_json, toy_spec
 

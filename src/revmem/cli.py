@@ -2,9 +2,11 @@
 
     revmem gradcheck  [--seed N] [--out PATH] [--inject-vjp-fault OP]
     revmem train      [--net NAME | --spec FILE] [--mode M] [--optim NAME]
-                      [--batch N] [--steps N] [--seed N] [--f64] [--out PATH]
+                      [--batch N] [--frames T] [--steps N] [--seed N] [--lr LR]
+                      [--classes K] [--block N] [--f64] [--out PATH]
     revmem memreport  [--net NAME | --spec FILE] [--mode M] [--optim NAME]
-                      [--batch N] [--sweep-depths 4,8,16] [--out PATH]
+                      [--batch N] [--frames T] [--sweep-depths 4,8,16] [--f64]
+                      [--out PATH]
     revmem quantbench [--elements N] [--blocks 2048,...] [--seed N] [--out PATH]
     revmem eer        (--scores FILE | --emb FILE) [--out PATH]
 
@@ -20,7 +22,7 @@ import sys
 import numpy as np
 
 from . import gradcheck as gc
-from .eer import cosine_scores, eer_from_scores, read_score_file
+from .eer import cosine_scores, eer_from_scores, read_embedding_file, read_score_file
 from .engine import ledger_plan, run_backward, run_forward
 from .errors import ConfigError, QuantizationError, RevmemError, StateOverflowError
 from .layers import Param
@@ -55,10 +57,17 @@ def _load_spec(cfg):
     return None
 
 
+def _write_file(path: str, text: str):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write(cfg, text: str):
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        _write_file(cfg.out, text)
     else:
         sys.stdout.write(text)
 
@@ -89,16 +98,14 @@ def _train_setup(cfg):
     rng = np.random.default_rng(cfg.seed + 1)
     head = Param(rng.normal(0, 0.1, (net.embedding_dim, cfg.classes)).astype(dtype))
     lr = cfg.lr if cfg.lr is not None else _default_lr(cfg.optim)
-    opt = make_optimizer(cfg.optim, net.params() + [head], lr,
-                         momentum=cfg.momentum, beta1=cfg.beta1, beta2=cfg.beta2,
-                         eps=cfg.eps, weight_decay=cfg.weight_decay,
+    opt = make_optimizer(cfg.optim, net.params() + [head], lr, weight_decay=0.05,
                          block_size=cfg.block_size)
     return net, data, head, opt
 
 
-def _train_step(net, head, x, labels, mode, margin, scale):
+def _train_step(net, head, x, labels, mode):
     emb, store, ledger = run_forward(net, x, mode)
-    loss, demb, dhead = aam_softmax_loss(emb, labels, head.value, margin, scale)
+    loss, demb, dhead = aam_softmax_loss(emb, labels, head.value)
     run_backward(net, store, demb.astype(emb.dtype), mode)
     head.grad += dhead.astype(head.value.dtype)
     return loss, emb, ledger
@@ -119,8 +126,7 @@ def cmd_train(cfg) -> int:
     labels = None
     for step in range(cfg.steps + 1):
         x, labels = data.batch(cfg.batch)
-        loss, emb, ledger = _train_step(net, head, x, labels, cfg.mode,
-                                        cfg.margin, cfg.scale)
+        loss, emb, ledger = _train_step(net, head, x, labels, cfg.mode)
         rows.append(f"{step},{loss:.9e},{ledger.activations},{ledger.total()}")
         if not np.isfinite(loss):
             return _diverged(cfg, rows, f"training diverged at step {step}")
@@ -136,10 +142,9 @@ def cmd_train(cfg) -> int:
         opt.zero_grad()
     _write(cfg, "\n".join(rows) + "\n")
     if cfg.out:
-        emb_path = cfg.out.rsplit(".", 1)[0] + "_embeddings.csv"
-        with open(emb_path, "w") as fh:
-            for lab, vec in zip(labels, emb):
-                fh.write(str(int(lab)) + "," + ",".join(f"{v:.8e}" for v in vec) + "\n")
+        _write_file(cfg.out.rsplit(".", 1)[0] + "_embeddings.csv",
+                    "".join(str(int(lab)) + "," + ",".join(f"{v:.8e}" for v in vec) + "\n"
+                            for lab, vec in zip(labels, emb)))
     return 0
 
 
@@ -147,10 +152,9 @@ def cmd_memreport(cfg) -> int:
     spec = _load_spec(cfg)
     if spec is None:
         raise ConfigError("memreport needs --net or --spec")
-    depths = _parse_int_list(cfg.sweep_depths)
-    if depths:
+    if cfg.sweep_depths:
         rows = ["depth,mode,activations,weights,gradients,optimizer_states,workspace,total"]
-        for depth in depths:
+        for depth in cfg.sweep_depths:
             deep = type(spec)(
                 name=f"{spec.name}-d{depth}",
                 stages=[RevRes(s.kind, s.c_half, depth) if isinstance(s, RevRes) else s
@@ -216,43 +220,21 @@ def cmd_quantbench(cfg) -> int:
     return 0
 
 
-def _read_embeddings_csv(path):
-    labels, vecs = [], []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) < 2:
-                continue
-            labels.append(int(parts[0]))
-            vecs.append([float(v) for v in parts[1:]])
-    if not vecs:
-        raise ConfigError(f"no embeddings found in {path}")
-    return np.asarray(vecs), np.asarray(labels)
-
-
 def cmd_eer(cfg) -> int:
     if bool(cfg.scores) == bool(cfg.emb):
         raise ConfigError("eer needs exactly one of --scores or --emb")
     if cfg.scores:
         pos, neg = read_score_file(cfg.scores)
     else:
-        embeddings, labels = _read_embeddings_csv(cfg.emb)
+        embeddings, labels = read_embedding_file(cfg.emb)
         pos, neg = cosine_scores(embeddings, labels)
     if pos.size == 0 or neg.size == 0:
         raise ConfigError("need at least one target and one nontarget trial")
     value = eer_from_scores(pos, neg)
     print(f"eer {value:.9f}")
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(f"metric,value\neer,{value:.9f}\n")
+        _write_file(cfg.out, f"metric,value\neer,{value:.9f}\n")
     return 0
-
-
-def _parse_int_list(text: str) -> tuple:
-    try:
-        return tuple(int(v) for v in text.split(",") if v)
-    except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
 def _count(text: str, minimum: int = 1) -> int:
@@ -266,9 +248,14 @@ def _count(text: str, minimum: int = 1) -> int:
     return value
 
 
-def _counts(text: str) -> tuple:
+def _counts(text: str, minimum: int = 1) -> tuple:
     """argparse type for a comma-separated list of sizes (`--blocks`)."""
-    return tuple(_count(v) for v in text.split(",") if v)
+    return tuple(_count(v, minimum) for v in text.split(",") if v)
+
+
+def _depths(text: str) -> tuple:
+    """argparse type for `--sweep-depths`: 0 leaves a reversible stage empty."""
+    return _counts(text, 0)
 
 
 def _steps(text: str) -> int:
@@ -297,13 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--frames", type=_count, default=8)
         if train_opts:
             sp.add_argument("--lr", type=float, default=None)
-            sp.add_argument("--momentum", type=float, default=0.9)
-            sp.add_argument("--beta1", type=float, default=0.9)
-            sp.add_argument("--beta2", type=float, default=0.999)
-            sp.add_argument("--eps", type=float, default=1e-8)
-            sp.add_argument("--weight-decay", type=float, default=0.05)
-            sp.add_argument("--margin", type=float, default=0.2)
-            sp.add_argument("--scale", type=float, default=32.0)
             sp.add_argument("--classes", type=_count, default=3)
             sp.add_argument("--block", dest="block_size", type=_count, default=2048)
 
@@ -318,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("memreport", help="analytic memory ledger")
     common(sp)
-    sp.add_argument("--sweep-depths", type=str, default="",
+    sp.add_argument("--sweep-depths", type=_depths, default="",
                     help="comma list; rebuild with every reversible stage at "
                          "this depth and emit bytes per depth")
     sp.set_defaults(block_size=2048)

@@ -143,8 +143,9 @@ class SavedStore:
 
     run_backward releases the store as it walks it: it pops each entry, and
     each tape entry inside it, as that entry's VJP runs, so no array is held
-    past its last use and the store holds none afterwards. Its byte and
-    tensor counts keep their forward-time values.
+    past its last use and the store holds none afterwards. run_forward
+    counts the cached bytes and tensors once, when it finishes, so the
+    counts keep their forward-time values.
     """
 
     def __init__(self, net: Network, mode: str):
@@ -154,7 +155,8 @@ class SavedStore:
         self.out_shape = None
         self.out_dtype = None
         self.consumed = False
-        self._counts = None  # (bytes, tensors), kept when backward releases them
+        self._nbytes = 0  # set by run_forward, kept when backward releases the arrays
+        self._tensors = 0
 
     def activation_arrays(self):
         """All cached ndarrays, deduplicated by object identity.
@@ -173,23 +175,11 @@ class SavedStore:
                 stack.extend(reversed(obj))
         return list(seen.values())
 
-    def _tally(self) -> tuple[int, int]:
-        """(bytes, tensors) of the cached arrays, as forward left them."""
-        if self._counts is not None:
-            return self._counts
-        arrays = self.activation_arrays()
-        return sum(a.nbytes for a in arrays), len(arrays)
-
     def activation_nbytes(self) -> int:
-        return self._tally()[0]
+        return self._nbytes
 
     def full_tensor_count(self) -> int:
-        return self._tally()[1]
-
-    def consume(self):
-        """Mark the store consumed, keeping its counts for after the release."""
-        self._counts = self._tally()
-        self.consumed = True
+        return self._tensors
 
 
 def _run_head(net: Network, idxs):
@@ -245,9 +235,11 @@ def run_forward(net: Network, batch: np.ndarray, mode: str):
             store.entries.append(("run", idxs, tape) if tape is not None
                                  else ("run_out", idxs, x))
     store.out_shape, store.out_dtype = x.shape, x.dtype
+    arrays = store.activation_arrays()
+    store._nbytes, store._tensors = sum(a.nbytes for a in arrays), len(arrays)
 
     return x, store, MemoryLedger(
-        activations=store.activation_nbytes(),
+        activations=store._nbytes,
         weights=net.param_nbytes(),
         gradients=net.param_nbytes(),
         workspace=net.stat_nbytes(),
@@ -278,7 +270,7 @@ def run_backward(net: Network, store: SavedStore, g_out: np.ndarray, mode: str):
             f"cotangent dtype {g_out.dtype} does not match output dtype {store.out_dtype}; "
             "cast the cotangent before running backward"
         )
-    store.consume()
+    store.consumed = True
 
     g = g_out
     while store.entries:

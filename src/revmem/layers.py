@@ -159,11 +159,12 @@ class BatchNorm2d(Layer):
     are updated only on capture forwards, never on replays.
     """
 
-    def __init__(self, c, eps=1e-5, momentum=0.1, *, dtype):
+    eps = 1e-5
+    momentum = 0.1  # running-statistics update rate
+
+    def __init__(self, c, *, dtype):
         self.c = c
         self.stat_elems = 2 * c
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Param(np.ones(c, dtype))
         self.beta = Param(np.zeros(c, dtype))
         self.running_mean = np.zeros(c, dtype)

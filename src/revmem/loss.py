@@ -4,8 +4,7 @@ Embeddings and class weight columns are L2-normalized internally; the true
 class logit is scale * cos(theta + margin), all others scale * cos(theta),
 followed by softmax cross-entropy averaged over the batch. Where
 theta + margin would pass pi (non-monotone region), the guarded form
-cos(theta) - margin * sin(margin) is used instead; the guard can be turned
-off via `monotonic_guard`.
+cos(theta) - margin * sin(margin) is used instead.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ _SIN_FLOOR = 1e-12  # keeps the margin chain rule finite for aligned pairs
 
 
 def aam_softmax_loss(embeddings: np.ndarray, labels: np.ndarray, weights: np.ndarray,
-                     margin: float = 0.2, scale: float = 32.0,
-                     monotonic_guard: bool = True):
+                     margin: float = 0.2, scale: float = 32.0):
     """Returns (loss, dL/dembeddings, dL/dweights)."""
     if embeddings.ndim != 2:
         raise ShapeError(f"embeddings must be (n, d), got {embeddings.shape}")
@@ -55,12 +53,8 @@ def aam_softmax_loss(embeddings: np.ndarray, labels: np.ndarray, weights: np.nda
     rows = np.arange(n)
     cos_y = cos[rows, labels]
     sin_y = np.sqrt(np.maximum(1.0 - cos_y**2, _SIN_FLOOR))
-    phi = cos_y * cos_m - sin_y * sin_m
-    if monotonic_guard:
-        in_range = cos_y > math.cos(math.pi - margin)
-        phi = np.where(in_range, phi, cos_y - margin * sin_m)
-    else:
-        in_range = np.ones(n, dtype=bool)
+    in_range = cos_y > math.cos(math.pi - margin)
+    phi = np.where(in_range, cos_y * cos_m - sin_y * sin_m, cos_y - margin * sin_m)
 
     logits = scale * cos
     logits[rows, labels] = scale * phi

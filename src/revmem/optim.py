@@ -5,7 +5,8 @@ Update rules (non-dampened momentum, no bias correction unless asked for):
     SGD:   m <- beta * m + g;            w <- w - lr * m
     Adam:  m <- b1 * m + (1 - b1) * g;   r <- b2 * r + (1 - b2) * g^2
            w <- w - lr * m / (sqrt(r) + eps)
-    AdamW: decoupled decay w <- w - lr * wd * w, then the Adam update.
+    AdamW: Adam with weight_decay set: decoupled decay w <- w - lr * wd * w,
+           then the Adam update.
 
 Every optimizer updates in place, one chunk of ``CHUNK_ELEMENTS`` elements at
 a time: a step writes into the array each ``Param`` holds (``p.value``) and
@@ -38,7 +39,6 @@ import numpy as np
 
 from .errors import QuantizationError, ShapeError, StateOverflowError
 from .quant import (
-    DynamicTreeMap,
     QuantizedState,
     default_map,
     dequantize_blockwise,
@@ -93,11 +93,11 @@ def adam_update(w, g, m, r, lr: float, beta1: float, beta2: float, eps: float,
 class _Slot8:
     """A quantized state tensor, loaded and stored a run of whole blocks at a time."""
 
-    def __init__(self, shape, block_size: int, qmap: DynamicTreeMap):
-        self.qmap = qmap
+    def __init__(self, shape, block_size: int):
+        self.qmap = default_map()
         self.block_size = block_size
         self.state = quantize_blockwise(
-            np.zeros(shape, np.float32), qmap, block_size
+            np.zeros(shape, np.float32), self.qmap, block_size
         )
 
     def _blocks(self, lo: int, hi: int) -> slice:
@@ -220,11 +220,6 @@ class Adam(Optimizer):
                 self.beta2 * r_max + (1.0 - self.beta2) * g_max * g_max]
 
 
-def AdamW(params, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-          eps: float = 1e-8, weight_decay: float = 0.05, bias_correction: bool = False):
-    return Adam(params, lr, beta1, beta2, eps, weight_decay, bias_correction)
-
-
 class _Optimizer8(Optimizer):
     """Mixin for a rule whose state is blockwise-quantized 8-bit.
 
@@ -232,15 +227,14 @@ class _Optimizer8(Optimizer):
     before that class's ``__init__`` builds the states.
     """
 
-    def _quantize_with(self, block_size: int, qmap: DynamicTreeMap | None) -> None:
+    def _quantize_with(self, block_size: int) -> None:
         if block_size < 1 or int(block_size) != block_size:
             raise QuantizationError(f"block size must be a positive integer, got {block_size}")
         self.block_size = int(block_size)
-        self.qmap = qmap or default_map()
         self._chunk = max(1, CHUNK_ELEMENTS // self.block_size) * self.block_size
 
     def _new_state(self, p):
-        return _Slot8(p.value.shape, self.block_size, self.qmap)
+        return _Slot8(p.value.shape, self.block_size)
 
     def _load(self, slot, lo, hi, dtype):
         return slot.load(lo, hi, dtype)
@@ -280,8 +274,8 @@ class Sgd8(_Optimizer8, Sgd):
     """SGD with momentum held as blockwise-quantized 8-bit state."""
 
     def __init__(self, params, lr: float = 0.1, momentum: float = 0.9,
-                 block_size: int = 2048, qmap: DynamicTreeMap | None = None):
-        self._quantize_with(block_size, qmap)
+                 block_size: int = 2048):
+        self._quantize_with(block_size)
         super().__init__(params, lr, momentum)
 
 
@@ -290,26 +284,29 @@ class Adam8(_Optimizer8, Adam):
 
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, weight_decay: float = 0.0, bias_correction: bool = False,
-                 block_size: int = 2048, qmap: DynamicTreeMap | None = None):
-        self._quantize_with(block_size, qmap)
+                 block_size: int = 2048):
+        self._quantize_with(block_size)
         super().__init__(params, lr, beta1, beta2, eps, weight_decay, bias_correction)
 
 
-def make_optimizer(name: str, params, lr: float, momentum: float = 0.9,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                   weight_decay: float = 0.0, block_size: int = 2048) -> Optimizer:
+def make_optimizer(name: str, params, lr: float, weight_decay: float = 0.0,
+                   block_size: int = 2048) -> Optimizer:
+    """Build a named optimizer with the default momentum, betas and eps.
+
+    ``weight_decay`` applies to ``adamw`` and ``adam8`` only; ``block_size``
+    to the 8-bit variants only.
+    """
     name = name.lower()
     if name == "sgd":
-        return Sgd(params, lr, momentum)
+        return Sgd(params, lr)
     if name == "sgd8":
-        return Sgd8(params, lr, momentum, block_size)
+        return Sgd8(params, lr, block_size=block_size)
     if name == "adam":
-        return Adam(params, lr, beta1, beta2, eps, weight_decay=0.0)
+        return Adam(params, lr)
     if name == "adamw":
-        return Adam(params, lr, beta1, beta2, eps, weight_decay=weight_decay)
+        return Adam(params, lr, weight_decay=weight_decay)
     if name == "adam8":
-        return Adam8(params, lr, beta1, beta2, eps, weight_decay=weight_decay,
-                     block_size=block_size)
+        return Adam8(params, lr, weight_decay=weight_decay, block_size=block_size)
     raise ValueError(f"unknown optimizer {name!r}")
 
 

@@ -26,12 +26,11 @@ so a gather and one compare give the index of the nearest value.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuantizationError, ShapeError
+from .errors import QuantizationError
 
 ZERO_CODE = 0x00
 # A bucket key is |x|'s float64 bit pattern shifted right by this much: the
@@ -179,26 +178,6 @@ class QuantizedState:
     @property
     def nbytes(self) -> int:
         return self.n_elements + 4 * self.n_blocks
-
-    def to_bytes(self) -> bytes:
-        header = struct.pack("<QQQ", self.n_elements, self.block_size, self.n_blocks)
-        return header + self.absmax.astype("<f4").tobytes() + self.codes.tobytes()
-
-
-def state_from_bytes(raw: bytes, shape: tuple[int, ...] | None = None) -> QuantizedState:
-    n, block_size, n_blocks = struct.unpack_from("<QQQ", raw, 0)
-    off = 24
-    absmax = np.frombuffer(raw, dtype="<f4", count=n_blocks, offset=off).copy()
-    off += 4 * n_blocks
-    codes = np.frombuffer(raw, dtype=np.uint8, count=n, offset=off).copy()
-    if shape is not None and int(np.prod(shape)) != n:
-        raise ShapeError(f"shape {shape} does not hold {n} elements")
-    return QuantizedState(
-        codes=codes,
-        absmax=absmax.astype(np.float32),
-        block_size=int(block_size),
-        shape=shape if shape is not None else (int(n),),
-    )
 
 
 def nearest_codes(normalized: np.ndarray, qmap: DynamicTreeMap) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Command-line surface: grammar, exit codes, artifacts, determinism."""
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,37 @@ def toy_spec_file(tmp_path):
     path = tmp_path / "toy.json"
     path.write_text(zoo.spec_to_json(zoo.toy_spec([1, 1], 8, "basic")))
     return str(path)
+
+
+# Every option each subcommand takes; a new option needs an edit here.
+OPTIONS = {
+    "gradcheck": {"--seed", "--out", "--inject-vjp-fault"},
+    "train": {"--net", "--spec", "--mode", "--optim", "--batch", "--steps", "--seed",
+              "--f64", "--out", "--frames", "--lr", "--classes", "--block"},
+    "memreport": {"--net", "--spec", "--mode", "--optim", "--batch", "--f64", "--out",
+                  "--frames", "--sweep-depths"},
+    "quantbench": {"--elements", "--blocks", "--seed", "--out"},
+    "eer": {"--scores", "--emb", "--out"},
+}
+
+
+def test_option_sets_pinned():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+           for name, parser in sub.choices.items()}
+    assert got == OPTIONS
+
+
+@pytest.mark.parametrize("argv", [["train", "--steps", "1"],
+                                  ["memreport", "--net", "ResNet34"]],
+                         ids=["train", "memreport"])
+def test_unwritable_out_exits_2_naming_path(tmp_path, capsys, argv):
+    out = str(tmp_path / "missing" / "x.csv")
+    assert run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot write {out}:")
+    assert "Traceback" not in err
 
 
 class TestGradcheckCommand:
@@ -276,6 +309,16 @@ class TestSizeBoundaries:
         assert "argument --steps: must be at least 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("depths, message", [
+        ("-1", "argument --sweep-depths: must be at least 0, got -1"),
+        ("2,a", "argument --sweep-depths: invalid int value: 'a'"),
+    ], ids=["negative", "non-integer"])
+    def test_bad_sweep_depths_exit_2_naming_option(self, capsys, depths, message):
+        with pytest.raises(SystemExit) as info:
+            run(["memreport", "--net", "ResNet34", f"--sweep-depths={depths}"])
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_non_integer_size_keeps_argparse_message(self, capsys):
         with pytest.raises(SystemExit) as info:
             run(["train", "--batch", "x"])
@@ -332,3 +375,23 @@ class TestEerCommand:
         scores = tmp_path / "scores.txt"
         scores.write_text("target 0.9\n")
         assert run(["eer", "--scores", str(scores)]) == 2
+
+    @pytest.mark.parametrize("source, content, line", [
+        ("--scores", None, None),
+        ("--scores", "target 0.9\n\nnontarget abc\n", 3),
+        ("--scores", "target 0.9\nnontarget nan\n", 2),
+        ("--emb", "0,1.0,0.0\nx,0.0,1.0\n", 2),
+        ("--emb", "0,1.0,0.0\n1,0.0,1.0,0.5\n", 2),
+        ("--emb", "0,1.0,0.0\n1,nan,1.0\n", 2),
+        ("--emb", "0,1.0,0.0\n0,1.0,0.1\n1,0.0,0.0\n", 3),
+    ], ids=["missing-file", "bad-score", "nan-score", "bad-label", "ragged-row",
+            "nan-value", "zero-embedding"])
+    def test_bad_input_exits_2_naming_line(self, tmp_path, capsys, source, content, line):
+        path = tmp_path / "input.txt"
+        if content is not None:
+            path.write_text(content)
+        assert run(["eer", source, str(path)]) == 2
+        captured = capsys.readouterr()
+        where = str(path) if line is None else f"{path}:{line}:"
+        assert captured.err.startswith("configuration error:") and where in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""

@@ -30,6 +30,13 @@ class TestEer:
         with pytest.raises(ConfigError):
             eer_from_scores([0.1], [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            eer_from_scores([0.9, bad], [0.1])
+        with pytest.raises(ConfigError, match="finite"):
+            eer_from_scores([0.9], [bad, 0.1])
+
     def test_interpolated_crossing(self):
         # FAR and FRR never evaluate equal here; the crossing is interpolated
         value = eer_from_scores([0.6, 0.7, 0.8], [0.65, 0.1])
@@ -66,6 +73,14 @@ class TestCosineScores:
         a = cosine_scores(emb, labels)
         b = cosine_scores(emb * 7.5, labels)
         np.testing.assert_allclose(a[0], b[0], rtol=1e-12)
+
+
+    def test_non_finite_or_zero_rows_rejected(self):
+        labels = [0, 0, 1]
+        with pytest.raises(ConfigError, match="finite"):
+            cosine_scores(np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 1.0]]), labels)
+        with pytest.raises(ConfigError, match="row 2 has zero norm"):
+            cosine_scores(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]]), labels)
 
 
 class TestScoreFile:

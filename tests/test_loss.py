@@ -1,5 +1,7 @@
 """Angular-margin softmax: values, gradients, and batch symmetry."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -95,14 +97,17 @@ class TestProperties:
         np.testing.assert_allclose(demb_a[perm], demb_b, rtol=1e-10)
         np.testing.assert_allclose(dw_a, dw_b, rtol=1e-10)
 
-    def test_monotonic_guard_flag_changes_far_region_only(self, rng):
-        # an embedding pointing away from its class weight sits past the
-        # non-monotone threshold; the guard changes that logit only
+    def test_monotonic_guard_sets_far_region_logit(self):
+        # an embedding pointing away from its class weight (theta = pi) sits
+        # past the non-monotone threshold, so its true-class logit is
+        # scale * (cos theta - m sin m), not scale * cos(theta + m)
+        margin, scale = 0.3, 32.0
         w = np.zeros((4, 2))
         w[0, 0] = 1.0
         w[1, 1] = 1.0
         emb = np.zeros((1, 4))
         emb[0, 0] = -1.0
-        on, _, _ = aam_softmax_loss(emb, np.array([0]), w, margin=0.3, monotonic_guard=True)
-        off, _, _ = aam_softmax_loss(emb, np.array([0]), w, margin=0.3, monotonic_guard=False)
-        assert on != off
+        loss, _, _ = aam_softmax_loss(emb, np.array([0]), w, margin=margin, scale=scale)
+        phi = -1.0 - margin * math.sin(margin)
+        assert phi < math.cos(math.pi + margin)  # cos(theta + m) would turn back up
+        assert loss == pytest.approx(np.logaddexp(scale * phi, 0.0) - scale * phi, rel=1e-12)

@@ -13,7 +13,6 @@ from revmem.optim import (
     CHUNK_ELEMENTS,
     Adam,
     Adam8,
-    AdamW,
     Sgd,
     Sgd8,
     adam_update,
@@ -103,7 +102,7 @@ class TestAdamRule:
 
     def test_adamw_decoupled_decay_applies_before_update(self):
         p = param([1.0])
-        opt = AdamW([p], lr=0.1, weight_decay=0.5)
+        opt = Adam([p], lr=0.1, weight_decay=0.5)
         p.grad[:] = 0.0
         opt.step()
         # zero gradient: only the decay acts, w <- w - lr*wd*w
@@ -230,7 +229,7 @@ SETTINGS = {
     "sgd": (lambda ps, bs: Sgd(ps, lr=0.05, momentum=0.9), 0.05, 0.0, False),
     "sgd8": (lambda ps, bs: Sgd8(ps, lr=0.05, momentum=0.9, block_size=bs), 0.05, 0.0, False),
     "adam": (lambda ps, bs: Adam(ps, lr=1e-3), 1e-3, 0.0, False),
-    "adamw": (lambda ps, bs: AdamW(ps, lr=1e-3, weight_decay=0.05), 1e-3, 0.05, False),
+    "adamw": (lambda ps, bs: Adam(ps, lr=1e-3, weight_decay=0.05), 1e-3, 0.05, False),
     "adam8": (lambda ps, bs: Adam8(ps, lr=1e-3, weight_decay=0.05, bias_correction=True,
                                    block_size=bs), 1e-3, 0.05, True),
 }

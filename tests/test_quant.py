@@ -84,6 +84,12 @@ class TestQuantize:
         np.testing.assert_array_equal(
             quant.dequantize_blockwise(state, qmap), np.zeros(10, np.float32))
 
+    def test_nbytes_arithmetic(self, qmap, rng):
+        x = rng.normal(size=10_000).astype(np.float32)
+        state = quant.quantize_blockwise(x, qmap, 2048)
+        assert state.nbytes == 10_000 + 4 * 5
+        assert quant.quantized_nbytes(10_000, 2048) == state.nbytes
+
     def test_scaled_map_values_roundtrip_bit_exact(self, qmap):
         # every normalized value is exactly a code value, so the roundtrip is
         # the identity; the scale must be float32-representable since absmax
@@ -258,28 +264,3 @@ class TestDecisionTable:
         # the swept values land on both sides of every boundary
         assert np.unique(got[: pairs.size : 2]).size == qmap.sorted_values.size
 
-
-class TestSerialization:
-    def test_bytes_roundtrip_bit_exact(self, qmap, rng):
-        x = rng.normal(size=3000).astype(np.float32)
-        state = quant.quantize_blockwise(x, qmap, 256)
-        raw = state.to_bytes()
-        back = quant.state_from_bytes(raw, shape=state.shape)
-        assert back.to_bytes() == raw
-        assert back.block_size == state.block_size
-        np.testing.assert_array_equal(back.codes, state.codes)
-        np.testing.assert_array_equal(back.absmax, state.absmax)
-        np.testing.assert_array_equal(
-            quant.dequantize_blockwise(back, qmap),
-            quant.dequantize_blockwise(state, qmap))
-
-    def test_nbytes_arithmetic(self, qmap, rng):
-        x = rng.normal(size=10_000).astype(np.float32)
-        state = quant.quantize_blockwise(x, qmap, 2048)
-        assert state.nbytes == 10_000 + 4 * 5
-        assert quant.quantized_nbytes(10_000, 2048) == state.nbytes
-
-    def test_shape_mismatch_rejected(self, qmap, rng):
-        state = quant.quantize_blockwise(rng.normal(size=10).astype(np.float32), qmap, 4)
-        with pytest.raises(Exception, match="shape"):
-            quant.state_from_bytes(state.to_bytes(), shape=(3, 4))
