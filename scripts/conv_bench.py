@@ -2,8 +2,8 @@
 """Median time and tracemalloc peak of each conv op and VJP at the benchmark's layer shapes.
 
 Runs one reversible training step of each benchmark net (the configurations
-in perfbench/workloads.py) to collect the distinct conv calls it makes, then
-times every call on its own with fresh random float32 inputs. BLAS is pinned
+in perfbench/workloads.py) and of DF-RevNet89 at batch 1 and 200 frames to
+collect the distinct conv calls it makes, then times every call on its own with fresh random float32 inputs. BLAS is pinned
 to one thread before numpy is imported, as in the benchmark. The library is
 imported from src/ of this checkout.
 
@@ -32,15 +32,17 @@ import numpy as np
 
 from revmem import engine, ops, zoo
 
-# (stage blocks, width, block kind, net type, batch, frames) of the benchmark nets
+# (net spec or registry name, batch, frames): the benchmark nets, and the
+# paper's reversible DF net at registry scale
 NETS = {
-    "train-rev-df": ([4, 4], 16, "df_bottleneck", "type2", 4, 32),
-    "train-wide-q8": ([1, 1], 64, "basic", "type1", 2, 8),
+    "train-rev-df": (zoo.toy_spec([4, 4], 16, "df_bottleneck", "type2"), 4, 32),
+    "train-wide-q8": (zoo.toy_spec([1, 1], 64, "basic", "type1"), 2, 8),
+    "DF-RevNet89": ("DF-RevNet89", 1, 200),
 }
 OPS = ("conv2d", "conv2d_vjp", "depthwise_conv2d", "depthwise_conv2d_vjp")
 
 
-def layer_calls(stage_blocks, width, kind, net_type, batch, frames):
+def layer_calls(spec, batch, frames):
     """Counter of (op, x shape, w shape, stride, pad) over one reversible step."""
     calls = Counter()
     originals = {name: getattr(ops, name) for name in OPS}
@@ -55,7 +57,7 @@ def layer_calls(stage_blocks, width, kind, net_type, batch, frames):
 
         return call
 
-    net = zoo.build(zoo.toy_spec(stage_blocks, width, kind, net_type), np.float32, seed=0)
+    net = zoo.build(spec, np.float32, seed=0)
     x = np.random.default_rng(0).standard_normal((batch, *net.input_spec, frames),
                                                  dtype=np.float32)
     for name in OPS:

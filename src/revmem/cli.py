@@ -17,6 +17,7 @@ Every reported number is a deterministic function of the config and seed.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -63,6 +64,18 @@ def _write_file(path: str, text: str):
             fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(path: str):
+    """Raise ConfigError unless path can be opened for writing; leave it as it was."""
+    existed = os.path.exists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    if not existed:
+        os.remove(path)
 
 
 def _write(cfg, text: str):
@@ -118,7 +131,14 @@ def _diverged(cfg, rows: list[str], message: str) -> int:
     return 1
 
 
+def _embeddings_path(out: str) -> str:
+    return out.rsplit(".", 1)[0] + "_embeddings.csv"
+
+
 def cmd_train(cfg) -> int:
+    if cfg.out:  # fail before training, not after the last step
+        _check_writable(cfg.out)
+        _check_writable(_embeddings_path(cfg.out))
     net, data, head, opt = _train_setup(cfg)
     # total_bytes is run_forward's ledger: no optimizer state, no AAM head
     rows = ["step,loss,activation_bytes,total_bytes"]
@@ -142,7 +162,7 @@ def cmd_train(cfg) -> int:
         opt.zero_grad()
     _write(cfg, "\n".join(rows) + "\n")
     if cfg.out:
-        _write_file(cfg.out.rsplit(".", 1)[0] + "_embeddings.csv",
+        _write_file(_embeddings_path(cfg.out),
                     "".join(str(int(lab)) + "," + ",".join(f"{v:.8e}" for v in vec) + "\n"
                             for lab, vec in zip(labels, emb)))
     return 0

@@ -51,8 +51,9 @@ class MemoryLedger:
     - op and recompute transients: the branch tape a ``RevBlock`` rebuilds
       in reversible backward (one branch at a time) and each op's scratch
       buffers. A measured step rise exceeds the planned total by about
-      10 MB on ``toy_spec([d, d], 16, "df_bottleneck")`` at batch 4 and 32
-      frames, whatever the depth d;
+      7 MB on ``toy_spec([d, d], 16, "df_bottleneck")`` at batch 4 and 32
+      frames, whatever the depth d (7.4, 7.2 and 6.6 MB at d = 2, 8 and
+      32);
     - the optimizer step's chunk buffers;
     - allocator slack;
     - parameters outside the network, such as the AAM head that training
@@ -281,7 +282,7 @@ def run_backward(net: Network, store: SavedStore, g_out: np.ndarray, mode: str):
             g = net.layers[idx].backward_from_input(g, payload)
         else:  # reversible run, walked with the same split point as forward
             head = _run_head(net, idx)
-            gs = (g,) if head is None else ops.channel_split(g)
+            gs = [g] if head is None else list(ops.channel_split(g))
             g = None  # gs now holds the cotangent; keep no second reference
             if kind == "run":
                 for i in reversed(idx):
@@ -290,7 +291,9 @@ def run_backward(net: Network, store: SavedStore, g_out: np.ndarray, mode: str):
                         gs = (_join(gs),)
             else:  # run_out: rebuild inputs from outputs back to the head; the
                 # downsamplers ahead of it need only the cotangent
-                ys = None if head is None else ops.channel_split(payload)
+                # rev_backward empties the lists it is given, so each
+                # stream is freed after its last use
+                ys = None if head is None else list(ops.channel_split(payload))
                 payload = None  # only ys is read from here on
                 for i in reversed(idx):
                     if ys is None:

@@ -23,10 +23,11 @@ Members of a reversible run (``RevBlock``, ``RevDownsample``) take and
 return tuples of channel streams instead of single tensors: a ``RevBlock``
 works on the pair ``(x1, x2)``, and a ``RevDownsample`` rearranges each
 stream it is given, one stream ahead of the run's first block and two after
-it. All their methods follow that convention. ``RevBlock.inverse(y)``
-reconstructs the inputs from the outputs, and ``rev_backward(y, gy)`` does
-so and runs the coupled chain rule, so no forward activation of the block is
-ever read.
+it. ``RevBlock.inverse(y)`` reconstructs the inputs from the outputs, and
+``rev_backward(y, gy)`` does so and runs the coupled chain rule, so no
+forward activation of the block is ever read. ``rev_backward`` alone takes
+lists instead of tuples: it empties them, so each stream is freed after its
+last use, and returns new lists.
 """
 
 from __future__ import annotations
@@ -453,19 +454,26 @@ class RevBlock(Layer):
     def rev_backward(self, y, gy):
         """Reconstruct the inputs and backpropagate without stored activations.
 
-        Runs in the order of RevNet's Algorithm 1 (Gomez et al. 2017): G's
-        tape is rebuilt and consumed by G's VJP before F is replayed, so at
-        most one branch tape is alive at a time.
+        Takes the output pair and its cotangent as two-element lists and
+        empties them, so each array is dropped after its last use: y2 once
+        x2 is rebuilt and gy1 once gz1 is formed. Runs in the order of
+        RevNet's Algorithm 1 (Gomez et al. 2017): G's tape is rebuilt and
+        consumed by G's VJP before F is replayed, so at most one branch tape
+        is alive at a time. Returns the input pair and its cotangent as new
+        lists.
         """
-        y1, y2 = y
-        gy1, gy2 = gy
+        y2, y1 = y.pop(), y.pop()
+        gy2, gy1 = gy.pop(), gy.pop()
         g_tape = []
         x2 = y2 - self.g.forward(y1, tape=g_tape, replay=True)
+        del y2
         gz1 = gy1 + self.g.backward(gy2, g_tape)
+        del gy1
         f_tape = []
         x1 = y1 - self.f.forward(x2, tape=f_tape, replay=True)
+        del y1
         gx2 = gy2 + self.f.backward(gz1, f_tape)
-        return (x1, x2), (gz1, gx2)
+        return [x1, x2], [gz1, gx2]
 
     def stat_nbytes(self):
         return self.f.stat_nbytes() + self.g.stat_nbytes()
@@ -504,7 +512,11 @@ class RevDownsample(Layer):
         return self._shuffle(gy)
 
     def rev_backward(self, y, gy):
-        return self._shuffle(y), self._shuffle(gy)
+        # pops each stream as it is rearranged, so both lists end empty
+        def drain(streams):
+            return [ops.pixel_shuffle(streams.pop(0), self.r) for _ in range(len(streams))]
+
+        return drain(y), drain(gy)
 
     def _shuffle(self, streams):
         # the rearrangement is a permutation, so its VJP is its inverse

@@ -10,30 +10,51 @@ central finite differences in the test suite.
 Convolutions are cross-correlations (no kernel flip). Output spatial sizes
 follow the usual floor rule ``(d + 2*pad - k)//stride + 1``, computed by
 ``conv_out_size``, which layer shape planning shares. Every forward
-output is a contiguous array that no larger buffer backs, so its ``nbytes``
-is the memory it holds. Each conv kernel's transient is a few times its
-input or output at most, with the forwards' window copies capped at
-``WINDOW_BYTES``. Each conv form uses the kernel that measured fastest for
-it under that bound (float32, one OpenBLAS thread on a 2-vCPU x86-64 machine,
-numpy 2.4; ``python3 scripts/conv_bench.py`` prints the time and peak of
-every conv call at the benchmark's layer shapes):
+output, and the stride-1 depthwise dL/dx, is a contiguous array that no
+larger buffer backs, so its ``nbytes`` is the memory it holds. Each conv
+form uses the kernel that measured fastest for it under a scratch bound
+stated as a module constant beside it. Times are medians of
+``python3 scripts/conv_bench.py`` (float32, one OpenBLAS thread on a 2-vCPU
+x86-64 machine, numpy 2.4), which prints the time and peak of every conv
+call of the benchmark nets and of DF-RevNet89 at batch 1 and 200 frames:
 
 - Unpadded 1x1 ``conv2d`` and its VJP are batched matrix products over
   ``(n, c, f*t)`` on the strided input ``x[:, :, ::s, ::s]``. Against the
   window einsum on five 1x1 layer shapes up to (4, 32, 80, 32), at strides
   1 and 2, the forward is 1.9-3.2x and the VJP 1.9-2.7x faster.
-- ``depthwise_conv2d`` and the dense k>1 ``conv2d`` forward run the
-  ``sliding_window_view`` einsum into a preallocated output, over bands of
-  output rows whose copied kh*kw-fold windows fit in ``WINDOW_BYTES``
-  (1.5 MiB). Bands are bit-identical to the whole-tensor einsum. At
-  (4, 32, 80, 32) the depthwise forward's peak fell from 14.5 to 4.4 MB
-  and its time from 2.6-4.0 to 2.2-3.4 ms; the dense 3x3 forward's peak at
-  (4, 16, 80, 32) fell from 6.8 to 2.5 MB at 1.5-2.5 ms either way. A sum
-  of shifted slices took 5.0-6.2 ms for that depthwise forward against
-  3.3-3.9 ms for the einsum. Writing into the preallocated output copies
-  the einsum's BLAS result once, which adds an output-sized buffer to the
-  peak of layers whose whole window fits in one band (0.4 to 0.7 MB for the
-  c=1 stem at (2, 1, 80, 8)).
+- Stride-1 ``depthwise_conv2d`` and its VJP are flat-shift tap loops over
+  blocks of whole (n*c) planes. A block copies as many zero-padded planes
+  (plus one spare row each) as fit in ``DEPTHWISE_BLOCK_BYTES`` (256 KiB)
+  and reads them flat, so every tap is a contiguous run; each block's
+  interior goes straight into the exact-size result. The forward holds
+  three block-sized buffers, the VJP four: its gather form pads dL/dy
+  rather than x, takes each tap's dL/dw entries as per-plane dot products
+  with x widened by zero columns, and adds the taps in the scatter form's
+  order, so dL/dx is bit-identical to the tap loop it replaced. The peak is
+  the result plus at most 4 (forward) or 5 (VJP) blocks. At
+  (1, 96, 80, 200) the forward went from 33.3 ms and 15.3 MB to 8.6 ms and
+  6.7 MB, and the VJP from 53.7 ms and 18.9 MB to 13.6 ms and 6.9 MB. At
+  (4, 32, 80, 32) the VJP went from 9.6 ms and 4.2 MB to 5.0 ms and
+  2.4 MB, and the forward's peak from 4.4 to 2.1 MB; the forward's time
+  is unresolved there (3.3 against 4.1 ms as medians of seven separate
+  runs each, 2.9 against 2.6 ms timed interleaved in one process).
+- The stride-1 dense k>1 ``conv2d`` forward with more than one input
+  channel runs the same flat shift over bands of output rows of one
+  sample: one GEMM per tap, written with ``np.matmul(..., out=)`` into one
+  reused buffer and added into the band's widened output. Its padded band,
+  that output and the GEMM buffer are each at most ``DENSE_BAND_BYTES``
+  (256 KiB). At (4, 16, 80, 32) with 4 outputs it went from 2.3 ms and
+  2.5 MB to 0.6 ms and 0.4 MB, and at (1, 48, 80, 200) with 24 outputs
+  from 23.1 ms and 7.5 MB to 7.3 ms and 2.0 MB.
+- The c=1 stem and the stride-2 forwards (dense and depthwise) run the
+  ``sliding_window_view`` einsum into the preallocated output, over bands
+  of output rows whose copied kh*kw-fold windows fit in ``WINDOW_BYTES``
+  (1.5 MiB); each band zero-pads only the input rows it reads. Bands are
+  bit-identical to the whole-tensor einsum. The flat form measured 8-12x
+  slower on the stem, whose per-tap GEMMs have one input channel.
+  Writing into the preallocated output copies the einsum's BLAS result
+  once, which adds an output-sized buffer to the peak of layers whose
+  whole window fits in one band (0.7 MB for the stem at (2, 1, 80, 8)).
 - Dense k>1 ``conv2d_vjp`` runs one GEMM per kernel tap: ``dL/dw[:, :, i, j]``
   from ``gy`` and the tap's input, and ``dL/dx`` from ``w[:, :, i, j].T @ gy``
   added at the tap's offset. At stride 1 each padded plane is read flat, so
@@ -45,11 +66,10 @@ every conv call at the benchmark's layer shapes):
   The strided-slice form also covers stride 1, but the flat form measured
   1.2-1.6x faster there on five of those six shapes (7% slower on the
   (2, 1, 80, 8) stem).
-- ``depthwise_conv2d_vjp`` loops over the kh*kw taps. Each tap adds its
-  shifted slice of ``gy * w`` into ``dL/dx`` and contracts the matching
-  strided slice of the padded input with ``gy`` for ``dL/dw``. The window
-  einsum it replaced took 14 ms with a 14.5 MB peak at (4, 32, 80, 32),
-  against 7 ms and 4.2 MB.
+- The strided ``depthwise_conv2d_vjp`` loops over the kh*kw taps of a padded
+  copy of x. Each tap adds its shifted slice of ``gy * w`` into a padded
+  ``dL/dx`` and contracts the matching strided slice with ``gy`` for
+  ``dL/dw``.
 """
 
 from __future__ import annotations
@@ -66,6 +86,17 @@ GSP_VAR_EPS = 1e-10
 # Largest window copy one forward conv einsum may make (10 output rows of a
 # (4, 32, 80, 32) float32 depthwise input)
 WINDOW_BYTES = 3 << 19
+
+# Padded (n, c) planes one stride-1 depthwise block copies (one plane at
+# least); each of the block's three or four buffers is at most this size.
+# Of 64 KiB to 2 MiB, 256 KiB was fastest at both the toy and the registry
+# shapes of scripts/conv_bench.py.
+DEPTHWISE_BLOCK_BYTES = 1 << 18
+
+# Padded input rows, over all channels of one sample, one stride-1 dense
+# forward band copies (one row at least); its widened output and GEMM
+# buffer are at most this size too. Sized like DEPTHWISE_BLOCK_BYTES.
+DENSE_BAND_BYTES = 1 << 18
 
 
 def _require_4d(x: np.ndarray, name: str) -> None:
@@ -87,18 +118,37 @@ def _window_einsum(subscripts: str, x, w, y, stride: int, pad: int) -> np.ndarra
 
     np.einsum copies the kh*kw-fold window tensor it is given, so the
     contraction runs over bands of output rows whose windows fit in
-    WINDOW_BYTES (one row at least).
+    WINDOW_BYTES (one row at least). Each band zero-pads only the input rows
+    its windows read.
     """
+    n, c, f, t = x.shape
     kh, kw = w.shape[-2:]
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    n, c, fo, to = win.shape[:4]
+    fo, to = y.shape[2:]
     rows = max(1, WINDOW_BYTES // (n * c * to * kh * kw * y.itemsize))
     for r in range(0, fo, rows):
-        band = slice(r, r + rows)
-        np.einsum(subscripts, win[:, :, band], w, out=y[:, :, band], optimize=True)
+        band = slice(r, min(r + rows, fo))
+        xb = np.empty((n, c, (band.stop - r - 1) * stride + kh, t + 2 * pad), x.dtype)
+        _copy_padded_rows(xb, x, r * stride - pad, xb.shape[2], pad)
+        win = sliding_window_view(xb, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+        np.einsum(subscripts, win, w, out=y[:, :, band], optimize=True)
     return y
+
+
+def _copy_padded_rows(buf, x, lo, count, pad):
+    """Write input rows lo .. lo + count - 1 of x, zero-padded, into buf.
+
+    Each row gets pad zero columns on either side, rows outside x are zero,
+    and so is row count of buf if it has one: the spare row that keeps a
+    flat tap run inside the buffer.
+    """
+    f, t = x.shape[-2:]
+    src = slice(max(lo, 0), min(lo + count, f))
+    top, bottom = src.start - lo, src.stop - lo
+    buf[..., :top, :] = 0
+    buf[..., top:bottom, :pad] = 0
+    buf[..., top:bottom, pad : pad + t] = x[..., src, :]
+    buf[..., top:bottom, pad + t :] = 0
+    buf[..., bottom : count + 1, :] = 0
 
 
 def _check_conv_args(x, w, stride, pad):
@@ -147,7 +197,39 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.nd
         y = np.matmul(w[:, :, 0, 0], x[:, :, ::stride, ::stride].reshape(n, c, fo * to))
         return y.reshape(n, w.shape[0], fo, to)
     y = np.empty((x.shape[0], w.shape[0], fo, to), dtype=np.result_type(x, w))
+    if stride == 1 and x.shape[1] > 1:
+        return _flat_conv2d(x, w, y, pad)
     return _window_einsum("ncftij,ocij->noft", x, w, y, stride, pad)
+
+
+def _flat_conv2d(x, w, y, pad):
+    # Bands of output rows of one sample at a time. The band's padded input
+    # rows (plus one spare) are read flat, so tap (i, j) meets the run at
+    # i * tp + j and adds one GEMM into output rows widened to tp columns;
+    # their first to columns are the band's output.
+    n, c, f, t = x.shape
+    o, _, kh, kw = w.shape
+    fo, to = y.shape[2:]
+    tp = t + 2 * pad
+    rows = min(fo, max(1, DENSE_BAND_BYTES // (max(c, o) * tp * y.itemsize) - kh))
+    wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1), dtype=y.dtype)
+    xb = np.empty((c, rows + kh, tp), dtype=y.dtype)
+    acc = np.empty((o, rows * tp), dtype=y.dtype)
+    prod = np.empty_like(acc)
+    for s in range(n):
+        for r in range(0, fo, rows):
+            m = min(rows, fo - r)
+            _copy_padded_rows(xb, x[s], r - pad, m + kh - 1, pad)
+            xf = xb.reshape(c, -1)
+            a, p = acc[:, : m * tp], prod[:, : m * tp]
+            for k in range(kh * kw):
+                i, j = divmod(k, kw)
+                run = xf[:, i * tp + j : i * tp + j + m * tp]
+                np.matmul(wt[i, j], run, out=p if k else a)
+                if k:
+                    a += p
+            y[s, :, r : r + m] = a.reshape(o, m, tp)[:, :, :to]
+    return y
 
 
 def conv2d_vjp(
@@ -227,13 +309,52 @@ def depthwise_conv2d(
     fo = conv_out_size(x.shape[2], kh, stride, pad)
     to = conv_out_size(x.shape[3], kw, stride, pad)
     y = np.empty((x.shape[0], x.shape[1], fo, to), dtype=np.result_type(x, w))
+    if stride == 1:
+        return _flat_depthwise_conv2d(x, w, y, pad)
     return _window_einsum("ncftij,cij->ncft", x, w[:, 0], y, stride, pad)
+
+
+def _planes_per_block(planes, plane_elems, dtype):
+    """Whole (n, c) planes of plane_elems elements that fit DEPTHWISE_BLOCK_BYTES."""
+    return max(1, min(planes, DEPTHWISE_BLOCK_BYTES // (plane_elems * dtype.itemsize)))
+
+
+def _flat_depthwise_conv2d(x, w, y, pad):
+    # Each block of planes is copied into a zero-padded buffer with one
+    # spare row and read flat: tap (i, j) is the run at i * tp + j, scaled
+    # per plane and summed into rows widened to tp columns, whose first to
+    # columns are the block's output.
+    n, c, f, t = x.shape
+    kh, kw = w.shape[2:]
+    fo, to = y.shape[2:]
+    tp = t + 2 * pad
+    xs, ys = x.reshape(n * c, f, t), y.reshape(n * c, fo, to)
+    taps = np.tile(w.reshape(c, kh * kw).astype(y.dtype), (n, 1))  # per plane
+    size = _planes_per_block(n * c, (f + 2 * pad + 1) * tp, y.dtype)
+    xb = np.zeros((size, f + 2 * pad + 1, tp), dtype=y.dtype)
+    acc = np.empty((size, fo * tp), dtype=y.dtype)
+    prod = np.empty_like(acc)
+    for first in range(0, n * c, size):
+        block = slice(first, first + size)
+        m = min(size, n * c - first)
+        xb[:m, pad : pad + f, pad : pad + t] = xs[block]
+        xf, a, p = xb[:m].reshape(m, -1), acc[:m], prod[:m]
+        for k in range(kh * kw):
+            i, j = divmod(k, kw)
+            run = xf[:, i * tp + j : i * tp + j + fo * tp]
+            np.multiply(run, taps[block, k : k + 1], out=p if k else a)
+            if k:
+                a += p
+        ys[block] = a.reshape(m, fo, tp)[:, :, :to]
+    return y
 
 
 def depthwise_conv2d_vjp(
     x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int = 1, pad: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     kh, kw = w.shape[2], w.shape[3]
+    if stride == 1 and pad < min(kh, kw):  # dL/dy's gather padding k - 1 - pad >= 0
+        return _flat_depthwise_conv2d_vjp(x, w, gy, pad)
     n, c, f, t = x.shape
     fo, to = gy.shape[2], gy.shape[3]
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
@@ -246,6 +367,48 @@ def depthwise_conv2d_vjp(
             gxp[tap] += gy * w[:, 0, i, j][None, :, None, None]
     gx = gxp[:, :, pad : pad + f, pad : pad + t] if pad else gxp
     return gx, gw
+
+
+def _flat_depthwise_conv2d_vjp(x, w, gy, pad):
+    # Gather form over blocks of planes. Each block of gy is zero-padded by
+    # (kh - 1 - pad, kw - 1 - pad), which makes its rows tg = t + kw - 1
+    # wide, and read flat with one spare row; x is widened to tg columns
+    # with zeros. Tap (i, j) then meets the run of padded gy at
+    # (kh - 1 - i) * tg + (kw - 1 - j): scaled by w it is the tap's term of
+    # dL/dx, and its dot with the widened x is the plane's dL/dw entry. The
+    # taps add in the order the scatter form adds them, so dL/dx is
+    # bit-identical to it.
+    n, c, f, t = x.shape
+    kh, kw = w.shape[2:]
+    fo, to = gy.shape[2:]
+    qh, qw = kh - 1 - pad, kw - 1 - pad
+    tg = t + kw - 1
+    dtype = np.result_type(x, w, gy)
+    gx = np.empty(x.shape, dtype=x.dtype)
+    gw = np.empty((n * c, kh * kw), dtype=np.result_type(x, gy))
+    xs, gs, gxs = x.reshape(n * c, f, t), gy.reshape(n * c, fo, to), gx.reshape(n * c, f, t)
+    taps = np.tile(w.reshape(c, kh * kw).astype(dtype), (n, 1))  # per plane
+    size = _planes_per_block(n * c, (f + kh) * tg, dtype)
+    gb = np.zeros((size, f + kh, tg), dtype=dtype)
+    xb = np.zeros((size, f, tg), dtype=dtype)
+    acc = np.empty((size, f * tg), dtype=dtype)
+    prod = np.empty_like(acc)
+    for first in range(0, n * c, size):
+        block = slice(first, first + size)
+        m = min(size, n * c - first)
+        gb[:m, qh : qh + fo, qw : qw + to] = gs[block]
+        xb[:m, :, :t] = xs[block]
+        gf, xf, a, p = gb[:m].reshape(m, -1), xb[:m].reshape(m, -1), acc[:m], prod[:m]
+        for k in range(kh * kw):
+            i, j = divmod(k, kw)
+            start = (kh - 1 - i) * tg + kw - 1 - j
+            run = gf[:, start : start + f * tg]
+            gw[block, k] = np.matmul(xf[:, None, :], run[:, :, None])[:, 0, 0]
+            np.multiply(run, taps[block, k : k + 1], out=p if k else a)
+            if k:
+                a += p
+        gxs[block] = a.reshape(m, f, tg)[:, :, :t]
+    return gx, gw.reshape(n, c, 1, kh, kw).sum(axis=0)
 
 
 def batchnorm2d(

@@ -52,6 +52,27 @@ def test_unwritable_out_exits_2_naming_path(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("unwritable", ["log", "embeddings"])
+def test_train_checks_out_paths_before_first_step(tmp_path, capsys, monkeypatch,
+                                                   unwritable):
+    steps = []
+    train_step = cli._train_step
+    monkeypatch.setattr(cli, "_train_step",
+                        lambda *a, **k: steps.append(1) or train_step(*a, **k))
+    if unwritable == "log":
+        out = tmp_path / "missing" / "x.csv"
+        bad = out
+    else:
+        out = tmp_path / "x.csv"
+        bad = tmp_path / "x_embeddings.csv"
+        bad.mkdir()  # a directory cannot be opened as a file
+    assert run(["train", "--steps", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot write {bad}:")
+    assert steps == []
+    assert not out.exists()  # the probe leaves no file behind
+
+
 class TestGradcheckCommand:
     def test_default_passes(self, tmp_path):
         out = tmp_path / "gc.csv"

@@ -10,7 +10,25 @@ from hypothesis import strategies as st
 from revmem import ops
 from revmem.errors import ConfigError, ShapeError
 
-from conftest import central_diff_proj, conv2d_direct, gsp_two_pass, mixed_err
+from conftest import central_diff_proj, conv2d_direct, gsp_two_pass, mixed_err, scaled_err
+
+
+def traced_peak(fn, *args):
+    """tracemalloc peak of one call, and its result."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, out
+
+
+def padded_taps(x, kh, kw, pad):
+    """(i, j, tap view) of the zero-padded x for every tap of a stride-1 conv."""
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    fo, to = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    return [(i, j, xp[:, :, i : i + fo, j : j + to]) for i in range(kh) for j in range(kw)]
 
 
 class TestConv2d:
@@ -71,6 +89,17 @@ class TestConv2d:
             finally:
                 tracemalloc.stop()
             assert peak <= 5 * x.nbytes
+
+    @pytest.mark.parametrize("x_shape, w_shape", [
+        ((4, 32, 80, 32), (32, 32, 3, 3)), ((1, 48, 80, 200), (24, 48, 3, 3))],
+        ids=["toy", "registry"])
+    def test_stride1_forward_peak_is_output_plus_bands(self, rng, x_shape, w_shape):
+        # the padded band, its widened output and one tap's GEMM are each at
+        # most DENSE_BAND_BYTES; the padded input and window copy are gone
+        x = rng.standard_normal(x_shape, dtype=np.float32)
+        w = rng.standard_normal(w_shape, dtype=np.float32)
+        peak, y = traced_peak(ops.conv2d, x, w, 1, 1)
+        assert peak <= y.nbytes + 4 * ops.DENSE_BAND_BYTES
 
     def test_gradients_vs_finite_differences(self, rng):
         x = rng.normal(size=(1, 2, 5, 5))
@@ -175,36 +204,94 @@ class TestDepthwiseConv2d:
         assert mixed_err(gx, central_diff_proj(out, r, x)) <= 1e-6
         assert mixed_err(gw, central_diff_proj(out, r, w)) <= 1e-6
 
+    @staticmethod
+    def _forward_peak_and_bound(rng, shape):
+        # one block's padded planes, widened output and tap product are each
+        # at most DEPTHWISE_BLOCK_BYTES; no padded copy of the whole input
+        x = rng.standard_normal(shape, dtype=np.float32)
+        w = rng.standard_normal((shape[1], 1, 3, 3), dtype=np.float32)
+        peak, y = traced_peak(ops.depthwise_conv2d, x, w, 1, 1)
+        return peak, y.nbytes + 4 * ops.DEPTHWISE_BLOCK_BYTES
+
+    @staticmethod
+    def _vjp_peak_and_bound(rng, shape):
+        # one block's padded dL/dy, widened x, widened dL/dx and tap product;
+        # dL/dx is exact-size, so no view pins a padded buffer
+        x = rng.standard_normal(shape, dtype=np.float32)
+        w = rng.standard_normal((shape[1], 1, 3, 3), dtype=np.float32)
+        gy = rng.standard_normal(shape, dtype=np.float32)
+        peak, (gx, gw) = traced_peak(ops.depthwise_conv2d_vjp, x, w, gy, 1, 1)
+        assert gx.base is None and gx.flags.c_contiguous
+        return peak, gx.nbytes + gw.nbytes + 5 * ops.DEPTHWISE_BLOCK_BYTES
+
     def test_forward_peak_memory_stays_near_input_size(self, rng):
-        # padded input + output + one band of rows' window copy is ~3.3x the
-        # input; the window copy of the whole tensor at once was ~11x
-        x = rng.standard_normal((4, 32, 80, 32), dtype=np.float32)
-        w = rng.standard_normal((32, 1, 3, 3), dtype=np.float32)
-        tracemalloc.start()
-        try:
-            ops.depthwise_conv2d(x, w, 1, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * x.nbytes
+        peak, bound = self._forward_peak_and_bound(rng, (4, 32, 80, 32))
+        assert peak <= bound
+
+    def test_forward_peak_memory_at_registry_shape(self, rng):
+        peak, bound = self._forward_peak_and_bound(rng, (1, 96, 80, 200))
+        assert peak <= bound
 
     def test_vjp_peak_memory_stays_near_input_size(self, rng):
-        # padded input + padded dL/dx + one tap product is ~3.2x the input;
-        # a (kh*kw)-fold window copy would be ~11x
-        x = rng.standard_normal((4, 32, 80, 32), dtype=np.float32)
-        w = rng.standard_normal((32, 1, 3, 3), dtype=np.float32)
-        gy = rng.standard_normal(x.shape, dtype=np.float32)
-        tracemalloc.start()
-        try:
-            ops.depthwise_conv2d_vjp(x, w, gy, 1, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * x.nbytes
+        peak, bound = self._vjp_peak_and_bound(rng, (4, 32, 80, 32))
+        assert peak <= bound
+
+    def test_vjp_peak_memory_at_registry_shape(self, rng):
+        peak, bound = self._vjp_peak_and_bound(rng, (1, 96, 80, 200))
+        assert peak <= bound
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
             ops.depthwise_conv2d(np.zeros((1, 3, 4, 4)), np.zeros((2, 1, 3, 3)))
+
+
+class TestBlockedStride1Kernels:
+    """The blocked stride-1 kernels against plain padded references, with the
+    block and band constants patched small so several run, the last partial."""
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("kh, kw, pad", [(3, 3, 1), (3, 3, 0), (5, 5, 2), (1, 3, 0)])
+    def test_depthwise_matches_padded_reference(self, rng, monkeypatch, dtype, tol,
+                                                kh, kw, pad):
+        n, c, f, t = 3, 5, 9, 7  # 15 planes: blocks of 4, 4, 4 and 3
+        x = rng.normal(size=(n, c, f, t)).astype(dtype)
+        w = rng.normal(size=(c, 1, kh, kw)).astype(dtype)
+        plane = (f + 2 * pad + 1) * (t + 2 * pad)  # padded x plus a spare row
+        monkeypatch.setattr(ops, "DEPTHWISE_BLOCK_BYTES", 4 * plane * x.itemsize)
+        taps = padded_taps(x, kh, kw, pad)
+        y_ref = sum(xs * w[:, 0, i, j][None, :, None, None] for i, j, xs in taps)
+        y = ops.depthwise_conv2d(x, w, 1, pad)
+        assert y.dtype == dtype and scaled_err(y, y_ref) <= tol
+
+        gy = rng.normal(size=y.shape).astype(dtype)
+        plane = (f + kh) * (t + kw - 1)  # dL/dy padded for the gather form
+        monkeypatch.setattr(ops, "DEPTHWISE_BLOCK_BYTES", 4 * plane * x.itemsize)
+        gx, gw = ops.depthwise_conv2d_vjp(x, w, gy, 1, pad)
+        # the scatter form: each tap adds gy * w at its offset, in tap order
+        gxp = np.zeros((n, c, f + 2 * pad, t + 2 * pad), dtype=dtype)
+        gw_ref = np.empty_like(w)
+        for i, j, xs in taps:
+            gxp[:, :, i : i + y.shape[2], j : j + y.shape[3]] += gy * w[:, 0, i, j][
+                None, :, None, None]
+            gw_ref[:, 0, i, j] = (xs * gy).sum(axis=(0, 2, 3))
+        np.testing.assert_array_equal(gx, gxp[:, :, pad : pad + f, pad : pad + t])
+        assert gw.dtype == dtype and scaled_err(gw, gw_ref) <= tol
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("kh, kw, pad", [(3, 3, 1), (3, 3, 0), (5, 5, 2), (1, 3, 1)])
+    def test_dense_forward_matches_padded_reference(self, rng, monkeypatch, dtype, tol,
+                                                    kh, kw, pad):
+        n, c, o, f, t = 3, 5, 4, 9, 7
+        x = rng.normal(size=(n, c, f, t)).astype(dtype)
+        w = rng.normal(size=(o, c, kh, kw)).astype(dtype)
+        # bands of two output rows per sample, the last one partial or single
+        band = (2 + kh) * c * (t + 2 * pad) * x.itemsize
+        monkeypatch.setattr(ops, "DENSE_BAND_BYTES", band)
+        y_ref = sum(np.einsum("ncft,oc->noft", xs, w[:, :, i, j])
+                    for i, j, xs in padded_taps(x, kh, kw, pad))
+        y = ops.conv2d(x, w, 1, pad)
+        assert y.dtype == dtype and y.flags.c_contiguous and y.base is None
+        assert scaled_err(y, y_ref) <= tol
 
 
 class TestBatchNorm2d:

@@ -98,14 +98,14 @@ class TestRevBackward:
         blk = scalar_block(2.0, 1.0)
         one = np.array([1.0])
         y = blk.forward((np.array([1.0]), np.array([3.0])))
-        (x1, x2), (gx1, gx2) = blk.rev_backward(y, (one, one))
+        (x1, x2), (gx1, gx2) = blk.rev_backward(list(y), [one, one])
         assert x1.item() == 1.0 and x2.item() == 3.0
         assert gx1.item() == 2.0 and gx2.item() == 5.0
 
     def test_zero_branches_pass_gradients_through(self):
         blk = scalar_block(0.0, 0.0)
         g1, g2 = np.array([0.3]), np.array([-0.7])
-        _, (gx1, gx2) = blk.rev_backward((np.array([1.0]), np.array([2.0])), (g1, g2))
+        _, (gx1, gx2) = blk.rev_backward([np.array([1.0]), np.array([2.0])], [g1, g2])
         assert gx1.item() == 0.3 and gx2.item() == -0.7
 
     @pytest.mark.parametrize("kind", ["basic", "bottleneck", "df_bottleneck"])
@@ -126,7 +126,7 @@ class TestRevBackward:
         y2 = blk.forward(x)
         for a, b in zip(y, y2):
             np.testing.assert_array_equal(a, b)
-        x_rec, gx_rev = blk.rev_backward(y2, gy)
+        x_rec, gx_rev = blk.rev_backward(list(y2), list(gy))
         for got, ref in zip(gx_rev, gx_stored):
             assert mixed_err(got, ref) <= 1e-6
         for got, ref in zip(x_rec, x):
@@ -140,7 +140,7 @@ class TestRevBackward:
         y = blk.forward((np.array([1.0]), np.array([3.0])))
         for p in blk.params():
             p.zero_grad()
-        blk.rev_backward(y, (one, one))
+        blk.rev_backward(list(y), [one, one])
         # dL/dkf = x2 * dL/dz1 = 3*2; dL/dkg = z1 * dL/dy2 = 7*1
         assert blk.f.params()[0].grad.item() == 6.0
         assert blk.g.params()[0].grad.item() == 7.0
@@ -153,7 +153,7 @@ class TestRevBackward:
         y = blk.forward(x)
         for p in blk.params():
             p.zero_grad()
-        blk.rev_backward(y, ops.channel_split(r))
+        blk.rev_backward(list(y), list(ops.channel_split(r)))
         for p in blk.params():
             fd = central_diff_proj(lambda: ops.channel_concat(*blk.forward(x)), r, p.value)
             assert mixed_err(p.grad, fd) <= 1e-6
@@ -188,10 +188,34 @@ class TestAlgorithmOneOrder:
         monkeypatch.setattr(blk.g, "forward", traced_g_forward)
         monkeypatch.setattr(blk.g, "backward", traced_g_backward)
         monkeypatch.setattr(blk.f, "forward", traced_f_forward)
-        blk.rev_backward(y, gy)
+        blk.rev_backward(list(y), list(gy))
         assert events == ["g_replay", "g_vjp", "f_replay"]
         assert len(g_arrays) == 4  # BN, ReLU, depthwise and last-conv inputs
         assert alive_at_f == []
+
+    def test_pair_released_after_last_use(self, monkeypatch):
+        # y2 is last read to rebuild x2 and gy1 to form gz1, so neither
+        # outlives G's half; the lists passed in end empty
+        blk, rng = make_block("df_bottleneck")
+        y = list(blk.forward(ops.channel_split(rng.normal(size=(2, 8, 8, 6)))))
+        gy = list(ops.channel_split(rng.normal(size=(2, 8, 8, 6))))
+        y2, gy1 = weakref.ref(y[1]), weakref.ref(gy[0])
+        seen = {}
+        f_forward, f_backward = blk.f.forward, blk.f.backward
+
+        def traced_f_forward(x, tape=None, replay=False):
+            seen["y2 at f_replay"] = y2() is not None
+            return f_forward(x, tape=tape, replay=replay)
+
+        def traced_f_backward(gz1, entries):
+            seen["gy1 at f_vjp"] = gy1() is not None
+            return f_backward(gz1, entries)
+
+        monkeypatch.setattr(blk.f, "forward", traced_f_forward)
+        monkeypatch.setattr(blk.f, "backward", traced_f_backward)
+        blk.rev_backward(y, gy)
+        assert seen == {"y2 at f_replay": False, "gy1 at f_vjp": False}
+        assert y == [] and gy == []
 
     @pytest.mark.parametrize("kind", ["basic", "bottleneck", "df_bottleneck"])
     def test_equals_backward_on_rebuilt_tape(self, kind):
@@ -211,7 +235,7 @@ class TestAlgorithmOneOrder:
         ref = [p.grad.copy() for p in blk.params()]
         for p in blk.params():
             p.zero_grad()
-        x_got, gx_got = blk.rev_backward(y, gy)
+        x_got, gx_got = blk.rev_backward(list(y), list(gy))
         for got, want in zip(x_got + gx_got, x_rec + gx_ref):
             np.testing.assert_array_equal(got, want)
         for p, want in zip(blk.params(), ref):
