@@ -9,9 +9,10 @@ imported from src/ of this checkout.
 
     python3 scripts/conv_bench.py [--reps 20]
 
-Columns: the op, input and kernel shapes, stride and pad, calls per training
-step, median milliseconds per call, the tracemalloc peak of one call in MB
-and that peak over the input's bytes.
+Columns: the op, input and kernel shapes, the call's trailing arguments as
+given (stride and pad for a dense conv, pad for a depthwise one), calls per
+training step, median milliseconds per call, the tracemalloc peak of one
+call in MB and that peak over the input's bytes.
 """
 
 import os
@@ -43,7 +44,11 @@ OPS = ("conv2d", "conv2d_vjp", "depthwise_conv2d", "depthwise_conv2d_vjp")
 
 
 def layer_calls(spec, batch, frames):
-    """Counter of (op, x shape, w shape, stride, pad) over one reversible step."""
+    """Counter of (op, x shape, w shape, trailing arguments) over one reversible step.
+
+    The trailing arguments are those after the arrays (x, w, and gy for a
+    VJP), as the layer passed them.
+    """
     calls = Counter()
     originals = {name: getattr(ops, name) for name in OPS}
 
@@ -51,8 +56,8 @@ def layer_calls(spec, batch, frames):
         fn = originals[name]
 
         def call(x, w, *rest):
-            stride, pad = rest[-2:]
-            calls[(name, x.shape, w.shape, stride, pad)] += 1
+            tail = rest[1:] if name.endswith("_vjp") else rest  # a VJP's rest opens with gy
+            calls[(name, x.shape, w.shape, tail)] += 1
             return fn(x, w, *rest)
 
         return call
@@ -71,23 +76,25 @@ def layer_calls(spec, batch, frames):
     return calls
 
 
-def measure(name, x_shape, w_shape, stride, pad, reps, rng):
+def measure(name, x_shape, w_shape, tail, reps, rng):
+    """Median seconds, tracemalloc peak and input bytes of fn(x, w[, gy], *tail)."""
     x = rng.standard_normal(x_shape, dtype=np.float32)
     w = rng.standard_normal(w_shape, dtype=np.float32)
     forward = getattr(ops, name.removesuffix("_vjp"))
     args = (x, w)
     if name.endswith("_vjp"):
-        args += (rng.standard_normal(forward(x, w, stride, pad).shape, dtype=np.float32),)
+        args += (rng.standard_normal(forward(x, w, *tail).shape, dtype=np.float32),)
+    args += tuple(tail)
     fn = getattr(ops, name)
-    fn(*args, stride, pad)
+    fn(*args)
     times = []
     for _ in range(reps):
         start = time.perf_counter()
-        fn(*args, stride, pad)
+        fn(*args)
         times.append(time.perf_counter() - start)
     tracemalloc.start()
     try:
-        fn(*args, stride, pad)
+        fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -104,11 +111,12 @@ def main(argv=None):
     print(f"numpy {np.__version__}, float32, {args.reps} reps, BLAS threads 1")
     for net_name, cfg in NETS.items():
         print(f"\n{net_name}")
-        print(f"{'op':22} {'x':>17} {'w':>16} s p calls {'ms':>7} {'peak MB':>8} {'/input':>6}")
-        for (name, xs, ws, stride, pad), count in sorted(layer_calls(*cfg).items()):
-            sec, peak, in_bytes = measure(name, xs, ws, stride, pad, args.reps, rng)
-            print(f"{name:22} {str(xs):>17} {str(ws):>16} {stride} {pad} {count:5d} "
-                  f"{1e3 * sec:7.2f} {peak / 1e6:8.2f} {peak / in_bytes:6.1f}")
+        print(f"{'op':22} {'x':>17} {'w':>16} {'args':>6} calls {'ms':>7} {'peak MB':>8} "
+              f"{'/input':>6}")
+        for (name, xs, ws, tail), count in sorted(layer_calls(*cfg).items()):
+            sec, peak, in_bytes = measure(name, xs, ws, tail, args.reps, rng)
+            print(f"{name:22} {str(xs):>17} {str(ws):>16} {' '.join(map(str, tail)):>6} "
+                  f"{count:5d} {1e3 * sec:7.2f} {peak / 1e6:8.2f} {peak / in_bytes:6.1f}")
     return 0
 
 

@@ -5,14 +5,11 @@ from .engine import (
     MemoryLedger,
     Network,
     SavedStore,
-    gpus_required,
     ledger_plan,
-    max_batch,
     run_backward,
     run_forward,
 )
 from .errors import (
-    CapacityError,
     ConfigError,
     QuantizationError,
     RevmemError,

@@ -30,6 +30,7 @@ from .layers import Param
 from .loss import aam_softmax_loss
 from .optim import make_optimizer
 from .quant import (
+    BLOCK_SIZE,
     default_map,
     dequantize_blockwise,
     nearest_codes_exhaustive,
@@ -132,7 +133,8 @@ def _diverged(cfg, rows: list[str], message: str) -> int:
 
 
 def _embeddings_path(out: str) -> str:
-    return out.rsplit(".", 1)[0] + "_embeddings.csv"
+    """The embeddings CSV beside the log: `<dir>/<stem>_embeddings.csv`."""
+    return os.path.splitext(out)[0] + "_embeddings.csv"
 
 
 def cmd_train(cfg) -> int:
@@ -182,15 +184,14 @@ def cmd_memreport(cfg) -> int:
                 embedding_dim=spec.embedding_dim,
             )
             net = build(deep, dtype=_dtype(cfg))
-            led = ledger_plan(net, cfg.batch, cfg.frames, cfg.mode, cfg.optim,
-                              cfg.block_size)
+            led = ledger_plan(net, cfg.batch, cfg.frames, cfg.mode, cfg.optim)
             rows.append(f"{depth},{cfg.mode},{led.activations},{led.weights},"
                         f"{led.gradients},{led.optimizer_states},{led.workspace},"
                         f"{led.total()}")
         _write(cfg, "\n".join(rows) + "\n")
         return 0
     net = build(spec, dtype=_dtype(cfg))
-    led = ledger_plan(net, cfg.batch, cfg.frames, cfg.mode, cfg.optim, cfg.block_size)
+    led = ledger_plan(net, cfg.batch, cfg.frames, cfg.mode, cfg.optim)
     _write(cfg, led.to_csv())
     return 0
 
@@ -305,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         if train_opts:
             sp.add_argument("--lr", type=float, default=None)
             sp.add_argument("--classes", type=_count, default=3)
-            sp.add_argument("--block", dest="block_size", type=_count, default=2048)
+            sp.add_argument("--block", dest="block_size", type=_count, default=BLOCK_SIZE)
 
     sp = sub.add_parser("gradcheck", help="finite-difference and equivalence checks")
     sp.add_argument("--seed", type=int, default=0)
@@ -321,11 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sweep-depths", type=_depths, default="",
                     help="comma list; rebuild with every reversible stage at "
                          "this depth and emit bytes per depth")
-    sp.set_defaults(block_size=2048)
 
     sp = sub.add_parser("quantbench", help="codec agreement and error report")
     sp.add_argument("--elements", type=_count, default=1_000_000)
-    sp.add_argument("--blocks", type=_counts, default="2048")
+    sp.add_argument("--blocks", type=_counts, default=(BLOCK_SIZE,))
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="output CSV path (default stdout)")
 

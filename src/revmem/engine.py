@@ -28,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, ShapeError, StateError
+from .errors import ConfigError, ShapeError, StateError
 from .layers import Param, RevBlock
 from .optim import optimizer_state_nbytes
+from .quant import BLOCK_SIZE
 from . import ops
 
 MODES = ("stored", "reversible")
@@ -309,7 +310,7 @@ def run_backward(net: Network, store: SavedStore, g_out: np.ndarray, mode: str):
 # -- analytic ledger -------------------------------------------------------
 
 def ledger_plan(net: Network, batch: int, frames: int, mode: str,
-                optimizer: str = "none", block_size: int = 2048) -> MemoryLedger:
+                optimizer: str = "none", block_size: int = BLOCK_SIZE) -> MemoryLedger:
     """Ledger for a hypothetical run, computed from shapes alone.
 
     One ``out_shape`` walk with a tape gives stored mode's cached shapes and
@@ -355,27 +356,3 @@ def ledger_plan(net: Network, batch: int, frames: int, mode: str,
                              for p in params),
         workspace=stat_elems * width,
     )
-
-
-def max_batch(net: Network, mode: str, budget_bytes: int, frames: int = 200,
-              optimizer: str = "none", block_size: int = 2048) -> int:
-    """Largest batch whose ledger total fits the budget (memory affine in n)."""
-    one = ledger_plan(net, 1, frames, mode, optimizer, block_size).total()
-    two = ledger_plan(net, 2, frames, mode, optimizer, block_size).total()
-    per_sample = two - one
-    fixed = one - per_sample
-    if budget_bytes < fixed + per_sample:
-        raise CapacityError(
-            f"budget {budget_bytes} cannot fit a single sample "
-            f"(fixed {fixed} + per-sample {per_sample})"
-        )
-    if per_sample <= 0:
-        raise ConfigError("per-sample memory must be positive")
-    return int((budget_bytes - fixed) // per_sample)
-
-
-def gpus_required(total_batch: int, per_gpu_max: int) -> int:
-    """Devices needed for a target total batch given a per-device maximum."""
-    if total_batch < 1 or per_gpu_max < 1:
-        raise ConfigError("batch sizes must be positive")
-    return math.ceil(total_batch / per_gpu_max)

@@ -23,7 +23,3 @@ class QuantizationError(RevmemError):
 
 class StateOverflowError(QuantizationError):
     """An 8-bit optimizer step could push its state past the float32 block scale."""
-
-
-class CapacityError(RevmemError):
-    """A memory budget cannot fit even a single sample."""

@@ -132,22 +132,24 @@ class Conv2d(Layer):
 
 
 class DepthwiseConv2d(Conv2d):
-    """One k x k filter per channel; shares Conv2d's geometry and tape."""
+    """One k x k filter per channel at stride 1, padded to keep the size;
+    shares Conv2d's geometry and tape."""
 
-    def __init__(self, c, k=3, stride=1, pad=None, *, rng, dtype):
+    stride = 1
+
+    def __init__(self, c, k=3, *, rng, dtype):
         self.c_in = self.c_out = c
         self.k = k
-        self.stride = stride
-        self.pad = k // 2 if pad is None else pad
+        self.pad = k // 2
         self.w = Param(he_uniform(rng, (c, 1, k, k), k * k, dtype))
 
     def forward(self, x, tape=None, replay=False):
         if tape is not None:
             tape.append(x)
-        return ops.depthwise_conv2d(x, self.w.value, self.stride, self.pad)
+        return ops.depthwise_conv2d(x, self.w.value, self.pad)
 
     def backward(self, gy, x):
-        gx, gw = ops.depthwise_conv2d_vjp(x, self.w.value, gy, self.stride, self.pad)
+        gx, gw = ops.depthwise_conv2d_vjp(x, self.w.value, gy, self.pad)
         self.w.grad += gw
         return gx
 
@@ -348,8 +350,6 @@ class ResidualBlock(Layer):
     """
 
     def __init__(self, kind, c_in, c_out, *, rng, dtype, stride=1):
-        self.kind = kind
-        self.stride = stride
         self.branch = make_residual_fn(kind, c_out, rng=rng, dtype=dtype,
                                        stride=stride, c_in=c_in)
         if c_in != c_out or stride != 1:
@@ -408,7 +408,6 @@ class RevBlock(Layer):
     reversible = True
 
     def __init__(self, kind, half_width, *, rng, dtype):
-        self.kind = kind
         self.half_width = half_width
         self.f = make_residual_fn(kind, half_width, rng=rng, dtype=dtype)
         self.g = make_residual_fn(kind, half_width, rng=rng, dtype=dtype)

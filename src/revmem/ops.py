@@ -9,67 +9,58 @@ central finite differences in the test suite.
 
 Convolutions are cross-correlations (no kernel flip). Output spatial sizes
 follow the usual floor rule ``(d + 2*pad - k)//stride + 1``, computed by
-``conv_out_size``, which layer shape planning shares. Every forward
-output, and the stride-1 depthwise dL/dx, is a contiguous array that no
-larger buffer backs, so its ``nbytes`` is the memory it holds. Each conv
-form uses the kernel that measured fastest for it under a scratch bound
-stated as a module constant beside it. Times are medians of
-``python3 scripts/conv_bench.py`` (float32, one OpenBLAS thread on a 2-vCPU
-x86-64 machine, numpy 2.4), which prints the time and peak of every conv
-call of the benchmark nets and of DF-RevNet89 at batch 1 and 200 frames:
+``conv_out_size``, which layer shape planning shares. A depthwise conv runs
+at stride 1 with ``pad < min(kh, kw)``, the only form the networks build.
+Every forward output, and the depthwise dL/dx, is a contiguous array that no
+larger buffer backs, so its ``nbytes`` is the memory it holds.
 
-- Unpadded 1x1 ``conv2d`` and its VJP are batched matrix products over
-  ``(n, c, f*t)`` on the strided input ``x[:, :, ::s, ::s]``. Against the
-  window einsum on five 1x1 layer shapes up to (4, 32, 80, 32), at strides
-  1 and 2, the forward is 1.9-3.2x and the VJP 1.9-2.7x faster.
-- Stride-1 ``depthwise_conv2d`` and its VJP are flat-shift tap loops over
-  blocks of whole (n*c) planes. A block copies as many zero-padded planes
-  (plus one spare row each) as fit in ``DEPTHWISE_BLOCK_BYTES`` (256 KiB)
-  and reads them flat, so every tap is a contiguous run; each block's
-  interior goes straight into the exact-size result. The forward holds
-  three block-sized buffers, the VJP four: its gather form pads dL/dy
-  rather than x, takes each tap's dL/dw entries as per-plane dot products
-  with x widened by zero columns, and adds the taps in the scatter form's
-  order, so dL/dx is bit-identical to the tap loop it replaced. The peak is
-  the result plus at most 4 (forward) or 5 (VJP) blocks. At
-  (1, 96, 80, 200) the forward went from 33.3 ms and 15.3 MB to 8.6 ms and
-  6.7 MB, and the VJP from 53.7 ms and 18.9 MB to 13.6 ms and 6.9 MB. At
-  (4, 32, 80, 32) the VJP went from 9.6 ms and 4.2 MB to 5.0 ms and
-  2.4 MB, and the forward's peak from 4.4 to 2.1 MB; the forward's time
-  is unresolved there (3.3 against 4.1 ms as medians of seven separate
-  runs each, 2.9 against 2.6 ms timed interleaved in one process).
-- The stride-1 dense k>1 ``conv2d`` forward with more than one input
-  channel runs the same flat shift over bands of output rows of one
-  sample: one GEMM per tap, written with ``np.matmul(..., out=)`` into one
-  reused buffer and added into the band's widened output. Its padded band,
-  that output and the GEMM buffer are each at most ``DENSE_BAND_BYTES``
-  (256 KiB). At (4, 16, 80, 32) with 4 outputs it went from 2.3 ms and
-  2.5 MB to 0.6 ms and 0.4 MB, and at (1, 48, 80, 200) with 24 outputs
-  from 23.1 ms and 7.5 MB to 7.3 ms and 2.0 MB.
-- The c=1 stem and the stride-2 forwards (dense and depthwise) run the
-  ``sliding_window_view`` einsum into the preallocated output, over bands
-  of output rows whose copied kh*kw-fold windows fit in ``WINDOW_BYTES``
-  (1.5 MiB); each band zero-pads only the input rows it reads. Bands are
-  bit-identical to the whole-tensor einsum. The flat form measured 8-12x
-  slower on the stem, whose per-tap GEMMs have one input channel.
-  Writing into the preallocated output copies the einsum's BLAS result
-  once, which adds an output-sized buffer to the peak of layers whose
-  whole window fits in one band (0.7 MB for the stem at (2, 1, 80, 8)).
-- Dense k>1 ``conv2d_vjp`` runs one GEMM per kernel tap: ``dL/dw[:, :, i, j]``
-  from ``gy`` and the tap's input, and ``dL/dx`` from ``w[:, :, i, j].T @ gy``
-  added at the tap's offset. At stride 1 each padded plane is read flat, so
-  a tap's input is a contiguous run of it (no copy); other strides copy the
-  tap's strided slice. Against the window einsum it replaces, on the six
-  stride-1 3x3 layer shapes of the benchmark nets it is 1.3-3.4x faster
-  (at (4, 16, 80, 32) with 4 outputs 8.0 -> 2.4 ms, and the peak 6.8 ->
-  2.4 MB), and at stride 2 on (2, 64, 80, 8) 1.2x faster (3.1 -> 2.6 ms).
-  The strided-slice form also covers stride 1, but the flat form measured
-  1.2-1.6x faster there on five of those six shapes (7% slower on the
-  (2, 1, 80, 8) stem).
-- The strided ``depthwise_conv2d_vjp`` loops over the kh*kw taps of a padded
-  copy of x. Each tap adds its shifted slice of ``gy * w`` into a padded
-  ``dL/dx`` and contracts the matching strided slice with ``gy`` for
-  ``dL/dw``.
+There are eight conv kernel forms. Each was picked as the fastest measured
+for its calls by ``python3 scripts/conv_bench.py`` (float32, one OpenBLAS
+thread), which times every conv call of the benchmark nets and of
+DF-RevNet89 at batch 1 and 200 frames. Scratch is what a call allocates
+beyond its results. A block or band holds one plane or row at least, so a
+plane or row larger than its constant bounds that buffer instead. "Other
+kernels" are all but the unpadded 1x1:
+
+1. ``conv2d``, unpadded 1x1 kernel: one batched matrix product over
+   ``(n, c, f*t)`` of the input ``x[:, :, ::s, ::s]``. Scratch: none at
+   stride 1; above it, the strided input's copy.
+2. ``conv2d_vjp``, unpadded 1x1 kernel: the same matrix products
+   transposed. Scratch: an (n, c_out, c_in) per-sample dL/dw; above stride
+   1, the strided input's copy and the strided dL/dx scattered into the
+   zeroed dL/dx.
+3. ``conv2d``, other kernels at stride 1 with c_in > 1: a flat-shift tap loop over bands
+   of output rows of one sample. Tap (i, j) is one GEMM on a contiguous run
+   of the band's padded rows, written with ``np.matmul(..., out=)`` into
+   one reused buffer and added into the band's widened output. Scratch: the
+   padded band, its widened output and the GEMM buffer, each at most
+   ``DENSE_BAND_BYTES``, and a transposed copy of w.
+4. ``conv2d``, other kernels at stride > 1 or with c_in = 1 (the c=1 stem
+   and the stride-2 dense forwards): a ``sliding_window_view`` einsum into the
+   preallocated output over bands of output rows. Scratch: one band's
+   kh*kw-fold window copy, at most ``WINDOW_BYTES``, its zero-padded input
+   rows, and the einsum's BLAS result for the band, which is then copied
+   into the output.
+5. ``conv2d_vjp``, other kernels at stride 1: one GEMM per tap on a flat read of
+   each padded plane, so a tap's input is a contiguous run. Scratch: a
+   padded copy of x, a gy widened to the padded width, a padded dL/dx that
+   the returned view keeps alive, and one tap's two products.
+6. ``conv2d_vjp``, other kernels at stride > 1: one GEMM per tap on the tap's strided
+   slice of the padded input. Scratch: a padded copy of x, a padded dL/dx
+   that the returned view keeps alive, and one tap's slice copy and
+   products.
+7. ``depthwise_conv2d``: a flat-shift tap loop over blocks of whole (n*c)
+   planes. Each block is copied zero-padded, with one spare row, and read
+   flat, so every tap is a contiguous run; each block's interior goes
+   straight into the exact-size output. Scratch: three block buffers (the
+   padded planes, the widened output and one tap's product), each at most
+   ``DEPTHWISE_BLOCK_BYTES``, and the per-plane taps.
+8. ``depthwise_conv2d_vjp``: the gather form of the same loop. It pads
+   dL/dy rather than x, takes each tap's dL/dw entries as per-plane dot
+   products with x widened by zero columns, and adds the taps in the
+   scatter form's order. Scratch: four block buffers (padded dL/dy, widened
+   x, widened dL/dx and one tap's product), each at most
+   ``DEPTHWISE_BLOCK_BYTES``, the per-plane taps and a per-plane dL/dw.
 """
 
 from __future__ import annotations
@@ -83,11 +74,16 @@ from .errors import ConfigError, ShapeError
 # constant over time.
 GSP_VAR_EPS = 1e-10
 
-# Largest window copy one forward conv einsum may make (10 output rows of a
-# (4, 32, 80, 32) float32 depthwise input)
+# Largest window copy one band of the windowed einsum may make; that einsum
+# serves the c=1 stem and the stride-2 dense forwards. It is not merged
+# into DENSE_BAND_BYTES: timed in 40 interleaved pairs (float32, one
+# OpenBLAS thread, 2-vCPU x86-64), 256 KiB was slower than 1.5 MiB in all 40
+# pairs on 5 of 6 einsum shapes, e.g. 2.6 -> 3.3 ms at (1, 128, 20, 50) ->
+# 256 channels, stride 2, and 0.33 -> 0.38 ms on the (4, 1, 80, 32) -> 16
+# stem; the sixth, whose windows fit 256 KiB, was unchanged.
 WINDOW_BYTES = 3 << 19
 
-# Padded (n, c) planes one stride-1 depthwise block copies (one plane at
+# Padded (n, c) planes one depthwise block copies (one plane at
 # least); each of the block's three or four buffers is at most this size.
 # Of 64 KiB to 2 MiB, 256 KiB was fastest at both the toy and the registry
 # shapes of scripts/conv_bench.py.
@@ -113,8 +109,8 @@ def conv_out_size(d: int, k: int, stride: int, pad: int) -> int:
     return span // stride + 1
 
 
-def _window_einsum(subscripts: str, x, w, y, stride: int, pad: int) -> np.ndarray:
-    """Write einsum(subscripts, (n, c, fo, to, kh, kw) windows of x, w) into y.
+def _window_einsum(x, w, y, stride: int, pad: int) -> np.ndarray:
+    """Write the conv of x with w, read through (n, c, fo, to, kh, kw) windows, into y.
 
     np.einsum copies the kh*kw-fold window tensor it is given, so the
     contraction runs over bands of output rows whose windows fit in
@@ -130,7 +126,7 @@ def _window_einsum(subscripts: str, x, w, y, stride: int, pad: int) -> np.ndarra
         xb = np.empty((n, c, (band.stop - r - 1) * stride + kh, t + 2 * pad), x.dtype)
         _copy_padded_rows(xb, x, r * stride - pad, xb.shape[2], pad)
         win = sliding_window_view(xb, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-        np.einsum(subscripts, win, w, out=y[:, :, band], optimize=True)
+        np.einsum("ncftij,ocij->noft", win, w, out=y[:, :, band], optimize=True)
     return y
 
 
@@ -199,7 +195,7 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.nd
     y = np.empty((x.shape[0], w.shape[0], fo, to), dtype=np.result_type(x, w))
     if stride == 1 and x.shape[1] > 1:
         return _flat_conv2d(x, w, y, pad)
-    return _window_einsum("ncftij,ocij->noft", x, w, y, stride, pad)
+    return _window_einsum(x, w, y, stride, pad)
 
 
 def _flat_conv2d(x, w, y, pad):
@@ -243,11 +239,6 @@ def conv2d_vjp(
     return _strided_conv2d_vjp(x, w, gy, stride, pad)
 
 
-def _tap(i: int, j: int, stride: int, fo: int, to: int) -> tuple:
-    """Index of the padded-input elements kernel tap (i, j) meets, (..., fo, to)."""
-    return (..., slice(i, i + stride * fo, stride), slice(j, j + stride * to, stride))
-
-
 def _flat_conv2d_vjp(x, w, gy, pad):
     # Each padded plane is read as one flat row of (fp + 1) * tp elements,
     # with output rows widened from to to tp columns. Tap (i, j) then meets
@@ -286,7 +277,8 @@ def _strided_conv2d_vjp(x, w, gy, stride, pad):
     gw = np.empty(w.shape, dtype=np.result_type(x, gy))
     for i in range(kh):
         for j in range(kw):
-            tap = _tap(i, j, stride, fo, to)
+            # the padded-input elements tap (i, j) meets, (..., fo, to)
+            tap = (..., slice(i, i + stride * fo, stride), slice(j, j + stride * to, stride))
             xs = xp[tap].reshape(n, c, fo * to)
             gw[:, :, i, j] = np.matmul(g, xs.transpose(0, 2, 1)).sum(axis=0)
             gxp[tap] += np.matmul(w[:, :, i, j].T, g).reshape(n, c, fo, to)
@@ -294,11 +286,8 @@ def _strided_conv2d_vjp(x, w, gy, stride, pad):
     return gx, gw
 
 
-def depthwise_conv2d(
-    x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 1
-) -> np.ndarray:
-    """Per-channel convolution; w has shape (c, 1, kh, kw), one filter per channel."""
-    _check_conv_args(x, w, stride, pad)
+def _check_depthwise_args(x, w, pad):
+    _check_conv_args(x, w, 1, pad)
     if w.shape[1] != 1:
         raise ShapeError(f"depthwise kernel must be (c, 1, kh, kw), got {w.shape}")
     if x.shape[1] != w.shape[0]:
@@ -306,12 +295,8 @@ def depthwise_conv2d(
             f"input has {x.shape[1]} channels but depthwise kernel has {w.shape[0]}"
         )
     kh, kw = w.shape[2], w.shape[3]
-    fo = conv_out_size(x.shape[2], kh, stride, pad)
-    to = conv_out_size(x.shape[3], kw, stride, pad)
-    y = np.empty((x.shape[0], x.shape[1], fo, to), dtype=np.result_type(x, w))
-    if stride == 1:
-        return _flat_depthwise_conv2d(x, w, y, pad)
-    return _window_einsum("ncftij,cij->ncft", x, w[:, 0], y, stride, pad)
+    if pad >= min(kh, kw):  # the VJP pads dL/dy by k - 1 - pad on each side
+        raise ConfigError(f"depthwise pad {pad} must be below the kernel sides {kh}x{kw}")
 
 
 def _planes_per_block(planes, plane_elems, dtype):
@@ -319,14 +304,17 @@ def _planes_per_block(planes, plane_elems, dtype):
     return max(1, min(planes, DEPTHWISE_BLOCK_BYTES // (plane_elems * dtype.itemsize)))
 
 
-def _flat_depthwise_conv2d(x, w, y, pad):
+def depthwise_conv2d(x: np.ndarray, w: np.ndarray, pad: int = 1) -> np.ndarray:
+    """Per-channel stride-1 convolution; w has shape (c, 1, kh, kw), one filter per channel."""
     # Each block of planes is copied into a zero-padded buffer with one
     # spare row and read flat: tap (i, j) is the run at i * tp + j, scaled
     # per plane and summed into rows widened to tp columns, whose first to
     # columns are the block's output.
+    _check_depthwise_args(x, w, pad)
     n, c, f, t = x.shape
     kh, kw = w.shape[2:]
-    fo, to = y.shape[2:]
+    fo, to = conv_out_size(f, kh, 1, pad), conv_out_size(t, kw, 1, pad)
+    y = np.empty((n, c, fo, to), dtype=np.result_type(x, w))
     tp = t + 2 * pad
     xs, ys = x.reshape(n * c, f, t), y.reshape(n * c, fo, to)
     taps = np.tile(w.reshape(c, kh * kw).astype(y.dtype), (n, 1))  # per plane
@@ -350,34 +338,18 @@ def _flat_depthwise_conv2d(x, w, y, pad):
 
 
 def depthwise_conv2d_vjp(
-    x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int = 1, pad: int = 1
+    x: np.ndarray, w: np.ndarray, gy: np.ndarray, pad: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    kh, kw = w.shape[2], w.shape[3]
-    if stride == 1 and pad < min(kh, kw):  # dL/dy's gather padding k - 1 - pad >= 0
-        return _flat_depthwise_conv2d_vjp(x, w, gy, pad)
-    n, c, f, t = x.shape
-    fo, to = gy.shape[2], gy.shape[3]
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    gw = np.empty((c, 1, kh, kw), dtype=np.result_type(x, gy))
-    gxp = np.zeros((n, c, f + 2 * pad, t + 2 * pad), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            tap = _tap(i, j, stride, fo, to)
-            gw[:, 0, i, j] = np.einsum("ncft,ncft->c", xp[tap], gy)
-            gxp[tap] += gy * w[:, 0, i, j][None, :, None, None]
-    gx = gxp[:, :, pad : pad + f, pad : pad + t] if pad else gxp
-    return gx, gw
-
-
-def _flat_depthwise_conv2d_vjp(x, w, gy, pad):
+    """Cotangents (dL/dx, dL/dw) of depthwise_conv2d given dL/dy."""
     # Gather form over blocks of planes. Each block of gy is zero-padded by
     # (kh - 1 - pad, kw - 1 - pad), which makes its rows tg = t + kw - 1
     # wide, and read flat with one spare row; x is widened to tg columns
     # with zeros. Tap (i, j) then meets the run of padded gy at
     # (kh - 1 - i) * tg + (kw - 1 - j): scaled by w it is the tap's term of
     # dL/dx, and its dot with the widened x is the plane's dL/dw entry. The
-    # taps add in the order the scatter form adds them, so dL/dx is
-    # bit-identical to it.
+    # taps add in the order of the scatter form (each adding gy * w at its
+    # offset of a padded dL/dx), so dL/dx is bit-identical to it.
+    _check_depthwise_args(x, w, pad)
     n, c, f, t = x.shape
     kh, kw = w.shape[2:]
     fo, to = gy.shape[2:]

@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import QuantizationError, ShapeError, StateOverflowError
 from .quant import (
+    BLOCK_SIZE,
     QuantizedState,
     default_map,
     dequantize_blockwise,
@@ -274,7 +275,7 @@ class Sgd8(_Optimizer8, Sgd):
     """SGD with momentum held as blockwise-quantized 8-bit state."""
 
     def __init__(self, params, lr: float = 0.1, momentum: float = 0.9,
-                 block_size: int = 2048):
+                 block_size: int = BLOCK_SIZE):
         self._quantize_with(block_size)
         super().__init__(params, lr, momentum)
 
@@ -284,13 +285,13 @@ class Adam8(_Optimizer8, Adam):
 
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, weight_decay: float = 0.0, bias_correction: bool = False,
-                 block_size: int = 2048):
+                 block_size: int = BLOCK_SIZE):
         self._quantize_with(block_size)
         super().__init__(params, lr, beta1, beta2, eps, weight_decay, bias_correction)
 
 
 def make_optimizer(name: str, params, lr: float, weight_decay: float = 0.0,
-                   block_size: int = 2048) -> Optimizer:
+                   block_size: int = BLOCK_SIZE) -> Optimizer:
     """Build a named optimizer with the default momentum, betas and eps.
 
     ``weight_decay`` applies to ``adamw`` and ``adam8`` only; ``block_size``
@@ -311,7 +312,7 @@ def make_optimizer(name: str, params, lr: float, weight_decay: float = 0.0,
 
 
 def optimizer_state_nbytes(n_params: int, name: str, scalar_width: int = 4,
-                           block_size: int = 2048) -> int:
+                           block_size: int = BLOCK_SIZE) -> int:
     """Analytic state bytes for a parameter count, without building anything."""
     name = name.lower()
     per_state_dense = n_params * scalar_width

@@ -33,6 +33,9 @@ import numpy as np
 from .errors import QuantizationError
 
 ZERO_CODE = 0x00
+# Elements per block, each with one float32 absmax: the default block size of
+# the quantizer, the 8-bit optimizers, their byte counts and the CLI.
+BLOCK_SIZE = 2048
 # A bucket key is |x|'s float64 bit pattern shifted right by this much: the
 # sign bit (always 0), the 11 exponent bits and the top 7 mantissa bits.
 BUCKET_SHIFT = 45
@@ -53,27 +56,24 @@ def decode_byte(code: int) -> float:
 
 @dataclass(frozen=True)
 class DynamicTreeMap:
-    """Decode table, its sorted companions and the nearest-code decision table.
+    """Decode table, its sorted companion and the nearest-code decision table.
 
     ``values[code]`` is the decoded real value. ``sorted_values`` is the
-    strictly increasing array of distinct decoded values and
-    ``canonical_codes[k]`` the smallest code byte decoding to
-    ``sorted_values[k]`` (several byte patterns share a value; the zero code
-    collapses 0x00/0x80).
+    strictly increasing array of distinct decoded values (several byte
+    patterns share a value; the zero code collapses 0x00/0x80).
 
     The decision table serves ``nearest_codes``. A boundary is the smallest
     float64 whose nearest non-negative value is the next one up. For bucket
     ``key`` (see ``BUCKET_SHIFT``), ``bucket_counts[key - bucket_base]`` is
     the number of boundaries below the bucket's start and ``bucket_bounds[key
     - bucket_base]`` the boundary inside it, or inf. ``signed_codes[k]`` is
-    the code of the ``k``-th non-negative value and ``signed_codes[k + n]``,
-    with ``n`` the number of non-negative values, the code of its negative
-    (0x00 for zero).
+    the smallest code byte decoding to the ``k``-th non-negative value and
+    ``signed_codes[k + n]``, with ``n`` the number of non-negative values,
+    the code of its negative (0x00 for zero).
     """
 
     values: np.ndarray
     sorted_values: np.ndarray
-    canonical_codes: np.ndarray
     bucket_base: int
     bucket_counts: np.ndarray
     bucket_bounds: np.ndarray
@@ -120,7 +120,7 @@ def build_dynamic_tree_map() -> DynamicTreeMap:
             uniq_vals.append(float(v))
             uniq_codes.append(int(code))
     sorted_values = np.array(uniq_vals, dtype=np.float64)
-    canonical_codes = np.array(uniq_codes, dtype=np.uint8)
+    canonical_codes = np.array(uniq_codes, dtype=np.uint8)  # smallest byte per value
 
     # the decision table over |x|; there are at most 128 non-negative values,
     # so every index into signed_codes fits a uint8
@@ -139,7 +139,6 @@ def build_dynamic_tree_map() -> DynamicTreeMap:
     return DynamicTreeMap(
         values=values,
         sorted_values=sorted_values,
-        canonical_codes=canonical_codes,
         bucket_base=int(keys[0]),
         # the boundaries below a bucket's start are those of the buckets before it
         bucket_counts=(np.cumsum(holds_one) - holds_one).astype(np.uint8),
@@ -209,7 +208,7 @@ def nearest_codes(normalized: np.ndarray, qmap: DynamicTreeMap) -> np.ndarray:
 
 def nearest_codes_exhaustive(
     tensor: np.ndarray, qmap: DynamicTreeMap | None = None,
-    block_size: int = 2048, chunk: int = 65536,
+    block_size: int = BLOCK_SIZE, chunk: int = 65536,
 ) -> np.ndarray:
     """Reference codes by brute-force scan over all 256 decode values.
 
@@ -249,7 +248,7 @@ def _block_offsets(n: int, block_size: int) -> np.ndarray:
 
 
 def quantize_blockwise(
-    tensor: np.ndarray, qmap: DynamicTreeMap | None = None, block_size: int = 2048
+    tensor: np.ndarray, qmap: DynamicTreeMap | None = None, block_size: int = BLOCK_SIZE
 ) -> QuantizedState:
     """Quantize a tensor to 8-bit codes plus per-block absmax scalars.
 

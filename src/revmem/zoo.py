@@ -12,6 +12,7 @@ A NetworkSpec is an ordered stage list over a small grammar:
 
 Inputs are (n, 1, 80, T) feature maps. `build` validates the stage list
 (integer fields, channel bookkeeping, divisibility, the fc width rule) and
+the embedding width (an integer >= 1 equal to the last fc's output), then
 instantiates parameters; `param_count` computes the same number analytically
 without building anything, which the tests cross-check.
 """
@@ -221,7 +222,13 @@ def build(spec_or_name, dtype=np.float32, seed: int = 0) -> Network:
         else:
             raise ConfigError(f"{where}: unknown stage type")
 
-    return Network(layers, (INPUT_CHANNELS, INPUT_FREQ), spec.embedding_dim, dtype)
+    dim = spec.embedding_dim
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+        raise ConfigError(f"embedding_dim must be an integer >= 1, got {dim!r}")
+    fcs = [stage for stage in spec.stages if isinstance(stage, Fc)]
+    if fcs and fcs[-1].d_out != dim:
+        raise ConfigError(f"embedding_dim {dim} != the last fc's d_out {fcs[-1].d_out}")
+    return Network(layers, (INPUT_CHANNELS, INPUT_FREQ), dim, dtype)
 
 
 # -- named architectures ----------------------------------------------------

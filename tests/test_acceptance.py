@@ -20,7 +20,6 @@ import pytest
 
 from revmem import ops, quant, zoo
 from revmem.engine import (
-    gpus_required,
     ledger_plan,
     run_backward,
     run_forward,
@@ -275,13 +274,6 @@ def test_c08_architecture_fidelity():
     _report(8, f"all {len(zoo.REGISTRY_NAMES)} registry nets build; "
                f"{len(_TABLE_PARAMS)} tabulated parameter counts within 2%; "
                f"fc dims exact for {len(_TABLE_FC)} nets")
-
-
-def test_c09_gpu_count_arithmetic():
-    assert gpus_required(256, 31) == 9
-    assert gpus_required(256, 297) == 1
-    assert gpus_required(64, 64) == 1
-    _report(9, "gpus_required(256, 31) = 9; gpus_required(256, 297) = 1")
 
 
 def test_c10_eer_utility():

@@ -82,8 +82,10 @@ class TestGradcheckCommand:
         assert all(line.endswith("pass") for line in lines[1:])
         names = {line.split(",")[0] for line in lines[1:]}
         assert {"conv2d_1x1_s2_dx", "conv2d_1x1_s2_dw",
-                "depthwise_conv2d_s2_dx", "depthwise_conv2d_s2_dw",
                 "conv2d_3x3_s2_dx", "conv2d_3x3_s2_dw"} <= names
+        # depthwise convs run at stride 1 only
+        assert {"depthwise_conv2d_dx", "depthwise_conv2d_dw"} <= names
+        assert not any(name.startswith("depthwise_conv2d_s2") for name in names)
 
     def test_fault_injection_names_op(self, tmp_path, capsys):
         out = tmp_path / "gc.csv"
@@ -94,10 +96,10 @@ class TestGradcheckCommand:
         assert "FAIL" in out.read_text()
 
     @pytest.mark.parametrize("op, row", [("conv2d", "conv2d_1x1_s2_dx"),
-                                         ("depthwise_conv2d", "depthwise_conv2d_s2_dx"),
+                                         ("depthwise_conv2d", "depthwise_conv2d_dx"),
                                          ("conv2d", "conv2d_dw"),
                                          ("conv2d", "conv2d_1x1_s2_dw"),
-                                         ("depthwise_conv2d", "depthwise_conv2d_s2_dw"),
+                                         ("depthwise_conv2d", "depthwise_conv2d_dw"),
                                          ("batchnorm2d", "batchnorm2d_dgamma"),
                                          ("linear", "linear_db"),
                                          ("conv2d", "conv2d_3x3_s2_dx"),
@@ -166,6 +168,31 @@ class TestTrainCommand:
         assert emb.exists()
         first = emb.read_text().strip().split("\n")[0].split(",")
         assert len(first) == 1 + 32  # label + toy embedding width
+
+    @pytest.mark.parametrize("out", ["runs.v2/train", ".hidden/x", "log.csv"])
+    def test_embeddings_written_beside_the_log(self, tmp_path, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        log = tmp_path / out
+        log.parent.mkdir(exist_ok=True)
+        assert run(["train", "--steps", "1", "--out", out]) == 0
+        stem = log.name.removesuffix(".csv")
+        assert (log.parent / f"{stem}_embeddings.csv").exists()
+        assert sorted(p.name for p in log.parent.iterdir()) == sorted(
+            [log.name, f"{stem}_embeddings.csv"])
+        if log.parent != tmp_path:  # nothing lands in the working directory
+            assert [p.name for p in tmp_path.iterdir()] == [log.parent.name]
+
+    @pytest.mark.parametrize("dim, cause", [(64, "!= the last fc's d_out 32"),
+                                            ("abc", "must be an integer >= 1")])
+    def test_bad_embedding_dim_exits_2(self, tmp_path, capsys, dim, cause):
+        spec = zoo.toy_spec([1, 1], 8, "basic")
+        spec.embedding_dim = dim
+        path = tmp_path / "spec.json"
+        path.write_text(zoo.spec_to_json(spec))
+        assert run(["train", "--spec", str(path), "--steps", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: embedding_dim") and cause in err
+        assert "Traceback" not in err
 
     def test_spec_file_input(self, tmp_path, toy_spec_file):
         out = tmp_path / "train.csv"

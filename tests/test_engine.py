@@ -9,13 +9,11 @@ import pytest
 from revmem import ops, zoo
 from revmem.engine import (
     MemoryLedger,
-    gpus_required,
     ledger_plan,
-    max_batch,
     run_backward,
     run_forward,
 )
-from revmem.errors import CapacityError, ConfigError, ShapeError, StateError
+from revmem.errors import ConfigError, ShapeError, StateError
 from revmem.layers import BatchNorm2d, Layer
 from revmem.optim import Adam8, Sgd8
 
@@ -437,40 +435,13 @@ class TestLedger:
 
 
 class TestCapacity:
-    def test_gpus_required_examples(self):
-        assert gpus_required(256, 31) == 9
-        assert gpus_required(256, 297) == 1
-        assert gpus_required(100, 100) == 1
-
-    def test_gpus_required_validation(self):
-        with pytest.raises(ConfigError):
-            gpus_required(0, 5)
-
-    def test_max_batch_affine_consistency(self):
-        net = toy_net(dtype=np.float32)
-        one = ledger_plan(net, 1, 8, "reversible").total()
-        two = ledger_plan(net, 2, 8, "reversible").total()
-        per = two - one
-        fixed = one - per
-        budget = fixed + 10 * per + per // 2
-        assert max_batch(net, "reversible", budget, frames=8) == 10
-        n = max_batch(net, "reversible", budget, frames=8)
-        assert ledger_plan(net, n, 8, "reversible").total() <= budget
-        assert ledger_plan(net, n + 1, 8, "reversible").total() > budget
-
-    @pytest.mark.parametrize("frames", [0, -4])
-    def test_max_batch_rejects_frames_below_one(self, frames):
-        net = toy_net(dtype=np.float32)
-        with pytest.raises(ConfigError, match="at least 1"):
-            max_batch(net, "reversible", 1 << 30, frames=frames)
-
-    def test_max_batch_budget_too_small(self):
-        net = toy_net(dtype=np.float32)
-        with pytest.raises(CapacityError):
-            max_batch(net, "reversible", 10, frames=8)
-
     def test_reversible_fits_more_than_stored(self):
+        # the planned total is affine in the batch, so the smaller per-sample
+        # slope fits more samples into any large enough budget
         net = toy_net(dtype=np.float32, blocks=(4, 4))
-        budget = 50 * ledger_plan(net, 1, 8, "stored").total()
-        assert (max_batch(net, "reversible", budget, frames=8)
-                > max_batch(net, "stored", budget, frames=8))
+
+        def per_sample(mode):
+            return (ledger_plan(net, 2, 8, mode).total()
+                    - ledger_plan(net, 1, 8, mode).total())
+
+        assert 0 < per_sample("reversible") < per_sample("stored")

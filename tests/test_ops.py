@@ -1,5 +1,6 @@
 """Primitive op semantics and VJPs against independent oracles."""
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -53,12 +54,13 @@ class TestConv2d:
             got = ops.conv2d(x, w, stride, pad)
             ref = conv2d_direct(x, w, stride, pad)
             assert mixed_err(got, ref) <= 1e-6
-            # depthwise is the dense conv with a block-diagonal kernel
-            wd = rng.normal(size=(c, 1, kh, kw))
-            dense = np.zeros((c, c, kh, kw))
-            dense[np.arange(c), np.arange(c)] = wd[:, 0]
-            got = ops.depthwise_conv2d(x, wd, stride, pad)
-            assert mixed_err(got, conv2d_direct(x, dense, stride, pad)) <= 1e-6
+            if stride == 1:
+                # depthwise is the dense conv with a block-diagonal kernel
+                wd = rng.normal(size=(c, 1, kh, kw))
+                dense = np.zeros((c, c, kh, kw))
+                dense[np.arange(c), np.arange(c)] = wd[:, 0]
+                got = ops.depthwise_conv2d(x, wd, pad)
+                assert mixed_err(got, conv2d_direct(x, dense, stride, pad)) <= 1e-6
 
     @pytest.mark.parametrize("c, kh, kw, stride, pad", [
         (1, 3, 3, 1, 1), (3, 1, 3, 1, 0), (3, 3, 1, 1, 1), (2, 3, 1, 2, 1),
@@ -153,18 +155,21 @@ class TestConvDtype:
         w = rng.normal(size=(3, 4, k, k)).astype(np.float32)
         wd = rng.normal(size=(4, 1, k, k)).astype(np.float32)
         y = ops.conv2d(x, w, stride, pad)
-        yd = ops.depthwise_conv2d(x, wd, stride, pad)
-        outs = [y, *ops.conv2d_vjp(x, w, np.ones_like(y), stride, pad),
-                yd, *ops.depthwise_conv2d_vjp(x, wd, np.ones_like(yd), stride, pad)]
-        assert [o.dtype for o in outs] == [np.float32] * 6
+        outs = [y, *ops.conv2d_vjp(x, w, np.ones_like(y), stride, pad)]
+        if stride == 1:  # depthwise convs run at stride 1 only
+            yd = ops.depthwise_conv2d(x, wd, pad)
+            outs += [yd, *ops.depthwise_conv2d_vjp(x, wd, np.ones_like(yd), pad)]
+        assert [o.dtype for o in outs] == [np.float32] * (6 if stride == 1 else 3)
 
     @pytest.mark.parametrize("k, stride, pad", [(1, 1, 0), (1, 2, 0), (3, 1, 1), (3, 2, 1)])
     def test_forward_outputs_own_contiguous_memory(self, rng, k, stride, pad):
         # the ledger counts nbytes, which is the memory held only when the
         # output is contiguous and no larger buffer lies behind it
         x = rng.normal(size=(2, 4, 6, 6))
-        for y in (ops.conv2d(x, rng.normal(size=(3, 4, k, k)), stride, pad),
-                  ops.depthwise_conv2d(x, rng.normal(size=(4, 1, k, k)), stride, pad)):
+        ys = [ops.conv2d(x, rng.normal(size=(3, 4, k, k)), stride, pad)]
+        if stride == 1:  # depthwise convs run at stride 1 only
+            ys.append(ops.depthwise_conv2d(x, rng.normal(size=(4, 1, k, k)), pad))
+        for y in ys:
             held = y
             while held.base is not None:
                 held = held.base
@@ -175,7 +180,7 @@ class TestDepthwiseConv2d:
     def test_ones_kernel_counts_neighbourhood(self):
         x = np.ones((1, 2, 3, 3))
         w = np.ones((2, 1, 3, 3))
-        y = ops.depthwise_conv2d(x, w, 1, 1)
+        y = ops.depthwise_conv2d(x, w, 1)
         assert y[0, 0, 1, 1] == 9.0
         assert y[0, 0, 0, 1] == 6.0
         assert y[0, 0, 0, 0] == 4.0
@@ -184,25 +189,31 @@ class TestDepthwiseConv2d:
         x = rng.normal(size=(1, 2, 3, 3))
         w = np.zeros((2, 1, 3, 3))
         w[:, 0, 1, 1] = 1.0
-        np.testing.assert_array_equal(ops.depthwise_conv2d(x, w, 1, 1), x)
+        np.testing.assert_array_equal(ops.depthwise_conv2d(x, w, 1), x)
 
     def test_gradients_vs_finite_differences(self, rng):
         x = rng.normal(size=(1, 2, 4, 4))
         w = rng.normal(size=(2, 1, 3, 3))
         r = rng.normal(size=(1, 2, 4, 4))
-        gx, gw = ops.depthwise_conv2d_vjp(x, w, r, 1, 1)
-        out = lambda: ops.depthwise_conv2d(x, w, 1, 1)
+        gx, gw = ops.depthwise_conv2d_vjp(x, w, r, 1)
+        out = lambda: ops.depthwise_conv2d(x, w, 1)
         assert mixed_err(gx, central_diff_proj(out, r, x)) <= 1e-6
         assert mixed_err(gw, central_diff_proj(out, r, w)) <= 1e-6
 
-    def test_strided_gradients_vs_finite_differences(self, rng):
-        x = rng.normal(size=(1, 2, 5, 6))
-        w = rng.normal(size=(2, 1, 3, 3))
-        r = rng.normal(size=ops.depthwise_conv2d(x, w, 2, 1).shape)
-        gx, gw = ops.depthwise_conv2d_vjp(x, w, r, 2, 1)
-        out = lambda: ops.depthwise_conv2d(x, w, 2, 1)
-        assert mixed_err(gx, central_diff_proj(out, r, x)) <= 1e-6
-        assert mixed_err(gw, central_diff_proj(out, r, w)) <= 1e-6
+    def test_takes_no_stride(self):
+        for fn in (ops.depthwise_conv2d, ops.depthwise_conv2d_vjp):
+            assert "stride" not in inspect.signature(fn).parameters
+
+    @pytest.mark.parametrize("kh, kw, pad", [(3, 3, 3), (3, 3, 4), (1, 3, 1), (3, 1, 1)])
+    def test_pad_at_least_a_kernel_side_rejected(self, rng, kh, kw, pad):
+        # dL/dy's gather padding k - 1 - pad would be negative
+        x = rng.normal(size=(1, 2, 6, 6))
+        w = rng.normal(size=(2, 1, kh, kw))
+        gy = rng.normal(size=(1, 2, 7 + 2 * pad - kh, 7 + 2 * pad - kw))
+        with pytest.raises(ConfigError, match="pad"):
+            ops.depthwise_conv2d(x, w, pad)
+        with pytest.raises(ConfigError, match="pad"):
+            ops.depthwise_conv2d_vjp(x, w, gy, pad)
 
     @staticmethod
     def _forward_peak_and_bound(rng, shape):
@@ -210,7 +221,7 @@ class TestDepthwiseConv2d:
         # at most DEPTHWISE_BLOCK_BYTES; no padded copy of the whole input
         x = rng.standard_normal(shape, dtype=np.float32)
         w = rng.standard_normal((shape[1], 1, 3, 3), dtype=np.float32)
-        peak, y = traced_peak(ops.depthwise_conv2d, x, w, 1, 1)
+        peak, y = traced_peak(ops.depthwise_conv2d, x, w, 1)
         return peak, y.nbytes + 4 * ops.DEPTHWISE_BLOCK_BYTES
 
     @staticmethod
@@ -220,7 +231,7 @@ class TestDepthwiseConv2d:
         x = rng.standard_normal(shape, dtype=np.float32)
         w = rng.standard_normal((shape[1], 1, 3, 3), dtype=np.float32)
         gy = rng.standard_normal(shape, dtype=np.float32)
-        peak, (gx, gw) = traced_peak(ops.depthwise_conv2d_vjp, x, w, gy, 1, 1)
+        peak, (gx, gw) = traced_peak(ops.depthwise_conv2d_vjp, x, w, gy, 1)
         assert gx.base is None and gx.flags.c_contiguous
         return peak, gx.nbytes + gw.nbytes + 5 * ops.DEPTHWISE_BLOCK_BYTES
 
@@ -260,13 +271,13 @@ class TestBlockedStride1Kernels:
         monkeypatch.setattr(ops, "DEPTHWISE_BLOCK_BYTES", 4 * plane * x.itemsize)
         taps = padded_taps(x, kh, kw, pad)
         y_ref = sum(xs * w[:, 0, i, j][None, :, None, None] for i, j, xs in taps)
-        y = ops.depthwise_conv2d(x, w, 1, pad)
+        y = ops.depthwise_conv2d(x, w, pad)
         assert y.dtype == dtype and scaled_err(y, y_ref) <= tol
 
         gy = rng.normal(size=y.shape).astype(dtype)
         plane = (f + kh) * (t + kw - 1)  # dL/dy padded for the gather form
         monkeypatch.setattr(ops, "DEPTHWISE_BLOCK_BYTES", 4 * plane * x.itemsize)
-        gx, gw = ops.depthwise_conv2d_vjp(x, w, gy, 1, pad)
+        gx, gw = ops.depthwise_conv2d_vjp(x, w, gy, pad)
         # the scatter form: each tap adds gy * w at its offset, in tap order
         gxp = np.zeros((n, c, f + 2 * pad, t + 2 * pad), dtype=dtype)
         gw_ref = np.empty_like(w)

@@ -17,6 +17,11 @@ def qmap():
     return quant.build_dynamic_tree_map()
 
 
+def canonical_codes(qmap, values):
+    """The smallest code byte decoding to each of values."""
+    return np.array([np.flatnonzero(qmap.values == v).min() for v in values], np.uint8)
+
+
 def exhaustive_decode_table():
     """Independent decode enumeration: walk the 7 tail bits explicitly."""
     vals = []
@@ -62,8 +67,12 @@ class TestDecodeTable:
         assert np.all(np.diff(qmap.sorted_values) > 0)
 
     def test_canonical_codes_decode_to_sorted_values(self, qmap):
-        np.testing.assert_array_equal(
-            qmap.values[qmap.canonical_codes], qmap.sorted_values)
+        # the encoder's codes: the smallest byte for each non-negative sorted
+        # value, then for its negative
+        mags = qmap.sorted_values[qmap.sorted_values >= 0]
+        signed = np.concatenate([mags, -mags])
+        np.testing.assert_array_equal(qmap.values[qmap.signed_codes], signed)
+        np.testing.assert_array_equal(qmap.signed_codes, canonical_codes(qmap, signed))
 
     def test_monotone_within_exponent_class(self, qmap):
         # for a fixed zero-run, the fraction bits order the values
@@ -212,7 +221,7 @@ def searchsorted_rule_codes(tensor, qmap, block_size):
     dlo = np.abs(normalized - sv[lo])
     dhi = np.abs(sv[hi] - normalized)
     pick_hi = (dhi < dlo) | ((dhi == dlo) & (np.abs(sv[hi]) < np.abs(sv[lo])))
-    codes[live] = qmap.canonical_codes[np.where(pick_hi, hi, lo)]
+    codes[live] = canonical_codes(qmap, sv)[np.where(pick_hi, hi, lo)]
     return codes
 
 
