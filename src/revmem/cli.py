@@ -28,7 +28,7 @@ from .engine import ledger_plan, run_backward, run_forward
 from .errors import ConfigError, QuantizationError, RevmemError, StateOverflowError
 from .layers import Param
 from .loss import aam_softmax_loss
-from .optim import make_optimizer
+from .optim import OPTIMIZERS, Sgd, make_optimizer
 from .quant import (
     BLOCK_SIZE,
     default_map,
@@ -99,7 +99,7 @@ def cmd_gradcheck(cfg) -> int:
 
 
 def _default_lr(optim: str) -> float:
-    return 0.02 if optim.startswith("sgd") else 1e-3
+    return 0.02 if OPTIMIZERS[optim][0] is Sgd else 1e-3
 
 
 def _train_setup(cfg):
@@ -226,9 +226,8 @@ def cmd_quantbench(cfg) -> int:
             all_agree &= agreement == 1.0
             back = dequantize_blockwise(state, qmap, dtype=np.float64)
             err = np.abs(back - data.astype(np.float64))
-            lengths = np.diff(np.append(np.arange(0, data.size, block), data.size))
-            bound = float((np.repeat(state.absmax.astype(np.float64), lengths)
-                           * qmap.max_adjacent_gap() / 2).max()) if data.size else 0.0
+            bound = (float(state.absmax.max()) * qmap.max_adjacent_gap() / 2
+                     if data.size else 0.0)
             dense = data.size * 4
             rows.append(f"{dist},{block},{data.size},{agreement:.6f},"
                         f"{err.max():.6e},{bound:.6e},{err.mean():.6e},"
@@ -294,8 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--net", help="registry network name")
         sp.add_argument("--spec", dest="spec_path", help="network JSON file")
         sp.add_argument("--mode", choices=["stored", "reversible"], default="reversible")
-        sp.add_argument("--optim", default="adamw",
-                        choices=["sgd", "sgd8", "adam", "adamw", "adam8"])
+        sp.add_argument("--optim", default="adamw", choices=list(OPTIMIZERS))
         sp.add_argument("--batch", type=_count, default=6)
         if train_opts:
             sp.add_argument("--steps", type=_steps, default=200)

@@ -103,10 +103,10 @@ class Layer:
 
 
 class Conv2d(Layer):
-    def __init__(self, c_in, c_out, k, stride=1, pad=None, *, rng, dtype):
+    def __init__(self, c_in, c_out, k, stride=1, *, rng, dtype):
         self.c_in, self.c_out, self.k = c_in, c_out, k
         self.stride = stride
-        self.pad = k // 2 if pad is None else pad
+        self.pad = k // 2
         self.w = Param(he_uniform(rng, (c_out, c_in, k, k), c_in * k * k, dtype))
 
     def params(self):
@@ -353,7 +353,7 @@ class ResidualBlock(Layer):
         self.branch = make_residual_fn(kind, c_out, rng=rng, dtype=dtype,
                                        stride=stride, c_in=c_in)
         if c_in != c_out or stride != 1:
-            self.proj = Conv2d(c_in, c_out, 1, stride=stride, pad=0, rng=rng, dtype=dtype)
+            self.proj = Conv2d(c_in, c_out, 1, stride=stride, rng=rng, dtype=dtype)
         else:
             self.proj = None
 

@@ -34,7 +34,7 @@ kernels" are all but the unpadded 1x1:
    of the band's padded rows, written with ``np.matmul(..., out=)`` into
    one reused buffer and added into the band's widened output. Scratch: the
    padded band, its widened output and the GEMM buffer, each at most
-   ``DENSE_BAND_BYTES``, and a transposed copy of w.
+   ``FLAT_SHIFT_BYTES``, and a transposed copy of w.
 4. ``conv2d``, other kernels at stride > 1 or with c_in = 1 (the c=1 stem
    and the stride-2 dense forwards): a ``sliding_window_view`` einsum into the
    preallocated output over bands of output rows. Scratch: one band's
@@ -54,13 +54,13 @@ kernels" are all but the unpadded 1x1:
    flat, so every tap is a contiguous run; each block's interior goes
    straight into the exact-size output. Scratch: three block buffers (the
    padded planes, the widened output and one tap's product), each at most
-   ``DEPTHWISE_BLOCK_BYTES``, and the per-plane taps.
+   ``FLAT_SHIFT_BYTES``, and the per-plane taps.
 8. ``depthwise_conv2d_vjp``: the gather form of the same loop. It pads
    dL/dy rather than x, takes each tap's dL/dw entries as per-plane dot
    products with x widened by zero columns, and adds the taps in the
    scatter form's order. Scratch: four block buffers (padded dL/dy, widened
    x, widened dL/dx and one tap's product), each at most
-   ``DEPTHWISE_BLOCK_BYTES``, the per-plane taps and a per-plane dL/dw.
+   ``FLAT_SHIFT_BYTES``, the per-plane taps and a per-plane dL/dw.
 """
 
 from __future__ import annotations
@@ -76,23 +76,20 @@ GSP_VAR_EPS = 1e-10
 
 # Largest window copy one band of the windowed einsum may make; that einsum
 # serves the c=1 stem and the stride-2 dense forwards. It is not merged
-# into DENSE_BAND_BYTES: timed in 40 interleaved pairs (float32, one
+# into FLAT_SHIFT_BYTES: timed in 40 interleaved pairs (float32, one
 # OpenBLAS thread, 2-vCPU x86-64), 256 KiB was slower than 1.5 MiB in all 40
 # pairs on 5 of 6 einsum shapes, e.g. 2.6 -> 3.3 ms at (1, 128, 20, 50) ->
 # 256 channels, stride 2, and 0.33 -> 0.38 ms on the (4, 1, 80, 32) -> 16
 # stem; the sixth, whose windows fit 256 KiB, was unchanged.
 WINDOW_BYTES = 3 << 19
 
-# Padded (n, c) planes one depthwise block copies (one plane at
-# least); each of the block's three or four buffers is at most this size.
+# Largest buffer of the flat-shift kernels: a depthwise block of whole
+# (n, c) planes (one plane at least) and a stride-1 dense forward band of
+# one sample's padded rows (one row at least) copy at most this much, and
+# each of their widened outputs and tap products is at most this size too.
 # Of 64 KiB to 2 MiB, 256 KiB was fastest at both the toy and the registry
 # shapes of scripts/conv_bench.py.
-DEPTHWISE_BLOCK_BYTES = 1 << 18
-
-# Padded input rows, over all channels of one sample, one stride-1 dense
-# forward band copies (one row at least); its widened output and GEMM
-# buffer are at most this size too. Sized like DEPTHWISE_BLOCK_BYTES.
-DENSE_BAND_BYTES = 1 << 18
+FLAT_SHIFT_BYTES = 1 << 18
 
 
 def _require_4d(x: np.ndarray, name: str) -> None:
@@ -160,6 +157,19 @@ def _check_conv_args(x, w, stride, pad):
         raise ConfigError(f"kernel sides must be odd, got {kh}x{kw}")
 
 
+def _out_shape(x, w, stride, pad) -> tuple[int, int, int, int]:
+    """The conv's output shape (n, c_out, fo, to)."""
+    return (x.shape[0], w.shape[0], conv_out_size(x.shape[2], w.shape[2], stride, pad),
+            conv_out_size(x.shape[3], w.shape[3], stride, pad))
+
+
+def _check_cotangent(x, w, gy, stride, pad):
+    expected = _out_shape(x, w, stride, pad)
+    if gy.shape != expected:
+        raise ShapeError(f"dL/dy has shape {gy.shape} but the forward's output has shape "
+                         f"{expected}")
+
+
 def _is_pointwise(w: np.ndarray, pad: int) -> bool:
     return w.shape[2] == 1 and w.shape[3] == 1 and pad == 0
 
@@ -185,14 +195,11 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.nd
         raise ShapeError(
             f"input has {x.shape[1]} channels but kernel expects {w.shape[1]}"
         )
-    kh, kw = w.shape[2], w.shape[3]
-    fo = conv_out_size(x.shape[2], kh, stride, pad)
-    to = conv_out_size(x.shape[3], kw, stride, pad)
+    n, _, fo, to = shape = _out_shape(x, w, stride, pad)
     if _is_pointwise(w, pad):
-        n, c = x.shape[:2]
-        y = np.matmul(w[:, :, 0, 0], x[:, :, ::stride, ::stride].reshape(n, c, fo * to))
-        return y.reshape(n, w.shape[0], fo, to)
-    y = np.empty((x.shape[0], w.shape[0], fo, to), dtype=np.result_type(x, w))
+        y = np.matmul(w[:, :, 0, 0], x[:, :, ::stride, ::stride].reshape(n, x.shape[1], fo * to))
+        return y.reshape(shape)
+    y = np.empty(shape, dtype=np.result_type(x, w))
     if stride == 1 and x.shape[1] > 1:
         return _flat_conv2d(x, w, y, pad)
     return _window_einsum(x, w, y, stride, pad)
@@ -207,7 +214,7 @@ def _flat_conv2d(x, w, y, pad):
     o, _, kh, kw = w.shape
     fo, to = y.shape[2:]
     tp = t + 2 * pad
-    rows = min(fo, max(1, DENSE_BAND_BYTES // (max(c, o) * tp * y.itemsize) - kh))
+    rows = min(fo, max(1, FLAT_SHIFT_BYTES // (max(c, o) * tp * y.itemsize) - kh))
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1), dtype=y.dtype)
     xb = np.empty((c, rows + kh, tp), dtype=y.dtype)
     acc = np.empty((o, rows * tp), dtype=y.dtype)
@@ -232,6 +239,8 @@ def conv2d_vjp(
     x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int = 1, pad: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cotangents (dL/dx, dL/dw) of conv2d given dL/dy."""
+    _check_conv_args(x, w, stride, pad)
+    _check_cotangent(x, w, gy, stride, pad)
     if _is_pointwise(w, pad):
         return _pointwise_conv2d_vjp(x, w, gy, stride)
     if stride == 1:
@@ -300,8 +309,8 @@ def _check_depthwise_args(x, w, pad):
 
 
 def _planes_per_block(planes, plane_elems, dtype):
-    """Whole (n, c) planes of plane_elems elements that fit DEPTHWISE_BLOCK_BYTES."""
-    return max(1, min(planes, DEPTHWISE_BLOCK_BYTES // (plane_elems * dtype.itemsize)))
+    """Whole (n, c) planes of plane_elems elements that fit FLAT_SHIFT_BYTES."""
+    return max(1, min(planes, FLAT_SHIFT_BYTES // (plane_elems * dtype.itemsize)))
 
 
 def depthwise_conv2d(x: np.ndarray, w: np.ndarray, pad: int = 1) -> np.ndarray:
@@ -350,6 +359,7 @@ def depthwise_conv2d_vjp(
     # taps add in the order of the scatter form (each adding gy * w at its
     # offset of a padded dL/dx), so dL/dx is bit-identical to it.
     _check_depthwise_args(x, w, pad)
+    _check_cotangent(x, w, gy, 1, pad)
     n, c, f, t = x.shape
     kh, kw = w.shape[2:]
     fo, to = gy.shape[2:]

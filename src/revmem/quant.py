@@ -224,8 +224,7 @@ def nearest_codes_exhaustive(
     offsets = _block_offsets(flat.size, block_size)
     # same normalization contract as the encoder: the float32 block scale
     absmax = np.maximum.reduceat(np.abs(flat), offsets).astype(np.float32)
-    lengths = np.diff(np.append(offsets, flat.size))
-    scale = np.repeat(absmax.astype(np.float64), lengths)
+    scale = _element_scales(absmax, flat.size, block_size)
 
     values = qmap.values  # indexed by code byte
     mags = np.abs(values)
@@ -245,6 +244,13 @@ def nearest_codes_exhaustive(
 
 def _block_offsets(n: int, block_size: int) -> np.ndarray:
     return np.arange(0, n, block_size)
+
+
+def _element_scales(absmax: np.ndarray, n: int, block_size: int) -> np.ndarray:
+    """Each of n elements' block scale as float64: blocks of block_size, the last ragged."""
+    lengths = np.full(absmax.size, block_size)
+    lengths[-1] = n - block_size * (absmax.size - 1)
+    return np.repeat(absmax.astype(np.float64), lengths)
 
 
 def quantize_blockwise(
@@ -282,8 +288,7 @@ def quantize_blockwise(
         raise QuantizationError(
             f"block absmax {block_max.max():.3g} overflows the float32 block scale"
         )
-    lengths = np.diff(np.append(offsets, flat.size))
-    flat /= np.repeat(np.where(absmax > 0, absmax, 1).astype(np.float64), lengths)
+    flat /= _element_scales(np.where(absmax > 0, absmax, 1), flat.size, block_size)
     codes = nearest_codes(flat, qmap)
     return QuantizedState(
         codes=codes,
@@ -299,10 +304,7 @@ def dequantize_blockwise(
     qmap = qmap or default_map()
     if state.n_elements == 0:
         return np.zeros(state.shape, dtype=dtype)
-    lengths = np.diff(
-        np.append(_block_offsets(state.n_elements, state.block_size), state.n_elements)
-    )
-    scale = np.repeat(state.absmax.astype(np.float64), lengths)
+    scale = _element_scales(state.absmax, state.n_elements, state.block_size)
     flat = qmap.values[state.codes] * scale
     return flat.astype(dtype).reshape(state.shape)
 

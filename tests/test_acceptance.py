@@ -27,7 +27,7 @@ from revmem.engine import (
 from revmem.eer import eer_from_scores
 from revmem.layers import Param, RevBlock
 from revmem.loss import aam_softmax_loss
-from revmem.optim import Adam, Adam8, Sgd, Sgd8, make_optimizer, optimizer_state_nbytes
+from revmem.optim import Adam, Sgd, make_optimizer, optimizer_state_nbytes
 from revmem.synth import SynthDataset
 
 from conftest import mixed_err, random_toy_spec, scaled_err
@@ -152,13 +152,12 @@ def test_c04_stored_resnet34_activations_dominate():
 def test_c05_optimizer_state_memory_reduction():
     n = 1_000_000
     dense = optimizer_state_nbytes(n, "sgd")  # 4 bytes per element
-    quantized = optimizer_state_nbytes(n, "sgd8", block_size=2048)
+    quantized = optimizer_state_nbytes(n, "sgd8")  # blocks of quant.BLOCK_SIZE = 2048
     expected = n + 4 * ((n + 2047) // 2048)
     assert quantized == expected  # exact ledger arithmetic
     ratio = quantized / dense
     assert ratio <= 0.2505
-    adam_ratio = (optimizer_state_nbytes(n, "adam8", block_size=2048)
-                  / optimizer_state_nbytes(n, "adamw"))
+    adam_ratio = optimizer_state_nbytes(n, "adam8") / optimizer_state_nbytes(n, "adamw")
     assert adam_ratio <= 0.2505
     _report(5, f"8-bit state bytes ratio {ratio:.6f} (tol 0.2505) at B=2048, "
                f"10^6 elements; exact bytes {quantized}")
@@ -222,9 +221,9 @@ def test_c07_quantized_training_parity():
 
     pairs = {
         "sgd": (bowl(lambda p: Sgd([p], lr=0.03, momentum=0.9)),
-                bowl(lambda p: Sgd8([p], lr=0.03, momentum=0.9))),
+                bowl(lambda p: Sgd([p], lr=0.03, momentum=0.9, block_size=2048))),
         "adamw": (bowl(lambda p: Adam([p], lr=0.002, weight_decay=0.01)),
-                  bowl(lambda p: Adam8([p], lr=0.002, weight_decay=0.01))),
+                  bowl(lambda p: Adam([p], lr=0.002, weight_decay=0.01, block_size=2048))),
     }
     for name, (dense, quantized) in pairs.items():
         assert abs(dense - quantized) / dense <= 0.05, f"bowl {name}"

@@ -15,7 +15,7 @@ from revmem.engine import (
 )
 from revmem.errors import ConfigError, ShapeError, StateError
 from revmem.layers import BatchNorm2d, Layer
-from revmem.optim import Adam8, Sgd8
+from revmem.optim import OPTIMIZERS, make_optimizer
 
 from conftest import mixed_err, random_toy_spec
 
@@ -415,14 +415,15 @@ class TestLedger:
         assert plan.shares()["activations"] >= 0.85
 
     def test_optimizer_state_accounting(self):
-        net = toy_net(dtype=np.float32)
-        n = net.param_count
-        assert ledger_plan(net, 1, 8, "stored", optimizer="sgd").optimizer_states == 4 * n
-        assert ledger_plan(net, 1, 8, "stored", optimizer="adamw").optimizer_states == 8 * n
-        # 8-bit state is quantized per tensor, so the plan must equal the real optimizers
-        for name, cls in (("sgd8", Sgd8), ("adam8", Adam8)):
-            got = ledger_plan(net, 1, 8, "stored", optimizer=name, block_size=2048)
-            assert got.optimizer_states == cls(net.params(), block_size=2048).state_nbytes()
+        for dtype in (np.float32, np.float64):
+            net = toy_net(dtype=dtype)
+            n, width = net.param_count, np.dtype(dtype).itemsize
+            assert ledger_plan(net, 1, 8, "stored", "sgd").optimizer_states == width * n
+            assert ledger_plan(net, 1, 8, "stored", "adamw").optimizer_states == 2 * width * n
+            # 8-bit state is quantized per tensor, so the plan must equal the real optimizers
+            for name in OPTIMIZERS:
+                got = ledger_plan(net, 1, 8, "stored", optimizer=name).optimizer_states
+                assert got == make_optimizer(name, net.params(), 1e-3).state_nbytes(), name
 
     def test_csv_report_format(self):
         led = MemoryLedger(activations=100, weights=50, gradients=50,

@@ -1,6 +1,7 @@
 """Primitive op semantics and VJPs against independent oracles."""
 
 import inspect
+import re
 import tracemalloc
 
 import numpy as np
@@ -97,11 +98,11 @@ class TestConv2d:
         ids=["toy", "registry"])
     def test_stride1_forward_peak_is_output_plus_bands(self, rng, x_shape, w_shape):
         # the padded band, its widened output and one tap's GEMM are each at
-        # most DENSE_BAND_BYTES; the padded input and window copy are gone
+        # most FLAT_SHIFT_BYTES; the padded input and window copy are gone
         x = rng.standard_normal(x_shape, dtype=np.float32)
         w = rng.standard_normal(w_shape, dtype=np.float32)
         peak, y = traced_peak(ops.conv2d, x, w, 1, 1)
-        assert peak <= y.nbytes + 4 * ops.DENSE_BAND_BYTES
+        assert peak <= y.nbytes + 4 * ops.FLAT_SHIFT_BYTES
 
     def test_gradients_vs_finite_differences(self, rng):
         x = rng.normal(size=(1, 2, 5, 5))
@@ -146,6 +147,20 @@ class TestConv2d:
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError, match="odd"):
             ops.conv2d(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 2, 2)))
+
+
+@pytest.mark.parametrize("vjp, w_shape, args, gy_shape, y_shape", [
+    (ops.depthwise_conv2d_vjp, (2, 1, 3, 3), (1,), (1, 2, 4, 4), (1, 2, 6, 6)),
+    (ops.conv2d_vjp, (3, 2, 3, 3), (1, 1), (1, 3, 4, 4), (1, 3, 6, 6)),
+    (ops.conv2d_vjp, (3, 2, 1, 1), (1, 0), (1, 3, 4, 4), (1, 3, 6, 6)),
+    (ops.conv2d_vjp, (3, 2, 3, 3), (2, 1), (1, 3, 6, 6), (1, 3, 3, 3)),
+], ids=["depthwise", "stride1", "pointwise", "strided"])
+def test_vjp_rejects_cotangent_of_another_shape(vjp, w_shape, args, gy_shape, y_shape):
+    # a dL/dy that is not the forward's output must not yield full-size gradients
+    x, w, gy = np.ones((1, 2, 6, 6)), np.ones(w_shape), np.ones(gy_shape)
+    with pytest.raises(ShapeError, match=re.escape(f"{gy_shape}") + ".*"
+                       + re.escape(f"{y_shape}")):
+        vjp(x, w, gy, *args)
 
 
 class TestConvDtype:
@@ -218,11 +233,11 @@ class TestDepthwiseConv2d:
     @staticmethod
     def _forward_peak_and_bound(rng, shape):
         # one block's padded planes, widened output and tap product are each
-        # at most DEPTHWISE_BLOCK_BYTES; no padded copy of the whole input
+        # at most FLAT_SHIFT_BYTES; no padded copy of the whole input
         x = rng.standard_normal(shape, dtype=np.float32)
         w = rng.standard_normal((shape[1], 1, 3, 3), dtype=np.float32)
         peak, y = traced_peak(ops.depthwise_conv2d, x, w, 1)
-        return peak, y.nbytes + 4 * ops.DEPTHWISE_BLOCK_BYTES
+        return peak, y.nbytes + 4 * ops.FLAT_SHIFT_BYTES
 
     @staticmethod
     def _vjp_peak_and_bound(rng, shape):
@@ -233,7 +248,7 @@ class TestDepthwiseConv2d:
         gy = rng.standard_normal(shape, dtype=np.float32)
         peak, (gx, gw) = traced_peak(ops.depthwise_conv2d_vjp, x, w, gy, 1)
         assert gx.base is None and gx.flags.c_contiguous
-        return peak, gx.nbytes + gw.nbytes + 5 * ops.DEPTHWISE_BLOCK_BYTES
+        return peak, gx.nbytes + gw.nbytes + 5 * ops.FLAT_SHIFT_BYTES
 
     def test_forward_peak_memory_stays_near_input_size(self, rng):
         peak, bound = self._forward_peak_and_bound(rng, (4, 32, 80, 32))
@@ -268,7 +283,7 @@ class TestBlockedStride1Kernels:
         x = rng.normal(size=(n, c, f, t)).astype(dtype)
         w = rng.normal(size=(c, 1, kh, kw)).astype(dtype)
         plane = (f + 2 * pad + 1) * (t + 2 * pad)  # padded x plus a spare row
-        monkeypatch.setattr(ops, "DEPTHWISE_BLOCK_BYTES", 4 * plane * x.itemsize)
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 4 * plane * x.itemsize)
         taps = padded_taps(x, kh, kw, pad)
         y_ref = sum(xs * w[:, 0, i, j][None, :, None, None] for i, j, xs in taps)
         y = ops.depthwise_conv2d(x, w, pad)
@@ -276,7 +291,7 @@ class TestBlockedStride1Kernels:
 
         gy = rng.normal(size=y.shape).astype(dtype)
         plane = (f + kh) * (t + kw - 1)  # dL/dy padded for the gather form
-        monkeypatch.setattr(ops, "DEPTHWISE_BLOCK_BYTES", 4 * plane * x.itemsize)
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 4 * plane * x.itemsize)
         gx, gw = ops.depthwise_conv2d_vjp(x, w, gy, pad)
         # the scatter form: each tap adds gy * w at its offset, in tap order
         gxp = np.zeros((n, c, f + 2 * pad, t + 2 * pad), dtype=dtype)
@@ -297,7 +312,7 @@ class TestBlockedStride1Kernels:
         w = rng.normal(size=(o, c, kh, kw)).astype(dtype)
         # bands of two output rows per sample, the last one partial or single
         band = (2 + kh) * c * (t + 2 * pad) * x.itemsize
-        monkeypatch.setattr(ops, "DENSE_BAND_BYTES", band)
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", band)
         y_ref = sum(np.einsum("ncft,oc->noft", xs, w[:, :, i, j])
                     for i, j, xs in padded_taps(x, kh, kw, pad))
         y = ops.conv2d(x, w, 1, pad)

@@ -11,16 +11,13 @@ from revmem.errors import QuantizationError, StateOverflowError
 from revmem.layers import Param
 from revmem.optim import (
     CHUNK_ELEMENTS,
+    OPTIMIZERS,
     Adam,
-    Adam8,
     Sgd,
-    Sgd8,
-    adam_update,
     make_optimizer,
     optimizer_state_nbytes,
-    sgd_update,
 )
-from revmem.quant import default_map, dequantize_blockwise, quantize_blockwise
+from revmem.quant import BLOCK_SIZE, default_map, dequantize_blockwise, quantize_blockwise
 
 
 def param(values):
@@ -33,7 +30,7 @@ class TestSgdRule:
         opt = Sgd([p], lr=0.1, momentum=0.9)
         p.grad[:] = 1.0
         opt.step()
-        assert opt.m[0][0] == 1.0
+        assert opt.slots[0][0].state[0] == 1.0
         assert p.value[0] == pytest.approx(0.9)
 
     def test_second_step_accumulates_undampened(self):
@@ -43,7 +40,7 @@ class TestSgdRule:
         opt.step()
         p.grad[:] = 1.0
         opt.step()
-        assert opt.m[0][0] == pytest.approx(1.9)
+        assert opt.slots[0][0].state[0] == pytest.approx(1.9)
         assert p.value[0] == pytest.approx(0.71)
 
     def test_zero_momentum_is_plain_descent(self):
@@ -54,10 +51,6 @@ class TestSgdRule:
             opt.step()
         assert p.value[0] == pytest.approx(2.0 - 0.5 * 1.0 + 0.5 * 2.0)
 
-    def test_shape_mismatch(self):
-        with pytest.raises(Exception, match="shape"):
-            sgd_update(np.zeros(3), np.zeros(2), np.zeros(3), 0.1, 0.9)
-
 
 class TestAdamRule:
     def test_first_step_arithmetic(self):
@@ -65,8 +58,9 @@ class TestAdamRule:
         opt = Adam([p], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
         p.grad[:] = 1.0
         opt.step()
-        assert opt.m[0][0] == pytest.approx(0.1)
-        assert opt.r[0][0] == pytest.approx(0.001)
+        m, r = (states[0].state for states in opt.slots)
+        assert m[0] == pytest.approx(0.1)
+        assert r[0] == pytest.approx(0.001)
         assert p.value[0] == pytest.approx(1.0 - 1e-3 * 0.1 / (np.sqrt(0.001) + 1e-8))
         assert p.value[0] == pytest.approx(0.9968377, abs=1e-7)
 
@@ -77,28 +71,16 @@ class TestAdamRule:
         opt.step()
         assert p.value[0] == 3.0
 
-    def test_bias_correction_flag(self):
-        p1, p2 = param([1.0]), param([1.0])
-        plain = Adam([p1], lr=1e-3, bias_correction=False)
-        corrected = Adam([p2], lr=1e-3, bias_correction=True)
-        p1.grad[:] = p2.grad[:] = 0.5
-        plain.step()
-        corrected.step()
-        assert p1.value[0] != p2.value[0]
-        # first corrected step is a full lr move: m_hat/sqrt(r_hat) = sign(g)
-        assert p2.value[0] == pytest.approx(1.0 - 1e-3, rel=1e-5)
-
     @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=20))
     @settings(max_examples=30, deadline=None)
     def test_second_moment_stays_nonnegative(self, grads):
-        w = np.zeros(4)
-        m = np.zeros(4)
-        r = np.zeros(4)
+        p = param(np.zeros(4))
+        opt = Adam([p], lr=1e-3)
         rng = np.random.default_rng(0)
         for g in grads:
-            gv = rng.normal(g, 1.0, 4)
-            w, m, r = adam_update(w, gv, m, r, 1e-3, 0.9, 0.999, 1e-8, 1)
-            assert np.all(r >= 0)
+            p.grad[:] = rng.normal(g, 1.0, 4)
+            opt.step()
+            assert np.all(opt.slots[1][0].state >= 0)
 
     def test_adamw_decoupled_decay_applies_before_update(self):
         p = param([1.0])
@@ -119,7 +101,7 @@ class TestQuantizedVariants:
         # state re-quantization, never in the weights
         pd, pq = param([1.0, -2.0, 0.5]), param([1.0, -2.0, 0.5])
         dense = Sgd([pd], lr=0.1, momentum=0.9)
-        quantized = Sgd8([pq], lr=0.1, momentum=0.9, block_size=2)
+        quantized = Sgd([pq], lr=0.1, momentum=0.9, block_size=2)
         pd.grad[:] = pq.grad[:] = [0.3, -0.1, 0.2]
         dense.step()
         quantized.step()
@@ -128,7 +110,7 @@ class TestQuantizedVariants:
     def test_adam8_first_step_matches_dense(self):
         pd, pq = param([1.0, 2.0]), param([1.0, 2.0])
         dense = Adam([pd], lr=1e-2)
-        quantized = Adam8([pq], lr=1e-2, block_size=2)
+        quantized = Adam([pq], lr=1e-2, block_size=2)
         pd.grad[:] = pq.grad[:] = [0.7, -0.4]
         dense.step()
         quantized.step()
@@ -137,15 +119,15 @@ class TestQuantizedVariants:
     def test_state_bytes_reduction_at_2048(self):
         n = 1_000_000
         dense = optimizer_state_nbytes(n, "sgd")
-        quantized = optimizer_state_nbytes(n, "sgd8", block_size=2048)
+        quantized = optimizer_state_nbytes(n, "sgd8")  # blocks of BLOCK_SIZE = 2048
         assert quantized / dense <= 0.2505
         assert 1 - quantized / dense >= 0.749
 
     def test_state_bytes_exact_formula(self):
         p = param(np.zeros(5000))
-        opt = Sgd8([p], block_size=2048)
+        opt = Sgd([p], block_size=2048)
         assert opt.state_nbytes() == 5000 + 4 * 3
-        opt2 = Adam8([p], block_size=2048)
+        opt2 = Adam([p], block_size=2048)
         assert opt2.state_nbytes() == 2 * (5000 + 4 * 3)
 
     def test_quadratic_bowl_parity(self):
@@ -164,7 +146,7 @@ class TestQuantizedVariants:
             return float(0.5 * (a * (p.value - c) ** 2).sum())
 
         dense = run(lambda p: Sgd([p], lr=0.05, momentum=0.9))
-        quantized = run(lambda p: Sgd8([p], lr=0.05, momentum=0.9))
+        quantized = run(lambda p: Sgd([p], lr=0.05, momentum=0.9, block_size=BLOCK_SIZE))
         assert abs(dense - quantized) / dense <= 0.05
 
     def test_identical_updates_when_states_representable(self):
@@ -172,7 +154,7 @@ class TestQuantizedVariants:
         # so the 8-bit optimizer reproduces the dense one bit for bit
         pd, pq = param([1.0, 1.0]), param([1.0, 1.0])
         dense = Sgd([pd], lr=0.25, momentum=0.5)
-        quantized = Sgd8([pq], lr=0.25, momentum=0.5, block_size=2)
+        quantized = Sgd([pq], lr=0.25, momentum=0.5, block_size=2)
         # momenta after each step: [1.0, -0.5] then [1.0, 1.0]; normalized by
         # the block absmax both land exactly on code values
         for g in ([1.0, -0.5], [0.5, 1.25]):
@@ -181,7 +163,7 @@ class TestQuantizedVariants:
             quantized.step()
         np.testing.assert_array_equal(pd.value, pq.value)
 
-    @pytest.mark.parametrize("cls", [Sgd8, Adam8])
+    @pytest.mark.parametrize("cls", [Sgd, Adam], ids=["Sgd8", "Adam8"])
     def test_step_with_non_finite_gradient_changes_nothing(self, cls):
         # the bad gradient sits between two good ones: neither the parameter
         # before it nor any 8-bit state may take the step
@@ -193,7 +175,7 @@ class TestQuantizedVariants:
         opt.step()
         params[0].grad[:] = rng.normal(size=7)
         params[1].grad[3] = np.nan
-        slots = opt.m + getattr(opt, "r", [])
+        slots = [s for states in opt.slots for s in states]
         values = [p.value.copy() for p in params]
         states = [(s.state.codes.copy(), s.state.absmax.copy()) for s in slots]
         with pytest.raises(QuantizationError, match="parameter 1"):
@@ -212,27 +194,23 @@ def reference_sgd(w, g, m, lr, momentum):
     return w - lr * m, m
 
 
-def reference_adam(w, g, m, r, lr, beta1, beta2, eps, step, bias_correction):
+def reference_adam(w, g, m, r, lr, beta1, beta2, eps):
     """The whole-tensor, out-of-place Adam step that the chunked loop must reproduce."""
     m = beta1 * m + (1.0 - beta1) * g
     r = beta2 * r + (1.0 - beta2) * g * g
-    if bias_correction:
-        mh = m / (1.0 - beta1**step)
-        rh = r / (1.0 - beta2**step)
-    else:
-        mh, rh = m, r
-    return w - lr * mh / (np.sqrt(rh) + eps), m, r
+    return w - lr * m / (np.sqrt(r) + eps), m, r
 
 
-# name -> (build the optimizer, lr, weight decay, bias correction)
-SETTINGS = {
-    "sgd": (lambda ps, bs: Sgd(ps, lr=0.05, momentum=0.9), 0.05, 0.0, False),
-    "sgd8": (lambda ps, bs: Sgd8(ps, lr=0.05, momentum=0.9, block_size=bs), 0.05, 0.0, False),
-    "adam": (lambda ps, bs: Adam(ps, lr=1e-3), 1e-3, 0.0, False),
-    "adamw": (lambda ps, bs: Adam(ps, lr=1e-3, weight_decay=0.05), 1e-3, 0.05, False),
-    "adam8": (lambda ps, bs: Adam8(ps, lr=1e-3, weight_decay=0.05, bias_correction=True,
-                                   block_size=bs), 1e-3, 0.05, True),
-}
+def settings(name):
+    """(rule, 8-bit state, lr, weight decay) of the optimizer ``build`` makes."""
+    rule, eight_bit, decays = OPTIMIZERS[name]
+    return rule, eight_bit, 0.05 if rule is Sgd else 1e-3, 0.05 if decays else 0.0
+
+
+def build(name, params, block_size):
+    return make_optimizer(name, params, settings(name)[2], weight_decay=0.05,
+                          block_size=block_size)
+
 # Several chunks each, with a ragged last chunk and a ragged last block at
 # block size 2048, plus a single partial block.
 SHAPES = [(2 * CHUNK_ELEMENTS + 3 * 2048 + 100,), (37, 1000), (3,)]
@@ -240,25 +218,24 @@ SHAPES = [(2 * CHUNK_ELEMENTS + 3 * 2048 + 100,), (37, 1000), (3,)]
 
 def reference_run(name, values, grads, block_size):
     """Parameters and states after whole-tensor steps; 8-bit states as QuantizedState."""
-    _, lr, wd, bias_correction = SETTINGS[name]
+    rule, quantized, lr, wd = settings(name)
     qmap = default_map()
-    quantized = name.endswith("8")
     ws = [v.copy() for v in values]
-    states = [[np.zeros_like(w) for w in ws] for _ in range(1 if name.startswith("sgd") else 2)]
+    states = [[np.zeros_like(w) for w in ws] for _ in range(rule.n_states)]
     if quantized:
         states = [[quantize_blockwise(np.zeros(w.shape, np.float32), qmap, block_size)
                    for w in ws] for _ in states]
-    for step, gs in enumerate(grads, 1):
+    for gs in grads:
         for i, (w, g) in enumerate(zip(ws, gs)):
             s = [st[i] for st in states]
             if quantized:
                 s = [dequantize_blockwise(q, qmap, dtype=w.dtype) for q in s]
-            if name.startswith("sgd"):
+            if rule is Sgd:
                 w, *s = reference_sgd(w, g, *s, lr, 0.9)
             else:
                 if wd:
                     w = w - lr * wd * w
-                w, *s = reference_adam(w, g, *s, lr, 0.9, 0.999, 1e-8, step, bias_correction)
+                w, *s = reference_adam(w, g, *s, lr, 0.9, 0.999, 1e-8)
             if quantized:
                 s = [quantize_blockwise(x, qmap, block_size) for x in s]
             ws[i] = w
@@ -269,7 +246,7 @@ def reference_run(name, values, grads, block_size):
 
 def chunked_run(name, values, grads, block_size):
     params = [Param(v.copy()) for v in values]
-    opt = SETTINGS[name][0](params, block_size)
+    opt = build(name, params, block_size)
     for gs in grads:
         for p, g in zip(params, gs):
             p.grad[...] = g
@@ -293,23 +270,19 @@ def assert_same_as_reference(name, shapes, dtype, block_size):
     for p, w in zip(params, ref_values):
         assert p.value.dtype == w.dtype
         np.testing.assert_array_equal(p.value, w)
-    for slots, refs in zip(state_lists(opt), ref_states):
+    for slots, refs in zip(opt.slots, ref_states):
         for slot, ref in zip(slots, refs):
-            if name.endswith("8"):
+            if settings(name)[1]:
                 np.testing.assert_array_equal(slot.state.codes, ref.codes)
                 np.testing.assert_array_equal(slot.state.absmax, ref.absmax)
             else:
-                assert slot.dtype == ref.dtype
-                np.testing.assert_array_equal(slot, ref)
-
-
-def state_lists(opt):
-    return [opt.m, opt.r] if hasattr(opt, "r") else [opt.m]
+                assert slot.state.dtype == ref.dtype
+                np.testing.assert_array_equal(slot.state, ref)
 
 
 def snapshot(opt):
     arrays = [p.value.copy() for p in opt.params]
-    for slots in state_lists(opt):
+    for slots in opt.slots:
         for s in slots:
             arrays += [s.state.codes.copy(), s.state.absmax.copy()]
     return opt.step_count, arrays
@@ -317,7 +290,7 @@ def snapshot(opt):
 
 class TestChunkedInPlaceStep:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("name", list(SETTINGS))
+    @pytest.mark.parametrize("name", list(OPTIMIZERS))
     def test_matches_whole_tensor_reference_exactly(self, name, dtype):
         assert_same_as_reference(name, SHAPES, dtype, 2048)
 
@@ -329,33 +302,34 @@ class TestChunkedInPlaceStep:
         assert_same_as_reference(name, [(4 * CHUNK_ELEMENTS + 7,), (9,)], np.float32,
                                  block_size)
 
-    @pytest.mark.parametrize("name", list(SETTINGS))
+    @pytest.mark.parametrize("name", list(OPTIMIZERS))
     def test_step_writes_into_the_arrays_it_holds(self, name):
         values, grads = random_steps(SHAPES, np.float32, steps=2)
         params = [Param(v) for v in values]
-        opt = SETTINGS[name][0](params, 2048)
+        opt = build(name, params, 2048)
+        eight_bit = settings(name)[1]
         held = [p.value for p in params]
-        for slots in state_lists(opt):
+        for slots in opt.slots:
             for s in slots:
-                held += [s.state.codes, s.state.absmax] if name.endswith("8") else [s]
+                held += [s.state.codes, s.state.absmax] if eight_bit else [s.state]
         for gs in grads:
             for p, g in zip(params, gs):
                 p.grad[...] = g
             opt.step()
         now = [p.value for p in params]
-        for slots in state_lists(opt):
+        for slots in opt.slots:
             for s in slots:
-                now += [s.state.codes, s.state.absmax] if name.endswith("8") else [s]
+                now += [s.state.codes, s.state.absmax] if eight_bit else [s.state]
         assert all(a is b for a, b in zip(held, now))
         assert params[0].value is values[0]  # the caller's array took the step
 
-    @pytest.mark.parametrize("name", list(SETTINGS))
+    @pytest.mark.parametrize("name", list(OPTIMIZERS))
     def test_step_lands_in_a_non_contiguous_value(self, name):
         rng = np.random.default_rng(4)
         base = rng.normal(size=(300, 70))
         viewed = Param(base.T)  # Fortran-ordered: a flat reshape would copy
         dense = Param(np.ascontiguousarray(base.T))
-        opts = [SETTINGS[name][0]([p], 64) for p in (viewed, dense)]
+        opts = [build(name, [p], 64) for p in (viewed, dense)]
         for _ in range(3):
             g = rng.normal(size=dense.value.shape)
             for p, opt in zip((viewed, dense), opts):
@@ -369,7 +343,7 @@ class TestChunkedInPlaceStep:
         # whole-tensor dequantize and re-quantize peaked at about 9.5 MB here
         rng = np.random.default_rng(8)
         p = Param(rng.normal(size=327_680).astype(np.float32))
-        opt = Adam8([p])
+        opt = Adam([p], block_size=BLOCK_SIZE)
         p.grad[...] = rng.normal(size=p.value.shape)
         opt.step()
         tracemalloc.start()
@@ -385,7 +359,7 @@ class TestChunkedInPlaceStep:
         # before it must not take the step either
         rng = np.random.default_rng(6)
         params = [Param(rng.normal(size=4).astype(np.float32)) for _ in range(3)]
-        opt = Adam8(params, block_size=4)
+        opt = Adam(params, block_size=4)
         for p in params:
             p.grad[:] = rng.normal(size=4)
         opt.step()
@@ -402,10 +376,10 @@ class TestChunkedInPlaceStep:
 
     def test_sgd8_momentum_that_would_overflow_changes_nothing(self):
         params = [Param(np.ones(4, np.float32)) for _ in range(3)]
-        opt = Sgd8(params, block_size=4)
+        opt = Sgd(params, block_size=4)
         params[1].grad[0] = 3e38  # fits the float32 scale: taken
         opt.step()
-        assert opt.m[1].state.absmax[0] == np.float32(3e38)
+        assert opt.slots[0][1].state.absmax[0] == np.float32(3e38)
         count, before = snapshot(opt)
         # 0.9 * 3e38 + 3e38 does not fit
         with pytest.raises(QuantizationError, match="parameter 1"):
@@ -416,12 +390,18 @@ class TestChunkedInPlaceStep:
 
 
 class TestFactory:
-    @pytest.mark.parametrize("name,cls", [("sgd", Sgd), ("sgd8", Sgd8),
-                                          ("adam", Adam), ("adamw", Adam),
-                                          ("adam8", Adam8)])
-    def test_names(self, name, cls):
+    @pytest.mark.parametrize("name,cls,block_size", [
+        ("sgd", Sgd, None), ("sgd8", Sgd, BLOCK_SIZE), ("adam", Adam, None),
+        ("adamw", Adam, None), ("adam8", Adam, BLOCK_SIZE)],
+        ids=["sgd-Sgd", "sgd8-Sgd8", "adam-Adam", "adamw-Adam", "adam8-Adam8"])
+    def test_names(self, name, cls, block_size):
         opt = make_optimizer(name, [param([1.0])], lr=0.1)
-        assert isinstance(opt, cls)
+        assert type(opt) is cls and opt.block_size == block_size
+
+    @pytest.mark.parametrize("block_size", [0, 2.5])
+    def test_block_size_must_be_a_positive_integer(self, block_size):
+        with pytest.raises(QuantizationError, match="block size"):
+            Sgd([param([1.0])], block_size=block_size)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown optimizer"):
