@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Median time and tracemalloc peak of each conv op and VJP at the benchmark's layer shapes.
+"""Median time, tracemalloc peak and held bytes of each conv op and VJP at real layer shapes.
 
 Runs one reversible training step of each benchmark net (the configurations
-in perfbench/workloads.py) and of DF-RevNet89 at batch 1 and 200 frames to
-collect the distinct conv calls it makes, then times every call on its own with fresh random float32 inputs. BLAS is pinned
+in perfbench/workloads.py), of DF-RevNet89 and of ResNet34 at batch 1 and
+200 frames to collect the distinct conv calls it makes, then times every
+call on its own with fresh random float32 inputs. BLAS is pinned
 to one thread before numpy is imported, as in the benchmark. The library is
 imported from src/ of this checkout.
 
@@ -12,7 +13,9 @@ imported from src/ of this checkout.
 Columns: the op, input and kernel shapes, the call's trailing arguments as
 given (stride and pad for a dense conv, pad for a depthwise one), calls per
 training step, median milliseconds per call, the tracemalloc peak of one
-call in MB and that peak over the input's bytes.
+call in MB, the MB its results keep alive once it has returned, and the
+peak over the input's bytes. Held bytes above the results' own size mean a
+result is a view that pins a larger buffer.
 """
 
 import os
@@ -33,12 +36,14 @@ import numpy as np
 
 from revmem import engine, ops, zoo
 
-# (net spec or registry name, batch, frames): the benchmark nets, and the
-# paper's reversible DF net at registry scale
+# (net spec or registry name, batch, frames): the benchmark nets, the
+# paper's reversible DF net and, for registry-scale stride-2 dense convs,
+# the type1 baseline ResNet34
 NETS = {
     "train-rev-df": (zoo.toy_spec([4, 4], 16, "df_bottleneck", "type2"), 4, 32),
     "train-wide-q8": (zoo.toy_spec([1, 1], 64, "basic", "type1"), 2, 8),
     "DF-RevNet89": ("DF-RevNet89", 1, 200),
+    "ResNet34": ("ResNet34", 1, 200),
 }
 OPS = ("conv2d", "conv2d_vjp", "depthwise_conv2d", "depthwise_conv2d_vjp")
 
@@ -77,7 +82,11 @@ def layer_calls(spec, batch, frames):
 
 
 def measure(name, x_shape, w_shape, tail, reps, rng):
-    """Median seconds, tracemalloc peak and input bytes of fn(x, w[, gy], *tail)."""
+    """Median seconds, tracemalloc peak, held bytes and input bytes of fn(x, w[, gy], *tail).
+
+    Held bytes are the numpy buffers the call allocated that are still
+    alive while its results are.
+    """
     x = rng.standard_normal(x_shape, dtype=np.float32)
     w = rng.standard_normal(w_shape, dtype=np.float32)
     forward = getattr(ops, name.removesuffix("_vjp"))
@@ -94,11 +103,15 @@ def measure(name, x_shape, w_shape, tail, reps, rng):
         times.append(time.perf_counter() - start)
     tracemalloc.start()
     try:
-        fn(*args)
+        out = fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
+        buffers = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        del out
     finally:
         tracemalloc.stop()
-    return float(np.median(times)), peak, x.nbytes
+    held = sum(trace.size for trace in buffers.traces)
+    return float(np.median(times)), peak, held, x.nbytes
 
 
 def main(argv=None):
@@ -112,11 +125,12 @@ def main(argv=None):
     for net_name, cfg in NETS.items():
         print(f"\n{net_name}")
         print(f"{'op':22} {'x':>17} {'w':>16} {'args':>6} calls {'ms':>7} {'peak MB':>8} "
-              f"{'/input':>6}")
+              f"{'held MB':>8} {'/input':>6}")
         for (name, xs, ws, tail), count in sorted(layer_calls(*cfg).items()):
-            sec, peak, in_bytes = measure(name, xs, ws, tail, args.reps, rng)
+            sec, peak, held, in_bytes = measure(name, xs, ws, tail, args.reps, rng)
             print(f"{name:22} {str(xs):>17} {str(ws):>16} {' '.join(map(str, tail)):>6} "
-                  f"{count:5d} {1e3 * sec:7.2f} {peak / 1e6:8.2f} {peak / in_bytes:6.1f}")
+                  f"{count:5d} {1e3 * sec:7.2f} {peak / 1e6:8.2f} {held / 1e6:8.2f} "
+                  f"{peak / in_bytes:6.1f}")
     return 0
 
 

@@ -11,16 +11,16 @@ Convolutions are cross-correlations (no kernel flip). Output spatial sizes
 follow the usual floor rule ``(d + 2*pad - k)//stride + 1``, computed by
 ``conv_out_size``, which layer shape planning shares. A depthwise conv runs
 at stride 1 with ``pad < min(kh, kw)``, the only form the networks build.
-Every forward output, and the depthwise dL/dx, is a contiguous array that no
+Every forward output and every stride-1 dL/dx is a contiguous array that no
 larger buffer backs, so its ``nbytes`` is the memory it holds.
 
 There are eight conv kernel forms. Each was picked as the fastest measured
 for its calls by ``python3 scripts/conv_bench.py`` (float32, one OpenBLAS
 thread), which times every conv call of the benchmark nets and of
-DF-RevNet89 at batch 1 and 200 frames. Scratch is what a call allocates
-beyond its results. A block or band holds one plane or row at least, so a
-plane or row larger than its constant bounds that buffer instead. "Other
-kernels" are all but the unpadded 1x1:
+DF-RevNet89 and ResNet34 at batch 1 and 200 frames. Scratch is what a call
+allocates beyond its results. A block or band holds one plane or row at
+least, so a plane or row larger than its constant bounds that buffer
+instead. "Other kernels" are all but the unpadded 1x1:
 
 1. ``conv2d``, unpadded 1x1 kernel: one batched matrix product over
    ``(n, c, f*t)`` of the input ``x[:, :, ::s, ::s]``. Scratch: none at
@@ -36,19 +36,26 @@ kernels" are all but the unpadded 1x1:
    padded band, its widened output and the GEMM buffer, each at most
    ``FLAT_SHIFT_BYTES``, and a transposed copy of w.
 4. ``conv2d``, other kernels at stride > 1 or with c_in = 1 (the c=1 stem
-   and the stride-2 dense forwards): a ``sliding_window_view`` einsum into the
-   preallocated output over bands of output rows. Scratch: one band's
-   kh*kw-fold window copy, at most ``WINDOW_BYTES``, its zero-padded input
-   rows, and the einsum's BLAS result for the band, which is then copied
-   into the output.
-5. ``conv2d_vjp``, other kernels at stride 1: one GEMM per tap on a flat read of
-   each padded plane, so a tap's input is a contiguous run. Scratch: a
-   padded copy of x, a gy widened to the padded width, a padded dL/dx that
-   the returned view keeps alive, and one tap's two products.
+   and the stride-2 dense forwards): a banded im2col over output rows of
+   the whole batch. Each band's zero-padded input rows are copied, then
+   every tap's strided view of them into a (n, c_in*kh*kw, rows*to) column
+   buffer, and one batched GEMM writes the band straight into the output.
+   Scratch: the column buffer, at most ``FLAT_SHIFT_BYTES``, and the
+   band's padded input rows, about stride**2 / (kh*kw) of it.
+5. ``conv2d_vjp``, other kernels at stride 1: the gather form over bands of
+   dL/dx rows of one sample. The band's dL/dy rows are zero-padded (or
+   clipped, for a pad above k - 1) and read flat, so tap (i, j) is one
+   contiguous run: its GEMM with w's tap is the tap's dL/dx term, and its
+   GEMM with x widened by zero columns is the tap's dL/dw term. Each band's
+   interior goes into the exact-size dL/dx. Scratch: four band buffers
+   (padded dL/dy with its kh-row halo, widened x, widened dL/dx and one
+   tap's product), each at most the larger of ``FLAT_SHIFT_BYTES`` and
+   w's bytes plus the halo, and one tap's (c_out, c_in) dL/dw product and
+   transposed w.
 6. ``conv2d_vjp``, other kernels at stride > 1: one GEMM per tap on the tap's strided
-   slice of the padded input. Scratch: a padded copy of x, a padded dL/dx
-   that the returned view keeps alive, and one tap's slice copy and
-   products.
+   slice of the padded input. Scratch: a padded copy of the whole x, a
+   padded dL/dx, and one tap's slice copy and products. It still returns
+   dL/dx as a view that keeps the padded dL/dx alive.
 7. ``depthwise_conv2d``: a flat-shift tap loop over blocks of whole (n*c)
    planes. Each block is copied zero-padded, with one spare row, and read
    flat, so every tap is a contiguous run; each block's interior goes
@@ -66,7 +73,6 @@ kernels" are all but the unpadded 1x1:
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ShapeError
 
@@ -74,21 +80,21 @@ from .errors import ConfigError, ShapeError
 # constant over time.
 GSP_VAR_EPS = 1e-10
 
-# Largest window copy one band of the windowed einsum may make; that einsum
-# serves the c=1 stem and the stride-2 dense forwards. It is not merged
-# into FLAT_SHIFT_BYTES: timed in 40 interleaved pairs (float32, one
-# OpenBLAS thread, 2-vCPU x86-64), 256 KiB was slower than 1.5 MiB in all 40
-# pairs on 5 of 6 einsum shapes, e.g. 2.6 -> 3.3 ms at (1, 128, 20, 50) ->
-# 256 channels, stride 2, and 0.33 -> 0.38 ms on the (4, 1, 80, 32) -> 16
-# stem; the sixth, whose windows fit 256 KiB, was unchanged.
-WINDOW_BYTES = 3 << 19
-
-# Largest buffer of the flat-shift kernels: a depthwise block of whole
-# (n, c) planes (one plane at least) and a stride-1 dense forward band of
-# one sample's padded rows (one row at least) copy at most this much, and
-# each of their widened outputs and tap products is at most this size too.
-# Of 64 KiB to 2 MiB, 256 KiB was fastest at both the toy and the registry
-# shapes of scripts/conv_bench.py.
+# Largest buffer of the banded and blocked conv kernels (one row or plane
+# at least): a depthwise block of whole (n, c) planes, a stride-1 dense
+# forward band of one sample's padded rows, an im2col column band (the c=1
+# stem and the strided forwards) and a stride-1 dense VJP band of dL/dx
+# rows, which may grow to w's bytes so that copying w's taps stays small
+# beside the band's GEMMs. Of 64 KiB to 2 MiB, 256 KiB was fastest at both
+# the toy and the registry shapes of scripts/conv_bench.py for the first
+# two. Timed interleaved over the same range (25 calls each, float32, one
+# OpenBLAS thread, 2-vCPU x86-64), the im2col forward gained with larger
+# bands only at wide strided layers, e.g. 2.30 -> 1.84 ms at
+# (1, 128, 20, 50) -> 256 channels from 256 KiB to 2 MiB (the einsum it
+# replaced took 3.2 ms), and was slower below 256 KiB. The VJP was flat from
+# 256 KiB up and slower below it, except at DF-RevNet89's (1, 48, 80, 200)
+# -> 24 layer: 13.8 ms at 128 KiB against 17.3 ms at 256 KiB (the unbanded
+# form took about 20 ms).
 FLAT_SHIFT_BYTES = 1 << 18
 
 
@@ -106,41 +112,55 @@ def conv_out_size(d: int, k: int, stride: int, pad: int) -> int:
     return span // stride + 1
 
 
-def _window_einsum(x, w, y, stride: int, pad: int) -> np.ndarray:
-    """Write the conv of x with w, read through (n, c, fo, to, kh, kw) windows, into y.
+def _im2col_conv2d(x, w, y, stride: int, pad: int) -> np.ndarray:
+    """Write the conv of x with w into y by a banded im2col.
 
-    np.einsum copies the kh*kw-fold window tensor it is given, so the
-    contraction runs over bands of output rows whose windows fit in
-    WINDOW_BYTES (one row at least). Each band zero-pads only the input rows
-    its windows read.
+    Bands of output rows run over the whole batch. A band's zero-padded
+    input rows are copied once, then each tap's strided view of them into a
+    (n, c*kh*kw, rows*to) column buffer of at most FLAT_SHIFT_BYTES (one
+    row at least), so one batched GEMM with the (c_out, c*kh*kw) kernel
+    writes the band straight into y.
     """
     n, c, f, t = x.shape
-    kh, kw = w.shape[-2:]
+    o, _, kh, kw = w.shape
     fo, to = y.shape[2:]
-    rows = max(1, WINDOW_BYTES // (n * c * to * kh * kw * y.itemsize))
+    k, tp = c * kh * kw, t + 2 * pad
+    rows = min(fo, max(1, FLAT_SHIFT_BYTES // (n * k * to * y.itemsize)))
+    cbuf = np.empty(n * k * rows * to, dtype=y.dtype)
+    xbuf = np.empty(n * c * ((rows - 1) * stride + kh) * tp, dtype=y.dtype)
+    wf = w.reshape(o, k)
     for r in range(0, fo, rows):
-        band = slice(r, min(r + rows, fo))
-        xb = np.empty((n, c, (band.stop - r - 1) * stride + kh, t + 2 * pad), x.dtype)
-        _copy_padded_rows(xb, x, r * stride - pad, xb.shape[2], pad)
-        win = sliding_window_view(xb, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-        np.einsum("ncftij,ocij->noft", win, w, out=y[:, :, band], optimize=True)
+        m = min(rows, fo - r)
+        h = (m - 1) * stride + kh
+        xb = xbuf[: n * c * h * tp].reshape(n, c, h, tp)
+        _copy_padded_rows(xb, x, r * stride - pad, h, pad)
+        cols = cbuf[: n * k * m * to].reshape(n, c, kh, kw, m, to)
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, :, i, j] = xb[:, :, i : i + h - kh + 1 : stride,
+                                      j : j + (to - 1) * stride + 1 : stride]
+        np.matmul(wf, cols.reshape(n, k, m * to), out=y[:, :, r : r + m].reshape(n, o, m * to))
     return y
 
 
-def _copy_padded_rows(buf, x, lo, count, pad):
-    """Write input rows lo .. lo + count - 1 of x, zero-padded, into buf.
+def _copy_padded_rows(buf, x, lo, count, left):
+    """Write rows lo .. lo + count - 1 of x, shifted right by left columns, into buf.
 
-    Each row gets pad zero columns on either side, rows outside x are zero,
-    and so is row count of buf if it has one: the spare row that keeps a
-    flat tap run inside the buffer.
+    Column q of x lands in column q + left of buf, and what falls outside
+    buf is clipped, so a negative left crops x. Every other element of those
+    rows is zero, rows outside x are zero, and so is row count of buf if it
+    has one: the spare row that keeps a flat tap run inside the buffer.
     """
     f, t = x.shape[-2:]
-    src = slice(max(lo, 0), min(lo + count, f))
+    start = min(max(lo, 0), f)
+    src = slice(start, max(min(lo + count, f), start))
+    cols = slice(max(-left, 0), min(t, buf.shape[-1] - left))
     top, bottom = src.start - lo, src.stop - lo
+    a, b = cols.start + left, cols.stop + left
     buf[..., :top, :] = 0
-    buf[..., top:bottom, :pad] = 0
-    buf[..., top:bottom, pad : pad + t] = x[..., src, :]
-    buf[..., top:bottom, pad + t :] = 0
+    buf[..., top:bottom, :a] = 0
+    buf[..., top:bottom, a:b] = x[..., src, cols]
+    buf[..., top:bottom, b:] = 0
     buf[..., bottom : count + 1, :] = 0
 
 
@@ -202,7 +222,7 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.nd
     y = np.empty(shape, dtype=np.result_type(x, w))
     if stride == 1 and x.shape[1] > 1:
         return _flat_conv2d(x, w, y, pad)
-    return _window_einsum(x, w, y, stride, pad)
+    return _im2col_conv2d(x, w, y, stride, pad)
 
 
 def _flat_conv2d(x, w, y, pad):
@@ -249,31 +269,48 @@ def conv2d_vjp(
 
 
 def _flat_conv2d_vjp(x, w, gy, pad):
-    # Each padded plane is read as one flat row of (fp + 1) * tp elements,
-    # with output rows widened from to to tp columns. Tap (i, j) then meets
-    # the contiguous run that starts at i * tp + j, so its dL/dw entry and its
-    # dL/dx term are plain GEMMs. The tp - to extra columns of each output row
-    # hold zeros in the widened gy; the extra padded row keeps the last
-    # tap's run inside the buffer.
+    # The gather form of depthwise_conv2d_vjp over bands of dL/dx rows of one
+    # sample. The band's gy rows are zero-padded by (kh - 1 - pad,
+    # kw - 1 - pad), or clipped where that is negative, to rows
+    # tg = t + kw - 1 wide, and read flat with one spare row; its x rows are
+    # widened to tg columns with zeros. Tap (i, j) then meets the run of
+    # padded gy at (kh - 1 - i) * tg + (kw - 1 - j): w[:, :, i, j].T times it
+    # is the tap's dL/dx term, and it times the widened x is the tap's dL/dw
+    # term. The dL/dx terms add in the scatter form's tap order, and each
+    # band's first t columns go into the exact-size dL/dx. Every band copies
+    # w's taps and adds into all of dL/dw once, so a band may hold as many
+    # bytes as w: at 256 channels, 256 KiB bands were 25% slower than one
+    # band per sample.
     n, c, f, t = x.shape
     o, _, kh, kw = w.shape
-    fo, to = gy.shape[2], gy.shape[3]
-    fp, tp = f + 2 * pad, t + 2 * pad
-    dtype = np.result_type(x, gy)
-    xp = np.zeros((n, c, fp + 1, tp), dtype=dtype)
-    xp[:, :, pad : pad + f, pad : pad + t] = x
-    gyw = np.zeros((n, o, fo, tp), dtype=dtype)
-    gyw[..., :to] = gy
-    xf, gf = xp.reshape(n, c, -1), gyw.reshape(n, o, -1)
-    gxp = np.zeros((n, c, fp + 1, tp), dtype=x.dtype)
-    gxf = gxp.reshape(n, c, -1)
-    gw = np.empty(w.shape, dtype=dtype)
-    for i in range(kh):
-        for j in range(kw):
-            run = slice(i * tp + j, i * tp + j + fo * tp)
-            gw[:, :, i, j] = np.matmul(gf, xf[:, :, run].transpose(0, 2, 1)).sum(axis=0)
-            gxf[:, :, run] += np.matmul(w[:, :, i, j].T, gf)
-    return gxp[:, :, pad : pad + f, pad : pad + t], gw
+    tg = t + kw - 1
+    dtype = np.result_type(x, w, gy)
+    budget = max(FLAT_SHIFT_BYTES, w.size * dtype.itemsize)
+    rows = min(f, max(1, budget // (max(c, o) * tg * dtype.itemsize)))
+    gx = np.empty(x.shape, dtype=x.dtype)
+    gw = np.zeros(w.shape, dtype=np.result_type(x, gy))
+    gbuf = np.empty(o * (rows + kh) * tg, dtype=dtype)
+    xbuf, acc, prod = (np.empty(c * rows * tg, dtype=dtype) for _ in range(3))
+    for s in range(n):
+        for r in range(0, f, rows):
+            m = min(rows, f - r)
+            gb = gbuf[: o * (m + kh) * tg].reshape(o, m + kh, tg)
+            _copy_padded_rows(gb, gy[s], r - (kh - 1 - pad), m + kh - 1, kw - 1 - pad)
+            xb = xbuf[: c * m * tg].reshape(c, m, tg)
+            xb[:, :, :t] = x[s, :, r : r + m]
+            xb[:, :, t:] = 0
+            gf, xf = gb.reshape(o, -1), xb.reshape(c, -1)
+            a, p = acc[: c * m * tg].reshape(c, -1), prod[: c * m * tg].reshape(c, -1)
+            for k in range(kh * kw):
+                i, j = divmod(k, kw)
+                start = (kh - 1 - i) * tg + kw - 1 - j
+                run = gf[:, start : start + m * tg]
+                gw[:, :, i, j] += run @ xf.T
+                np.matmul(w[:, :, i, j].T, run, out=p if k else a)
+                if k:
+                    a += p
+            gx[s, :, r : r + m] = a.reshape(c, m, tg)[:, :, :t]
+    return gx, gw
 
 
 def _strided_conv2d_vjp(x, w, gy, stride, pad):

@@ -2,7 +2,8 @@
 
 The script records the conv calls of one training step and times each on
 its own; a change to an op's signature that the recorder or the timer does
-not follow fails here instead of in a manual run.
+not follow fails here instead of in a manual run. It also checks the held
+bytes: a result that pins a larger buffer than itself shows up there.
 """
 
 import importlib.util
@@ -30,20 +31,30 @@ def conv_bench(monkeypatch):
     return module
 
 
+def result_bytes(name, x_shape, w_shape, tail):
+    """float32 bytes of the call's results: y for a forward, (dL/dx, dL/dw) for a VJP."""
+    if name.endswith("_vjp"):
+        return 4 * (np.prod(x_shape) + np.prod(w_shape))
+    stride, pad = (1, *tail) if name.startswith("depthwise") else tail
+    fo, to = (ops.conv_out_size(d, k, stride, pad) for d, k in zip(x_shape[2:], w_shape[2:]))
+    return 4 * x_shape[0] * w_shape[0] * fo * to
+
+
 @pytest.mark.parametrize("net", ["train-rev-df", "train-wide-q8"])
 def test_records_and_measures_every_op(conv_bench, net):
     originals = [getattr(ops, name) for name in conv_bench.OPS]
     calls = conv_bench.layer_calls(*conv_bench.NETS[net])
     assert [getattr(ops, name) for name in conv_bench.OPS] == originals  # restored
     assert all(count >= 1 for count in calls.values())
-    first = {}
-    for key in sorted(calls):
-        first.setdefault(key[0], key)
     expected = set(conv_bench.OPS) if net == "train-rev-df" else {"conv2d", "conv2d_vjp"}
-    assert set(first) == expected
+    assert {key[0] for key in calls} == expected
     rng = np.random.default_rng(0)
-    for name, x_shape, w_shape, tail in first.values():
+    for name, x_shape, w_shape, tail in sorted(calls):
         # a depthwise call passes pad alone, a dense one stride and pad
         assert len(tail) == (1 if name.startswith("depthwise") else 2)
-        sec, peak, in_bytes = conv_bench.measure(name, x_shape, w_shape, tail, 1, rng)
-        assert sec > 0 and peak > 0 and in_bytes > 0
+        sec, peak, held, in_bytes = conv_bench.measure(name, x_shape, w_shape, tail, 1, rng)
+        assert sec > 0 and peak >= held > 0 and in_bytes > 0
+        if name != "conv2d_vjp" or tail[0] == 1:
+            # no result is a view pinning a larger buffer; only the strided
+            # dense VJP still returns one
+            assert held == result_bytes(name, x_shape, w_shape, tail)

@@ -26,11 +26,13 @@ def traced_peak(fn, *args):
     return peak, out
 
 
-def padded_taps(x, kh, kw, pad):
-    """(i, j, tap view) of the zero-padded x for every tap of a stride-1 conv."""
+def padded_taps(x, kh, kw, pad, stride=1):
+    """(i, j, tap view) of the zero-padded x for every tap of a conv."""
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    fo, to = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
-    return [(i, j, xp[:, :, i : i + fo, j : j + to]) for i in range(kh) for j in range(kw)]
+    fo, to = (xp.shape[2] - kh) // stride + 1, (xp.shape[3] - kw) // stride + 1
+    return [(i, j, xp[:, :, i : i + stride * (fo - 1) + 1 : stride,
+                      j : j + stride * (to - 1) + 1 : stride])
+            for i in range(kh) for j in range(kw)]
 
 
 class TestConv2d:
@@ -78,8 +80,9 @@ class TestConv2d:
         assert mixed_err(gw, central_diff_proj(out, r, w)) <= 1e-6
 
     def test_vjp_peak_memory_stays_near_input_size(self, rng):
-        # at stride 1 the padded input, padded dL/dx, widened dL/dy and one
-        # tap's product are ~4.4x the input; the kh*kw-fold window copy was ~11x
+        # at stride 2 the padded input, padded dL/dx and one tap's products
+        # are ~4.4x the input; the kh*kw-fold window copy was ~11x. Stride 1
+        # is bounded by its bands (TestBandedDenseKernels)
         x = rng.standard_normal((4, 16, 80, 32), dtype=np.float32)
         w = rng.standard_normal((16, 16, 3, 3), dtype=np.float32)
         gy = rng.standard_normal(x.shape, dtype=np.float32)
@@ -318,6 +321,85 @@ class TestBlockedStride1Kernels:
         y = ops.conv2d(x, w, 1, pad)
         assert y.dtype == dtype and y.flags.c_contiguous and y.base is None
         assert scaled_err(y, y_ref) <= tol
+
+
+class TestBandedDenseKernels:
+    """The stride-1 dense VJP and the im2col forward (the c=1 stem and the
+    strided forwards) against plain padded and scatter references, with
+    FLAT_SHIFT_BYTES patched small so several bands run, the last partial,
+    and their peaks at the benchmark's and DF-RevNet89's shapes."""
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("kh, kw, pad", [(3, 3, 1), (3, 3, 0), (5, 5, 2), (1, 3, 1),
+                                             (1, 1, 1)])
+    def test_vjp_matches_scatter_reference(self, rng, monkeypatch, dtype, tol, kh, kw, pad):
+        n, c, o, f, t = 3, 5, 4, 11, 7
+        x = rng.normal(size=(n, c, f, t)).astype(dtype)
+        w = rng.normal(size=(o, c, kh, kw)).astype(dtype)
+        gy = rng.normal(size=ops.conv2d(x, w, 1, pad).shape).astype(dtype)
+        # bands of two dL/dx rows, or as many as one w's bytes hold; no
+        # band count below 11 divides the 11 rows, so the last is partial
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 2 * c * (t + kw - 1) * x.itemsize)
+        bands = []
+        copy = ops._copy_padded_rows
+        monkeypatch.setattr(ops, "_copy_padded_rows", lambda *a: bands.append(a) or copy(*a))
+        gx, gw = ops.conv2d_vjp(x, w, gy, 1, pad)
+        assert len(bands) > n
+        # the scatter form: each tap adds w.T gy at its offset of a padded dL/dx
+        gxp = np.zeros((n, c, f + 2 * pad, t + 2 * pad), dtype=dtype)
+        gw_ref = np.empty_like(w)
+        for i, j, xs in padded_taps(x, kh, kw, pad):
+            gxp[:, :, i : i + gy.shape[2], j : j + gy.shape[3]] += np.einsum(
+                "noft,oc->ncft", gy, w[:, :, i, j])
+            gw_ref[:, :, i, j] = np.einsum("ncft,noft->oc", xs, gy)
+        assert gx.dtype == dtype and gx.flags.c_contiguous and gx.base is None
+        assert scaled_err(gx, gxp[:, :, pad : pad + f, pad : pad + t]) <= tol
+        assert gw.dtype == dtype and scaled_err(gw, gw_ref) <= tol
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("c, stride", [(1, 1), (5, 2)], ids=["stem", "strided"])
+    @pytest.mark.parametrize("kh, kw, pad", [(3, 3, 1), (3, 3, 0), (5, 5, 2), (1, 3, 1)])
+    def test_im2col_forward_matches_padded_reference(self, rng, monkeypatch, dtype, tol,
+                                                     c, stride, kh, kw, pad):
+        n, o, f, t = 3, 4, 11, 7
+        x = rng.normal(size=(n, c, f, t)).astype(dtype)
+        w = rng.normal(size=(o, c, kh, kw)).astype(dtype)
+        # column bands of four output rows; no output here has a multiple of
+        # four rows, so the last band is partial
+        to = ops.conv_out_size(t, kw, stride, pad)
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 4 * n * c * kh * kw * to * x.itemsize)
+        y_ref = sum(np.einsum("ncft,oc->noft", xs, w[:, :, i, j])
+                    for i, j, xs in padded_taps(x, kh, kw, pad, stride))
+        y = ops.conv2d(x, w, stride, pad)
+        assert y.shape[2] > 4 and y.shape[2] % 4
+        assert y.dtype == dtype and y.flags.c_contiguous and y.base is None
+        assert scaled_err(y, y_ref) <= tol
+
+    @pytest.mark.parametrize("x_shape, w_shape", [
+        ((4, 32, 80, 32), (32, 32, 3, 3)), ((1, 48, 80, 200), (24, 48, 3, 3))],
+        ids=["toy", "registry"])
+    def test_vjp_peak_is_results_plus_bands(self, rng, x_shape, w_shape):
+        # one band's padded dL/dy (with its kh-row halo), widened x, widened
+        # dL/dx and tap product, each about FLAT_SHIFT_BYTES (these w are
+        # smaller); no padded copy of x, and dL/dx pins no padded buffer
+        x = rng.standard_normal(x_shape, dtype=np.float32)
+        w = rng.standard_normal(w_shape, dtype=np.float32)
+        gy = rng.standard_normal(ops.conv2d(x, w, 1, 1).shape, dtype=np.float32)
+        peak, (gx, gw) = traced_peak(ops.conv2d_vjp, x, w, gy, 1, 1)
+        assert gx.base is None and gx.flags.c_contiguous
+        assert peak <= gx.nbytes + gw.nbytes + 5 * ops.FLAT_SHIFT_BYTES
+
+    @pytest.mark.parametrize("x_shape, w_shape, stride", [
+        ((4, 1, 80, 32), (16, 1, 3, 3), 1), ((1, 1, 80, 200), (48, 1, 3, 3), 1),
+        ((2, 64, 80, 8), (128, 64, 3, 3), 2), ((1, 32, 80, 200), (64, 32, 3, 3), 2)],
+        ids=["toy-stem", "registry-stem", "toy-strided", "registry-strided"])
+    def test_im2col_forward_peak_is_output_plus_columns(self, rng, x_shape, w_shape, stride):
+        # one band's column buffer (at most FLAT_SHIFT_BYTES) and its padded
+        # input rows; the GEMM writes into the output, so no copy of it
+        x = rng.standard_normal(x_shape, dtype=np.float32)
+        w = rng.standard_normal(w_shape, dtype=np.float32)
+        peak, y = traced_peak(ops.conv2d, x, w, stride, 1)
+        assert peak <= y.nbytes + 2 * ops.FLAT_SHIFT_BYTES
 
 
 class TestBatchNorm2d:
