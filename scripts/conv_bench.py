@@ -11,7 +11,7 @@ imported from src/ of this checkout.
     python3 scripts/conv_bench.py [--reps 20]
 
 Columns: the op, input and kernel shapes, the call's trailing arguments as
-given (stride and pad for a dense conv, pad for a depthwise one), calls per
+given (the stride of a dense conv, none for a depthwise one), calls per
 training step, median milliseconds per call, the tracemalloc peak of one
 call in MB, the MB its results keep alive once it has returned, and the
 peak over the input's bytes. Held bytes above the results' own size mean a

@@ -270,7 +270,10 @@ def _count(text: str, minimum: int = 1) -> int:
 
 def _counts(text: str, minimum: int = 1) -> tuple:
     """argparse type for a comma-separated list of sizes (`--blocks`)."""
-    return tuple(_count(v, minimum) for v in text.split(",") if v)
+    values = tuple(_count(v, minimum) for v in text.split(",") if v)
+    if not values:
+        raise argparse.ArgumentTypeError("must be at least 1 value, got none")
+    return values
 
 
 def _depths(text: str) -> tuple:
@@ -317,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("memreport", help="analytic memory ledger")
     common(sp)
-    sp.add_argument("--sweep-depths", type=_depths, default="",
+    sp.add_argument("--sweep-depths", type=_depths, default=(),
                     help="comma list; rebuild with every reversible stage at "
                          "this depth and emit bytes per depth")
 

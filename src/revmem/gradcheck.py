@@ -94,16 +94,16 @@ def _op_checks(rng, fault_op=None):
     x = rng.normal(size=(1, 2, 5, 5))
     w = rng.normal(size=(3, 2, 3, 3))
     r = rng.normal(size=(1, 3, 5, 5))
-    gx, gw = vjps["conv2d"](x, w, r, 1, 1)
-    conv_out = lambda: ops.conv2d(x, w, 1, 1)
+    gx, gw = vjps["conv2d"](x, w, r)
+    conv_out = lambda: ops.conv2d(x, w)
     check("conv2d_dx", gx, fd_grad(conv_out, r, x))
     check("conv2d_dw", gw, fd_grad(conv_out, r, w))
 
     xd = rng.normal(size=(1, 2, 4, 4))
     wd = rng.normal(size=(2, 1, 3, 3))
     rd = rng.normal(size=(1, 2, 4, 4))
-    gx, gw = vjps["depthwise_conv2d"](xd, wd, rd, 1)
-    dconv_out = lambda: ops.depthwise_conv2d(xd, wd, 1)
+    gx, gw = vjps["depthwise_conv2d"](xd, wd, rd)
+    dconv_out = lambda: ops.depthwise_conv2d(xd, wd)
     check("depthwise_conv2d_dx", gx, fd_grad(dconv_out, rd, xd))
     check("depthwise_conv2d_dw", gw, fd_grad(dconv_out, rd, wd))
 
@@ -142,8 +142,8 @@ def _op_checks(rng, fault_op=None):
     x1 = rng.normal(size=(1, 3, 5, 5))
     w1 = rng.normal(size=(2, 3, 1, 1))
     r1 = rng.normal(size=(1, 2, 3, 3))
-    gx, gw = vjps["conv2d"](x1, w1, r1, 2, 0)
-    pconv_out = lambda: ops.conv2d(x1, w1, 2, 0)
+    gx, gw = vjps["conv2d"](x1, w1, r1, 2)
+    pconv_out = lambda: ops.conv2d(x1, w1, 2)
     check("conv2d_1x1_s2_dx", gx, fd_grad(pconv_out, r1, x1))
     check("conv2d_1x1_s2_dw", gw, fd_grad(pconv_out, r1, w1))
 
@@ -151,8 +151,8 @@ def _op_checks(rng, fault_op=None):
     x3 = rng.normal(size=(1, 2, 5, 6))
     w3 = rng.normal(size=(3, 2, 3, 3))
     r3 = rng.normal(size=(1, 3, 3, 3))
-    gx, gw = vjps["conv2d"](x3, w3, r3, 2, 1)
-    s3conv_out = lambda: ops.conv2d(x3, w3, 2, 1)
+    gx, gw = vjps["conv2d"](x3, w3, r3, 2)
+    s3conv_out = lambda: ops.conv2d(x3, w3, 2)
     check("conv2d_3x3_s2_dx", gx, fd_grad(s3conv_out, r3, x3))
     check("conv2d_3x3_s2_dw", gw, fd_grad(s3conv_out, r3, w3))
 

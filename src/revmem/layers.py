@@ -106,7 +106,6 @@ class Conv2d(Layer):
     def __init__(self, c_in, c_out, k, stride=1, *, rng, dtype):
         self.c_in, self.c_out, self.k = c_in, c_out, k
         self.stride = stride
-        self.pad = k // 2
         self.w = Param(he_uniform(rng, (c_out, c_in, k, k), c_in * k * k, dtype))
 
     def params(self):
@@ -117,16 +116,16 @@ class Conv2d(Layer):
         if c != self.c_in:
             raise ShapeError(f"{type(self).__name__} expects {self.c_in} channels, got {c}")
         _tape_shape(tape, self, shape)
-        return (n, self.c_out, ops.conv_out_size(f, self.k, self.stride, self.pad),
-                ops.conv_out_size(t, self.k, self.stride, self.pad))
+        return (n, self.c_out, ops.conv_out_size(f, self.stride),
+                ops.conv_out_size(t, self.stride))
 
     def forward(self, x, tape=None, replay=False):
         if tape is not None:
             tape.append(x)
-        return ops.conv2d(x, self.w.value, self.stride, self.pad)
+        return ops.conv2d(x, self.w.value, self.stride)
 
     def backward(self, gy, x):
-        gx, gw = ops.conv2d_vjp(x, self.w.value, gy, self.stride, self.pad)
+        gx, gw = ops.conv2d_vjp(x, self.w.value, gy, self.stride)
         self.w.grad += gw
         return gx
 
@@ -140,16 +139,15 @@ class DepthwiseConv2d(Conv2d):
     def __init__(self, c, k=3, *, rng, dtype):
         self.c_in = self.c_out = c
         self.k = k
-        self.pad = k // 2
         self.w = Param(he_uniform(rng, (c, 1, k, k), k * k, dtype))
 
     def forward(self, x, tape=None, replay=False):
         if tape is not None:
             tape.append(x)
-        return ops.depthwise_conv2d(x, self.w.value, self.pad)
+        return ops.depthwise_conv2d(x, self.w.value)
 
     def backward(self, gy, x):
-        gx, gw = ops.depthwise_conv2d_vjp(x, self.w.value, gy, self.pad)
+        gx, gw = ops.depthwise_conv2d_vjp(x, self.w.value, gy)
         self.w.grad += gw
         return gx
 

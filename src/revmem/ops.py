@@ -7,12 +7,13 @@ each differentiable op has a companion ``*_vjp`` that maps the output
 cotangent back to input/parameter cotangents. The VJPs are checked against
 central finite differences in the test suite.
 
-Convolutions are cross-correlations (no kernel flip). Output spatial sizes
-follow the usual floor rule ``(d + 2*pad - k)//stride + 1``, computed by
-``conv_out_size``, which layer shape planning shares. A depthwise conv runs
-at stride 1 with ``pad < min(kh, kw)``, the only form the networks build.
-Every forward output and every stride-1 dL/dx is a contiguous array that no
-larger buffer backs, so its ``nbytes`` is the memory it holds.
+Convolutions are cross-correlations (no kernel flip) with a square kernel
+of odd side k, zero-padded by ``k // 2`` on every side, so an output side
+is ``ceil(d / stride)``, computed by ``conv_out_size``, which layer shape
+planning shares. A depthwise conv runs at stride 1 only. These are the only
+forms the networks build. Every forward output and every stride-1 dL/dx is
+a contiguous array that no larger buffer backs, so its ``nbytes`` is the
+memory it holds.
 
 There are eight conv kernel forms. Each was picked as the fastest measured
 for its calls by ``python3 scripts/conv_bench.py`` (float32, one OpenBLAS
@@ -20,12 +21,12 @@ thread), which times every conv call of the benchmark nets and of
 DF-RevNet89 and ResNet34 at batch 1 and 200 frames. Scratch is what a call
 allocates beyond its results. A block or band holds one plane or row at
 least, so a plane or row larger than its constant bounds that buffer
-instead. "Other kernels" are all but the unpadded 1x1:
+instead. "Other kernels" are all but the 1x1:
 
-1. ``conv2d``, unpadded 1x1 kernel: one batched matrix product over
+1. ``conv2d``, 1x1 kernel: one batched matrix product over
    ``(n, c, f*t)`` of the input ``x[:, :, ::s, ::s]``. Scratch: none at
    stride 1; above it, the strided input's copy.
-2. ``conv2d_vjp``, unpadded 1x1 kernel: the same matrix products
+2. ``conv2d_vjp``, 1x1 kernel: the same matrix products
    transposed. Scratch: an (n, c_out, c_in) per-sample dL/dw; above stride
    1, the strided input's copy and the strided dL/dx scattered into the
    zeroed dL/dx.
@@ -43,15 +44,14 @@ instead. "Other kernels" are all but the unpadded 1x1:
    Scratch: the column buffer, at most ``FLAT_SHIFT_BYTES``, and the
    band's padded input rows, about stride**2 / (kh*kw) of it.
 5. ``conv2d_vjp``, other kernels at stride 1: the gather form over bands of
-   dL/dx rows of one sample. The band's dL/dy rows are zero-padded (or
-   clipped, for a pad above k - 1) and read flat, so tap (i, j) is one
-   contiguous run: its GEMM with w's tap is the tap's dL/dx term, and its
-   GEMM with x widened by zero columns is the tap's dL/dw term. Each band's
-   interior goes into the exact-size dL/dx. Scratch: four band buffers
-   (padded dL/dy with its kh-row halo, widened x, widened dL/dx and one
-   tap's product), each at most the larger of ``FLAT_SHIFT_BYTES`` and
-   w's bytes plus the halo, and one tap's (c_out, c_in) dL/dw product and
-   transposed w.
+   dL/dx rows of one sample. The band's dL/dy rows are zero-padded and
+   read flat, so tap (i, j) is one contiguous run: its GEMM with w's tap is
+   the tap's dL/dx term, and its GEMM with x widened by zero columns is the
+   tap's dL/dw term. Each band's interior goes into the exact-size dL/dx.
+   Scratch: four band buffers (padded dL/dy with its kh-row halo, widened
+   x, widened dL/dx and one tap's product), each at most the larger of
+   ``FLAT_SHIFT_BYTES`` and w's bytes plus the halo, and one tap's
+   (c_out, c_in) dL/dw product and transposed w.
 6. ``conv2d_vjp``, other kernels at stride > 1: one GEMM per tap on the tap's strided
    slice of the padded input. Scratch: a padded copy of the whole x, a
    padded dL/dx, and one tap's slice copy and products. It still returns
@@ -62,8 +62,8 @@ instead. "Other kernels" are all but the unpadded 1x1:
    straight into the exact-size output. Scratch: three block buffers (the
    padded planes, the widened output and one tap's product), each at most
    ``FLAT_SHIFT_BYTES``, and the per-plane taps.
-8. ``depthwise_conv2d_vjp``: the gather form of the same loop. It pads
-   dL/dy rather than x, takes each tap's dL/dw entries as per-plane dot
+8. ``depthwise_conv2d_vjp``: the gather form of the same loop, on blocks
+   of dL/dy planes. It takes each tap's dL/dw entries as per-plane dot
    products with x widened by zero columns, and adds the taps in the
    scatter form's order. Scratch: four block buffers (padded dL/dy, widened
    x, widened dL/dx and one tap's product), each at most
@@ -103,16 +103,14 @@ def _require_4d(x: np.ndarray, name: str) -> None:
         raise ShapeError(f"{name} must be rank-4 (n, c, f, t), got shape {x.shape}")
 
 
-def conv_out_size(d: int, k: int, stride: int, pad: int) -> int:
-    span = d + 2 * pad - k
-    if span < 0:
-        raise ConfigError(
-            f"kernel {k} with pad {pad} does not fit spatial extent {d}"
-        )
-    return span // stride + 1
+def conv_out_size(d: int, stride: int) -> int:
+    """Output side of a conv over extent d: ceil(d / stride)."""
+    if d < 1:
+        raise ConfigError(f"spatial extent must be at least 1, got {d}")
+    return (d - 1) // stride + 1
 
 
-def _im2col_conv2d(x, w, y, stride: int, pad: int) -> np.ndarray:
+def _im2col_conv2d(x, w, y, stride: int) -> np.ndarray:
     """Write the conv of x with w into y by a banded im2col.
 
     Bands of output rows run over the whole batch. A band's zero-padded
@@ -124,6 +122,7 @@ def _im2col_conv2d(x, w, y, stride: int, pad: int) -> np.ndarray:
     n, c, f, t = x.shape
     o, _, kh, kw = w.shape
     fo, to = y.shape[2:]
+    pad = kh // 2
     k, tp = c * kh * kw, t + 2 * pad
     rows = min(fo, max(1, FLAT_SHIFT_BYTES // (n * k * to * y.itemsize)))
     cbuf = np.empty(n * k * rows * to, dtype=y.dtype)
@@ -143,55 +142,50 @@ def _im2col_conv2d(x, w, y, stride: int, pad: int) -> np.ndarray:
     return y
 
 
-def _copy_padded_rows(buf, x, lo, count, left):
-    """Write rows lo .. lo + count - 1 of x, shifted right by left columns, into buf.
+def _copy_padded_rows(buf, x, lo, count, pad):
+    """Write rows lo .. lo + count - 1 of x, with pad zero columns each side, into buf.
 
-    Column q of x lands in column q + left of buf, and what falls outside
-    buf is clipped, so a negative left crops x. Every other element of those
-    rows is zero, rows outside x are zero, and so is row count of buf if it
-    has one: the spare row that keeps a flat tap run inside the buffer.
+    buf's rows are t + 2*pad wide. Rows outside x are zero, and so is row
+    count of buf if it has one: the spare row that keeps a flat tap run
+    inside the buffer.
     """
     f, t = x.shape[-2:]
     start = min(max(lo, 0), f)
-    src = slice(start, max(min(lo + count, f), start))
-    cols = slice(max(-left, 0), min(t, buf.shape[-1] - left))
-    top, bottom = src.start - lo, src.stop - lo
-    a, b = cols.start + left, cols.stop + left
+    stop = max(min(lo + count, f), start)
+    top, bottom = start - lo, stop - lo
     buf[..., :top, :] = 0
-    buf[..., top:bottom, :a] = 0
-    buf[..., top:bottom, a:b] = x[..., src, cols]
-    buf[..., top:bottom, b:] = 0
+    buf[..., top:bottom, :pad] = 0
+    buf[..., top:bottom, pad : pad + t] = x[..., start:stop, :]
+    buf[..., top:bottom, pad + t :] = 0
     buf[..., bottom : count + 1, :] = 0
 
 
-def _check_conv_args(x, w, stride, pad):
+def _check_conv_args(x, w, stride):
     _require_4d(x, "input")
     if w.ndim != 4:
         raise ShapeError(f"kernel must be rank-4, got shape {w.shape}")
     if stride < 1 or int(stride) != stride:
         raise ConfigError(f"stride must be a positive integer, got {stride}")
-    if pad < 0 or int(pad) != pad:
-        raise ConfigError(f"pad must be non-negative, got {pad}")
     kh, kw = w.shape[2], w.shape[3]
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ConfigError(f"kernel sides must be odd, got {kh}x{kw}")
+    if kh != kw or kh % 2 == 0:
+        raise ConfigError(f"kernel must be square with odd sides, got {kh}x{kw}")
 
 
-def _out_shape(x, w, stride, pad) -> tuple[int, int, int, int]:
+def _out_shape(x, w, stride) -> tuple[int, int, int, int]:
     """The conv's output shape (n, c_out, fo, to)."""
-    return (x.shape[0], w.shape[0], conv_out_size(x.shape[2], w.shape[2], stride, pad),
-            conv_out_size(x.shape[3], w.shape[3], stride, pad))
+    return (x.shape[0], w.shape[0], conv_out_size(x.shape[2], stride),
+            conv_out_size(x.shape[3], stride))
 
 
-def _check_cotangent(x, w, gy, stride, pad):
-    expected = _out_shape(x, w, stride, pad)
+def _check_cotangent(x, w, gy, stride):
+    expected = _out_shape(x, w, stride)
     if gy.shape != expected:
         raise ShapeError(f"dL/dy has shape {gy.shape} but the forward's output has shape "
                          f"{expected}")
 
 
-def _is_pointwise(w: np.ndarray, pad: int) -> bool:
-    return w.shape[2] == 1 and w.shape[3] == 1 and pad == 0
+def _is_pointwise(w: np.ndarray) -> bool:
+    return w.shape[2] == 1
 
 
 def _pointwise_conv2d_vjp(x, w, gy, stride):
@@ -208,24 +202,24 @@ def _pointwise_conv2d_vjp(x, w, gy, stride):
     return gx, gw
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Cross-correlate x (n, c_in, f, t) with w (c_out, c_in, kh, kw)."""
-    _check_conv_args(x, w, stride, pad)
+def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
+    """Cross-correlate x (n, c_in, f, t) with w (c_out, c_in, k, k), padded by k // 2."""
+    _check_conv_args(x, w, stride)
     if x.shape[1] != w.shape[1]:
         raise ShapeError(
             f"input has {x.shape[1]} channels but kernel expects {w.shape[1]}"
         )
-    n, _, fo, to = shape = _out_shape(x, w, stride, pad)
-    if _is_pointwise(w, pad):
+    n, _, fo, to = shape = _out_shape(x, w, stride)
+    if _is_pointwise(w):
         y = np.matmul(w[:, :, 0, 0], x[:, :, ::stride, ::stride].reshape(n, x.shape[1], fo * to))
         return y.reshape(shape)
     y = np.empty(shape, dtype=np.result_type(x, w))
     if stride == 1 and x.shape[1] > 1:
-        return _flat_conv2d(x, w, y, pad)
-    return _im2col_conv2d(x, w, y, stride, pad)
+        return _flat_conv2d(x, w, y)
+    return _im2col_conv2d(x, w, y, stride)
 
 
-def _flat_conv2d(x, w, y, pad):
+def _flat_conv2d(x, w, y):
     # Bands of output rows of one sample at a time. The band's padded input
     # rows (plus one spare) are read flat, so tap (i, j) meets the run at
     # i * tp + j and adds one GEMM into output rows widened to tp columns;
@@ -233,6 +227,7 @@ def _flat_conv2d(x, w, y, pad):
     n, c, f, t = x.shape
     o, _, kh, kw = w.shape
     fo, to = y.shape[2:]
+    pad = kh // 2
     tp = t + 2 * pad
     rows = min(fo, max(1, FLAT_SHIFT_BYTES // (max(c, o) * tp * y.itemsize) - kh))
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1), dtype=y.dtype)
@@ -256,33 +251,33 @@ def _flat_conv2d(x, w, y, pad):
 
 
 def conv2d_vjp(
-    x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int = 1, pad: int = 0
+    x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cotangents (dL/dx, dL/dw) of conv2d given dL/dy."""
-    _check_conv_args(x, w, stride, pad)
-    _check_cotangent(x, w, gy, stride, pad)
-    if _is_pointwise(w, pad):
+    _check_conv_args(x, w, stride)
+    _check_cotangent(x, w, gy, stride)
+    if _is_pointwise(w):
         return _pointwise_conv2d_vjp(x, w, gy, stride)
     if stride == 1:
-        return _flat_conv2d_vjp(x, w, gy, pad)
-    return _strided_conv2d_vjp(x, w, gy, stride, pad)
+        return _flat_conv2d_vjp(x, w, gy)
+    return _strided_conv2d_vjp(x, w, gy, stride)
 
 
-def _flat_conv2d_vjp(x, w, gy, pad):
+def _flat_conv2d_vjp(x, w, gy):
     # The gather form of depthwise_conv2d_vjp over bands of dL/dx rows of one
-    # sample. The band's gy rows are zero-padded by (kh - 1 - pad,
-    # kw - 1 - pad), or clipped where that is negative, to rows
-    # tg = t + kw - 1 wide, and read flat with one spare row; its x rows are
-    # widened to tg columns with zeros. Tap (i, j) then meets the run of
-    # padded gy at (kh - 1 - i) * tg + (kw - 1 - j): w[:, :, i, j].T times it
-    # is the tap's dL/dx term, and it times the widened x is the tap's dL/dw
-    # term. The dL/dx terms add in the scatter form's tap order, and each
+    # sample. The band's gy rows are zero-padded by k // 2 on every side to
+    # rows tg = t + kw - 1 wide, and read flat with one spare row; its x
+    # rows are widened to tg columns with zeros. Tap (i, j) then meets the
+    # run of padded gy at (kh - 1 - i) * tg + (kw - 1 - j): w[:, :, i, j].T
+    # times it is the tap's dL/dx term, and it times the widened x is the
+    # tap's dL/dw term. The dL/dx terms add in the scatter form's tap order, and each
     # band's first t columns go into the exact-size dL/dx. Every band copies
     # w's taps and adds into all of dL/dw once, so a band may hold as many
     # bytes as w: at 256 channels, 256 KiB bands were 25% slower than one
     # band per sample.
     n, c, f, t = x.shape
     o, _, kh, kw = w.shape
+    pad = kh // 2
     tg = t + kw - 1
     dtype = np.result_type(x, w, gy)
     budget = max(FLAT_SHIFT_BYTES, w.size * dtype.itemsize)
@@ -295,7 +290,7 @@ def _flat_conv2d_vjp(x, w, gy, pad):
         for r in range(0, f, rows):
             m = min(rows, f - r)
             gb = gbuf[: o * (m + kh) * tg].reshape(o, m + kh, tg)
-            _copy_padded_rows(gb, gy[s], r - (kh - 1 - pad), m + kh - 1, kw - 1 - pad)
+            _copy_padded_rows(gb, gy[s], r - pad, m + kh - 1, pad)
             xb = xbuf[: c * m * tg].reshape(c, m, tg)
             xb[:, :, :t] = x[s, :, r : r + m]
             xb[:, :, t:] = 0
@@ -313,11 +308,12 @@ def _flat_conv2d_vjp(x, w, gy, pad):
     return gx, gw
 
 
-def _strided_conv2d_vjp(x, w, gy, stride, pad):
+def _strided_conv2d_vjp(x, w, gy, stride):
     n, c, f, t = x.shape
     o, _, kh, kw = w.shape
     fo, to = gy.shape[2], gy.shape[3]
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    pad = kh // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     g = gy.reshape(n, o, fo * to)
     gxp = np.zeros((n, c, f + 2 * pad, t + 2 * pad), dtype=x.dtype)
     gw = np.empty(w.shape, dtype=np.result_type(x, gy))
@@ -328,21 +324,17 @@ def _strided_conv2d_vjp(x, w, gy, stride, pad):
             xs = xp[tap].reshape(n, c, fo * to)
             gw[:, :, i, j] = np.matmul(g, xs.transpose(0, 2, 1)).sum(axis=0)
             gxp[tap] += np.matmul(w[:, :, i, j].T, g).reshape(n, c, fo, to)
-    gx = gxp[:, :, pad : pad + f, pad : pad + t] if pad else gxp
-    return gx, gw
+    return gxp[:, :, pad : pad + f, pad : pad + t], gw
 
 
-def _check_depthwise_args(x, w, pad):
-    _check_conv_args(x, w, 1, pad)
+def _check_depthwise_args(x, w):
+    _check_conv_args(x, w, 1)
     if w.shape[1] != 1:
-        raise ShapeError(f"depthwise kernel must be (c, 1, kh, kw), got {w.shape}")
+        raise ShapeError(f"depthwise kernel must be (c, 1, k, k), got {w.shape}")
     if x.shape[1] != w.shape[0]:
         raise ShapeError(
             f"input has {x.shape[1]} channels but depthwise kernel has {w.shape[0]}"
         )
-    kh, kw = w.shape[2], w.shape[3]
-    if pad >= min(kh, kw):  # the VJP pads dL/dy by k - 1 - pad on each side
-        raise ConfigError(f"depthwise pad {pad} must be below the kernel sides {kh}x{kw}")
 
 
 def _planes_per_block(planes, plane_elems, dtype):
@@ -350,23 +342,23 @@ def _planes_per_block(planes, plane_elems, dtype):
     return max(1, min(planes, FLAT_SHIFT_BYTES // (plane_elems * dtype.itemsize)))
 
 
-def depthwise_conv2d(x: np.ndarray, w: np.ndarray, pad: int = 1) -> np.ndarray:
-    """Per-channel stride-1 convolution; w has shape (c, 1, kh, kw), one filter per channel."""
+def depthwise_conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per-channel stride-1 convolution; w has shape (c, 1, k, k), one filter per channel."""
     # Each block of planes is copied into a zero-padded buffer with one
     # spare row and read flat: tap (i, j) is the run at i * tp + j, scaled
-    # per plane and summed into rows widened to tp columns, whose first to
+    # per plane and summed into rows widened to tp columns, whose first t
     # columns are the block's output.
-    _check_depthwise_args(x, w, pad)
+    _check_depthwise_args(x, w)
     n, c, f, t = x.shape
     kh, kw = w.shape[2:]
-    fo, to = conv_out_size(f, kh, 1, pad), conv_out_size(t, kw, 1, pad)
-    y = np.empty((n, c, fo, to), dtype=np.result_type(x, w))
+    pad = kh // 2
+    y = np.empty(_out_shape(x, w, 1), dtype=np.result_type(x, w))
     tp = t + 2 * pad
-    xs, ys = x.reshape(n * c, f, t), y.reshape(n * c, fo, to)
+    xs, ys = x.reshape(n * c, f, t), y.reshape(n * c, f, t)
     taps = np.tile(w.reshape(c, kh * kw).astype(y.dtype), (n, 1))  # per plane
     size = _planes_per_block(n * c, (f + 2 * pad + 1) * tp, y.dtype)
     xb = np.zeros((size, f + 2 * pad + 1, tp), dtype=y.dtype)
-    acc = np.empty((size, fo * tp), dtype=y.dtype)
+    acc = np.empty((size, f * tp), dtype=y.dtype)
     prod = np.empty_like(acc)
     for first in range(0, n * c, size):
         block = slice(first, first + size)
@@ -375,37 +367,36 @@ def depthwise_conv2d(x: np.ndarray, w: np.ndarray, pad: int = 1) -> np.ndarray:
         xf, a, p = xb[:m].reshape(m, -1), acc[:m], prod[:m]
         for k in range(kh * kw):
             i, j = divmod(k, kw)
-            run = xf[:, i * tp + j : i * tp + j + fo * tp]
+            run = xf[:, i * tp + j : i * tp + j + f * tp]
             np.multiply(run, taps[block, k : k + 1], out=p if k else a)
             if k:
                 a += p
-        ys[block] = a.reshape(m, fo, tp)[:, :, :to]
+        ys[block] = a.reshape(m, f, tp)[:, :, :t]
     return y
 
 
 def depthwise_conv2d_vjp(
-    x: np.ndarray, w: np.ndarray, gy: np.ndarray, pad: int = 1
+    x: np.ndarray, w: np.ndarray, gy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cotangents (dL/dx, dL/dw) of depthwise_conv2d given dL/dy."""
     # Gather form over blocks of planes. Each block of gy is zero-padded by
-    # (kh - 1 - pad, kw - 1 - pad), which makes its rows tg = t + kw - 1
-    # wide, and read flat with one spare row; x is widened to tg columns
-    # with zeros. Tap (i, j) then meets the run of padded gy at
+    # k // 2 on every side, which makes its rows tg = t + kw - 1 wide, and
+    # read flat with one spare row; x is widened to tg columns with zeros.
+    # Tap (i, j) then meets the run of padded gy at
     # (kh - 1 - i) * tg + (kw - 1 - j): scaled by w it is the tap's term of
     # dL/dx, and its dot with the widened x is the plane's dL/dw entry. The
     # taps add in the order of the scatter form (each adding gy * w at its
     # offset of a padded dL/dx), so dL/dx is bit-identical to it.
-    _check_depthwise_args(x, w, pad)
-    _check_cotangent(x, w, gy, 1, pad)
+    _check_depthwise_args(x, w)
+    _check_cotangent(x, w, gy, 1)
     n, c, f, t = x.shape
     kh, kw = w.shape[2:]
-    fo, to = gy.shape[2:]
-    qh, qw = kh - 1 - pad, kw - 1 - pad
+    pad = kh // 2
     tg = t + kw - 1
     dtype = np.result_type(x, w, gy)
     gx = np.empty(x.shape, dtype=x.dtype)
     gw = np.empty((n * c, kh * kw), dtype=np.result_type(x, gy))
-    xs, gs, gxs = x.reshape(n * c, f, t), gy.reshape(n * c, fo, to), gx.reshape(n * c, f, t)
+    xs, gs, gxs = x.reshape(n * c, f, t), gy.reshape(n * c, f, t), gx.reshape(n * c, f, t)
     taps = np.tile(w.reshape(c, kh * kw).astype(dtype), (n, 1))  # per plane
     size = _planes_per_block(n * c, (f + kh) * tg, dtype)
     gb = np.zeros((size, f + kh, tg), dtype=dtype)
@@ -415,7 +406,7 @@ def depthwise_conv2d_vjp(
     for first in range(0, n * c, size):
         block = slice(first, first + size)
         m = min(size, n * c - first)
-        gb[:m, qh : qh + fo, qw : qw + to] = gs[block]
+        gb[:m, pad : pad + f, pad : pad + t] = gs[block]
         xb[:m, :, :t] = xs[block]
         gf, xf, a, p = gb[:m].reshape(m, -1), xb[:m].reshape(m, -1), acc[:m], prod[:m]
         for k in range(kh * kw):

@@ -11,10 +11,9 @@ A NetworkSpec is an ordered stage list over a small grammar:
     fc(d_in, d_out)           embedding projection
 
 Inputs are (n, 1, 80, T) feature maps. `build` validates the stage list
-(integer fields, channel bookkeeping, divisibility, the fc width rule) and
-the embedding width (an integer >= 1 equal to the last fc's output), then
-instantiates parameters; `param_count` computes the same number analytically
-without building anything, which the tests cross-check.
+(integer fields, odd conv kernels, channel bookkeeping, divisibility, the fc
+width rule) and the embedding width (an integer >= 1 equal to the last fc's
+output), then instantiates parameters.
 """
 
 from __future__ import annotations
@@ -95,58 +94,14 @@ class NetworkSpec:
     stages: list = field(default_factory=list)
     embedding_dim: int = DEFAULT_EMBEDDING_DIM
 
-    def param_count(self) -> int:
-        return _analytic_params(self)
-
-
-def _branch_params(kind: str, width: int, c_in: int) -> int:
-    """Parameter count of one residual branch (mirrors layers.make_residual_fn)."""
-    if kind == "basic":
-        return c_in * width * 9 + 2 * width + width * width * 9
-    if kind == "bottleneck":
-        mid = width // 4
-        return c_in * mid + 2 * mid + mid * mid * 9 + mid * width
-    if kind == "df_bottleneck":
-        mid = 4 * width
-        return c_in * mid + 2 * mid + mid * 9 + mid * width
-    raise ConfigError(f"unknown residual kind {kind!r}")
-
-
-def _analytic_params(spec: NetworkSpec) -> int:
-    total = 0
-    c = INPUT_CHANNELS
-    for stage in spec.stages:
-        if isinstance(stage, Conv):
-            total += c * stage.c * stage.k * stage.k + 2 * stage.c
-            c = stage.c
-        elif isinstance(stage, Res):
-            for i in range(stage.repeat):
-                total += _branch_params(stage.kind, stage.c, c)
-                if c != stage.c:
-                    total += c * stage.c  # projection
-                c = stage.c
-        elif isinstance(stage, Ds):
-            total += _branch_params(stage.kind, stage.c, c) + c * stage.c
-            c = stage.c
-        elif isinstance(stage, RevRes):
-            total += stage.repeat * 2 * _branch_params(stage.kind, stage.c_half, stage.c_half)
-            c = 2 * stage.c_half
-        elif isinstance(stage, RevDs):
-            c = stage.c_out
-        elif isinstance(stage, Fc):
-            total += stage.d_in * stage.d_out + stage.d_out
-        elif not isinstance(stage, Pooling):
-            raise ConfigError(f"unknown stage {stage!r}")
-    return total
-
 
 def _check_stage_ints(stage, where):
-    """Every integer field is at least 1; a repeat count may be 0."""
+    """Every integer field is at least 1; a repeat count may be 0, a ratio is at least 2."""
     for fl in fields(stage):
         if fl.type not in ("int", int):
             continue
         value = getattr(stage, fl.name)
-        low = 0 if fl.name == "repeat" else 1
+        low = {"repeat": 0, "r": 2}.get(fl.name, 1)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
             raise ConfigError(f"{where}: {fl.name} must be an integer >= {low}, got {value!r}")
 
@@ -174,10 +129,12 @@ def build(spec_or_name, dtype=np.float32, seed: int = 0) -> Network:
             raise ConfigError(f"{where}: unknown kind {stage.kind!r}")
         _check_stage_ints(stage, where)
         if isinstance(stage, Conv):
+            if stage.k % 2 == 0:
+                raise ConfigError(f"{where}: k must be odd, got {stage.k}")
             layers.append(Conv2d(c, stage.c, stage.k, stride=stage.stride, rng=rng, dtype=dtype))
             layers.append(BatchNorm2d(stage.c, dtype=dtype))
             layers.append(ReLU())
-            f = ops.conv_out_size(f, stage.k, stage.stride, stage.k // 2)
+            f = ops.conv_out_size(f, stage.stride)
             c = stage.c
         elif isinstance(stage, Res):
             for _ in range(stage.repeat):
@@ -185,8 +142,7 @@ def build(spec_or_name, dtype=np.float32, seed: int = 0) -> Network:
                 c = stage.c
         elif isinstance(stage, Ds):
             layers.append(ResidualBlock(stage.kind, c, stage.c, rng=rng, dtype=dtype, stride=2))
-            # stride-2 first conv: 3x3/pad-1 and 1x1/pad-0 give the same size
-            f = ops.conv_out_size(f, 3, 2, 1)
+            f = ops.conv_out_size(f, 2)
             c = stage.c
         elif isinstance(stage, RevRes):
             if c != 2 * stage.c_half:

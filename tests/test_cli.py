@@ -299,6 +299,19 @@ class TestMemreportCommand:
     def test_requires_net_or_spec(self):
         assert run(["memreport"]) == 2
 
+    @pytest.mark.parametrize("stages, cause", [
+        ('{"op": "conv", "c": 8, "k": 2}', "stage 0 (conv): k must be odd"),
+        ('{"op": "conv", "c": 8}, {"op": "rev_ds", "r": 1, "c_out": 8}',
+         "stage 1 (revds): r must be an integer >= 2"),
+    ], ids=["even-kernel", "ratio-one"])
+    def test_spec_that_cannot_run_exits_2(self, tmp_path, capsys, stages, cause):
+        # the plan refuses what a training step would refuse
+        path = tmp_path / "spec.json"
+        path.write_text(f'{{"name": "x", "stages": [{stages}]}}')
+        assert run(["memreport", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert cause in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("option", ["--steps", "--seed"])
     def test_training_only_options_rejected(self, option):
         # the ledger reads no weights, so a seed or step count changes nothing
@@ -335,12 +348,13 @@ class TestSizeBoundaries:
         (["quantbench", "--blocks", "0"], "--blocks"),
         (["quantbench", "--blocks=-5"], "--blocks"),
         (["quantbench", "--blocks", "64,0"], "--blocks"),
+        (["quantbench", "--blocks", ","], "--blocks"),
         (["train", "--optim", "adam8", "--block", "0", "--steps", "1"], "--block"),
         (["train", "--optim", "adam", "--block", "0", "--steps", "1"], "--block"),
     ], ids=["memreport-batch-neg", "memreport-frames-neg", "memreport-frames-zero",
             "train-batch-zero", "train-batch-neg", "train-classes-zero",
             "quantbench-elements-neg", "quantbench-blocks-zero", "quantbench-blocks-neg",
-            "quantbench-blocks-list-zero", "train-block-zero-adam8", "train-block-zero-adam"])
+            "quantbench-blocks-list-zero", "quantbench-blocks-empty", "train-block-zero-adam8", "train-block-zero-adam"])
     def test_size_below_one_exits_2_naming_option(self, capsys, argv, option):
         with pytest.raises(SystemExit) as info:
             run(argv)

@@ -35,8 +35,8 @@ def result_bytes(name, x_shape, w_shape, tail):
     """float32 bytes of the call's results: y for a forward, (dL/dx, dL/dw) for a VJP."""
     if name.endswith("_vjp"):
         return 4 * (np.prod(x_shape) + np.prod(w_shape))
-    stride, pad = (1, *tail) if name.startswith("depthwise") else tail
-    fo, to = (ops.conv_out_size(d, k, stride, pad) for d, k in zip(x_shape[2:], w_shape[2:]))
+    stride = tail[0] if tail else 1
+    fo, to = (ops.conv_out_size(d, stride) for d in x_shape[2:])
     return 4 * x_shape[0] * w_shape[0] * fo * to
 
 
@@ -50,8 +50,8 @@ def test_records_and_measures_every_op(conv_bench, net):
     assert {key[0] for key in calls} == expected
     rng = np.random.default_rng(0)
     for name, x_shape, w_shape, tail in sorted(calls):
-        # a depthwise call passes pad alone, a dense one stride and pad
-        assert len(tail) == (1 if name.startswith("depthwise") else 2)
+        # a dense call passes its stride, a depthwise one nothing
+        assert len(tail) == (0 if name.startswith("depthwise") else 1)
         sec, peak, held, in_bytes = conv_bench.measure(name, x_shape, w_shape, tail, 1, rng)
         assert sec > 0 and peak >= held > 0 and in_bytes > 0
         if name != "conv2d_vjp" or tail[0] == 1:

@@ -26,55 +26,52 @@ def traced_peak(fn, *args):
     return peak, out
 
 
-def padded_taps(x, kh, kw, pad, stride=1):
-    """(i, j, tap view) of the zero-padded x for every tap of a conv."""
+def padded_taps(x, k, stride=1):
+    """(i, j, tap view) of x zero-padded by k // 2 for every tap of a k x k conv."""
+    pad = k // 2
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    fo, to = (xp.shape[2] - kh) // stride + 1, (xp.shape[3] - kw) // stride + 1
+    fo, to = (xp.shape[2] - k) // stride + 1, (xp.shape[3] - k) // stride + 1
     return [(i, j, xp[:, :, i : i + stride * (fo - 1) + 1 : stride,
                       j : j + stride * (to - 1) + 1 : stride])
-            for i in range(kh) for j in range(kw)]
+            for i in range(k) for j in range(k)]
 
 
 class TestConv2d:
     def test_scalar_product(self):
         x = np.full((1, 1, 1, 1), 3.0)
         w = np.full((1, 1, 1, 1), 2.0)
-        assert ops.conv2d(x, w, 1, 0).item() == 6.0
+        assert ops.conv2d(x, w).item() == 6.0
 
     def test_identity_kernel(self, rng):
         x = rng.normal(size=(1, 2, 4, 4))
         w = np.zeros((2, 2, 3, 3))
         w[0, 0, 1, 1] = 1.0
         w[1, 1, 1, 1] = 1.0
-        np.testing.assert_array_equal(ops.conv2d(x, w, 1, 1), x)
+        np.testing.assert_array_equal(ops.conv2d(x, w), x)
 
     def test_matches_direct_loop_oracle(self, rng):
-        for c, kh, kw, stride, pad in [(3, 3, 3, 1, 0), (3, 3, 3, 1, 1), (3, 3, 3, 2, 1),
-                                       (3, 1, 1, 1, 0), (3, 1, 1, 2, 0), (1, 3, 3, 1, 1),
-                                       (3, 1, 3, 1, 0), (3, 3, 1, 2, 1), (3, 3, 3, 2, 0)]:
+        for c, k, stride in [(3, 3, 1), (3, 3, 2), (3, 1, 1), (3, 1, 2), (1, 3, 1)]:
             x = rng.normal(size=(2, c, 7, 6))
-            w = rng.normal(size=(4, c, kh, kw))
-            got = ops.conv2d(x, w, stride, pad)
-            ref = conv2d_direct(x, w, stride, pad)
+            w = rng.normal(size=(4, c, k, k))
+            got = ops.conv2d(x, w, stride)
+            ref = conv2d_direct(x, w, stride, k // 2)
             assert mixed_err(got, ref) <= 1e-6
             if stride == 1:
                 # depthwise is the dense conv with a block-diagonal kernel
-                wd = rng.normal(size=(c, 1, kh, kw))
-                dense = np.zeros((c, c, kh, kw))
+                wd = rng.normal(size=(c, 1, k, k))
+                dense = np.zeros((c, c, k, k))
                 dense[np.arange(c), np.arange(c)] = wd[:, 0]
-                got = ops.depthwise_conv2d(x, wd, pad)
-                assert mixed_err(got, conv2d_direct(x, dense, stride, pad)) <= 1e-6
+                got = ops.depthwise_conv2d(x, wd)
+                assert mixed_err(got, conv2d_direct(x, dense, stride, k // 2)) <= 1e-6
 
-    @pytest.mark.parametrize("c, kh, kw, stride, pad", [
-        (1, 3, 3, 1, 1), (3, 1, 3, 1, 0), (3, 3, 1, 1, 1), (2, 3, 1, 2, 1),
-        (2, 3, 3, 1, 0), (2, 3, 3, 2, 0), (2, 5, 5, 1, 2), (2, 1, 1, 1, 1)])
-    def test_tap_gradients(self, rng, c, kh, kw, stride, pad):
+    @pytest.mark.parametrize("c, k, stride", [(1, 3, 1), (2, 5, 1), (2, 5, 2)])
+    def test_tap_gradients(self, rng, c, k, stride):
         # the per-tap VJPs on kernels the benchmark nets do not use
         x = rng.normal(size=(2, c, 7, 6))
-        w = rng.normal(size=(3, c, kh, kw))
-        r = rng.normal(size=ops.conv2d(x, w, stride, pad).shape)
-        gx, gw = ops.conv2d_vjp(x, w, r, stride, pad)
-        out = lambda: ops.conv2d(x, w, stride, pad)
+        w = rng.normal(size=(3, c, k, k))
+        r = rng.normal(size=ops.conv2d(x, w, stride).shape)
+        gx, gw = ops.conv2d_vjp(x, w, r, stride)
+        out = lambda: ops.conv2d(x, w, stride)
         assert gx.shape == x.shape and gw.shape == w.shape
         assert mixed_err(gx, central_diff_proj(out, r, x)) <= 1e-6
         assert mixed_err(gw, central_diff_proj(out, r, w)) <= 1e-6
@@ -90,7 +87,7 @@ class TestConv2d:
             g = np.ascontiguousarray(gy[:, :, ::stride, ::stride])
             tracemalloc.start()
             try:
-                ops.conv2d_vjp(x, w, g, stride, 1)
+                ops.conv2d_vjp(x, w, g, stride)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -104,37 +101,37 @@ class TestConv2d:
         # most FLAT_SHIFT_BYTES; the padded input and window copy are gone
         x = rng.standard_normal(x_shape, dtype=np.float32)
         w = rng.standard_normal(w_shape, dtype=np.float32)
-        peak, y = traced_peak(ops.conv2d, x, w, 1, 1)
+        peak, y = traced_peak(ops.conv2d, x, w)
         assert peak <= y.nbytes + 4 * ops.FLAT_SHIFT_BYTES
 
     def test_gradients_vs_finite_differences(self, rng):
         x = rng.normal(size=(1, 2, 5, 5))
         w = rng.normal(size=(3, 2, 3, 3))
         r = rng.normal(size=(1, 3, 5, 5))
-        gx, gw = ops.conv2d_vjp(x, w, r, 1, 1)
-        out = lambda: ops.conv2d(x, w, 1, 1)
+        gx, gw = ops.conv2d_vjp(x, w, r)
+        out = lambda: ops.conv2d(x, w)
         assert mixed_err(gx, central_diff_proj(out, r, x)) <= 1e-6
         assert mixed_err(gw, central_diff_proj(out, r, w)) <= 1e-6
 
     def test_strided_gradients(self, rng):
         x = rng.normal(size=(1, 2, 5, 5))
         w = rng.normal(size=(2, 2, 3, 3))
-        y = ops.conv2d(x, w, 2, 1)
+        y = ops.conv2d(x, w, 2)
         r = rng.normal(size=y.shape)
-        gx, gw = ops.conv2d_vjp(x, w, r, 2, 1)
-        out = lambda: ops.conv2d(x, w, 2, 1)
+        gx, gw = ops.conv2d_vjp(x, w, r, 2)
+        out = lambda: ops.conv2d(x, w, 2)
         assert mixed_err(gx, central_diff_proj(out, r, x)) <= 1e-6
         assert mixed_err(gw, central_diff_proj(out, r, w)) <= 1e-6
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_pointwise_gradients(self, rng, stride):
-        # unpadded 1x1 kernels take the matmul path; the odd frequency extent
-        # leaves the last row out of every stride-2 window
+        # 1x1 kernels take the matmul path; the odd frequency extent leaves
+        # the last row out of every stride-2 window
         x = rng.normal(size=(2, 3, 5, 4))
         w = rng.normal(size=(4, 3, 1, 1))
-        r = rng.normal(size=ops.conv2d(x, w, stride, 0).shape)
-        gx, gw = ops.conv2d_vjp(x, w, r, stride, 0)
-        out = lambda: ops.conv2d(x, w, stride, 0)
+        r = rng.normal(size=ops.conv2d(x, w, stride).shape)
+        gx, gw = ops.conv2d_vjp(x, w, r, stride)
+        out = lambda: ops.conv2d(x, w, stride)
         assert gx.shape == x.shape and gw.shape == w.shape
         assert mixed_err(gx, central_diff_proj(out, r, x)) <= 1e-6
         assert mixed_err(gw, central_diff_proj(out, r, w)) <= 1e-6
@@ -143,20 +140,33 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="channels"):
             ops.conv2d(np.zeros((1, 3, 4, 4)), np.zeros((2, 2, 3, 3)))
 
-    def test_kernel_larger_than_input_raises(self):
-        with pytest.raises(ConfigError):
-            ops.conv2d(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 5, 5)))
+    @pytest.mark.parametrize("c", [1, 2], ids=["im2col", "flat"])
+    def test_kernel_larger_than_input_matches_direct(self, rng, c):
+        # padded by k // 2, a 5x5 kernel fits a 2x2 input and keeps its size
+        x = rng.normal(size=(1, c, 2, 2))
+        w = rng.normal(size=(3, c, 5, 5))
+        y = ops.conv2d(x, w)
+        assert y.shape == (1, 3, 2, 2)
+        assert mixed_err(y, conv2d_direct(x, w, pad=2)) <= 1e-6
 
-    def test_even_kernel_rejected(self):
+    def test_empty_extent_rejected(self):
+        with pytest.raises(ConfigError, match="at least 1"):
+            ops.conv2d(np.zeros((1, 1, 4, 0)), np.zeros((1, 1, 3, 3)))
+
+    @pytest.mark.parametrize("kh, kw", [(2, 2), (1, 3), (3, 1)])
+    def test_even_or_non_square_kernel_rejected(self, kh, kw):
+        x = np.zeros((1, 2, 4, 4))
         with pytest.raises(ConfigError, match="odd"):
-            ops.conv2d(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 2, 2)))
+            ops.conv2d(x, np.zeros((1, 2, kh, kw)))
+        with pytest.raises(ConfigError, match="odd"):
+            ops.depthwise_conv2d(x, np.zeros((2, 1, kh, kw)))
 
 
 @pytest.mark.parametrize("vjp, w_shape, args, gy_shape, y_shape", [
-    (ops.depthwise_conv2d_vjp, (2, 1, 3, 3), (1,), (1, 2, 4, 4), (1, 2, 6, 6)),
-    (ops.conv2d_vjp, (3, 2, 3, 3), (1, 1), (1, 3, 4, 4), (1, 3, 6, 6)),
-    (ops.conv2d_vjp, (3, 2, 1, 1), (1, 0), (1, 3, 4, 4), (1, 3, 6, 6)),
-    (ops.conv2d_vjp, (3, 2, 3, 3), (2, 1), (1, 3, 6, 6), (1, 3, 3, 3)),
+    (ops.depthwise_conv2d_vjp, (2, 1, 3, 3), (), (1, 2, 4, 4), (1, 2, 6, 6)),
+    (ops.conv2d_vjp, (3, 2, 3, 3), (1,), (1, 3, 4, 4), (1, 3, 6, 6)),
+    (ops.conv2d_vjp, (3, 2, 1, 1), (1,), (1, 3, 4, 4), (1, 3, 6, 6)),
+    (ops.conv2d_vjp, (3, 2, 3, 3), (2,), (1, 3, 6, 6), (1, 3, 3, 3)),
 ], ids=["depthwise", "stride1", "pointwise", "strided"])
 def test_vjp_rejects_cotangent_of_another_shape(vjp, w_shape, args, gy_shape, y_shape):
     # a dL/dy that is not the forward's output must not yield full-size gradients
@@ -167,26 +177,26 @@ def test_vjp_rejects_cotangent_of_another_shape(vjp, w_shape, args, gy_shape, y_
 
 
 class TestConvDtype:
-    @pytest.mark.parametrize("k, stride, pad", [(1, 1, 0), (1, 2, 0), (3, 1, 1), (3, 2, 1)])
-    def test_float32_in_float32_out(self, rng, k, stride, pad):
+    @pytest.mark.parametrize("k, stride", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    def test_float32_in_float32_out(self, rng, k, stride):
         x = rng.normal(size=(2, 4, 6, 6)).astype(np.float32)
         w = rng.normal(size=(3, 4, k, k)).astype(np.float32)
         wd = rng.normal(size=(4, 1, k, k)).astype(np.float32)
-        y = ops.conv2d(x, w, stride, pad)
-        outs = [y, *ops.conv2d_vjp(x, w, np.ones_like(y), stride, pad)]
+        y = ops.conv2d(x, w, stride)
+        outs = [y, *ops.conv2d_vjp(x, w, np.ones_like(y), stride)]
         if stride == 1:  # depthwise convs run at stride 1 only
-            yd = ops.depthwise_conv2d(x, wd, pad)
-            outs += [yd, *ops.depthwise_conv2d_vjp(x, wd, np.ones_like(yd), pad)]
+            yd = ops.depthwise_conv2d(x, wd)
+            outs += [yd, *ops.depthwise_conv2d_vjp(x, wd, np.ones_like(yd))]
         assert [o.dtype for o in outs] == [np.float32] * (6 if stride == 1 else 3)
 
-    @pytest.mark.parametrize("k, stride, pad", [(1, 1, 0), (1, 2, 0), (3, 1, 1), (3, 2, 1)])
-    def test_forward_outputs_own_contiguous_memory(self, rng, k, stride, pad):
+    @pytest.mark.parametrize("k, stride", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    def test_forward_outputs_own_contiguous_memory(self, rng, k, stride):
         # the ledger counts nbytes, which is the memory held only when the
         # output is contiguous and no larger buffer lies behind it
         x = rng.normal(size=(2, 4, 6, 6))
-        ys = [ops.conv2d(x, rng.normal(size=(3, 4, k, k)), stride, pad)]
+        ys = [ops.conv2d(x, rng.normal(size=(3, 4, k, k)), stride)]
         if stride == 1:  # depthwise convs run at stride 1 only
-            ys.append(ops.depthwise_conv2d(x, rng.normal(size=(4, 1, k, k)), pad))
+            ys.append(ops.depthwise_conv2d(x, rng.normal(size=(4, 1, k, k))))
         for y in ys:
             held = y
             while held.base is not None:
@@ -198,7 +208,7 @@ class TestDepthwiseConv2d:
     def test_ones_kernel_counts_neighbourhood(self):
         x = np.ones((1, 2, 3, 3))
         w = np.ones((2, 1, 3, 3))
-        y = ops.depthwise_conv2d(x, w, 1)
+        y = ops.depthwise_conv2d(x, w)
         assert y[0, 0, 1, 1] == 9.0
         assert y[0, 0, 0, 1] == 6.0
         assert y[0, 0, 0, 0] == 4.0
@@ -207,31 +217,23 @@ class TestDepthwiseConv2d:
         x = rng.normal(size=(1, 2, 3, 3))
         w = np.zeros((2, 1, 3, 3))
         w[:, 0, 1, 1] = 1.0
-        np.testing.assert_array_equal(ops.depthwise_conv2d(x, w, 1), x)
+        np.testing.assert_array_equal(ops.depthwise_conv2d(x, w), x)
 
     def test_gradients_vs_finite_differences(self, rng):
         x = rng.normal(size=(1, 2, 4, 4))
         w = rng.normal(size=(2, 1, 3, 3))
         r = rng.normal(size=(1, 2, 4, 4))
-        gx, gw = ops.depthwise_conv2d_vjp(x, w, r, 1)
-        out = lambda: ops.depthwise_conv2d(x, w, 1)
+        gx, gw = ops.depthwise_conv2d_vjp(x, w, r)
+        out = lambda: ops.depthwise_conv2d(x, w)
         assert mixed_err(gx, central_diff_proj(out, r, x)) <= 1e-6
         assert mixed_err(gw, central_diff_proj(out, r, w)) <= 1e-6
 
     def test_takes_no_stride(self):
         for fn in (ops.depthwise_conv2d, ops.depthwise_conv2d_vjp):
             assert "stride" not in inspect.signature(fn).parameters
-
-    @pytest.mark.parametrize("kh, kw, pad", [(3, 3, 3), (3, 3, 4), (1, 3, 1), (3, 1, 1)])
-    def test_pad_at_least_a_kernel_side_rejected(self, rng, kh, kw, pad):
-        # dL/dy's gather padding k - 1 - pad would be negative
-        x = rng.normal(size=(1, 2, 6, 6))
-        w = rng.normal(size=(2, 1, kh, kw))
-        gy = rng.normal(size=(1, 2, 7 + 2 * pad - kh, 7 + 2 * pad - kw))
-        with pytest.raises(ConfigError, match="pad"):
-            ops.depthwise_conv2d(x, w, pad)
-        with pytest.raises(ConfigError, match="pad"):
-            ops.depthwise_conv2d_vjp(x, w, gy, pad)
+        # nor does any conv op take a pad: each pads by k // 2
+        for fn in (ops.conv2d, ops.conv2d_vjp, ops.depthwise_conv2d, ops.depthwise_conv2d_vjp):
+            assert "pad" not in inspect.signature(fn).parameters
 
     @staticmethod
     def _forward_peak_and_bound(rng, shape):
@@ -239,7 +241,7 @@ class TestDepthwiseConv2d:
         # at most FLAT_SHIFT_BYTES; no padded copy of the whole input
         x = rng.standard_normal(shape, dtype=np.float32)
         w = rng.standard_normal((shape[1], 1, 3, 3), dtype=np.float32)
-        peak, y = traced_peak(ops.depthwise_conv2d, x, w, 1)
+        peak, y = traced_peak(ops.depthwise_conv2d, x, w)
         return peak, y.nbytes + 4 * ops.FLAT_SHIFT_BYTES
 
     @staticmethod
@@ -249,7 +251,7 @@ class TestDepthwiseConv2d:
         x = rng.standard_normal(shape, dtype=np.float32)
         w = rng.standard_normal((shape[1], 1, 3, 3), dtype=np.float32)
         gy = rng.standard_normal(shape, dtype=np.float32)
-        peak, (gx, gw) = traced_peak(ops.depthwise_conv2d_vjp, x, w, gy, 1)
+        peak, (gx, gw) = traced_peak(ops.depthwise_conv2d_vjp, x, w, gy)
         assert gx.base is None and gx.flags.c_contiguous
         return peak, gx.nbytes + gw.nbytes + 5 * ops.FLAT_SHIFT_BYTES
 
@@ -279,23 +281,21 @@ class TestBlockedStride1Kernels:
     block and band constants patched small so several run, the last partial."""
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
-    @pytest.mark.parametrize("kh, kw, pad", [(3, 3, 1), (3, 3, 0), (5, 5, 2), (1, 3, 0)])
-    def test_depthwise_matches_padded_reference(self, rng, monkeypatch, dtype, tol,
-                                                kh, kw, pad):
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_depthwise_matches_padded_reference(self, rng, monkeypatch, dtype, tol, k):
         n, c, f, t = 3, 5, 9, 7  # 15 planes: blocks of 4, 4, 4 and 3
+        pad = k // 2
         x = rng.normal(size=(n, c, f, t)).astype(dtype)
-        w = rng.normal(size=(c, 1, kh, kw)).astype(dtype)
+        w = rng.normal(size=(c, 1, k, k)).astype(dtype)
         plane = (f + 2 * pad + 1) * (t + 2 * pad)  # padded x plus a spare row
         monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 4 * plane * x.itemsize)
-        taps = padded_taps(x, kh, kw, pad)
+        taps = padded_taps(x, k)
         y_ref = sum(xs * w[:, 0, i, j][None, :, None, None] for i, j, xs in taps)
-        y = ops.depthwise_conv2d(x, w, pad)
+        y = ops.depthwise_conv2d(x, w)
         assert y.dtype == dtype and scaled_err(y, y_ref) <= tol
 
         gy = rng.normal(size=y.shape).astype(dtype)
-        plane = (f + kh) * (t + kw - 1)  # dL/dy padded for the gather form
-        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 4 * plane * x.itemsize)
-        gx, gw = ops.depthwise_conv2d_vjp(x, w, gy, pad)
+        gx, gw = ops.depthwise_conv2d_vjp(x, w, gy)  # the same blocks: dL/dy padded as x
         # the scatter form: each tap adds gy * w at its offset, in tap order
         gxp = np.zeros((n, c, f + 2 * pad, t + 2 * pad), dtype=dtype)
         gw_ref = np.empty_like(w)
@@ -307,18 +307,17 @@ class TestBlockedStride1Kernels:
         assert gw.dtype == dtype and scaled_err(gw, gw_ref) <= tol
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
-    @pytest.mark.parametrize("kh, kw, pad", [(3, 3, 1), (3, 3, 0), (5, 5, 2), (1, 3, 1)])
-    def test_dense_forward_matches_padded_reference(self, rng, monkeypatch, dtype, tol,
-                                                    kh, kw, pad):
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_dense_forward_matches_padded_reference(self, rng, monkeypatch, dtype, tol, k):
         n, c, o, f, t = 3, 5, 4, 9, 7
         x = rng.normal(size=(n, c, f, t)).astype(dtype)
-        w = rng.normal(size=(o, c, kh, kw)).astype(dtype)
+        w = rng.normal(size=(o, c, k, k)).astype(dtype)
         # bands of two output rows per sample, the last one partial or single
-        band = (2 + kh) * c * (t + 2 * pad) * x.itemsize
+        band = (2 + k) * c * (t + 2 * (k // 2)) * x.itemsize
         monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", band)
         y_ref = sum(np.einsum("ncft,oc->noft", xs, w[:, :, i, j])
-                    for i, j, xs in padded_taps(x, kh, kw, pad))
-        y = ops.conv2d(x, w, 1, pad)
+                    for i, j, xs in padded_taps(x, k))
+        y = ops.conv2d(x, w)
         assert y.dtype == dtype and y.flags.c_contiguous and y.base is None
         assert scaled_err(y, y_ref) <= tol
 
@@ -330,25 +329,25 @@ class TestBandedDenseKernels:
     and their peaks at the benchmark's and DF-RevNet89's shapes."""
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
-    @pytest.mark.parametrize("kh, kw, pad", [(3, 3, 1), (3, 3, 0), (5, 5, 2), (1, 3, 1),
-                                             (1, 1, 1)])
-    def test_vjp_matches_scatter_reference(self, rng, monkeypatch, dtype, tol, kh, kw, pad):
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_vjp_matches_scatter_reference(self, rng, monkeypatch, dtype, tol, k):
         n, c, o, f, t = 3, 5, 4, 11, 7
+        pad = k // 2
         x = rng.normal(size=(n, c, f, t)).astype(dtype)
-        w = rng.normal(size=(o, c, kh, kw)).astype(dtype)
-        gy = rng.normal(size=ops.conv2d(x, w, 1, pad).shape).astype(dtype)
+        w = rng.normal(size=(o, c, k, k)).astype(dtype)
+        gy = rng.normal(size=ops.conv2d(x, w).shape).astype(dtype)
         # bands of two dL/dx rows, or as many as one w's bytes hold; no
         # band count below 11 divides the 11 rows, so the last is partial
-        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 2 * c * (t + kw - 1) * x.itemsize)
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 2 * c * (t + k - 1) * x.itemsize)
         bands = []
         copy = ops._copy_padded_rows
         monkeypatch.setattr(ops, "_copy_padded_rows", lambda *a: bands.append(a) or copy(*a))
-        gx, gw = ops.conv2d_vjp(x, w, gy, 1, pad)
+        gx, gw = ops.conv2d_vjp(x, w, gy)
         assert len(bands) > n
         # the scatter form: each tap adds w.T gy at its offset of a padded dL/dx
         gxp = np.zeros((n, c, f + 2 * pad, t + 2 * pad), dtype=dtype)
         gw_ref = np.empty_like(w)
-        for i, j, xs in padded_taps(x, kh, kw, pad):
+        for i, j, xs in padded_taps(x, k):
             gxp[:, :, i : i + gy.shape[2], j : j + gy.shape[3]] += np.einsum(
                 "noft,oc->ncft", gy, w[:, :, i, j])
             gw_ref[:, :, i, j] = np.einsum("ncft,noft->oc", xs, gy)
@@ -358,19 +357,19 @@ class TestBandedDenseKernels:
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     @pytest.mark.parametrize("c, stride", [(1, 1), (5, 2)], ids=["stem", "strided"])
-    @pytest.mark.parametrize("kh, kw, pad", [(3, 3, 1), (3, 3, 0), (5, 5, 2), (1, 3, 1)])
+    @pytest.mark.parametrize("k", [3, 5])
     def test_im2col_forward_matches_padded_reference(self, rng, monkeypatch, dtype, tol,
-                                                     c, stride, kh, kw, pad):
+                                                     c, stride, k):
         n, o, f, t = 3, 4, 11, 7
         x = rng.normal(size=(n, c, f, t)).astype(dtype)
-        w = rng.normal(size=(o, c, kh, kw)).astype(dtype)
+        w = rng.normal(size=(o, c, k, k)).astype(dtype)
         # column bands of four output rows; no output here has a multiple of
         # four rows, so the last band is partial
-        to = ops.conv_out_size(t, kw, stride, pad)
-        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 4 * n * c * kh * kw * to * x.itemsize)
+        to = ops.conv_out_size(t, stride)
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 4 * n * c * k * k * to * x.itemsize)
         y_ref = sum(np.einsum("ncft,oc->noft", xs, w[:, :, i, j])
-                    for i, j, xs in padded_taps(x, kh, kw, pad, stride))
-        y = ops.conv2d(x, w, stride, pad)
+                    for i, j, xs in padded_taps(x, k, stride))
+        y = ops.conv2d(x, w, stride)
         assert y.shape[2] > 4 and y.shape[2] % 4
         assert y.dtype == dtype and y.flags.c_contiguous and y.base is None
         assert scaled_err(y, y_ref) <= tol
@@ -384,8 +383,8 @@ class TestBandedDenseKernels:
         # smaller); no padded copy of x, and dL/dx pins no padded buffer
         x = rng.standard_normal(x_shape, dtype=np.float32)
         w = rng.standard_normal(w_shape, dtype=np.float32)
-        gy = rng.standard_normal(ops.conv2d(x, w, 1, 1).shape, dtype=np.float32)
-        peak, (gx, gw) = traced_peak(ops.conv2d_vjp, x, w, gy, 1, 1)
+        gy = rng.standard_normal(ops.conv2d(x, w).shape, dtype=np.float32)
+        peak, (gx, gw) = traced_peak(ops.conv2d_vjp, x, w, gy)
         assert gx.base is None and gx.flags.c_contiguous
         assert peak <= gx.nbytes + gw.nbytes + 5 * ops.FLAT_SHIFT_BYTES
 
@@ -398,7 +397,7 @@ class TestBandedDenseKernels:
         # input rows; the GEMM writes into the output, so no copy of it
         x = rng.standard_normal(x_shape, dtype=np.float32)
         w = rng.standard_normal(w_shape, dtype=np.float32)
-        peak, y = traced_peak(ops.conv2d, x, w, stride, 1)
+        peak, y = traced_peak(ops.conv2d, x, w, stride)
         assert peak <= y.nbytes + 2 * ops.FLAT_SHIFT_BYTES
 
 

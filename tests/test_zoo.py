@@ -1,4 +1,4 @@
-"""Registry fidelity, spec validation, analytic counts, JSON round trip."""
+"""Registry fidelity, spec validation, pinned parameter counts, JSON round trip."""
 
 import re
 
@@ -12,8 +12,7 @@ from revmem.errors import ConfigError
 # reference parameter counts for the named architectures, asserted at 2%.
 # Entries are limited to networks whose reference block layout is
 # arithmetically consistent with the reference count (a few reference rows
-# contradict their own layout; those are checked for analytic
-# self-consistency only).
+# contradict their own layout; those are checked against PARAM_EXACT only).
 PARAM_TABLE = {
     "ResNet34": 6.6e6,
     "ResNet101": 15.9e6,
@@ -35,7 +34,7 @@ PARAM_TABLE = {
     "DF-RevNet149": 6.5e6,
 }
 
-# exact analytic counts of every registry net; a layout change that moves
+# exact parameter counts of every registry net; a layout change that moves
 # any stage of any net changes at least one of these
 PARAM_EXACT = {
     "ResNet34": 6_629_664,
@@ -77,15 +76,12 @@ FC_TABLE = {
 
 class TestRegistry:
     @pytest.mark.parametrize("name", zoo.REGISTRY_NAMES)
-    def test_builds_and_matches_analytic_count(self, name):
-        spec = zoo.registry_spec(name)
-        net = zoo.build(spec, dtype=np.float32)
-        assert net.param_count == spec.param_count() == PARAM_EXACT[name]
+    def test_builds_and_matches_pinned_count(self, name):
+        assert zoo.build(name, dtype=np.float32).param_count == PARAM_EXACT[name]
 
     @pytest.mark.parametrize("name,target", sorted(PARAM_TABLE.items()))
     def test_param_count_within_two_percent(self, name, target):
-        count = zoo.registry_spec(name).param_count()
-        assert abs(count - target) / target <= 0.02
+        assert abs(PARAM_EXACT[name] - target) / target <= 0.02
 
     @pytest.mark.parametrize("name,d_in", sorted(FC_TABLE.items()))
     def test_fc_dims_exact(self, name, d_in):
@@ -154,6 +150,8 @@ class TestValidation:
         (zoo.Ds("basic", 0), "stage 1 (ds)", "c"),
         (zoo.RevRes("basic", 4, -1), "stage 1 (revres)", "repeat"),
         (zoo.Fc(0, 32), "stage 2 (fc)", "d_in"),
+        (zoo.RevDs(1, 8), "stage 1 (revds)", "r"),  # a ratio below 2 cannot downsample
+        (zoo.Conv(8, 2), "stage 1 (conv)", "k"),  # a conv pads by k // 2, so k is odd
     ])
     def test_stage_integers_checked(self, stage, where, field):
         stages = [zoo.Conv(8), stage]
@@ -214,7 +212,8 @@ class TestJsonRoundTrip:
         spec = zoo.toy_spec([2, 1], 16, "df_bottleneck")
         back = zoo.spec_from_json(zoo.spec_to_json(spec))
         assert back == spec
-        assert zoo.build(back, dtype=np.float32).param_count == spec.param_count()
+        assert (zoo.build(back, dtype=np.float32).param_count
+                == zoo.build(spec, dtype=np.float32).param_count)
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
