@@ -64,9 +64,11 @@ class TestConv2d:
                 got = ops.depthwise_conv2d(x, wd)
                 assert mixed_err(got, conv2d_direct(x, dense, stride, k // 2)) <= 1e-6
 
-    @pytest.mark.parametrize("c, k, stride", [(1, 3, 1), (2, 5, 1), (2, 5, 2)])
+    @pytest.mark.parametrize("c, k, stride", [
+        (1, 3, 1), (2, 1, 1), (2, 3, 2), (2, 5, 1), (2, 5, 2), (3, 1, 2), (3, 3, 1), (3, 5, 2)])
     def test_tap_gradients(self, rng, c, k, stride):
-        # the per-tap VJPs on kernels the benchmark nets do not use
+        # the VJPs of every path (pointwise, c=1 stem, flat, strided) on a
+        # 7x6 input, whose odd frequency extent a stride-2 window leaves over
         x = rng.normal(size=(2, c, 7, 6))
         w = rng.normal(size=(3, c, k, k))
         r = rng.normal(size=ops.conv2d(x, w, stride).shape)
@@ -153,13 +155,17 @@ class TestConv2d:
         with pytest.raises(ConfigError, match="at least 1"):
             ops.conv2d(np.zeros((1, 1, 4, 0)), np.zeros((1, 1, 3, 3)))
 
-    @pytest.mark.parametrize("kh, kw", [(2, 2), (1, 3), (3, 1)])
+    @pytest.mark.parametrize("kh, kw", [(2, 2), (4, 4), (1, 3), (3, 1), (5, 3)])
     def test_even_or_non_square_kernel_rejected(self, kh, kw):
         x = np.zeros((1, 2, 4, 4))
         with pytest.raises(ConfigError, match="odd"):
             ops.conv2d(x, np.zeros((1, 2, kh, kw)))
         with pytest.raises(ConfigError, match="odd"):
+            ops.conv2d_vjp(x, np.zeros((1, 2, kh, kw)), np.zeros((1, 1, 4, 4)))
+        with pytest.raises(ConfigError, match="odd"):
             ops.depthwise_conv2d(x, np.zeros((2, 1, kh, kw)))
+        with pytest.raises(ConfigError, match="odd"):
+            ops.depthwise_conv2d_vjp(x, np.zeros((2, 1, kh, kw)), np.zeros(x.shape))
 
 
 @pytest.mark.parametrize("vjp, w_shape, args, gy_shape, y_shape", [
@@ -177,7 +183,7 @@ def test_vjp_rejects_cotangent_of_another_shape(vjp, w_shape, args, gy_shape, y_
 
 
 class TestConvDtype:
-    @pytest.mark.parametrize("k, stride", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("k, stride", [(1, 1), (1, 2), (3, 1), (3, 2), (5, 1), (5, 2)])
     def test_float32_in_float32_out(self, rng, k, stride):
         x = rng.normal(size=(2, 4, 6, 6)).astype(np.float32)
         w = rng.normal(size=(3, 4, k, k)).astype(np.float32)
@@ -189,7 +195,7 @@ class TestConvDtype:
             outs += [yd, *ops.depthwise_conv2d_vjp(x, wd, np.ones_like(yd))]
         assert [o.dtype for o in outs] == [np.float32] * (6 if stride == 1 else 3)
 
-    @pytest.mark.parametrize("k, stride", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("k, stride", [(1, 1), (1, 2), (3, 1), (3, 2), (5, 1), (5, 2)])
     def test_forward_outputs_own_contiguous_memory(self, rng, k, stride):
         # the ledger counts nbytes, which is the memory held only when the
         # output is contiguous and no larger buffer lies behind it
@@ -281,7 +287,7 @@ class TestBlockedStride1Kernels:
     block and band constants patched small so several run, the last partial."""
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
-    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
     def test_depthwise_matches_padded_reference(self, rng, monkeypatch, dtype, tol, k):
         n, c, f, t = 3, 5, 9, 7  # 15 planes: blocks of 4, 4, 4 and 3
         pad = k // 2
@@ -307,7 +313,7 @@ class TestBlockedStride1Kernels:
         assert gw.dtype == dtype and scaled_err(gw, gw_ref) <= tol
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
-    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("k", [3, 5, 7])
     def test_dense_forward_matches_padded_reference(self, rng, monkeypatch, dtype, tol, k):
         n, c, o, f, t = 3, 5, 4, 9, 7
         x = rng.normal(size=(n, c, f, t)).astype(dtype)
@@ -329,15 +335,15 @@ class TestBandedDenseKernels:
     and their peaks at the benchmark's and DF-RevNet89's shapes."""
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
-    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("k", [3, 5, 7])
     def test_vjp_matches_scatter_reference(self, rng, monkeypatch, dtype, tol, k):
-        n, c, o, f, t = 3, 5, 4, 11, 7
+        n, c, o, f, t = 3, 5, 4, 17, 7
         pad = k // 2
         x = rng.normal(size=(n, c, f, t)).astype(dtype)
         w = rng.normal(size=(o, c, k, k)).astype(dtype)
         gy = rng.normal(size=ops.conv2d(x, w).shape).astype(dtype)
-        # bands of two dL/dx rows, or as many as one w's bytes hold; no
-        # band count below 11 divides the 11 rows, so the last is partial
+        # bands of two dL/dx rows, or as many as one w's bytes hold (4, 9
+        # and 15 rows here); 17 rows is prime, so the last band is partial
         monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 2 * c * (t + k - 1) * x.itemsize)
         bands = []
         copy = ops._copy_padded_rows
@@ -357,7 +363,7 @@ class TestBandedDenseKernels:
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     @pytest.mark.parametrize("c, stride", [(1, 1), (5, 2)], ids=["stem", "strided"])
-    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("k", [3, 5, 7])
     def test_im2col_forward_matches_padded_reference(self, rng, monkeypatch, dtype, tol,
                                                      c, stride, k):
         n, o, f, t = 3, 4, 11, 7
