@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
-"""Median time, tracemalloc peak and held bytes of each conv op and VJP at real layer shapes.
+"""Median time, peak and held bytes of the conv, batch-norm and ReLU-VJP ops at real layer shapes.
 
 Runs one reversible training step of each benchmark net (the configurations
 in perfbench/workloads.py), of DF-RevNet89 and of ResNet34 at batch 1 and
-200 frames to collect the distinct conv calls it makes, then times every
-call on its own with fresh random float32 inputs. BLAS is pinned
+200 frames to collect the distinct calls it makes to the ops in OPS, then
+times every call on its own with fresh random float32 inputs. BLAS is pinned
 to one thread before numpy is imported, as in the benchmark. The library is
 imported from src/ of this checkout.
 
     python3 scripts/conv_bench.py [--reps 20]
 
-Columns: the op, input and kernel shapes, the call's trailing arguments as
-given (the stride of a dense conv, none for a depthwise one), calls per
-training step, median milliseconds per call, the tracemalloc peak of one
-call in MB, the MB its results keep alive once it has returned, and the
-peak over the input's bytes. Held bytes above the results' own size mean a
-result is a view that pins a larger buffer.
+Columns: the op, the input's shape and the kernel's (gamma's for a batch
+norm, none for relu_vjp), the call's trailing arguments (the stride of a
+dense conv, "replay" for a batch norm given its statistics, else none),
+calls per training step, median milliseconds per call, the tracemalloc peak
+of one call in MB, the MB its results keep alive once it has returned, and
+the peak over the input's bytes. Held bytes above the results' own size
+mean a result is a view that pins a larger buffer.
 """
 
 import os
@@ -45,25 +46,39 @@ NETS = {
     "DF-RevNet89": ("DF-RevNet89", 1, 200),
     "ResNet34": ("ResNet34", 1, 200),
 }
-OPS = ("conv2d", "conv2d_vjp", "depthwise_conv2d", "depthwise_conv2d_vjp")
+CONV_OPS = ("conv2d", "conv2d_vjp", "depthwise_conv2d", "depthwise_conv2d_vjp")
+OPS = CONV_OPS + ("batchnorm2d", "batchnorm2d_vjp", "relu_vjp")
+
+
+def _call_key(name, args, kwargs):
+    """(op, x shape, w shape, trailing arguments) of one call.
+
+    w is a conv's kernel or a batch norm's gamma; relu_vjp has none. The
+    trailing arguments of a conv are those after its arrays (x, w, and gy
+    for a VJP), as the layer passed them; a batch norm given its statistics
+    has ("replay",), any other call none.
+    """
+    x = args[0]
+    if name == "relu_vjp":
+        return name, x.shape, (), ()
+    if name in CONV_OPS:
+        tail = args[3:] if name.endswith("_vjp") else args[2:]
+    else:
+        tail = ("replay",) if kwargs.get("stats") is not None else ()
+    return name, x.shape, args[1].shape, tuple(tail)
 
 
 def layer_calls(spec, batch, frames):
-    """Counter of (op, x shape, w shape, trailing arguments) over one reversible step.
-
-    The trailing arguments are those after the arrays (x, w, and gy for a
-    VJP), as the layer passed them.
-    """
+    """Counter of _call_key over one reversible step."""
     calls = Counter()
     originals = {name: getattr(ops, name) for name in OPS}
 
     def recording(name):
         fn = originals[name]
 
-        def call(x, w, *rest):
-            tail = rest[1:] if name.endswith("_vjp") else rest  # a VJP's rest opens with gy
-            calls[(name, x.shape, w.shape, tail)] += 1
-            return fn(x, w, *rest)
+        def call(*args, **kwargs):
+            calls[_call_key(name, args, kwargs)] += 1
+            return fn(*args, **kwargs)
 
         return call
 
@@ -81,29 +96,43 @@ def layer_calls(spec, batch, frames):
     return calls
 
 
+def _arguments(name, x, w_shape, tail, rng):
+    """Random float32 arguments (and keywords) of one call with _call_key's shapes."""
+    if name == "relu_vjp":
+        return (ops.relu(x), rng.standard_normal(x.shape, dtype=np.float32)), {}
+    if name in CONV_OPS:
+        w = rng.standard_normal(w_shape, dtype=np.float32)
+        args = (x, w)
+        if name.endswith("_vjp"):
+            y = getattr(ops, name.removesuffix("_vjp"))(x, w, *tail)
+            args += (rng.standard_normal(y.shape, dtype=np.float32),)
+        return args + tuple(tail), {}
+    gamma = rng.uniform(0.5, 1.5, w_shape).astype(np.float32)
+    beta = rng.standard_normal(w_shape, dtype=np.float32)
+    _, mean, var = ops.batchnorm2d(x, gamma, beta)
+    if name == "batchnorm2d":
+        return (x, gamma, beta), {"stats": (mean, var)} if tail else {}
+    return (x, gamma, rng.standard_normal(x.shape, dtype=np.float32), mean, var), {}
+
+
 def measure(name, x_shape, w_shape, tail, reps, rng):
-    """Median seconds, tracemalloc peak, held bytes and input bytes of fn(x, w[, gy], *tail).
+    """Median seconds, tracemalloc peak, held bytes and input bytes of one call.
 
     Held bytes are the numpy buffers the call allocated that are still
     alive while its results are.
     """
     x = rng.standard_normal(x_shape, dtype=np.float32)
-    w = rng.standard_normal(w_shape, dtype=np.float32)
-    forward = getattr(ops, name.removesuffix("_vjp"))
-    args = (x, w)
-    if name.endswith("_vjp"):
-        args += (rng.standard_normal(forward(x, w, *tail).shape, dtype=np.float32),)
-    args += tuple(tail)
+    args, kwargs = _arguments(name, x, w_shape, tail, rng)
     fn = getattr(ops, name)
-    fn(*args)
+    fn(*args, **kwargs)
     times = []
     for _ in range(reps):
         start = time.perf_counter()
-        fn(*args)
+        fn(*args, **kwargs)
         times.append(time.perf_counter() - start)
     tracemalloc.start()
     try:
-        out = fn(*args)
+        out = fn(*args, **kwargs)
         peak = tracemalloc.get_traced_memory()[1]
         buffers = tracemalloc.take_snapshot().filter_traces(
             [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
@@ -128,7 +157,8 @@ def main(argv=None):
               f"{'held MB':>8} {'/input':>6}")
         for (name, xs, ws, tail), count in sorted(layer_calls(*cfg).items()):
             sec, peak, held, in_bytes = measure(name, xs, ws, tail, args.reps, rng)
-            print(f"{name:22} {str(xs):>17} {str(ws):>16} {' '.join(map(str, tail)):>6} "
+            print(f"{name:22} {str(xs):>17} {str(ws) if ws else '-':>16} "
+                  f"{' '.join(map(str, tail)):>6} "
                   f"{count:5d} {1e3 * sec:7.2f} {peak / 1e6:8.2f} {held / 1e6:8.2f} "
                   f"{peak / in_bytes:6.1f}")
     return 0

@@ -8,10 +8,11 @@ stream, splits it into the pair (x1, x2) once, at the run's first coupling
 block, and concatenates the pair once, at the run's end. Backward walks a
 run with the same split point.
 
-Stored mode caches every primitive's input on a tape and walks it backward;
-a whole run keeps one list of tape entries. Reversible mode caches only the
-inputs of non-reversible layers, the final output of each reversible run,
-and per-batch-norm statistics; gradients inside a run are computed by
+Stored mode caches every primitive's input on a tape, a ReLU's output in
+place of its input, and walks it backward; a whole run keeps one list of
+tape entries. Reversible mode caches only the inputs of non-reversible
+layers, the final output of each reversible run, and per-batch-norm
+statistics; gradients inside a run are computed by
 reconstructing block inputs from block outputs, back to the run's first
 coupling block; downsamplers ahead of it need only the cotangent. Both modes
 accumulate gradients into the same Param objects and must agree to rounding
@@ -50,13 +51,13 @@ class MemoryLedger:
 
     - op and recompute transients: the branch tape a ``RevBlock`` rebuilds
       in reversible backward (one branch at a time) and each op's scratch
-      buffers. At toy scale they are about 7 MB whatever the depth: on
+      buffers. At toy scale they are about 6 MB whatever the depth: on
       ``toy_spec([d, d], 16, "df_bottleneck")`` at batch 4 and 32 frames,
-      the measured rise of a forward and backward exceeds the planned total
-      by 7.4, 7.2 and 6.6 MB at d = 2, 8 and 32. They grow with the
-      activations: DF-RevNet89 at batch 1 and 200 frames, stepping with
-      adam8 and the AAM head, peaks at 92.1 MB of whole-process
-      ``tracemalloc`` against a 62.4 MB plan, 1.48 times the plan;
+      the measured rise of a reversible forward and backward exceeds the
+      planned total by 5.8, 5.7 and 5.1 MB at d = 2, 8 and 32. They grow
+      with the activations: DF-RevNet89 at batch 1 and 200 frames, stepping
+      with adam8 and the AAM head, peaks at 86.2 MB of whole-process
+      ``tracemalloc`` against a 62.4 MB plan, 1.38 times the plan;
     - the optimizer step's chunk buffers;
     - allocator slack;
     - parameters outside the network, such as the AAM head that training
@@ -315,7 +316,8 @@ def ledger_plan(net: Network, batch: int, frames: int, mode: str,
                 optimizer: str = "none") -> MemoryLedger:
     """Ledger for a hypothetical run, computed from shapes alone.
 
-    One ``out_shape`` walk with a tape gives stored mode's cached shapes and
+    One ``out_shape`` walk with a tape gives stored mode's cached shapes,
+    each array once (an entry marked ``alias`` is the array before it), and
     every batch norm's statistics. The result matches the ledger a real
     run_forward would produce byte for byte, and also books the state of a
     named optimizer for the network's parameters. It leaves out what
@@ -343,9 +345,10 @@ def ledger_plan(net: Network, batch: int, frames: int, mode: str,
         if mode == "reversible" and kind == "run":
             act_elems += math.prod(shape)
         prev_was_run = kind == "run"
+    entries = [e for e in tape if e is not None]  # a downsampler's entry holds nothing
     if mode == "stored":
-        act_elems = sum(math.prod(s) for _, s in tape)
-    stat_elems = sum(layer.stat_elems for layer, _ in tape)
+        act_elems = sum(math.prod(e.shape) for e in entries if not e.alias)
+    stat_elems = sum(e.layer.stat_elems for e in entries)
 
     params = net.params()
     n_params = sum(p.size for p in params)

@@ -12,12 +12,17 @@ Execution protocol (used by the engine):
   gradients, and returns the input cotangent. A ``Sequential`` pops its
   entries as it walks them, so each cached input is freed after its last
   use and the tape is empty afterwards.
+* A ``ReLU`` tapes its output, not its input: ``y > 0`` exactly where
+  ``x > 0``, so the mask is the same. The layer that takes ``y`` next
+  usually tapes it too, as its input, and the two entries are one array,
+  which the engine counts once.
 * ``out_shape(shape, tape=None)`` is the shape-only twin of ``forward``: it
-  returns the output shape, and when ``tape`` is a list it appends
-  ``(layer, input shape)`` wherever ``forward(x, tape)`` appends an array.
-  The ledger is planned from that one walk: the shapes on the tape are what
-  stored mode caches, and each entry's ``stat_elems`` (``2 * c`` for a
-  batch norm, else 0) is what the layer captures as batch statistics.
+  returns the output shape, and when ``tape`` is a list it appends a
+  ``TapeEntry`` wherever ``forward(x, tape)`` appends an array, and None
+  where it appends None. The ledger is planned from that one walk: the
+  shapes on the tape, less the entries marked ``alias``, are what stored
+  mode caches, and each entry's ``stat_elems`` (``2 * c`` for a batch norm,
+  else 0) is what the layer captures as batch statistics.
 
 Members of a reversible run (``RevBlock``, ``RevDownsample``) take and
 return tuples of channel streams instead of single tensors: a ``RevBlock``
@@ -33,6 +38,7 @@ last use, and returns new lists.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,14 +77,30 @@ def he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarra
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
+class TapeEntry(NamedTuple):
+    """One array a planned forward tapes.
+
+    ``alias`` marks the very array the entry before it holds: the output of
+    a ReLU, handed unchanged to a layer that tapes its input. A run's split
+    halves, a block's sums and a downsampler's rearrangements are new
+    arrays, so an entry after them never aliases.
+    """
+
+    layer: "Layer"
+    shape: tuple
+    alias: bool = False
+
+
 def _tape_shape(tape, layer, shape):
-    """Planning twin of forward's ``tape.append(x)``."""
+    """Planning twin of forward's ``tape.append(x)`` of the layer's input x."""
     if tape is not None:
-        tape.append((layer, shape))
+        prev = tape[-1] if tape else None
+        tape.append(TapeEntry(layer, shape, prev is not None and prev.layer.tapes_output))
 
 
 class Layer:
     reversible = False
+    tapes_output = False  # forward tapes its output, which the next layer receives
     stat_elems = 0  # batch-statistic scalars captured per forward
 
     def params(self) -> list[Param]:
@@ -214,13 +236,28 @@ class BatchNorm2d(Layer):
 
 
 class ReLU(Layer):
-    def forward(self, x, tape=None, replay=False):
-        if tape is not None:
-            tape.append(x)
-        return ops.relu(x)
+    """Tapes its output y, which the next layer's tape usually holds too.
 
-    def backward(self, gy, x):
-        return ops.relu_vjp(x, gy)
+    ``backward`` takes y or x alike: ``relu_vjp`` reads only where its first
+    argument is positive, and ``y > 0`` exactly where ``x > 0``. Reversible
+    mode hands it the cached input.
+    """
+
+    tapes_output = True
+
+    def out_shape(self, shape, tape=None):
+        if tape is not None:
+            tape.append(TapeEntry(self, shape))
+        return shape
+
+    def forward(self, x, tape=None, replay=False):
+        y = ops.relu(x)
+        if tape is not None:
+            tape.append(y)
+        return y
+
+    def backward(self, gy, y):
+        return ops.relu_vjp(y, gy)
 
 
 class GlobalStatPool(Layer):
@@ -414,14 +451,19 @@ class RevBlock(Layer):
         return self.f.params() + self.g.params()
 
     def out_shape(self, shape, tape=None):
-        # planned on the whole tensor; each branch sees one half
+        # planned on the whole tensor; each branch sees one half. As in
+        # forward, each branch tapes into a list of its own: its input is a
+        # new array (a split half or a sum), which aliases no earlier entry.
         n, c, f, t = shape
         if c != 2 * self.half_width:
             raise ShapeError(
                 f"reversible block expects {2 * self.half_width} channels, got {c}"
             )
         half = (n, self.half_width, f, t)
-        self.g.out_shape(self.f.out_shape(half, tape), tape)
+        f_tape, g_tape = ([], []) if tape is not None else (None, None)
+        self.g.out_shape(self.f.out_shape(half, f_tape), g_tape)
+        if tape is not None:
+            tape.extend(f_tape + g_tape)
         return shape
 
     def forward(self, x, tape=None, replay=False):
@@ -495,6 +537,8 @@ class RevDownsample(Layer):
             raise ConfigError(
                 f"spatial dims ({f}, {t}) not divisible by ratio {self.r}"
             )
+        if tape is not None:
+            tape.append(None)  # as forward does: the rearranged copy is not taped
         return (n, c * self.r * self.r, f // self.r, t // self.r)
 
     def forward(self, x, tape=None, replay=False):

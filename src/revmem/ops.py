@@ -63,11 +63,25 @@ instead. "Other kernels" are all but the 1x1:
    padded planes, the widened output and one tap's product), each at most
    ``FLAT_SHIFT_BYTES``, and the per-plane taps.
 8. ``depthwise_conv2d_vjp``: the gather form of the same loop, on blocks
-   of dL/dy planes. It takes each tap's dL/dw entries as per-plane dot
-   products with x widened by zero columns, and adds the taps in the
-   scatter form's order. Scratch: four block buffers (padded dL/dy, widened
-   x, widened dL/dx and one tap's product), each at most
-   ``FLAT_SHIFT_BYTES``, the per-plane taps and a per-plane dL/dw.
+   of dL/dy planes. It first takes every tap's dL/dw entries as per-plane
+   dot products with x widened by zero columns, then adds the taps' dL/dx
+   terms in the scatter form's order, over the widened x. Scratch: three
+   block buffers (padded dL/dy, widened x and then widened dL/dx, and one
+   tap's product), each at most ``FLAT_SHIFT_BYTES``, the per-plane taps
+   and a per-plane dL/dw.
+
+The other ops with full-size inputs keep these scratch rules (per-channel
+vectors aside):
+
+- ``batchnorm2d``: none; y is built in its own buffer. Capturing the
+  statistics adds ``x.var``'s x-sized temporary, freed before y exists.
+- ``batchnorm2d_vjp``: bands of whole channels, each at most
+  ``FLAT_SHIFT_BYTES`` (one channel at least): the band's xhat and the
+  einsum's copies of its two operands. Only dL/dx is full size.
+- ``relu``: none. ``relu_vjp``: a bool mask, one byte per element.
+
+numpy's ufuncs may add their own buffers, ``np.getbufsize()`` elements per
+operand, whatever the size of the arrays.
 """
 
 from __future__ import annotations
@@ -400,20 +414,23 @@ def depthwise_conv2d_vjp(
     taps = np.tile(w.reshape(c, kh * kw).astype(dtype), (n, 1))  # per plane
     size = _planes_per_block(n * c, (f + kh) * tg, dtype)
     gb = np.zeros((size, f + kh, tg), dtype=dtype)
-    xb = np.zeros((size, f, tg), dtype=dtype)
     acc = np.empty((size, f * tg), dtype=dtype)
     prod = np.empty_like(acc)
+    starts = [(kh - 1 - i) * tg + kw - 1 - j for i in range(kh) for j in range(kw)]
     for first in range(0, n * c, size):
         block = slice(first, first + size)
         m = min(size, n * c - first)
         gb[:m, pad : pad + f, pad : pad + t] = gs[block]
-        xb[:m, :, :t] = xs[block]
-        gf, xf, a, p = gb[:m].reshape(m, -1), xb[:m].reshape(m, -1), acc[:m], prod[:m]
-        for k in range(kh * kw):
-            i, j = divmod(k, kw)
-            start = (kh - 1 - i) * tg + kw - 1 - j
-            run = gf[:, start : start + f * tg]
-            gw[block, k] = np.matmul(xf[:, None, :], run[:, :, None])[:, 0, 0]
+        gf, a, p = gb[:m].reshape(m, -1), acc[:m], prod[:m]
+        runs = [gf[:, s : s + f * tg] for s in starts]
+        # acc holds the widened x until every tap's dL/dw dot is taken, then
+        # dL/dx
+        xb = a.reshape(m, f, tg)
+        xb[:, :, :t] = xs[block]
+        xb[:, :, t:] = 0
+        for k, run in enumerate(runs):
+            gw[block, k] = np.matmul(a[:, None, :], run[:, :, None])[:, 0, 0]
+        for k, run in enumerate(runs):
             np.multiply(run, taps[block, k : k + 1], out=p if k else a)
             if k:
                 a += p
@@ -449,9 +466,11 @@ def batchnorm2d(
     else:
         mean, var = stats
     inv = 1.0 / np.sqrt(var + eps)
-    y = gamma[None, :, None, None] * (x - mean[None, :, None, None]) * inv[
-        None, :, None, None
-    ] + beta[None, :, None, None]
+    # gamma * (x - mean) * inv + beta, in that operation order, in y's buffer
+    y = x - mean[None, :, None, None]
+    y *= gamma[None, :, None, None]
+    y *= inv[None, :, None, None]
+    y += beta[None, :, None, None]
     return y, mean, var
 
 
@@ -464,20 +483,33 @@ def batchnorm2d_vjp(
     eps: float = 1e-5,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cotangents (dL/dx, dL/dgamma, dL/dbeta) treating mean/var as batch stats of x."""
-    count = x.shape[0] * x.shape[2] * x.shape[3]
+    # Bands of whole channels of at most FLAT_SHIFT_BYTES (one channel at
+    # least) hold xhat and the einsum's copies of its operands. Each channel's
+    # results read only its own slices, so they are those of one pass over
+    # the whole tensor, bit for bit.
+    n, c, f, t = x.shape
+    count = n * f * t
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = x - mean[None, :, None, None]
-    xhat *= inv[None, :, None, None]
-    dgamma = np.einsum("ncft,ncft->c", gy, xhat, optimize=True)
     dbeta = gy.sum(axis=(0, 2, 3))
-    # g * (gy - dbeta / count - xhat * dgamma / count), in that operation
-    # order, with xhat reused as the second term's buffer
-    gx = gy - dbeta[None, :, None, None] / count
-    xhat *= dgamma[None, :, None, None]
-    xhat /= count
-    gx -= xhat
-    gx *= gamma[None, :, None, None] * inv[None, :, None, None]
-    return gx, dgamma, dbeta
+    shift, scale = dbeta / count, gamma * inv
+    gx = np.empty(gy.shape, dtype=gy.dtype)
+    dgamma = []
+    step = max(1, FLAT_SHIFT_BYTES // (count * x.itemsize))
+    for lo in range(0, c, step):
+        b = slice(lo, lo + step)
+        xhat = x[:, b] - mean[None, b, None, None]
+        xhat *= inv[None, b, None, None]
+        dg = np.einsum("ncft,ncft->c", gy[:, b], xhat, optimize=True)
+        # gamma * inv * (gy - dbeta / count - xhat * dgamma / count), in that
+        # operation order, with xhat reused as the second term's buffer
+        g = gx[:, b]
+        np.subtract(gy[:, b], shift[None, b, None, None], out=g)
+        xhat *= dg[None, :, None, None]
+        xhat /= count
+        g -= xhat
+        g *= scale[None, b, None, None]
+        dgamma.append(dg)
+    return gx, np.concatenate(dgamma), dbeta
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -485,7 +517,8 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_vjp(x: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    # subgradient at exactly 0 is 0
+    """dL/dx of relu given dL/dy; x may be relu's input or its output, which
+    are positive at the same elements. The subgradient at exactly 0 is 0."""
     return gy * (x > 0)
 
 

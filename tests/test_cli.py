@@ -319,7 +319,7 @@ class TestMemreportCommand:
             run(["memreport", "--net", "ResNet34", option, "1"])
         assert info.value.code == 2
 
-    @pytest.mark.parametrize("mode, activations", [("stored", 22_001_582_080),
+    @pytest.mark.parametrize("mode, activations", [("stored", 17_086_382_080),
                                                    ("reversible", 1_111_982_080)])
     def test_df_revnet89_bytes_pinned(self, tmp_path, mode, activations):
         # the paper's net at its training shape, with 8-bit Adam

@@ -1,9 +1,10 @@
 """Smoke test of scripts/conv_bench.py on the benchmark's toy nets.
 
-The script records the conv calls of one training step and times each on
-its own; a change to an op's signature that the recorder or the timer does
-not follow fails here instead of in a manual run. It also checks the held
-bytes: a result that pins a larger buffer than itself shows up there.
+The script records the conv, batch-norm and ReLU-VJP calls of one training
+step and times each on its own; a change to an op's signature that the
+recorder or the timer does not follow fails here instead of in a manual
+run. It also checks the held bytes: a result that pins a larger buffer than
+itself shows up there.
 """
 
 import importlib.util
@@ -32,9 +33,17 @@ def conv_bench(monkeypatch):
 
 
 def result_bytes(name, x_shape, w_shape, tail):
-    """float32 bytes of the call's results: y for a forward, (dL/dx, dL/dw) for a VJP."""
+    """float32 bytes of the call's results: y for a conv, (dL/dx, dL/dw) for its
+    VJP, y and any captured (mean, var) for a batch norm, (dL/dx, dL/dgamma,
+    dL/dbeta) for its VJP and dL/dx for relu_vjp."""
+    x_bytes = 4 * np.prod(x_shape)
+    if name == "relu_vjp":
+        return x_bytes
+    if name.startswith("batchnorm2d"):
+        captured = name == "batchnorm2d_vjp" or not tail
+        return x_bytes + (8 * w_shape[0] if captured else 0)
     if name.endswith("_vjp"):
-        return 4 * (np.prod(x_shape) + np.prod(w_shape))
+        return x_bytes + 4 * np.prod(w_shape)
     stride = tail[0] if tail else 1
     fo, to = (ops.conv_out_size(d, stride) for d in x_shape[2:])
     return 4 * x_shape[0] * w_shape[0] * fo * to
@@ -46,15 +55,22 @@ def test_records_and_measures_every_op(conv_bench, net):
     calls = conv_bench.layer_calls(*conv_bench.NETS[net])
     assert [getattr(ops, name) for name in conv_bench.OPS] == originals  # restored
     assert all(count >= 1 for count in calls.values())
-    expected = set(conv_bench.OPS) if net == "train-rev-df" else {"conv2d", "conv2d_vjp"}
+    expected = set(conv_bench.OPS)
+    if net == "train-wide-q8":
+        expected -= {"depthwise_conv2d", "depthwise_conv2d_vjp"}
     assert {key[0] for key in calls} == expected
+    # reversible mode replays every batch norm it captured
+    assert {key[3] for key in calls if key[0] == "batchnorm2d"} == {(), ("replay",)}
     rng = np.random.default_rng(0)
     for name, x_shape, w_shape, tail in sorted(calls):
         # a dense call passes its stride, a depthwise one nothing
-        assert len(tail) == (0 if name.startswith("depthwise") else 1)
+        if name in ("conv2d", "conv2d_vjp"):
+            assert len(tail) == 1
+        elif name != "batchnorm2d":
+            assert tail == ()
         sec, peak, held, in_bytes = conv_bench.measure(name, x_shape, w_shape, tail, 1, rng)
         assert sec > 0 and peak >= held > 0 and in_bytes > 0
         if name != "conv2d_vjp" or tail[0] == 1:
-            # no result is a view pinning a larger buffer; only the strided
-            # dense VJP still returns one
-            assert held == result_bytes(name, x_shape, w_shape, tail)
+            # no result is a view pinning a larger buffer, and no call keeps
+            # scratch alive; only the strided dense VJP still returns a view
+            assert held == result_bytes(name, x_shape, w_shape, tail), name

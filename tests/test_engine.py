@@ -14,7 +14,7 @@ from revmem.engine import (
     run_forward,
 )
 from revmem.errors import ConfigError, ShapeError, StateError
-from revmem.layers import BatchNorm2d, Layer
+from revmem.layers import BatchNorm2d, Layer, ReLU, ResidualBlock, RevBlock
 from revmem.optim import OPTIMIZERS, make_optimizer
 
 from conftest import mixed_err, random_toy_spec
@@ -433,6 +433,85 @@ class TestLedger:
         assert lines[0] == "category,bytes,share"
         assert lines[1].startswith("activations,100,0.5")
         assert len(lines) == 6
+
+
+def consumer_net(stages, c, f, dtype=np.float32):
+    """A conv-stem net of `stages` closed by pooling and an fc, its last stage
+    leaving c channels over f frequency rows."""
+    spec = zoo.NetworkSpec("relu-consumer", stages + [zoo.Pooling(), zoo.Fc(2 * c * f, 16)], 16)
+    return zoo.build(spec, dtype=dtype, seed=2)
+
+
+def plan_tape(net, n=2, frames=8):
+    """The entries ledger_plan's walk tapes, less the downsamplers' empty ones."""
+    tape, shape = [], (n, *net.input_spec, frames)
+    for layer in net.layers:
+        shape = layer.out_shape(shape, tape)
+    return [e for e in tape if e is not None]
+
+
+# Each net's stages after the conv stem (conv, batch norm, ReLU), its last
+# width and frequency rows, and the layers whose planned entries alias a
+# ReLU's output, in walk order. A run's split halves and a downsampler's
+# rearrangement are copies, so the stem ReLU ahead of a run aliases nothing.
+RELU_CONSUMERS = {
+    "stem-to-residual-block": ([zoo.Res("basic", 8, 1)], 8, 80, ["Conv2d", "Conv2d"]),
+    "stem-to-conv": ([zoo.Conv(8)], 8, 80, ["Conv2d", "GlobalStatPool"]),
+    "branch-conv-after-run-head": ([zoo.RevRes("df_bottleneck", 4, 1)], 8, 80,
+                                   ["DepthwiseConv2d", "DepthwiseConv2d"]),
+    "downsampler-led-run": ([zoo.RevDs(2, 32), zoo.RevRes("bottleneck", 16, 1)], 32, 40,
+                            ["Conv2d", "Conv2d"]),
+    "downsampler-only-run": ([zoo.RevDs(2, 32), zoo.Conv(8)], 8, 40, ["GlobalStatPool"]),
+    "stem-to-pool": ([], 8, 80, ["GlobalStatPool"]),
+}
+
+
+class TestReluTape:
+    @pytest.mark.parametrize("case", RELU_CONSUMERS)
+    def test_plan_marks_each_relu_consumer(self, case):
+        stages, c, f, aliased = RELU_CONSUMERS[case]
+        net = consumer_net([zoo.Conv(8)] + stages, c, f)
+        tape = plan_tape(net)
+        assert [type(e.layer).__name__ for e in tape if e.alias] == aliased
+        for prev, e in zip(tape, tape[1:]):
+            if e.alias:
+                assert isinstance(prev.layer, ReLU) and prev.shape == e.shape
+
+    @pytest.mark.parametrize("mode", ["stored", "reversible"])
+    @pytest.mark.parametrize("case", RELU_CONSUMERS)
+    def test_plan_matches_real_run(self, rng, case, mode):
+        stages, c, f, _ = RELU_CONSUMERS[case]
+        net = consumer_net([zoo.Conv(8)] + stages, c, f)
+        _, store, ledger = run_forward(net, batch(rng, dtype=np.float32), mode)
+        assert ledger.activations == ledger_plan(net, 2, 8, mode).activations
+        assert store.activation_nbytes() == ledger.activations
+        if mode == "stored":
+            assert store.full_tensor_count() == sum(not e.alias for e in plan_tape(net))
+
+    @pytest.mark.parametrize("spec", [
+        zoo.toy_spec([2, 1], 8, "df_bottleneck"),
+        zoo.toy_spec([1, 2], 8, "bottleneck", "type1"),
+        zoo.spec_from_json(ODD_HEAD_SPEC),
+    ], ids=["type2-df", "type1-bottleneck", "odd-head"])
+    def test_stored_tensor_count_drops_by_one_per_branch(self, rng, monkeypatch, spec):
+        # against a ReLU that tapes its input: each branch's ReLU output is
+        # its next layer's input, so the branch caches one array fewer; no
+        # stem ReLU here feeds a layer that tapes its input
+        net = zoo.build(spec, dtype=np.float32, seed=1)
+        x = batch(rng, dtype=np.float32)
+        branches = sum(2 if isinstance(l, RevBlock) else isinstance(l, ResidualBlock)
+                       for l in net.layers)
+        assert branches > 0
+        _, store, _ = run_forward(net, x, "stored")
+
+        def tape_input(self, x, tape=None, replay=False):
+            if tape is not None:
+                tape.append(x)
+            return ops.relu(x)
+
+        monkeypatch.setattr(ReLU, "forward", tape_input)
+        _, input_store, _ = run_forward(net, x, "stored")
+        assert input_store.full_tensor_count() - store.full_tensor_count() == branches
 
 
 class TestCapacity:

@@ -58,6 +58,21 @@ class TestComposition:
             branch("inverted")
 
 
+class TestReluTape:
+    @pytest.mark.parametrize("kind", ["basic", "bottleneck", "df_bottleneck"])
+    def test_relu_tapes_its_output_as_the_next_layers_input(self, kind, rng):
+        # conv, BN, ReLU, next layer: the ReLU's entry and the next layer's
+        # are one array, the ReLU's output; BN's output is not taped
+        b = branch(kind)
+        x = rng.normal(size=(2, 8, 6, 5))
+        tape = []
+        b.forward(x, tape=tape)
+        y_bn = b.layers[1].forward(b.layers[0].forward(x))
+        assert tape[3] is tape[2]
+        np.testing.assert_array_equal(tape[2], np.maximum(y_bn, 0))
+        assert len({id(a) for a in tape}) == len(tape) - 1
+
+
 class TestZeroBranch:
     @pytest.mark.parametrize("kind", ["basic", "bottleneck", "df_bottleneck"])
     def test_zero_weights_give_zero_output(self, kind, rng):

@@ -454,6 +454,19 @@ class TestBatchNorm2d:
         assert gx.dtype == dtype
         np.testing.assert_array_equal(gx, ref)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_vjp_channel_bands_match_one_band(self, rng, monkeypatch, dtype):
+        # 7 channels in bands of 2, 2, 2 and 1 give the bits of one band
+        x = rng.normal(size=(3, 7, 5, 4)).astype(dtype)
+        gamma = rng.uniform(0.5, 1.5, 7).astype(dtype)
+        gy = rng.normal(size=x.shape).astype(dtype)
+        _, mean, var = ops.batchnorm2d(x, gamma, np.zeros(7, dtype))
+        one_band = ops.batchnorm2d_vjp(x, gamma, gy, mean, var)
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 2 * 3 * 5 * 4 * x.itemsize)
+        for got, ref in zip(ops.batchnorm2d_vjp(x, gamma, gy, mean, var), one_band):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, ref)
+
     def test_replayed_stats_reproduce_output(self, rng):
         x = rng.normal(size=(2, 3, 4, 4))
         gamma, beta = np.ones(3), np.zeros(3)
@@ -476,6 +489,61 @@ class TestReLU:
         g = ops.relu_vjp(np.array([-1.0, 2.0]), np.array([1.0, 1.0]))
         np.testing.assert_array_equal(g, np.array([0.0, 1.0]))
         assert ops.relu_vjp(np.array([0.0]), np.array([1.0]))[0] == 0.0
+
+    @given(st.lists(st.floats(width=32), min_size=1, max_size=32),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+    @settings(deadline=None)
+    def test_vjp_of_output_equals_vjp_of_input(self, vals, dtype, seed):
+        # the ReLU layer tapes y = relu(x) and hands it to relu_vjp in x's place
+        x = np.array(vals).astype(dtype)
+        gy = np.random.default_rng(seed).normal(size=x.shape).astype(dtype)
+        np.testing.assert_array_equal(ops.relu_vjp(ops.relu(x), gy), ops.relu_vjp(x, gy))
+
+
+class TestScratchBounds:
+    """tracemalloc peaks of the BN, BN-VJP, depthwise-VJP and ReLU-VJP kernels
+    at the benchmark's (4, 32, 80, 32) float32 shape, above their results.
+
+    Each bound is its kernel's scratch rule in the module docstring, plus
+    numpy's ufunc buffers (getbufsize() elements per operand, three
+    operands at most), so a full-size temporary fails it.
+    """
+
+    SHAPE = (4, 32, 80, 32)
+    SLACK = 3 * np.getbufsize() * 4
+
+    @pytest.fixture
+    def arrays(self, rng):
+        x = rng.standard_normal(self.SHAPE, dtype=np.float32)
+        gy = rng.standard_normal(self.SHAPE, dtype=np.float32)
+        gamma = rng.uniform(0.5, 1.5, self.SHAPE[1]).astype(np.float32)
+        return x, gy, gamma, np.zeros_like(gamma)
+
+    @pytest.mark.parametrize("replay", [False, True], ids=["capture", "replay"])
+    def test_batchnorm_holds_only_y(self, arrays, replay):
+        x, _, gamma, beta = arrays
+        stats = ops.batchnorm2d(x, gamma, beta)[1:] if replay else None
+        peak, (y, _, _) = traced_peak(ops.batchnorm2d, x, gamma, beta, 1e-5, stats)
+        assert peak <= y.nbytes + self.SLACK
+
+    def test_batchnorm_vjp_holds_gx_and_three_bands(self, arrays):
+        x, gy, gamma, beta = arrays
+        _, mean, var = ops.batchnorm2d(x, gamma, beta)
+        peak, (gx, _, _) = traced_peak(ops.batchnorm2d_vjp, x, gamma, gy, mean, var)
+        assert peak <= gx.nbytes + 3 * ops.FLAT_SHIFT_BYTES + self.SLACK
+
+    def test_depthwise_vjp_holds_gx_and_three_blocks(self, arrays):
+        x, gy, _, _ = arrays
+        n, c = self.SHAPE[:2]
+        w = np.random.default_rng(0).standard_normal((c, 1, 3, 3), dtype=np.float32)
+        peak, (gx, gw) = traced_peak(ops.depthwise_conv2d_vjp, x, w, gy)
+        per_plane = 2 * n * c * 9 * 4  # the taps and the per-plane dL/dw
+        assert peak <= gx.nbytes + gw.nbytes + 3 * ops.FLAT_SHIFT_BYTES + per_plane + self.SLACK
+
+    def test_relu_vjp_holds_its_result_and_a_mask(self, arrays):
+        x, gy, _, _ = arrays
+        peak, gx = traced_peak(ops.relu_vjp, ops.relu(x), gy)
+        assert peak <= gx.nbytes + x.size + self.SLACK
 
 
 class TestLinear:
