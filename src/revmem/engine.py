@@ -11,12 +11,12 @@ run with the same split point.
 Stored mode caches every primitive's input on a tape, a ReLU's output in
 place of its input, and walks it backward; a whole run keeps one list of
 tape entries. Reversible mode caches only the inputs of non-reversible
-layers, the final output of each reversible run, and per-batch-norm
-statistics; gradients inside a run are computed by
-reconstructing block inputs from block outputs, back to the run's first
-coupling block; downsamplers ahead of it need only the cotangent. Both modes
-accumulate gradients into the same Param objects and must agree to rounding
-error.
+layers (a ReLU's output in place of its input), the final output of each
+reversible run, and per-batch-norm statistics; gradients inside a run are
+computed by reconstructing block inputs from block outputs, back to the
+run's first coupling block; downsamplers ahead of it need only the
+cotangent. Both modes accumulate gradients into the same Param objects and
+must agree to rounding error.
 
 The ledger counts semantic bytes only (element count times scalar width);
 ``MemoryLedger`` lists what its categories leave out.
@@ -49,15 +49,17 @@ class MemoryLedger:
     only: run_forward's ledger has no optimizer and books 0) and
     ``workspace`` the captured batch-norm statistics. No category includes:
 
-    - op and recompute transients: the branch tape a ``RevBlock`` rebuilds
-      in reversible backward (one branch at a time) and each op's scratch
-      buffers. At toy scale they are about 6 MB whatever the depth: on
-      ``toy_spec([d, d], 16, "df_bottleneck")`` at batch 4 and 32 frames,
-      the measured rise of a reversible forward and backward exceeds the
-      planned total by 5.8, 5.7 and 5.1 MB at d = 2, 8 and 32. They grow
-      with the activations: DF-RevNet89 at batch 1 and 200 frames, stepping
-      with adam8 and the AAM head, peaks at 86.2 MB of whole-process
-      ``tracemalloc`` against a 62.4 MB plan, 1.38 times the plan;
+    - op and recompute transients: what a ``RevBlock`` rebuilds in
+      reversible backward (one branch at a time: a basic or bottleneck
+      branch's tape, or one channel group of a DF bottleneck's middle) and
+      each op's scratch buffers. At toy scale they are about 2.5 MB
+      whatever the depth: on ``toy_spec([d, d], 16, "df_bottleneck")`` at
+      batch 4 and 32 frames, the measured rise of a reversible forward and
+      backward exceeds the planned total by 2.5, 2.4 and 1.8 MB at d = 2, 8
+      and 32. They grow with the activations: DF-RevNet89 at batch 1 and
+      200 frames, stepping with adam8 and the AAM head, peaks at 71.5 MB of
+      whole-process ``tracemalloc`` against a 62.4 MB plan, 1.15 times the
+      plan (``scripts/peak_sites.py``);
     - the optimizer step's chunk buffers;
     - allocator slack;
     - parameters outside the network, such as the AAM head that training
@@ -141,10 +143,11 @@ class SavedStore:
 
     Stored mode keeps one entry per unit: a layer's tape, or one list of
     tape entries for a whole reversible run. Reversible mode keeps the inputs
-    of non-reversible layers and one output tensor per reversible run. Batch
-    statistics live on the batch-norm layers and are booked as workspace,
-    not activations. The output's shape and dtype are kept to check the
-    cotangent that run_backward receives.
+    of non-reversible layers, a ReLU's output in place of its input, and one
+    output tensor per reversible run. Batch statistics live on the
+    batch-norm layers and are booked as workspace, not activations. The
+    output's shape and dtype are kept to check the cotangent that
+    run_backward receives.
 
     run_backward releases the store as it walks it: it pops each entry, and
     each tape entry inside it, as that entry's VJP runs, so no array is held
@@ -225,13 +228,14 @@ def run_forward(net: Network, batch: np.ndarray, mode: str):
     for kind, idxs in net.units:
         tape = [] if mode == "stored" else None
         if kind == "layer":
-            y = net.layers[idxs].forward(x, tape=tape)
+            layer = net.layers[idxs]
+            y = layer.forward(x, tape=tape)
             store.entries.append(("layer", idxs, tape) if tape is not None
-                                 else ("input", idxs, x))
+                                 else ("input", idxs, y if layer.tapes_output else x))
             x = y
         else:  # reversible run: split once at its head, concat once at its end
             head = _run_head(net, idxs)
-            xs = (x,)
+            xs, x = (x,), None  # the split frees the run's input unless it is saved
             for i in idxs:
                 if i == head:
                     xs = ops.channel_split(xs[0])
@@ -334,17 +338,19 @@ def ledger_plan(net: Network, batch: int, frames: int, mode: str,
 
     tape = []
     act_elems = 0
-    prev_was_run = False
+    prev_saved_out = False
     for kind, idxs in net.units:
-        # reversible mode saves a layer's input (unless it is the previous
-        # run's saved output) and each run's output
-        if mode == "reversible" and kind == "layer" and not prev_was_run:
+        # reversible mode saves each run's output, a ReLU's output and any
+        # other layer's input, unless that input is the previous unit's
+        # saved output; a ReLU's output has its input's shape
+        tapes_output = kind == "layer" and net.layers[idxs].tapes_output
+        if mode == "reversible" and kind == "layer" and (tapes_output or not prev_saved_out):
             act_elems += math.prod(shape)
         for i in ([idxs] if kind == "layer" else idxs):
             shape = net.layers[i].out_shape(shape, tape)
         if mode == "reversible" and kind == "run":
             act_elems += math.prod(shape)
-        prev_was_run = kind == "run"
+        prev_saved_out = kind == "run" or tapes_output
     entries = [e for e in tape if e is not None]  # a downsampler's entry holds nothing
     if mode == "stored":
         act_elems = sum(math.prod(e.shape) for e in entries if not e.alias)

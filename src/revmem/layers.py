@@ -24,6 +24,20 @@ Execution protocol (used by the engine):
   mode caches, and each entry's ``stat_elems`` (``2 * c`` for a batch norm,
   else 0) is what the layer captures as batch statistics.
 
+A DF bottleneck branch (1x1 conv, BN, ReLU, depthwise conv, 1x1 conv, as
+``make_residual_fn`` builds it, recognized by its structure) widens its
+input 4x between its two 1x1 convs, and everything there is per channel.
+So its untaped forward runs that middle one group of channels at a time:
+a group's rows of the first conv, BN on the group's statistics (captured
+group by group), ReLU, the depthwise conv, and the group's columns of the
+last conv, whose share adds into the output. Groups are as few as keep
+each group's array within the larger of the input's bytes and
+``ops.FLAT_SHIFT_BYTES``. Its taped forward tapes the whole arrays as any
+chain does and sums only the last conv over the same groups, so both
+forwards return equal arrays. ``RevBlock.rev_backward`` replays and
+backpropagates such a branch group by group in one pass, so reversible
+training never holds a 4x-wide tensor.
+
 Members of a reversible run (``RevBlock``, ``RevDownsample``) take and
 return tuples of channel streams instead of single tensors: a ``RevBlock``
 works on the pair ``(x1, x2)``, and a ``RevDownsample`` rearranges each
@@ -203,18 +217,26 @@ class BatchNorm2d(Layer):
         _tape_shape(tape, self, shape)
         return shape
 
+    def replayed_stats(self):
+        """The statistics captured on the step's first forward, for a replay."""
+        if self.saved_stats is None:
+            raise StateError("batch norm replay requested but no captured statistics")
+        return self.saved_stats
+
+    def capture(self, mean, var):
+        """Keep a capture forward's statistics for replay; update the running ones."""
+        self.saved_stats = (mean, var)
+        self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
+        self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
+
     def forward(self, x, tape=None, replay=False):
         if replay:
-            if self.saved_stats is None:
-                raise StateError("batch norm replay requested but no captured statistics")
             y, _, _ = ops.batchnorm2d(
-                x, self.gamma.value, self.beta.value, self.eps, stats=self.saved_stats
+                x, self.gamma.value, self.beta.value, self.eps, stats=self.replayed_stats()
             )
         else:
             y, mean, var = ops.batchnorm2d(x, self.gamma.value, self.beta.value, self.eps)
-            self.saved_stats = (mean, var)
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
+            self.capture(mean, var)
         if tape is not None:
             tape.append(x)
         return y
@@ -318,6 +340,8 @@ class Sequential(Layer):
         return shape
 
     def forward(self, x, tape=None, replay=False):
+        if _is_df_bottleneck(self.layers):
+            return _df_forward(self.layers, x, tape, replay)
         for l in self.layers:
             x = l.forward(x, tape=tape, replay=replay)
         return x
@@ -375,6 +399,136 @@ def make_residual_fn(kind, width, *, rng, dtype, stride=1, c_in=None):
             Conv2d(mid, width, 1, rng=rng, dtype=dtype),
         ])
     raise ConfigError(f"unknown residual kind {kind!r}")
+
+
+# -- the DF bottleneck, one channel group at a time (module docstring) ----------
+
+
+def _is_df_bottleneck(layers) -> bool:
+    """Whether a chain is make_residual_fn's DF bottleneck, by its structure."""
+    return ([type(l) for l in layers] == [Conv2d, BatchNorm2d, ReLU, DepthwiseConv2d, Conv2d]
+            and layers[0].k == layers[4].k == 1)
+
+
+def _channel_groups(x, conv1):
+    """Slices of conv1's output channels: as few groups as keep each group's
+    array within max(x's bytes, FLAT_SHIFT_BYTES), balanced to one channel.
+
+    Balanced rather than filled in order, a group has one channel only where
+    one channel fills half the budget: a one-channel group's batch
+    statistics round differently from the whole tensor's.
+    """
+    n, _, f, t = x.shape
+    mid, stride = conv1.c_out, conv1.stride
+    channel = n * ops.conv_out_size(f, stride) * ops.conv_out_size(t, stride) * x.itemsize
+    count = -(-mid // max(1, max(x.nbytes, ops.FLAT_SHIFT_BYTES) // channel))
+    bounds = [mid * i // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _add_into(total, part):
+    if total is None:
+        return part
+    total += part
+    return total
+
+
+def _df_forward(layers, x, tape, replay):
+    """A DF bottleneck's forward, its conv2 summed over the channel groups.
+
+    Untaped, each group runs alone, so no array wider than a group exists;
+    a capture forward takes BN's statistics group by group. Taped, the
+    first four layers run whole and tape what they always do, and only
+    conv2 is summed over the same groups, so both forwards return equal
+    arrays.
+    """
+    conv1, bn, _, dw, conv2 = layers
+    out = None
+    if tape is not None:
+        d = x
+        for l in layers[:4]:
+            d = l.forward(d, tape=tape, replay=replay)
+        tape.append(d)
+        for g in _channel_groups(x, conv1):
+            out = _add_into(out, ops.conv2d(d[:, g], conv2.w.value[:, g], conv2.stride))
+        return out
+    groups = _channel_groups(x, conv1)
+    w1, gamma, beta, wd, w2 = (conv1.w.value, bn.gamma.value, bn.beta.value, dw.w.value,
+                               conv2.w.value)
+    if replay:
+        mean, var = bn.replayed_stats()
+    else:
+        mean, var = (np.empty(bn.c, np.result_type(x, w1)) for _ in range(2))
+    for g in groups:
+        h = ops.conv2d(x, w1[g], conv1.stride)
+        if replay:
+            y, _, _ = ops.batchnorm2d(h, gamma[g], beta[g], bn.eps, stats=(mean[g], var[g]))
+        else:
+            y, mean[g], var[g] = ops.batchnorm2d(h, gamma[g], beta[g], bn.eps)
+        del h
+        d = ops.depthwise_conv2d(ops.relu(y), wd[g])
+        del y
+        out = _add_into(out, ops.conv2d(d, w2[:, g], conv2.stride))
+    if not replay:
+        bn.capture(mean, var)
+    return out
+
+
+def _df_replay_vjp(layers, x, gy):
+    """(output, dL/dx) of a DF bottleneck replayed on its captured statistics.
+
+    Each group is replayed and backpropagated before the next starts, so no
+    array wider than a group exists. A group adds its share into the output
+    and dL/dx and writes only its slices of the parameter gradients. With
+    one group this is the taped forward and backward's arithmetic.
+    """
+    conv1, bn, _, dw, conv2 = layers
+    mean, var = bn.replayed_stats()
+    w1, gamma, beta, wd, w2 = (conv1.w.value, bn.gamma.value, bn.beta.value, dw.w.value,
+                               conv2.w.value)
+    out = gx = None
+    for g in _channel_groups(x, conv1):
+        h = ops.conv2d(x, w1[g], conv1.stride)
+        y, _, _ = ops.batchnorm2d(h, gamma[g], beta[g], bn.eps, stats=(mean[g], var[g]))
+        r = ops.relu(y)
+        del y
+        d = ops.depthwise_conv2d(r, wd[g])
+        out = _add_into(out, ops.conv2d(d, w2[:, g], conv2.stride))
+        # the VJP, in the taped backward's order, dropping each array after
+        # its last use
+        gd, gw = ops.conv2d_vjp(d, w2[:, g], gy, conv2.stride)
+        conv2.w.grad[:, g] += gw
+        del d
+        gr, gw = ops.depthwise_conv2d_vjp(r, wd[g], gd)
+        dw.w.grad[g] += gw
+        del gd
+        gr = ops.relu_vjp(r, gr)
+        del r
+        gh, dgamma, dbeta = ops.batchnorm2d_vjp(h, gamma[g], gr, mean[g], var[g], bn.eps)
+        bn.gamma.grad[g] += dgamma
+        bn.beta.grad[g] += dbeta
+        del h, gr
+        gxg, gw = ops.conv2d_vjp(x, w1[g], gh, conv1.stride)
+        conv1.w.grad[g] += gw
+        gx = _add_into(gx, gxg)
+        del gh, gxg
+    return out, gx
+
+
+def _rebuild_and_vjp(branch, x, gy, ys):
+    """Pop y off ``ys``; return y - branch(x) and the branch's dL/dx at x for gy.
+
+    The branch is replayed on its captured statistics. A DF bottleneck runs
+    its fused grouped replay and VJP, which needs y until the whole output
+    is summed. Any other branch rebuilds its tape, drops y, and then walks
+    the tape backward.
+    """
+    if _is_df_bottleneck(branch.layers):
+        out, gx = _df_replay_vjp(branch.layers, x, gy)
+        return ys.pop() - out, gx
+    tape = []
+    x_rec = ys.pop() - branch.forward(x, tape=tape, replay=True)
+    return x_rec, branch.backward(gy, tape)
 
 
 class ResidualBlock(Layer):
@@ -496,23 +650,19 @@ class RevBlock(Layer):
         Takes the output pair and its cotangent as two-element lists and
         empties them, so each array is dropped after its last use: y2 once
         x2 is rebuilt and gy1 once gz1 is formed. Runs in the order of
-        RevNet's Algorithm 1 (Gomez et al. 2017): G's tape is rebuilt and
-        consumed by G's VJP before F is replayed, so at most one branch tape
-        is alive at a time. Returns the input pair and its cotangent as new
-        lists.
+        RevNet's Algorithm 1 (Gomez et al. 2017): G is replayed and
+        backpropagated before F is replayed, so at most one branch's
+        arrays are alive at a time. A basic or bottleneck branch rebuilds
+        its tape and walks it back; a DF bottleneck fuses its replay and
+        VJP one channel group at a time, and keeps y2 until its output is
+        summed. Returns the input pair and its cotangent as new lists.
         """
-        y2, y1 = y.pop(), y.pop()
         gy2, gy1 = gy.pop(), gy.pop()
-        g_tape = []
-        x2 = y2 - self.g.forward(y1, tape=g_tape, replay=True)
-        del y2
-        gz1 = gy1 + self.g.backward(gy2, g_tape)
-        del gy1
-        f_tape = []
-        x1 = y1 - self.f.forward(x2, tape=f_tape, replay=True)
-        del y1
-        gx2 = gy2 + self.f.backward(gz1, f_tape)
-        return [x1, x2], [gz1, gx2]
+        x2, g = _rebuild_and_vjp(self.g, y[0], gy2, y)  # pops y2
+        gz1 = gy1 + g
+        del gy1, g
+        x1, f = _rebuild_and_vjp(self.f, x2, gz1, y)  # pops y1
+        return [x1, x2], [gz1, gy2 + f]
 
     def stat_nbytes(self):
         return self.f.stat_nbytes() + self.g.stat_nbytes()

@@ -78,7 +78,8 @@ vectors aside):
 - ``batchnorm2d_vjp``: bands of whole channels, each at most
   ``FLAT_SHIFT_BYTES`` (one channel at least): the band's xhat and the
   einsum's copies of its two operands. Only dL/dx is full size.
-- ``relu``: none. ``relu_vjp``: a bool mask, one byte per element.
+- ``relu``: none. ``relu_vjp``: a bool mask over flat blocks of at most
+  ``FLAT_SHIFT_BYTES`` elements, one byte each.
 
 numpy's ufuncs may add their own buffers, ``np.getbufsize()`` elements per
 operand, whatever the size of the arrays.
@@ -108,7 +109,9 @@ GSP_VAR_EPS = 1e-10
 # replaced took 3.2 ms), and was slower below 256 KiB. The VJP was flat from
 # 256 KiB up and slower below it, except at DF-RevNet89's (1, 48, 80, 200)
 # -> 24 layer: 13.8 ms at 128 KiB against 17.3 ms at 256 KiB (the unbanded
-# form took about 20 ms).
+# form took about 20 ms). The batch-norm VJP's channel bands and relu_vjp's
+# mask blocks share the bound, and so does the DF bottleneck's channel-group
+# rule in layers.py, as the floor under the branch input's bytes.
 FLAT_SHIFT_BYTES = 1 << 18
 
 
@@ -519,7 +522,14 @@ def relu(x: np.ndarray) -> np.ndarray:
 def relu_vjp(x: np.ndarray, gy: np.ndarray) -> np.ndarray:
     """dL/dx of relu given dL/dy; x may be relu's input or its output, which
     are positive at the same elements. The subgradient at exactly 0 is 0."""
-    return gy * (x > 0)
+    # gy * (x > 0), its bool mask taken over flat blocks of at most
+    # FLAT_SHIFT_BYTES elements, each multiplied straight into dL/dx
+    gx = np.empty(gy.shape, dtype=np.result_type(gy, np.bool_))
+    xf, gf, out = x.reshape(-1), gy.reshape(-1), gx.reshape(-1)
+    for lo in range(0, out.size, FLAT_SHIFT_BYTES):
+        b = slice(lo, lo + FLAT_SHIFT_BYTES)
+        np.multiply(gf[b], xf[b] > 0, out=out[b])
+    return gx
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

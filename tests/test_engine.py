@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from revmem import ops, zoo
+from revmem import layers, ops, zoo
 from revmem.engine import (
     MemoryLedger,
     ledger_plan,
@@ -79,12 +79,18 @@ class TestRunForward:
         assert np.all(np.isfinite(out))
 
     def test_modes_produce_identical_outputs(self, rng):
-        # caching policy must not change the forward values at all
+        # caching policy must not change the forward values at all; at 32
+        # frames the DF branches' middles run in three channel groups, whose
+        # conv2 shares both modes sum in the same order
         net = toy_net(dtype=np.float64, kind="df_bottleneck")
-        x = batch(rng)
-        stored, _, _ = run_forward(net, x, "stored")
-        reversible, _, _ = run_forward(net, x, "reversible")
-        np.testing.assert_array_equal(stored, reversible)
+        for frames, groups in ((8, 1), (32, 3)):
+            x = batch(rng, frames=frames)
+            stream = np.zeros((2, 4, 80, frames))  # one half of the first run's input
+            branch = next(l for l in net.layers if isinstance(l, RevBlock)).f
+            assert len(layers._channel_groups(stream, branch.layers[0])) == groups
+            stored, _, _ = run_forward(net, x, "stored")
+            reversible, _, _ = run_forward(net, x, "reversible")
+            np.testing.assert_array_equal(stored, reversible)
 
     def test_cached_tensor_count_depth_independent(self, rng):
         counts = []
@@ -487,6 +493,29 @@ class TestReluTape:
         assert store.activation_nbytes() == ledger.activations
         if mode == "stored":
             assert store.full_tensor_count() == sum(not e.alias for e in plan_tape(net))
+
+    @pytest.mark.parametrize("case", ["stem-to-residual-block", "stem-to-conv"])
+    def test_reversible_saves_a_relu_output_once(self, rng, case):
+        # the stem ReLU's entry holds its output, the very array its
+        # consumer's entry holds, and the plan books it once
+        stages, c, f, _ = RELU_CONSUMERS[case]
+        net = consumer_net([zoo.Conv(8)] + stages, c, f)
+        _, store, ledger = run_forward(net, batch(rng, dtype=np.float32), "reversible")
+        relu = next(i for i, l in enumerate(net.layers) if isinstance(l, ReLU))
+        entries = {idx: payload for _, idx, payload in store.entries}
+        assert entries[relu] is entries[relu + 1]
+        assert ledger.activations == ledger_plan(net, 2, 8, "reversible").activations
+        assert ledger.activations == sum(a.nbytes for a in {id(a): a for a in
+                                                            entries.values()}.values())
+
+    @pytest.mark.parametrize("name, activations", [
+        ("DF-RevNet66", 1_505_198_080),  # stem conv, then a conv stage
+        ("RevNet46", 762_112_000),  # stem conv, then a residual stage
+    ])
+    def test_registry_plan_books_a_stem_relu_once(self, name, activations):
+        # each dropped 196,608,000 B, the stem ReLU's input at batch 64
+        net = zoo.build(name, dtype=np.float32)
+        assert ledger_plan(net, 64, 200, "reversible").activations == activations
 
     @pytest.mark.parametrize("spec", [
         zoo.toy_spec([2, 1], 8, "df_bottleneck"),

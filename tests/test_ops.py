@@ -499,6 +499,17 @@ class TestReLU:
         gy = np.random.default_rng(seed).normal(size=x.shape).astype(dtype)
         np.testing.assert_array_equal(ops.relu_vjp(ops.relu(x), gy), ops.relu_vjp(x, gy))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_vjp_mask_blocks_match_one_pass(self, rng, monkeypatch, dtype):
+        # 1,155 elements in blocks of 100: twelve blocks, the last one ragged
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 100)
+        x = rng.standard_normal((3, 5, 7, 11)).astype(dtype)
+        x[0, 0, 0, :3] = 0.0
+        gy = rng.standard_normal(x.shape).astype(dtype)
+        got = ops.relu_vjp(x, gy)
+        assert got.dtype == gy.dtype
+        np.testing.assert_array_equal(got, gy * (x > 0))
+
 
 class TestScratchBounds:
     """tracemalloc peaks of the BN, BN-VJP, depthwise-VJP and ReLU-VJP kernels
@@ -540,10 +551,14 @@ class TestScratchBounds:
         per_plane = 2 * n * c * 9 * 4  # the taps and the per-plane dL/dw
         assert peak <= gx.nbytes + gw.nbytes + 3 * ops.FLAT_SHIFT_BYTES + per_plane + self.SLACK
 
-    def test_relu_vjp_holds_its_result_and_a_mask(self, arrays):
+    def test_relu_vjp_holds_its_result_and_a_mask(self, arrays, monkeypatch):
+        # the bool mask is taken in blocks of at most FLAT_SHIFT_BYTES
+        # elements; at a quarter of the default, a whole mask (one byte per
+        # element, 327,680 here) exceeds the bound by more than the slack
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", ops.FLAT_SHIFT_BYTES // 4)
         x, gy, _, _ = arrays
         peak, gx = traced_peak(ops.relu_vjp, ops.relu(x), gy)
-        assert peak <= gx.nbytes + x.size + self.SLACK
+        assert peak <= gx.nbytes + min(x.size, ops.FLAT_SHIFT_BYTES) + self.SLACK
 
 
 class TestLinear:

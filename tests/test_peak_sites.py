@@ -1,0 +1,69 @@
+"""Smoke test of scripts/peak_sites.py on the benchmark's toy DF net.
+
+The script splits a training step into phases and wraps every op; if a
+phase misses part of the step, or the wrappers miss the op the step peaks
+in, its report no longer shows where the peak sits.
+"""
+
+import importlib.util
+import sys
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+from revmem import ops
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+# numpy's small-object caches fill over the first steps of a process, so two
+# steps' peaks may differ by a few kB; every array of the toy is larger
+DRIFT = 32 << 10
+
+
+@pytest.fixture
+def peak_sites(monkeypatch):
+    # loading pins the BLAS thread variables and puts src/ and scripts/ on
+    # sys.path; monkeypatch restores them afterwards
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", [str(SCRIPTS)] + sys.path)
+    monkeypatch.delitem(sys.modules, "conv_bench", raising=False)
+    spec = importlib.util.spec_from_file_location("peak_sites", SCRIPTS / "peak_sites.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_reported_maximum_is_the_step_peak(peak_sites):
+    originals = {name: getattr(ops, name) for name in peak_sites.OPS}
+    assert {"conv2d", "depthwise_conv2d_vjp", "relu_vjp", "linear"} <= set(originals)
+    assert "conv_out_size" not in originals  # takes no array
+    cfg = peak_sites.NETS["train-rev-df"]
+    report = peak_sites.profile(*cfg)
+    assert {name: getattr(ops, name) for name in peak_sites.OPS} == originals  # restored
+
+    # the same set-up, warmed up the same way, and one step with the peak
+    # never reset; the first set-up of a process also allocates one-time
+    # caches, which the warm-up leaves resident, so rises above resident
+    # are compared
+    tracemalloc.start()
+    try:
+        step = peak_sites.Step(*cfg, "reversible")
+        step.run()
+        resident = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        step.run()
+        step_rise = tracemalloc.get_traced_memory()[1] - resident
+    finally:
+        tracemalloc.stop()
+    assert abs((report.peak - report.resident) - step_rise) <= DRIFT
+
+    # the step peaks inside an op the report lists: the reversible backward's
+    # depthwise VJP of a stage-1 channel group
+    phase = max(report.phase_peaks, key=report.phase_peaks.get)
+    assert phase == "backward"
+    (op, x_shape, _), site = max(report.sites[phase].items(), key=lambda kv: kv[1].peak)
+    assert abs(site.peak - report.peak) <= DRIFT
+    assert (op, x_shape) == ("depthwise_conv2d_vjp", (4, 8, 80, 32))
+    assert 0 < site.entry < site.peak
+    assert set(report.sites) == set(peak_sites.PHASES)

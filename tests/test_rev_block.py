@@ -1,15 +1,16 @@
 """Reversible block semantics: coupling, inversion, coupled backward."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from revmem import ops
+from revmem import layers, ops
 from revmem.errors import StateError
-from revmem.layers import Param, RevBlock, RevDownsample, Sequential
+from revmem.layers import Param, RevBlock, RevDownsample, Sequential, make_residual_fn
 
-from conftest import central_diff_proj, mixed_err
+from conftest import central_diff_proj, mixed_err, scaled_err
 
 
 class _ScalarLinear:
@@ -163,7 +164,8 @@ class TestAlgorithmOneOrder:
     """rev_backward runs G's replay and VJP before F's replay (Gomez et al. 2017)."""
 
     def test_g_tape_released_before_f_replay(self, monkeypatch):
-        blk, rng = make_block("df_bottleneck")
+        # a tape-path kind; the DF bottleneck's grouped path has its own twin
+        blk, rng = make_block("bottleneck")
         y = blk.forward(ops.channel_split(rng.normal(size=(2, 8, 8, 6))))
         gy = ops.channel_split(rng.normal(size=(2, 8, 8, 6)))
         events, g_arrays, alive_at_f = [], [], []
@@ -190,13 +192,13 @@ class TestAlgorithmOneOrder:
         monkeypatch.setattr(blk.f, "forward", traced_f_forward)
         blk.rev_backward(list(y), list(gy))
         assert events == ["g_replay", "g_vjp", "f_replay"]
-        assert len(g_arrays) == 4  # BN, ReLU, depthwise and last-conv inputs
+        assert len(g_arrays) == 4  # BN, ReLU, 3x3-conv and last-conv inputs
         assert alive_at_f == []
 
     def test_pair_released_after_last_use(self, monkeypatch):
         # y2 is last read to rebuild x2 and gy1 to form gz1, so neither
         # outlives G's half; the lists passed in end empty
-        blk, rng = make_block("df_bottleneck")
+        blk, rng = make_block("bottleneck")
         y = list(blk.forward(ops.channel_split(rng.normal(size=(2, 8, 8, 6)))))
         gy = list(ops.channel_split(rng.normal(size=(2, 8, 8, 6))))
         y2, gy1 = weakref.ref(y[1]), weakref.ref(gy[0])
@@ -215,6 +217,48 @@ class TestAlgorithmOneOrder:
         monkeypatch.setattr(blk.f, "backward", traced_f_backward)
         blk.rev_backward(y, gy)
         assert seen == {"y2 at f_replay": False, "gy1 at f_vjp": False}
+        assert y == [] and gy == []
+
+    def test_grouped_g_runs_before_f(self, monkeypatch):
+        # the DF branch's twin of the two tape-path tests: every op of G's
+        # fused replay and VJP runs before F's first, none of G's arrays is
+        # alive when F starts, y2 is gone by F's replay and gy1 by F's VJP
+        blk, rng = make_block("df_bottleneck")
+        y = list(blk.forward(ops.channel_split(rng.normal(size=(2, 8, 8, 6)))))
+        gy = list(ops.channel_split(rng.normal(size=(2, 8, 8, 6))))
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 6 * 2 * 8 * 6 * 8)  # 3 groups
+        assert len(layers._channel_groups(y[0], blk.g.layers[0])) == 3
+        y2, gy1 = weakref.ref(y[1]), weakref.ref(gy[0])
+        events, g_results, seen = [], [], {}
+        weights = {id(p.value): name for name, branch in (("g", blk.g), ("f", blk.f))
+                   for p in branch.params()}
+
+        def spy(name, fn):
+            def call(*args, **kwargs):
+                branch = next((weights[id(a.base)] for a in args
+                               if isinstance(a, np.ndarray) and id(a.base) in weights), None)
+                if branch == "f" and "f" not in events:
+                    seen["g arrays at f"] = sum(r() is not None for r in g_results)
+                    seen["y2 at f"] = y2() is not None
+                if branch == "f" and name.endswith("_vjp") and "f_vjp" not in seen:
+                    seen["f_vjp"] = gy1() is not None
+                out = fn(*args, **kwargs)
+                if branch is not None:
+                    events.append(branch)
+                if branch == "g":
+                    g_results.extend(weakref.ref(a) for a in
+                                     (out if isinstance(out, tuple) else (out,)))
+                return out
+
+            return call
+
+        for name in ("conv2d", "conv2d_vjp", "depthwise_conv2d", "depthwise_conv2d_vjp",
+                     "batchnorm2d", "batchnorm2d_vjp"):
+            monkeypatch.setattr(ops, name, spy(name, getattr(ops, name)))
+        blk.rev_backward(y, gy)
+        assert events == ["g"] * (len(events) // 2) + ["f"] * (len(events) // 2)
+        assert len(events) == 2 * 3 * 8  # per group: 4 replay and 4 VJP ops
+        assert seen == {"g arrays at f": 0, "y2 at f": False, "f_vjp": False}
         assert y == [] and gy == []
 
     @pytest.mark.parametrize("kind", ["basic", "bottleneck", "df_bottleneck"])
@@ -265,3 +309,94 @@ class TestRevDownsample:
         (gx,) = layer.backward((ops.pixel_unshuffle(x, 2),), None)
         np.testing.assert_array_equal(
             ops.channel_concat(*layer.backward(halves, None)), gx)
+
+
+def df_branch(width, dtype, seed=0):
+    return make_residual_fn("df_bottleneck", width, rng=np.random.default_rng(seed),
+                            dtype=dtype)
+
+
+class TestGroupedDFBranch:
+    """The DF branch's 4x-wide middle runs one group of mid channels at a time."""
+
+    @pytest.mark.parametrize("x_shape, groups", [
+        ((4, 8, 80, 32), 4),  # train-rev-df, stage 1
+        ((4, 8, 40, 16), 2),  # train-rev-df, stage 2
+        ((2, 4, 8, 6), 1),  # the test blocks
+        ((1, 24, 80, 200), 4),  # DF-RevNet89, stage 1
+    ])
+    def test_group_rule(self, x_shape, groups):
+        # the fewest groups whose arrays fit max(x's bytes, FLAT_SHIFT_BYTES)
+        branch = df_branch(x_shape[1], np.float32)
+        x = np.zeros(x_shape, np.float32)
+        got = layers._channel_groups(x, branch.layers[0])
+        assert len(got) == groups
+        assert [g.start for g in got[1:]] == [g.stop for g in got[:-1]]
+        assert got[0].start == 0 and got[-1].stop == 4 * x_shape[1]
+        budget = max(x.nbytes, ops.FLAT_SHIFT_BYTES)
+        assert all((g.stop - g.start) * x.nbytes // x_shape[1] <= budget for g in got)
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_groups_match_whole_tensor(self, rng, monkeypatch, dtype, tol):
+        branch = df_branch(8, dtype)
+        bn = branch.layers[1]
+        x = rng.standard_normal((2, 8, 6, 5)).astype(dtype)
+        gy = rng.standard_normal(x.shape).astype(dtype)
+
+        def run():
+            out = branch.forward(x)  # capture
+            stats = [a.copy() for a in bn.saved_stats]
+            for p in branch.params():
+                p.zero_grad()
+            replayed, gx = layers._df_replay_vjp(branch.layers, x, gy)
+            taped = branch.forward(x, tape=[], replay=True)
+            np.testing.assert_array_equal(replayed, out)
+            np.testing.assert_array_equal(taped, out)
+            return out, gx, stats, [p.grad.copy() for p in branch.params()]
+
+        assert len(layers._channel_groups(x, branch.layers[0])) == 1
+        whole = run()
+        # 12 mid channels' worth of budget: groups of 10, 11 and 11 of 32
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 12 * 2 * 6 * 5 * x.itemsize)
+        sizes = [g.stop - g.start for g in layers._channel_groups(x, branch.layers[0])]
+        assert sizes == [10, 11, 11]
+        grouped = run()
+        for got, want in zip(grouped[2] + grouped[3], whole[2] + whole[3]):
+            np.testing.assert_array_equal(got, want)
+        assert scaled_err(grouped[0], whole[0]) <= tol
+        assert scaled_err(grouped[1], whole[1]) <= tol
+
+    def test_replay_vjp_holds_no_wide_array(self, rng, monkeypatch):
+        # at train-rev-df's stage-1 shape the middle is (4, 32, 80, 32), four
+        # groups of (4, 8, 80, 32); no op returns more than a group, and the
+        # rise stays under the narrow output and dL/dx, four group arrays
+        # (h, r, dL/dd and dL/dr) and the depthwise VJP's three blocks; run
+        # as one group, the same call rises by 6.4 MB
+        branch = df_branch(8, np.float32)
+        x = rng.standard_normal((4, 8, 80, 32), dtype=np.float32)
+        gy = rng.standard_normal(x.shape, dtype=np.float32)
+        branch.forward(x)
+        group = x.nbytes  # 8 of the 32 mid channels
+        largest = []
+
+        def spy(fn):
+            def call(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                largest.append(max(a.nbytes for a in (out if isinstance(out, tuple) else (out,))))
+                return out
+
+            return call
+
+        for name in ("conv2d", "conv2d_vjp", "depthwise_conv2d", "depthwise_conv2d_vjp",
+                     "batchnorm2d", "batchnorm2d_vjp", "relu", "relu_vjp"):
+            monkeypatch.setattr(ops, name, spy(getattr(ops, name)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            layers._df_replay_vjp(branch.layers, x, gy)
+            rise = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert max(largest) == group
+        slack = 3 * np.getbufsize() * 4 + (64 << 10)  # ufunc buffers, per-plane taps
+        assert rise <= 2 * x.nbytes + 4 * group + 3 * ops.FLAT_SHIFT_BYTES + slack
