@@ -9,14 +9,17 @@ batch:
 
 1. one with nothing patched, which gives each phase's peak (forward with
    the loss, backward, optimizer step) and so the step's peak;
-2. one with every public function of revmem.ops wrapped, which gives each
+2. one under the benchmark's span tracer (perfbench/tracer.py) in memory
+   mode, with every public function of revmem.ops hooked, which gives each
    op call's peak and the bytes live when it was entered.
 
-The two steps allocate the same arrays, so an op's peak may exceed its
-phase's by only the few bytes the wrappers hold. Peaks count numpy buffers
-and Python objects, not RSS; the first net of a process also counts the
-one-time caches its set-up fills in its resident bytes. BLAS is pinned to
-one thread.
+The two steps allocate the same arrays. tracemalloc traces the tracer's
+span records too, so the bytes they hold at a call (the traced step's
+growth per record times the records made before it) are taken off its
+numbers.
+Peaks count numpy buffers and Python objects, not RSS; the first net of a
+process also counts the one-time caches its set-up fills in its resident
+bytes. BLAS is pinned to one thread.
 
     python3 scripts/peak_sites.py [--net NAME ...] [--mode reversible] [--top 5]
 
@@ -33,11 +36,15 @@ import sys
 import tracemalloc
 from collections import defaultdict
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from revmem import engine, loss, ops, optim, zoo
 from revmem.layers import Param
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from tracer import Tracer  # noqa: E402
 
 NETS = conv_bench.NETS
 PHASES = ("forward", "backward", "step")
@@ -111,63 +118,25 @@ def _op_key(name, args):
     return (name, *shapes, *[()] * (2 - len(shapes)))
 
 
-class OpWrappers:
-    """Wraps every op in OPS; records each call's peak under the current phase.
+def _op_hooks():
+    """Tracer hooks for every op in OPS, each call's span named by its _op_key.
 
-    tracemalloc keeps one global peak, so each call resets it at entry after
-    folding it into the enclosing call's running peak, as ops may call ops.
-    tracemalloc traces the records too, so the bytes they hold by a call's
-    entry are taken off its entry and peak bytes.
+    Equal keys are one object, so a span's name adds no bytes after the first.
     """
+    keys = {}
 
-    def __init__(self):
-        self.phase = None
-        self.sites = defaultdict(lambda: defaultdict(Site))
-        self._stack = []  # [bytes at entry, running peak] per open call
-        self._originals = {}
-        self._held = 0  # bytes the records hold
+    def hook(op):
+        def name(args, kwargs):
+            key = _op_key(op, args)
+            return keys.setdefault(key, key)
 
-    def __enter__(self):
-        for name in OPS:
-            self._originals[name] = getattr(ops, name)
-            setattr(ops, name, self._wrap(name, self._originals[name]))
-        return self
+        return (ops, op, name, None)
 
-    def __exit__(self, *exc):
-        for name, fn in self._originals.items():
-            setattr(ops, name, fn)
-        return False
-
-    def _wrap(self, name, fn):
-        def call(*args, **kwargs):
-            current, peak = tracemalloc.get_traced_memory()
-            if self._stack:
-                self._stack[-1][1] = max(self._stack[-1][1], peak)
-            tracemalloc.reset_peak()
-            self._stack.append([current, current])
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                entry, running = self._stack.pop()
-                peak = max(running, tracemalloc.get_traced_memory()[1])
-                if self._stack:
-                    self._stack[-1][1] = max(self._stack[-1][1], peak)
-                tracemalloc.reset_peak()
-                self._record(name, args, entry - self._held, peak - self._held)
-
-        return call
-
-    def _record(self, name, args, entry, peak):
-        before = tracemalloc.get_traced_memory()[0]
-        site = self.sites[self.phase][_op_key(name, args)]
-        site.calls += 1
-        if peak > site.peak:
-            site.peak, site.entry = peak, entry
-        self._held += tracemalloc.get_traced_memory()[0] - before
+    return [hook(op) for op in OPS]
 
 
 def profile(spec, batch, frames, mode="reversible") -> Report:
-    """Phase peaks of one plain step and op sites of one wrapped step."""
+    """Phase peaks of one plain step and op sites of one traced step."""
     tracemalloc.start()
     try:
         step = Step(spec, batch, frames, mode)
@@ -179,11 +148,30 @@ def profile(spec, batch, frames, mode="reversible") -> Report:
             fn()
             phase_peaks[name] = tracemalloc.get_traced_memory()[1]
         report = Report(resident, phase_peaks)
-        with OpWrappers() as wrappers:
-            for name, fn in step.phases():
-                wrappers.phase = name
-                fn()
-        report.sites = {phase: dict(wrappers.sites[phase]) for phase in PHASES}
+        tracer = Tracer(_op_hooks(), memory=True)
+        before = tracemalloc.get_traced_memory()[0]
+        with tracer:
+            for i, (name, fn) in enumerate(step.phases()):
+                with tracer.operation(i, name):  # each op span's .op is its phase
+                    fn()
+        # a step ends where it began, so what the traced step left is records
+        per_record = (tracemalloc.get_traced_memory()[0] - before) / len(tracer.spans)
+        sites = defaultdict(lambda: defaultdict(Site))
+        highest = {}  # (phase, key) -> index of the span that peaked highest
+        for i, span in enumerate(tracer.spans):
+            if span.parent < 0:
+                continue  # a phase's own span
+            phase = PHASES[span.op]
+            site = sites[phase][span.name]
+            site.calls += 1
+            if span.peak > site.peak:
+                site.peak, site.entry = span.peak, span.peak - span.rise
+                highest[phase, span.name] = i
+        for (phase, key), i in highest.items():
+            site = sites[phase][key]
+            site.peak -= round(per_record * i)
+            site.entry -= round(per_record * i)
+        report.sites = {phase: dict(sites[phase]) for phase in PHASES}
         return report
     finally:
         tracemalloc.stop()

@@ -233,6 +233,7 @@ def run_forward(net: Network, batch: np.ndarray, mode: str):
             store.entries.append(("layer", idxs, tape) if tape is not None
                                  else ("input", idxs, y if layer.tapes_output else x))
             x = y
+            del y  # x alone holds the output, so a run's split can drop it
         else:  # reversible run: split once at its head, concat once at its end
             head = _run_head(net, idxs)
             xs, x = (x,), None  # the split frees the run's input unless it is saved

@@ -34,9 +34,11 @@ last conv, whose share adds into the output. Groups are as few as keep
 each group's array within the larger of the input's bytes and
 ``ops.FLAT_SHIFT_BYTES``. Its taped forward tapes the whole arrays as any
 chain does and sums only the last conv over the same groups, so both
-forwards return equal arrays. ``RevBlock.rev_backward`` replays and
-backpropagates such a branch group by group in one pass, so reversible
-training never holds a 4x-wide tensor.
+forwards return equal arrays. A replay taped onto a ``VJPTape``, which
+carries the output's cotangent, backpropagates such a branch group by group
+in the same pass and tapes nothing. ``RevBlock.rev_backward`` and
+``ResidualBlock.backward_from_input`` replay every branch that way, so
+reversible training never holds a 4x-wide tensor.
 
 Members of a reversible run (``RevBlock``, ``RevDownsample``) take and
 return tuples of channel streams instead of single tensors: a ``RevBlock``
@@ -347,6 +349,9 @@ class Sequential(Layer):
         return x
 
     def backward(self, gy, entries):
+        if isinstance(entries, VJPTape) and entries.gx is not None:
+            gx, entries.gx = entries.gx, None  # the replay ran the VJP
+            return gx
         # pops each entry as its VJP runs, so a cached input is freed right
         # after its last use
         for l in reversed(self.layers):
@@ -433,6 +438,28 @@ def _add_into(total, part):
     return total
 
 
+def _df_group(layers, x, g, mean, var, capture=False, keep=True):
+    """Channel group g of a DF bottleneck's middle on x: (h, r, d).
+
+    h is the first conv's output rows (None unless ``keep``: only a VJP
+    reads it), r the ReLU's output and d the depthwise conv's. BN reads the
+    group's statistics from ``mean[g]`` and ``var[g]``, or on a capture
+    computes them into there.
+    """
+    conv1, bn, _, dw, _ = layers
+    gamma, beta = bn.gamma.value[g], bn.beta.value[g]
+    h = ops.conv2d(x, conv1.w.value[g], conv1.stride)
+    if capture:
+        y, mean[g], var[g] = ops.batchnorm2d(h, gamma, beta, bn.eps)
+    else:
+        y, _, _ = ops.batchnorm2d(h, gamma, beta, bn.eps, stats=(mean[g], var[g]))
+    if not keep:
+        h = None
+    r = ops.relu(y)
+    del y
+    return h, r, ops.depthwise_conv2d(r, dw.w.value[g])
+
+
 def _df_forward(layers, x, tape, replay):
     """A DF bottleneck's forward, its conv2 summed over the channel groups.
 
@@ -440,9 +467,12 @@ def _df_forward(layers, x, tape, replay):
     a capture forward takes BN's statistics group by group. Taped, the
     first four layers run whole and tape what they always do, and only
     conv2 is summed over the same groups, so both forwards return equal
-    arrays.
+    arrays. A ``VJPTape`` runs the fused replay and VJP instead.
     """
-    conv1, bn, _, dw, conv2 = layers
+    if isinstance(tape, VJPTape):
+        out, tape.gx = _df_replay_vjp(layers, x, tape.gy)
+        return out
+    conv1, bn, _, _, conv2 = layers
     out = None
     if tape is not None:
         d = x
@@ -452,23 +482,14 @@ def _df_forward(layers, x, tape, replay):
         for g in _channel_groups(x, conv1):
             out = _add_into(out, ops.conv2d(d[:, g], conv2.w.value[:, g], conv2.stride))
         return out
-    groups = _channel_groups(x, conv1)
-    w1, gamma, beta, wd, w2 = (conv1.w.value, bn.gamma.value, bn.beta.value, dw.w.value,
-                               conv2.w.value)
     if replay:
         mean, var = bn.replayed_stats()
     else:
-        mean, var = (np.empty(bn.c, np.result_type(x, w1)) for _ in range(2))
-    for g in groups:
-        h = ops.conv2d(x, w1[g], conv1.stride)
-        if replay:
-            y, _, _ = ops.batchnorm2d(h, gamma[g], beta[g], bn.eps, stats=(mean[g], var[g]))
-        else:
-            y, mean[g], var[g] = ops.batchnorm2d(h, gamma[g], beta[g], bn.eps)
-        del h
-        d = ops.depthwise_conv2d(ops.relu(y), wd[g])
-        del y
-        out = _add_into(out, ops.conv2d(d, w2[:, g], conv2.stride))
+        mean, var = (np.empty(bn.c, np.result_type(x, conv1.w.value)) for _ in range(2))
+    for g in _channel_groups(x, conv1):
+        d = _df_group(layers, x, g, mean, var, capture=not replay, keep=False)[2]
+        out = _add_into(out, ops.conv2d(d, conv2.w.value[:, g], conv2.stride))
+        del d
     if not replay:
         bn.capture(mean, var)
     return out
@@ -484,22 +505,18 @@ def _df_replay_vjp(layers, x, gy):
     """
     conv1, bn, _, dw, conv2 = layers
     mean, var = bn.replayed_stats()
-    w1, gamma, beta, wd, w2 = (conv1.w.value, bn.gamma.value, bn.beta.value, dw.w.value,
-                               conv2.w.value)
+    gamma = bn.gamma.value
     out = gx = None
     for g in _channel_groups(x, conv1):
-        h = ops.conv2d(x, w1[g], conv1.stride)
-        y, _, _ = ops.batchnorm2d(h, gamma[g], beta[g], bn.eps, stats=(mean[g], var[g]))
-        r = ops.relu(y)
-        del y
-        d = ops.depthwise_conv2d(r, wd[g])
-        out = _add_into(out, ops.conv2d(d, w2[:, g], conv2.stride))
+        h, r, d = _df_group(layers, x, g, mean, var)
+        w2 = conv2.w.value[:, g]
+        out = _add_into(out, ops.conv2d(d, w2, conv2.stride))
         # the VJP, in the taped backward's order, dropping each array after
         # its last use
-        gd, gw = ops.conv2d_vjp(d, w2[:, g], gy, conv2.stride)
+        gd, gw = ops.conv2d_vjp(d, w2, gy, conv2.stride)
         conv2.w.grad[:, g] += gw
         del d
-        gr, gw = ops.depthwise_conv2d_vjp(r, wd[g], gd)
+        gr, gw = ops.depthwise_conv2d_vjp(r, dw.w.value[g], gd)
         dw.w.grad[g] += gw
         del gd
         gr = ops.relu_vjp(r, gr)
@@ -508,25 +525,37 @@ def _df_replay_vjp(layers, x, gy):
         bn.gamma.grad[g] += dgamma
         bn.beta.grad[g] += dbeta
         del h, gr
-        gxg, gw = ops.conv2d_vjp(x, w1[g], gh, conv1.stride)
+        gxg, gw = ops.conv2d_vjp(x, conv1.w.value[g], gh, conv1.stride)
         conv1.w.grad[g] += gw
         gx = _add_into(gx, gxg)
         del gh, gxg
     return out, gx
 
 
+class VJPTape(list):
+    """The tape of a replay that already knows its output's cotangent ``gy``.
+
+    ``Sequential.forward(x, tape=VJPTape(gy), replay=True)`` on a DF
+    bottleneck backpropagates each channel group right after replaying it
+    and keeps dL/dx as ``gx``, taping nothing; any other chain tapes into it
+    as into a list. ``Sequential.backward(gy, tape)`` then returns that
+    dL/dx, or walks the tape.
+    """
+
+    def __init__(self, gy):
+        super().__init__()
+        self.gy, self.gx = gy, None
+
+
 def _rebuild_and_vjp(branch, x, gy, ys):
     """Pop y off ``ys``; return y - branch(x) and the branch's dL/dx at x for gy.
 
-    The branch is replayed on its captured statistics. A DF bottleneck runs
-    its fused grouped replay and VJP, which needs y until the whole output
-    is summed. Any other branch rebuilds its tape, drops y, and then walks
-    the tape backward.
+    The branch is replayed on its captured statistics onto a ``VJPTape``. A
+    DF bottleneck runs its VJP within the replay, group by group, and needs
+    y until its whole output is summed. Any other branch tapes the replay,
+    drops y, and then walks the tape backward.
     """
-    if _is_df_bottleneck(branch.layers):
-        out, gx = _df_replay_vjp(branch.layers, x, gy)
-        return ys.pop() - out, gx
-    tape = []
+    tape = VJPTape(gy)
     x_rec = ys.pop() - branch.forward(x, tape=tape, replay=True)
     return x_rec, branch.backward(gy, tape)
 
@@ -575,8 +604,9 @@ class ResidualBlock(Layer):
         return gx
 
     def backward_from_input(self, gy, x):
-        # checkpoint style: rebuild the branch tape from the cached input
-        sub = []
+        # checkpoint style: replay the branch from the cached input, taping
+        # it (a DF bottleneck runs its VJP group by group within the replay)
+        sub = VJPTape(gy)
         self.branch.forward(x, tape=sub, replay=True)
         return self.backward(gy, (x, sub))
 

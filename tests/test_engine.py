@@ -92,6 +92,30 @@ class TestRunForward:
             reversible, _, _ = run_forward(net, x, "reversible")
             np.testing.assert_array_equal(stored, reversible)
 
+    def test_run_input_freed_at_split(self, rng, monkeypatch):
+        # reversible mode saves no downsampling block's output, so once the
+        # next run has split it into its pair nothing holds it
+        net = zoo.build(zoo.toy_spec([1, 1], 8, "basic", "type1"), np.float64, seed=3)
+        i = next(i for i, l in enumerate(net.layers) if isinstance(l, ResidualBlock))
+        block, head = net.layers[i], net.layers[i + 1]
+        assert isinstance(head, RevBlock)
+        seen = {}
+        block_forward, head_forward = block.forward, head.forward
+
+        def spy_block(x, tape=None, replay=False):
+            y = block_forward(x, tape=tape, replay=replay)
+            seen["out"] = weakref.ref(y)
+            return y
+
+        def spy_head(xs, tape=None, replay=False):
+            seen["alive at split"] = seen["out"]() is not None
+            return head_forward(xs, tape=tape, replay=replay)
+
+        monkeypatch.setattr(block, "forward", spy_block)
+        monkeypatch.setattr(head, "forward", spy_head)
+        run_forward(net, batch(rng), "reversible")
+        assert seen["alive at split"] is False
+
     def test_cached_tensor_count_depth_independent(self, rng):
         counts = []
         for depth in (4, 32):

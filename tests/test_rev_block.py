@@ -8,7 +8,9 @@ import pytest
 
 from revmem import layers, ops
 from revmem.errors import StateError
-from revmem.layers import Param, RevBlock, RevDownsample, Sequential, make_residual_fn
+from revmem.layers import (
+    Param, ResidualBlock, RevBlock, RevDownsample, Sequential, make_residual_fn,
+)
 
 from conftest import central_diff_proj, mixed_err, scaled_err
 
@@ -366,16 +368,24 @@ class TestGroupedDFBranch:
         assert scaled_err(grouped[0], whole[0]) <= tol
         assert scaled_err(grouped[1], whole[1]) <= tol
 
-    def test_replay_vjp_holds_no_wide_array(self, rng, monkeypatch):
+    @pytest.mark.parametrize("site", ["rev_block", "checkpoint"])
+    def test_replay_vjp_holds_no_wide_array(self, rng, monkeypatch, site):
         # at train-rev-df's stage-1 shape the middle is (4, 32, 80, 32), four
         # groups of (4, 8, 80, 32); no op returns more than a group, and the
-        # rise stays under the narrow output and dL/dx, four group arrays
-        # (h, r, dL/dd and dL/dr) and the depthwise VJP's three blocks; run
-        # as one group, the same call rises by 6.4 MB
-        branch = df_branch(8, np.float32)
+        # rise stays under the narrow output and dL/dx (and, for a
+        # ResidualBlock's checkpoint, dL/dx plus the skip's), four group
+        # arrays (h, r, dL/dd and dL/dr) and the depthwise VJP's three
+        # blocks; run as one group, the same fused call rises by 6.4 MB
         x = rng.standard_normal((4, 8, 80, 32), dtype=np.float32)
         gy = rng.standard_normal(x.shape, dtype=np.float32)
-        branch.forward(x)
+        if site == "rev_block":
+            branch = df_branch(8, np.float32)
+            branch.forward(x)
+            run, narrow = (lambda: layers._df_replay_vjp(branch.layers, x, gy)), 2
+        else:
+            block = ResidualBlock("df_bottleneck", 8, 8, rng=rng, dtype=np.float32)
+            block.forward(x)
+            run, narrow = (lambda: block.backward_from_input(gy, x)), 3
         group = x.nbytes  # 8 of the 32 mid channels
         largest = []
 
@@ -393,10 +403,52 @@ class TestGroupedDFBranch:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            layers._df_replay_vjp(branch.layers, x, gy)
+            run()
             rise = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert max(largest) == group
         slack = 3 * np.getbufsize() * 4 + (64 << 10)  # ufunc buffers, per-plane taps
-        assert rise <= 2 * x.nbytes + 4 * group + 3 * ops.FLAT_SHIFT_BYTES + slack
+        assert rise <= narrow * x.nbytes + 4 * group + 3 * ops.FLAT_SHIFT_BYTES + slack
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_checkpoint_groups_match_taped(self, rng, monkeypatch, dtype, tol):
+        # a ResidualBlock's checkpoint backward replays its DF branch group by
+        # group; with three groups it matches the whole-tensor taped backward
+        block = ResidualBlock("df_bottleneck", 8, 8, rng=rng, dtype=dtype)
+        x = rng.standard_normal((2, 8, 6, 5)).astype(dtype)
+        gy = rng.standard_normal(x.shape).astype(dtype)
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 12 * 2 * 6 * 5 * x.itemsize)
+        assert len(layers._channel_groups(x, block.branch.layers[0])) == 3
+        tape = []
+        block.forward(x, tape=tape)
+        for p in block.params():
+            p.zero_grad()
+        gx_taped = block.backward(gy, tape[0])
+        ref = [p.grad.copy() for p in block.params()]
+        for p in block.params():
+            p.zero_grad()
+        assert scaled_err(block.backward_from_input(gy, x), gx_taped) <= tol
+        for p, want in zip(block.params(), ref):
+            assert scaled_err(p.grad, want) <= tol
+
+    def test_replays_are_sequential_forwards(self, rng, monkeypatch):
+        # a fused replay and VJP is still a branch's Sequential.forward with
+        # replay=True, once per replayed branch: in a RevBlock's backward (G,
+        # then F) and in a ResidualBlock's checkpoint backward
+        calls = []
+        forward = Sequential.forward
+
+        def spy(self, x, tape=None, replay=False):
+            calls.append(replay)
+            return forward(self, x, tape=tape, replay=replay)
+
+        monkeypatch.setattr(Sequential, "forward", spy)
+        blk, _ = make_block("df_bottleneck")
+        y = list(blk.forward(ops.channel_split(rng.normal(size=(2, 8, 8, 6)))))
+        blk.rev_backward(y, list(ops.channel_split(rng.normal(size=(2, 8, 8, 6)))))
+        block = ResidualBlock("df_bottleneck", 8, 8, rng=rng, dtype=np.float64)
+        x = rng.normal(size=(2, 8, 8, 6))
+        block.forward(x)
+        block.backward_from_input(rng.normal(size=x.shape), x)
+        assert calls == [False, False, True, True, False, True]
