@@ -27,18 +27,19 @@ Execution protocol (used by the engine):
 A DF bottleneck branch (1x1 conv, BN, ReLU, depthwise conv, 1x1 conv, as
 ``make_residual_fn`` builds it, recognized by its structure) widens its
 input 4x between its two 1x1 convs, and everything there is per channel.
-So its untaped forward runs that middle one group of channels at a time:
-a group's rows of the first conv, BN on the group's statistics (captured
-group by group), ReLU, the depthwise conv, and the group's columns of the
-last conv, whose share adds into the output. Groups are as few as keep
-each group's array within the larger of the input's bytes and
-``ops.FLAT_SHIFT_BYTES``. Its taped forward tapes the whole arrays as any
-chain does and sums only the last conv over the same groups, so both
-forwards return equal arrays. A replay taped onto a ``VJPTape``, which
-carries the output's cotangent, backpropagates such a branch group by group
-in the same pass and tapes nothing. ``RevBlock.rev_backward`` and
-``ResidualBlock.backward_from_input`` replay every branch that way, so
-reversible training never holds a 4x-wide tensor.
+So every forward of it, taped or not, runs that middle one group of
+channels at a time: a group's rows of the first conv, BN on the group's
+statistics (captured group by group), ReLU, the depthwise conv, and the
+group's columns of the last conv, whose share adds into the output. Groups
+are as few as keep each group's array within the larger of the input's
+bytes and ``ops.FLAT_SHIFT_BYTES``. Untaped, it keeps nothing of a group;
+taped, it tapes its input once and then each group's three arrays, which
+its backward pops group by group. A replay taped onto a ``VJPTape``, which
+carries the output's cotangent, runs the same per-group VJP right after
+replaying each group and tapes nothing. ``RevBlock.rev_backward`` and
+``ResidualBlock.backward_from_input`` replay every branch that way. So no
+mode ever holds a 4x-wide tensor, and a stored branch's forward and
+backward compute what its replay does, bit for bit.
 
 Members of a reversible run (``RevBlock``, ``RevDownsample``) take and
 return tuples of channel streams instead of single tensors: a ``RevBlock``
@@ -352,6 +353,14 @@ class Sequential(Layer):
         if isinstance(entries, VJPTape) and entries.gx is not None:
             gx, entries.gx = entries.gx, None  # the replay ran the VJP
             return gx
+        if _is_df_bottleneck(self.layers):
+            # the tape is x, then each group's [h, r, d]; pops the groups in
+            # forward order, as a VJPTape replay runs them
+            entries.reverse()
+            x, gx = entries.pop(), None
+            for g in _channel_groups(x, self.layers[0]):
+                gx = _add_into(gx, _df_group_vjp(self.layers, x, g, entries.pop(), gy))
+            return gx
         # pops each entry as its VJP runs, so a cached input is freed right
         # after its last use
         for l in reversed(self.layers):
@@ -438,13 +447,14 @@ def _add_into(total, part):
     return total
 
 
-def _df_group(layers, x, g, mean, var, capture=False, keep=True):
-    """Channel group g of a DF bottleneck's middle on x: (h, r, d).
+def _df_group(layers, x, g, mean, var, capture, keep):
+    """Channel group g of a DF bottleneck's middle on x, as a list.
 
-    h is the first conv's output rows (None unless ``keep``: only a VJP
-    reads it), r the ReLU's output and d the depthwise conv's. BN reads the
-    group's statistics from ``mean[g]`` and ``var[g]``, or on a capture
-    computes them into there.
+    [h, r, d] when ``keep``: the first conv's output rows, the ReLU's output
+    and the depthwise conv's, which a tape or a VJP reads. Else [d] alone,
+    h dropped after BN and r after the depthwise conv. BN reads the group's
+    statistics from ``mean[g]`` and ``var[g]``, or on a capture computes
+    them into there.
     """
     conv1, bn, _, dw, _ = layers
     gamma, beta = bn.gamma.value[g], bn.beta.value[g]
@@ -457,79 +467,66 @@ def _df_group(layers, x, g, mean, var, capture=False, keep=True):
         h = None
     r = ops.relu(y)
     del y
-    return h, r, ops.depthwise_conv2d(r, dw.w.value[g])
+    d = ops.depthwise_conv2d(r, dw.w.value[g])
+    return [h, r, d] if keep else [d]
+
+
+def _df_group_vjp(layers, x, g, group, gy):
+    """The VJP of a DF bottleneck's channel group g for gy: the group's share of dL/dx.
+
+    ``group`` is the group's [h, r, d], which this empties, so each array is
+    dropped after its last use. Writes only the group's slices of the
+    parameter gradients; BN reads the captured statistics.
+    """
+    conv1, bn, _, dw, conv2 = layers
+    mean, var = bn.saved_stats
+    gd, gw = ops.conv2d_vjp(group.pop(), conv2.w.value[:, g], gy, conv2.stride)
+    conv2.w.grad[:, g] += gw
+    r = group.pop()
+    gr, gw = ops.depthwise_conv2d_vjp(r, dw.w.value[g], gd)
+    dw.w.grad[g] += gw
+    del gd
+    gr = ops.relu_vjp(r, gr)
+    del r
+    gh, dgamma, dbeta = ops.batchnorm2d_vjp(group.pop(), bn.gamma.value[g], gr,
+                                            mean[g], var[g], bn.eps)
+    bn.gamma.grad[g] += dgamma
+    bn.beta.grad[g] += dbeta
+    del gr
+    gx, gw = ops.conv2d_vjp(x, conv1.w.value[g], gh, conv1.stride)
+    conv1.w.grad[g] += gw
+    return gx
 
 
 def _df_forward(layers, x, tape, replay):
-    """A DF bottleneck's forward, its conv2 summed over the channel groups.
+    """A DF bottleneck's forward, one channel group at a time.
 
-    Untaped, each group runs alone, so no array wider than a group exists;
-    a capture forward takes BN's statistics group by group. Taped, the
-    first four layers run whole and tape what they always do, and only
-    conv2 is summed over the same groups, so both forwards return equal
-    arrays. A ``VJPTape`` runs the fused replay and VJP instead.
+    Each group adds its conv2 share into the output, so no array wider than
+    a group exists; a capture forward takes BN's statistics group by group.
+    Untaped, a group's arrays are dropped as soon as they are read. A list
+    tape gets x, then each group's [h, r, d]. A ``VJPTape`` runs each
+    group's VJP right after replaying it and sums dL/dx into ``gx``.
     """
-    if isinstance(tape, VJPTape):
-        out, tape.gx = _df_replay_vjp(layers, x, tape.gy)
-        return out
     conv1, bn, _, _, conv2 = layers
-    out = None
-    if tape is not None:
-        d = x
-        for l in layers[:4]:
-            d = l.forward(d, tape=tape, replay=replay)
-        tape.append(d)
-        for g in _channel_groups(x, conv1):
-            out = _add_into(out, ops.conv2d(d[:, g], conv2.w.value[:, g], conv2.stride))
-        return out
     if replay:
         mean, var = bn.replayed_stats()
     else:
         mean, var = (np.empty(bn.c, np.result_type(x, conv1.w.value)) for _ in range(2))
+    vjp = isinstance(tape, VJPTape)
+    if tape is not None and not vjp:
+        tape.append(x)
+    out = None
     for g in _channel_groups(x, conv1):
-        d = _df_group(layers, x, g, mean, var, capture=not replay, keep=False)[2]
-        out = _add_into(out, ops.conv2d(d, conv2.w.value[:, g], conv2.stride))
-        del d
+        group = _df_group(layers, x, g, mean, var, capture=not replay, keep=tape is not None)
+        out = _add_into(out, ops.conv2d(group[-1], conv2.w.value[:, g], conv2.stride))
+        if vjp:
+            tape.gx = _add_into(tape.gx, _df_group_vjp(layers, x, g, group, tape.gy))
+        elif tape is not None:
+            tape.append(group)
+        del group
     if not replay:
         bn.capture(mean, var)
     return out
-
-
-def _df_replay_vjp(layers, x, gy):
-    """(output, dL/dx) of a DF bottleneck replayed on its captured statistics.
-
-    Each group is replayed and backpropagated before the next starts, so no
-    array wider than a group exists. A group adds its share into the output
-    and dL/dx and writes only its slices of the parameter gradients. With
-    one group this is the taped forward and backward's arithmetic.
-    """
-    conv1, bn, _, dw, conv2 = layers
-    mean, var = bn.replayed_stats()
-    gamma = bn.gamma.value
-    out = gx = None
-    for g in _channel_groups(x, conv1):
-        h, r, d = _df_group(layers, x, g, mean, var)
-        w2 = conv2.w.value[:, g]
-        out = _add_into(out, ops.conv2d(d, w2, conv2.stride))
-        # the VJP, in the taped backward's order, dropping each array after
-        # its last use
-        gd, gw = ops.conv2d_vjp(d, w2, gy, conv2.stride)
-        conv2.w.grad[:, g] += gw
-        del d
-        gr, gw = ops.depthwise_conv2d_vjp(r, dw.w.value[g], gd)
-        dw.w.grad[g] += gw
-        del gd
-        gr = ops.relu_vjp(r, gr)
-        del r
-        gh, dgamma, dbeta = ops.batchnorm2d_vjp(h, gamma[g], gr, mean[g], var[g], bn.eps)
-        bn.gamma.grad[g] += dgamma
-        bn.beta.grad[g] += dbeta
-        del h, gr
-        gxg, gw = ops.conv2d_vjp(x, conv1.w.value[g], gh, conv1.stride)
-        conv1.w.grad[g] += gw
-        gx = _add_into(gx, gxg)
-        del gh, gxg
-    return out, gx
 
 
 class VJPTape(list):

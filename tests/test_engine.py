@@ -1,5 +1,6 @@
 """Dual-mode execution, saved-store accounting, and the memory ledger."""
 
+import collections
 import gc
 import weakref
 
@@ -80,17 +81,22 @@ class TestRunForward:
 
     def test_modes_produce_identical_outputs(self, rng):
         # caching policy must not change the forward values at all; at 32
-        # frames the DF branches' middles run in three channel groups, whose
-        # conv2 shares both modes sum in the same order
+        # frames the DF branches' middles run in three channel groups, which
+        # both modes run alike, so each batch norm captures equal statistics
         net = toy_net(dtype=np.float64, kind="df_bottleneck")
+        bns = batch_norms(net.layers)
         for frames, groups in ((8, 1), (32, 3)):
             x = batch(rng, frames=frames)
             stream = np.zeros((2, 4, 80, frames))  # one half of the first run's input
             branch = next(l for l in net.layers if isinstance(l, RevBlock)).f
             assert len(layers._channel_groups(stream, branch.layers[0])) == groups
             stored, _, _ = run_forward(net, x, "stored")
+            stats = [bn.saved_stats for bn in bns]
             reversible, _, _ = run_forward(net, x, "reversible")
             np.testing.assert_array_equal(stored, reversible)
+            for (mean, var), bn in zip(stats, bns):
+                np.testing.assert_array_equal(bn.saved_stats[0], mean)
+                np.testing.assert_array_equal(bn.saved_stats[1], var)
 
     def test_run_input_freed_at_split(self, rng, monkeypatch):
         # reversible mode saves no downsampling block's output, so once the
@@ -542,14 +548,13 @@ class TestReluTape:
         assert ledger_plan(net, 64, 200, "reversible").activations == activations
 
     @pytest.mark.parametrize("spec", [
-        zoo.toy_spec([2, 1], 8, "df_bottleneck"),
         zoo.toy_spec([1, 2], 8, "bottleneck", "type1"),
-        zoo.spec_from_json(ODD_HEAD_SPEC),
-    ], ids=["type2-df", "type1-bottleneck", "odd-head"])
+    ], ids=["type1-bottleneck"])
     def test_stored_tensor_count_drops_by_one_per_branch(self, rng, monkeypatch, spec):
         # against a ReLU that tapes its input: each branch's ReLU output is
         # its next layer's input, so the branch caches one array fewer; no
-        # stem ReLU here feeds a layer that tapes its input
+        # stem ReLU here feeds a layer that tapes its input (a DF branch runs
+        # no ReLU layer: see the next test)
         net = zoo.build(spec, dtype=np.float32, seed=1)
         x = batch(rng, dtype=np.float32)
         branches = sum(2 if isinstance(l, RevBlock) else isinstance(l, ResidualBlock)
@@ -565,6 +570,53 @@ class TestReluTape:
         monkeypatch.setattr(ReLU, "forward", tape_input)
         _, input_store, _ = run_forward(net, x, "stored")
         assert input_store.full_tensor_count() - store.full_tensor_count() == branches
+
+    @pytest.mark.parametrize("spec", [
+        zoo.toy_spec([2, 1], 8, "df_bottleneck"),
+        zoo.spec_from_json(ODD_HEAD_SPEC),
+    ], ids=["type2-df", "odd-head"])
+    def test_df_branch_tapes_each_group_relu_output_once(self, rng, monkeypatch, spec):
+        # a DF branch tapes its input, then each channel group's (h, r, d):
+        # the ReLU output r is one entry, where a ReLU layer's output is
+        # also its next layer's input; the store's bytes equal the plan
+        net = zoo.build(spec, dtype=np.float32, seed=1)
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 1 << 12)  # several groups a branch
+        relu, relu_layer, groups = ops.relu, ReLU.forward, []
+        relu_outputs, layer_outputs = [], set()
+
+        def spy_relu(x):
+            y = relu(x)
+            relu_outputs.append(y)
+            return y
+
+        def spy_layer(self, x, tape=None, replay=False):
+            y = relu_layer(self, x, tape=tape, replay=replay)
+            layer_outputs.add(id(y))
+            return y
+
+        def spy_groups(x, conv1):
+            got = channel_groups(x, conv1)
+            groups.append(len(got))
+            return got
+
+        channel_groups = layers._channel_groups
+        monkeypatch.setattr(ops, "relu", spy_relu)
+        monkeypatch.setattr(ReLU, "forward", spy_layer)
+        monkeypatch.setattr(layers, "_channel_groups", spy_groups)
+        _, store, ledger = run_forward(net, batch(rng, dtype=np.float32), "stored")
+        taped = collections.Counter()
+        stack = [payload for _, _, payload in store.entries]
+        while stack:
+            obj = stack.pop()
+            if isinstance(obj, np.ndarray):
+                taped[id(obj)] += 1
+            elif isinstance(obj, (list, tuple)):
+                stack.extend(obj)
+        group_outputs = [y for y in relu_outputs if id(y) not in layer_outputs]
+        assert len(group_outputs) == sum(groups) > len(groups)
+        assert [taped[id(y)] for y in group_outputs] == [1] * sum(groups)
+        assert ledger.activations == ledger_plan(net, 2, 8, "stored").activations
+        assert store.activation_nbytes() == ledger.activations
 
 
 class TestCapacity:

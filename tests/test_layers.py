@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from revmem import layers, ops
 from revmem.errors import ConfigError
 from revmem.layers import (
     BatchNorm2d,
@@ -59,7 +60,7 @@ class TestComposition:
 
 
 class TestReluTape:
-    @pytest.mark.parametrize("kind", ["basic", "bottleneck", "df_bottleneck"])
+    @pytest.mark.parametrize("kind", ["basic", "bottleneck"])
     def test_relu_tapes_its_output_as_the_next_layers_input(self, kind, rng):
         # conv, BN, ReLU, next layer: the ReLU's entry and the next layer's
         # are one array, the ReLU's output; BN's output is not taped
@@ -71,6 +72,28 @@ class TestReluTape:
         assert tape[3] is tape[2]
         np.testing.assert_array_equal(tape[2], np.maximum(y_bn, 0))
         assert len({id(a) for a in tape}) == len(tape) - 1
+
+    def test_df_tapes_each_groups_relu_output_once(self, rng, monkeypatch):
+        # a DF branch tapes x, then each channel group's [h, r, d]: the first
+        # conv's rows, their BN's ReLU output and its depthwise conv, each
+        # array once
+        b = branch("df_bottleneck")
+        conv1, bn, _, dw, _ = b.layers
+        x = rng.normal(size=(2, 8, 6, 5))
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 12 * 2 * 6 * 5 * x.itemsize)
+        groups = layers._channel_groups(x, conv1)
+        assert len(groups) == 3
+        tape = []
+        b.forward(x, tape=tape)
+        assert tape[0] is x and len(tape) == 1 + len(groups)
+        mean, var = bn.saved_stats
+        for g, (h, r, d) in zip(groups, tape[1:]):
+            np.testing.assert_array_equal(h, ops.conv2d(x, conv1.w.value[g]))
+            y, _, _ = ops.batchnorm2d(h, bn.gamma.value[g], bn.beta.value[g], bn.eps,
+                                      stats=(mean[g], var[g]))
+            np.testing.assert_array_equal(r, np.maximum(y, 0))
+            np.testing.assert_array_equal(d, ops.depthwise_conv2d(r, dw.w.value[g]))
+        assert len({id(a) for e in tape[1:] for a in e}) == 3 * len(groups)
 
 
 class TestZeroBranch:

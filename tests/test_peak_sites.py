@@ -1,4 +1,4 @@
-"""Smoke test of scripts/peak_sites.py on the benchmark's toy DF net.
+"""Smoke test of scripts/peak_sites.py on the benchmark's toy DF net, in both modes.
 
 The script splits a training step into phases and wraps every op; if a
 phase misses part of the step, or the wrappers miss the op the step peaks
@@ -34,12 +34,22 @@ def peak_sites(monkeypatch):
     return module
 
 
-def test_reported_maximum_is_the_step_peak(peak_sites):
+# where each mode's step peaks: the backward's depthwise VJP of a channel
+# group, of stage 1 in reversible mode, and in stored mode of stage 2, the
+# first the backward walks, while stage 1's tape is still whole
+PEAK_OPS = {
+    "reversible": ("depthwise_conv2d_vjp", (4, 8, 80, 32)),
+    "stored": ("depthwise_conv2d_vjp", (4, 16, 40, 16)),
+}
+
+
+@pytest.mark.parametrize("mode", PEAK_OPS)
+def test_reported_maximum_is_the_step_peak(peak_sites, mode):
     originals = {name: getattr(ops, name) for name in peak_sites.OPS}
     assert {"conv2d", "depthwise_conv2d_vjp", "relu_vjp", "linear"} <= set(originals)
     assert "conv_out_size" not in originals  # takes no array
     cfg = peak_sites.NETS["train-rev-df"]
-    report = peak_sites.profile(*cfg)
+    report = peak_sites.profile(*cfg, mode)
     assert {name: getattr(ops, name) for name in peak_sites.OPS} == originals  # restored
 
     # the same set-up, warmed up the same way, and one step with the peak
@@ -48,7 +58,7 @@ def test_reported_maximum_is_the_step_peak(peak_sites):
     # are compared
     tracemalloc.start()
     try:
-        step = peak_sites.Step(*cfg, "reversible")
+        step = peak_sites.Step(*cfg, mode)
         step.run()
         resident = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
@@ -58,12 +68,11 @@ def test_reported_maximum_is_the_step_peak(peak_sites):
         tracemalloc.stop()
     assert abs((report.peak - report.resident) - step_rise) <= DRIFT
 
-    # the step peaks inside an op the report lists: the reversible backward's
-    # depthwise VJP of a stage-1 channel group
+    # the step peaks inside an op the report lists
     phase = max(report.phase_peaks, key=report.phase_peaks.get)
     assert phase == "backward"
     (op, x_shape, _), site = max(report.sites[phase].items(), key=lambda kv: kv[1].peak)
     assert abs(site.peak - report.peak) <= DRIFT
-    assert (op, x_shape) == ("depthwise_conv2d_vjp", (4, 8, 80, 32))
+    assert (op, x_shape) == PEAK_OPS[mode]
     assert 0 < site.entry < site.peak
     assert set(report.sites) == set(peak_sites.PHASES)

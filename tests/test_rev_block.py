@@ -9,7 +9,7 @@ import pytest
 from revmem import layers, ops
 from revmem.errors import StateError
 from revmem.layers import (
-    Param, ResidualBlock, RevBlock, RevDownsample, Sequential, make_residual_fn,
+    Param, ResidualBlock, RevBlock, RevDownsample, Sequential, VJPTape, make_residual_fn,
 )
 
 from conftest import central_diff_proj, mixed_err, scaled_err
@@ -350,7 +350,9 @@ class TestGroupedDFBranch:
             stats = [a.copy() for a in bn.saved_stats]
             for p in branch.params():
                 p.zero_grad()
-            replayed, gx = layers._df_replay_vjp(branch.layers, x, gy)
+            tape = VJPTape(gy)
+            replayed = branch.forward(x, tape=tape, replay=True)
+            gx = branch.backward(gy, tape)
             taped = branch.forward(x, tape=[], replay=True)
             np.testing.assert_array_equal(replayed, out)
             np.testing.assert_array_equal(taped, out)
@@ -368,25 +370,36 @@ class TestGroupedDFBranch:
         assert scaled_err(grouped[0], whole[0]) <= tol
         assert scaled_err(grouped[1], whole[1]) <= tol
 
-    @pytest.mark.parametrize("site", ["rev_block", "checkpoint"])
+    @pytest.mark.parametrize("site", ["rev_block", "checkpoint", "stored"])
     def test_replay_vjp_holds_no_wide_array(self, rng, monkeypatch, site):
         # at train-rev-df's stage-1 shape the middle is (4, 32, 80, 32), four
         # groups of (4, 8, 80, 32); no op returns more than a group, and the
         # rise stays under the narrow output and dL/dx (and, for a
         # ResidualBlock's checkpoint, dL/dx plus the skip's), four group
         # arrays (h, r, dL/dd and dL/dr) and the depthwise VJP's three
-        # blocks; run as one group, the same fused call rises by 6.4 MB
+        # blocks, plus, in stored mode, the tape's three wide arrays; run as
+        # one group, the same fused call rises by 6.4 MB
         x = rng.standard_normal((4, 8, 80, 32), dtype=np.float32)
         gy = rng.standard_normal(x.shape, dtype=np.float32)
+        group = x.nbytes  # 8 of the 32 mid channels
+        taped = 0
         if site == "rev_block":
             branch = df_branch(8, np.float32)
             branch.forward(x)
-            run, narrow = (lambda: layers._df_replay_vjp(branch.layers, x, gy)), 2
-        else:
+            run, narrow = (lambda: branch.forward(x, tape=VJPTape(gy), replay=True)), 2
+        elif site == "checkpoint":
             block = ResidualBlock("df_bottleneck", 8, 8, rng=rng, dtype=np.float32)
             block.forward(x)
             run, narrow = (lambda: block.backward_from_input(gy, x)), 3
-        group = x.nbytes  # 8 of the 32 mid channels
+        else:
+            branch = df_branch(8, np.float32)
+
+            def run():
+                tape = []
+                branch.forward(x, tape=tape)
+                return branch.backward(gy, tape)
+
+            narrow, taped = 2, 3 * 4 * group
         largest = []
 
         def spy(fn):
@@ -409,12 +422,37 @@ class TestGroupedDFBranch:
             tracemalloc.stop()
         assert max(largest) == group
         slack = 3 * np.getbufsize() * 4 + (64 << 10)  # ufunc buffers, per-plane taps
-        assert rise <= narrow * x.nbytes + 4 * group + 3 * ops.FLAT_SHIFT_BYTES + slack
+        assert rise <= narrow * x.nbytes + taped + 4 * group + 3 * ops.FLAT_SHIFT_BYTES + slack
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stored_backward_equals_fused_replay(self, rng, monkeypatch, dtype):
+        # a stored branch tapes the groups the fused replay runs, and both
+        # backwards run one per-group VJP over them in the same order, so
+        # the output, dL/dx and every gradient agree bit for bit
+        branch = df_branch(8, dtype)
+        x = rng.standard_normal((2, 8, 6, 5)).astype(dtype)
+        gy = rng.standard_normal(x.shape).astype(dtype)
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 12 * 2 * 6 * 5 * x.itemsize)
+        assert len(layers._channel_groups(x, branch.layers[0])) == 3
+        tape = []
+        out = branch.forward(x, tape=tape)
+        for p in branch.params():
+            p.zero_grad()
+        gx = branch.backward(gy, tape)
+        assert tape == []
+        ref = [p.grad.copy() for p in branch.params()]
+        for p in branch.params():
+            p.zero_grad()
+        vjp = VJPTape(gy)
+        np.testing.assert_array_equal(branch.forward(x, tape=vjp, replay=True), out)
+        np.testing.assert_array_equal(branch.backward(gy, vjp), gx)
+        for p, want in zip(branch.params(), ref):
+            np.testing.assert_array_equal(p.grad, want)
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_checkpoint_groups_match_taped(self, rng, monkeypatch, dtype, tol):
         # a ResidualBlock's checkpoint backward replays its DF branch group by
-        # group; with three groups it matches the whole-tensor taped backward
+        # group; with three groups it matches the taped backward
         block = ResidualBlock("df_bottleneck", 8, 8, rng=rng, dtype=dtype)
         x = rng.standard_normal((2, 8, 6, 5)).astype(dtype)
         gy = rng.standard_normal(x.shape).astype(dtype)
