@@ -3,9 +3,10 @@
 
 Runs one reversible training step of each benchmark net (the configurations
 in perfbench/workloads.py), of DF-RevNet89 and of ResNet34 at batch 1 and
-200 frames to collect the distinct calls it makes to the ops in OPS, then
-times every call on its own with fresh random float32 inputs. BLAS is pinned
-to one thread before numpy is imported, as in the benchmark. The library is
+200 frames to collect the distinct calls it makes to the ops in OPS, which
+the benchmark's span tracer (perfbench/tracer.py) records, then times every
+call on its own with fresh random float32 inputs. BLAS is pinned to one
+thread before numpy is imported, as in the benchmark. The library is
 imported from src/ of this checkout.
 
     python3 scripts/conv_bench.py [--reps 20]
@@ -25,17 +26,20 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import functools
 import sys
 import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np
 
 from revmem import engine, ops, zoo
+from tracer import Tracer
 
 # (net spec or registry name, batch, frames): the benchmark nets, the
 # paper's reversible DF net and, for registry-scale stride-2 dense convs,
@@ -69,31 +73,15 @@ def _call_key(name, args, kwargs):
 
 
 def layer_calls(spec, batch, frames):
-    """Counter of _call_key over one reversible step."""
-    calls = Counter()
-    originals = {name: getattr(ops, name) for name in OPS}
-
-    def recording(name):
-        fn = originals[name]
-
-        def call(*args, **kwargs):
-            calls[_call_key(name, args, kwargs)] += 1
-            return fn(*args, **kwargs)
-
-        return call
-
+    """Counter of _call_key over one reversible step, each call a traced span."""
     net = zoo.build(spec, np.float32, seed=0)
     x = np.random.default_rng(0).standard_normal((batch, *net.input_spec, frames),
                                                  dtype=np.float32)
-    for name in OPS:
-        setattr(ops, name, recording(name))
-    try:
+    with Tracer((ops, name, functools.partial(_call_key, name), None)
+                for name in OPS) as tracer:
         emb, store, _ = engine.run_forward(net, x, "reversible")
         engine.run_backward(net, store, np.ones_like(emb), "reversible")
-    finally:
-        for name, fn in originals.items():
-            setattr(ops, name, fn)
-    return calls
+    return Counter(span.name for span in tracer.spans)
 
 
 def _arguments(name, x, w_shape, tail, rng):

@@ -28,7 +28,7 @@ calls in that phase, the highest peak of one call and the bytes live at
 that call's entry, in MB.
 """
 
-import conv_bench  # pins BLAS to one thread and puts src/ on sys.path first
+import conv_bench  # pins BLAS to one thread; puts src/ and perfbench/ on sys.path
 
 import argparse
 import inspect
@@ -36,15 +36,12 @@ import sys
 import tracemalloc
 from collections import defaultdict
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from revmem import engine, loss, ops, optim, zoo
 from revmem.layers import Param
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from tracer import Tracer  # noqa: E402
+from tracer import Tracer
 
 NETS = conv_bench.NETS
 PHASES = ("forward", "backward", "step")

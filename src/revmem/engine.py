@@ -18,6 +18,7 @@ run's first coupling block; downsamplers ahead of it need only the
 cotangent. Both modes accumulate gradients into the same Param objects and
 must agree to rounding error.
 
+``walk`` runs the units forward on arrays or, to plan, on ``Planned`` ones.
 The ledger counts semantic bytes only (element count times scalar width);
 ``MemoryLedger`` lists what its categories leave out.
 """
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, StateError
-from .layers import Param, RevBlock
+from .layers import Param, Planned, RevBlock
 from .optim import optimizer_state_nbytes
 from . import ops
 
@@ -113,9 +114,7 @@ class Network:
             p.zero_grad()
 
     def out_shape(self, shape):
-        for l in self.layers:
-            shape = l.out_shape(shape)
-        return shape
+        return walk(self, Planned(shape), "reversible")[0].shape
 
     def stat_nbytes(self) -> int:
         return sum(l.stat_nbytes() for l in self.layers)
@@ -139,7 +138,7 @@ def _group_units(layers):
 
 
 class SavedStore:
-    """Per-step cache of tensors retained for backward.
+    """Per-step cache of tensors retained for backward, or of planned arrays.
 
     Stored mode keeps one entry per unit: a layer's tape, or one list of
     tape entries for a whole reversible run. Reversible mode keeps the inputs
@@ -147,7 +146,8 @@ class SavedStore:
     output tensor per reversible run. Batch statistics live on the
     batch-norm layers and are booked as workspace, not activations. The
     output's shape and dtype are kept to check the cotangent that
-    run_backward receives.
+    run_backward receives. ``walk`` on a ``Planned`` input fills a store
+    with ``Planned`` arrays in the same places, which ``ledger_plan`` counts.
 
     run_backward releases the store as it walks it: it pops each entry, and
     each tape entry inside it, as that entry's VJP runs, so no array is held
@@ -167,7 +167,7 @@ class SavedStore:
         self._tensors = 0
 
     def activation_arrays(self):
-        """All cached ndarrays, deduplicated by object identity.
+        """All cached arrays (or planned arrays), deduplicated by object identity.
 
         Walks the nested payloads with an explicit stack: a self-referencing
         nested function would form a reference cycle holding every array
@@ -177,10 +177,10 @@ class SavedStore:
         stack = [payload for _, _, payload in reversed(self.entries)]
         while stack:
             obj = stack.pop()
-            if isinstance(obj, np.ndarray):
-                seen[id(obj)] = obj
-            elif isinstance(obj, (list, tuple)):
+            if isinstance(obj, (list, tuple)):
                 stack.extend(reversed(obj))
+            elif obj is not None:  # a downsampler's tape entry holds nothing
+                seen[id(obj)] = obj
         return list(seen.values())
 
     def activation_nbytes(self) -> int:
@@ -199,8 +199,53 @@ def _run_head(net: Network, idxs):
     return next((i for i in idxs if isinstance(net.layers[i], RevBlock)), None)
 
 
+def _split(x):
+    """A run head's split of x into a pair, planned when x is ``Planned``."""
+    if not isinstance(x, Planned):
+        return ops.channel_split(x)
+    n, c, f, t = x.shape
+    return Planned((n, c // 2, f, t)), Planned((n, c - c // 2, f, t))
+
+
 def _join(streams):
-    return streams[0] if len(streams) == 1 else ops.channel_concat(*streams)
+    if len(streams) == 1:
+        return streams[0]
+    if not isinstance(streams[0], Planned):
+        return ops.channel_concat(*streams)
+    n, _, f, t = streams[0].shape
+    return Planned((n, sum(s.shape[1] for s in streams), f, t))
+
+
+def walk(net: Network, x, mode: str):
+    """Run the network's units on x in `mode`, returning (output, SavedStore).
+
+    Runs each layer's ``forward`` on an array x, or its ``out_shape`` on a
+    ``Planned`` x, so a planned store holds a ``Planned`` wherever a real
+    one holds an array. Callers check x.
+    """
+    plan = isinstance(x, Planned)
+    store = SavedStore(net, mode)
+    for kind, idxs in net.units:
+        tape = [] if mode == "stored" else None
+        if kind == "layer":
+            layer = net.layers[idxs]
+            y = layer.out_shape(x, tape) if plan else layer.forward(x, tape=tape)
+            store.entries.append(("layer", idxs, tape) if tape is not None
+                                 else ("input", idxs, y if layer.tapes_output else x))
+            x = y
+            del y  # x alone holds the output, so a run's split can drop it
+        else:  # reversible run: split once at its head, concat once at its end
+            head = _run_head(net, idxs)
+            xs, x = (x,), None  # the split frees the run's input unless it is saved
+            for i in idxs:
+                if i == head:
+                    xs = _split(xs[0])
+                layer = net.layers[i]
+                xs = layer.out_shape(xs, tape) if plan else layer.forward(xs, tape=tape)
+            x = _join(xs)
+            store.entries.append(("run", idxs, tape) if tape is not None
+                                 else ("run_out", idxs, x))
+    return x, store
 
 
 def run_forward(net: Network, batch: np.ndarray, mode: str):
@@ -223,27 +268,7 @@ def run_forward(net: Network, batch: np.ndarray, mode: str):
             "cast the batch before running the network"
         )
 
-    store = SavedStore(net, mode)
-    x = batch
-    for kind, idxs in net.units:
-        tape = [] if mode == "stored" else None
-        if kind == "layer":
-            layer = net.layers[idxs]
-            y = layer.forward(x, tape=tape)
-            store.entries.append(("layer", idxs, tape) if tape is not None
-                                 else ("input", idxs, y if layer.tapes_output else x))
-            x = y
-            del y  # x alone holds the output, so a run's split can drop it
-        else:  # reversible run: split once at its head, concat once at its end
-            head = _run_head(net, idxs)
-            xs, x = (x,), None  # the split frees the run's input unless it is saved
-            for i in idxs:
-                if i == head:
-                    xs = ops.channel_split(xs[0])
-                xs = net.layers[i].forward(xs, tape=tape)
-            x = _join(xs)
-            store.entries.append(("run", idxs, tape) if tape is not None
-                                 else ("run_out", idxs, x))
+    x, store = walk(net, batch, mode)
     store.out_shape, store.out_dtype = x.shape, x.dtype
     arrays = store.activation_arrays()
     store._nbytes, store._tensors = sum(a.nbytes for a in arrays), len(arrays)
@@ -321,13 +346,15 @@ def ledger_plan(net: Network, batch: int, frames: int, mode: str,
                 optimizer: str = "none") -> MemoryLedger:
     """Ledger for a hypothetical run, computed from shapes alone.
 
-    One ``out_shape`` walk with a tape gives stored mode's cached shapes,
-    each array once (an entry marked ``alias`` is the array before it), and
-    every batch norm's statistics. The result matches the ledger a real
-    run_forward would produce byte for byte, and also books the state of a
-    named optimizer for the network's parameters. It leaves out what
-    ``MemoryLedger`` lists, the optimizer step's buffers and any head
-    outside the network among them.
+    Runs run_forward's own ``walk`` on a ``Planned`` input and counts the
+    planned store's arrays once each, by identity, as run_forward counts
+    real ones: a ReLU's output that its consumer tapes or saves too, or a
+    run's output that the next layer saves as its input, is booked once.
+    Batch statistics are every layer's ``stat_elems()``. The result matches
+    the ledger a real run_forward would produce byte for byte, and also
+    books the state of a named optimizer for the network's parameters. It
+    leaves out what ``MemoryLedger`` lists, the optimizer step's buffers and
+    any head outside the network among them.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -335,36 +362,15 @@ def ledger_plan(net: Network, batch: int, frames: int, mode: str,
         raise ConfigError(f"batch and frames must be at least 1, got {batch} and {frames}")
     width = net.dtype.itemsize
     c_in, f_in = net.input_spec
-    shape = (batch, c_in, f_in, frames)
-
-    tape = []
-    act_elems = 0
-    prev_saved_out = False
-    for kind, idxs in net.units:
-        # reversible mode saves each run's output, a ReLU's output and any
-        # other layer's input, unless that input is the previous unit's
-        # saved output; a ReLU's output has its input's shape
-        tapes_output = kind == "layer" and net.layers[idxs].tapes_output
-        if mode == "reversible" and kind == "layer" and (tapes_output or not prev_saved_out):
-            act_elems += math.prod(shape)
-        for i in ([idxs] if kind == "layer" else idxs):
-            shape = net.layers[i].out_shape(shape, tape)
-        if mode == "reversible" and kind == "run":
-            act_elems += math.prod(shape)
-        prev_saved_out = kind == "run" or tapes_output
-    entries = [e for e in tape if e is not None]  # a downsampler's entry holds nothing
-    if mode == "stored":
-        act_elems = sum(math.prod(e.shape) for e in entries if not e.alias)
-    stat_elems = sum(e.layer.stat_elems for e in entries)
-
+    _, store = walk(net, Planned((batch, c_in, f_in, frames)), mode)
     params = net.params()
-    n_params = sum(p.size for p in params)
+    weights = sum(p.nbytes for p in params)
     return MemoryLedger(
-        activations=act_elems * width,
-        weights=n_params * width,
-        gradients=n_params * width,
+        activations=width * sum(math.prod(a.shape) for a in store.activation_arrays()),
+        weights=weights,
+        gradients=weights,
         # 8-bit optimizers quantize each tensor in its own blocks
         optimizer_states=sum(optimizer_state_nbytes(p.size, optimizer, width)
                              for p in params),
-        workspace=stat_elems * width,
+        workspace=width * sum(l.stat_elems() for l in net.layers),
     )

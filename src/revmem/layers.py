@@ -16,13 +16,14 @@ Execution protocol (used by the engine):
   ``x > 0``, so the mask is the same. The layer that takes ``y`` next
   usually tapes it too, as its input, and the two entries are one array,
   which the engine counts once.
-* ``out_shape(shape, tape=None)`` is the shape-only twin of ``forward``: it
-  returns the output shape, and when ``tape`` is a list it appends a
-  ``TapeEntry`` wherever ``forward(x, tape)`` appends an array, and None
-  where it appends None. The ledger is planned from that one walk: the
-  shapes on the tape, less the entries marked ``alias``, are what stored
-  mode caches, and each entry's ``stat_elems`` (``2 * c`` for a batch norm,
-  else 0) is what the layer captures as batch statistics.
+* ``out_shape(x, tape=None)`` is the shape-only twin of ``forward``: it
+  takes and returns what ``forward`` does, with a ``Planned`` shape in
+  place of each array. It returns a new ``Planned`` wherever ``forward``
+  makes a new array and tapes wherever ``forward`` tapes, so the engine's
+  one walk, run on planned arrays, plans the ledger, a ReLU's output shared
+  with its consumer included.
+* ``children()`` lists a composite's sublayers, over which ``params()``,
+  ``stat_nbytes()`` and ``stat_elems()`` sum by default.
 
 A DF bottleneck branch (1x1 conv, BN, ReLU, depthwise conv, 1x1 conv, as
 ``make_residual_fn`` builds it, recognized by its structure) widens its
@@ -55,7 +56,6 @@ last use, and returns new lists.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -94,38 +94,29 @@ def he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarra
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-class TapeEntry(NamedTuple):
-    """One array a planned forward tapes.
+class Planned:
+    """One array of a planned forward, by its shape alone. Like an array, it
+    is one object wherever a forward passes it on, so plans count by identity."""
 
-    ``alias`` marks the very array the entry before it holds: the output of
-    a ReLU, handed unchanged to a layer that tapes its input. A run's split
-    halves, a block's sums and a downsampler's rearrangements are new
-    arrays, so an entry after them never aliases.
-    """
+    __slots__ = ("shape",)
 
-    layer: "Layer"
-    shape: tuple
-    alias: bool = False
-
-
-def _tape_shape(tape, layer, shape):
-    """Planning twin of forward's ``tape.append(x)`` of the layer's input x."""
-    if tape is not None:
-        prev = tape[-1] if tape else None
-        tape.append(TapeEntry(layer, shape, prev is not None and prev.layer.tapes_output))
+    def __init__(self, shape):
+        self.shape = tuple(shape)
 
 
 class Layer:
     reversible = False
     tapes_output = False  # forward tapes its output, which the next layer receives
-    stat_elems = 0  # batch-statistic scalars captured per forward
+
+    def children(self):
+        """The sublayers, in forward order."""
+        return ()
 
     def params(self) -> list[Param]:
-        return []
+        return [p for c in self.children() for p in c.params()]
 
-    def out_shape(self, shape, tape=None):
-        _tape_shape(tape, self, shape)
-        return shape
+    def out_shape(self, x, tape=None):
+        raise NotImplementedError
 
     def forward(self, x, tape=None, replay=False):
         raise NotImplementedError
@@ -138,7 +129,11 @@ class Layer:
         return self.backward(gy, x)
 
     def stat_nbytes(self) -> int:
-        return 0
+        return sum(c.stat_nbytes() for c in self.children())
+
+    def stat_elems(self) -> int:
+        """Batch-statistic scalars a forward captures."""
+        return sum(c.stat_elems() for c in self.children())
 
 
 class Conv2d(Layer):
@@ -150,13 +145,14 @@ class Conv2d(Layer):
     def params(self):
         return [self.w]
 
-    def out_shape(self, shape, tape=None):
-        n, c, f, t = shape
+    def out_shape(self, x, tape=None):
+        n, c, f, t = x.shape
         if c != self.c_in:
             raise ShapeError(f"{type(self).__name__} expects {self.c_in} channels, got {c}")
-        _tape_shape(tape, self, shape)
-        return (n, self.c_out, ops.conv_out_size(f, self.stride),
-                ops.conv_out_size(t, self.stride))
+        if tape is not None:
+            tape.append(x)
+        return Planned((n, self.c_out, ops.conv_out_size(f, self.stride),
+                        ops.conv_out_size(t, self.stride)))
 
     def forward(self, x, tape=None, replay=False):
         if tape is not None:
@@ -204,7 +200,6 @@ class BatchNorm2d(Layer):
 
     def __init__(self, c, *, dtype):
         self.c = c
-        self.stat_elems = 2 * c
         self.gamma = Param(np.ones(c, dtype))
         self.beta = Param(np.zeros(c, dtype))
         self.running_mean = np.zeros(c, dtype)
@@ -214,11 +209,12 @@ class BatchNorm2d(Layer):
     def params(self):
         return [self.gamma, self.beta]
 
-    def out_shape(self, shape, tape=None):
-        if shape[1] != self.c:
-            raise ShapeError(f"batch norm expects {self.c} channels, got {shape[1]}")
-        _tape_shape(tape, self, shape)
-        return shape
+    def out_shape(self, x, tape=None):
+        if x.shape[1] != self.c:
+            raise ShapeError(f"batch norm expects {self.c} channels, got {x.shape[1]}")
+        if tape is not None:
+            tape.append(x)
+        return Planned(x.shape)
 
     def replayed_stats(self):
         """The statistics captured on the step's first forward, for a replay."""
@@ -259,6 +255,9 @@ class BatchNorm2d(Layer):
         mean, var = self.saved_stats
         return int(mean.nbytes + var.nbytes)
 
+    def stat_elems(self):
+        return 2 * self.c
+
 
 class ReLU(Layer):
     """Tapes its output y, which the next layer's tape usually holds too.
@@ -270,10 +269,11 @@ class ReLU(Layer):
 
     tapes_output = True
 
-    def out_shape(self, shape, tape=None):
+    def out_shape(self, x, tape=None):
+        y = Planned(x.shape)
         if tape is not None:
-            tape.append(TapeEntry(self, shape))
-        return shape
+            tape.append(y)
+        return y
 
     def forward(self, x, tape=None, replay=False):
         y = ops.relu(x)
@@ -286,10 +286,11 @@ class ReLU(Layer):
 
 
 class GlobalStatPool(Layer):
-    def out_shape(self, shape, tape=None):
-        _tape_shape(tape, self, shape)
-        n, c, f, t = shape
-        return (n, 2 * c * f)
+    def out_shape(self, x, tape=None):
+        if tape is not None:
+            tape.append(x)
+        n, c, f, t = x.shape
+        return Planned((n, 2 * c * f))
 
     def forward(self, x, tape=None, replay=False):
         if tape is not None:
@@ -309,12 +310,13 @@ class Linear(Layer):
     def params(self):
         return [self.w, self.b]
 
-    def out_shape(self, shape, tape=None):
-        n, d = shape
+    def out_shape(self, x, tape=None):
+        n, d = x.shape
         if d != self.d_in:
             raise ShapeError(f"linear expects width {self.d_in}, got {d}")
-        _tape_shape(tape, self, shape)
-        return (n, self.d_out)
+        if tape is not None:
+            tape.append(x)
+        return Planned((n, self.d_out))
 
     def forward(self, x, tape=None, replay=False):
         if tape is not None:
@@ -334,13 +336,15 @@ class Sequential(Layer):
     def __init__(self, layers):
         self.layers = list(layers)
 
-    def params(self):
-        return [p for l in self.layers for p in l.params()]
+    def children(self):
+        return self.layers
 
-    def out_shape(self, shape, tape=None):
+    def out_shape(self, x, tape=None):
+        # a DF bottleneck tapes its middle group by group; planned whole, it
+        # tapes the same distinct bytes
         for l in self.layers:
-            shape = l.out_shape(shape, tape)
-        return shape
+            x = l.out_shape(x, tape)
+        return x
 
     def forward(self, x, tape=None, replay=False):
         if _is_df_bottleneck(self.layers):
@@ -366,9 +370,6 @@ class Sequential(Layer):
         for l in reversed(self.layers):
             gy = l.backward(gy, entries.pop())
         return gy
-
-    def stat_nbytes(self):
-        return sum(l.stat_nbytes() for l in self.layers)
 
 
 RESIDUAL_KINDS = ("basic", "bottleneck", "df_bottleneck")
@@ -572,16 +573,16 @@ class ResidualBlock(Layer):
         else:
             self.proj = None
 
-    def params(self):
-        ps = self.branch.params()
-        if self.proj is not None:
-            ps = ps + self.proj.params()
-        return ps
+    def children(self):
+        return (self.branch,) if self.proj is None else (self.branch, self.proj)
 
-    def out_shape(self, shape, tape=None):
-        # the tape's x is the branch's first entry, and the projection runs
-        # untaped, so the branch's walk is the whole plan
-        return self.branch.out_shape(shape, tape)
+    def out_shape(self, x, tape=None):
+        # as in forward, the projection runs untaped
+        sub = [] if tape is not None else None
+        y = self.branch.out_shape(x, sub)
+        if tape is not None:
+            tape.append((x, sub))
+        return Planned(y.shape)
 
     def forward(self, x, tape=None, replay=False):
         sub = [] if tape is not None else None
@@ -607,9 +608,6 @@ class ResidualBlock(Layer):
         self.branch.forward(x, tape=sub, replay=True)
         return self.backward(gy, (x, sub))
 
-    def stat_nbytes(self):
-        return self.branch.stat_nbytes()
-
 
 class RevBlock(Layer):
     """Additive-coupling block on a stream pair: y1 = x1 + F(x2); y2 = x2 + G(y1).
@@ -628,24 +626,23 @@ class RevBlock(Layer):
         self.f = make_residual_fn(kind, half_width, rng=rng, dtype=dtype)
         self.g = make_residual_fn(kind, half_width, rng=rng, dtype=dtype)
 
-    def params(self):
-        return self.f.params() + self.g.params()
+    def children(self):
+        return self.f, self.g
 
-    def out_shape(self, shape, tape=None):
-        # planned on the whole tensor; each branch sees one half. As in
-        # forward, each branch tapes into a list of its own: its input is a
-        # new array (a split half or a sum), which aliases no earlier entry.
-        n, c, f, t = shape
+    def out_shape(self, x, tape=None):
+        x1, x2 = x
+        c = x1.shape[1] + x2.shape[1]
         if c != 2 * self.half_width:
             raise ShapeError(
                 f"reversible block expects {2 * self.half_width} channels, got {c}"
             )
-        half = (n, self.half_width, f, t)
         f_tape, g_tape = ([], []) if tape is not None else (None, None)
-        self.g.out_shape(self.f.out_shape(half, f_tape), g_tape)
+        self.f.out_shape(x2, f_tape)
+        y1 = Planned(x1.shape)
+        self.g.out_shape(y1, g_tape)
         if tape is not None:
-            tape.extend(f_tape + g_tape)
-        return shape
+            tape.append((f_tape, g_tape))
+        return y1, Planned(x2.shape)
 
     def forward(self, x, tape=None, replay=False):
         x1, x2 = x
@@ -691,9 +688,6 @@ class RevBlock(Layer):
         x1, f = _rebuild_and_vjp(self.f, x2, gz1, y)  # pops y1
         return [x1, x2], [gz1, gy2 + f]
 
-    def stat_nbytes(self):
-        return self.f.stat_nbytes() + self.g.stat_nbytes()
-
 
 class RevDownsample(Layer):
     """Invertible downsampling by tensor rearrangement (nothing cached).
@@ -708,15 +702,16 @@ class RevDownsample(Layer):
     def __init__(self, r=2):
         self.r = r
 
-    def out_shape(self, shape, tape=None):
-        n, c, f, t = shape
+    def out_shape(self, x, tape=None):
+        n, _, f, t = x[0].shape  # a run's streams differ in channels alone
         if f % self.r or t % self.r:
             raise ConfigError(
                 f"spatial dims ({f}, {t}) not divisible by ratio {self.r}"
             )
         if tape is not None:
-            tape.append(None)  # as forward does: the rearranged copy is not taped
-        return (n, c * self.r * self.r, f // self.r, t // self.r)
+            tape.append(None)
+        return tuple(Planned((n, s.shape[1] * self.r * self.r, f // self.r, t // self.r))
+                     for s in x)
 
     def forward(self, x, tape=None, replay=False):
         if tape is not None:
@@ -724,10 +719,10 @@ class RevDownsample(Layer):
         return tuple(ops.pixel_unshuffle(s, self.r) for s in x)
 
     def backward(self, gy, entry=None):
-        return self._shuffle(gy)
+        # the rearrangement is a permutation, so its VJP is its inverse
+        return tuple(ops.pixel_shuffle(s, self.r) for s in gy)
 
-    def backward_from_input(self, gy, x):
-        return self._shuffle(gy)
+    backward_from_input = backward  # what Layer's would do, bound for a tracer to hook
 
     def rev_backward(self, y, gy):
         # pops each stream as it is rearranged, so both lists end empty
@@ -735,7 +730,3 @@ class RevDownsample(Layer):
             return [ops.pixel_shuffle(streams.pop(0), self.r) for _ in range(len(streams))]
 
         return drain(y), drain(gy)
-
-    def _shuffle(self, streams):
-        # the rearrangement is a permutation, so its VJP is its inverse
-        return tuple(ops.pixel_shuffle(s, self.r) for s in streams)

@@ -9,13 +9,15 @@ import pytest
 
 from revmem import layers, ops, zoo
 from revmem.engine import (
+    MODES,
     MemoryLedger,
     ledger_plan,
     run_backward,
     run_forward,
+    walk,
 )
 from revmem.errors import ConfigError, ShapeError, StateError
-from revmem.layers import BatchNorm2d, Layer, ReLU, ResidualBlock, RevBlock
+from revmem.layers import BatchNorm2d, Planned, ReLU, ResidualBlock, RevBlock
 from revmem.optim import OPTIMIZERS, make_optimizer
 
 from conftest import mixed_err, random_toy_spec
@@ -31,13 +33,8 @@ def batch(rng, n=2, frames=8, dtype=np.float64):
 
 def batch_norms(layers):
     """Every BatchNorm2d in `layers` or in their children."""
-    found = []
-    for l in layers:
-        if isinstance(l, BatchNorm2d):
-            found.append(l)
-        children = [v for v in vars(l).values() if isinstance(v, Layer)]
-        found += batch_norms(children + getattr(l, "layers", []))
-    return found
+    return [bn for l in layers
+            for bn in ([l] if isinstance(l, BatchNorm2d) else batch_norms(l.children()))]
 
 
 class TestRunForward:
@@ -478,18 +475,21 @@ def consumer_net(stages, c, f, dtype=np.float32):
     return zoo.build(spec, dtype=dtype, seed=2)
 
 
-def plan_tape(net, n=2, frames=8):
-    """The entries ledger_plan's walk tapes, less the downsamplers' empty ones."""
-    tape, shape = [], (n, *net.input_spec, frames)
-    for layer in net.layers:
-        shape = layer.out_shape(shape, tape)
-    return [e for e in tape if e is not None]
+def plan_store(net, mode="stored", n=2, frames=8):
+    """The store of the engine's walk on a planned batch, which ledger_plan counts."""
+    return walk(net, Planned((n, *net.input_spec, frames)), mode)[1]
+
+
+def primitives(layers):
+    """The childless layers among `layers` and their descendants, in forward order."""
+    return [p for l in layers for p in (primitives(l.children()) if l.children() else [l])]
 
 
 # Each net's stages after the conv stem (conv, batch norm, ReLU), its last
-# width and frequency rows, and the layers whose planned entries alias a
-# ReLU's output, in walk order. A run's split halves and a downsampler's
-# rearrangement are copies, so the stem ReLU ahead of a run aliases nothing.
+# width and frequency rows, and the childless layers that take a ReLU's
+# output as their input, in walk order. A run's split halves and a downsampler's
+# rearrangement are copies, so no layer takes the stem ReLU's output ahead
+# of a run.
 RELU_CONSUMERS = {
     "stem-to-residual-block": ([zoo.Res("basic", 8, 1)], 8, 80, ["Conv2d", "Conv2d"]),
     "stem-to-conv": ([zoo.Conv(8)], 8, 80, ["Conv2d", "GlobalStatPool"]),
@@ -504,14 +504,32 @@ RELU_CONSUMERS = {
 
 class TestReluTape:
     @pytest.mark.parametrize("case", RELU_CONSUMERS)
-    def test_plan_marks_each_relu_consumer(self, case):
-        stages, c, f, aliased = RELU_CONSUMERS[case]
+    def test_plan_marks_each_relu_consumer(self, monkeypatch, case):
+        # each consumer tapes the very Planned its ReLU made and taped, so
+        # the planned store holds it once
+        stages, c, f, consumers = RELU_CONSUMERS[case]
         net = consumer_net([zoo.Conv(8)] + stages, c, f)
-        tape = plan_tape(net)
-        assert [type(e.layer).__name__ for e in tape if e.alias] == aliased
-        for prev, e in zip(tape, tape[1:]):
-            if e.alias:
-                assert isinstance(prev.layer, ReLU) and prev.shape == e.shape
+        walked = []  # (layer, input, output, what it taped) per primitive
+
+        def recording(layer, out_shape):
+            def record(x, tape=None):
+                size = len(tape) if tape is not None else 0
+                y = out_shape(x, tape)
+                walked.append((layer, x, y, tape[-1] if tape and len(tape) > size else None))
+                return y
+
+            return record
+
+        for layer in primitives(net.layers):
+            monkeypatch.setattr(layer, "out_shape", recording(layer, layer.out_shape))
+        store = plan_store(net)
+        relu_outputs = [y for l, _, y, _ in walked if isinstance(l, ReLU)]
+        taken = [(l, x, taped) for l, x, _, taped in walked
+                 if any(x is y for y in relu_outputs)]
+        assert [type(l).__name__ for l, _, _ in taken] == consumers
+        assert all(taped is x for _, x, taped in taken)
+        taped = [t for *_, t in walked if t is not None]
+        assert len(store.activation_arrays()) == len(taped) - len(consumers)
 
     @pytest.mark.parametrize("mode", ["stored", "reversible"])
     @pytest.mark.parametrize("case", RELU_CONSUMERS)
@@ -522,7 +540,7 @@ class TestReluTape:
         assert ledger.activations == ledger_plan(net, 2, 8, mode).activations
         assert store.activation_nbytes() == ledger.activations
         if mode == "stored":
-            assert store.full_tensor_count() == sum(not e.alias for e in plan_tape(net))
+            assert store.full_tensor_count() == len(plan_store(net).activation_arrays())
 
     @pytest.mark.parametrize("case", ["stem-to-residual-block", "stem-to-conv"])
     def test_reversible_saves_a_relu_output_once(self, rng, case):
@@ -534,6 +552,8 @@ class TestReluTape:
         relu = next(i for i, l in enumerate(net.layers) if isinstance(l, ReLU))
         entries = {idx: payload for _, idx, payload in store.entries}
         assert entries[relu] is entries[relu + 1]
+        planned = {idx: payload for _, idx, payload in plan_store(net, "reversible").entries}
+        assert planned[relu] is planned[relu + 1]
         assert ledger.activations == ledger_plan(net, 2, 8, "reversible").activations
         assert ledger.activations == sum(a.nbytes for a in {id(a): a for a in
                                                             entries.values()}.values())
@@ -630,3 +650,89 @@ class TestCapacity:
                     - ledger_plan(net, 1, 8, mode).total())
 
         assert 0 < per_sample("reversible") < per_sample("stored")
+
+
+# The benchmark's nets at its batch and frames (perfbench/workloads.py; the
+# two DF workloads share one net), the odd head, whose run a downsampler
+# leads, and a run of a downsampler alone, which never splits.
+WALK_NETS = {
+    "train-df": lambda: (zoo.build(zoo.toy_spec([4, 4], 16, "df_bottleneck", "type2"),
+                                   np.float32, seed=1), 4, 32),
+    "train-wide-q8": lambda: (zoo.build(zoo.toy_spec([1, 1], 64, "basic", "type1"),
+                                        np.float32, seed=1), 2, 8),
+    "odd-head": lambda: (zoo.build(zoo.spec_from_json(ODD_HEAD_SPEC), np.float32, seed=1),
+                         2, 8),
+    "downsampler-only-run": lambda: (consumer_net(
+        [zoo.Conv(8), zoo.RevDs(2, 32), zoo.Conv(8)], 8, 40), 2, 8),
+}
+
+
+class TestOneWalk:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("case", WALK_NETS)
+    def test_plan_walks_as_run_forward(self, rng, monkeypatch, case, mode):
+        net, n, frames = WALK_NETS[case]()
+        _, store, _ = run_forward(net, batch(rng, n, frames, np.float32), mode)
+        pairs = []
+        out_shape = RevBlock.out_shape
+
+        def record_pair(self, x, tape=None):
+            y = out_shape(self, x, tape)
+            pairs.append((x, y))
+            return y
+
+        def refuse(*args):
+            raise AssertionError("a plan called an op")
+
+        monkeypatch.setattr(RevBlock, "out_shape", record_pair)
+        for name in ("channel_split", "channel_concat"):
+            monkeypatch.setattr(ops, name, refuse)
+        planned = plan_store(net, mode, n, frames)
+        assert [(k, i) for k, i, _ in planned.entries] == [(k, i) for k, i, _ in store.entries]
+        if mode == "reversible":
+            assert ([p.shape for *_, p in planned.entries]
+                    == [a.shape for *_, a in store.entries])
+        assert len(pairs) == sum(isinstance(l, RevBlock) for l in net.layers)
+        for pair in (p for x_y in pairs for p in x_y):
+            assert len(pair) == 2 and all(isinstance(s, Planned) for s in pair)
+            assert pair[0].shape == pair[1].shape and pair[0] is not pair[1]
+
+
+# activations stored, activations reversible and workspace, in bytes, of
+# every registry net's float32 plan at batch 64 and 200 frames
+REGISTRY_PLANS = {
+    "ResNet34": (2_970_910_720, 1_168_670_720, 15_360),
+    "ResNet101": (10_478_714_880, 6_104_186_880, 32_768),
+    "ResNet152": (15_295_610_880, 8_856_698_880, 48_128),
+    "DF-ResNet56": (12_211_486_720, 1_398_046_720, 70_400),
+    "DF-ResNet110": (19_879_198_720, 1_987_870_720, 144_128),
+    "DF-ResNet179": (31_806_750_720, 2_905_374_720, 228_096),
+    "DF-ResNet233": (39_474_462_720, 3_495_198_720, 301_824),
+    "RevNet46": (3_373_312_000, 762_112_000, 18_336),
+    "RevNet126": (6_961_070_080, 767_918_080, 49_152),
+    "RevNet140": (12_848_896_000, 1_856_512_000, 34_848),
+    "RevNet178": (10_573_742_080, 767_918_080, 71_808),
+    "RevNet230": (21_928_960_000, 1_856_512_000, 59_904),
+    "RevNet57": (4_069_888_000, 1_095_424_000, 19_512),
+    "RevNet137": (7_673_774_080, 1_111_982_080, 50_496),
+    "RevNet197": (10_475_438_080, 1_111_982_080, 70_464),
+    "RevNet155": (17_208_064_000, 4_762_624_000, 41_088),
+    "RevNet245": (23_745_280_000, 4_762_624_000, 61_056),
+    "DF-RevNet66": (12_367_790_080, 1_505_198_080, 64_512),
+    "DF-RevNet126": (23_549_870_080, 1_505_198_080, 148_992),
+    "DF-RevNet258": (40_802_222_080, 1_505_198_080, 268_800),
+    "DF-RevNet354": (51_025_838_080, 1_505_198_080, 367_104),
+    "DF-RevNet89": (17_086_382_080, 1_111_982_080, 76_992),
+    "DF-RevNet149": (23_156_654_080, 1_111_982_080, 144_576),
+    "DF-RevNet281": (40_409_006_080, 1_111_982_080, 264_384),
+    "DF-RevNet377": (50_632_622_080, 1_111_982_080, 362_688),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", zoo.REGISTRY_NAMES)
+def test_registry_plan_is_pinned(name, mode):
+    stored, reversible, workspace = REGISTRY_PLANS[name]
+    plan = ledger_plan(zoo.build(name, dtype=np.float32), 64, 200, mode)
+    assert (plan.activations, plan.workspace) == (
+        stored if mode == "stored" else reversible, workspace)
