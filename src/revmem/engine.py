@@ -26,6 +26,7 @@ The ledger counts semantic bytes only (element count times scalar width);
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,8 +147,9 @@ class SavedStore:
     output tensor per reversible run. Batch statistics live on the
     batch-norm layers and are booked as workspace, not activations. The
     output's shape and dtype are kept to check the cotangent that
-    run_backward receives. ``walk`` on a ``Planned`` input fills a store
-    with ``Planned`` arrays in the same places, which ``ledger_plan`` counts.
+    run_backward receives. ``walk`` on a ``Planned`` input runs the same
+    forwards, which fill a store with ``Planned`` arrays in the same places,
+    and ``ledger_plan`` counts them.
 
     run_backward releases the store as it walks it: it pops each entry, and
     each tape entry inside it, as that entry's VJP runs, so no array is held
@@ -219,17 +221,16 @@ def _join(streams):
 def walk(net: Network, x, mode: str):
     """Run the network's units on x in `mode`, returning (output, SavedStore).
 
-    Runs each layer's ``forward`` on an array x, or its ``out_shape`` on a
-    ``Planned`` x, so a planned store holds a ``Planned`` wherever a real
-    one holds an array. Callers check x.
+    Every layer's ``forward`` takes a ``Planned`` x as it takes an array, so
+    on a ``Planned`` x the walk plans: the store holds a ``Planned`` wherever
+    a real one holds an array. Callers check x.
     """
-    plan = isinstance(x, Planned)
     store = SavedStore(net, mode)
     for kind, idxs in net.units:
         tape = [] if mode == "stored" else None
         if kind == "layer":
             layer = net.layers[idxs]
-            y = layer.out_shape(x, tape) if plan else layer.forward(x, tape=tape)
+            y = layer.forward(x, tape=tape)
             store.entries.append(("layer", idxs, tape) if tape is not None
                                  else ("input", idxs, y if layer.tapes_output else x))
             x = y
@@ -240,8 +241,7 @@ def walk(net: Network, x, mode: str):
             for i in idxs:
                 if i == head:
                     xs = _split(xs[0])
-                layer = net.layers[i]
-                xs = layer.out_shape(xs, tape) if plan else layer.forward(xs, tape=tape)
+                xs = net.layers[i].forward(xs, tape=tape)
             x = _join(xs)
             store.entries.append(("run", idxs, tape) if tape is not None
                                  else ("run_out", idxs, x))
@@ -358,8 +358,12 @@ def ledger_plan(net: Network, batch: int, frames: int, mode: str,
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if batch < 1 or frames < 1:
-        raise ConfigError(f"batch and frames must be at least 1, got {batch} and {frames}")
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+               for v in (batch, frames)):
+        raise ConfigError(
+            f"batch and frames must be integers of at least 1, got {batch!r} and {frames!r}"
+        )
+    batch, frames = int(batch), int(frames)
     width = net.dtype.itemsize
     c_in, f_in = net.input_spec
     _, store = walk(net, Planned((batch, c_in, f_in, frames)), mode)

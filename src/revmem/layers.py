@@ -7,7 +7,9 @@ Execution protocol (used by the engine):
   backward needs (stored mode). With ``tape=None`` nothing is retained beyond
   per-layer batch-norm statistics (reversible mode). ``replay=True`` makes
   batch norms reuse the statistics captured on the step's first forward
-  instead of recomputing them, and suppresses running-stat updates.
+  instead of recomputing them, and suppresses running-stat updates. A
+  primitive's ``forward`` is ``Layer.forward``, around its ``_apply`` (the
+  op call) and ``_shape`` (the output shape, checked).
 * ``backward(gy, entry)`` consumes that tape entry, accumulates parameter
   gradients, and returns the input cotangent. A ``Sequential`` pops its
   entries as it walks them, so each cached input is freed after its last
@@ -16,12 +18,13 @@ Execution protocol (used by the engine):
   ``x > 0``, so the mask is the same. The layer that takes ``y`` next
   usually tapes it too, as its input, and the two entries are one array,
   which the engine counts once.
-* ``out_shape(x, tape=None)`` is the shape-only twin of ``forward``: it
-  takes and returns what ``forward`` does, with a ``Planned`` shape in
-  place of each array. It returns a new ``Planned`` wherever ``forward``
-  makes a new array and tapes wherever ``forward`` tapes, so the engine's
-  one walk, run on planned arrays, plans the ledger, a ReLU's output shared
-  with its consumer included.
+* ``forward`` also takes a ``Planned`` shape in place of each array, and
+  then returns ``Planned`` ones and calls no op: a primitive returns
+  ``Planned(_shape(x.shape))``, and a sum of ``Planned`` arrays is a new
+  one. It tapes what it tapes on arrays, so the engine's one walk, run on
+  planned arrays, plans the ledger, a ReLU's output shared with its
+  consumer included. A DF bottleneck plans its middle whole, not group by
+  group: the same distinct bytes.
 * ``children()`` lists a composite's sublayers, over which ``params()``,
   ``stat_nbytes()`` and ``stat_elems()`` sum by default.
 
@@ -103,6 +106,11 @@ class Planned:
     def __init__(self, shape):
         self.shape = tuple(shape)
 
+    def __add__(self, other):
+        return Planned(self.shape)  # a sum is a new array
+
+    __sub__ = __add__
+
 
 class Layer:
     reversible = False
@@ -115,10 +123,19 @@ class Layer:
     def params(self) -> list[Param]:
         return [p for c in self.children() for p in c.params()]
 
-    def out_shape(self, x, tape=None):
-        raise NotImplementedError
-
     def forward(self, x, tape=None, replay=False):
+        """A primitive's forward: ``_apply`` on an array, ``_shape`` on a
+        ``Planned`` x. Tapes x, or the output when ``tapes_output`` is set."""
+        y = Planned(self._shape(x.shape)) if isinstance(x, Planned) else self._apply(x, replay)
+        if tape is not None:
+            tape.append(y if self.tapes_output else x)
+        return y
+
+    def _shape(self, shape):
+        """The output shape for an input shape, checked as a plan needs."""
+        return shape
+
+    def _apply(self, x, replay):
         raise NotImplementedError
 
     def backward(self, gy, entry):
@@ -145,18 +162,13 @@ class Conv2d(Layer):
     def params(self):
         return [self.w]
 
-    def out_shape(self, x, tape=None):
-        n, c, f, t = x.shape
+    def _shape(self, shape):
+        n, c, f, t = shape
         if c != self.c_in:
             raise ShapeError(f"{type(self).__name__} expects {self.c_in} channels, got {c}")
-        if tape is not None:
-            tape.append(x)
-        return Planned((n, self.c_out, ops.conv_out_size(f, self.stride),
-                        ops.conv_out_size(t, self.stride)))
+        return n, self.c_out, ops.conv_out_size(f, self.stride), ops.conv_out_size(t, self.stride)
 
-    def forward(self, x, tape=None, replay=False):
-        if tape is not None:
-            tape.append(x)
+    def _apply(self, x, replay):
         return ops.conv2d(x, self.w.value, self.stride)
 
     def backward(self, gy, x):
@@ -176,9 +188,7 @@ class DepthwiseConv2d(Conv2d):
         self.k = k
         self.w = Param(he_uniform(rng, (c, 1, k, k), k * k, dtype))
 
-    def forward(self, x, tape=None, replay=False):
-        if tape is not None:
-            tape.append(x)
+    def _apply(self, x, replay):
         return ops.depthwise_conv2d(x, self.w.value)
 
     def backward(self, gy, x):
@@ -209,12 +219,10 @@ class BatchNorm2d(Layer):
     def params(self):
         return [self.gamma, self.beta]
 
-    def out_shape(self, x, tape=None):
-        if x.shape[1] != self.c:
-            raise ShapeError(f"batch norm expects {self.c} channels, got {x.shape[1]}")
-        if tape is not None:
-            tape.append(x)
-        return Planned(x.shape)
+    def _shape(self, shape):
+        if shape[1] != self.c:
+            raise ShapeError(f"batch norm expects {self.c} channels, got {shape[1]}")
+        return shape
 
     def replayed_stats(self):
         """The statistics captured on the step's first forward, for a replay."""
@@ -228,7 +236,7 @@ class BatchNorm2d(Layer):
         self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
         self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
 
-    def forward(self, x, tape=None, replay=False):
+    def _apply(self, x, replay):
         if replay:
             y, _, _ = ops.batchnorm2d(
                 x, self.gamma.value, self.beta.value, self.eps, stats=self.replayed_stats()
@@ -236,8 +244,6 @@ class BatchNorm2d(Layer):
         else:
             y, mean, var = ops.batchnorm2d(x, self.gamma.value, self.beta.value, self.eps)
             self.capture(mean, var)
-        if tape is not None:
-            tape.append(x)
         return y
 
     def backward(self, gy, x):
@@ -269,32 +275,19 @@ class ReLU(Layer):
 
     tapes_output = True
 
-    def out_shape(self, x, tape=None):
-        y = Planned(x.shape)
-        if tape is not None:
-            tape.append(y)
-        return y
-
-    def forward(self, x, tape=None, replay=False):
-        y = ops.relu(x)
-        if tape is not None:
-            tape.append(y)
-        return y
+    def _apply(self, x, replay):
+        return ops.relu(x)
 
     def backward(self, gy, y):
         return ops.relu_vjp(y, gy)
 
 
 class GlobalStatPool(Layer):
-    def out_shape(self, x, tape=None):
-        if tape is not None:
-            tape.append(x)
-        n, c, f, t = x.shape
-        return Planned((n, 2 * c * f))
+    def _shape(self, shape):
+        n, c, f, t = shape
+        return n, 2 * c * f
 
-    def forward(self, x, tape=None, replay=False):
-        if tape is not None:
-            tape.append(x)
+    def _apply(self, x, replay):
         return ops.global_stat_pool(x)
 
     def backward(self, gy, x):
@@ -310,17 +303,13 @@ class Linear(Layer):
     def params(self):
         return [self.w, self.b]
 
-    def out_shape(self, x, tape=None):
-        n, d = x.shape
+    def _shape(self, shape):
+        n, d = shape
         if d != self.d_in:
             raise ShapeError(f"linear expects width {self.d_in}, got {d}")
-        if tape is not None:
-            tape.append(x)
-        return Planned((n, self.d_out))
+        return n, self.d_out
 
-    def forward(self, x, tape=None, replay=False):
-        if tape is not None:
-            tape.append(x)
+    def _apply(self, x, replay):
         return ops.linear(x, self.w.value, self.b.value)
 
     def backward(self, gy, x):
@@ -339,15 +328,10 @@ class Sequential(Layer):
     def children(self):
         return self.layers
 
-    def out_shape(self, x, tape=None):
+    def forward(self, x, tape=None, replay=False):
         # a DF bottleneck tapes its middle group by group; planned whole, it
         # tapes the same distinct bytes
-        for l in self.layers:
-            x = l.out_shape(x, tape)
-        return x
-
-    def forward(self, x, tape=None, replay=False):
-        if _is_df_bottleneck(self.layers):
+        if _is_df_bottleneck(self.layers) and not isinstance(x, Planned):
             return _df_forward(self.layers, x, tape, replay)
         for l in self.layers:
             x = l.forward(x, tape=tape, replay=replay)
@@ -576,14 +560,6 @@ class ResidualBlock(Layer):
     def children(self):
         return (self.branch,) if self.proj is None else (self.branch, self.proj)
 
-    def out_shape(self, x, tape=None):
-        # as in forward, the projection runs untaped
-        sub = [] if tape is not None else None
-        y = self.branch.out_shape(x, sub)
-        if tape is not None:
-            tape.append((x, sub))
-        return Planned(y.shape)
-
     def forward(self, x, tape=None, replay=False):
         sub = [] if tape is not None else None
         y = self.branch.forward(x, tape=sub, replay=replay)
@@ -628,21 +604,6 @@ class RevBlock(Layer):
 
     def children(self):
         return self.f, self.g
-
-    def out_shape(self, x, tape=None):
-        x1, x2 = x
-        c = x1.shape[1] + x2.shape[1]
-        if c != 2 * self.half_width:
-            raise ShapeError(
-                f"reversible block expects {2 * self.half_width} channels, got {c}"
-            )
-        f_tape, g_tape = ([], []) if tape is not None else (None, None)
-        self.f.out_shape(x2, f_tape)
-        y1 = Planned(x1.shape)
-        self.g.out_shape(y1, g_tape)
-        if tape is not None:
-            tape.append((f_tape, g_tape))
-        return y1, Planned(x2.shape)
 
     def forward(self, x, tape=None, replay=False):
         x1, x2 = x
@@ -702,21 +663,18 @@ class RevDownsample(Layer):
     def __init__(self, r=2):
         self.r = r
 
-    def out_shape(self, x, tape=None):
+    def forward(self, x, tape=None, replay=False):
+        if tape is not None:
+            tape.append(None)
+        if not isinstance(x[0], Planned):
+            return tuple(ops.pixel_unshuffle(s, self.r) for s in x)
         n, _, f, t = x[0].shape  # a run's streams differ in channels alone
         if f % self.r or t % self.r:
             raise ConfigError(
                 f"spatial dims ({f}, {t}) not divisible by ratio {self.r}"
             )
-        if tape is not None:
-            tape.append(None)
         return tuple(Planned((n, s.shape[1] * self.r * self.r, f // self.r, t // self.r))
                      for s in x)
-
-    def forward(self, x, tape=None, replay=False):
-        if tape is not None:
-            tape.append(None)
-        return tuple(ops.pixel_unshuffle(s, self.r) for s in x)
 
     def backward(self, gy, entry=None):
         # the rearrangement is a permutation, so its VJP is its inverse

@@ -265,13 +265,14 @@ def quantize_blockwise(
     """
     if block_size < 1 or int(block_size) != block_size:
         raise QuantizationError(f"block size must be a positive integer, got {block_size}")
+    block_size = int(block_size)
     qmap = qmap or default_map()
     flat = np.array(tensor, dtype=np.float64).reshape(-1)  # a copy, normalized in place
     if flat.size == 0:
         return QuantizedState(
             codes=np.zeros(0, np.uint8),
             absmax=np.zeros(0, np.float32),
-            block_size=int(block_size),
+            block_size=block_size,
             shape=tuple(np.asarray(tensor).shape),
         )
 
@@ -293,7 +294,7 @@ def quantize_blockwise(
     return QuantizedState(
         codes=codes,
         absmax=absmax,
-        block_size=int(block_size),
+        block_size=block_size,
         shape=tuple(np.asarray(tensor).shape),
     )
 

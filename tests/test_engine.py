@@ -2,6 +2,7 @@
 
 import collections
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -11,13 +12,14 @@ from revmem import layers, ops, zoo
 from revmem.engine import (
     MODES,
     MemoryLedger,
+    Network,
     ledger_plan,
     run_backward,
     run_forward,
     walk,
 )
 from revmem.errors import ConfigError, ShapeError, StateError
-from revmem.layers import BatchNorm2d, Planned, ReLU, ResidualBlock, RevBlock
+from revmem.layers import BatchNorm2d, Conv2d, Planned, ReLU, ResidualBlock, RevBlock
 from revmem.optim import OPTIMIZERS, make_optimizer
 
 from conftest import mixed_err, random_toy_spec
@@ -354,6 +356,20 @@ class TestRunShapes:
         run_backward(net, store, np.ones_like(out), mode)
         assert calls == {"channel_concat": runs, "pixel_shuffle": shuffles[case]}
 
+    @pytest.mark.parametrize("kind", ["basic", "df_bottleneck"])
+    def test_rev_block_of_the_wrong_width_raises(self, rng, kind):
+        # the stem's 8 channels split into halves of 4, and a block of half
+        # width 3 takes 3: the F branch's first conv refuses the half
+        dtype = np.float32
+        build_rng = np.random.default_rng(0)
+        net = Network([Conv2d(1, 8, 3, rng=build_rng, dtype=dtype),
+                       RevBlock(kind, 3, rng=build_rng, dtype=dtype)], (1, 80), 8, dtype)
+        for mode in MODES:
+            with pytest.raises(ShapeError, match="input has 4 channels but kernel expects 3"):
+                run_forward(net, batch(rng, dtype=dtype), mode)
+            with pytest.raises(ShapeError, match="Conv2d expects 3 channels, got 4"):
+                ledger_plan(net, 2, 8, mode)
+
 
 class TestLedger:
     def test_plan_matches_real_run_both_modes(self, rng):
@@ -408,6 +424,19 @@ class TestLedger:
         net = toy_net(dtype=np.float32)
         with pytest.raises(ConfigError, match="at least 1"):
             ledger_plan(net, n, frames, "stored")
+
+    @pytest.mark.parametrize("n, frames", [(2.5, 8), (2, 8.0), (True, 8), (2, False), ("2", 8)])
+    def test_plan_rejects_sizes_that_are_not_integers(self, n, frames):
+        # a fractional batch would plan fractional bytes, and a bool passes as 0 or 1
+        net = toy_net(dtype=np.float32)
+        with pytest.raises(ConfigError, match="integers of at least 1"):
+            ledger_plan(net, n, frames, "stored")
+
+    def test_plan_takes_numpy_integers(self):
+        net = toy_net(dtype=np.float32)
+        planned = ledger_plan(net, np.int64(2), np.int32(8), "stored")
+        assert planned == ledger_plan(net, 2, 8, "stored")
+        assert type(planned.activations) is int
 
     def test_counting_saved_bytes_leaves_no_reference_cycle(self, rng):
         # saved arrays must die with the store, not wait for the cyclic GC
@@ -509,19 +538,21 @@ class TestReluTape:
         # the planned store holds it once
         stages, c, f, consumers = RELU_CONSUMERS[case]
         net = consumer_net([zoo.Conv(8)] + stages, c, f)
-        walked = []  # (layer, input, output, what it taped) per primitive
+        walked = []  # (layer, input, output, what it taped) per planned primitive
 
-        def recording(layer, out_shape):
-            def record(x, tape=None):
+        def recording(layer, forward):
+            def record(x, tape=None, replay=False):
                 size = len(tape) if tape is not None else 0
-                y = out_shape(x, tape)
-                walked.append((layer, x, y, tape[-1] if tape and len(tape) > size else None))
+                y = forward(x, tape=tape, replay=replay)
+                if isinstance(x, Planned):
+                    walked.append((layer, x, y,
+                                   tape[-1] if tape and len(tape) > size else None))
                 return y
 
             return record
 
         for layer in primitives(net.layers):
-            monkeypatch.setattr(layer, "out_shape", recording(layer, layer.out_shape))
+            monkeypatch.setattr(layer, "forward", recording(layer, layer.forward))
         store = plan_store(net)
         relu_outputs = [y for l, _, y, _ in walked if isinstance(l, ReLU)]
         taken = [(l, x, taped) for l, x, _, taped in walked
@@ -674,19 +705,24 @@ class TestOneWalk:
         net, n, frames = WALK_NETS[case]()
         _, store, _ = run_forward(net, batch(rng, n, frames, np.float32), mode)
         pairs = []
-        out_shape = RevBlock.out_shape
+        forward = RevBlock.forward
 
-        def record_pair(self, x, tape=None):
-            y = out_shape(self, x, tape)
-            pairs.append((x, y))
+        def record_pair(self, x, tape=None, replay=False):
+            y = forward(self, x, tape=tape, replay=replay)
+            if isinstance(x[0], Planned):
+                pairs.append((x, y))
             return y
 
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise AssertionError("a plan called an op")
 
-        monkeypatch.setattr(RevBlock, "out_shape", record_pair)
-        for name in ("channel_split", "channel_concat"):
-            monkeypatch.setattr(ops, name, refuse)
+        monkeypatch.setattr(RevBlock, "forward", record_pair)
+        # a plan runs the layers' own forwards, so it may call no op of
+        # revmem.ops, only the shape arithmetic conv_out_size
+        for name, fn in vars(ops).items():
+            if (inspect.isfunction(fn) and fn.__module__ == ops.__name__
+                    and not name.startswith("_") and name != "conv_out_size"):
+                monkeypatch.setattr(ops, name, refuse)
         planned = plan_store(net, mode, n, frames)
         assert [(k, i) for k, i, _ in planned.entries] == [(k, i) for k, i, _ in store.entries]
         if mode == "reversible":

@@ -164,6 +164,14 @@ class TestQuantize:
             tracemalloc.stop()
         assert peak <= 6 * x.nbytes  # 4.0x here, 23x with the search-based encoder
 
+    def test_integral_float_block_size_matches_int(self, qmap, rng):
+        x = rng.normal(size=9).astype(np.float32)
+        want = quant.quantize_blockwise(x, qmap, 2)
+        got = quant.quantize_blockwise(x, qmap, 2.0)
+        np.testing.assert_array_equal(got.codes, want.codes)
+        np.testing.assert_array_equal(got.absmax, want.absmax)
+        assert type(got.block_size) is int and got.block_size == 2
+
     def test_block_count_rule(self, qmap, rng):
         x = rng.normal(size=5000).astype(np.float32)
         state = quant.quantize_blockwise(x, qmap, 2048)
