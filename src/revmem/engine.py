@@ -8,15 +8,21 @@ stream, splits it into the pair (x1, x2) once, at the run's first coupling
 block, and concatenates the pair once, at the run's end. Backward walks a
 run with the same split point.
 
+Consecutive plain primitives (childless, non-reversible layers: a conv
+stage's conv, batch norm and ReLU, the pooling and the fc) form *segments*.
+
 Stored mode caches every primitive's input on a tape, a ReLU's output in
-place of its input, and walks it backward; a whole run keeps one list of
-tape entries. Reversible mode caches only the inputs of non-reversible
-layers (a ReLU's output in place of its input), the final output of each
-reversible run, and per-batch-norm statistics; gradients inside a run are
-computed by reconstructing block inputs from block outputs, back to the
-run's first coupling block; downsamplers ahead of it need only the
-cotangent. Both modes accumulate gradients into the same Param objects and
-must agree to rounding error.
+place of its input, and walks it backward; a whole segment or run keeps one
+list of tape entries. Reversible mode caches only the input of each segment
+and of each composite layer (a ``ResidualBlock``), the final output of each
+reversible run, and per-batch-norm statistics. Its backward replays a
+segment from the saved input on the captured statistics onto a tape and
+walks that back, as a ``ResidualBlock`` replays its branch: segment
+checkpointing (Chen et al. 2016). Gradients inside a run are computed by
+reconstructing block inputs from block outputs, back to the run's first
+coupling block; downsamplers ahead of it need only the cotangent. Both
+modes accumulate gradients into the same Param objects and must agree to
+rounding error; a replay computes what the forward did, bit for bit.
 
 ``walk`` runs the units forward on arrays or, to plan, on ``Planned`` ones.
 The ledger counts semantic bytes only (element count times scalar width);
@@ -51,17 +57,17 @@ class MemoryLedger:
     only: run_forward's ledger has no optimizer and books 0) and
     ``workspace`` the captured batch-norm statistics. No category includes:
 
-    - op and recompute transients: what a ``RevBlock`` rebuilds in
-      reversible backward (one branch at a time: a basic or bottleneck
-      branch's tape, or one channel group of a DF bottleneck's middle) and
-      each op's scratch buffers. At toy scale they are about 2.5 MB
-      whatever the depth: on ``toy_spec([d, d], 16, "df_bottleneck")`` at
-      batch 4 and 32 frames, the measured rise of a reversible forward and
-      backward exceeds the planned total by 2.5, 2.4 and 1.8 MB at d = 2, 8
-      and 32. They grow with the activations: DF-RevNet89 at batch 1 and
-      200 frames, stepping with adam8 and the AAM head, peaks at 71.5 MB of
-      whole-process ``tracemalloc`` against a 62.4 MB plan, 1.15 times the
-      plan (``scripts/peak_sites.py``);
+    - op and recompute transients: what reversible backward rebuilds (a
+      segment's tape from its saved input; in a ``RevBlock``, one branch at
+      a time: a basic or bottleneck branch's tape, or one channel group of
+      a DF bottleneck's middle) and each op's scratch buffers. At toy scale
+      they are about 2.7 MB whatever the depth: on ``toy_spec([d, d], 16,
+      "df_bottleneck")`` at batch 4 and 32 frames, the measured rise of a
+      reversible forward and backward exceeds the planned total by 2.9,
+      2.7 and 2.1 MB at d = 2, 8 and 32. They grow with the activations:
+      DF-RevNet89 at batch 1 and 200 frames, stepping with adam8 and the
+      AAM head, peaks at 65.3 MB of whole-process ``tracemalloc`` against a
+      50.8 MB plan, 1.28 times the plan (``scripts/peak_sites.py``);
     - the optimizer step's chunk buffers;
     - allocator slack;
     - parameters outside the network, such as the AAM head that training
@@ -122,29 +128,29 @@ class Network:
 
 
 def _group_units(layers):
-    """Group consecutive reversible layers into runs: [("layer", i)] or ("run", [i..])."""
+    """Group the layers into units, in order.
+
+    ("run", [i..]) is a maximal run of reversible layers, ("segment", [i..])
+    a maximal run of plain primitives (childless, non-reversible layers) and
+    ("layer", i) a composite layer, such as a ResidualBlock.
+    """
     units = []
-    i = 0
-    while i < len(layers):
-        if layers[i].reversible:
-            j = i
-            while j < len(layers) and layers[j].reversible:
-                j += 1
-            units.append(("run", list(range(i, j))))
-            i = j
+    for i, layer in enumerate(layers):
+        kind = "run" if layer.reversible else "layer" if layer.children() else "segment"
+        if kind != "layer" and units and units[-1][0] == kind:
+            units[-1][1].append(i)
         else:
-            units.append(("layer", i))
-            i += 1
+            units.append((kind, i if kind == "layer" else [i]))
     return units
 
 
 class SavedStore:
     """Per-step cache of tensors retained for backward, or of planned arrays.
 
-    Stored mode keeps one entry per unit: a layer's tape, or one list of
-    tape entries for a whole reversible run. Reversible mode keeps the inputs
-    of non-reversible layers, a ReLU's output in place of its input, and one
-    output tensor per reversible run. Batch statistics live on the
+    Stored mode keeps one entry per unit: a composite layer's tape, or one
+    list of tape entries for a whole segment or reversible run. Reversible
+    mode keeps one array per unit: the input of a segment or a composite
+    layer, and the output of a reversible run. Batch statistics live on the
     batch-norm layers and are booked as workspace, not activations. The
     output's shape and dtype are kept to check the cotangent that
     run_backward receives. ``walk`` on a ``Planned`` input runs the same
@@ -229,12 +235,16 @@ def walk(net: Network, x, mode: str):
     for kind, idxs in net.units:
         tape = [] if mode == "stored" else None
         if kind == "layer":
-            layer = net.layers[idxs]
-            y = layer.forward(x, tape=tape)
+            y = net.layers[idxs].forward(x, tape=tape)
             store.entries.append(("layer", idxs, tape) if tape is not None
-                                 else ("input", idxs, y if layer.tapes_output else x))
+                                 else ("input", idxs, x))
             x = y
             del y  # x alone holds the output, so a run's split can drop it
+        elif kind == "segment":  # one tape for all its primitives, or its input
+            store.entries.append(("segment", idxs, tape) if tape is not None
+                                 else ("segment_in", idxs, x))
+            for i in idxs:
+                x = net.layers[i].forward(x, tape=tape)
         else:  # reversible run: split once at its head, concat once at its end
             head = _run_head(net, idxs)
             xs, x = (x,), None  # the split frees the run's input unless it is saved
@@ -314,6 +324,14 @@ def run_backward(net: Network, store: SavedStore, g_out: np.ndarray, mode: str):
             g = net.layers[idx].backward(g, payload.pop())
         elif kind == "input":
             g = net.layers[idx].backward_from_input(g, payload)
+        elif kind in ("segment", "segment_in"):
+            if kind == "segment_in":  # replay from the saved input onto a tape
+                x, payload = payload, []
+                for i in idx:
+                    x = net.layers[i].forward(x, tape=payload, replay=True)
+                del x  # the tape alone holds what backward reads, so pops free it
+            for i in reversed(idx):
+                g = net.layers[i].backward(g, payload.pop())
         else:  # reversible run, walked with the same split point as forward
             head = _run_head(net, idx)
             gs = [g] if head is None else list(ops.channel_split(g))
@@ -349,7 +367,7 @@ def ledger_plan(net: Network, batch: int, frames: int, mode: str,
     Runs run_forward's own ``walk`` on a ``Planned`` input and counts the
     planned store's arrays once each, by identity, as run_forward counts
     real ones: a ReLU's output that its consumer tapes or saves too, or a
-    run's output that the next layer saves as its input, is booked once.
+    run's output that the next unit saves as its input, is booked once.
     Batch statistics are every layer's ``stat_elems()``. The result matches
     the ledger a real run_forward would produce byte for byte, and also
     books the state of a named optimizer for the network's parameters. It

@@ -141,10 +141,6 @@ class Layer:
     def backward(self, gy, entry):
         raise NotImplementedError
 
-    def backward_from_input(self, gy, x):
-        """Backward given only the cached input (reversible-mode path)."""
-        return self.backward(gy, x)
-
     def stat_nbytes(self) -> int:
         return sum(c.stat_nbytes() for c in self.children())
 
@@ -269,8 +265,7 @@ class ReLU(Layer):
     """Tapes its output y, which the next layer's tape usually holds too.
 
     ``backward`` takes y or x alike: ``relu_vjp`` reads only where its first
-    argument is positive, and ``y > 0`` exactly where ``x > 0``. Reversible
-    mode hands it the cached input.
+    argument is positive, and ``y > 0`` exactly where ``x > 0``.
     """
 
     tapes_output = True
@@ -313,8 +308,7 @@ class Linear(Layer):
         return ops.linear(x, self.w.value, self.b.value)
 
     def backward(self, gy, x):
-        gx, gw, gb = ops.linear_vjp(x, self.w.value, gy)
-        self.w.grad += gw
+        gx, _, gb = ops.linear_vjp(x, self.w.value, gy, self.w.grad)
         self.b.grad += gb
         return gx
 
@@ -671,7 +665,7 @@ class RevDownsample(Layer):
         n, _, f, t = x[0].shape  # a run's streams differ in channels alone
         if f % self.r or t % self.r:
             raise ConfigError(
-                f"spatial dims ({f}, {t}) not divisible by ratio {self.r}"
+                f"spatial dims ({f}, {t}) must be divisible by ratio {self.r}"
             )
         return tuple(Planned((n, s.shape[1] * self.r * self.r, f // self.r, t // self.r))
                      for s in x)
@@ -680,7 +674,7 @@ class RevDownsample(Layer):
         # the rearrangement is a permutation, so its VJP is its inverse
         return tuple(ops.pixel_shuffle(s, self.r) for s in gy)
 
-    backward_from_input = backward  # what Layer's would do, bound for a tracer to hook
+    backward_from_input = backward  # never called by the engine; bound for a tracer to hook
 
     def rev_backward(self, y, gy):
         # pops each stream as it is rearranged, so both lists end empty

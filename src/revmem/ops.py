@@ -80,6 +80,11 @@ vectors aside):
   einsum's copies of its two operands. Only dL/dx is full size.
 - ``relu``: none. ``relu_vjp``: a bool mask over flat blocks of at most
   ``FLAT_SHIFT_BYTES`` elements, one byte each.
+- ``global_stat_pool_vjp``: dL/dx is built in its own buffer. Taking the
+  standard deviations adds ``x.var``'s x-sized temporary, freed before
+  dL/dx exists.
+- ``linear_vjp``: dL/dw is added into the caller's buffer in bands of w's
+  rows, each product at most ``FLAT_SHIFT_BYTES`` (one row at least).
 
 numpy's ufuncs may add their own buffers, ``np.getbufsize()`` elements per
 operand, whatever the size of the arrays.
@@ -109,9 +114,10 @@ GSP_VAR_EPS = 1e-10
 # replaced took 3.2 ms), and was slower below 256 KiB. The VJP was flat from
 # 256 KiB up and slower below it, except at DF-RevNet89's (1, 48, 80, 200)
 # -> 24 layer: 13.8 ms at 128 KiB against 17.3 ms at 256 KiB (the unbanded
-# form took about 20 ms). The batch-norm VJP's channel bands and relu_vjp's
-# mask blocks share the bound, and so does the DF bottleneck's channel-group
-# rule in layers.py, as the floor under the branch input's bytes.
+# form took about 20 ms). The batch-norm VJP's channel bands, relu_vjp's
+# mask blocks and linear_vjp's weight-row bands share the bound, and so does
+# the DF bottleneck's channel-group rule in layers.py, as the floor under the
+# branch input's bytes.
 FLAT_SHIFT_BYTES = 1 << 18
 
 
@@ -544,9 +550,17 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def linear_vjp(
-    x: np.ndarray, w: np.ndarray, gy: np.ndarray
+    x: np.ndarray, w: np.ndarray, gy: np.ndarray, gw: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return gy @ w.T, x.T @ gy, gy.sum(axis=0)
+    """(dL/dx, dL/dw, dL/db). dL/dw is added into ``gw`` when given, else
+    into zeros, in bands of w's rows of at most FLAT_SHIFT_BYTES (one row at
+    least), so no second full-size dL/dw exists beside it."""
+    if gw is None:
+        gw = np.zeros(w.shape, np.result_type(x, gy))
+    rows = max(1, FLAT_SHIFT_BYTES // (w.shape[1] * gw.itemsize))
+    for lo in range(0, w.shape[0], rows):
+        gw[lo:lo + rows] += x[:, lo:lo + rows].T @ gy
+    return gy @ w.T, gw, gy.sum(axis=0)
 
 
 def channel_split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -623,6 +637,10 @@ def global_stat_pool_vjp(x: np.ndarray, gy: np.ndarray) -> np.ndarray:
     gstd = gy[:, c * f :].reshape(n, c, f)
     mean = x.mean(axis=3)
     std = np.sqrt(x.var(axis=3) + GSP_VAR_EPS)
-    gx = gmean[..., None] / t
-    gx = gx + gstd[..., None] * (x - mean[..., None]) / (t * std[..., None])
+    # gmean / t + gstd * (x - mean) / (t * std) bit for bit, built in dL/dx's
+    # buffer: the product and the sum swap their operands, which is exact
+    gx = x - mean[..., None]
+    gx *= gstd[..., None]
+    gx /= t * std[..., None]
+    gx += gmean[..., None] / t
     return gx

@@ -320,7 +320,7 @@ class TestMemreportCommand:
         assert info.value.code == 2
 
     @pytest.mark.parametrize("mode, activations", [("stored", 17_086_382_080),
-                                                   ("reversible", 1_111_982_080)])
+                                                   ("reversible", 372_736_000)])
     def test_df_revnet89_bytes_pinned(self, tmp_path, mode, activations):
         # the paper's net at its training shape, with 8-bit Adam
         out = tmp_path / "mem.csv"

@@ -131,14 +131,13 @@ class TestRunForward:
 
     def test_stored_bytes_grow_linearly_with_depth(self, rng):
         led = {}
-        for depth in (4, 8):
+        for depth in (4, 8, 16):
             net = toy_net(dtype=np.float32, blocks=(depth, depth))
             _, _, ledger = run_forward(net, batch(rng, dtype=np.float32), "stored")
             led[depth] = ledger.activations
-        base = ledger_plan(toy_net(dtype=np.float32, blocks=(4, 4)), 2, 8, "reversible")
-        # subtract the depth-independent part, then the rev-stage share doubles
-        fixed = base.activations
-        ratio = (led[8] - fixed) / (led[4] - fixed)
+        # the depth-independent part cancels in each difference, and doubling
+        # the added depth doubles the added bytes
+        ratio = (led[16] - led[8]) / (led[8] - led[4])
         assert abs(ratio - 2.0) <= 0.05 * 2.0
 
 
@@ -509,6 +508,19 @@ def plan_store(net, mode="stored", n=2, frames=8):
     return walk(net, Planned((n, *net.input_spec, frames)), mode)[1]
 
 
+def record_calls(monkeypatch, layer):
+    """A list that gets (input, output) of each call of `layer`'s forward,
+    planned or real."""
+    calls, forward = [], layer.forward
+
+    def record(x, tape=None, replay=False):
+        calls.append((x, forward(x, tape=tape, replay=replay)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(layer, "forward", record)
+    return calls
+
+
 def primitives(layers):
     """The childless layers among `layers` and their descendants, in forward order."""
     return [p for l in layers for p in (primitives(l.children()) if l.children() else [l])]
@@ -574,28 +586,49 @@ class TestReluTape:
             assert store.full_tensor_count() == len(plan_store(net).activation_arrays())
 
     @pytest.mark.parametrize("case", ["stem-to-residual-block", "stem-to-conv"])
-    def test_reversible_saves_a_relu_output_once(self, rng, case):
-        # the stem ReLU's entry holds its output, the very array its
-        # consumer's entry holds, and the plan books it once
+    def test_reversible_saves_a_relu_output_once(self, rng, monkeypatch, case):
+        # the stem's segment saves only its input, the batch; a residual
+        # block after it saves its own input, the stem ReLU's output, once,
+        # and the plan books the same arrays
         stages, c, f, _ = RELU_CONSUMERS[case]
         net = consumer_net([zoo.Conv(8)] + stages, c, f)
-        _, store, ledger = run_forward(net, batch(rng, dtype=np.float32), "reversible")
-        relu = next(i for i, l in enumerate(net.layers) if isinstance(l, ReLU))
-        entries = {idx: payload for _, idx, payload in store.entries}
-        assert entries[relu] is entries[relu + 1]
-        planned = {idx: payload for _, idx, payload in plan_store(net, "reversible").entries}
-        assert planned[relu] is planned[relu + 1]
+        calls = record_calls(monkeypatch, net.layers[2])
+        x = batch(rng, dtype=np.float32)
+        _, store, ledger = run_forward(net, x, "reversible")
+        planned = plan_store(net, "reversible")
+        outputs = [y for _, y in calls]
+        (kind, stem, saved), *rest = store.entries
+        assert kind == "segment_in" and stem[:3] == [0, 1, 2] and saved is x
+        assert planned.entries[0][2].shape == x.shape
+        blocks = [payload for kind, _, payload in store.entries if kind == "input"]
+        planned_blocks = [payload for kind, _, payload in planned.entries if kind == "input"]
+        if case == "stem-to-residual-block":
+            assert len(blocks) == 1 and blocks[0] is outputs[0]
+            assert planned_blocks[0] is outputs[1]
+        else:  # the conv stage, the pooling and the fc join the stem's segment
+            assert rest == [] and not blocks and not planned_blocks
+        arrays = store.activation_arrays()
+        assert sum(a is outputs[0] for a in arrays) == len(blocks)
         assert ledger.activations == ledger_plan(net, 2, 8, "reversible").activations
-        assert ledger.activations == sum(a.nbytes for a in {id(a): a for a in
-                                                            entries.values()}.values())
+        assert ledger.activations == sum(a.nbytes for a in arrays)
 
     @pytest.mark.parametrize("name, activations", [
-        ("DF-RevNet66", 1_505_198_080),  # stem conv, then a conv stage
-        ("RevNet46", 762_112_000),  # stem conv, then a residual stage
+        ("DF-RevNet66", 372_736_000),  # stem conv, then a conv stage
+        ("RevNet46", 563_968_000),  # stem conv, then a residual stage
     ])
-    def test_registry_plan_books_a_stem_relu_once(self, name, activations):
-        # each dropped 196,608,000 B, the stem ReLU's input at batch 64
+    def test_registry_plan_books_a_stem_relu_once(self, monkeypatch, name, activations):
+        # the stem's segment saves only the planned batch; a residual block
+        # after it saves the stem ReLU's output, booked once
         net = zoo.build(name, dtype=np.float32)
+        calls = record_calls(monkeypatch, net.layers[2])
+        store = plan_store(net, "reversible", 64, 200)
+        outputs = [y for _, y in calls]
+        kind, stem, saved = store.entries[0]
+        assert kind == "segment_in" and stem[:3] == [0, 1, 2]
+        assert saved.shape == (64, *net.input_spec, 200)
+        block = isinstance(net.layers[3], ResidualBlock)
+        assert (store.entries[1][0] == "input" and store.entries[1][2] is outputs[0]) == block
+        assert sum(a is outputs[0] for a in store.activation_arrays()) == block
         assert ledger_plan(net, 64, 200, "reversible").activations == activations
 
     @pytest.mark.parametrize("spec", [
@@ -734,34 +767,89 @@ class TestOneWalk:
             assert pair[0].shape == pair[1].shape and pair[0] is not pair[1]
 
 
+class TestSegments:
+    @pytest.mark.parametrize("case", WALK_NETS)
+    def test_reversible_store_saves_each_segment_input(self, rng, monkeypatch, case):
+        # one entry per segment of plain primitives, holding the very array
+        # its first layer took; only composites save an input of their own
+        net, n, frames = WALK_NETS[case]()
+        segments = [idxs for kind, idxs in net.units if kind == "segment"]
+        calls = {i: record_calls(monkeypatch, net.layers[i]) for i, *_ in segments}
+        _, store, _ = run_forward(net, batch(rng, n, frames, np.float32), "reversible")
+        saved = [(idxs, payload) for kind, idxs, payload in store.entries
+                 if kind == "segment_in"]
+        assert [idxs for idxs, _ in saved] == segments
+        assert all(payload is calls[idxs[0]][0][0] for idxs, payload in saved)
+        assert all(net.layers[i].children()
+                   for kind, i, _ in store.entries if kind == "input")
+
+    @pytest.mark.parametrize("case, activations", [("train-df", 860_160),
+                                                   ("train-wide-q8", 496_640)])
+    def test_benchmark_reversible_activations_pinned(self, rng, case, activations):
+        net, n, frames = WALK_NETS[case]()
+        _, _, ledger = run_forward(net, batch(rng, n, frames, np.float32), "reversible")
+        assert ledger.activations == ledger_plan(net, n, frames, "reversible").activations
+        assert ledger.activations == activations
+
+    @pytest.mark.parametrize("case", ["train-df", "train-wide-q8"])
+    def test_batch_norm_statistics_equal_across_modes(self, rng, case):
+        # a segment's replay reads the captured statistics and leaves the
+        # running ones alone, so both modes leave every batch norm alike
+        bns, x, g = {}, None, None
+        for mode in MODES:
+            net, n, frames = WALK_NETS[case]()
+            if x is None:
+                x = batch(rng, n, frames, np.float32)
+            out, store, _ = run_forward(net, x, mode)
+            if g is None:
+                g = rng.normal(size=out.shape).astype(out.dtype)
+            run_backward(net, store, g, mode)
+            bns[mode] = batch_norms(net.layers)
+        assert len(bns["stored"]) == len(bns["reversible"]) > 0
+        for a, b in zip(bns["stored"], bns["reversible"]):
+            assert np.array_equal(a.running_mean, b.running_mean)
+            assert np.array_equal(a.running_var, b.running_var)
+            assert all(np.array_equal(p, q) for p, q in zip(a.saved_stats, b.saved_stats))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_downsampler_plan_raises_the_run_message(self, rng, mode):
+        net = WALK_NETS["downsampler-only-run"]()[0]
+        with pytest.raises(ConfigError) as planned:
+            ledger_plan(net, 2, 7, mode)
+        with pytest.raises(ConfigError) as ran:
+            run_forward(net, batch(rng, 2, 7, np.float32), mode)
+        assert str(planned.value) == str(ran.value)
+        assert str(ran.value) == "spatial dims (80, 7) must be divisible by ratio 2"
+
+
 # activations stored, activations reversible and workspace, in bytes, of
 # every registry net's float32 plan at batch 64 and 200 frames
 REGISTRY_PLANS = {
-    "ResNet34": (2_970_910_720, 1_168_670_720, 15_360),
-    "ResNet101": (10_478_714_880, 6_104_186_880, 32_768),
-    "ResNet152": (15_295_610_880, 8_856_698_880, 48_128),
-    "DF-ResNet56": (12_211_486_720, 1_398_046_720, 70_400),
-    "DF-ResNet110": (19_879_198_720, 1_987_870_720, 144_128),
-    "DF-ResNet179": (31_806_750_720, 2_905_374_720, 228_096),
-    "DF-ResNet233": (39_474_462_720, 3_495_198_720, 301_824),
-    "RevNet46": (3_373_312_000, 762_112_000, 18_336),
-    "RevNet126": (6_961_070_080, 767_918_080, 49_152),
-    "RevNet140": (12_848_896_000, 1_856_512_000, 34_848),
-    "RevNet178": (10_573_742_080, 767_918_080, 71_808),
-    "RevNet230": (21_928_960_000, 1_856_512_000, 59_904),
-    "RevNet57": (4_069_888_000, 1_095_424_000, 19_512),
-    "RevNet137": (7_673_774_080, 1_111_982_080, 50_496),
-    "RevNet197": (10_475_438_080, 1_111_982_080, 70_464),
-    "RevNet155": (17_208_064_000, 4_762_624_000, 41_088),
-    "RevNet245": (23_745_280_000, 4_762_624_000, 61_056),
-    "DF-RevNet66": (12_367_790_080, 1_505_198_080, 64_512),
-    "DF-RevNet126": (23_549_870_080, 1_505_198_080, 148_992),
-    "DF-RevNet258": (40_802_222_080, 1_505_198_080, 268_800),
-    "DF-RevNet354": (51_025_838_080, 1_505_198_080, 367_104),
-    "DF-RevNet89": (17_086_382_080, 1_111_982_080, 76_992),
-    "DF-RevNet149": (23_156_654_080, 1_111_982_080, 144_576),
-    "DF-RevNet281": (40_409_006_080, 1_111_982_080, 264_384),
-    "DF-RevNet377": (50_632_622_080, 1_111_982_080, 362_688),
+    "ResNet34": (2_970_910_720, 1_036_288_000, 15_360),
+    "ResNet101": (10_478_714_880, 5_967_872_000, 32_768),
+    "ResNet152": (15_295_610_880, 8_720_384_000, 48_128),
+    "DF-ResNet56": (12_211_486_720, 1_150_976_000, 70_400),
+    "DF-ResNet110": (19_879_198_720, 1_740_800_000, 144_128),
+    "DF-ResNet179": (31_806_750_720, 2_658_304_000, 228_096),
+    "DF-ResNet233": (39_474_462_720, 3_248_128_000, 301_824),
+    "RevNet46": (3_373_312_000, 563_968_000, 18_336),
+    "RevNet126": (6_961_070_080, 569_344_000, 49_152),
+    "RevNet140": (12_848_896_000, 1_653_760_000, 34_848),
+    "RevNet178": (10_573_742_080, 569_344_000, 71_808),
+    "RevNet230": (21_928_960_000, 1_653_760_000, 59_904),
+    "RevNet57": (4_069_888_000, 367_360_000, 19_512),
+    "RevNet137": (7_673_774_080, 372_736_000, 50_496),
+    "RevNet197": (10_475_438_080, 372_736_000, 70_464),
+    "RevNet155": (17_208_064_000, 1_457_152_000, 41_088),
+    "RevNet245": (23_745_280_000, 1_457_152_000, 61_056),
+    "DF-RevNet66": (12_367_790_080, 372_736_000, 64_512),
+    "DF-RevNet126": (23_549_870_080, 372_736_000, 148_992),
+    "DF-RevNet258": (40_802_222_080, 372_736_000, 268_800),
+    "DF-RevNet354": (51_025_838_080, 372_736_000, 367_104),
+    "DF-RevNet89": (17_086_382_080, 372_736_000, 76_992),
+    "DF-RevNet149": (23_156_654_080, 372_736_000, 144_576),
+    "DF-RevNet281": (40_409_006_080, 372_736_000, 264_384),
+    "DF-RevNet377": (50_632_622_080, 372_736_000, 362_688),
 }
 
 

@@ -585,6 +585,35 @@ class TestLinear:
         with pytest.raises(ShapeError):
             ops.linear(np.zeros((2, 3)), np.zeros((4, 5)), np.zeros(5))
 
+    @pytest.mark.parametrize("shape", [(1, 7680, 256), (64, 7680, 256), (2, 10240, 32),
+                                       (3, 5, 7)])
+    def test_weight_gradient_adds_in_bands(self, rng, shape):
+        # dL/dw adds into the given buffer one band of rows at a time, bit
+        # for bit what adding the whole product does
+        n, d_in, d_out = shape
+        x = rng.normal(size=(n, d_in)).astype(np.float32)
+        w = rng.normal(size=(d_in, d_out)).astype(np.float32)
+        gy = rng.normal(size=(n, d_out)).astype(np.float32)
+        acc = rng.normal(size=w.shape).astype(np.float32)
+        expected = acc + x.T @ gy
+        gx, gw, gb = ops.linear_vjp(x, w, gy, acc)
+        assert gw is acc and np.array_equal(acc, expected)
+        assert np.array_equal(gx, gy @ w.T) and np.array_equal(gb, gy.sum(axis=0))
+        assert np.array_equal(ops.linear_vjp(x, w, gy)[1], x.T @ gy)
+
+    def test_weight_gradient_holds_no_second_copy(self, rng):
+        x = rng.normal(size=(2, 7680)).astype(np.float32)
+        w = rng.normal(size=(7680, 256)).astype(np.float32)
+        gy = rng.normal(size=(2, 256)).astype(np.float32)
+        acc = np.zeros_like(w)
+        tracemalloc.start()
+        try:
+            ops.linear_vjp(x, w, gy, acc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * ops.FLAT_SHIFT_BYTES < w.nbytes
+
 
 class TestChannelSplitConcat:
     def test_split_values(self):
@@ -656,6 +685,20 @@ class TestGlobalStatPool:
     def test_matches_two_pass_oracle(self, rng):
         x = rng.normal(size=(2, 3, 4, 6))
         assert mixed_err(ops.global_stat_pool(x), gsp_two_pass(x)) <= 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 6), (1, 16, 10, 4), (4, 8, 20, 32)])
+    def test_gradient_equals_the_closed_form(self, rng, shape, dtype):
+        # built in one buffer, bit for bit the expression it stands for
+        n, c, f, t = shape
+        x = rng.normal(size=shape).astype(dtype)
+        gy = rng.normal(size=(n, 2 * c * f)).astype(dtype)
+        gmean, gstd = gy[:, : c * f].reshape(n, c, f), gy[:, c * f:].reshape(n, c, f)
+        mean = x.mean(axis=3)
+        std = np.sqrt(x.var(axis=3) + ops.GSP_VAR_EPS)
+        expected = (gmean[..., None] / t
+                    + gstd[..., None] * (x - mean[..., None]) / (t * std[..., None]))
+        assert np.array_equal(ops.global_stat_pool_vjp(x, gy), expected)
 
     def test_gradient_vs_finite_differences(self, rng):
         x = rng.normal(size=(2, 3, 4, 6))
