@@ -16,7 +16,8 @@ place of its input, and walks it backward; a whole segment or run keeps one
 list of tape entries. Reversible mode caches only the input of each segment
 and of each composite layer (a ``ResidualBlock``), the final output of each
 reversible run, and per-batch-norm statistics. Its backward replays a
-segment from the saved input on the captured statistics onto a tape and
+segment from the saved input on the captured statistics onto a tape, up to
+the input of a last layer whose backward reads nothing else (the fc), and
 walks that back, as a ``ResidualBlock`` replays its branch: segment
 checkpointing (Chen et al. 2016). Gradients inside a run are computed by
 reconstructing block inputs from block outputs, back to the run's first
@@ -61,10 +62,10 @@ class MemoryLedger:
       segment's tape from its saved input; in a ``RevBlock``, one branch at
       a time: a basic or bottleneck branch's tape, or one channel group of
       a DF bottleneck's middle) and each op's scratch buffers. At toy scale
-      they are about 2.7 MB whatever the depth: on ``toy_spec([d, d], 16,
+      they are about 2.4 MB whatever the depth: on ``toy_spec([d, d], 16,
       "df_bottleneck")`` at batch 4 and 32 frames, the measured rise of a
-      reversible forward and backward exceeds the planned total by 2.9,
-      2.7 and 2.1 MB at d = 2, 8 and 32. They grow with the activations:
+      reversible forward and backward exceeds the planned total by 2.5,
+      2.4 and 1.8 MB at d = 2, 8 and 32. They grow with the activations:
       DF-RevNet89 at batch 1 and 200 frames, stepping with adam8 and the
       AAM head, peaks at 65.3 MB of whole-process ``tracemalloc`` against a
       50.8 MB plan, 1.28 times the plan (``scripts/peak_sites.py``);
@@ -327,8 +328,13 @@ def run_backward(net: Network, store: SavedStore, g_out: np.ndarray, mode: str):
         elif kind in ("segment", "segment_in"):
             if kind == "segment_in":  # replay from the saved input onto a tape
                 x, payload = payload, []
-                for i in idx:
+                for i in idx[:-1]:
                     x = net.layers[i].forward(x, tape=payload, replay=True)
+                last = net.layers[idx[-1]]
+                if last.tapes_output:
+                    last.forward(x, tape=payload, replay=True)
+                else:  # its backward reads only its input: tape that, skip its forward
+                    payload.append(x)
                 del x  # the tape alone holds what backward reads, so pops free it
             for i in reversed(idx):
                 g = net.layers[i].backward(g, payload.pop())

@@ -56,19 +56,25 @@ instead. "Other kernels" are all but the 1x1:
    slice of the padded input. Scratch: a padded copy of the whole x, a
    padded dL/dx, and one tap's slice copy and products. It still returns
    dL/dx as a view that keeps the padded dL/dx alive.
-7. ``depthwise_conv2d``: a flat-shift tap loop over blocks of whole (n*c)
-   planes. Each block is copied zero-padded, with one spare row, and read
-   flat, so every tap is a contiguous run; each block's interior goes
-   straight into the exact-size output. Scratch: three block buffers (the
-   padded planes, the widened output and one tap's product), each at most
-   ``FLAT_SHIFT_BYTES``, and the per-plane taps.
-8. ``depthwise_conv2d_vjp``: the gather form of the same loop, on blocks
-   of dL/dy planes. It first takes every tap's dL/dw entries as per-plane
-   dot products with x widened by zero columns, then adds the taps' dL/dx
-   terms in the scatter form's order, over the widened x. Scratch: three
-   block buffers (padded dL/dy, widened x and then widened dL/dx, and one
-   tap's product), each at most ``FLAT_SHIFT_BYTES``, the per-plane taps
-   and a per-plane dL/dw.
+7. ``depthwise_conv2d``: one column copy and one batched GEMM per block of
+   whole (n*c) planes. Tap (i, j) reads each plane at one flat shift, so
+   its run is one slice copy into a (m, k*k, f*t) column buffer; the
+   columns where a run wraps into the next row or leaves the plane are
+   zero. The per-plane taps (m, 1, k*k) times the columns write the block's
+   output in place. A block is the most planes whose columns fit
+   2 * ``FLAT_SHIFT_BYTES``; a plane whose columns exceed
+   3 * ``FLAT_SHIFT_BYTES`` runs alone, in bands of its rows. Scratch: the
+   column buffer and the per-plane taps. Interleaved with the k*k-pass tap
+   loop it replaced (40 calls each), forward and VJP took 0.39 and 0.49
+   ms at (4, 8, 80, 32) against 0.82 and 1.05 ms, and 1.41 and 1.87 ms at
+   DF-RevNet89's (1, 24, 80, 200) against 1.58 and 2.52 ms.
+8. ``depthwise_conv2d_vjp``: the gather form on the same blocks, with the
+   columns built from dL/dy: the flipped per-plane taps times them write
+   dL/dx in place, and they times x's planes are dL/dw, flipped. BLAS sums
+   the k*k taps in its own order, so dL/dx agrees with the scatter form to
+   rounding, not bit for bit; equal inputs still give equal bits, so a
+   replay matches its forward. Scratch: the column buffer, the per-plane
+   taps and a per-plane dL/dw.
 
 The other ops with full-size inputs keep these scratch rules (per-channel
 vectors aside):
@@ -101,20 +107,26 @@ from .errors import ConfigError, ShapeError
 GSP_VAR_EPS = 1e-10
 
 # Largest buffer of the banded and blocked conv kernels (one row or plane
-# at least): a depthwise block of whole (n, c) planes, a stride-1 dense
-# forward band of one sample's padded rows, an im2col column band (the c=1
-# stem and the strided forwards) and a stride-1 dense VJP band of dL/dx
-# rows, which may grow to w's bytes so that copying w's taps stays small
-# beside the band's GEMMs. Of 64 KiB to 2 MiB, 256 KiB was fastest at both
-# the toy and the registry shapes of scripts/conv_bench.py for the first
-# two. Timed interleaved over the same range (25 calls each, float32, one
-# OpenBLAS thread, 2-vCPU x86-64), the im2col forward gained with larger
-# bands only at wide strided layers, e.g. 2.30 -> 1.84 ms at
-# (1, 128, 20, 50) -> 256 channels from 256 KiB to 2 MiB (the einsum it
-# replaced took 3.2 ms), and was slower below 256 KiB. The VJP was flat from
-# 256 KiB up and slower below it, except at DF-RevNet89's (1, 48, 80, 200)
-# -> 24 layer: 13.8 ms at 128 KiB against 17.3 ms at 256 KiB (the unbanded
-# form took about 20 ms). The batch-norm VJP's channel bands, relu_vjp's
+# at least): a stride-1 dense forward band of one sample's padded rows, an
+# im2col column band (the c=1 stem and the strided forwards) and a stride-1
+# dense VJP band of dL/dx rows, which may grow to w's bytes so that copying
+# w's taps stays small beside the band's GEMMs. Of 64 KiB to 2 MiB, 256 KiB
+# was fastest at both the toy and the registry shapes of
+# scripts/conv_bench.py for the first. Timed interleaved over the same range
+# (25 calls each, float32, one OpenBLAS thread, 2-vCPU x86-64), the im2col
+# forward gained with larger bands only at wide strided layers, e.g. 2.30 ->
+# 1.84 ms at (1, 128, 20, 50) -> 256 channels from 256 KiB to 2 MiB (the
+# einsum it replaced took 3.2 ms), and was slower below 256 KiB. The VJP was
+# flat from 256 KiB up and slower below it, except at DF-RevNet89's
+# (1, 48, 80, 200) -> 24 layer: 13.8 ms at 128 KiB against 17.3 ms at
+# 256 KiB (the unbanded form took about 20 ms). The depthwise kernels'
+# column buffer, k*k copies of its planes, also takes its bound from here:
+# twice this for a block of planes, three times for a plane alone
+# (_depthwise_blocks). At this bound itself a block of DF-RevNet89's
+# (1, 24, 80, 200) or (1, 48, 40, 100) held a band of a plane or one plane,
+# and paid a block's fixed cost that much more often: their forwards took
+# 3.29 and 1.18 ms against 1.35 and 0.74 ms (30 interleaved calls), with
+# peaks 0.38 and 0.28 MB lower. The batch-norm VJP's channel bands, relu_vjp's
 # mask blocks and linear_vjp's weight-row bands share the bound, and so does
 # the DF bottleneck's channel-group rule in layers.py, as the floor under the
 # branch input's bytes.
@@ -287,8 +299,8 @@ def conv2d_vjp(
 
 
 def _flat_conv2d_vjp(x, w, gy):
-    # The gather form of depthwise_conv2d_vjp over bands of dL/dx rows of one
-    # sample. The band's gy rows are zero-padded by k // 2 on every side to
+    # The gather form over bands of dL/dx rows of one sample. The band's gy
+    # rows are zero-padded by k // 2 on every side to
     # rows tg = t + kw - 1 wide, and read flat with one spare row; its x
     # rows are widened to tg columns with zeros. Tap (i, j) then meets the
     # run of padded gy at (kh - 1 - i) * tg + (kw - 1 - j): w[:, :, i, j].T
@@ -360,41 +372,78 @@ def _check_depthwise_args(x, w):
         )
 
 
-def _planes_per_block(planes, plane_elems, dtype):
-    """Whole (n, c) planes of plane_elems elements that fit FLAT_SHIFT_BYTES."""
-    return max(1, min(planes, FLAT_SHIFT_BYTES // (plane_elems * dtype.itemsize)))
+def _depthwise_blocks(planes, f, t, k2, dtype):
+    """(planes, rows) of one block of the depthwise column buffer.
+
+    A block is the most whole (n, c) planes whose columns, k2 copies of
+    them, fit 2 * FLAT_SHIFT_BYTES, one plane at least. A plane whose
+    columns exceed 3 * FLAT_SHIFT_BYTES runs alone, in the fewest equal
+    bands of rows whose columns fit that.
+    """
+    row = k2 * t * dtype.itemsize  # the columns of one output row
+    if f * row <= 3 * FLAT_SHIFT_BYTES:
+        return max(1, min(planes, 2 * FLAT_SHIFT_BYTES // (f * row))), f
+    bands = -(-f * row // (3 * FLAT_SHIFT_BYTES))
+    return 1, -(-f // bands)
+
+
+def _depthwise_columns(src, f, t, k, dtype):
+    """Yield (planes, flat rows, columns) for each block of the depthwise kernels.
+
+    src holds the flat (f*t) planes. A block's columns (m, k*k, h*t), for m
+    planes and h output rows (_depthwise_blocks), are each tap's flat run of
+    its planes in one reused buffer. Tap (i, j) reads a plane at a flat
+    shift of (i - pad) * t + j - pad, so a run is one slice copy. Where the
+    tap's column falls outside a row the run wraps into the next row; those
+    columns are zeroed after the copies. Before a plane's first row or past
+    its last a run is zero: a block of whole planes never writes there, so
+    the buffer's initial zeros stay, and a band writes them each time.
+    """
+    size, rows = _depthwise_blocks(len(src), f, t, k * k, dtype)
+    cbuf = np.zeros((size, k * k, rows * t), dtype=dtype)
+    pad = k // 2
+    bands = []  # (flat rows, runs); a run (tap, lo, hi, shift) copies plane entries
+    # lo + shift .. hi + shift - 1 to the tap's columns lo .. hi - 1
+    for r in range(0, f, rows):
+        n = min(rows, f - r) * t
+        runs = []
+        for tap in range(k * k):
+            i, j = divmod(tap, k)
+            shift = (r + i - pad) * t + j - pad
+            lo = min(max(-shift, 0), n)
+            runs.append((tap, lo, max(min(f * t - shift, n), lo), shift))
+        bands.append((slice(r * t, r * t + n), runs))
+    # the wrapped columns of the taps (., j), as a slice of a row
+    edges = [(j, slice(0, pad - j) if j < pad else slice(max(t + pad - j, 0), t))
+             for j in range(k) if j != pad]
+    for first in range(0, len(src), size):
+        block = slice(first, first + size)
+        planes = src[block]
+        for flat, runs in bands:
+            cols = cbuf[: len(planes), :, : flat.stop - flat.start]
+            for tap, lo, hi, shift in runs:
+                if rows < f:
+                    cols[:, tap, :lo] = 0
+                    cols[:, tap, hi:] = 0
+                cols[:, tap, lo:hi] = planes[:, lo + shift : hi + shift]
+            grid = cols.reshape(len(planes), k * k, -1, t)
+            for j, edge in edges:
+                grid[:, j::k, :, edge] = 0
+            yield block, flat, cols
 
 
 def depthwise_conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per-channel stride-1 convolution; w has shape (c, 1, k, k), one filter per channel."""
-    # Each block of planes is copied into a zero-padded buffer with one
-    # spare row and read flat: tap (i, j) is the run at i * tp + j, scaled
-    # per plane and summed into rows widened to tp columns, whose first t
-    # columns are the block's output.
+    # One column copy and one batched GEMM per block: the per-plane taps
+    # (m, 1, k*k) times the block's columns write its output rows in place.
     _check_depthwise_args(x, w)
     n, c, f, t = x.shape
-    kh, kw = w.shape[2:]
-    pad = kh // 2
+    k = w.shape[2]
     y = np.empty(_out_shape(x, w, 1), dtype=np.result_type(x, w))
-    tp = t + 2 * pad
-    xs, ys = x.reshape(n * c, f, t), y.reshape(n * c, f, t)
-    taps = np.tile(w.reshape(c, kh * kw).astype(y.dtype), (n, 1))  # per plane
-    size = _planes_per_block(n * c, (f + 2 * pad + 1) * tp, y.dtype)
-    xb = np.zeros((size, f + 2 * pad + 1, tp), dtype=y.dtype)
-    acc = np.empty((size, f * tp), dtype=y.dtype)
-    prod = np.empty_like(acc)
-    for first in range(0, n * c, size):
-        block = slice(first, first + size)
-        m = min(size, n * c - first)
-        xb[:m, pad : pad + f, pad : pad + t] = xs[block]
-        xf, a, p = xb[:m].reshape(m, -1), acc[:m], prod[:m]
-        for k in range(kh * kw):
-            i, j = divmod(k, kw)
-            run = xf[:, i * tp + j : i * tp + j + f * tp]
-            np.multiply(run, taps[block, k : k + 1], out=p if k else a)
-            if k:
-                a += p
-        ys[block] = a.reshape(m, f, tp)[:, :, :t]
+    ys = y.reshape(n * c, f * t)
+    taps = np.tile(w.reshape(c, 1, k * k).astype(y.dtype), (n, 1, 1))  # per plane
+    for block, flat, cols in _depthwise_columns(x.reshape(n * c, f * t), f, t, k, y.dtype):
+        np.matmul(taps[block], cols, out=ys[block, None, flat])
     return y
 
 
@@ -402,49 +451,23 @@ def depthwise_conv2d_vjp(
     x: np.ndarray, w: np.ndarray, gy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cotangents (dL/dx, dL/dw) of depthwise_conv2d given dL/dy."""
-    # Gather form over blocks of planes. Each block of gy is zero-padded by
-    # k // 2 on every side, which makes its rows tg = t + kw - 1 wide, and
-    # read flat with one spare row; x is widened to tg columns with zeros.
-    # Tap (i, j) then meets the run of padded gy at
-    # (kh - 1 - i) * tg + (kw - 1 - j): scaled by w it is the tap's term of
-    # dL/dx, and its dot with the widened x is the plane's dL/dw entry. The
-    # taps add in the order of the scatter form (each adding gy * w at its
-    # offset of a padded dL/dx), so dL/dx is bit-identical to it.
+    # The gather form on the forward's blocks, with the columns built from
+    # dL/dy: tap (i, j) of dL/dx is w[k-1-i, k-1-j] times the run of dL/dy
+    # that the forward's tap (i, j) reads of x, so the flipped taps times the
+    # columns are dL/dx, and the columns times x are dL/dw, flipped.
     _check_depthwise_args(x, w)
     _check_cotangent(x, w, gy, 1)
     n, c, f, t = x.shape
-    kh, kw = w.shape[2:]
-    pad = kh // 2
-    tg = t + kw - 1
+    k = w.shape[2]
     dtype = np.result_type(x, w, gy)
     gx = np.empty(x.shape, dtype=x.dtype)
-    gw = np.empty((n * c, kh * kw), dtype=np.result_type(x, gy))
-    xs, gs, gxs = x.reshape(n * c, f, t), gy.reshape(n * c, f, t), gx.reshape(n * c, f, t)
-    taps = np.tile(w.reshape(c, kh * kw).astype(dtype), (n, 1))  # per plane
-    size = _planes_per_block(n * c, (f + kh) * tg, dtype)
-    gb = np.zeros((size, f + kh, tg), dtype=dtype)
-    acc = np.empty((size, f * tg), dtype=dtype)
-    prod = np.empty_like(acc)
-    starts = [(kh - 1 - i) * tg + kw - 1 - j for i in range(kh) for j in range(kw)]
-    for first in range(0, n * c, size):
-        block = slice(first, first + size)
-        m = min(size, n * c - first)
-        gb[:m, pad : pad + f, pad : pad + t] = gs[block]
-        gf, a, p = gb[:m].reshape(m, -1), acc[:m], prod[:m]
-        runs = [gf[:, s : s + f * tg] for s in starts]
-        # acc holds the widened x until every tap's dL/dw dot is taken, then
-        # dL/dx
-        xb = a.reshape(m, f, tg)
-        xb[:, :, :t] = xs[block]
-        xb[:, :, t:] = 0
-        for k, run in enumerate(runs):
-            gw[block, k] = np.matmul(a[:, None, :], run[:, :, None])[:, 0, 0]
-        for k, run in enumerate(runs):
-            np.multiply(run, taps[block, k : k + 1], out=p if k else a)
-            if k:
-                a += p
-        gxs[block] = a.reshape(m, f, tg)[:, :, :t]
-    return gx, gw.reshape(n, c, 1, kh, kw).sum(axis=0)
+    xs, gxs = x.reshape(n * c, f * t), gx.reshape(n * c, f * t)
+    flipped = np.tile(w.reshape(c, 1, k * k)[:, :, ::-1].astype(dtype), (n, 1, 1))  # per plane
+    gw = np.zeros((n * c, k * k, 1), dtype=np.result_type(x, gy))  # per plane
+    for block, flat, cols in _depthwise_columns(gy.reshape(n * c, f * t), f, t, k, dtype):
+        gw[block] += np.matmul(cols, xs[block, flat, None])
+        np.matmul(flipped[block], cols, out=gxs[block, None, flat])
+    return gx, gw.reshape(n, c, k * k).sum(axis=0)[:, ::-1].reshape(c, 1, k, k)
 
 
 def batchnorm2d(

@@ -811,6 +811,33 @@ class TestSegments:
             assert np.array_equal(a.running_var, b.running_var)
             assert all(np.array_equal(p, q) for p, q in zip(a.saved_stats, b.saved_stats))
 
+    def test_replay_skips_an_output_nothing_reads(self, rng, monkeypatch):
+        # the fc's backward reads only its input, so the replay of the
+        # pooling-and-fc segment stops there and a reversible step runs the
+        # fc once. Replaying the fc as well, onto a tape that holds its
+        # input, leaves every gradient as it was
+        linear, calls, grads = ops.linear, collections.Counter(), {}
+        x = batch(rng, 4, 32, np.float32)
+        for replay_fc in (False, True):
+            net = WALK_NETS["train-df"]()[0]
+            fc = net.layers[-1]
+            assert isinstance(fc, layers.Linear) and net.units[-1][1][-1] == len(net.layers) - 1
+            if replay_fc:
+                def forward(x, tape=None, replay=False, fc=fc):
+                    y = layers.Layer.forward(fc, x, replay=replay)
+                    tape is None or tape.append(x)
+                    return y
+                monkeypatch.setattr(fc, "tapes_output", True, raising=False)
+                monkeypatch.setattr(fc, "forward", forward)
+            monkeypatch.setattr(ops, "linear",
+                                lambda *a, k=replay_fc: calls.update([k]) or linear(*a))
+            out, store, _ = run_forward(net, x, "reversible")
+            run_backward(net, store, np.ones_like(out), "reversible")
+            grads[replay_fc] = [p.grad for p in net.params()]
+        assert calls == {False: 1, True: 2}
+        assert len(grads[False]) == len(grads[True]) > 0
+        assert all(np.array_equal(a, b) for a, b in zip(grads[False], grads[True]))
+
     @pytest.mark.parametrize("mode", MODES)
     def test_downsampler_plan_raises_the_run_message(self, rng, mode):
         net = WALK_NETS["downsampler-only-run"]()[0]

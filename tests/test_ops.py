@@ -36,6 +36,17 @@ def padded_taps(x, k, stride=1):
             for i in range(k) for j in range(k)]
 
 
+def depthwise_scratch(shape, per_plane, k=3, itemsize=4):
+    """The depthwise kernels' scratch rule for a float32 x of `shape`: one
+    column buffer of at most 2 * FLAT_SHIFT_BYTES, or 3 * FLAT_SHIFT_BYTES
+    for a plane that runs alone, and `per_plane` arrays of k*k values a
+    plane (the taps, and the VJP's dL/dw), plus numpy's ufunc buffers."""
+    plane = k * k * shape[2] * shape[3] * itemsize  # one plane's columns
+    columns = (3 if plane > 2 * ops.FLAT_SHIFT_BYTES else 2) * ops.FLAT_SHIFT_BYTES
+    return (columns + per_plane * shape[0] * shape[1] * k * k * itemsize
+            + TestScratchBounds.SLACK)
+
+
 class TestConv2d:
     def test_scalar_product(self):
         x = np.full((1, 1, 1, 1), 3.0)
@@ -243,23 +254,23 @@ class TestDepthwiseConv2d:
 
     @staticmethod
     def _forward_peak_and_bound(rng, shape):
-        # one block's padded planes, widened output and tap product are each
-        # at most FLAT_SHIFT_BYTES; no padded copy of the whole input
+        # one block's columns and the per-plane taps; the GEMM writes the
+        # output in place, and no padded copy of the input exists
         x = rng.standard_normal(shape, dtype=np.float32)
         w = rng.standard_normal((shape[1], 1, 3, 3), dtype=np.float32)
         peak, y = traced_peak(ops.depthwise_conv2d, x, w)
-        return peak, y.nbytes + 4 * ops.FLAT_SHIFT_BYTES
+        return peak, y.nbytes + depthwise_scratch(shape, per_plane=2)
 
     @staticmethod
     def _vjp_peak_and_bound(rng, shape):
-        # one block's padded dL/dy, widened x, widened dL/dx and tap product;
-        # dL/dx is exact-size, so no view pins a padded buffer
+        # one block's columns of dL/dy, the per-plane taps and dL/dw; dL/dx
+        # is exact-size and written in place, so no view pins a larger buffer
         x = rng.standard_normal(shape, dtype=np.float32)
         w = rng.standard_normal((shape[1], 1, 3, 3), dtype=np.float32)
         gy = rng.standard_normal(shape, dtype=np.float32)
         peak, (gx, gw) = traced_peak(ops.depthwise_conv2d_vjp, x, w, gy)
         assert gx.base is None and gx.flags.c_contiguous
-        return peak, gx.nbytes + gw.nbytes + 5 * ops.FLAT_SHIFT_BYTES
+        return peak, gx.nbytes + gw.nbytes + depthwise_scratch(shape, per_plane=3)
 
     def test_forward_peak_memory_stays_near_input_size(self, rng):
         peak, bound = self._forward_peak_and_bound(rng, (4, 32, 80, 32))
@@ -293,24 +304,45 @@ class TestBlockedStride1Kernels:
         pad = k // 2
         x = rng.normal(size=(n, c, f, t)).astype(dtype)
         w = rng.normal(size=(c, 1, k, k)).astype(dtype)
-        plane = (f + 2 * pad + 1) * (t + 2 * pad)  # padded x plus a spare row
-        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 4 * plane * x.itemsize)
+        plane = k * k * f * t  # one plane's columns
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 2 * plane * x.itemsize)
         taps = padded_taps(x, k)
         y_ref = sum(xs * w[:, 0, i, j][None, :, None, None] for i, j, xs in taps)
         y = ops.depthwise_conv2d(x, w)
         assert y.dtype == dtype and scaled_err(y, y_ref) <= tol
 
         gy = rng.normal(size=y.shape).astype(dtype)
-        gx, gw = ops.depthwise_conv2d_vjp(x, w, gy)  # the same blocks: dL/dy padded as x
-        # the scatter form: each tap adds gy * w at its offset, in tap order
+        gx, gw = ops.depthwise_conv2d_vjp(x, w, gy)  # the same blocks, columns of dL/dy
+        # the scatter form: each tap adds gy * w at its offset; BLAS sums the
+        # gather form's taps in its own order, so dL/dx agrees to rounding
         gxp = np.zeros((n, c, f + 2 * pad, t + 2 * pad), dtype=dtype)
         gw_ref = np.empty_like(w)
         for i, j, xs in taps:
             gxp[:, :, i : i + y.shape[2], j : j + y.shape[3]] += gy * w[:, 0, i, j][
                 None, :, None, None]
             gw_ref[:, 0, i, j] = (xs * gy).sum(axis=(0, 2, 3))
-        np.testing.assert_array_equal(gx, gxp[:, :, pad : pad + f, pad : pad + t])
+        assert gx.dtype == dtype and scaled_err(gx, gxp[:, :, pad : pad + f, pad : pad + t]) <= tol
         assert gw.dtype == dtype and scaled_err(gw, gw_ref) <= tol
+
+    @pytest.mark.parametrize("k, shape, budget, blocks", [
+        (3, (3, 1, 5, 4), 5.0, (2, 5)), (5, (1, 2, 7, 3), 2.0, (1, 4)),
+        (3, (2, 1, 7, 2), 0.7, (1, 2))],
+        ids=["planes", "bands", "short-bands"])
+    def test_depthwise_gradients_over_blocks_and_bands(self, rng, monkeypatch, k, shape,
+                                                       budget, blocks):
+        # FLAT_SHIFT_BYTES of `budget` rows' columns gives blocks of two
+        # whole planes, the last one partial, or bands of four (two) rows of
+        # one plane, the last band partial
+        n, c, f, t = shape
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(c, 1, k, k))
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", int(budget * k * k * t * x.itemsize))
+        assert ops._depthwise_blocks(n * c, f, t, k * k, x.dtype) == blocks
+        r = rng.normal(size=shape)
+        gx, gw = ops.depthwise_conv2d_vjp(x, w, r)
+        out = lambda: ops.depthwise_conv2d(x, w)
+        assert mixed_err(gx, central_diff_proj(out, r, x)) <= 1e-6
+        assert mixed_err(gw, central_diff_proj(out, r, w)) <= 1e-6
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     @pytest.mark.parametrize("k", [3, 5, 7])
@@ -543,13 +575,14 @@ class TestScratchBounds:
         peak, (gx, _, _) = traced_peak(ops.batchnorm2d_vjp, x, gamma, gy, mean, var)
         assert peak <= gx.nbytes + 3 * ops.FLAT_SHIFT_BYTES + self.SLACK
 
-    def test_depthwise_vjp_holds_gx_and_three_blocks(self, arrays):
+    def test_depthwise_vjp_holds_gx_and_its_columns(self, arrays):
+        # a block of whole planes: columns of at most 2 * FLAT_SHIFT_BYTES
         x, gy, _, _ = arrays
         n, c = self.SHAPE[:2]
         w = np.random.default_rng(0).standard_normal((c, 1, 3, 3), dtype=np.float32)
         peak, (gx, gw) = traced_peak(ops.depthwise_conv2d_vjp, x, w, gy)
-        per_plane = 2 * n * c * 9 * 4  # the taps and the per-plane dL/dw
-        assert peak <= gx.nbytes + gw.nbytes + 3 * ops.FLAT_SHIFT_BYTES + per_plane + self.SLACK
+        per_plane = 3 * n * c * 9 * 4  # the taps and the per-plane dL/dw and its sum
+        assert peak <= gx.nbytes + gw.nbytes + 2 * ops.FLAT_SHIFT_BYTES + per_plane + self.SLACK
 
     def test_relu_vjp_holds_its_result_and_a_mask(self, arrays, monkeypatch):
         # the bool mask is taken in blocks of at most FLAT_SHIFT_BYTES
