@@ -16,12 +16,11 @@ place of its input, and walks it backward; a whole segment or run keeps one
 list of tape entries. Reversible mode caches only the input of each segment
 and of each composite layer (a ``ResidualBlock``), the final output of each
 reversible run, and per-batch-norm statistics. Its backward replays a
-segment from the saved input on the captured statistics onto a tape, up to
-the input of a last layer whose backward reads nothing else (the fc), and
-walks that back, as a ``ResidualBlock`` replays its branch: segment
-checkpointing (Chen et al. 2016). Gradients inside a run are computed by
-reconstructing block inputs from block outputs, back to the run's first
-coupling block; downsamplers ahead of it need only the cotangent. Both
+segment from the saved input with ``Sequential.replay_vjp``, as a
+``ResidualBlock`` replays its branch: segment checkpointing (Chen et al.
+2016). Gradients inside a run are computed by reconstructing block inputs
+from block outputs, back to the run's first coupling block; downsamplers
+ahead of it need only the cotangent. Both
 modes accumulate gradients into the same Param objects and must agree to
 rounding error; a replay computes what the forward did, bit for bit.
 
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, StateError
-from .layers import Param, Planned, RevBlock
+from .layers import Param, Planned, RevBlock, Sequential
 from .optim import optimizer_state_nbytes
 from . import ops
 
@@ -325,19 +324,10 @@ def run_backward(net: Network, store: SavedStore, g_out: np.ndarray, mode: str):
             g = net.layers[idx].backward(g, payload.pop())
         elif kind == "input":
             g = net.layers[idx].backward_from_input(g, payload)
-        elif kind in ("segment", "segment_in"):
-            if kind == "segment_in":  # replay from the saved input onto a tape
-                x, payload = payload, []
-                for i in idx[:-1]:
-                    x = net.layers[i].forward(x, tape=payload, replay=True)
-                last = net.layers[idx[-1]]
-                if last.tapes_output:
-                    last.forward(x, tape=payload, replay=True)
-                else:  # its backward reads only its input: tape that, skip its forward
-                    payload.append(x)
-                del x  # the tape alone holds what backward reads, so pops free it
-            for i in reversed(idx):
-                g = net.layers[i].backward(g, payload.pop())
+        elif kind == "segment":
+            g = Sequential([net.layers[i] for i in idx]).backward(g, payload)
+        elif kind == "segment_in":  # replay from the saved input
+            g = Sequential([net.layers[i] for i in idx]).replay_vjp(g, payload)[1]
         else:  # reversible run, walked with the same split point as forward
             head = _run_head(net, idx)
             gs = [g] if head is None else list(ops.channel_split(g))

@@ -23,27 +23,17 @@ Execution protocol (used by the engine):
   ``Planned(_shape(x.shape))``, and a sum of ``Planned`` arrays is a new
   one. It tapes what it tapes on arrays, so the engine's one walk, run on
   planned arrays, plans the ledger, a ReLU's output shared with its
-  consumer included. A DF bottleneck plans its middle whole, not group by
-  group: the same distinct bytes.
+  consumer included.
+* ``replay_vjp(gy, x, ys=None)`` of a chain (a ``Sequential``) replays it
+  from x on the captured statistics and backpropagates gy, returning
+  ``(y - chain(x), dL/dx)`` with y popped off ``ys``, or None and dL/dx
+  without ``ys``, when work that only y would read is skipped.
+  ``RevBlock.rev_backward``, ``ResidualBlock.backward_from_input`` and the
+  engine's segment checkpoints replay every chain this way; a
+  ``DFBottleneck`` runs its VJP one channel group at a time within the
+  replay.
 * ``children()`` lists a composite's sublayers, over which ``params()``,
   ``stat_nbytes()`` and ``stat_elems()`` sum by default.
-
-A DF bottleneck branch (1x1 conv, BN, ReLU, depthwise conv, 1x1 conv, as
-``make_residual_fn`` builds it, recognized by its structure) widens its
-input 4x between its two 1x1 convs, and everything there is per channel.
-So every forward of it, taped or not, runs that middle one group of
-channels at a time: a group's rows of the first conv, BN on the group's
-statistics (captured group by group), ReLU, the depthwise conv, and the
-group's columns of the last conv, whose share adds into the output. Groups
-are as few as keep each group's array within the larger of the input's
-bytes and ``ops.FLAT_SHIFT_BYTES``. Untaped, it keeps nothing of a group;
-taped, it tapes its input once and then each group's three arrays, which
-its backward pops group by group. A replay taped onto a ``VJPTape``, which
-carries the output's cotangent, runs the same per-group VJP right after
-replaying each group and tapes nothing. ``RevBlock.rev_backward`` and
-``ResidualBlock.backward_from_input`` replay every branch that way. So no
-mode ever holds a 4x-wide tensor, and a stored branch's forward and
-backward compute what its replay does, bit for bit.
 
 Members of a reversible run (``RevBlock``, ``RevDownsample``) take and
 return tuples of channel streams instead of single tensors: a ``RevBlock``
@@ -323,31 +313,34 @@ class Sequential(Layer):
         return self.layers
 
     def forward(self, x, tape=None, replay=False):
-        # a DF bottleneck tapes its middle group by group; planned whole, it
-        # tapes the same distinct bytes
-        if _is_df_bottleneck(self.layers) and not isinstance(x, Planned):
-            return _df_forward(self.layers, x, tape, replay)
         for l in self.layers:
             x = l.forward(x, tape=tape, replay=replay)
         return x
 
     def backward(self, gy, entries):
-        if isinstance(entries, VJPTape) and entries.gx is not None:
-            gx, entries.gx = entries.gx, None  # the replay ran the VJP
-            return gx
-        if _is_df_bottleneck(self.layers):
-            # the tape is x, then each group's [h, r, d]; pops the groups in
-            # forward order, as a VJPTape replay runs them
-            entries.reverse()
-            x, gx = entries.pop(), None
-            for g in _channel_groups(x, self.layers[0]):
-                gx = _add_into(gx, _df_group_vjp(self.layers, x, g, entries.pop(), gy))
-            return gx
         # pops each entry as its VJP runs, so a cached input is freed right
         # after its last use
         for l in reversed(self.layers):
             gy = l.backward(gy, entries.pop())
         return gy
+
+    def replay_vjp(self, gy, x, ys=None):
+        """Replay the chain on x onto a tape and walk it back for gy.
+
+        Returns (y - chain(x), dL/dx), popping y off ``ys``; y is dropped
+        before the tape is walked. Without ``ys`` the first item is None,
+        and a last layer that does not tape its output is not run: its
+        backward reads only its input.
+        """
+        tape, rest = [], None
+        if ys is None and not self.layers[-1].tapes_output:
+            tape.append(Sequential(self.layers[:-1]).forward(x, tape, replay=True))
+        else:
+            out = self.forward(x, tape, replay=True)
+            if ys is not None:
+                rest = ys.pop() - out
+            del out  # the tape alone holds what backward reads, so pops free it
+        return rest, self.backward(gy, tape)
 
 
 RESIDUAL_KINDS = ("basic", "bottleneck", "df_bottleneck")
@@ -384,7 +377,7 @@ def make_residual_fn(kind, width, *, rng, dtype, stride=1, c_in=None):
         ])
     if kind == "df_bottleneck":
         mid = 4 * width
-        return Sequential([
+        return DFBottleneck([
             Conv2d(c_in, mid, 1, stride=stride, rng=rng, dtype=dtype),
             BatchNorm2d(mid, dtype=dtype),
             ReLU(),
@@ -392,15 +385,6 @@ def make_residual_fn(kind, width, *, rng, dtype, stride=1, c_in=None):
             Conv2d(mid, width, 1, rng=rng, dtype=dtype),
         ])
     raise ConfigError(f"unknown residual kind {kind!r}")
-
-
-# -- the DF bottleneck, one channel group at a time (module docstring) ----------
-
-
-def _is_df_bottleneck(layers) -> bool:
-    """Whether a chain is make_residual_fn's DF bottleneck, by its structure."""
-    return ([type(l) for l in layers] == [Conv2d, BatchNorm2d, ReLU, DepthwiseConv2d, Conv2d]
-            and layers[0].k == layers[4].k == 1)
 
 
 def _channel_groups(x, conv1):
@@ -426,114 +410,115 @@ def _add_into(total, part):
     return total
 
 
-def _df_group(layers, x, g, mean, var, capture, keep):
-    """Channel group g of a DF bottleneck's middle on x, as a list.
+class DFBottleneck(Sequential):
+    """The DF bottleneck branch (conv1x1, BN, ReLU, dwconv3x3, conv1x1), whose
+    4x-wide middle runs one group of channels at a time.
 
-    [h, r, d] when ``keep``: the first conv's output rows, the ReLU's output
-    and the depthwise conv's, which a tape or a VJP reads. Else [d] alone,
-    h dropped after BN and r after the depthwise conv. BN reads the group's
-    statistics from ``mean[g]`` and ``var[g]``, or on a capture computes
-    them into there.
-    """
-    conv1, bn, _, dw, _ = layers
-    gamma, beta = bn.gamma.value[g], bn.beta.value[g]
-    h = ops.conv2d(x, conv1.w.value[g], conv1.stride)
-    if capture:
-        y, mean[g], var[g] = ops.batchnorm2d(h, gamma, beta, bn.eps)
-    else:
-        y, _, _ = ops.batchnorm2d(h, gamma, beta, bn.eps, stats=(mean[g], var[g]))
-    if not keep:
-        h = None
-    r = ops.relu(y)
-    del y
-    d = ops.depthwise_conv2d(r, dw.w.value[g])
-    return [h, r, d] if keep else [d]
-
-
-def _df_group_vjp(layers, x, g, group, gy):
-    """The VJP of a DF bottleneck's channel group g for gy: the group's share of dL/dx.
-
-    ``group`` is the group's [h, r, d], which this empties, so each array is
-    dropped after its last use. Writes only the group's slices of the
-    parameter gradients; BN reads the captured statistics.
-    """
-    conv1, bn, _, dw, conv2 = layers
-    mean, var = bn.saved_stats
-    gd, gw = ops.conv2d_vjp(group.pop(), conv2.w.value[:, g], gy, conv2.stride)
-    conv2.w.grad[:, g] += gw
-    r = group.pop()
-    gr, gw = ops.depthwise_conv2d_vjp(r, dw.w.value[g], gd)
-    dw.w.grad[g] += gw
-    del gd
-    gr = ops.relu_vjp(r, gr)
-    del r
-    gh, dgamma, dbeta = ops.batchnorm2d_vjp(group.pop(), bn.gamma.value[g], gr,
-                                            mean[g], var[g], bn.eps)
-    bn.gamma.grad[g] += dgamma
-    bn.beta.grad[g] += dbeta
-    del gr
-    gx, gw = ops.conv2d_vjp(x, conv1.w.value[g], gh, conv1.stride)
-    conv1.w.grad[g] += gw
-    return gx
-
-
-def _df_forward(layers, x, tape, replay):
-    """A DF bottleneck's forward, one channel group at a time.
-
-    Each group adds its conv2 share into the output, so no array wider than
-    a group exists; a capture forward takes BN's statistics group by group.
-    Untaped, a group's arrays are dropped as soon as they are read. A list
-    tape gets x, then each group's [h, r, d]. A ``VJPTape`` runs each
-    group's VJP right after replaying it and sums dL/dx into ``gx``.
-    """
-    conv1, bn, _, _, conv2 = layers
-    if replay:
-        mean, var = bn.replayed_stats()
-    else:
-        mean, var = (np.empty(bn.c, np.result_type(x, conv1.w.value)) for _ in range(2))
-    vjp = isinstance(tape, VJPTape)
-    if tape is not None and not vjp:
-        tape.append(x)
-    out = None
-    for g in _channel_groups(x, conv1):
-        group = _df_group(layers, x, g, mean, var, capture=not replay, keep=tape is not None)
-        out = _add_into(out, ops.conv2d(group[-1], conv2.w.value[:, g], conv2.stride))
-        if vjp:
-            tape.gx = _add_into(tape.gx, _df_group_vjp(layers, x, g, group, tape.gy))
-        elif tape is not None:
-            tape.append(group)
-        del group
-    if not replay:
-        bn.capture(mean, var)
-    return out
-
-
-class VJPTape(list):
-    """The tape of a replay that already knows its output's cotangent ``gy``.
-
-    ``Sequential.forward(x, tape=VJPTape(gy), replay=True)`` on a DF
-    bottleneck backpropagates each channel group right after replaying it
-    and keeps dL/dx as ``gx``, taping nothing; any other chain tapes into it
-    as into a list. ``Sequential.backward(gy, tape)`` then returns that
-    dL/dx, or walks the tape.
+    Everything between the two 1x1 convs is per channel. So a forward runs,
+    group by group, the group's rows of the first conv, BN on the group's
+    statistics (captured group by group), ReLU, the depthwise conv, and the
+    group's columns of the last conv, whose share adds into the output.
+    Groups are as few as keep each group's array within the larger of x's
+    bytes and ``ops.FLAT_SHIFT_BYTES``. Untaped, a forward keeps nothing of
+    a group; taped, it tapes x and then each group's [h, r, d], which
+    ``backward`` pops group by group. ``replay_vjp`` runs each group's VJP
+    right after replaying it. So no mode holds a 4x-wide array, and a stored
+    branch computes what its replay does, bit for bit. A ``Planned`` x is
+    planned by the plain chain, the middle whole: the same distinct bytes.
     """
 
-    def __init__(self, gy):
-        super().__init__()
-        self.gy, self.gx = gy, None
+    def forward(self, x, tape=None, replay=False):
+        if isinstance(x, Planned):
+            return super().forward(x, tape, replay=replay)
+        conv1, bn, _, _, conv2 = self.layers
+        if replay:
+            mean, var = bn.replayed_stats()
+        else:
+            mean, var = (np.empty(bn.c, np.result_type(x, conv1.w.value)) for _ in range(2))
+        if tape is not None:
+            tape.append(x)
+        out = None
+        for g in _channel_groups(x, conv1):
+            group = self._group(x, g, mean, var, capture=not replay, keep=tape is not None)
+            out = _add_into(out, ops.conv2d(group[-1], conv2.w.value[:, g], conv2.stride))
+            if tape is not None:
+                tape.append(group)
+            del group
+        if not replay:
+            bn.capture(mean, var)
+        return out
 
+    def backward(self, gy, entries):
+        # the tape is x, then each group's [h, r, d]; pops the groups in
+        # forward order, as replay_vjp runs them
+        entries.reverse()
+        x, gx = entries.pop(), None
+        for g in _channel_groups(x, self.layers[0]):
+            gx = _add_into(gx, self._group_vjp(x, g, entries.pop(), gy))
+        return gx
 
-def _rebuild_and_vjp(branch, x, gy, ys):
-    """Pop y off ``ys``; return y - branch(x) and the branch's dL/dx at x for gy.
+    def replay_vjp(self, gy, x, ys=None):
+        """``Sequential.replay_vjp``, each group's VJP run right after its
+        replay; without ``ys`` no group's last conv runs."""
+        conv2 = self.layers[4]
+        mean, var = self.layers[1].replayed_stats()
+        out = gx = None
+        for g in _channel_groups(x, self.layers[0]):
+            group = self._group(x, g, mean, var, capture=False, keep=True)
+            if ys is not None:
+                out = _add_into(out, ops.conv2d(group[-1], conv2.w.value[:, g], conv2.stride))
+            gx = _add_into(gx, self._group_vjp(x, g, group, gy))
+            del group
+        return (None if ys is None else ys.pop() - out), gx
 
-    The branch is replayed on its captured statistics onto a ``VJPTape``. A
-    DF bottleneck runs its VJP within the replay, group by group, and needs
-    y until its whole output is summed. Any other branch tapes the replay,
-    drops y, and then walks the tape backward.
-    """
-    tape = VJPTape(gy)
-    x_rec = ys.pop() - branch.forward(x, tape=tape, replay=True)
-    return x_rec, branch.backward(gy, tape)
+    def _group(self, x, g, mean, var, capture, keep):
+        """Channel group g of the middle on x, as a list.
+
+        [h, r, d] when ``keep``: the first conv's output rows, the ReLU's
+        output and the depthwise conv's, which a tape or a VJP reads. Else
+        [d] alone, h dropped after BN and r after the depthwise conv. BN
+        reads the group's statistics from ``mean[g]`` and ``var[g]``, or on
+        a capture computes them into there.
+        """
+        conv1, bn, _, dw, _ = self.layers
+        gamma, beta = bn.gamma.value[g], bn.beta.value[g]
+        h = ops.conv2d(x, conv1.w.value[g], conv1.stride)
+        if capture:
+            y, mean[g], var[g] = ops.batchnorm2d(h, gamma, beta, bn.eps)
+        else:
+            y, _, _ = ops.batchnorm2d(h, gamma, beta, bn.eps, stats=(mean[g], var[g]))
+        if not keep:
+            h = None
+        r = ops.relu(y)
+        del y
+        d = ops.depthwise_conv2d(r, dw.w.value[g])
+        return [h, r, d] if keep else [d]
+
+    def _group_vjp(self, x, g, group, gy):
+        """The VJP of channel group g for gy: the group's share of dL/dx.
+
+        ``group`` is the group's [h, r, d], which this empties, so each array
+        is dropped after its last use. Writes only the group's slices of the
+        parameter gradients; BN reads the captured statistics.
+        """
+        conv1, bn, _, dw, conv2 = self.layers
+        mean, var = bn.saved_stats
+        gd, gw = ops.conv2d_vjp(group.pop(), conv2.w.value[:, g], gy, conv2.stride)
+        conv2.w.grad[:, g] += gw
+        r = group.pop()
+        gr, gw = ops.depthwise_conv2d_vjp(r, dw.w.value[g], gd)
+        dw.w.grad[g] += gw
+        del gd
+        gr = ops.relu_vjp(r, gr)
+        del r
+        gh, dgamma, dbeta = ops.batchnorm2d_vjp(group.pop(), bn.gamma.value[g], gr,
+                                                mean[g], var[g], bn.eps)
+        bn.gamma.grad[g] += dgamma
+        bn.beta.grad[g] += dbeta
+        del gr
+        gx, gw = ops.conv2d_vjp(x, conv1.w.value[g], gh, conv1.stride)
+        conv1.w.grad[g] += gw
+        return gx
 
 
 class ResidualBlock(Layer):
@@ -565,18 +550,12 @@ class ResidualBlock(Layer):
     def backward(self, gy, entry):
         x, sub = entry
         gx = self.branch.backward(gy, sub)
-        if self.proj is None:
-            gx = gx + gy
-        else:
-            gx = gx + self.proj.backward(gy, x)
-        return gx
+        return gx + (gy if self.proj is None else self.proj.backward(gy, x))
 
     def backward_from_input(self, gy, x):
-        # checkpoint style: replay the branch from the cached input, taping
-        # it (a DF bottleneck runs its VJP group by group within the replay)
-        sub = VJPTape(gy)
-        self.branch.forward(x, tape=sub, replay=True)
-        return self.backward(gy, (x, sub))
+        # checkpoint style: replay the branch from the cached input
+        gx = self.branch.replay_vjp(gy, x)[1]
+        return gx + (gy if self.proj is None else self.proj.backward(gy, x))
 
 
 class RevBlock(Layer):
@@ -631,16 +610,14 @@ class RevBlock(Layer):
         x2 is rebuilt and gy1 once gz1 is formed. Runs in the order of
         RevNet's Algorithm 1 (Gomez et al. 2017): G is replayed and
         backpropagated before F is replayed, so at most one branch's
-        arrays are alive at a time. A basic or bottleneck branch rebuilds
-        its tape and walks it back; a DF bottleneck fuses its replay and
-        VJP one channel group at a time, and keeps y2 until its output is
-        summed. Returns the input pair and its cotangent as new lists.
+        arrays are alive at a time. Returns the input pair and its
+        cotangent as new lists.
         """
         gy2, gy1 = gy.pop(), gy.pop()
-        x2, g = _rebuild_and_vjp(self.g, y[0], gy2, y)  # pops y2
+        x2, g = self.g.replay_vjp(gy2, y[0], y)  # pops y2
         gz1 = gy1 + g
         del gy1, g
-        x1, f = _rebuild_and_vjp(self.f, x2, gz1, y)  # pops y1
+        x1, f = self.f.replay_vjp(gz1, x2, y)  # pops y1
         return [x1, x2], [gz1, gy2 + f]
 
 

@@ -20,7 +20,12 @@ _SIN_FLOOR = 1e-12  # keeps the margin chain rule finite for aligned pairs
 
 def aam_softmax_loss(embeddings: np.ndarray, labels: np.ndarray, weights: np.ndarray,
                      margin: float = 0.2, scale: float = 32.0):
-    """Returns (loss, dL/dembeddings, dL/dweights)."""
+    """Returns (loss, dL/dembeddings, dL/dweights).
+
+    Labels must be integers in [0, K). An empty batch, or an all-zero
+    embedding row or weight column, whose direction is undefined, is
+    rejected.
+    """
     if embeddings.ndim != 2:
         raise ShapeError(f"embeddings must be (n, d), got {embeddings.shape}")
     if weights.ndim != 2 or weights.shape[0] != embeddings.shape[1]:
@@ -36,15 +41,22 @@ def aam_softmax_loss(embeddings: np.ndarray, labels: np.ndarray, weights: np.nda
         raise ValueError(f"margin must lie in [0, pi/2), got {margin}")
     n, d = embeddings.shape
     k = weights.shape[1]
+    if n == 0:
+        raise ShapeError(f"batch is empty: embeddings have shape {embeddings.shape}")
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ShapeError(f"labels must be ({n},), got {labels.shape}")
+    if labels.dtype.kind not in "iu":  # a bool array would index as a mask
+        raise ConfigError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"labels must lie in [0, {k}), got range "
                          f"[{labels.min()}, {labels.max()}]")
 
     e_norm = np.linalg.norm(embeddings, axis=1, keepdims=True)
     w_norm = np.linalg.norm(weights, axis=0, keepdims=True)
+    for what, norm in (("embedding row", e_norm), ("weight column", w_norm)):
+        if not norm.all():  # its direction, and so the loss, is undefined
+            raise ConfigError(f"{what} {np.flatnonzero(norm == 0)[0]} has zero norm")
     e = embeddings / e_norm
     w = weights / w_norm
     cos = e @ w  # (n, K)

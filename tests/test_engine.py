@@ -838,6 +838,36 @@ class TestSegments:
         assert len(grads[False]) == len(grads[True]) > 0
         assert all(np.array_equal(a, b) for a, b in zip(grads[False], grads[True]))
 
+        # a ResidualBlock's checkpoint replays its branch by the same rule:
+        # a basic branch skips its last conv, and a DF branch, here in three
+        # channel groups, every group's share of it; dL/dx and every
+        # gradient equal the taped backward's
+        x = rng.standard_normal((2, 8, 6, 5))
+        gy = rng.standard_normal(x.shape)
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 12 * 2 * 6 * 5 * x.itemsize)
+        conv2d, weights = ops.conv2d, []
+        monkeypatch.setattr(ops, "conv2d", lambda x, w, *a: weights.append(w) or conv2d(x, w, *a))
+        for kind, groups in (("basic", 1), ("df_bottleneck", 3)):
+            block = ResidualBlock(kind, 8, 8, rng=rng, dtype=np.float64)
+            last = block.branch.layers[-1].w.value
+            tape = []
+            block.forward(x, tape=tape)
+            taped = [w is last or w.base is last for w in weights]
+            assert sum(taped) == groups
+            for p in block.params():
+                p.zero_grad()
+            gx_taped = block.backward(gy, tape[0])
+            ref = [p.grad.copy() for p in block.params()]
+            for p in block.params():
+                p.zero_grad()
+            weights.clear()
+            np.testing.assert_array_equal(block.backward_from_input(gy, x), gx_taped)
+            assert len(weights) == len(taped) - groups
+            assert not any(w is last or w.base is last for w in weights)
+            for p, want in zip(block.params(), ref):
+                np.testing.assert_array_equal(p.grad, want)
+            weights.clear()
+
     @pytest.mark.parametrize("mode", MODES)
     def test_downsampler_plan_raises_the_run_message(self, rng, mode):
         net = WALK_NETS["downsampler-only-run"]()[0]

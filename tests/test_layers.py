@@ -9,8 +9,10 @@ from revmem.layers import (
     BatchNorm2d,
     Conv2d,
     DepthwiseConv2d,
+    DFBottleneck,
     ReLU,
     ResidualBlock,
+    Sequential,
     make_residual_fn,
 )
 
@@ -94,6 +96,31 @@ class TestReluTape:
             np.testing.assert_array_equal(r, np.maximum(y, 0))
             np.testing.assert_array_equal(d, ops.depthwise_conv2d(r, dw.w.value[g]))
         assert len({id(a) for e in tape[1:] for a in e}) == 3 * len(groups)
+
+    def test_only_a_df_bottleneck_tapes_groups(self, rng, monkeypatch):
+        # a hand-built chain of the DF branch's five layer types is a plain
+        # chain, one tape entry per layer; only make_residual_fn's
+        # DFBottleneck tapes x followed by each group's list
+        rng_w = np.random.default_rng(0)
+        chain = Sequential([
+            Conv2d(8, 32, 1, rng=rng_w, dtype=np.float64),
+            BatchNorm2d(32, dtype=np.float64),
+            ReLU(),
+            DepthwiseConv2d(32, 3, rng=rng_w, dtype=np.float64),
+            Conv2d(32, 8, 1, rng=rng_w, dtype=np.float64),
+        ])
+        df = branch("df_bottleneck")
+        assert type(chain) is Sequential and isinstance(df, DFBottleneck)
+        x = rng.normal(size=(2, 8, 6, 5))
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 12 * 2 * 6 * 5 * x.itemsize)
+        tape = []
+        chain.forward(x, tape=tape)
+        assert len(tape) == len(chain.layers) and tape[0] is x
+        assert all(isinstance(e, np.ndarray) for e in tape)
+        tape = []
+        df.forward(x, tape=tape)
+        assert tape[0] is x and len(tape) == 1 + len(layers._channel_groups(x, df.layers[0])) == 4
+        assert all(isinstance(e, list) and len(e) == 3 for e in tape[1:])
 
 
 class TestZeroBranch:

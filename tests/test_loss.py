@@ -111,3 +111,27 @@ class TestProperties:
         phi = -1.0 - margin * math.sin(margin)
         assert phi < math.cos(math.pi + margin)  # cos(theta + m) would turn back up
         assert loss == pytest.approx(np.logaddexp(scale * phi, 0.0) - scale * phi, rel=1e-12)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("labels", [np.array([0.0, 1.0]), np.array([False, True])],
+                             ids=["float", "bool"])
+    def test_non_integer_labels_are_config_errors(self, rng, labels):
+        with pytest.raises(ConfigError, match="labels must be integers"):
+            aam_softmax_loss(rng.normal(size=(2, 4)), labels, rng.normal(size=(4, 3)))
+
+    def test_empty_batch_is_shape_error(self, rng):
+        with pytest.raises(ShapeError, match="empty"):
+            aam_softmax_loss(np.zeros((0, 4)), np.zeros(0, np.int64), rng.normal(size=(4, 3)))
+
+    def test_zero_embedding_row_is_config_error(self, rng):
+        emb = rng.normal(size=(3, 4))
+        emb[1] = 0.0
+        with pytest.raises(ConfigError, match="embedding row 1 has zero norm"):
+            aam_softmax_loss(emb, np.array([0, 1, 2]), rng.normal(size=(4, 3)))
+
+    def test_zero_weight_column_is_config_error(self, rng):
+        w = rng.normal(size=(4, 3))
+        w[:, 2] = 0.0
+        with pytest.raises(ConfigError, match="weight column 2 has zero norm"):
+            aam_softmax_loss(rng.normal(size=(3, 4)), np.array([0, 1, 2]), w)

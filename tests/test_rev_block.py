@@ -9,7 +9,7 @@ import pytest
 from revmem import layers, ops
 from revmem.errors import StateError
 from revmem.layers import (
-    Param, ResidualBlock, RevBlock, RevDownsample, Sequential, VJPTape, make_residual_fn,
+    DFBottleneck, Param, ResidualBlock, RevBlock, RevDownsample, Sequential, make_residual_fn,
 )
 
 from conftest import central_diff_proj, mixed_err, scaled_err
@@ -350,11 +350,9 @@ class TestGroupedDFBranch:
             stats = [a.copy() for a in bn.saved_stats]
             for p in branch.params():
                 p.zero_grad()
-            tape = VJPTape(gy)
-            replayed = branch.forward(x, tape=tape, replay=True)
-            gx = branch.backward(gy, tape)
+            rest, gx = branch.replay_vjp(gy, x, [out])
             taped = branch.forward(x, tape=[], replay=True)
-            np.testing.assert_array_equal(replayed, out)
+            np.testing.assert_array_equal(rest, np.zeros_like(out))
             np.testing.assert_array_equal(taped, out)
             return out, gx, stats, [p.grad.copy() for p in branch.params()]
 
@@ -385,8 +383,8 @@ class TestGroupedDFBranch:
         taped = 0
         if site == "rev_block":
             branch = df_branch(8, np.float32)
-            branch.forward(x)
-            run, narrow = (lambda: branch.forward(x, tape=VJPTape(gy), replay=True)), 2
+            y = branch.forward(x)
+            run, narrow = (lambda: branch.replay_vjp(gy, x, [y])), 2
         elif site == "checkpoint":
             block = ResidualBlock("df_bottleneck", 8, 8, rng=rng, dtype=np.float32)
             block.forward(x)
@@ -443,9 +441,9 @@ class TestGroupedDFBranch:
         ref = [p.grad.copy() for p in branch.params()]
         for p in branch.params():
             p.zero_grad()
-        vjp = VJPTape(gy)
-        np.testing.assert_array_equal(branch.forward(x, tape=vjp, replay=True), out)
-        np.testing.assert_array_equal(branch.backward(gy, vjp), gx)
+        rest, gx_fused = branch.replay_vjp(gy, x, [out])
+        np.testing.assert_array_equal(rest, np.zeros_like(out))
+        np.testing.assert_array_equal(gx_fused, gx)
         for p, want in zip(branch.params(), ref):
             np.testing.assert_array_equal(p.grad, want)
 
@@ -470,23 +468,28 @@ class TestGroupedDFBranch:
         for p, want in zip(block.params(), ref):
             assert scaled_err(p.grad, want) <= tol
 
-    def test_replays_are_sequential_forwards(self, rng, monkeypatch):
-        # a fused replay and VJP is still a branch's Sequential.forward with
-        # replay=True, once per replayed branch: in a RevBlock's backward (G,
-        # then F) and in a ResidualBlock's checkpoint backward
+    def test_every_branch_replay_is_one_replay_vjp(self, rng, monkeypatch):
+        # a RevBlock's backward replays G, then F, each with one replay_vjp
+        # call that pops its y; a ResidualBlock's checkpoint backward replays
+        # its branch with one call and no ys, for a plain and a DF chain alike
         calls = []
-        forward = Sequential.forward
 
-        def spy(self, x, tape=None, replay=False):
-            calls.append(replay)
-            return forward(self, x, tape=tape, replay=replay)
+        def spy(replay_vjp):
+            def call(self, gy, x, ys=None):
+                calls.append((self, ys is not None))
+                return replay_vjp(self, gy, x, ys)
 
-        monkeypatch.setattr(Sequential, "forward", spy)
-        blk, _ = make_block("df_bottleneck")
-        y = list(blk.forward(ops.channel_split(rng.normal(size=(2, 8, 8, 6)))))
-        blk.rev_backward(y, list(ops.channel_split(rng.normal(size=(2, 8, 8, 6)))))
-        block = ResidualBlock("df_bottleneck", 8, 8, rng=rng, dtype=np.float64)
-        x = rng.normal(size=(2, 8, 8, 6))
-        block.forward(x)
-        block.backward_from_input(rng.normal(size=x.shape), x)
-        assert calls == [False, False, True, True, False, True]
+            return call
+
+        for cls in (Sequential, DFBottleneck):
+            monkeypatch.setattr(cls, "replay_vjp", spy(vars(cls)["replay_vjp"]))
+        for kind in ("basic", "df_bottleneck"):
+            calls.clear()
+            blk, _ = make_block(kind)
+            y = list(blk.forward(ops.channel_split(rng.normal(size=(2, 8, 8, 6)))))
+            blk.rev_backward(y, list(ops.channel_split(rng.normal(size=(2, 8, 8, 6)))))
+            block = ResidualBlock(kind, 8, 8, rng=rng, dtype=np.float64)
+            x = rng.normal(size=(2, 8, 8, 6))
+            block.forward(x)
+            block.backward_from_input(rng.normal(size=x.shape), x)
+            assert calls == [(blk.g, True), (blk.f, True), (block.branch, False)]
