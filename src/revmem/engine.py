@@ -1,28 +1,27 @@
 """Dual-mode network execution and the byte-exact memory ledger.
 
-A network is a flat sequence of layers. Consecutive reversible layers
-(coupling blocks and rearrangement downsamplers) form *reversible runs*.
-Plain layers take and return tensors. Run members take and return tuples of
-channel streams: the engine hands a run's tensor to its members as one
-stream, splits it into the pair (x1, x2) once, at the run's first coupling
-block, and concatenates the pair once, at the run's end. Backward walks a
-run with the same split point.
+A network is a flat sequence of layers, grouped into *units*, each one
+layer object (``net.units``). Consecutive reversible layers (coupling
+blocks and rearrangement downsamplers) form a ``RevRun``, which owns its
+split point: it hands its tensor to its members as one stream, splits it
+into the pair (x1, x2) once, at its first coupling block, and concatenates
+the pair once, at its end. Consecutive plain primitives (childless,
+non-reversible layers: a conv stage's conv, batch norm and ReLU, the
+pooling and the fc) form a *segment*, one ``Sequential``. A composite
+layer (a ``ResidualBlock``) is a unit of its own.
 
-Consecutive plain primitives (childless, non-reversible layers: a conv
-stage's conv, batch norm and ReLU, the pooling and the fc) form *segments*.
-
-Stored mode caches every primitive's input on a tape, a ReLU's output in
-place of its input, and walks it backward; a whole segment or run keeps one
-list of tape entries. Reversible mode caches only the input of each segment
-and of each composite layer (a ``ResidualBlock``), the final output of each
-reversible run, and per-batch-norm statistics. Its backward replays a
-segment from the saved input with ``Sequential.replay_vjp``, as a
-``ResidualBlock`` replays its branch: segment checkpointing (Chen et al.
-2016). Gradients inside a run are computed by reconstructing block inputs
-from block outputs, back to the run's first coupling block; downsamplers
-ahead of it need only the cotangent. Both
-modes accumulate gradients into the same Param objects and must agree to
-rounding error; a replay computes what the forward did, bit for bit.
+Stored mode gives each unit its own tape, on which every primitive caches
+its input (a ReLU its output), and calls the unit's ``backward``, which
+pops it. Reversible mode caches only the input of each segment and
+composite, the output of each run, and per-batch-norm statistics. Its
+backward calls ``backward_from_input``, which replays a segment or a
+``ResidualBlock``'s branch from the saved input with
+``Sequential.replay_vjp``: segment checkpointing (Chen et al. 2016); or a
+run's ``backward_from_output``, which reconstructs block inputs from block
+outputs, back to the run's first coupling block; downsamplers ahead of it
+need only the cotangent. Both modes accumulate gradients into the same
+Param objects and must agree to rounding error; a replay computes what the
+forward did, bit for bit.
 
 ``walk`` runs the units forward on arrays or, to plan, on ``Planned`` ones.
 The ledger counts semantic bytes only (element count times scalar width);
@@ -38,9 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, StateError
-from .layers import Param, Planned, RevBlock, Sequential
+from .layers import Param, Planned, RevRun, Sequential
 from .optim import optimizer_state_nbytes
-from . import ops
 
 MODES = ("stored", "reversible")
 
@@ -128,34 +126,34 @@ class Network:
 
 
 def _group_units(layers):
-    """Group the layers into units, in order.
-
-    ("run", [i..]) is a maximal run of reversible layers, ("segment", [i..])
-    a maximal run of plain primitives (childless, non-reversible layers) and
-    ("layer", i) a composite layer, such as a ResidualBlock.
+    """Group the layers into units, in order: a ``RevRun`` for each maximal
+    run of reversible layers, a ``Sequential`` for each maximal run of plain
+    primitives (childless, non-reversible layers), and each composite layer,
+    such as a ``ResidualBlock``, as itself.
     """
-    units = []
-    for i, layer in enumerate(layers):
-        kind = "run" if layer.reversible else "layer" if layer.children() else "segment"
-        if kind != "layer" and units and units[-1][0] == kind:
-            units[-1][1].append(i)
+    groups = []  # (unit class, members); None for a composite
+    for layer in layers:
+        kind = RevRun if layer.reversible else None if layer.children() else Sequential
+        if kind is not None and groups and groups[-1][0] is kind:
+            groups[-1][1].append(layer)
         else:
-            units.append((kind, i if kind == "layer" else [i]))
-    return units
+            groups.append((kind, [layer]))
+    return [members[0] if kind is None else kind(members) for kind, members in groups]
 
 
 class SavedStore:
     """Per-step cache of tensors retained for backward, or of planned arrays.
 
-    Stored mode keeps one entry per unit: a composite layer's tape, or one
-    list of tape entries for a whole segment or reversible run. Reversible
+    ``entries`` holds one payload per item of ``net.units``. Stored mode
+    keeps each unit's own tape, which the unit's ``backward`` pops. Reversible
     mode keeps one array per unit: the input of a segment or a composite
-    layer, and the output of a reversible run. Batch statistics live on the
-    batch-norm layers and are booked as workspace, not activations. The
-    output's shape and dtype are kept to check the cotangent that
-    run_backward receives. ``walk`` on a ``Planned`` input runs the same
-    forwards, which fill a store with ``Planned`` arrays in the same places,
-    and ``ledger_plan`` counts them.
+    layer, which its ``backward_from_input`` replays from, and the output of
+    a ``RevRun``, which its ``backward_from_output`` rebuilds the run's
+    inputs from. Batch statistics live on the batch-norm layers and are
+    booked as workspace, not activations. The output's shape and dtype are
+    kept to check the cotangent that run_backward receives. ``walk`` on a
+    ``Planned`` input runs the same forwards, which fill a store with
+    ``Planned`` arrays in the same places, and ``ledger_plan`` counts them.
 
     run_backward releases the store as it walks it: it pops each entry, and
     each tape entry inside it, as that entry's VJP runs, so no array is held
@@ -182,7 +180,7 @@ class SavedStore:
         until the cyclic garbage collector runs.
         """
         seen = {}
-        stack = [payload for _, _, payload in reversed(self.entries)]
+        stack = self.entries[::-1]
         while stack:
             obj = stack.pop()
             if isinstance(obj, (list, tuple)):
@@ -198,32 +196,6 @@ class SavedStore:
         return self._tensors
 
 
-def _run_head(net: Network, idxs):
-    """Index of a run's first coupling block, where its tensor splits into a pair.
-
-    Downsamplers ahead of it rearrange the whole tensor, whose channel count
-    may be odd. None when the run has no coupling block.
-    """
-    return next((i for i in idxs if isinstance(net.layers[i], RevBlock)), None)
-
-
-def _split(x):
-    """A run head's split of x into a pair, planned when x is ``Planned``."""
-    if not isinstance(x, Planned):
-        return ops.channel_split(x)
-    n, c, f, t = x.shape
-    return Planned((n, c // 2, f, t)), Planned((n, c - c // 2, f, t))
-
-
-def _join(streams):
-    if len(streams) == 1:
-        return streams[0]
-    if not isinstance(streams[0], Planned):
-        return ops.channel_concat(*streams)
-    n, _, f, t = streams[0].shape
-    return Planned((n, sum(s.shape[1] for s in streams), f, t))
-
-
 def walk(net: Network, x, mode: str):
     """Run the network's units on x in `mode`, returning (output, SavedStore).
 
@@ -232,30 +204,14 @@ def walk(net: Network, x, mode: str):
     a real one holds an array. Callers check x.
     """
     store = SavedStore(net, mode)
-    for kind, idxs in net.units:
+    xs, x = [x], None  # xs alone holds the current array, so a run's split can free it
+    for unit in net.units:
         tape = [] if mode == "stored" else None
-        if kind == "layer":
-            y = net.layers[idxs].forward(x, tape=tape)
-            store.entries.append(("layer", idxs, tape) if tape is not None
-                                 else ("input", idxs, x))
-            x = y
-            del y  # x alone holds the output, so a run's split can drop it
-        elif kind == "segment":  # one tape for all its primitives, or its input
-            store.entries.append(("segment", idxs, tape) if tape is not None
-                                 else ("segment_in", idxs, x))
-            for i in idxs:
-                x = net.layers[i].forward(x, tape=tape)
-        else:  # reversible run: split once at its head, concat once at its end
-            head = _run_head(net, idxs)
-            xs, x = (x,), None  # the split frees the run's input unless it is saved
-            for i in idxs:
-                if i == head:
-                    xs = _split(xs[0])
-                xs = net.layers[i].forward(xs, tape=tape)
-            x = _join(xs)
-            store.entries.append(("run", idxs, tape) if tape is not None
-                                 else ("run_out", idxs, x))
-    return x, store
+        # a run's entry is its output, known once it has run
+        entry = tape if tape is not None or unit.reversible else xs[0]
+        xs.append(unit.forward(xs.pop(), tape=tape))
+        store.entries.append(xs[0] if entry is None else entry)
+    return xs.pop(), store
 
 
 def run_forward(net: Network, batch: np.ndarray, mode: str):
@@ -295,8 +251,8 @@ def run_backward(net: Network, store: SavedStore, g_out: np.ndarray, mode: str):
     """Walk the network backward, accumulating gradients into every Param.
 
     Releases the store as it walks: each entry, and each tape entry inside
-    it, is popped as its VJP runs, and the saved output and the cotangent of
-    a run are dropped once split, so every cached array is freed after its
+    it, is popped as its VJP runs, and a run drops its saved output and its
+    cotangent once it splits them, so every cached array is freed after its
     last use. The store keeps its byte and tensor counts. Returns the
     cotangent of the network input.
     """
@@ -317,41 +273,14 @@ def run_backward(net: Network, store: SavedStore, g_out: np.ndarray, mode: str):
         )
     store.consumed = True
 
-    g = g_out
-    while store.entries:
-        kind, idx, payload = store.entries.pop()
-        if kind == "layer":
-            g = net.layers[idx].backward(g, payload.pop())
-        elif kind == "input":
-            g = net.layers[idx].backward_from_input(g, payload)
-        elif kind == "segment":
-            g = Sequential([net.layers[i] for i in idx]).backward(g, payload)
-        elif kind == "segment_in":  # replay from the saved input
-            g = Sequential([net.layers[i] for i in idx]).replay_vjp(g, payload)[1]
-        else:  # reversible run, walked with the same split point as forward
-            head = _run_head(net, idx)
-            gs = [g] if head is None else list(ops.channel_split(g))
-            g = None  # gs now holds the cotangent; keep no second reference
-            if kind == "run":
-                for i in reversed(idx):
-                    gs = net.layers[i].backward(gs, payload.pop())
-                    if i == head:
-                        gs = (_join(gs),)
-            else:  # run_out: rebuild inputs from outputs back to the head; the
-                # downsamplers ahead of it need only the cotangent
-                # rev_backward empties the lists it is given, so each
-                # stream is freed after its last use
-                ys = None if head is None else list(ops.channel_split(payload))
-                payload = None  # only ys is read from here on
-                for i in reversed(idx):
-                    if ys is None:
-                        gs = net.layers[i].backward(gs)
-                    else:
-                        ys, gs = net.layers[i].rev_backward(ys, gs)
-                    if i == head:
-                        ys, gs = None, (_join(gs),)
-            g = gs[0]
-    return g
+    gs = [g_out]  # handed over by pop, so a run's split can free the cotangent
+    for unit in reversed(net.units):
+        if mode == "stored":
+            backward = unit.backward
+        else:
+            backward = unit.backward_from_output if unit.reversible else unit.backward_from_input
+        gs.append(backward(gs.pop(), store.entries.pop()))
+    return gs.pop()
 
 
 # -- analytic ledger -------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Layer objects: parameters, primitives, residual branches, reversible blocks.
+"""Layer objects: parameters, primitives, residual branches, reversible blocks and runs.
 
 Execution protocol (used by the engine):
 
@@ -10,9 +10,11 @@ Execution protocol (used by the engine):
   instead of recomputing them, and suppresses running-stat updates. A
   primitive's ``forward`` is ``Layer.forward``, around its ``_apply`` (the
   op call) and ``_shape`` (the output shape, checked).
-* ``backward(gy, entry)`` consumes that tape entry, accumulates parameter
-  gradients, and returns the input cotangent. A ``Sequential`` pops its
-  entries as it walks them, so each cached input is freed after its last
+* ``backward(gy, entry)`` of a primitive or a ``RevBlock`` consumes that
+  tape entry, accumulates parameter gradients, and returns the input
+  cotangent. A chain (``Sequential``, ``RevRun``) and a ``ResidualBlock``
+  take the tape itself, ``backward(gy, entries)``, and pop their entries
+  off it as they walk them, so each cached input is freed after its last
   use and the tape is empty afterwards.
 * A ``ReLU`` tapes its output, not its input: ``y > 0`` exactly where
   ``x > 0``, so the mask is the same. The layer that takes ``y`` next
@@ -28,10 +30,16 @@ Execution protocol (used by the engine):
   from x on the captured statistics and backpropagates gy, returning
   ``(y - chain(x), dL/dx)`` with y popped off ``ys``, or None and dL/dx
   without ``ys``, when work that only y would read is skipped.
-  ``RevBlock.rev_backward``, ``ResidualBlock.backward_from_input`` and the
-  engine's segment checkpoints replay every chain this way; a
-  ``DFBottleneck`` runs its VJP one channel group at a time within the
-  replay.
+  ``RevBlock.rev_backward`` and every ``backward_from_input`` replay
+  each chain this way; a ``DFBottleneck`` runs its VJP one channel group
+  at a time within the replay.
+* The engine runs a network as *units*, each one layer: a ``RevRun``, a
+  ``Sequential`` segment of plain primitives, or a ``ResidualBlock``. In
+  stored mode it calls a unit's ``backward`` on the unit's own tape. In
+  reversible mode it saves a unit's input and calls
+  ``backward_from_input(gy, x)``, which replays the unit from x, or saves a
+  ``RevRun``'s output and calls ``backward_from_output(gy, y)``, which
+  rebuilds the run's inputs from y.
 * ``children()`` lists a composite's sublayers, over which ``params()``,
   ``stat_nbytes()`` and ``stat_elems()`` sum by default.
 
@@ -39,11 +47,13 @@ Members of a reversible run (``RevBlock``, ``RevDownsample``) take and
 return tuples of channel streams instead of single tensors: a ``RevBlock``
 works on the pair ``(x1, x2)``, and a ``RevDownsample`` rearranges each
 stream it is given, one stream ahead of the run's first block and two after
-it. ``RevBlock.inverse(y)`` reconstructs the inputs from the outputs, and
-``rev_backward(y, gy)`` does so and runs the coupled chain rule, so no
-forward activation of the block is ever read. ``rev_backward`` alone takes
-lists instead of tuples: it empties them, so each stream is freed after its
-last use, and returns new lists.
+it. The ``RevRun`` that holds them splits its tensor into the pair at its
+first block and joins the pair at its end. ``RevBlock.inverse(y)``
+reconstructs the inputs from the outputs, and ``rev_backward(y, gy)`` does
+so and runs the coupled chain rule, so no forward activation of the block
+is ever read. ``rev_backward`` alone takes lists instead of tuples: it
+empties them, so each stream is freed after its last use, and returns new
+lists.
 """
 
 from __future__ import annotations
@@ -342,6 +352,10 @@ class Sequential(Layer):
             del out  # the tape alone holds what backward reads, so pops free it
         return rest, self.backward(gy, tape)
 
+    def backward_from_input(self, gy, x):
+        # checkpoint style: replay the chain from its saved input
+        return self.replay_vjp(gy, x)[1]
+
 
 RESIDUAL_KINDS = ("basic", "bottleneck", "df_bottleneck")
 
@@ -547,23 +561,23 @@ class ResidualBlock(Layer):
             tape.append((x, sub))
         return y + skip
 
-    def backward(self, gy, entry):
-        x, sub = entry
+    def backward(self, gy, entries):
+        x, sub = entries.pop()
         gx = self.branch.backward(gy, sub)
         return gx + (gy if self.proj is None else self.proj.backward(gy, x))
 
     def backward_from_input(self, gy, x):
         # checkpoint style: replay the branch from the cached input
-        gx = self.branch.replay_vjp(gy, x)[1]
+        gx = self.branch.backward_from_input(gy, x)
         return gx + (gy if self.proj is None else self.proj.backward(gy, x))
 
 
 class RevBlock(Layer):
     """Additive-coupling block on a stream pair: y1 = x1 + F(x2); y2 = x2 + G(y1).
 
-    Every method takes and returns pairs: the engine splits a run's tensor
-    evenly on the channel axis (fixed first/second half) at the run's first
-    block and concatenates it at the run's end. The block is exactly
+    Every method takes and returns pairs: a ``RevRun`` splits its tensor
+    evenly on the channel axis (fixed first/second half) at its first block
+    and concatenates it at its end. The block is exactly
     invertible, so its backward can reconstruct (x1, x2) from (y1, y2) and
     needs no cached activations.
     """
@@ -659,3 +673,80 @@ class RevDownsample(Layer):
             return [ops.pixel_shuffle(streams.pop(0), self.r) for _ in range(len(streams))]
 
         return drain(y), drain(gy)
+
+
+class RevRun(Layer):
+    """A maximal run of reversible layers, taking and returning one tensor.
+
+    Its members take and return tuples of streams. The run hands its tensor
+    to them as one stream, splits it into the pair (x1, x2) once, at its
+    head (its first ``RevBlock``), and concatenates the pair once, at its
+    end. Downsamplers ahead of the head rearrange the whole tensor, whose
+    channel count may be odd. Both backwards walk the run with the same
+    split point.
+    """
+
+    reversible = True
+
+    def __init__(self, layers):
+        self.layers = list(layers)
+        self.head = next((l for l in self.layers if isinstance(l, RevBlock)), None)
+
+    def children(self):
+        return self.layers
+
+    def forward(self, x, tape=None, replay=False):
+        xs, x = (x,), None  # the split frees the input unless a caller holds it
+        for l in self.layers:
+            if l is self.head:
+                xs = self._split(xs[0])
+            xs = l.forward(xs, tape=tape, replay=replay)
+        return self._join(xs)
+
+    def backward(self, gy, entries):
+        # pops each member's tape entry as its VJP runs
+        gs, gy = self._end_streams(gy), None
+        for l in reversed(self.layers):
+            gs = l.backward(gs, entries.pop())
+            if l is self.head:
+                gs = (self._join(gs),)
+        return gs[0]
+
+    def backward_from_output(self, gy, y):
+        """Backward from the run's output alone: rebuild each block's inputs
+        from its outputs back to the head; the downsamplers ahead of it need
+        only the cotangent. ``rev_backward`` empties the lists it is given,
+        so each stream is freed after its last use."""
+        gs, gy = self._end_streams(gy), None
+        ys, y = (None if self.head is None else list(self._split(y))), None
+        for l in reversed(self.layers):
+            if ys is None:
+                gs = l.backward(gs)
+            else:
+                ys, gs = l.rev_backward(ys, gs)
+            if l is self.head:
+                ys, gs = None, (self._join(gs),)
+        return gs[0]
+
+    def _end_streams(self, x):
+        """A tensor at the run's end as a list of its streams."""
+        return [x] if self.head is None else list(self._split(x))
+
+    @staticmethod
+    def _split(x):
+        """The head's split of x into a pair, planned when x is ``Planned``."""
+        if not isinstance(x, Planned):
+            return ops.channel_split(x)
+        n, c, f, t = x.shape
+        if c % 2:
+            raise ConfigError(f"channel_split requires an even channel count, got {c}")
+        return Planned((n, c // 2, f, t)), Planned((n, c // 2, f, t))
+
+    @staticmethod
+    def _join(streams):
+        if len(streams) == 1:
+            return streams[0]
+        if not isinstance(streams[0], Planned):
+            return ops.channel_concat(*streams)
+        n, _, f, t = streams[0].shape
+        return Planned((n, sum(s.shape[1] for s in streams), f, t))

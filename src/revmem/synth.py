@@ -25,5 +25,4 @@ class SynthDataset:
         """Returns (x, labels) with labels cycling over classes."""
         labels = np.arange(size) % self.n_classes
         noise = self._rng.normal(0.0, self.noise, (size, 1, 80, self.frames))
-        x = self.means[labels] + noise.astype(self.dtype)
-        return x.astype(self.dtype), labels
+        return self.means[labels] + noise.astype(self.dtype), labels

@@ -369,6 +369,21 @@ class TestRunShapes:
             with pytest.raises(ShapeError, match="Conv2d expects 3 channels, got 4"):
                 ledger_plan(net, 2, 8, mode)
 
+    def test_odd_width_run_head_raises_alike(self, rng):
+        # 7 channels reach the run's first block, which cannot halve them: a
+        # plan refuses the split as a run does, not at the block's pair
+        dtype = np.float32
+        build_rng = np.random.default_rng(0)
+        net = Network([Conv2d(1, 7, 3, rng=build_rng, dtype=dtype),
+                       RevBlock("basic", 4, rng=build_rng, dtype=dtype)], (1, 80), 8, dtype)
+        for mode in MODES:
+            with pytest.raises(ConfigError) as ran:
+                run_forward(net, batch(rng, dtype=dtype), mode)
+            with pytest.raises(ConfigError) as planned:
+                ledger_plan(net, 2, 8, mode)
+            assert str(ran.value) == "channel_split requires an even channel count, got 7"
+            assert str(planned.value) == str(ran.value)
+
 
 class TestLedger:
     def test_plan_matches_real_run_both_modes(self, rng):
@@ -597,11 +612,12 @@ class TestReluTape:
         _, store, ledger = run_forward(net, x, "reversible")
         planned = plan_store(net, "reversible")
         outputs = [y for _, y in calls]
-        (kind, stem, saved), *rest = store.entries
-        assert kind == "segment_in" and stem[:3] == [0, 1, 2] and saved is x
-        assert planned.entries[0][2].shape == x.shape
-        blocks = [payload for kind, _, payload in store.entries if kind == "input"]
-        planned_blocks = [payload for kind, _, payload in planned.entries if kind == "input"]
+        (stem, saved), *rest = zip(net.units, store.entries)
+        assert isinstance(stem, layers.Sequential) and stem.layers[:3] == net.layers[:3]
+        assert saved is x and planned.entries[0].shape == x.shape
+        blocks = [e for u, e in zip(net.units, store.entries) if isinstance(u, ResidualBlock)]
+        planned_blocks = [e for u, e in zip(net.units, planned.entries)
+                          if isinstance(u, ResidualBlock)]
         if case == "stem-to-residual-block":
             assert len(blocks) == 1 and blocks[0] is outputs[0]
             assert planned_blocks[0] is outputs[1]
@@ -623,11 +639,11 @@ class TestReluTape:
         calls = record_calls(monkeypatch, net.layers[2])
         store = plan_store(net, "reversible", 64, 200)
         outputs = [y for _, y in calls]
-        kind, stem, saved = store.entries[0]
-        assert kind == "segment_in" and stem[:3] == [0, 1, 2]
+        (stem, saved), (unit, entry) = list(zip(net.units, store.entries))[:2]
+        assert isinstance(stem, layers.Sequential) and stem.layers[:3] == net.layers[:3]
         assert saved.shape == (64, *net.input_spec, 200)
         block = isinstance(net.layers[3], ResidualBlock)
-        assert (store.entries[1][0] == "input" and store.entries[1][2] is outputs[0]) == block
+        assert (unit is net.layers[3] and entry is outputs[0]) == block
         assert sum(a is outputs[0] for a in store.activation_arrays()) == block
         assert ledger_plan(net, 64, 200, "reversible").activations == activations
 
@@ -689,7 +705,7 @@ class TestReluTape:
         monkeypatch.setattr(layers, "_channel_groups", spy_groups)
         _, store, ledger = run_forward(net, batch(rng, dtype=np.float32), "stored")
         taped = collections.Counter()
-        stack = [payload for _, _, payload in store.entries]
+        stack = list(store.entries)
         while stack:
             obj = stack.pop()
             if isinstance(obj, np.ndarray):
@@ -757,31 +773,65 @@ class TestOneWalk:
                     and not name.startswith("_") and name != "conv_out_size"):
                 monkeypatch.setattr(ops, name, refuse)
         planned = plan_store(net, mode, n, frames)
-        assert [(k, i) for k, i, _ in planned.entries] == [(k, i) for k, i, _ in store.entries]
-        if mode == "reversible":
-            assert ([p.shape for *_, p in planned.entries]
-                    == [a.shape for *_, a in store.entries])
+        assert len(planned.entries) == len(store.entries) == len(net.units)
+        if mode == "stored":  # each unit's tape holds as many entries
+            assert [len(t) for t in planned.entries] == [len(t) for t in store.entries]
+        else:
+            assert [p.shape for p in planned.entries] == [a.shape for a in store.entries]
         assert len(pairs) == sum(isinstance(l, RevBlock) for l in net.layers)
         for pair in (p for x_y in pairs for p in x_y):
             assert len(pair) == 2 and all(isinstance(s, Planned) for s in pair)
             assert pair[0].shape == pair[1].shape and pair[0] is not pair[1]
 
 
+@pytest.mark.parametrize("case", [*zoo.REGISTRY_NAMES, *WALK_NETS])
+def test_units_are_layers_partitioning_the_net(case):
+    # each unit is one layer: a maximal RevRun of reversible layers, a
+    # maximal Sequential segment of plain primitives, or a composite;
+    # their members are net.layers in order, and every walk, planned or
+    # real, saves one entry per unit
+    if case in WALK_NETS:
+        net, n, frames = WALK_NETS[case]()
+    else:
+        net, n, frames = zoo.build(case, np.float32), 1, 8
+    groups = (layers.Sequential, layers.RevRun)
+    kinds = [type(u) if isinstance(u, groups) else None for u in net.units]
+    assert [m for u in net.units for m in (u.layers if isinstance(u, groups) else [u])] \
+        == net.layers
+    assert all(a is None or a is not b for a, b in zip(kinds, kinds[1:]))
+    for unit, kind in zip(net.units, kinds):
+        if kind is layers.RevRun:
+            assert all(m.reversible for m in unit.layers)
+        elif kind is layers.Sequential:
+            assert all(not m.reversible and not m.children() for m in unit.layers)
+        else:
+            assert unit.children() and not unit.reversible
+    x = np.zeros((n, *net.input_spec, frames), np.float32)
+    for mode in MODES:
+        for arg in (x, Planned(x.shape)):
+            assert len(walk(net, arg, mode)[1].entries) == len(net.units)
+
+
 class TestSegments:
     @pytest.mark.parametrize("case", WALK_NETS)
     def test_reversible_store_saves_each_segment_input(self, rng, monkeypatch, case):
-        # one entry per segment of plain primitives, holding the very array
-        # its first layer took; only composites save an input of their own
+        # one entry per unit: a segment of plain primitives holds the very
+        # array its first layer took, a composite its own input, and a run
+        # its output
         net, n, frames = WALK_NETS[case]()
-        segments = [idxs for kind, idxs in net.units if kind == "segment"]
-        calls = {i: record_calls(monkeypatch, net.layers[i]) for i, *_ in segments}
+        segments = [u for u in net.units if isinstance(u, layers.Sequential)]
+        assert segments
+        firsts = {id(u): record_calls(monkeypatch, u.layers[0]) for u in segments}
+        calls = {id(u): record_calls(monkeypatch, u) for u in net.units}
         _, store, _ = run_forward(net, batch(rng, n, frames, np.float32), "reversible")
-        saved = [(idxs, payload) for kind, idxs, payload in store.entries
-                 if kind == "segment_in"]
-        assert [idxs for idxs, _ in saved] == segments
-        assert all(payload is calls[idxs[0]][0][0] for idxs, payload in saved)
-        assert all(net.layers[i].children()
-                   for kind, i, _ in store.entries if kind == "input")
+        assert len(store.entries) == len(net.units)
+        for unit, saved in zip(net.units, store.entries):
+            (x, y), = calls[id(unit)]
+            assert saved is (y if unit.reversible else x)
+            if id(unit) in firsts:
+                assert saved is firsts[id(unit)][0][0]
+            elif not unit.reversible:
+                assert isinstance(unit, ResidualBlock)
 
     @pytest.mark.parametrize("case, activations", [("train-df", 860_160),
                                                    ("train-wide-q8", 496_640)])
@@ -821,7 +871,7 @@ class TestSegments:
         for replay_fc in (False, True):
             net = WALK_NETS["train-df"]()[0]
             fc = net.layers[-1]
-            assert isinstance(fc, layers.Linear) and net.units[-1][1][-1] == len(net.layers) - 1
+            assert isinstance(fc, layers.Linear) and net.units[-1].layers[-1] is fc
             if replay_fc:
                 def forward(x, tape=None, replay=False, fc=fc):
                     y = layers.Layer.forward(fc, x, replay=replay)
@@ -856,7 +906,7 @@ class TestSegments:
             assert sum(taped) == groups
             for p in block.params():
                 p.zero_grad()
-            gx_taped = block.backward(gy, tape[0])
+            gx_taped = block.backward(gy, tape)
             ref = [p.grad.copy() for p in block.params()]
             for p in block.params():
                 p.zero_grad()

@@ -180,7 +180,8 @@ class TestResidualBlock:
         blk.forward(x, tape=tape)
         for p in blk.params():
             p.zero_grad()
-        gx_taped = blk.backward(gy, tape[0])
+        gx_taped = blk.backward(gy, tape)
+        assert tape == []
         ref = [p.grad.copy() for p in blk.params()]
         for p in blk.params():
             p.zero_grad()

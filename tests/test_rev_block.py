@@ -460,7 +460,7 @@ class TestGroupedDFBranch:
         block.forward(x, tape=tape)
         for p in block.params():
             p.zero_grad()
-        gx_taped = block.backward(gy, tape[0])
+        gx_taped = block.backward(gy, tape)
         ref = [p.grad.copy() for p in block.params()]
         for p in block.params():
             p.zero_grad()
