@@ -22,10 +22,20 @@ process also counts the one-time caches its set-up fills in its resident
 bytes. BLAS is pinned to one thread.
 
     python3 scripts/peak_sites.py [--net NAME ...] [--mode reversible] [--top 5]
+                                  [--batch N [N ...]]
+
+``--net`` takes the names of conv_bench.py's nets, its default, or of any
+registry net, which runs at batch 1 and 200 frames.
 
 Columns: the op, its input's shape, the kernel's (or gamma's) shape, the
 calls in that phase, the highest peak of one call and the bytes live at
-that call's entry, in MB.
+that call's entry, in MB. Each report's header also gives the plan total,
+``ledger_plan`` with adam8 at the same batch and frames.
+
+``--batch`` profiles each net at the batch sizes given instead of its own.
+With more than one, each net ends with the per-sample slope of every phase
+peak's rise above resident between consecutive sizes, beside the plan
+total's slope, which is the planned activations a sample.
 """
 
 import conv_bench  # pins BLAS to one thread; puts src/ and perfbench/ on sys.path
@@ -43,7 +53,7 @@ from revmem import engine, loss, ops, optim, zoo
 from revmem.layers import Param
 from tracer import Tracer
 
-NETS = conv_bench.NETS
+NETS = conv_bench.NETS  # the default nets; any registry net runs at batch 1 and 200 frames
 PHASES = ("forward", "backward", "step")
 CLASSES = 10
 # every public function of revmem.ops whose first argument is an array
@@ -65,6 +75,7 @@ class Site:
 class Report:
     resident: int
     phase_peaks: dict
+    plan: int  # ledger_plan's total with adam8
     sites: dict = field(default_factory=dict)  # phase -> {(op, x, w): Site}
 
     @property
@@ -144,7 +155,8 @@ def profile(spec, batch, frames, mode="reversible") -> Report:
             tracemalloc.reset_peak()
             fn()
             phase_peaks[name] = tracemalloc.get_traced_memory()[1]
-        report = Report(resident, phase_peaks)
+        plan = engine.ledger_plan(step.net, batch, frames, mode, "adam8").total()
+        report = Report(resident, phase_peaks, plan)
         tracer = Tracer(_op_hooks(), memory=True)
         before = tracemalloc.get_traced_memory()[0]
         with tracer:
@@ -178,9 +190,26 @@ def _mb(b):
     return f"{b / 1e6:.2f}"
 
 
+def slopes(small, large, batches):
+    """Per-sample slope of each phase peak and of the plan total, in bytes,
+    between the reports at batch sizes ``batches``.
+
+    A phase's slope is that of its rise above resident, so the one-time
+    caches of a process's first set-up, resident in its first report
+    alone, cancel; the batch itself, resident too, is left out.
+    """
+    n = batches[1] - batches[0]
+    out = {phase: ((large.phase_peaks[phase] - large.resident)
+                   - (small.phase_peaks[phase] - small.resident)) / n
+           for phase in PHASES}
+    out["plan"] = (large.plan - small.plan) / n
+    return out
+
+
 def print_report(name, mode, batch, frames, report, top):
     print(f"\n{name} ({mode}, batch {batch}, {frames} frames): resident "
-          f"{_mb(report.resident)} MB, step peak {_mb(report.peak)} MB")
+          f"{_mb(report.resident)} MB, step peak {_mb(report.peak)} MB, "
+          f"plan {_mb(report.plan)} MB, peak / plan {report.peak / report.plan:.2f}")
     for phase in PHASES:
         print(f"  {phase}: peak {_mb(report.phase_peaks[phase])} MB")
         rows = sorted(report.sites[phase].items(), key=lambda kv: -kv[1].peak)[:top]
@@ -191,18 +220,30 @@ def print_report(name, mode, batch, frames, report, top):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--net", nargs="+", choices=list(NETS), default=list(NETS))
+    ap.add_argument("--net", nargs="+", choices=list(NETS) + list(zoo.REGISTRY_NAMES),
+                    default=list(NETS))
     ap.add_argument("--mode", choices=engine.MODES, default="reversible")
     ap.add_argument("--top", type=int, default=5, help="ops listed per phase")
+    ap.add_argument("--batch", type=int, nargs="+",
+                    help="batch sizes to profile each net at, instead of its own")
     args = ap.parse_args(argv)
     if args.top < 1:
         ap.error("--top must be at least 1")
+    if args.batch and (min(args.batch) < 1 or len(set(args.batch)) < len(args.batch)):
+        ap.error("--batch sizes must be distinct and at least 1")
     print(f"numpy {np.__version__}, float32, adam8, BLAS threads 1; "
           f"columns: op, x, w, calls, peak MB, MB live at entry")
     for name in args.net:
-        spec, batch, frames = NETS[name]
-        print_report(name, args.mode, batch, frames, profile(spec, batch, frames, args.mode),
-                     args.top)
+        spec, batch, frames = NETS.get(name, (name, 1, 200))
+        batches = sorted(args.batch) if args.batch else [batch]
+        reports = [profile(spec, b, frames, args.mode) for b in batches]
+        for b, report in zip(batches, reports):
+            print_report(name, args.mode, b, frames, report, args.top)
+        for i in range(len(batches) - 1):
+            slope = slopes(*reports[i:i + 2], batches[i:i + 2])
+            print(f"  per-sample slope, batch {batches[i]} -> {batches[i + 1]}: "
+                  + ", ".join(f"{phase} {_mb(slope[phase])} MB" for phase in PHASES)
+                  + f"; plan {_mb(slope['plan'])} MB")
     return 0
 
 

@@ -59,13 +59,13 @@ class MemoryLedger:
       segment's tape from its saved input; in a ``RevBlock``, one branch at
       a time: a basic or bottleneck branch's tape, or one channel group of
       a DF bottleneck's middle) and each op's scratch buffers. At toy scale
-      they are about 2.4 MB whatever the depth: on ``toy_spec([d, d], 16,
+      they are about 1.7 MB whatever the depth: on ``toy_spec([d, d], 16,
       "df_bottleneck")`` at batch 4 and 32 frames, the measured rise of a
-      reversible forward and backward exceeds the planned total by 2.5,
-      2.4 and 1.8 MB at d = 2, 8 and 32. They grow with the activations:
+      reversible forward and backward exceeds the planned total by 1.9,
+      1.7 and 1.1 MB at d = 2, 8 and 32. They grow with the activations:
       DF-RevNet89 at batch 1 and 200 frames, stepping with adam8 and the
-      AAM head, peaks at 65.3 MB of whole-process ``tracemalloc`` against a
-      50.8 MB plan, 1.28 times the plan (``scripts/peak_sites.py``);
+      AAM head, peaks at 59.1 MB of whole-process ``tracemalloc`` against a
+      50.8 MB plan, 1.16 times the plan (``scripts/peak_sites.py``);
     - the optimizer step's chunk buffers;
     - allocator slack;
     - parameters outside the network, such as the AAM head that training
@@ -117,9 +117,6 @@ class Network:
     def zero_grad(self):
         for p in self.params():
             p.zero_grad()
-
-    def out_shape(self, shape):
-        return walk(self, Planned(shape), "reversible")[0].shape
 
     def stat_nbytes(self) -> int:
         return sum(l.stat_nbytes() for l in self.layers)

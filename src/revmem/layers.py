@@ -26,13 +26,16 @@ Execution protocol (used by the engine):
   one. It tapes what it tapes on arrays, so the engine's one walk, run on
   planned arrays, plans the ledger, a ReLU's output shared with its
   consumer included.
-* ``replay_vjp(gy, x, ys=None)`` of a chain (a ``Sequential``) replays it
-  from x on the captured statistics and backpropagates gy, returning
-  ``(y - chain(x), dL/dx)`` with y popped off ``ys``, or None and dL/dx
-  without ``ys``, when work that only y would read is skipped.
-  ``RevBlock.rev_backward`` and every ``backward_from_input`` replay
-  each chain this way; a ``DFBottleneck`` runs its VJP one channel group
-  at a time within the replay.
+* ``replay_vjp(gy, x, ys=None, gs=None)`` of a chain (a ``Sequential``)
+  replays it from x on the captured statistics and backpropagates gy,
+  returning ``(y - chain(x), dL/dx)`` with y popped off ``ys``, or None
+  without ``ys``, when work that only y would read is skipped. With
+  ``gs`` the second item is ``g + dL/dx``, g popped off ``gs``, as a
+  chain's ``backward(gy, entries, gs)`` returns it; ``rebuild(ys, x)``
+  forms the first item alone. ``RevBlock.rev_backward`` and every
+  ``backward_from_input`` replay each chain this way; a ``DFBottleneck``
+  runs its VJP one channel group at a time within the replay and folds
+  each group's share into the popped y and g.
 * The engine runs a network as *units*, each one layer: a ``RevRun``, a
   ``Sequential`` segment of plain primitives, or a ``ResidualBlock``. In
   stored mode it calls a unit's ``backward`` on the unit's own tape. In
@@ -327,21 +330,27 @@ class Sequential(Layer):
             x = l.forward(x, tape=tape, replay=replay)
         return x
 
-    def backward(self, gy, entries):
-        # pops each entry as its VJP runs, so a cached input is freed right
-        # after its last use
+    def backward(self, gy, entries, gs=None):
+        """dL/dx, or ``gs.pop() + dL/dx`` with a list ``gs``: a coupling
+        block adds its branch's dL/dx to the cotangent it passes through.
+        Pops each entry as its VJP runs, so a cached input is freed right
+        after its last use."""
         for l in reversed(self.layers):
             gy = l.backward(gy, entries.pop())
-        return gy
+        return gy if gs is None else gs.pop() + gy
 
-    def replay_vjp(self, gy, x, ys=None):
+    def replay_vjp(self, gy, x, ys=None, gs=None):
         """Replay the chain on x onto a tape and walk it back for gy.
 
         Returns (y - chain(x), dL/dx), popping y off ``ys``; y is dropped
-        before the tape is walked. Without ``ys`` the first item is None,
-        and a last layer that does not tape its output is not run: its
-        backward reads only its input.
+        before the tape is walked. With ``gs`` the second item is
+        ``gs.pop() + dL/dx``, as ``backward`` returns it. Without ``ys`` the
+        first item is None, and a last layer that does not tape its output
+        is not run: its backward reads only its input. gy is handed to
+        ``backward`` by pop, so a caller that keeps no reference to it
+        frees it once the last layer's VJP has returned.
         """
+        gys, gy = [gy], None
         tape, rest = [], None
         if ys is None and not self.layers[-1].tapes_output:
             tape.append(Sequential(self.layers[:-1]).forward(x, tape, replay=True))
@@ -350,11 +359,19 @@ class Sequential(Layer):
             if ys is not None:
                 rest = ys.pop() - out
             del out  # the tape alone holds what backward reads, so pops free it
-        return rest, self.backward(gy, tape)
+        gx = self.backward(gys.pop(), tape)
+        return rest, (gx if gs is None else gs.pop() + gx)
+
+    def rebuild(self, ys, x):
+        """``ys.pop() - chain(x)`` on the captured statistics, as
+        ``replay_vjp`` forms it, without a tape or a VJP."""
+        return ys.pop() - self.forward(x, replay=True)
 
     def backward_from_input(self, gy, x):
-        # checkpoint style: replay the chain from its saved input
-        return self.replay_vjp(gy, x)[1]
+        # checkpoint style: replay the chain from its saved input; gy is
+        # handed over by pop, as replay_vjp hands it to backward
+        gys, gy = [gy], None
+        return self.replay_vjp(gys.pop(), x)[1]
 
 
 RESIDUAL_KINDS = ("basic", "bottleneck", "df_bottleneck")
@@ -417,11 +434,18 @@ def _channel_groups(x, conv1):
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _add_into(total, part):
+def _fold(total, part, base, op):
+    """Fold one channel group's share into a running total.
+
+    Returns ``op(total, part)`` written into total. The first share, with
+    total None, becomes the total: ``op(base.pop(), part)`` written into
+    part, or part itself when ``base`` is None (only with np.add). So a
+    group loop computes ``((base op s1) op s2) op ...`` with no array beyond
+    its shares, and never writes the one popped off ``base``.
+    """
     if total is None:
-        return part
-    total += part
-    return total
+        return part if base is None else op(base.pop(), part, out=part)
+    return op(total, part, out=total)
 
 
 class DFBottleneck(Sequential):
@@ -439,11 +463,26 @@ class DFBottleneck(Sequential):
     right after replaying it. So no mode holds a 4x-wide array, and a stored
     branch computes what its replay does, bit for bit. A ``Planned`` x is
     planned by the plain chain, the middle whole: the same distinct bytes.
+
+    Each method folds the group shares straight into the array it returns,
+    in group order (``_fold``): ``rebuild`` and ``replay_vjp`` form
+    ``((y - s1) - s2) - ...`` from the popped y and the shares s of the
+    output, and ``backward`` and ``replay_vjp`` form
+    ``((g + p1) + p2) + ...`` from a popped cotangent g and the shares p of
+    dL/dx. So a coupling block's backward holds one array for the rebuilt
+    input and one for the cotangent, not y or g beside a sum of shares.
     """
 
     def forward(self, x, tape=None, replay=False):
         if isinstance(x, Planned):
             return super().forward(x, tape, replay=replay)
+        return self._fold_forward(x, tape, replay)
+
+    def rebuild(self, ys, x):
+        return self._fold_forward(x, None, True, ys, np.subtract)
+
+    def _fold_forward(self, x, tape, replay, base=None, op=np.add):
+        """The forward on an array, its shares folded by ``_fold``."""
         conv1, bn, _, _, conv2 = self.layers
         if replay:
             mean, var = bn.replayed_stats()
@@ -454,7 +493,7 @@ class DFBottleneck(Sequential):
         out = None
         for g in _channel_groups(x, conv1):
             group = self._group(x, g, mean, var, capture=not replay, keep=tape is not None)
-            out = _add_into(out, ops.conv2d(group[-1], conv2.w.value[:, g], conv2.stride))
+            out = _fold(out, ops.conv2d(group[-1], conv2.w.value[:, g], conv2.stride), base, op)
             if tape is not None:
                 tape.append(group)
             del group
@@ -462,28 +501,29 @@ class DFBottleneck(Sequential):
             bn.capture(mean, var)
         return out
 
-    def backward(self, gy, entries):
+    def backward(self, gy, entries, gs=None):
         # the tape is x, then each group's [h, r, d]; pops the groups in
         # forward order, as replay_vjp runs them
         entries.reverse()
         x, gx = entries.pop(), None
         for g in _channel_groups(x, self.layers[0]):
-            gx = _add_into(gx, self._group_vjp(x, g, entries.pop(), gy))
+            gx = _fold(gx, self._group_vjp(x, g, entries.pop(), gy), gs, np.add)
         return gx
 
-    def replay_vjp(self, gy, x, ys=None):
+    def replay_vjp(self, gy, x, ys=None, gs=None):
         """``Sequential.replay_vjp``, each group's VJP run right after its
         replay; without ``ys`` no group's last conv runs."""
         conv2 = self.layers[4]
         mean, var = self.layers[1].replayed_stats()
-        out = gx = None
+        rest = gx = None
         for g in _channel_groups(x, self.layers[0]):
             group = self._group(x, g, mean, var, capture=False, keep=True)
             if ys is not None:
-                out = _add_into(out, ops.conv2d(group[-1], conv2.w.value[:, g], conv2.stride))
-            gx = _add_into(gx, self._group_vjp(x, g, group, gy))
+                rest = _fold(rest, ops.conv2d(group[-1], conv2.w.value[:, g], conv2.stride),
+                             ys, np.subtract)
+            gx = _fold(gx, self._group_vjp(x, g, group, gy), gs, np.add)
             del group
-        return (None if ys is None else ys.pop() - out), gx
+        return rest, gx
 
     def _group(self, x, g, mean, var, capture, keep):
         """Channel group g of the middle on x, as a list.
@@ -603,36 +643,42 @@ class RevBlock(Layer):
             tape.append((f_tape, g_tape))
         return y1, y2
 
+    # backward, inverse and rev_backward fold a branch's shares into the
+    # pair in the same order (DFBottleneck), so their results are bit-equal
+
     def backward(self, gy, entry):
         f_tape, g_tape = entry
         gy1, gy2 = gy
-        gz1 = gy1 + self.g.backward(gy2, g_tape)
-        gx2 = gy2 + self.f.backward(gz1, f_tape)
+        gz1 = self.g.backward(gy2, g_tape, [gy1])
+        gx2 = self.f.backward(gz1, f_tape, [gy2])
         return gz1, gx2
 
     def inverse(self, y):
         y1, y2 = y
-        x2 = y2 - self.g.forward(y1, replay=True)
-        x1 = y1 - self.f.forward(x2, replay=True)
+        x2 = self.g.rebuild([y2], y1)
+        x1 = self.f.rebuild([y1], x2)
         return x1, x2
 
     def rev_backward(self, y, gy):
         """Reconstruct the inputs and backpropagate without stored activations.
 
         Takes the output pair and its cotangent as two-element lists and
-        empties them, so each array is dropped after its last use: y2 once
-        x2 is rebuilt and gy1 once gz1 is formed. Runs in the order of
-        RevNet's Algorithm 1 (Gomez et al. 2017): G is replayed and
-        backpropagated before F is replayed, so at most one branch's
-        arrays are alive at a time. Returns the input pair and its
-        cotangent as new lists.
+        empties them, so each array is dropped after its last use. Runs in
+        the order of RevNet's Algorithm 1 (Gomez et al. 2017): G is replayed
+        and backpropagated before F is replayed, so at most one branch's
+        arrays are alive at a time. Each branch's ``replay_vjp`` pops the
+        output it rebuilds from and the cotangent it adds its dL/dx to, and
+        folds its shares into new arrays in group order: x2 = ((y2 - s1) -
+        s2) - ... and gz1 = ((gy1 + p1) + p2) + ..., then x1 from y1 and
+        dL/dx2 from gy2 alike. So during G's group loop y1, x2, gz1, gy2 and
+        one group's arrays are alive, and during F's x2, x1, gz1, dL/dx2 and
+        one group's arrays. Returns the input pair and its cotangent as new
+        lists.
         """
-        gy2, gy1 = gy.pop(), gy.pop()
-        x2, g = self.g.replay_vjp(gy2, y[0], y)  # pops y2
-        gz1 = gy1 + g
-        del gy1, g
-        x1, f = self.f.replay_vjp(gz1, x2, y)  # pops y1
-        return [x1, x2], [gz1, gy2 + f]
+        gs = [gy.pop()]  # gy2: G's cotangent, then the base of dL/dx2
+        x2, gz1 = self.g.replay_vjp(gs[0], y[0], y, gy)  # pops y2 and gy1
+        x1, gx2 = self.f.replay_vjp(gz1, x2, y, gs)  # pops y1 and gy2
+        return [x1, x2], [gz1, gx2]
 
 
 class RevDownsample(Layer):

@@ -587,13 +587,17 @@ def linear_vjp(
 
 
 def channel_split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split evenly into the first and second half of the channel axis."""
+    """Split evenly into the first and second half of the channel axis.
+
+    Both halves are copies at every batch size, so dropping one frees it: at
+    n = 1 a half is contiguous already, and a view of it would pin x whole.
+    """
     _require_4d(x, "input")
     c = x.shape[1]
     if c % 2:
         raise ConfigError(f"channel_split requires an even channel count, got {c}")
     h = c // 2
-    return np.ascontiguousarray(x[:, :h]), np.ascontiguousarray(x[:, h:])
+    return x[:, :h].copy(), x[:, h:].copy()
 
 
 def channel_concat(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:

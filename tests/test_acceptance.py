@@ -23,9 +23,10 @@ from revmem.engine import (
     ledger_plan,
     run_backward,
     run_forward,
+    walk,
 )
 from revmem.eer import eer_from_scores
-from revmem.layers import Param, RevBlock
+from revmem.layers import Param, Planned, RevBlock
 from revmem.loss import aam_softmax_loss
 from revmem.optim import Adam, Sgd, make_optimizer, optimizer_state_nbytes
 from revmem.synth import SynthDataset
@@ -57,7 +58,7 @@ def test_c01_gradient_equivalence_across_modes():
         x64 = data_rng.normal(size=(2, 1, 80, 8))
 
         net = zoo.build(spec, dtype=np.float64, seed=100 + i)
-        out_shape = net.out_shape(x64.shape)
+        out_shape = walk(net, Planned(x64.shape), "reversible")[0].shape
         r64 = data_rng.normal(size=out_shape)
         worst64 = max(worst64, _mode_gradient_gap(net, x64, r64, mixed_err))
 

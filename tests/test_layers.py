@@ -1,5 +1,7 @@
 """Residual branch composition, skip wiring, and parameter gradients."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -189,3 +191,26 @@ class TestResidualBlock:
         np.testing.assert_array_equal(gx_taped, gx_ckpt)
         for p, g in zip(blk.params(), ref):
             np.testing.assert_array_equal(p.grad, g)
+
+
+class TestSegmentReplay:
+    @pytest.mark.parametrize("method", ["backward_from_input", "replay_vjp"])
+    def test_frees_its_cotangent_after_the_last_layers_vjp(self, rng, monkeypatch, method):
+        # a stem-like segment handed its cotangent by pop, as run_backward
+        # hands it: the cotangent is dropped once the ReLU's VJP has
+        # returned, so BN's VJP runs without it
+        seg = Sequential([Conv2d(1, 4, 3, rng=rng, dtype=np.float64),
+                          BatchNorm2d(4, dtype=np.float64), ReLU()])
+        x = rng.normal(size=(2, 1, 6, 5))
+        gs = [rng.normal(size=seg.forward(x).shape)]
+        gy = weakref.ref(gs[0])
+        bn, seen = seg.layers[1], []
+        bn_backward = bn.backward
+
+        def traced_backward(g, entry):
+            seen.append(gy() is not None)
+            return bn_backward(g, entry)
+
+        monkeypatch.setattr(bn, "backward", traced_backward)
+        getattr(seg, method)(gs.pop(), x)
+        assert seen == [False]

@@ -1,4 +1,5 @@
-"""Smoke test of scripts/peak_sites.py on the benchmark's toy DF net, in both modes.
+"""Smoke tests of scripts/peak_sites.py on the benchmark's toy DF net: in both
+modes, and at two batch sizes.
 
 The script splits a training step into phases and wraps every op; if a
 phase misses part of the step, or the wrappers miss the op the step peaks
@@ -10,9 +11,10 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from revmem import ops
+from revmem import engine, ops, zoo
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 # numpy's small-object caches fill over the first steps of a process, so two
@@ -76,3 +78,31 @@ def test_reported_maximum_is_the_step_peak(peak_sites, mode):
     assert (op, x_shape) == PEAK_OPS[mode]
     assert 0 < site.entry < site.peak
     assert set(report.sites) == set(peak_sites.PHASES)
+
+
+def test_batch_sizes_give_per_sample_slopes(peak_sites, monkeypatch, capsys):
+    # the toy DF net at two batch sizes, given out of order: one report
+    # each, in batch order, then one line of per-sample slopes, which are
+    # the reports' rises above resident and the plan's slope
+    reports, profile = [], peak_sites.profile
+
+    def recorded(*args):
+        reports.append(profile(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(peak_sites, "profile", recorded)
+    assert peak_sites.main(["--net", "train-rev-df", "--batch", "4", "2", "--top", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.index("(reversible, batch 2, 32 frames)") < out.index("(reversible, batch 4, 32 ")
+    slope = peak_sites.slopes(*reports, (2, 4))
+    spec, _, frames = peak_sites.NETS["train-rev-df"]
+    net = zoo.build(spec, np.float32, seed=1)
+    plans = [engine.ledger_plan(net, b, frames, "reversible", "adam8").total() for b in (2, 4)]
+    assert [r.plan for r in reports] == plans
+    assert slope["plan"] == (plans[1] - plans[0]) / 2
+    line = (f"  per-sample slope, batch 2 -> 4: forward {slope['forward'] / 1e6:.2f} MB, "
+            f"backward {slope['backward'] / 1e6:.2f} MB, step {slope['step'] / 1e6:.2f} MB; "
+            f"plan {slope['plan'] / 1e6:.2f} MB\n")
+    assert out.endswith(line)
+    # a sample's saved activations are alive when the backward starts
+    assert slope["backward"] >= slope["plan"]

@@ -223,8 +223,10 @@ class TestAlgorithmOneOrder:
 
     def test_grouped_g_runs_before_f(self, monkeypatch):
         # the DF branch's twin of the two tape-path tests: every op of G's
-        # fused replay and VJP runs before F's first, none of G's arrays is
-        # alive when F starts, y2 is gone by F's replay and gy1 by F's VJP
+        # fused replay and VJP runs before F's first, y2 is gone by F's
+        # replay and gy1 by F's VJP, and of G's arrays only x2 and gz1 are
+        # alive when F starts: the first group's shares, into which G
+        # folded the rest
         blk, rng = make_block("df_bottleneck")
         y = list(blk.forward(ops.channel_split(rng.normal(size=(2, 8, 8, 6)))))
         gy = list(ops.channel_split(rng.normal(size=(2, 8, 8, 6))))
@@ -240,7 +242,7 @@ class TestAlgorithmOneOrder:
                 branch = next((weights[id(a.base)] for a in args
                                if isinstance(a, np.ndarray) and id(a.base) in weights), None)
                 if branch == "f" and "f" not in events:
-                    seen["g arrays at f"] = sum(r() is not None for r in g_results)
+                    seen["g arrays at f"] = [r() for r in g_results if r() is not None]
                     seen["y2 at f"] = y2() is not None
                 if branch == "f" and name.endswith("_vjp") and "f_vjp" not in seen:
                     seen["f_vjp"] = gy1() is not None
@@ -257,10 +259,12 @@ class TestAlgorithmOneOrder:
         for name in ("conv2d", "conv2d_vjp", "depthwise_conv2d", "depthwise_conv2d_vjp",
                      "batchnorm2d", "batchnorm2d_vjp"):
             monkeypatch.setattr(ops, name, spy(name, getattr(ops, name)))
-        blk.rev_backward(y, gy)
+        (_, x2), (gz1, _) = blk.rev_backward(y, gy)
         assert events == ["g"] * (len(events) // 2) + ["f"] * (len(events) // 2)
         assert len(events) == 2 * 3 * 8  # per group: 4 replay and 4 VJP ops
-        assert seen == {"g arrays at f": 0, "y2 at f": False, "f_vjp": False}
+        alive = seen.pop("g arrays at f")
+        assert len(alive) == 2 and alive[0] is x2 and alive[1] is gz1
+        assert seen == {"y2 at f": False, "f_vjp": False}
         assert y == [] and gy == []
 
     @pytest.mark.parametrize("kind", ["basic", "bottleneck", "df_bottleneck"])
@@ -269,6 +273,26 @@ class TestAlgorithmOneOrder:
         # inputs, so every result is bit-identical; the tapes end empty
         blk, rng = make_block(kind)
         y = blk.forward(ops.channel_split(rng.normal(size=(2, 8, 8, 6))))
+        self.check_equals_backward_on_rebuilt_tape(blk, y, rng)
+
+    def test_three_groups_fold_alike(self, monkeypatch):
+        # with three DF groups, rev_backward folds each share into the
+        # rebuilt pair and the cotangent in group order, ((y2 - s1) - s2) -
+        # s3; stored backward and inverse fold in the same order, so all
+        # three stay bit-identical
+        blk, rng = make_block("df_bottleneck")
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 6 * 2 * 8 * 6 * 8)
+        y = blk.forward(ops.channel_split(rng.normal(size=(2, 8, 8, 6))))
+        assert len(layers._channel_groups(y[0], blk.g.layers[0])) == 3
+        x_got = self.check_equals_backward_on_rebuilt_tape(blk, y, rng)
+        np.testing.assert_array_equal(x_got[1], minus_shares(blk.g, y[0], y[1]))
+        np.testing.assert_array_equal(x_got[0], minus_shares(blk.f, x_got[1], y[0]))
+
+    @staticmethod
+    def check_equals_backward_on_rebuilt_tape(blk, y, rng):
+        """Asserts rev_backward's pair equals inverse(y), and its cotangent
+        and gradients a stored backward's over the rebuilt tape, bit for
+        bit; returns the pair."""
         gy = ops.channel_split(rng.normal(size=(2, 8, 8, 6)))
         x_rec = blk.inverse(y)
         f_tape, g_tape = [], []
@@ -286,6 +310,7 @@ class TestAlgorithmOneOrder:
             np.testing.assert_array_equal(got, want)
         for p, want in zip(blk.params(), ref):
             np.testing.assert_array_equal(p.grad, want)
+        return x_got
 
 
 class TestRevDownsample:
@@ -316,6 +341,20 @@ class TestRevDownsample:
 def df_branch(width, dtype, seed=0):
     return make_residual_fn("df_bottleneck", width, rng=np.random.default_rng(seed),
                             dtype=dtype)
+
+
+def minus_shares(branch, x, y):
+    """y minus each channel group's share of branch(x), in group order, each
+    share computed op by op on the captured statistics."""
+    conv1, bn, _, dw, conv2 = branch.layers
+    mean, var = bn.saved_stats
+    for g in layers._channel_groups(x, conv1):
+        h = ops.conv2d(x, conv1.w.value[g], conv1.stride)
+        b, _, _ = ops.batchnorm2d(h, bn.gamma.value[g], bn.beta.value[g], bn.eps,
+                                  stats=(mean[g], var[g]))
+        d = ops.depthwise_conv2d(ops.relu(b), dw.w.value[g])
+        y = y - ops.conv2d(d, conv2.w.value[:, g], conv2.stride)
+    return y
 
 
 class TestGroupedDFBranch:
@@ -352,7 +391,7 @@ class TestGroupedDFBranch:
                 p.zero_grad()
             rest, gx = branch.replay_vjp(gy, x, [out])
             taped = branch.forward(x, tape=[], replay=True)
-            np.testing.assert_array_equal(rest, np.zeros_like(out))
+            np.testing.assert_array_equal(rest, minus_shares(branch, x, out))
             np.testing.assert_array_equal(taped, out)
             return out, gx, stats, [p.grad.copy() for p in branch.params()]
 
@@ -422,6 +461,31 @@ class TestGroupedDFBranch:
         slack = 3 * np.getbufsize() * 4 + (64 << 10)  # ufunc buffers, per-plane taps
         assert rise <= narrow * x.nbytes + taped + 4 * group + 3 * ops.FLAT_SHIFT_BYTES + slack
 
+    def test_rev_backward_holds_seven_half_streams(self, rng):
+        # at train-rev-df's stage-1 pair, (4, 8, 80, 32) a stream, with the
+        # lists holding the only references: each branch folds its group
+        # shares into the rebuilt stream and the cotangent, so at G's
+        # depthwise VJP y1, x2, gz1, gy2 and a group's h, r and dL/dd are
+        # alive, seven half-streams (a group is 8 of the 32 mid channels);
+        # the VJP adds its dL/dr and its columns. Summing the shares apart
+        # from y2 and gy1 held two half-streams more
+        blk = RevBlock("df_bottleneck", 8, rng=rng, dtype=np.float32)
+        y0 = blk.forward(tuple(rng.standard_normal((2, 4, 8, 80, 32), dtype=np.float32)))
+        gy0 = list(rng.standard_normal((2, 4, 8, 80, 32), dtype=np.float32))
+        half = y0[0].nbytes
+        assert len(layers._channel_groups(y0[0], blk.g.layers[0])) == 4
+        blk.rev_backward(list(map(np.copy, y0)), list(map(np.copy, gy0)))  # warm-up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            blk.rev_backward(list(map(np.copy, y0)), list(map(np.copy, gy0)))
+            rise = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        per_plane = 3 * 4 * 8 * 9 * 4  # the depthwise VJP's taps and per-plane dL/dw
+        slack = 3 * np.getbufsize() * 4 + (64 << 10)  # ufunc buffers
+        assert rise <= (7 + 1) * half + 2 * ops.FLAT_SHIFT_BYTES + per_plane + slack
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_stored_backward_equals_fused_replay(self, rng, monkeypatch, dtype):
         # a stored branch tapes the groups the fused replay runs, and both
@@ -442,7 +506,7 @@ class TestGroupedDFBranch:
         for p in branch.params():
             p.zero_grad()
         rest, gx_fused = branch.replay_vjp(gy, x, [out])
-        np.testing.assert_array_equal(rest, np.zeros_like(out))
+        np.testing.assert_array_equal(rest, minus_shares(branch, x, out))
         np.testing.assert_array_equal(gx_fused, gx)
         for p, want in zip(branch.params(), ref):
             np.testing.assert_array_equal(p.grad, want)
@@ -470,14 +534,15 @@ class TestGroupedDFBranch:
 
     def test_every_branch_replay_is_one_replay_vjp(self, rng, monkeypatch):
         # a RevBlock's backward replays G, then F, each with one replay_vjp
-        # call that pops its y; a ResidualBlock's checkpoint backward replays
-        # its branch with one call and no ys, for a plain and a DF chain alike
+        # call that pops its y and the cotangent it adds dL/dx to; a
+        # ResidualBlock's checkpoint backward replays its branch with one
+        # call and neither, for a plain and a DF chain alike
         calls = []
 
         def spy(replay_vjp):
-            def call(self, gy, x, ys=None):
-                calls.append((self, ys is not None))
-                return replay_vjp(self, gy, x, ys)
+            def call(self, gy, x, ys=None, gs=None):
+                calls.append((self, ys is not None, gs is not None))
+                return replay_vjp(self, gy, x, ys, gs)
 
             return call
 
@@ -492,4 +557,5 @@ class TestGroupedDFBranch:
             x = rng.normal(size=(2, 8, 8, 6))
             block.forward(x)
             block.backward_from_input(rng.normal(size=x.shape), x)
-            assert calls == [(blk.g, True), (blk.f, True), (block.branch, False)]
+            assert calls == [(blk.g, True, True), (blk.f, True, True),
+                             (block.branch, False, False)]

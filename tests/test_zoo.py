@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from revmem import zoo
-from revmem.engine import run_forward
+from revmem.engine import run_forward, walk
 from revmem.errors import ConfigError
+from revmem.layers import Planned
 
 # reference parameter counts for the named architectures, asserted at 2%.
 # Entries are limited to networks whose reference block layout is
@@ -94,7 +95,7 @@ class TestRegistry:
         for name in zoo.REGISTRY_NAMES:
             spec = zoo.registry_spec(name)
             net = zoo.build(spec, dtype=np.float32)
-            shape = net.out_shape((1, 1, 80, 8))
+            shape = walk(net, Planned((1, 1, 80, 8)), "reversible")[0].shape
             fc = [s for s in spec.stages if isinstance(s, zoo.Fc)][0]
             assert shape == (1, fc.d_out)
 
