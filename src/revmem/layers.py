@@ -34,8 +34,11 @@ Execution protocol (used by the engine):
   chain's ``backward(gy, entries, gs)`` returns it; ``rebuild(ys, x)``
   forms the first item alone. ``RevBlock.rev_backward`` and every
   ``backward_from_input`` replay each chain this way; a ``DFBottleneck``
-  runs its VJP one channel group at a time within the replay and folds
-  each group's share into the popped y and g.
+  replays and walks back one channel group at a time, each a plain chain
+  of its layers narrowed to the group, and folds each group's share into
+  the popped y and g. ``replay(x, tape, keep_output)`` is the replay
+  both share: without ``keep_output`` it skips a last layer whose
+  backward reads only its input.
 * The engine runs a network as *units*, each one layer: a ``RevRun``, a
   ``Sequential`` segment of plain primitives, or a ``ResidualBlock``. In
   stored mode it calls a unit's ``backward`` on the unit's own tape. In
@@ -85,6 +88,14 @@ class Param:
 
     def zero_grad(self):
         self.grad[...] = 0
+
+    def view(self, index) -> Param:
+        """A Param over ``value[index]`` and ``grad[index]``. With a basic
+        index both are views, so a gradient or a step written through it
+        lands in this Param's slice."""
+        part = object.__new__(Param)
+        part.value, part.grad = self.value[index], self.grad[index]
+        return part
 
     @property
     def size(self) -> int:
@@ -230,10 +241,12 @@ class BatchNorm2d(Layer):
         return self.saved_stats
 
     def capture(self, mean, var):
-        """Keep a capture forward's statistics for replay; update the running ones."""
+        """Keep a capture forward's statistics for replay; update the running
+        ones in place, so a narrowed layer's update lands in the whole's."""
         self.saved_stats = (mean, var)
-        self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-        self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
+        for running, stat in ((self.running_mean, mean), (self.running_var, var)):
+            running *= 1 - self.momentum
+            running += self.momentum * stat
 
     def _apply(self, x, replay):
         if replay:
@@ -339,26 +352,31 @@ class Sequential(Layer):
             gy = l.backward(gy, entries.pop())
         return gy if gs is None else gs.pop() + gy
 
+    def replay(self, x, tape, keep_output):
+        """Replay the chain on x onto ``tape`` on the captured statistics and
+        return its output. Without ``keep_output``, a last layer that does
+        not tape its output is not run, since its backward reads only its
+        input, which is taped for it, and None is returned."""
+        if keep_output or self.layers[-1].tapes_output:
+            return self.forward(x, tape, replay=True)
+        tape.append(Sequential(self.layers[:-1]).forward(x, tape, replay=True))
+        return None
+
     def replay_vjp(self, gy, x, ys=None, gs=None):
         """Replay the chain on x onto a tape and walk it back for gy.
 
         Returns (y - chain(x), dL/dx), popping y off ``ys``; y is dropped
         before the tape is walked. With ``gs`` the second item is
         ``gs.pop() + dL/dx``, as ``backward`` returns it. Without ``ys`` the
-        first item is None, and a last layer that does not tape its output
-        is not run: its backward reads only its input. gy is handed to
-        ``backward`` by pop, so a caller that keeps no reference to it
-        frees it once the last layer's VJP has returned.
+        first item is None, and ``replay`` skips the last layer where it
+        can. gy is handed to ``backward`` by pop, so a caller that keeps no
+        reference to it frees it once the last layer's VJP has returned.
         """
         gys, gy = [gy], None
-        tape, rest = [], None
-        if ys is None and not self.layers[-1].tapes_output:
-            tape.append(Sequential(self.layers[:-1]).forward(x, tape, replay=True))
-        else:
-            out = self.forward(x, tape, replay=True)
-            if ys is not None:
-                rest = ys.pop() - out
-            del out  # the tape alone holds what backward reads, so pops free it
+        tape = []
+        out = self.replay(x, tape, keep_output=ys is not None)
+        rest = None if ys is None else ys.pop() - out
+        del out  # the tape alone holds what backward reads, so pops free it
         gx = self.backward(gys.pop(), tape)
         return rest, (gx if gs is None else gs.pop() + gx)
 
@@ -448,21 +466,32 @@ def _fold(total, part, base, op):
     return op(total, part, out=total)
 
 
+def _narrowed(layer, **attrs):
+    """A shallow copy of layer with ``attrs`` set in place of its own."""
+    part = object.__new__(type(layer))
+    vars(part).update(vars(layer), **attrs)
+    return part
+
+
 class DFBottleneck(Sequential):
     """The DF bottleneck branch (conv1x1, BN, ReLU, dwconv3x3, conv1x1), whose
     4x-wide middle runs one group of channels at a time.
 
-    Everything between the two 1x1 convs is per channel. So a forward runs,
-    group by group, the group's rows of the first conv, BN on the group's
-    statistics (captured group by group), ReLU, the depthwise conv, and the
-    group's columns of the last conv, whose share adds into the output.
-    Groups are as few as keep each group's array within the larger of x's
-    bytes and ``ops.FLAT_SHIFT_BYTES``. Untaped, a forward keeps nothing of
-    a group; taped, it tapes x and then each group's [h, r, d], which
-    ``backward`` pops group by group. ``replay_vjp`` runs each group's VJP
-    right after replaying it. So no mode holds a 4x-wide array, and a stored
-    branch computes what its replay does, bit for bit. A ``Planned`` x is
-    planned by the plain chain, the middle whole: the same distinct bytes.
+    Everything between the two 1x1 convs is per channel. So each channel
+    group g runs as a plain chain of the branch's five layers narrowed to g
+    (``_chains``): g's rows of the first conv, BN on g's statistics
+    (captured group by group), the ReLU, g's depthwise filters and g's
+    columns of the last conv, whose share adds into the output. The narrowed
+    layers' parameters are ``Param.view``s and their BN statistics slices of
+    the whole layer's, so their gradients, running statistics and steps
+    land in g's slice of the whole. Groups are as few as keep each group's
+    array within the larger of x's bytes and ``ops.FLAT_SHIFT_BYTES``.
+    Untaped, a forward keeps nothing of a group; taped, it tapes x and then
+    each group's chain tape [x, h, r, r, d], which ``backward`` pops group
+    by group. ``replay_vjp`` walks each group's tape back right after
+    replaying it. So no mode holds a 4x-wide array, and a stored branch
+    computes what its replay does, bit for bit. A ``Planned`` x is planned
+    by the plain chain, the middle whole: the same distinct bytes.
 
     Each method folds the group shares straight into the array it returns,
     in group order (``_fold``): ``rebuild`` and ``replay_vjp`` form
@@ -482,97 +511,63 @@ class DFBottleneck(Sequential):
         return self._fold_forward(x, None, True, ys, np.subtract)
 
     def _fold_forward(self, x, tape, replay, base=None, op=np.add):
-        """The forward on an array, its shares folded by ``_fold``."""
-        conv1, bn, _, _, conv2 = self.layers
-        if replay:
-            mean, var = bn.replayed_stats()
-        else:
-            mean, var = (np.empty(bn.c, np.result_type(x, conv1.w.value)) for _ in range(2))
+        """The forward on an array, its shares folded by ``_fold``. A
+        capture gives the whole BN its groups' statistics, concatenated."""
         if tape is not None:
             tape.append(x)
-        out = None
-        for g in _channel_groups(x, conv1):
-            group = self._group(x, g, mean, var, capture=not replay, keep=tape is not None)
-            out = _fold(out, ops.conv2d(group[-1], conv2.w.value[:, g], conv2.stride), base, op)
+        out, stats = None, []
+        for chain in self._chains(x):
+            sub = None if tape is None else []
+            out = _fold(out, chain.forward(x, sub, replay), base, op)
             if tape is not None:
-                tape.append(group)
-            del group
+                tape.append(sub)
+            if not replay:
+                stats.append(chain.layers[1].saved_stats)
         if not replay:
-            bn.capture(mean, var)
+            self.layers[1].saved_stats = tuple(np.concatenate(s) for s in zip(*stats))
         return out
 
     def backward(self, gy, entries, gs=None):
-        # the tape is x, then each group's [h, r, d]; pops the groups in
+        # the tape is x, then each group's chain tape; pops the groups in
         # forward order, as replay_vjp runs them
         entries.reverse()
         x, gx = entries.pop(), None
-        for g in _channel_groups(x, self.layers[0]):
-            gx = _fold(gx, self._group_vjp(x, g, entries.pop(), gy), gs, np.add)
+        for chain in self._chains(x):
+            gx = _fold(gx, chain.backward(gy, entries.pop()), gs, np.add)
         return gx
 
     def replay_vjp(self, gy, x, ys=None, gs=None):
         """``Sequential.replay_vjp``, each group's VJP run right after its
         replay; without ``ys`` no group's last conv runs."""
-        conv2 = self.layers[4]
-        mean, var = self.layers[1].replayed_stats()
         rest = gx = None
-        for g in _channel_groups(x, self.layers[0]):
-            group = self._group(x, g, mean, var, capture=False, keep=True)
+        for chain in self._chains(x):
+            tape = []
+            out = chain.replay(x, tape, keep_output=ys is not None)
             if ys is not None:
-                rest = _fold(rest, ops.conv2d(group[-1], conv2.w.value[:, g], conv2.stride),
-                             ys, np.subtract)
-            gx = _fold(gx, self._group_vjp(x, g, group, gy), gs, np.add)
-            del group
+                rest = _fold(rest, out, ys, np.subtract)
+            del out
+            gx = _fold(gx, chain.backward(gy, tape), gs, np.add)
         return rest, gx
 
-    def _group(self, x, g, mean, var, capture, keep):
-        """Channel group g of the middle on x, as a list.
+    def _chains(self, x):
+        """The branch narrowed to each channel group of x, one chain at a time.
 
-        [h, r, d] when ``keep``: the first conv's output rows, the ReLU's
-        output and the depthwise conv's, which a tape or a VJP reads. Else
-        [d] alone, h dropped after BN and r after the depthwise conv. BN
-        reads the group's statistics from ``mean[g]`` and ``var[g]``, or on
-        a capture computes them into there.
+        Built per call, not kept: a kept chain would hold the slices of its
+        BN's captured statistics alive beside the whole's.
         """
-        conv1, bn, _, dw, _ = self.layers
-        gamma, beta = bn.gamma.value[g], bn.beta.value[g]
-        h = ops.conv2d(x, conv1.w.value[g], conv1.stride)
-        if capture:
-            y, mean[g], var[g] = ops.batchnorm2d(h, gamma, beta, bn.eps)
-        else:
-            y, _, _ = ops.batchnorm2d(h, gamma, beta, bn.eps, stats=(mean[g], var[g]))
-        if not keep:
-            h = None
-        r = ops.relu(y)
-        del y
-        d = ops.depthwise_conv2d(r, dw.w.value[g])
-        return [h, r, d] if keep else [d]
-
-    def _group_vjp(self, x, g, group, gy):
-        """The VJP of channel group g for gy: the group's share of dL/dx.
-
-        ``group`` is the group's [h, r, d], which this empties, so each array
-        is dropped after its last use. Writes only the group's slices of the
-        parameter gradients; BN reads the captured statistics.
-        """
-        conv1, bn, _, dw, conv2 = self.layers
-        mean, var = bn.saved_stats
-        gd, gw = ops.conv2d_vjp(group.pop(), conv2.w.value[:, g], gy, conv2.stride)
-        conv2.w.grad[:, g] += gw
-        r = group.pop()
-        gr, gw = ops.depthwise_conv2d_vjp(r, dw.w.value[g], gd)
-        dw.w.grad[g] += gw
-        del gd
-        gr = ops.relu_vjp(r, gr)
-        del r
-        gh, dgamma, dbeta = ops.batchnorm2d_vjp(group.pop(), bn.gamma.value[g], gr,
-                                                mean[g], var[g], bn.eps)
-        bn.gamma.grad[g] += dgamma
-        bn.beta.grad[g] += dbeta
-        del gr
-        gx, gw = ops.conv2d_vjp(x, conv1.w.value[g], gh, conv1.stride)
-        conv1.w.grad[g] += gw
-        return gx
+        conv1, bn, relu, dw, conv2 = self.layers
+        for g in _channel_groups(x, conv1):
+            c = g.stop - g.start
+            stats = None if bn.saved_stats is None else tuple(s[g] for s in bn.saved_stats)
+            yield Sequential([
+                _narrowed(conv1, c_out=c, w=conv1.w.view(g)),
+                _narrowed(bn, c=c, gamma=bn.gamma.view(g), beta=bn.beta.view(g),
+                          running_mean=bn.running_mean[g], running_var=bn.running_var[g],
+                          saved_stats=stats),
+                relu,
+                _narrowed(dw, c_in=c, c_out=c, w=dw.w.view(g)),
+                _narrowed(conv2, c_in=c, w=conv2.w.view((slice(None), g))),
+            ])
 
 
 class ResidualBlock(Layer):

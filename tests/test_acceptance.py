@@ -65,12 +65,20 @@ def test_c01_gradient_equivalence_across_modes():
         net32 = zoo.build(spec, dtype=np.float32, seed=100 + i)
         worst32 = max(worst32, _mode_gradient_gap(
             net32, x64.astype(np.float32), r64.astype(np.float32), scaled_err))
+    # a registry net at float64, whose stage-1 DF branches run 4 channel groups
+    net = zoo.build("DF-RevNet89", dtype=np.float64, seed=1)
+    data_rng = np.random.default_rng(1)
+    x64 = data_rng.normal(size=(1, *net.input_spec, 24))
+    r64 = data_rng.normal(size=walk(net, Planned(x64.shape), "reversible")[0].shape)
+    registry64 = _mode_gradient_gap(net, x64, r64, mixed_err)
     elapsed = time.time() - t0
     assert worst64 <= 1e-6
+    assert registry64 <= 1e-6
     assert worst32 <= 1e-3
     assert elapsed <= 120.0
     _report(1, f"20 mixed toy nets, gradient gap {worst64:.2e} (f64, tol 1e-6), "
-               f"{worst32:.2e} (f32, tol 1e-3), {elapsed:.1f}s")
+               f"{worst32:.2e} (f32, tol 1e-3); DF-RevNet89 {registry64:.2e} (f64, "
+               f"tol 1e-6), {elapsed:.1f}s")
 
 
 def test_c02_inverse_reconstruction():

@@ -536,6 +536,11 @@ def record_calls(monkeypatch, layer):
     return calls
 
 
+def descendants(layers):
+    """`layers` and all their sublayers."""
+    return [d for l in layers for d in (l, *descendants(l.children()))]
+
+
 def primitives(layers):
     """The childless layers among `layers` and their descendants, in forward order."""
     return [p for l in layers for p in (primitives(l.children()) if l.children() else [l])]
@@ -654,7 +659,7 @@ class TestReluTape:
         # against a ReLU that tapes its input: each branch's ReLU output is
         # its next layer's input, so the branch caches one array fewer; no
         # stem ReLU here feeds a layer that tapes its input (a DF branch runs
-        # no ReLU layer: see the next test)
+        # its ReLU once per channel group: see the next test)
         net = zoo.build(spec, dtype=np.float32, seed=1)
         x = batch(rng, dtype=np.float32)
         branches = sum(2 if isinstance(l, RevBlock) else isinstance(l, ResidualBlock)
@@ -676,13 +681,17 @@ class TestReluTape:
         zoo.spec_from_json(ODD_HEAD_SPEC),
     ], ids=["type2-df", "odd-head"])
     def test_df_branch_tapes_each_group_relu_output_once(self, rng, monkeypatch, spec):
-        # a DF branch tapes its input, then each channel group's (h, r, d):
-        # the ReLU output r is one entry, where a ReLU layer's output is
-        # also its next layer's input; the store's bytes equal the plan
+        # a DF branch tapes its input, then each channel group's chain tape
+        # [x, h, r, r, d]: every ReLU output, a group's r included, comes
+        # from a ReLU layer, and r is taped twice, by the branch's ReLU and
+        # by its depthwise conv, as one array; the store's bytes equal the
+        # plan
         net = zoo.build(spec, dtype=np.float32, seed=1)
         monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 1 << 12)  # several groups a branch
         relu, relu_layer, groups = ops.relu, ReLU.forward, []
-        relu_outputs, layer_outputs = [], set()
+        relu_outputs, layer_outputs, group_outputs = [], set(), []
+        df_relus = {id(l.layers[2]) for l in descendants(net.layers)
+                    if isinstance(l, layers.DFBottleneck)}
 
         def spy_relu(x):
             y = relu(x)
@@ -692,6 +701,8 @@ class TestReluTape:
         def spy_layer(self, x, tape=None, replay=False):
             y = relu_layer(self, x, tape=tape, replay=replay)
             layer_outputs.add(id(y))
+            if id(self) in df_relus:
+                group_outputs.append(y)
             return y
 
         def spy_groups(x, conv1):
@@ -712,9 +723,9 @@ class TestReluTape:
                 taped[id(obj)] += 1
             elif isinstance(obj, (list, tuple)):
                 stack.extend(obj)
-        group_outputs = [y for y in relu_outputs if id(y) not in layer_outputs]
+        assert {id(y) for y in relu_outputs} == layer_outputs
         assert len(group_outputs) == sum(groups) > len(groups)
-        assert [taped[id(y)] for y in group_outputs] == [1] * sum(groups)
+        assert [taped[id(y)] for y in group_outputs] == [2] * sum(groups)
         assert ledger.activations == ledger_plan(net, 2, 8, "stored").activations
         assert store.activation_nbytes() == ledger.activations
 

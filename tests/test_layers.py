@@ -7,11 +7,13 @@ import pytest
 
 from revmem import layers, ops
 from revmem.errors import ConfigError
+from revmem.optim import OPTIMIZERS, make_optimizer
 from revmem.layers import (
     BatchNorm2d,
     Conv2d,
     DepthwiseConv2d,
     DFBottleneck,
+    Param,
     ReLU,
     ResidualBlock,
     Sequential,
@@ -78,9 +80,10 @@ class TestReluTape:
         assert len({id(a) for a in tape}) == len(tape) - 1
 
     def test_df_tapes_each_groups_relu_output_once(self, rng, monkeypatch):
-        # a DF branch tapes x, then each channel group's [h, r, d]: the first
-        # conv's rows, their BN's ReLU output and its depthwise conv, each
-        # array once
+        # a DF branch tapes x, then each channel group's chain tape
+        # [x, h, r, r, d]: x, the first conv's rows, their BN's ReLU output,
+        # taped by the ReLU and by the depthwise conv as one array, and the
+        # depthwise conv's output; each array but x is one group's own
         b = branch("df_bottleneck")
         conv1, bn, _, dw, _ = b.layers
         x = rng.normal(size=(2, 8, 6, 5))
@@ -91,18 +94,19 @@ class TestReluTape:
         b.forward(x, tape=tape)
         assert tape[0] is x and len(tape) == 1 + len(groups)
         mean, var = bn.saved_stats
-        for g, (h, r, d) in zip(groups, tape[1:]):
+        for g, (x_g, h, r, r_dw, d) in zip(groups, tape[1:]):
+            assert x_g is x and r_dw is r
             np.testing.assert_array_equal(h, ops.conv2d(x, conv1.w.value[g]))
             y, _, _ = ops.batchnorm2d(h, bn.gamma.value[g], bn.beta.value[g], bn.eps,
                                       stats=(mean[g], var[g]))
             np.testing.assert_array_equal(r, np.maximum(y, 0))
             np.testing.assert_array_equal(d, ops.depthwise_conv2d(r, dw.w.value[g]))
-        assert len({id(a) for e in tape[1:] for a in e}) == 3 * len(groups)
+        assert len({id(a) for e in tape[1:] for a in e[1:]}) == 3 * len(groups)
 
     def test_only_a_df_bottleneck_tapes_groups(self, rng, monkeypatch):
         # a hand-built chain of the DF branch's five layer types is a plain
         # chain, one tape entry per layer; only make_residual_fn's
-        # DFBottleneck tapes x followed by each group's list
+        # DFBottleneck tapes x followed by each group's own chain tape
         rng_w = np.random.default_rng(0)
         chain = Sequential([
             Conv2d(8, 32, 1, rng=rng_w, dtype=np.float64),
@@ -122,7 +126,8 @@ class TestReluTape:
         tape = []
         df.forward(x, tape=tape)
         assert tape[0] is x and len(tape) == 1 + len(layers._channel_groups(x, df.layers[0])) == 4
-        assert all(isinstance(e, list) and len(e) == 3 for e in tape[1:])
+        assert all(isinstance(e, list) and len(e) == len(chain.layers) and e[0] is x
+                   for e in tape[1:])
 
 
 class TestZeroBranch:
@@ -214,3 +219,52 @@ class TestSegmentReplay:
         monkeypatch.setattr(bn, "backward", traced_backward)
         getattr(seg, method)(gs.pop(), x)
         assert seen == [False]
+
+
+class TestNarrowing:
+    @pytest.mark.parametrize("name", list(OPTIMIZERS))
+    def test_param_view_writes_land_in_its_slice(self, rng, name):
+        # a gradient and an optimizer step through a view write only the
+        # whole Param's slice, the step bit-equal to one on a lone copy
+        whole = Param(rng.normal(size=(6, 5, 3, 3)))
+        index = (slice(None), slice(1, 3))
+        part = whole.view(index)
+        assert part.value.base is whole.value and part.grad.base is whole.grad
+        alone = Param(whole.value[index].copy())
+        before = whole.value.copy()
+        g = rng.normal(size=part.grad.shape)
+        part.grad += g
+        alone.grad += g
+        outside = np.ones(whole.value.shape, bool)
+        outside[index] = False
+        np.testing.assert_array_equal(whole.grad[index], g)
+        assert not whole.grad[outside].any()
+        make_optimizer(name, [part], 1e-2).step()
+        make_optimizer(name, [alone], 1e-2).step()
+        np.testing.assert_array_equal(whole.value[index], alone.value)
+        np.testing.assert_array_equal(whole.value[outside], before[outside])
+
+    def test_narrowed_capture_updates_only_its_running_slice(self, rng, monkeypatch):
+        # a DF group's BN capture updates its slice of the whole layer's
+        # running statistics in place, bit-equal to the whole-tensor
+        # update, and leaves the rest and the whole's captured ones alone
+        b = branch("df_bottleneck")
+        bn = b.layers[1]
+        bn.running_mean[...] = rng.normal(size=bn.c)
+        bn.running_var[...] = rng.uniform(0.5, 2.0, size=bn.c)
+        x = rng.normal(size=(2, 8, 6, 5))
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 12 * 2 * 6 * 5 * x.itemsize)
+        g = layers._channel_groups(x, b.layers[0])[1]
+        part = list(b._chains(x))[1].layers[1]
+        arrays = bn.running_mean, bn.running_var
+        before = [a.copy() for a in arrays]
+        stats = rng.normal(size=bn.c), rng.uniform(0.5, 2.0, size=bn.c)
+        part.capture(stats[0][g], stats[1][g])
+        outside = np.ones(bn.c, bool)
+        outside[g] = False
+        m = bn.momentum
+        for run, new, old, stat in zip(arrays, (bn.running_mean, bn.running_var), before, stats):
+            assert new is run
+            np.testing.assert_array_equal(run[g], ((1 - m) * old + m * stat)[g])
+            np.testing.assert_array_equal(run[outside], old[outside])
+        assert bn.saved_stats is None
