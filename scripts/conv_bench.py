@@ -5,11 +5,12 @@ Runs one reversible training step of each benchmark net (the configurations
 in perfbench/workloads.py), of DF-RevNet89 and of ResNet34 at batch 1 and
 200 frames to collect the distinct calls it makes to the ops in OPS, which
 the benchmark's span tracer (perfbench/tracer.py) records, then times every
-call on its own with fresh random float32 inputs. BLAS is pinned to one
-thread before numpy is imported, as in the benchmark. The library is
-imported from src/ of this checkout.
+call on its own with fresh random float32 inputs. A VJP with parameters is
+called as a layer calls it, with zeroed accumulators to add its parameter
+cotangents into. BLAS is pinned to one thread before numpy is imported, as
+in the benchmark. The library is imported from src/ of this checkout.
 
-    python3 scripts/conv_bench.py [--reps 20]
+    python3 scripts/conv_bench.py [--reps 20] [--net NAME ...] [--against CHECKOUT]
 
 Columns: the op, the input's shape and the kernel's (gamma's for a batch
 norm, none for relu_vjp), the call's trailing arguments (the stride of a
@@ -18,6 +19,14 @@ calls per training step, median milliseconds per call, the tracemalloc peak
 of one call in MB, the MB its results keep alive once it has returned, and
 the peak over the input's bytes. Held bytes above the results' own size
 mean a result is a view that pins a larger buffer.
+
+``--against`` times the ops of another checkout (a directory holding its
+src/revmem) in the same process, on the same arrays, alternating call by
+call with this checkout's, so the machine's drift falls on both alike. A
+VJP that takes no accumulators there is called as that checkout's layers
+called it: its fresh parameter cotangents are added into the accumulators.
+The columns are then the op and its shapes, calls per step, this
+checkout's and the other's median milliseconds per call, and their ratio.
 """
 
 import os
@@ -27,9 +36,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import functools
+import importlib
+import inspect
 import sys
 import time
 import tracemalloc
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -52,6 +64,9 @@ NETS = {
 }
 CONV_OPS = ("conv2d", "conv2d_vjp", "depthwise_conv2d", "depthwise_conv2d_vjp")
 OPS = CONV_OPS + ("batchnorm2d", "batchnorm2d_vjp", "relu_vjp")
+# each VJP's parameter-cotangent accumulators, in the order of its results
+ACCUMULATORS = {"conv2d_vjp": ("gw",), "depthwise_conv2d_vjp": ("gw",),
+                "batchnorm2d_vjp": ("dgamma", "dbeta")}
 
 
 def _call_key(name, args, kwargs):
@@ -59,17 +74,18 @@ def _call_key(name, args, kwargs):
 
     w is a conv's kernel or a batch norm's gamma; relu_vjp has none. The
     trailing arguments of a conv are those after its arrays (x, w, and gy
-    for a VJP), as the layer passed them; a batch norm given its statistics
-    has ("replay",), any other call none.
+    for a VJP), as the layer passed them, less any array (an accumulator);
+    a batch norm given its statistics has ("replay",), any other call none.
     """
     x = args[0]
     if name == "relu_vjp":
         return name, x.shape, (), ()
     if name in CONV_OPS:
         tail = args[3:] if name.endswith("_vjp") else args[2:]
+        tail = tuple(a for a in tail if not isinstance(a, np.ndarray))
     else:
         tail = ("replay",) if kwargs.get("stats") is not None else ()
-    return name, x.shape, args[1].shape, tuple(tail)
+    return name, x.shape, args[1].shape, tail
 
 
 def layer_calls(spec, batch, frames):
@@ -84,8 +100,11 @@ def layer_calls(spec, batch, frames):
     return Counter(span.name for span in tracer.spans)
 
 
-def _arguments(name, x, w_shape, tail, rng):
-    """Random float32 arguments (and keywords) of one call with _call_key's shapes."""
+def _arguments(name, x_shape, w_shape, tail, rng):
+    """Random float32 arguments and keywords of one call with _call_key's
+    shapes; a VJP's accumulators, each w's shape, are zeros passed by keyword."""
+    x = rng.standard_normal(x_shape, dtype=np.float32)
+    accumulators = {a: np.zeros(w_shape, np.float32) for a in ACCUMULATORS.get(name, ())}
     if name == "relu_vjp":
         return (ops.relu(x), rng.standard_normal(x.shape, dtype=np.float32)), {}
     if name in CONV_OPS:
@@ -94,30 +113,76 @@ def _arguments(name, x, w_shape, tail, rng):
         if name.endswith("_vjp"):
             y = getattr(ops, name.removesuffix("_vjp"))(x, w, *tail)
             args += (rng.standard_normal(y.shape, dtype=np.float32),)
-        return args + tuple(tail), {}
+        return args + tuple(tail), accumulators
     gamma = rng.uniform(0.5, 1.5, w_shape).astype(np.float32)
     beta = rng.standard_normal(w_shape, dtype=np.float32)
     _, mean, var = ops.batchnorm2d(x, gamma, beta)
     if name == "batchnorm2d":
         return (x, gamma, beta), {"stats": (mean, var)} if tail else {}
-    return (x, gamma, rng.standard_normal(x.shape, dtype=np.float32), mean, var), {}
+    return (x, gamma, rng.standard_normal(x.shape, dtype=np.float32), mean, var), accumulators
+
+
+def load_ops(checkout):
+    """The ops module of another checkout's src/revmem, under a package name
+    of its own, so it sits beside this checkout's revmem.ops."""
+    name = "revmem_against"
+    package = types.ModuleType(name)
+    package.__path__ = [str(Path(checkout).resolve() / "src" / "revmem")]
+    sys.modules[name] = package
+    return importlib.import_module(f"{name}.ops")
+
+
+def _layer_call(module, name):
+    """``module``'s op as a layer calls it. A VJP that takes no accumulators
+    returns fresh parameter cotangents, which are added into the
+    accumulators passed, as the layers of its checkout added them."""
+    fn = getattr(module, name)
+    accumulators = ACCUMULATORS.get(name, ())
+    if not accumulators or accumulators[0] in inspect.signature(fn).parameters:
+        return fn
+
+    def call(*args, **kwargs):
+        given = [kwargs.pop(a) for a in accumulators]
+        out = fn(*args, **kwargs)
+        for acc, fresh in zip(given, out[1:]):
+            acc += fresh
+        return out
+
+    return call
+
+
+def _median_times(fns, args, kwargs, reps):
+    """Median seconds of each function's call, the functions alternating
+    call by call, in reverse order every other round."""
+    for fn in fns:
+        fn(*args, **kwargs)
+    times = [[] for _ in fns]
+    for rep in range(reps):
+        order = range(len(fns)) if rep % 2 == 0 else reversed(range(len(fns)))
+        for i in order:
+            start = time.perf_counter()
+            fns[i](*args, **kwargs)
+            times[i].append(time.perf_counter() - start)
+    return [float(np.median(t)) for t in times]
+
+
+def compare(name, x_shape, w_shape, tail, reps, rng, against):
+    """Median seconds of one call of this checkout's op and of ``against``'s
+    (an ops module from load_ops), timed alternately on the same arrays."""
+    args, kwargs = _arguments(name, x_shape, w_shape, tail, rng)
+    return tuple(_median_times([getattr(ops, name), _layer_call(against, name)],
+                               args, kwargs, reps))
 
 
 def measure(name, x_shape, w_shape, tail, reps, rng):
     """Median seconds, tracemalloc peak, held bytes and input bytes of one call.
 
     Held bytes are the numpy buffers the call allocated that are still
-    alive while its results are.
+    alive while its results are; a VJP's accumulators are not among them.
     """
-    x = rng.standard_normal(x_shape, dtype=np.float32)
-    args, kwargs = _arguments(name, x, w_shape, tail, rng)
+    args, kwargs = _arguments(name, x_shape, w_shape, tail, rng)
     fn = getattr(ops, name)
-    fn(*args, **kwargs)
-    times = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        fn(*args, **kwargs)
-        times.append(time.perf_counter() - start)
+    sec = _median_times([fn], args, kwargs, reps)[0]
     tracemalloc.start()
     try:
         out = fn(*args, **kwargs)
@@ -128,26 +193,37 @@ def measure(name, x_shape, w_shape, tail, reps, rng):
     finally:
         tracemalloc.stop()
     held = sum(trace.size for trace in buffers.traces)
-    return float(np.median(times)), peak, held, x.nbytes
+    return sec, peak, held, args[0].nbytes
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--reps", type=int, default=20, help="timed calls per shape")
+    ap.add_argument("--net", nargs="+", choices=list(NETS), default=list(NETS))
+    ap.add_argument("--against", metavar="CHECKOUT",
+                    help="another checkout whose ops to time alternately with these")
     args = ap.parse_args(argv)
     if args.reps < 1:
         ap.error("--reps must be at least 1")
+    if args.against and not (Path(args.against) / "src" / "revmem" / "ops.py").is_file():
+        ap.error(f"--against: no src/revmem/ops.py under {args.against}")
+    against = load_ops(args.against) if args.against else None
     rng = np.random.default_rng(0)
     print(f"numpy {np.__version__}, float32, {args.reps} reps, BLAS threads 1")
-    for net_name, cfg in NETS.items():
+    for net_name in args.net:
         print(f"\n{net_name}")
-        print(f"{'op':22} {'x':>17} {'w':>16} {'args':>6} calls {'ms':>7} {'peak MB':>8} "
-              f"{'held MB':>8} {'/input':>6}")
-        for (name, xs, ws, tail), count in sorted(layer_calls(*cfg).items()):
+        head = f"{'op':22} {'x':>17} {'w':>16} {'args':>6} calls"
+        print(head + (f" {'ms':>7} {'other ms':>8} {'ratio':>6}" if against else
+                      f" {'ms':>7} {'peak MB':>8} {'held MB':>8} {'/input':>6}"))
+        for (name, xs, ws, tail), count in sorted(layer_calls(*NETS[net_name]).items()):
+            row = (f"{name:22} {str(xs):>17} {str(ws) if ws else '-':>16} "
+                   f"{' '.join(map(str, tail)):>6} {count:5d}")
+            if against:
+                sec, other = compare(name, xs, ws, tail, args.reps, rng, against)
+                print(f"{row} {1e3 * sec:7.2f} {1e3 * other:8.2f} {sec / other:6.2f}")
+                continue
             sec, peak, held, in_bytes = measure(name, xs, ws, tail, args.reps, rng)
-            print(f"{name:22} {str(xs):>17} {str(ws) if ws else '-':>16} "
-                  f"{' '.join(map(str, tail)):>6} "
-                  f"{count:5d} {1e3 * sec:7.2f} {peak / 1e6:8.2f} {held / 1e6:8.2f} "
+            print(f"{row} {1e3 * sec:7.2f} {peak / 1e6:8.2f} {held / 1e6:8.2f} "
                   f"{peak / in_bytes:6.1f}")
     return 0
 

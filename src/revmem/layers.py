@@ -16,6 +16,13 @@ Execution protocol (used by the engine):
   take the tape itself, ``backward(gy, entries)``, and pop their entries
   off it as they walk them, so each cached input is freed after its last
   use and the tape is empty afterwards.
+* A primitive's ``backward`` is ``Layer.backward``, around its ``_vjp``
+  (the VJP call), which it hands the ``grad`` of each of ``params()``.
+  The op adds each parameter cotangent straight into that accumulator, so
+  this is the one place where gradients accumulate: no layer writes
+  ``.grad`` itself, and no second parameter-sized cotangent is made beside
+  it. A DF group's narrowed layers hand ``Param.view``s, so their
+  cotangents land in the whole Param's slice.
 * A ``ReLU`` tapes its output, not its input: ``y > 0`` exactly where
   ``x > 0``, so the mask is the same. The layer that takes ``y`` next
   usually tapes it too, as its input, and the two entries are one array,
@@ -153,6 +160,12 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, gy, entry):
+        """A primitive's backward: ``_vjp`` of the tape entry, handed each
+        parameter's ``grad`` in ``params()`` order to add its cotangent into.
+        Returns dL/dx."""
+        return self._vjp(entry, gy, *(p.grad for p in self.params()))
+
+    def _vjp(self, entry, gy, *grads):
         raise NotImplementedError
 
     def stat_nbytes(self) -> int:
@@ -181,10 +194,8 @@ class Conv2d(Layer):
     def _apply(self, x, replay):
         return ops.conv2d(x, self.w.value, self.stride)
 
-    def backward(self, gy, x):
-        gx, gw = ops.conv2d_vjp(x, self.w.value, gy, self.stride)
-        self.w.grad += gw
-        return gx
+    def _vjp(self, x, gy, gw):
+        return ops.conv2d_vjp(x, self.w.value, gy, self.stride, gw)[0]
 
 
 class DepthwiseConv2d(Conv2d):
@@ -201,10 +212,8 @@ class DepthwiseConv2d(Conv2d):
     def _apply(self, x, replay):
         return ops.depthwise_conv2d(x, self.w.value)
 
-    def backward(self, gy, x):
-        gx, gw = ops.depthwise_conv2d_vjp(x, self.w.value, gy)
-        self.w.grad += gw
-        return gx
+    def _vjp(self, x, gy, gw):
+        return ops.depthwise_conv2d_vjp(x, self.w.value, gy, gw)[0]
 
 
 class BatchNorm2d(Layer):
@@ -258,14 +267,12 @@ class BatchNorm2d(Layer):
             self.capture(mean, var)
         return y
 
-    def backward(self, gy, x):
+    def _vjp(self, x, gy, dgamma, dbeta):
         if self.saved_stats is None:
             raise StateError("batch norm backward requires captured statistics")
         mean, var = self.saved_stats
-        gx, dgamma, dbeta = ops.batchnorm2d_vjp(x, self.gamma.value, gy, mean, var, self.eps)
-        self.gamma.grad += dgamma
-        self.beta.grad += dbeta
-        return gx
+        return ops.batchnorm2d_vjp(x, self.gamma.value, gy, mean, var, self.eps,
+                                   dgamma, dbeta)[0]
 
     def stat_nbytes(self):
         if self.saved_stats is None:
@@ -289,7 +296,7 @@ class ReLU(Layer):
     def _apply(self, x, replay):
         return ops.relu(x)
 
-    def backward(self, gy, y):
+    def _vjp(self, y, gy):
         return ops.relu_vjp(y, gy)
 
 
@@ -301,7 +308,7 @@ class GlobalStatPool(Layer):
     def _apply(self, x, replay):
         return ops.global_stat_pool(x)
 
-    def backward(self, gy, x):
+    def _vjp(self, x, gy):
         return ops.global_stat_pool_vjp(x, gy)
 
 
@@ -323,10 +330,8 @@ class Linear(Layer):
     def _apply(self, x, replay):
         return ops.linear(x, self.w.value, self.b.value)
 
-    def backward(self, gy, x):
-        gx, _, gb = ops.linear_vjp(x, self.w.value, gy, self.w.grad)
-        self.b.grad += gb
-        return gx
+    def _vjp(self, x, gy, gw, gb):
+        return ops.linear_vjp(x, self.w.value, gy, gw, gb)[0]
 
 
 class Sequential(Layer):

@@ -7,6 +7,15 @@ each differentiable op has a companion ``*_vjp`` that maps the output
 cotangent back to input/parameter cotangents. The VJPs are checked against
 central finite differences in the test suite.
 
+A VJP with parameters (the convs, batch norm, linear) takes an accumulator
+for each parameter cotangent, its ``Param.grad`` as a layer passes it: the
+cotangent is added into it when given, else into zeros, and the
+accumulator is returned in its place. So a zero accumulator ends with the
+bits of the fresh return, and no second parameter-sized cotangent exists
+beside a given one, except where a kernel's rule below names one. An
+accumulator may be a view, such as a ``Param.view`` of one channel group:
+it is only ever written in place.
+
 Convolutions are cross-correlations (no kernel flip) with a square kernel
 of odd side k, zero-padded by ``k // 2`` on every side, so an output side
 is ``ceil(d / stride)``, computed by ``conv_out_size``, which layer shape
@@ -27,9 +36,9 @@ instead. "Other kernels" are all but the 1x1:
    ``(n, c, f*t)`` of the input ``x[:, :, ::s, ::s]``. Scratch: none at
    stride 1; above it, the strided input's copy.
 2. ``conv2d_vjp``, 1x1 kernel: the same matrix products
-   transposed. Scratch: an (n, c_out, c_in) per-sample dL/dw; above stride
-   1, the strided input's copy and the strided dL/dx scattered into the
-   zeroed dL/dx.
+   transposed. Scratch: an (n, c_out, c_in) per-sample dL/dw and its sum
+   over the batch, which is w's size; above stride 1, the strided input's
+   copy and the strided dL/dx scattered into the zeroed dL/dx.
 3. ``conv2d``, other kernels at stride 1 with c_in > 1: a flat-shift tap loop over bands
    of output rows of one sample. Tap (i, j) is one GEMM on a contiguous run
    of the band's padded rows, written with ``np.matmul(..., out=)`` into
@@ -47,9 +56,10 @@ instead. "Other kernels" are all but the 1x1:
    dL/dx rows of one sample. The band's dL/dy rows are zero-padded and
    read flat, so tap (i, j) is one contiguous run: its GEMM with w's tap is
    the tap's dL/dx term, and its GEMM with x widened by zero columns is the
-   tap's dL/dw term. Each band's interior goes into the exact-size dL/dx.
-   Scratch: four band buffers (padded dL/dy with its kh-row halo, widened
-   x, widened dL/dx and one tap's product), each at most the larger of
+   tap's dL/dw term, added straight into the accumulator's tap. Each
+   band's interior goes into the exact-size dL/dx. Scratch: four band
+   buffers (padded dL/dy with its kh-row halo, widened x, widened dL/dx
+   and one tap's product), each at most the larger of
    ``FLAT_SHIFT_BYTES`` and w's bytes plus the halo, and one tap's
    (c_out, c_in) dL/dw product and transposed w.
 6. ``conv2d_vjp``, other kernels at stride > 1: one GEMM pair per tap.
@@ -57,7 +67,8 @@ instead. "Other kernels" are all but the 1x1:
    (n, c_in, fo, to) buffer for its dL/dw term, and its dL/dx term adds
    into that slice of the exact-size dL/dx, so neither is padded whole.
    Scratch: that buffer and one tap's (n, c_in, fo*to) dL/dx product, both
-   reused, and one tap's per-sample dL/dw. At train-wide-q8's
+   reused, and one tap's per-sample dL/dw, whose sum adds into the
+   accumulator's tap. At train-wide-q8's
    (2, 64, 80, 8) -> 128 and ResNet34's (1, 32, 80, 200) -> 64 layers the
    call peaked at 0.89 and 3.25 MB of ``tracemalloc``, against 1.37 and
    5.40 MB padding x and dL/dx whole.
@@ -79,7 +90,7 @@ instead. "Other kernels" are all but the 1x1:
    the k*k taps in its own order, so dL/dx agrees with the scatter form to
    rounding, not bit for bit; equal inputs still give equal bits, so a
    replay matches its forward. Scratch: the column buffer, the per-plane
-   taps and a per-plane dL/dw.
+   taps, a per-plane dL/dw and its sum over the batch, w's size.
 
 The other ops with full-size inputs keep these scratch rules (per-channel
 vectors aside):
@@ -87,8 +98,9 @@ vectors aside):
 - ``batchnorm2d``: none; y is built in its own buffer. Capturing the
   statistics adds ``x.var``'s x-sized temporary, freed before y exists.
 - ``batchnorm2d_vjp``: bands of whole channels, each at most
-  ``FLAT_SHIFT_BYTES`` (one channel at least): the band's xhat and the
-  einsum's copies of its two operands. Only dL/dx is full size.
+  ``FLAT_SHIFT_BYTES`` (one channel at least): the band's xhat alone, as
+  dL/dgamma is a reduction that copies neither operand. Only dL/dx is
+  full size.
 - ``relu``: none. ``relu_vjp``: a bool mask over flat blocks of at most
   ``FLAT_SHIFT_BYTES`` elements, one byte each.
 - ``global_stat_pool_vjp``: dL/dx is built in its own buffer. Taking the
@@ -131,8 +143,9 @@ GSP_VAR_EPS = 1e-10
 # (1, 24, 80, 200) or (1, 48, 40, 100) held a band of a plane or one plane,
 # and paid a block's fixed cost that much more often: their forwards took
 # 3.29 and 1.18 ms against 1.35 and 0.74 ms (30 interleaved calls), with
-# peaks 0.38 and 0.28 MB lower. The batch-norm VJP's channel bands, relu_vjp's
-# mask blocks and linear_vjp's weight-row bands share the bound, and so does
+# peaks 0.38 and 0.28 MB lower. The batch-norm VJP's channel bands (a band
+# holds its channels' xhat and nothing else), relu_vjp's mask blocks and
+# linear_vjp's weight-row bands share the bound, and so does
 # the DF bottleneck's channel-group rule in layers.py, as the floor under the
 # branch input's bytes.
 FLAT_SHIFT_BYTES = 1 << 18
@@ -228,12 +241,21 @@ def _is_pointwise(w: np.ndarray) -> bool:
     return w.shape[2] == 1
 
 
-def _pointwise_conv2d_vjp(x, w, gy, stride):
+def _accumulator(acc, shape, dtype, name):
+    """The parameter cotangent's accumulator: ``acc``, checked, or zeros."""
+    if acc is None:
+        return np.zeros(shape, dtype)
+    if acc.shape != tuple(shape):
+        raise ShapeError(f"{name} accumulator has shape {acc.shape}, expected {tuple(shape)}")
+    return acc
+
+
+def _pointwise_conv2d_vjp(x, w, gy, stride, gw):
     n, c = x.shape[:2]
     o, fo, to = gy.shape[1:]
     xs = x[:, :, ::stride, ::stride].reshape(n, c, fo * to)
     g = gy.reshape(n, o, fo * to)
-    gw = np.matmul(g, xs.transpose(0, 2, 1)).sum(axis=0)[:, :, None, None]
+    gw[:, :, 0, 0] += np.matmul(g, xs.transpose(0, 2, 1)).sum(axis=0)
     gxs = np.matmul(w[:, :, 0, 0].T, g).reshape(n, c, fo, to)
     if stride == 1:
         return gxs, gw
@@ -291,19 +313,22 @@ def _flat_conv2d(x, w, y):
 
 
 def conv2d_vjp(
-    x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int = 1
+    x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int = 1,
+    gw: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cotangents (dL/dx, dL/dw) of conv2d given dL/dy."""
+    """Cotangents (dL/dx, dL/dw) of conv2d given dL/dy; dL/dw is added into
+    ``gw`` when given, else into zeros."""
     _check_conv_args(x, w, stride)
     _check_cotangent(x, w, gy, stride)
+    gw = _accumulator(gw, w.shape, np.result_type(x, gy), "dL/dw")
     if _is_pointwise(w):
-        return _pointwise_conv2d_vjp(x, w, gy, stride)
+        return _pointwise_conv2d_vjp(x, w, gy, stride, gw)
     if stride == 1:
-        return _flat_conv2d_vjp(x, w, gy)
-    return _strided_conv2d_vjp(x, w, gy, stride)
+        return _flat_conv2d_vjp(x, w, gy, gw)
+    return _strided_conv2d_vjp(x, w, gy, stride, gw)
 
 
-def _flat_conv2d_vjp(x, w, gy):
+def _flat_conv2d_vjp(x, w, gy, gw):
     # The gather form over bands of dL/dx rows of one sample. The band's gy
     # rows are zero-padded by k // 2 on every side to
     # rows tg = t + kw - 1 wide, and read flat with one spare row; its x
@@ -323,7 +348,6 @@ def _flat_conv2d_vjp(x, w, gy):
     budget = max(FLAT_SHIFT_BYTES, w.size * dtype.itemsize)
     rows = min(f, max(1, budget // (max(c, o) * tg * dtype.itemsize)))
     gx = np.empty(x.shape, dtype=x.dtype)
-    gw = np.zeros(w.shape, dtype=np.result_type(x, gy))
     gbuf = np.empty(o * (rows + kh) * tg, dtype=dtype)
     xbuf, acc, prod = (np.empty(c * rows * tg, dtype=dtype) for _ in range(3))
     for s in range(n):
@@ -358,7 +382,7 @@ def _tap_span(offset, stride, d, do):
     return slice(lo, hi), slice(start, start + stride * (hi - lo), stride)
 
 
-def _strided_conv2d_vjp(x, w, gy, stride):
+def _strided_conv2d_vjp(x, w, gy, stride, gw):
     # One GEMM pair per tap. The tap's in-range strided slice of x is copied
     # into a zeroed (n, c, fo, to) buffer, the padded x the tap would read,
     # for its dL/dw term; its dL/dx term adds into that slice of the
@@ -370,7 +394,6 @@ def _strided_conv2d_vjp(x, w, gy, stride):
     pad = kh // 2
     g = gy.reshape(n, o, fo * to)
     gx = np.zeros(x.shape, dtype=x.dtype)
-    gw = np.empty(w.shape, dtype=np.result_type(x, gy))
     xs = np.empty((n, c, fo, to), dtype=x.dtype)
     term = np.empty((n, c, fo * to), dtype=np.result_type(w, gy))
     for i in range(kh):
@@ -379,7 +402,7 @@ def _strided_conv2d_vjp(x, w, gy, stride):
             out_cols, cols = _tap_span(j - pad, stride, t, to)
             xs.fill(0)
             xs[:, :, out_rows, out_cols] = x[:, :, rows, cols]
-            gw[:, :, i, j] = np.matmul(g, xs.reshape(n, c, fo * to).transpose(0, 2, 1)).sum(axis=0)
+            gw[:, :, i, j] += np.matmul(g, xs.reshape(n, c, fo * to).transpose(0, 2, 1)).sum(axis=0)
             np.matmul(w[:, :, i, j].T, g, out=term)
             gx[:, :, rows, cols] += term.reshape(n, c, fo, to)[:, :, out_rows, out_cols]
     return gx, gw
@@ -471,9 +494,10 @@ def depthwise_conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def depthwise_conv2d_vjp(
-    x: np.ndarray, w: np.ndarray, gy: np.ndarray
+    x: np.ndarray, w: np.ndarray, gy: np.ndarray, gw: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cotangents (dL/dx, dL/dw) of depthwise_conv2d given dL/dy."""
+    """Cotangents (dL/dx, dL/dw) of depthwise_conv2d given dL/dy; dL/dw is
+    added into ``gw`` when given, else into zeros."""
     # The gather form on the forward's blocks, with the columns built from
     # dL/dy: tap (i, j) of dL/dx is w[k-1-i, k-1-j] times the run of dL/dy
     # that the forward's tap (i, j) reads of x, so the flipped taps times the
@@ -483,14 +507,16 @@ def depthwise_conv2d_vjp(
     n, c, f, t = x.shape
     k = w.shape[2]
     dtype = np.result_type(x, w, gy)
+    gw = _accumulator(gw, w.shape, np.result_type(x, gy), "dL/dw")
     gx = np.empty(x.shape, dtype=x.dtype)
     xs, gxs = x.reshape(n * c, f * t), gx.reshape(n * c, f * t)
     flipped = np.tile(w.reshape(c, 1, k * k)[:, :, ::-1].astype(dtype), (n, 1, 1))  # per plane
-    gw = np.zeros((n * c, k * k, 1), dtype=np.result_type(x, gy))  # per plane
+    planes = np.zeros((n * c, k * k, 1), dtype=np.result_type(x, gy))  # dL/dw per plane
     for block, flat, cols in _depthwise_columns(gy.reshape(n * c, f * t), f, t, k, dtype):
-        gw[block] += np.matmul(cols, xs[block, flat, None])
+        planes[block] += np.matmul(cols, xs[block, flat, None])
         np.matmul(flipped[block], cols, out=gxs[block, None, flat])
-    return gx, gw.reshape(n, c, k * k).sum(axis=0)[:, ::-1].reshape(c, 1, k, k)
+    gw += planes.reshape(n, c, k * k).sum(axis=0)[:, ::-1].reshape(c, 1, k, k)
+    return gx, gw
 
 
 def batchnorm2d(
@@ -536,25 +562,35 @@ def batchnorm2d_vjp(
     mean: np.ndarray,
     var: np.ndarray,
     eps: float = 1e-5,
+    dgamma: np.ndarray | None = None,
+    dbeta: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cotangents (dL/dx, dL/dgamma, dL/dbeta) treating mean/var as batch stats of x."""
+    """Cotangents (dL/dx, dL/dgamma, dL/dbeta) treating mean/var as batch
+    stats of x; dL/dgamma and dL/dbeta are added into ``dgamma`` and
+    ``dbeta`` when given, else into zeros."""
     # Bands of whole channels of at most FLAT_SHIFT_BYTES (one channel at
-    # least) hold xhat and the einsum's copies of its operands. Each channel's
-    # results read only its own slices, so they are those of one pass over
-    # the whole tensor, bit for bit.
+    # least) hold xhat alone, in one reused buffer: plain einsum reduces
+    # dL/dgamma without copying its operands, where optimize=True copied
+    # both. Each channel's results read only its own slices, so they are
+    # those of one pass over the whole tensor, bit for bit.
     n, c, f, t = x.shape
     count = n * f * t
     inv = 1.0 / np.sqrt(var + eps)
-    dbeta = gy.sum(axis=(0, 2, 3))
-    shift, scale = dbeta / count, gamma * inv
+    db = gy.sum(axis=(0, 2, 3))
+    shift, scale = db / count, gamma * inv
     gx = np.empty(gy.shape, dtype=gy.dtype)
-    dgamma = []
+    dgamma = _accumulator(dgamma, (c,), np.result_type(gy, x, inv), "dL/dgamma")
+    dbeta = _accumulator(dbeta, (c,), db.dtype, "dL/dbeta")
+    dbeta += db
     step = max(1, FLAT_SHIFT_BYTES // (count * x.itemsize))
+    band = np.empty(n * min(step, c) * f * t, dtype=np.result_type(x, mean))
     for lo in range(0, c, step):
         b = slice(lo, lo + step)
-        xhat = x[:, b] - mean[None, b, None, None]
+        m = min(step, c - lo)
+        xhat = band[: n * m * f * t].reshape(n, m, f, t)
+        np.subtract(x[:, b], mean[None, b, None, None], out=xhat)
         xhat *= inv[None, b, None, None]
-        dg = np.einsum("ncft,ncft->c", gy[:, b], xhat, optimize=True)
+        dg = np.einsum("ncft,ncft->c", gy[:, b], xhat)
         # gamma * inv * (gy - dbeta / count - xhat * dgamma / count), in that
         # operation order, with xhat reused as the second term's buffer
         g = gx[:, b]
@@ -563,8 +599,8 @@ def batchnorm2d_vjp(
         xhat /= count
         g -= xhat
         g *= scale[None, b, None, None]
-        dgamma.append(dg)
-    return gx, np.concatenate(dgamma), dbeta
+        dgamma[b] += dg
+    return gx, dgamma, dbeta
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -596,17 +632,20 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def linear_vjp(
-    x: np.ndarray, w: np.ndarray, gy: np.ndarray, gw: np.ndarray | None = None
+    x: np.ndarray, w: np.ndarray, gy: np.ndarray, gw: np.ndarray | None = None,
+    gb: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dL/dx, dL/dw, dL/db). dL/dw is added into ``gw`` when given, else
-    into zeros, in bands of w's rows of at most FLAT_SHIFT_BYTES (one row at
-    least), so no second full-size dL/dw exists beside it."""
-    if gw is None:
-        gw = np.zeros(w.shape, np.result_type(x, gy))
+    """(dL/dx, dL/dw, dL/db). dL/dw and dL/db are added into ``gw`` and
+    ``gb`` when given, else into zeros; dL/dw in bands of w's rows of at
+    most FLAT_SHIFT_BYTES (one row at least), so no second full-size dL/dw
+    exists beside it."""
+    gw = _accumulator(gw, w.shape, np.result_type(x, gy), "dL/dw")
+    gb = _accumulator(gb, w.shape[1:], gy.dtype, "dL/db")
     rows = max(1, FLAT_SHIFT_BYTES // (w.shape[1] * gw.itemsize))
     for lo in range(0, w.shape[0], rows):
         gw[lo:lo + rows] += x[:, lo:lo + rows].T @ gy
-    return gy @ w.T, gw, gy.sum(axis=0)
+    gb += gy.sum(axis=0)
+    return gy @ w.T, gw, gb
 
 
 def channel_split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

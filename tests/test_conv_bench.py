@@ -9,6 +9,7 @@ itself shows up there.
 
 import importlib.util
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -33,17 +34,14 @@ def conv_bench(monkeypatch):
 
 
 def result_bytes(name, x_shape, w_shape, tail):
-    """float32 bytes of the call's results: y for a conv, (dL/dx, dL/dw) for its
-    VJP, y and any captured (mean, var) for a batch norm, (dL/dx, dL/dgamma,
-    dL/dbeta) for its VJP and dL/dx for relu_vjp."""
+    """float32 bytes of the call's new results: y for a conv, y and any
+    captured (mean, var) for a batch norm, and dL/dx for every VJP, whose
+    parameter cotangents are added into the accumulators passed."""
     x_bytes = 4 * np.prod(x_shape)
-    if name == "relu_vjp":
-        return x_bytes
-    if name.startswith("batchnorm2d"):
-        captured = name == "batchnorm2d_vjp" or not tail
-        return x_bytes + (8 * w_shape[0] if captured else 0)
     if name.endswith("_vjp"):
-        return x_bytes + 4 * np.prod(w_shape)
+        return x_bytes
+    if name == "batchnorm2d":
+        return x_bytes + (0 if tail else 8 * w_shape[0])
     stride = tail[0] if tail else 1
     fo, to = (ops.conv_out_size(d, stride) for d in x_shape[2:])
     return 4 * x_shape[0] * w_shape[0] * fo * to
@@ -73,3 +71,23 @@ def test_records_and_measures_every_op(conv_bench, net):
         # no result is a view pinning a larger buffer, and no call keeps
         # scratch alive
         assert held == result_bytes(name, x_shape, w_shape, tail), name
+
+
+def test_against_times_another_checkout_as_its_layers_called_it(conv_bench):
+    rng = np.random.default_rng(0)
+    call = ("conv2d_vjp", (2, 3, 6, 5), (4, 3, 3, 3), (1,))
+    try:
+        other = conv_bench.load_ops(SCRIPT.parents[1])
+        assert other is not ops and other.conv2d_vjp is not ops.conv2d_vjp
+        assert all(sec > 0 for sec in conv_bench.compare(*call, 2, rng, other))
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] == "revmem_against"]:
+            del sys.modules[name]
+    # a VJP from before the accumulators returns a fresh dL/dw, which is
+    # added into the accumulator, as that checkout's layers added it
+    fresh_only = types.SimpleNamespace(conv2d_vjp=lambda x, w, gy, stride=1:
+                                       ops.conv2d_vjp(x, w, gy, stride))
+    args, kwargs = conv_bench._arguments(*call, rng)
+    kwargs["gw"] += 1
+    conv_bench._layer_call(fresh_only, "conv2d_vjp")(*args, **kwargs)
+    np.testing.assert_array_equal(kwargs["gw"], 1 + ops.conv2d_vjp(*args)[1])

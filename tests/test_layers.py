@@ -221,6 +221,43 @@ class TestSegmentReplay:
         assert seen == [False]
 
 
+class TestGradientRouting:
+    @pytest.mark.parametrize("make, x_shape, vjp", [
+        (lambda rng: Conv2d(3, 4, 3, rng=rng, dtype=np.float64), (2, 3, 5, 4), "conv2d_vjp"),
+        (lambda rng: Conv2d(3, 4, 1, stride=2, rng=rng, dtype=np.float64), (2, 3, 5, 4),
+         "conv2d_vjp"),
+        (lambda rng: DepthwiseConv2d(3, rng=rng, dtype=np.float64), (2, 3, 5, 4),
+         "depthwise_conv2d_vjp"),
+        (lambda rng: BatchNorm2d(3, dtype=np.float64), (2, 3, 5, 4), "batchnorm2d_vjp"),
+        (lambda rng: layers.Linear(6, 4, rng=rng, dtype=np.float64), (3, 6), "linear_vjp"),
+    ], ids=["conv3x3", "conv1x1_stride2", "depthwise", "batchnorm", "linear"])
+    def test_backward_hands_each_grad_to_the_vjp(self, rng, monkeypatch, make, x_shape, vjp):
+        # the op is handed each Param.grad, in params() order, as its last
+        # arguments and adds the parameter cotangents straight into them
+        layer = make(rng)
+        x = rng.normal(size=x_shape)
+        tape = []
+        gy = rng.normal(size=layer.forward(x, tape).shape)
+        original, calls = getattr(ops, vjp), []
+
+        def recording(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ops, vjp, recording)
+        grads = [p.grad for p in layer.params()]
+        priors = [rng.normal(size=g.shape) for g in grads]
+        for g, prior in zip(grads, priors):
+            g[...] = prior
+        gx = layer.backward(gy, tape.pop())
+        (args,) = calls
+        assert all(a is g for a, g in zip(args[-len(grads):], grads))
+        fresh = original(*args[:-len(grads)])
+        np.testing.assert_array_equal(gx, fresh[0])
+        for g, prior, ref in zip(grads, priors, fresh[1:]):
+            np.testing.assert_allclose(g, prior + ref, rtol=1e-12)
+
+
 class TestNarrowing:
     @pytest.mark.parametrize("name", list(OPTIMIZERS))
     def test_param_view_writes_land_in_its_slice(self, rng, name):
@@ -243,6 +280,48 @@ class TestNarrowing:
         make_optimizer(name, [alone], 1e-2).step()
         np.testing.assert_array_equal(whole.value[index], alone.value)
         np.testing.assert_array_equal(whole.value[outside], before[outside])
+
+    @pytest.mark.parametrize("case", ["conv_rows", "conv_1x1_columns", "conv_3x3_columns",
+                                      "depthwise", "batchnorm"])
+    def test_vjp_accumulates_through_a_view_only_into_its_slice(self, rng, case):
+        # a DF group's layers hand their VJPs Param.views of the whole
+        # layer's gradients; the cotangent lands in the group's slice alone
+        g = slice(1, 3)
+        x = rng.normal(size=(2, 2, 6, 5))
+        gy = rng.normal(size=x.shape)
+        if case == "batchnorm":
+            gamma, beta = Param(rng.uniform(0.5, 1.5, 6)), Param(rng.normal(size=6))
+            _, mean, var = ops.batchnorm2d(x, gamma.value[g], beta.value[g])
+            wholes, index = [gamma, beta], g
+            parts = [p.view(index) for p in wholes]
+            args = (x, parts[0].value, gy, mean, var, 1e-5)
+            vjp = ops.batchnorm2d_vjp
+        else:
+            shape, index = {
+                "conv_rows": ((6, 2, 3, 3), g),
+                "conv_1x1_columns": ((2, 6, 1, 1), (slice(None), g)),
+                "conv_3x3_columns": ((2, 6, 3, 3), (slice(None), g)),
+                "depthwise": ((6, 1, 3, 3), g),
+            }[case]
+            wholes = [Param(rng.normal(size=shape))]
+            parts = [wholes[0].view(index)]
+            w = parts[0].value
+            if case == "depthwise":
+                vjp, args = ops.depthwise_conv2d_vjp, (x, w, gy)
+            else:
+                gy = rng.normal(size=ops.conv2d(x, w).shape)
+                vjp, args = ops.conv2d_vjp, (x, w, gy, 1)
+        fresh = vjp(*args)[1:]
+        priors = []
+        for p in wholes:
+            p.grad[...] = rng.normal(size=p.grad.shape)
+            priors.append(p.grad.copy())
+        vjp(*args, *(p.grad for p in parts))
+        for p, prior, ref in zip(wholes, priors, fresh):
+            outside = np.ones(p.grad.shape, bool)
+            outside[index] = False
+            np.testing.assert_allclose(p.grad[index], prior[index] + ref, rtol=1e-12)
+            np.testing.assert_array_equal(p.grad[outside], prior[outside])
 
     def test_narrowed_capture_updates_only_its_running_slice(self, rng, monkeypatch):
         # a DF group's BN capture updates its slice of the whole layer's

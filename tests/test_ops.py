@@ -479,7 +479,7 @@ class TestBatchNorm2d:
         count = x.size // 3
         inv = (1.0 / np.sqrt(var + 1e-5))[None, :, None, None]
         xhat = (x - mean[None, :, None, None]) * inv
-        dgamma = np.einsum("ncft,ncft->c", gy, xhat, optimize=True)[None, :, None, None]
+        dgamma = np.einsum("ncft,ncft->c", gy, xhat)[None, :, None, None]
         dbeta = gy.sum(axis=(0, 2, 3))[None, :, None, None]
         ref = gamma[None, :, None, None] * inv * (gy - dbeta / count - xhat * dgamma / count)
         gx, _, _ = ops.batchnorm2d_vjp(x, gamma, gy, mean, var, 1e-5)
@@ -592,6 +592,109 @@ class TestScratchBounds:
         x, gy, _, _ = arrays
         peak, gx = traced_peak(ops.relu_vjp, ops.relu(x), gy)
         assert peak <= gx.nbytes + min(x.size, ops.FLAT_SHIFT_BYTES) + self.SLACK
+
+
+def vjp_call(rng, name, x_shape, w_shape, stride=None):
+    """Random float32 positional arguments of one VJP call with parameters,
+    as a layer passes them before its accumulators, and the accumulators'
+    shapes in the order of the VJP's parameter cotangents."""
+    x = rng.standard_normal(x_shape, dtype=np.float32)
+    w = rng.standard_normal(w_shape, dtype=np.float32)
+    if name == "batchnorm2d_vjp":
+        gamma = rng.uniform(0.5, 1.5, w_shape).astype(np.float32)
+        _, mean, var = ops.batchnorm2d(x, gamma, np.zeros_like(gamma))
+        gy = rng.standard_normal(x_shape, dtype=np.float32)
+        return (x, gamma, gy, mean, var, 1e-5), [w_shape, w_shape]
+    if name == "linear_vjp":
+        gy = rng.standard_normal((x_shape[0], w_shape[1]), dtype=np.float32)
+        return (x, w, gy), [w_shape, w_shape[1:]]
+    if name == "depthwise_conv2d_vjp":
+        return (x, w, rng.standard_normal(x_shape, dtype=np.float32)), [w_shape]
+    gy = rng.standard_normal(ops.conv2d(x, w, stride).shape, dtype=np.float32)
+    return (x, w, gy, stride), [w_shape]
+
+
+class TestAccumulators:
+    """Every VJP with parameters adds their cotangents into the accumulators
+    it is given, in every kernel form, with and without bands."""
+
+    FORMS = {
+        "conv_1x1": ("conv2d_vjp", (2, 3, 6, 5), (4, 3, 1, 1), 1),
+        "conv_1x1_strided": ("conv2d_vjp", (2, 3, 6, 5), (4, 3, 1, 1), 2),
+        "conv_3x3_flat": ("conv2d_vjp", (2, 3, 6, 5), (4, 3, 3, 3), 1),
+        "conv_3x3_strided": ("conv2d_vjp", (2, 3, 6, 5), (4, 3, 3, 3), 2),
+        "depthwise": ("depthwise_conv2d_vjp", (2, 3, 6, 5), (3, 1, 3, 3)),
+        "batchnorm": ("batchnorm2d_vjp", (2, 3, 6, 5), (3,)),
+        "linear": ("linear_vjp", (3, 7), (7, 5)),
+    }
+
+    @pytest.fixture(params=[False, True], ids=["whole", "banded"])
+    def banded(self, request, monkeypatch):
+        # one row, channel or plane a band: every band adds into the
+        # accumulator on its own
+        if request.param:
+            monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 4)
+        return request.param
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_zero_accumulator_gives_the_fresh_bits(self, rng, banded, form):
+        name, *shapes = self.FORMS[form]
+        args, acc_shapes = vjp_call(rng, name, *shapes)
+        fresh = getattr(ops, name)(*args)
+        accs = [np.zeros(s, np.float32) for s in acc_shapes]
+        out = getattr(ops, name)(*args, *accs)
+        assert out[0].tobytes() == fresh[0].tobytes()
+        for got, acc, ref in zip(out[1:], accs, fresh[1:]):
+            assert got is acc
+            assert acc.dtype == ref.dtype and acc.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_accumulator_ends_as_prior_plus_fresh(self, rng, banded, form):
+        name, *shapes = self.FORMS[form]
+        args, acc_shapes = vjp_call(rng, name, *shapes)
+        fresh = getattr(ops, name)(*args)
+        priors = [rng.standard_normal(s, dtype=np.float32) for s in acc_shapes]
+        accs = [p.copy() for p in priors]
+        out = getattr(ops, name)(*args, *accs)
+        np.testing.assert_array_equal(out[0], fresh[0])
+        for acc, prior, ref in zip(accs, priors, fresh[1:]):
+            np.testing.assert_allclose(acc, prior + ref, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_accumulator_shape_is_checked(self, rng, form):
+        name, *shapes = self.FORMS[form]
+        args, acc_shapes = vjp_call(rng, name, *shapes)
+        accs = [np.zeros(s, np.float32) for s in acc_shapes]
+        accs[-1] = np.zeros(accs[-1].size + 1, np.float32)
+        with pytest.raises(ShapeError, match="accumulator"):
+            getattr(ops, name)(*args, *accs)
+
+    def test_dense_vjp_allocates_no_weight_sized_gradient(self, rng):
+        # train-wide-q8's widest 3x3 VJP, one band per sample: beyond dL/dx
+        # and the four band buffers it holds one tap's products, far below
+        # w's bytes, which a fresh dL/dw would take
+        x_shape, w_shape = (2, 128, 40, 4), (128, 128, 3, 3)
+        args, _ = vjp_call(rng, "conv2d_vjp", x_shape, w_shape, 1)
+        acc = np.zeros(w_shape, np.float32)
+        peak, (gx, gw) = traced_peak(ops.conv2d_vjp, *args, acc)
+        assert gw is acc
+        o, c, kh, kw = w_shape
+        tg = x_shape[3] + kw - 1
+        budget = max(ops.FLAT_SHIFT_BYTES, acc.nbytes)
+        rows = min(x_shape[2], budget // (max(c, o) * tg * 4))
+        bands = 4 * (o * (rows + kh) * tg + 3 * c * rows * tg)
+        assert peak - gx.nbytes - bands < acc.nbytes
+
+    def test_batchnorm_vjp_allocates_dx_and_one_band(self, rng):
+        # train-wide-q8's widest BN: dL/dx, one reused band of xhat, and
+        # numpy's ufunc buffers; no copy of a band's operands
+        shape = (2, 64, 80, 8)
+        args, acc_shapes = vjp_call(rng, "batchnorm2d_vjp", shape, (64,))
+        accs = [np.zeros(s, np.float32) for s in acc_shapes]
+        peak, (gx, _, _) = traced_peak(ops.batchnorm2d_vjp, *args, *accs)
+        channel = 4 * shape[0] * shape[2] * shape[3]
+        band = channel * (ops.FLAT_SHIFT_BYTES // channel)
+        assert peak <= gx.nbytes + band + 2 * np.getbufsize() * 4
 
 
 class TestLinear:
