@@ -106,7 +106,7 @@ vectors aside):
 - ``global_stat_pool_vjp``: dL/dx is built in its own buffer. Taking the
   standard deviations adds ``x.var``'s x-sized temporary, freed before
   dL/dx exists.
-- ``linear_vjp``: dL/dw is added into the caller's buffer in bands of w's
+- ``linear_vjp``: dL/dw is added into its accumulator in bands of w's
   rows, each product at most ``FLAT_SHIFT_BYTES`` (one row at least).
 
 numpy's ufuncs may add their own buffers, ``np.getbufsize()`` elements per

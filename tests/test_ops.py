@@ -599,12 +599,12 @@ def vjp_call(rng, name, x_shape, w_shape, stride=None):
     as a layer passes them before its accumulators, and the accumulators'
     shapes in the order of the VJP's parameter cotangents."""
     x = rng.standard_normal(x_shape, dtype=np.float32)
-    w = rng.standard_normal(w_shape, dtype=np.float32)
     if name == "batchnorm2d_vjp":
         gamma = rng.uniform(0.5, 1.5, w_shape).astype(np.float32)
         _, mean, var = ops.batchnorm2d(x, gamma, np.zeros_like(gamma))
         gy = rng.standard_normal(x_shape, dtype=np.float32)
         return (x, gamma, gy, mean, var, 1e-5), [w_shape, w_shape]
+    w = rng.standard_normal(w_shape, dtype=np.float32)
     if name == "linear_vjp":
         gy = rng.standard_normal((x_shape[0], w_shape[1]), dtype=np.float32)
         return (x, w, gy), [w_shape, w_shape[1:]]
