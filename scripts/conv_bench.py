@@ -10,7 +10,7 @@ called as a layer calls it, with zeroed accumulators to add its parameter
 cotangents into. BLAS is pinned to one thread before numpy is imported, as
 in the benchmark. The library is imported from src/ of this checkout.
 
-    python3 scripts/conv_bench.py [--reps 20] [--net NAME ...] [--against CHECKOUT]
+    python3 scripts/conv_bench.py [--reps 20] [--against CHECKOUT]
 
 Columns: the op, the input's shape and the kernel's (gamma's for a batch
 norm, none for relu_vjp), the call's trailing arguments (the stride of a
@@ -23,8 +23,10 @@ mean a result is a view that pins a larger buffer.
 ``--against`` times the ops of another checkout (a directory holding its
 src/revmem) in the same process, on the same arrays, alternating call by
 call with this checkout's, so the machine's drift falls on both alike. A
-VJP that takes no accumulators there is called as that checkout's layers
-called it: its fresh parameter cotangents are added into the accumulators.
+VJP that takes no accumulators there, in a checkout from before the VJPs
+took them, is called as that checkout's layers called it: its fresh
+parameter cotangents are added into the accumulators (_layer_call, which
+only such a comparison needs).
 The columns are then the op and its shapes, calls per step, this
 checkout's and the other's median milliseconds per call, and their ratio.
 """
@@ -199,7 +201,6 @@ def measure(name, x_shape, w_shape, tail, reps, rng):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--reps", type=int, default=20, help="timed calls per shape")
-    ap.add_argument("--net", nargs="+", choices=list(NETS), default=list(NETS))
     ap.add_argument("--against", metavar="CHECKOUT",
                     help="another checkout whose ops to time alternately with these")
     args = ap.parse_args(argv)
@@ -210,7 +211,7 @@ def main(argv=None):
     against = load_ops(args.against) if args.against else None
     rng = np.random.default_rng(0)
     print(f"numpy {np.__version__}, float32, {args.reps} reps, BLAS threads 1")
-    for net_name in args.net:
+    for net_name in NETS:
         print(f"\n{net_name}")
         head = f"{'op':22} {'x':>17} {'w':>16} {'args':>6} calls"
         print(head + (f" {'ms':>7} {'other ms':>8} {'ratio':>6}" if against else

@@ -16,10 +16,8 @@ Execution protocol (used by the engine):
   take the tape itself, ``backward(gy, entries)``, and pop their entries
   off it as they walk them, so each cached input is freed after its last
   use and the tape is empty afterwards.
-* A primitive's ``backward`` is ``Layer.backward``, around its ``_vjp``
-  (the VJP call), which it hands the ``grad`` of each of ``params()``.
-  The op adds each parameter cotangent straight into that accumulator, so
-  this is the one place where gradients accumulate: no layer writes
+* A primitive with parameters hands each ``Param.grad`` to its VJP op,
+  which adds the parameter cotangent straight into it: no layer writes
   ``.grad`` itself, and no second parameter-sized cotangent is made beside
   it. A DF group's narrowed layers hand ``Param.view``s, so their
   cotangents land in the whole Param's slice.
@@ -160,12 +158,6 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, gy, entry):
-        """A primitive's backward: ``_vjp`` of the tape entry, handed each
-        parameter's ``grad`` in ``params()`` order to add its cotangent into.
-        Returns dL/dx."""
-        return self._vjp(entry, gy, *(p.grad for p in self.params()))
-
-    def _vjp(self, entry, gy, *grads):
         raise NotImplementedError
 
     def stat_nbytes(self) -> int:
@@ -194,8 +186,8 @@ class Conv2d(Layer):
     def _apply(self, x, replay):
         return ops.conv2d(x, self.w.value, self.stride)
 
-    def _vjp(self, x, gy, gw):
-        return ops.conv2d_vjp(x, self.w.value, gy, self.stride, gw)[0]
+    def backward(self, gy, x):
+        return ops.conv2d_vjp(x, self.w.value, gy, self.stride, self.w.grad)[0]
 
 
 class DepthwiseConv2d(Conv2d):
@@ -212,8 +204,8 @@ class DepthwiseConv2d(Conv2d):
     def _apply(self, x, replay):
         return ops.depthwise_conv2d(x, self.w.value)
 
-    def _vjp(self, x, gy, gw):
-        return ops.depthwise_conv2d_vjp(x, self.w.value, gy, gw)[0]
+    def backward(self, gy, x):
+        return ops.depthwise_conv2d_vjp(x, self.w.value, gy, self.w.grad)[0]
 
 
 class BatchNorm2d(Layer):
@@ -267,12 +259,12 @@ class BatchNorm2d(Layer):
             self.capture(mean, var)
         return y
 
-    def _vjp(self, x, gy, dgamma, dbeta):
+    def backward(self, gy, x):
         if self.saved_stats is None:
             raise StateError("batch norm backward requires captured statistics")
         mean, var = self.saved_stats
         return ops.batchnorm2d_vjp(x, self.gamma.value, gy, mean, var, self.eps,
-                                   dgamma, dbeta)[0]
+                                   self.gamma.grad, self.beta.grad)[0]
 
     def stat_nbytes(self):
         if self.saved_stats is None:
@@ -296,7 +288,7 @@ class ReLU(Layer):
     def _apply(self, x, replay):
         return ops.relu(x)
 
-    def _vjp(self, y, gy):
+    def backward(self, gy, y):
         return ops.relu_vjp(y, gy)
 
 
@@ -308,7 +300,7 @@ class GlobalStatPool(Layer):
     def _apply(self, x, replay):
         return ops.global_stat_pool(x)
 
-    def _vjp(self, x, gy):
+    def backward(self, gy, x):
         return ops.global_stat_pool_vjp(x, gy)
 
 
@@ -330,8 +322,8 @@ class Linear(Layer):
     def _apply(self, x, replay):
         return ops.linear(x, self.w.value, self.b.value)
 
-    def _vjp(self, x, gy, gw, gb):
-        return ops.linear_vjp(x, self.w.value, gy, gw, gb)[0]
+    def backward(self, gy, x):
+        return ops.linear_vjp(x, self.w.value, gy, self.w.grad, self.b.grad)[0]
 
 
 class Sequential(Layer):
