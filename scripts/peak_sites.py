@@ -220,8 +220,8 @@ def print_report(name, mode, batch, frames, report, top):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--net", nargs="+", choices=list(NETS) + list(zoo.REGISTRY_NAMES),
-                    default=list(NETS))
+    nets = list(dict.fromkeys([*NETS, *zoo.REGISTRY_NAMES]))  # NETS names two registry nets
+    ap.add_argument("--net", nargs="+", choices=nets, default=list(NETS))
     ap.add_argument("--mode", choices=engine.MODES, default="reversible")
     ap.add_argument("--top", type=int, default=5, help="ops listed per phase")
     ap.add_argument("--batch", type=int, nargs="+",

@@ -15,7 +15,15 @@ Execution protocol (used by the engine):
   cotangent. A chain (``Sequential``, ``RevRun``) and a ``ResidualBlock``
   take the tape itself, ``backward(gy, entries)``, and pop their entries
   off it as they walk them, so each cached input is freed after its last
-  use and the tape is empty afterwards.
+  use and the tape is empty afterwards. No backward writes the gy it is
+  handed, since callers read it again: a ``RevBlock`` reads gy2 and gz1
+  twice, a ``ResidualBlock``'s skip reads gy, and every DF channel group
+  reads the branch's one gy. Inside a ``Sequential``, though, each
+  cotangent after the first is one the chain's own VJPs made and nothing
+  else reads, so the chain hands it to each later layer with
+  ``owned=True``: ``ReLU``, ``BatchNorm2d`` and ``DepthwiseConv2d`` then
+  write dL/dx into it (their ops' ``out=``), and every other primitive
+  ignores the keyword.
 * A primitive with parameters hands each ``Param.grad`` to its VJP op,
   which adds the parameter cotangent straight into it: no layer writes
   ``.grad`` itself, and no second parameter-sized cotangent is made beside
@@ -157,7 +165,7 @@ class Layer:
     def _apply(self, x, replay):
         raise NotImplementedError
 
-    def backward(self, gy, entry):
+    def backward(self, gy, entry, owned=False):
         raise NotImplementedError
 
     def stat_nbytes(self) -> int:
@@ -186,7 +194,7 @@ class Conv2d(Layer):
     def _apply(self, x, replay):
         return ops.conv2d(x, self.w.value, self.stride)
 
-    def backward(self, gy, x):
+    def backward(self, gy, x, owned=False):
         return ops.conv2d_vjp(x, self.w.value, gy, self.stride, self.w.grad)[0]
 
 
@@ -204,8 +212,9 @@ class DepthwiseConv2d(Conv2d):
     def _apply(self, x, replay):
         return ops.depthwise_conv2d(x, self.w.value)
 
-    def backward(self, gy, x):
-        return ops.depthwise_conv2d_vjp(x, self.w.value, gy, self.w.grad)[0]
+    def backward(self, gy, x, owned=False):
+        return ops.depthwise_conv2d_vjp(x, self.w.value, gy, self.w.grad,
+                                        out=gy if owned else None)[0]
 
 
 class BatchNorm2d(Layer):
@@ -259,12 +268,13 @@ class BatchNorm2d(Layer):
             self.capture(mean, var)
         return y
 
-    def backward(self, gy, x):
+    def backward(self, gy, x, owned=False):
         if self.saved_stats is None:
             raise StateError("batch norm backward requires captured statistics")
         mean, var = self.saved_stats
         return ops.batchnorm2d_vjp(x, self.gamma.value, gy, mean, var, self.eps,
-                                   self.gamma.grad, self.beta.grad)[0]
+                                   self.gamma.grad, self.beta.grad,
+                                   out=gy if owned else None)[0]
 
     def stat_nbytes(self):
         if self.saved_stats is None:
@@ -288,8 +298,8 @@ class ReLU(Layer):
     def _apply(self, x, replay):
         return ops.relu(x)
 
-    def backward(self, gy, y):
-        return ops.relu_vjp(y, gy)
+    def backward(self, gy, y, owned=False):
+        return ops.relu_vjp(y, gy, out=gy if owned else None)
 
 
 class GlobalStatPool(Layer):
@@ -300,7 +310,7 @@ class GlobalStatPool(Layer):
     def _apply(self, x, replay):
         return ops.global_stat_pool(x)
 
-    def backward(self, gy, x):
+    def backward(self, gy, x, owned=False):
         return ops.global_stat_pool_vjp(x, gy)
 
 
@@ -322,7 +332,7 @@ class Linear(Layer):
     def _apply(self, x, replay):
         return ops.linear(x, self.w.value, self.b.value)
 
-    def backward(self, gy, x):
+    def backward(self, gy, x, owned=False):
         return ops.linear_vjp(x, self.w.value, gy, self.w.grad, self.b.grad)[0]
 
 
@@ -344,9 +354,13 @@ class Sequential(Layer):
         """dL/dx, or ``gs.pop() + dL/dx`` with a list ``gs``: a coupling
         block adds its branch's dL/dx to the cotangent it passes through.
         Pops each entry as its VJP runs, so a cached input is freed right
-        after its last use."""
-        for l in reversed(self.layers):
-            gy = l.backward(gy, entries.pop())
+        after its last use. gy stays the caller's, so the last layer is
+        called as any caller calls it; every later cotangent is one the
+        chain's own VJPs made, so each layer before the last is handed it
+        with ``owned=True`` and may write its dL/dx into it."""
+        for i, l in enumerate(reversed(self.layers)):
+            entry = entries.pop()
+            gy = l.backward(gy, entry, owned=True) if i else l.backward(gy, entry)
         return gy if gs is None else gs.pop() + gy
 
     def replay(self, x, tape, keep_output):

@@ -16,6 +16,14 @@ beside a given one, except where a kernel's rule below names one. An
 accumulator may be a view, such as a ``Param.view`` of one channel group:
 it is only ever written in place.
 
+``relu_vjp``, ``batchnorm2d_vjp`` and ``depthwise_conv2d_vjp`` preserve
+shape, and each takes ``out=``: a C-contiguous array of dL/dx's shape and
+dtype, which may be gy itself. dL/dx is written into it, with the bits a
+fresh dL/dx would have, and it is returned in dL/dx's place, so a caller
+that reads gy no more (a chain's inner layers, in layers.py) holds one
+array where it held two. Each reads a slice of gy before it writes that
+slice: a mask block, a channel band, or a depthwise block of whole planes.
+
 Convolutions are cross-correlations (no kernel flip) with a square kernel
 of odd side k, zero-padded by ``k // 2`` on every side, so an output side
 is ``ceil(d / stride)``, computed by ``conv_out_size``, which layer shape
@@ -42,9 +50,11 @@ instead. "Other kernels" are all but the 1x1:
 3. ``conv2d``, other kernels at stride 1 with c_in > 1: a flat-shift tap loop over bands
    of output rows of one sample. Tap (i, j) is one GEMM on a contiguous run
    of the band's padded rows, written with ``np.matmul(..., out=)`` into
-   one reused buffer and added into the band's widened output. Scratch: the
-   padded band, its widened output and the GEMM buffer, each at most
-   ``FLAT_SHIFT_BYTES``, and a transposed copy of w.
+   one reused buffer and added into the band's widened output. The taps
+   are read from w in place, unless a sample runs in more than one band:
+   then w is copied once, transposed, as its taps are read again band by
+   band. Scratch: the padded band, its widened output and the GEMM buffer,
+   each at most ``FLAT_SHIFT_BYTES``, and that copy of w.
 4. ``conv2d``, other kernels at stride > 1 or with c_in = 1 (the c=1 stem
    and the stride-2 dense forwards): a banded im2col over output rows of
    the whole batch. Each band's zero-padded input rows are copied, then
@@ -90,7 +100,11 @@ instead. "Other kernels" are all but the 1x1:
    the k*k taps in its own order, so dL/dx agrees with the scatter form to
    rounding, not bit for bit; equal inputs still give equal bits, so a
    replay matches its forward. Scratch: the column buffer, the per-plane
-   taps, a per-plane dL/dw and its sum over the batch, w's size.
+   taps, a per-plane dL/dw and its sum over the batch, w's size. With
+   ``out``, a block of whole planes writes dL/dx into it, gy itself
+   included, as its columns hold its planes of gy already; banded planes
+   read halo rows of their neighbours' gy, so they build a fresh dL/dx
+   and copy it into ``out``.
 
 The other ops with full-size inputs keep these scratch rules (per-channel
 vectors aside):
@@ -100,9 +114,10 @@ vectors aside):
 - ``batchnorm2d_vjp``: bands of whole channels, each at most
   ``FLAT_SHIFT_BYTES`` (one channel at least): the band's xhat alone, as
   dL/dgamma is a reduction that copies neither operand. Only dL/dx is
-  full size.
+  full size, and with ``out`` none is new.
 - ``relu``: none. ``relu_vjp``: a bool mask over flat blocks of at most
-  ``FLAT_SHIFT_BYTES`` elements, one byte each.
+  ``FLAT_SHIFT_BYTES`` elements, one byte each, and dL/dx unless ``out``
+  is given.
 - ``global_stat_pool_vjp``: dL/dx is built in its own buffer. Taking the
   standard deviations adds ``x.var``'s x-sized temporary, freed before
   dL/dx exists.
@@ -250,6 +265,16 @@ def _accumulator(acc, shape, dtype, name):
     return acc
 
 
+def _result(out, shape, dtype):
+    """dL/dx's buffer: ``out``, checked, or a new array."""
+    if out is None:
+        return np.empty(shape, dtype)
+    if out.shape != tuple(shape) or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ShapeError(f"dL/dx buffer must be a C-contiguous {tuple(shape)} {np.dtype(dtype)} "
+                         f"array, got {out.shape} {out.dtype}")
+    return out
+
+
 def _pointwise_conv2d_vjp(x, w, gy, stride, gw):
     n, c = x.shape[:2]
     o, fo, to = gy.shape[1:]
@@ -292,7 +317,14 @@ def _flat_conv2d(x, w, y):
     pad = kh // 2
     tp = t + 2 * pad
     rows = min(fo, max(1, FLAT_SHIFT_BYTES // (max(c, o) * tp * y.itemsize) - kh))
-    wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1), dtype=y.dtype)
+    # a tap read in place is a strided GEMM operand, which costs a copy each
+    # read: interleaved (40 calls, float32, one OpenBLAS thread) it took
+    # 4.34 against 3.32 ms at (1, 256, 10, 25) -> 256, two bands a sample,
+    # and 1.39 against 1.37 ms at (2, 128, 40, 4) -> 128, one band a sample;
+    # so w is copied once, transposed, where a sample runs in several bands
+    taps = w.transpose(2, 3, 0, 1)
+    if rows < fo:
+        taps = np.ascontiguousarray(taps, dtype=y.dtype)
     xb = np.empty((c, rows + kh, tp), dtype=y.dtype)
     acc = np.empty((o, rows * tp), dtype=y.dtype)
     prod = np.empty_like(acc)
@@ -305,7 +337,7 @@ def _flat_conv2d(x, w, y):
             for k in range(kh * kw):
                 i, j = divmod(k, kw)
                 run = xf[:, i * tp + j : i * tp + j + m * tp]
-                np.matmul(wt[i, j], run, out=p if k else a)
+                np.matmul(taps[i, j], run, out=p if k else a)
                 if k:
                     a += p
             y[s, :, r : r + m] = a.reshape(o, m, tp)[:, :, :to]
@@ -494,21 +526,28 @@ def depthwise_conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def depthwise_conv2d_vjp(
-    x: np.ndarray, w: np.ndarray, gy: np.ndarray, gw: np.ndarray | None = None
+    x: np.ndarray, w: np.ndarray, gy: np.ndarray, gw: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cotangents (dL/dx, dL/dw) of depthwise_conv2d given dL/dy; dL/dw is
-    added into ``gw`` when given, else into zeros."""
+    added into ``gw`` when given, else into zeros, and dL/dx is written
+    into ``out`` when given, which may be gy itself."""
     # The gather form on the forward's blocks, with the columns built from
     # dL/dy: tap (i, j) of dL/dx is w[k-1-i, k-1-j] times the run of dL/dy
     # that the forward's tap (i, j) reads of x, so the flipped taps times the
-    # columns are dL/dx, and the columns times x are dL/dw, flipped.
+    # columns are dL/dx, and the columns times x are dL/dw, flipped. A block
+    # of whole planes copies its planes of dL/dy into the columns before it
+    # writes them, so out may be gy; a band of a plane reads its
+    # neighbours' rows too, so banded planes build dL/dx apart and copy it.
     _check_depthwise_args(x, w)
     _check_cotangent(x, w, gy, 1)
     n, c, f, t = x.shape
     k = w.shape[2]
     dtype = np.result_type(x, w, gy)
     gw = _accumulator(gw, w.shape, np.result_type(x, gy), "dL/dw")
-    gx = np.empty(x.shape, dtype=x.dtype)
+    gx = _result(out, x.shape, x.dtype)
+    if out is not None and _depthwise_blocks(n * c, f, t, k * k, dtype)[1] < f:
+        gx = np.empty(x.shape, dtype=x.dtype)
     xs, gxs = x.reshape(n * c, f * t), gx.reshape(n * c, f * t)
     flipped = np.tile(w.reshape(c, 1, k * k)[:, :, ::-1].astype(dtype), (n, 1, 1))  # per plane
     planes = np.zeros((n * c, k * k, 1), dtype=np.result_type(x, gy))  # dL/dw per plane
@@ -516,6 +555,9 @@ def depthwise_conv2d_vjp(
         planes[block] += np.matmul(cols, xs[block, flat, None])
         np.matmul(flipped[block], cols, out=gxs[block, None, flat])
     gw += planes.reshape(n, c, k * k).sum(axis=0)[:, ::-1].reshape(c, 1, k, k)
+    if out is not None and gx is not out:
+        out[...] = gx
+        gx = out
     return gx, gw
 
 
@@ -564,21 +606,24 @@ def batchnorm2d_vjp(
     eps: float = 1e-5,
     dgamma: np.ndarray | None = None,
     dbeta: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cotangents (dL/dx, dL/dgamma, dL/dbeta) treating mean/var as batch
     stats of x; dL/dgamma and dL/dbeta are added into ``dgamma`` and
-    ``dbeta`` when given, else into zeros."""
+    ``dbeta`` when given, else into zeros, and dL/dx is written into
+    ``out`` when given, which may be gy itself."""
     # Bands of whole channels of at most FLAT_SHIFT_BYTES (one channel at
     # least) hold xhat alone, in one reused buffer: plain einsum reduces
     # dL/dgamma without copying its operands, where optimize=True copied
     # both. Each channel's results read only its own slices, so they are
-    # those of one pass over the whole tensor, bit for bit.
+    # those of one pass over the whole tensor, bit for bit, and a band
+    # reads its slice of gy before it writes that slice of dL/dx.
     n, c, f, t = x.shape
     count = n * f * t
     inv = 1.0 / np.sqrt(var + eps)
     db = gy.sum(axis=(0, 2, 3))
     shift, scale = db / count, gamma * inv
-    gx = np.empty(gy.shape, dtype=gy.dtype)
+    gx = _result(out, gy.shape, gy.dtype)
     dgamma = _accumulator(dgamma, (c,), np.result_type(gy, x, inv), "dL/dgamma")
     dbeta = _accumulator(dbeta, (c,), db.dtype, "dL/dbeta")
     dbeta += db
@@ -607,16 +652,17 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
 
 
-def relu_vjp(x: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    """dL/dx of relu given dL/dy; x may be relu's input or its output, which
-    are positive at the same elements. The subgradient at exactly 0 is 0."""
+def relu_vjp(x: np.ndarray, gy: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """dL/dx of relu given dL/dy, written into ``out`` when given, which may
+    be gy itself; x may be relu's input or its output, which are positive
+    at the same elements. The subgradient at exactly 0 is 0."""
     # gy * (x > 0), its bool mask taken over flat blocks of at most
     # FLAT_SHIFT_BYTES elements, each multiplied straight into dL/dx
-    gx = np.empty(gy.shape, dtype=np.result_type(gy, np.bool_))
-    xf, gf, out = x.reshape(-1), gy.reshape(-1), gx.reshape(-1)
-    for lo in range(0, out.size, FLAT_SHIFT_BYTES):
+    gx = _result(out, gy.shape, np.result_type(gy, np.bool_))
+    xf, gf, gxf = x.reshape(-1), gy.reshape(-1), gx.reshape(-1)
+    for lo in range(0, gxf.size, FLAT_SHIFT_BYTES):
         b = slice(lo, lo + FLAT_SHIFT_BYTES)
-        np.multiply(gf[b], xf[b] > 0, out=out[b])
+        np.multiply(gf[b], xf[b] > 0, out=gxf[b])
     return gx
 
 

@@ -20,7 +20,7 @@ from revmem.layers import (
     make_residual_fn,
 )
 
-from conftest import central_diff_proj, mixed_err
+from conftest import central_diff_proj, fresh_backward, mixed_err
 
 
 def branch(kind, width=8, c_in=None, seed=0, dtype=np.float64):
@@ -212,9 +212,9 @@ class TestSegmentReplay:
         bn, seen = seg.layers[1], []
         bn_backward = bn.backward
 
-        def traced_backward(g, entry):
+        def traced_backward(g, entry, **kwargs):
             seen.append(gy() is not None)
-            return bn_backward(g, entry)
+            return bn_backward(g, entry, **kwargs)
 
         monkeypatch.setattr(bn, "backward", traced_backward)
         getattr(seg, method)(gs.pop(), x)
@@ -240,9 +240,9 @@ class TestGradientRouting:
         gy = rng.normal(size=layer.forward(x, tape).shape)
         original, calls = getattr(ops, vjp), []
 
-        def recording(*args):
+        def recording(*args, **kwargs):
             calls.append(args)
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(ops, vjp, recording)
         grads = [p.grad for p in layer.params()]
@@ -256,6 +256,88 @@ class TestGradientRouting:
         np.testing.assert_array_equal(gx, fresh[0])
         for g, prior, ref in zip(grads, priors, fresh[1:]):
             np.testing.assert_allclose(g, prior + ref, rtol=1e-12)
+
+
+class TestCotangentOwnership:
+    """No backward writes the gy it is handed, which its caller may read
+    again; inside a chain, each VJP after the first writes dL/dx into the
+    cotangent the chain's own VJP made, with the bits of a fresh dL/dx."""
+
+    @staticmethod
+    def unit(rng, monkeypatch, name):
+        x = rng.normal(size=(2, 8, 6, 5))
+        if name == "segment":  # stem-like: the chain's first VJP is the ReLU's
+            return Sequential([Conv2d(8, 4, 3, rng=rng, dtype=np.float64),
+                               BatchNorm2d(4, dtype=np.float64), ReLU()]), x
+        kind = name.removeprefix("residual_")
+        if kind == name:
+            unit = chain = branch(kind)
+        else:
+            unit = ResidualBlock(kind, 8, 8, rng=rng, dtype=np.float64)
+            chain = unit.branch
+        if kind == "df_bottleneck":  # three channel groups
+            monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 12 * 2 * 6 * 5 * x.itemsize)
+            assert len(layers._channel_groups(x, chain.layers[0])) == 3
+        return unit, x
+
+    @staticmethod
+    def run(unit, x, gy, method):
+        if method == "backward":
+            tape = []
+            unit.forward(x, tape=tape)
+            return unit.backward(gy, tape)
+        unit.forward(x)  # captures the statistics a replay reads
+        if method == "replay_vjp":
+            return unit.replay_vjp(gy, x)[1]
+        return unit.backward_from_input(gy, x)
+
+    @pytest.mark.parametrize("name, method", [
+        (name, method) for name in ("segment", "basic", "df_bottleneck")
+        for method in ("backward", "replay_vjp", "backward_from_input")
+    ] + [(name, method) for name in ("residual_basic", "residual_df_bottleneck")
+         for method in ("backward", "backward_from_input")])
+    def test_handed_cotangent_is_left_alone(self, rng, monkeypatch, name, method):
+        # the same call with every VJP making a fresh dL/dx gives the same
+        # dL/dx and gradients, bit for bit
+        unit, x = self.unit(rng, monkeypatch, name)
+        gy = rng.normal(size=unit.forward(x).shape)
+        given = gy.copy()
+        results = []
+        for backward in (Sequential.backward, fresh_backward):
+            monkeypatch.setattr(Sequential, "backward", backward)
+            for p in unit.params():
+                p.zero_grad()
+            gx = self.run(unit, x, gy, method)
+            assert gy.tobytes() == given.tobytes()
+            results.append([gx] + [p.grad.copy() for p in unit.params()])
+        for got, ref in zip(*results):
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("name, into_gy", [
+        ("segment", {"relu_vjp": False, "batchnorm2d_vjp": True}),
+        ("basic", {"relu_vjp": True, "batchnorm2d_vjp": True}),
+        ("df_bottleneck", {"depthwise_conv2d_vjp": True, "relu_vjp": True,
+                           "batchnorm2d_vjp": True}),
+    ])
+    def test_later_vjps_write_into_the_chains_cotangent(self, rng, monkeypatch, name,
+                                                        into_gy):
+        # each VJP after a chain's first is handed its gy as out; the first,
+        # whose gy is the caller's, makes a fresh dL/dx
+        unit, x = self.unit(rng, monkeypatch, name)
+        gy = rng.normal(size=unit.forward(x).shape)
+        seen = {op: set() for op in into_gy}
+
+        def spy(op, fn):
+            def call(*args, out=None):
+                seen[op].add(out is not None and out is args[1 if op == "relu_vjp" else 2])
+                return fn(*args, out=out)
+
+            return call
+
+        for op in into_gy:
+            monkeypatch.setattr(ops, op, spy(op, getattr(ops, op)))
+        self.run(unit, x, gy, "backward")
+        assert seen == {op: {flag} for op, flag in into_gy.items()}
 
 
 class TestNarrowing:

@@ -117,6 +117,17 @@ class TestConv2d:
         peak, y = traced_peak(ops.conv2d, x, w)
         assert peak <= y.nbytes + 4 * ops.FLAT_SHIFT_BYTES
 
+    def test_stride1_forward_reads_the_taps_of_w_in_place(self, rng):
+        # train-wide-q8's widest 3x3 forward, one band a sample: beyond y and
+        # its three band buffers it holds less than w's bytes, which a
+        # transposed copy of w would take
+        x = rng.standard_normal((2, 128, 40, 4), dtype=np.float32)
+        w = rng.standard_normal((128, 128, 3, 3), dtype=np.float32)
+        peak, y = traced_peak(ops.conv2d, x, w)
+        c, rows, tp = 128, 40, 6  # o = c; one band holds all 40 rows
+        bands = 4 * (c * (rows + 3) * tp + 2 * c * rows * tp)
+        assert peak - y.nbytes - bands < w.nbytes
+
     def test_gradients_vs_finite_differences(self, rng):
         x = rng.normal(size=(1, 2, 5, 5))
         w = rng.normal(size=(3, 2, 3, 3))
@@ -695,6 +706,67 @@ class TestAccumulators:
         channel = 4 * shape[0] * shape[2] * shape[3]
         band = channel * (ops.FLAT_SHIFT_BYTES // channel)
         assert peak <= gx.nbytes + band + 2 * np.getbufsize() * 4
+
+
+class TestOutBuffer:
+    """relu_vjp, batchnorm2d_vjp and depthwise_conv2d_vjp write dL/dx into the
+    ``out`` they are given, gy itself included, with a fresh dL/dx's bits:
+    with FLAT_SHIFT_BYTES patched so that one pass runs, so that several
+    mask blocks, channel bands or blocks of whole depthwise planes run, and
+    so that the depthwise planes run in bands of their rows."""
+
+    SHAPE = (3, 5, 9, 7)  # 15 planes of 9 rows
+
+    @pytest.fixture(params=["one", "blocks", "bands"])
+    def layout(self, request, monkeypatch):
+        row = 9 * 7 * 4  # one float32 row's columns
+        budget = {"one": 1 << 20, "blocks": 18 * row, "bands": 2 * row}[request.param]
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", budget)
+        return request.param
+
+    def call(self, rng, name, dtype):
+        """(op, arguments before gy, gy, arguments after it) of one call."""
+        x = rng.standard_normal(self.SHAPE).astype(dtype)
+        gy = rng.standard_normal(self.SHAPE).astype(dtype)
+        if name == "relu_vjp":
+            return ops.relu_vjp, (ops.relu(x),), gy, ()
+        if name == "depthwise_conv2d_vjp":
+            w = rng.standard_normal((5, 1, 3, 3)).astype(dtype)
+            return ops.depthwise_conv2d_vjp, (x, w), gy, ()
+        gamma = rng.uniform(0.5, 1.5, 5).astype(dtype)
+        _, mean, var = ops.batchnorm2d(x, gamma, np.zeros_like(gamma))
+        return ops.batchnorm2d_vjp, (x, gamma), gy, (mean, var)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", ["relu_vjp", "batchnorm2d_vjp", "depthwise_conv2d_vjp"])
+    @pytest.mark.parametrize("into", ["gy", "other"])
+    def test_out_gives_the_fresh_bits(self, rng, layout, dtype, name, into):
+        op, head, gy, tail = self.call(rng, name, dtype)
+        if name == "depthwise_conv2d_vjp":
+            planes, rows = ops._depthwise_blocks(15, 9, 7, 9, np.dtype(dtype))
+            assert {"one": planes == 15, "blocks": 1 < planes < 15 and rows == 9,
+                    "bands": rows < 9}[layout]
+        fresh = op(*head, gy, *tail)
+        given = gy.copy()
+        out = gy if into == "gy" else np.empty_like(gy)
+        got = op(*head, gy, *tail, out=out)
+        got_x, ref_x = (got, fresh) if name == "relu_vjp" else (got[0], fresh[0])
+        assert got_x is out
+        assert got_x.dtype == ref_x.dtype and got_x.tobytes() == ref_x.tobytes()
+        for a, b in zip(got[1:] if name != "relu_vjp" else (), fresh[1:]):
+            assert a.tobytes() == b.tobytes()
+        if into == "other":
+            assert gy.tobytes() == given.tobytes()
+
+    @pytest.mark.parametrize("name", ["relu_vjp", "batchnorm2d_vjp", "depthwise_conv2d_vjp"])
+    def test_out_is_checked(self, rng, name):
+        op, head, gy, tail = self.call(rng, name, np.float64)
+        bad = {"shape": np.empty(self.SHAPE[:-1] + (8,)),
+               "dtype": np.empty(self.SHAPE, np.float32),
+               "layout": np.empty(self.SHAPE[::-1]).T}
+        for out in bad.values():
+            with pytest.raises(ShapeError, match="dL/dx buffer"):
+                op(*head, gy, *tail, out=out)
 
 
 class TestLinear:

@@ -7,6 +7,7 @@ in, its report no longer shows where the peak sits.
 """
 
 import importlib.util
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -36,11 +37,13 @@ def peak_sites(monkeypatch):
     return module
 
 
-# where each mode's step peaks: the backward's depthwise VJP of a channel
-# group, of stage 1 in reversible mode, and in stored mode of stage 2, the
-# first the backward walks, while stage 1's tape is still whole
+# where each mode's step peaks: in reversible mode the stem segment's ReLU
+# VJP, the segment's first, which keeps a fresh dL/dx since the segment's
+# cotangent is its caller's; in stored mode the backward's depthwise VJP of a
+# channel group of stage 2, the first the backward walks, while stage 1's
+# tape is still whole
 PEAK_OPS = {
-    "reversible": ("depthwise_conv2d_vjp", (4, 8, 80, 32)),
+    "reversible": ("relu_vjp", (4, 16, 80, 32)),
     "stored": ("depthwise_conv2d_vjp", (4, 16, 40, 16)),
 }
 
@@ -106,3 +109,12 @@ def test_batch_sizes_give_per_sample_slopes(peak_sites, monkeypatch, capsys):
     assert out.endswith(line)
     # a sample's saved activations are alive when the backward starts
     assert slope["backward"] >= slope["plan"]
+
+
+def test_net_choices_name_each_net_once(peak_sites, capsys):
+    # conv_bench's nets include two registry nets, listed once each
+    with pytest.raises(SystemExit):
+        peak_sites.main(["--help"])
+    choices = re.search(r"--net \{([^}]*)\}", capsys.readouterr().out).group(1).split(",")
+    assert len(choices) == len(set(choices))
+    assert {"train-rev-df", "DF-RevNet89", "ResNet34", "RevNet57"} <= set(choices)

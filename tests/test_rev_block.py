@@ -12,7 +12,7 @@ from revmem.layers import (
     DFBottleneck, Param, ResidualBlock, RevBlock, RevDownsample, Sequential, make_residual_fn,
 )
 
-from conftest import central_diff_proj, mixed_err, scaled_err
+from conftest import central_diff_proj, fresh_backward, mixed_err, scaled_err
 
 
 class _ScalarLinear:
@@ -160,6 +160,41 @@ class TestRevBackward:
         for p in blk.params():
             fd = central_diff_proj(lambda: ops.channel_concat(*blk.forward(x)), r, p.value)
             assert mixed_err(p.grad, fd) <= 1e-6
+
+
+class TestCotangentOwnership:
+    @pytest.mark.parametrize("shared", [False, True], ids=["distinct", "gy1_is_gy2"])
+    @pytest.mark.parametrize("kind", ["basic", "df_bottleneck"])
+    def test_backwards_leave_the_cotangent_pair_alone(self, rng, monkeypatch, kind, shared):
+        # both backwards read gy2 and gz1 twice, so neither branch may write
+        # the cotangent it is handed, even where gy1 and gy2 are one array;
+        # with every VJP making a fresh dL/dx they give the same bits
+        blk, _ = make_block(kind)
+        x = ops.channel_split(rng.normal(size=(2, 8, 8, 6)))
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", x[0].nbytes)
+        if kind == "df_bottleneck":
+            assert len(layers._channel_groups(x[0], blk.g.layers[0])) == 4
+        g1 = rng.normal(size=x[0].shape)
+        g2 = g1 if shared else rng.normal(size=x[1].shape)
+        given = [g1.copy(), g2.copy()]
+
+        def unchanged():
+            return [g1.tobytes(), g2.tobytes()] == [g.tobytes() for g in given]
+
+        results = []
+        for backward in (Sequential.backward, fresh_backward):
+            monkeypatch.setattr(Sequential, "backward", backward)
+            for p in blk.params():
+                p.zero_grad()
+            tape = []
+            y = blk.forward(x, tape=tape)
+            stored = blk.backward((g1, g2), tape[0])
+            assert unchanged()
+            _, rev = blk.rev_backward(list(y), [g1, g2])
+            assert unchanged()
+            results.append([*stored, *rev] + [p.grad.copy() for p in blk.params()])
+        for got, ref in zip(*results):
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestAlgorithmOneOrder:
@@ -461,14 +496,15 @@ class TestGroupedDFBranch:
         slack = 3 * np.getbufsize() * 4 + (64 << 10)  # ufunc buffers, per-plane taps
         assert rise <= narrow * x.nbytes + taped + 4 * group + 3 * ops.FLAT_SHIFT_BYTES + slack
 
-    def test_rev_backward_holds_seven_half_streams(self, rng):
+    def test_rev_backward_holds_six_half_streams(self, rng):
         # at train-rev-df's stage-1 pair, (4, 8, 80, 32) a stream, with the
         # lists holding the only references: each branch folds its group
         # shares into the rebuilt stream and the cotangent, so at G's
-        # depthwise VJP y1, x2, gz1, gy2 and a group's h, r and dL/dd are
-        # alive, seven half-streams (a group is 8 of the 32 mid channels);
-        # the VJP adds its dL/dr and its columns. Summing the shares apart
-        # from y2 and gy1 held two half-streams more
+        # depthwise VJP y1, x2, gz1, gy2 and a group's h and r are alive,
+        # six half-streams (a group is 8 of the 32 mid channels), beside the
+        # dL/dd that the VJP overwrites with its dL/dr, and its columns.
+        # Summing the shares apart from y2 and gy1 held two half-streams
+        # more, and a fresh dL/dr beside dL/dd one more
         blk = RevBlock("df_bottleneck", 8, rng=rng, dtype=np.float32)
         y0 = blk.forward(tuple(rng.standard_normal((2, 4, 8, 80, 32), dtype=np.float32)))
         gy0 = list(rng.standard_normal((2, 4, 8, 80, 32), dtype=np.float32))
@@ -484,7 +520,7 @@ class TestGroupedDFBranch:
             tracemalloc.stop()
         per_plane = 3 * 4 * 8 * 9 * 4  # the depthwise VJP's taps and per-plane dL/dw
         slack = 3 * np.getbufsize() * 4 + (64 << 10)  # ufunc buffers
-        assert rise <= (7 + 1) * half + 2 * ops.FLAT_SHIFT_BYTES + per_plane + slack
+        assert rise <= (6 + 1) * half + 2 * ops.FLAT_SHIFT_BYTES + per_plane + slack
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_stored_backward_equals_fused_replay(self, rng, monkeypatch, dtype):
