@@ -7,26 +7,26 @@ in perfbench/workloads.py), of DF-RevNet89 and of ResNet34 at batch 1 and
 the benchmark's span tracer (perfbench/tracer.py) records, then times every
 call on its own with fresh random float32 inputs. A VJP with parameters is
 called as a layer calls it, with zeroed accumulators to add its parameter
-cotangents into. BLAS is pinned to one thread before numpy is imported, as
-in the benchmark. The library is imported from src/ of this checkout.
+cotangents into, and a VJP that a chain hands its own cotangent (``out=``)
+writes dL/dx into its gy, which is refilled between calls, outside the timed
+span. BLAS is pinned to one thread before numpy is imported, as in the
+benchmark. The library is imported from src/ of this checkout.
 
     python3 scripts/conv_bench.py [--reps 20] [--against CHECKOUT]
 
 Columns: the op, the input's shape and the kernel's (gamma's for a batch
 norm, none for relu_vjp), the call's trailing arguments (the stride of a
-dense conv, "replay" for a batch norm given its statistics, else none),
-calls per training step, median milliseconds per call, the tracemalloc peak
-of one call in MB, the MB its results keep alive once it has returned, and
-the peak over the input's bytes. Held bytes above the results' own size
+dense conv, "replay" for a batch norm given its statistics, "out" for a VJP
+that writes into its gy), calls per training step, median milliseconds per
+call, the tracemalloc peak of one call in MB, the MB its results keep alive
+once it has returned, and the peak over the input's bytes. Held bytes above the results' own size
 mean a result is a view that pins a larger buffer.
 
 ``--against`` times the ops of another checkout (a directory holding its
 src/revmem) in the same process, on the same arrays, alternating call by
-call with this checkout's, so the machine's drift falls on both alike. A
-VJP that takes no accumulators there, in a checkout from before the VJPs
-took them, is called as that checkout's layers called it: its fresh
-parameter cotangents are added into the accumulators (_layer_call, which
-only such a comparison needs).
+call with this checkout's, so the machine's drift falls on both alike.
+Both are called alike, so the other checkout's ops must take the same
+arguments: VJPs that add into accumulators and write dL/dx into ``out=``.
 The columns are then the op and its shapes, calls per step, this
 checkout's and the other's median milliseconds per call, and their ratio.
 """
@@ -39,7 +39,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import functools
 import importlib
-import inspect
 import sys
 import time
 import tracemalloc
@@ -72,22 +71,23 @@ ACCUMULATORS = {"conv2d_vjp": ("gw",), "depthwise_conv2d_vjp": ("gw",),
 
 
 def _call_key(name, args, kwargs):
-    """(op, x shape, w shape, trailing arguments) of one call.
+    """(op, x shape, w shape, trailing arguments) of one call of any op.
 
-    w is a conv's kernel or a batch norm's gamma; relu_vjp has none. The
-    trailing arguments of a conv are those after its arrays (x, w, and gy
-    for a VJP), as the layer passed them, less any array (an accumulator);
-    a batch norm given its statistics has ("replay",), any other call none.
+    w is a conv's kernel, a batch norm's gamma or an fc's weight, the second
+    argument of those ops; other ops have none. The trailing arguments are
+    those after x that are not arrays (accumulators), as the layer passed
+    them: a dense conv's stride, a rearrangement's ratio. A batch norm's
+    are ("replay",) if it is given its statistics, else none. A call given
+    ``out=`` adds "out".
     """
-    x = args[0]
-    if name == "relu_vjp":
-        return name, x.shape, (), ()
-    if name in CONV_OPS:
-        tail = args[3:] if name.endswith("_vjp") else args[2:]
-        tail = tuple(a for a in tail if not isinstance(a, np.ndarray))
-    else:
+    if name.startswith("batchnorm2d"):
         tail = ("replay",) if kwargs.get("stats") is not None else ()
-    return name, x.shape, args[1].shape, tail
+    else:
+        tail = tuple(a for a in args[1:] if not isinstance(a, np.ndarray))
+    if kwargs.get("out") is not None:
+        tail += ("out",)
+    weighted = name.removesuffix("_vjp") in (*CONV_OPS, "batchnorm2d", "linear")
+    return name, args[0].shape, args[1].shape if weighted else (), tail
 
 
 def layer_calls(spec, batch, frames):
@@ -104,24 +104,37 @@ def layer_calls(spec, batch, frames):
 
 def _arguments(name, x_shape, w_shape, tail, rng):
     """Random float32 arguments and keywords of one call with _call_key's
-    shapes; a VJP's accumulators, each w's shape, are zeros passed by keyword."""
+    shapes, and a function that restores them between calls.
+
+    A VJP's accumulators, each w's shape, are zeros passed by keyword. With
+    "out" in tail, gy is passed as ``out`` too, as a chain passes the
+    cotangent it owns; the restore writes gy's first values back into it,
+    so repeated calls do not compound.
+    """
     x = rng.standard_normal(x_shape, dtype=np.float32)
-    accumulators = {a: np.zeros(w_shape, np.float32) for a in ACCUMULATORS.get(name, ())}
+    kwargs = {a: np.zeros(w_shape, np.float32) for a in ACCUMULATORS.get(name, ())}
     if name == "relu_vjp":
-        return (ops.relu(x), rng.standard_normal(x.shape, dtype=np.float32)), {}
-    if name in CONV_OPS:
+        args = (ops.relu(x), rng.standard_normal(x.shape, dtype=np.float32))
+    elif name in CONV_OPS:
         w = rng.standard_normal(w_shape, dtype=np.float32)
+        stride = tuple(a for a in tail if a != "out")
         args = (x, w)
         if name.endswith("_vjp"):
-            y = getattr(ops, name.removesuffix("_vjp"))(x, w, *tail)
+            y = getattr(ops, name.removesuffix("_vjp"))(x, w, *stride)
             args += (rng.standard_normal(y.shape, dtype=np.float32),)
-        return args + tuple(tail), accumulators
-    gamma = rng.uniform(0.5, 1.5, w_shape).astype(np.float32)
-    beta = rng.standard_normal(w_shape, dtype=np.float32)
-    _, mean, var = ops.batchnorm2d(x, gamma, beta)
-    if name == "batchnorm2d":
-        return (x, gamma, beta), {"stats": (mean, var)} if tail else {}
-    return (x, gamma, rng.standard_normal(x.shape, dtype=np.float32), mean, var), accumulators
+        args += stride
+    else:
+        gamma = rng.uniform(0.5, 1.5, w_shape).astype(np.float32)
+        beta = rng.standard_normal(w_shape, dtype=np.float32)
+        _, mean, var = ops.batchnorm2d(x, gamma, beta)
+        if name == "batchnorm2d":
+            return (x, gamma, beta), {"stats": (mean, var)} if tail else {}, lambda: None
+        args = (x, gamma, rng.standard_normal(x.shape, dtype=np.float32), mean, var)
+    if "out" not in tail:
+        return args, kwargs, lambda: None
+    gy = args[1] if name == "relu_vjp" else args[2]
+    kwargs["out"], first = gy, gy.copy()
+    return args, kwargs, lambda: np.copyto(gy, first)
 
 
 def load_ops(checkout):
@@ -134,34 +147,18 @@ def load_ops(checkout):
     return importlib.import_module(f"{name}.ops")
 
 
-def _layer_call(module, name):
-    """``module``'s op as a layer calls it. A VJP that takes no accumulators
-    returns fresh parameter cotangents, which are added into the
-    accumulators passed, as the layers of its checkout added them."""
-    fn = getattr(module, name)
-    accumulators = ACCUMULATORS.get(name, ())
-    if not accumulators or accumulators[0] in inspect.signature(fn).parameters:
-        return fn
-
-    def call(*args, **kwargs):
-        given = [kwargs.pop(a) for a in accumulators]
-        out = fn(*args, **kwargs)
-        for acc, fresh in zip(given, out[1:]):
-            acc += fresh
-        return out
-
-    return call
-
-
-def _median_times(fns, args, kwargs, reps):
+def _median_times(fns, args, kwargs, restore, reps):
     """Median seconds of each function's call, the functions alternating
-    call by call, in reverse order every other round."""
+    call by call, in reverse order every other round; ``restore`` runs
+    before each call, untimed."""
     for fn in fns:
+        restore()
         fn(*args, **kwargs)
     times = [[] for _ in fns]
     for rep in range(reps):
         order = range(len(fns)) if rep % 2 == 0 else reversed(range(len(fns)))
         for i in order:
+            restore()
             start = time.perf_counter()
             fns[i](*args, **kwargs)
             times[i].append(time.perf_counter() - start)
@@ -171,20 +168,22 @@ def _median_times(fns, args, kwargs, reps):
 def compare(name, x_shape, w_shape, tail, reps, rng, against):
     """Median seconds of one call of this checkout's op and of ``against``'s
     (an ops module from load_ops), timed alternately on the same arrays."""
-    args, kwargs = _arguments(name, x_shape, w_shape, tail, rng)
-    return tuple(_median_times([getattr(ops, name), _layer_call(against, name)],
-                               args, kwargs, reps))
+    args, kwargs, restore = _arguments(name, x_shape, w_shape, tail, rng)
+    return tuple(_median_times([getattr(ops, name), getattr(against, name)],
+                               args, kwargs, restore, reps))
 
 
 def measure(name, x_shape, w_shape, tail, reps, rng):
     """Median seconds, tracemalloc peak, held bytes and input bytes of one call.
 
     Held bytes are the numpy buffers the call allocated that are still
-    alive while its results are; a VJP's accumulators are not among them.
+    alive while its results are; a VJP's accumulators are not among them,
+    nor the gy it writes into.
     """
-    args, kwargs = _arguments(name, x_shape, w_shape, tail, rng)
+    args, kwargs, restore = _arguments(name, x_shape, w_shape, tail, rng)
     fn = getattr(ops, name)
-    sec = _median_times([fn], args, kwargs, reps)[0]
+    sec = _median_times([fn], args, kwargs, restore, reps)[0]
+    restore()
     tracemalloc.start()
     try:
         out = fn(*args, **kwargs)

@@ -27,10 +27,13 @@ bytes. BLAS is pinned to one thread.
 ``--net`` takes the names of conv_bench.py's nets, its default, or of any
 registry net, which runs at batch 1 and 200 frames.
 
-Columns: the op, its input's shape, the kernel's (or gamma's) shape, the
-calls in that phase, the highest peak of one call and the bytes live at
-that call's entry, in MB. Each report's header also gives the plan total,
-``ledger_plan`` with adam8 at the same batch and frames.
+Columns: the op, its input's shape, its weight's shape (a conv's kernel, a
+batch norm's gamma or an fc's weight; none for other ops), its trailing
+arguments as scripts/conv_bench.py keys them ("out" for a VJP that writes
+into its gy), the calls in that phase, the highest peak of one call and
+the bytes live at that call's entry, in MB. Each report's header also
+gives the plan total, ``ledger_plan`` with adam8 at the same batch and
+frames.
 
 ``--batch`` profiles each net at the batch sizes given instead of its own.
 With more than one, each net ends with the per-sample slope of every phase
@@ -76,7 +79,7 @@ class Report:
     resident: int
     phase_peaks: dict
     plan: int  # ledger_plan's total with adam8
-    sites: dict = field(default_factory=dict)  # phase -> {(op, x, w): Site}
+    sites: dict = field(default_factory=dict)  # phase -> {(op, x, w, args): Site}
 
     @property
     def peak(self) -> int:
@@ -120,14 +123,9 @@ class Step:
             fn()
 
 
-def _op_key(name, args):
-    """(op, shape of the first array argument, shape of the second)."""
-    shapes = [a.shape for a in args if isinstance(a, np.ndarray)][:2]
-    return (name, *shapes, *[()] * (2 - len(shapes)))
-
-
 def _op_hooks():
-    """Tracer hooks for every op in OPS, each call's span named by its _op_key.
+    """Tracer hooks for every op in OPS, each call's span named by
+    conv_bench's _call_key: (op, x shape, w shape, trailing arguments).
 
     Equal keys are one object, so a span's name adds no bytes after the first.
     """
@@ -135,7 +133,7 @@ def _op_hooks():
 
     def hook(op):
         def name(args, kwargs):
-            key = _op_key(op, args)
+            key = conv_bench._call_key(op, args, kwargs)
             return keys.setdefault(key, key)
 
         return (ops, op, name, None)
@@ -213,8 +211,9 @@ def print_report(name, mode, batch, frames, report, top):
     for phase in PHASES:
         print(f"  {phase}: peak {_mb(report.phase_peaks[phase])} MB")
         rows = sorted(report.sites[phase].items(), key=lambda kv: -kv[1].peak)[:top]
-        for (op, xs, ws), site in rows:
+        for (op, xs, ws, tail), site in rows:
             print(f"    {op:22} {str(xs):>17} {str(ws) if ws else '-':>16} "
+                  f"{' '.join(map(str, tail)):>6} "
                   f"{site.calls:5d} {_mb(site.peak):>8} {_mb(site.entry):>8}")
 
 
@@ -232,7 +231,7 @@ def main(argv=None):
     if args.batch and (min(args.batch) < 1 or len(set(args.batch)) < len(args.batch)):
         ap.error("--batch sizes must be distinct and at least 1")
     print(f"numpy {np.__version__}, float32, adam8, BLAS threads 1; "
-          f"columns: op, x, w, calls, peak MB, MB live at entry")
+          f"columns: op, x, w, args, calls, peak MB, MB live at entry")
     for name in args.net:
         spec, batch, frames = NETS.get(name, (name, 1, 200))
         batches = sorted(args.batch) if args.batch else [batch]

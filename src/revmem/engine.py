@@ -64,8 +64,9 @@ class MemoryLedger:
       reversible forward and backward exceeds the planned total by 1.9,
       1.7 and 1.1 MB at d = 2, 8 and 32. They grow with the activations:
       DF-RevNet89 at batch 1 and 200 frames, stepping with adam8 and the
-      AAM head, peaks at 59.1 MB of whole-process ``tracemalloc`` against a
-      50.8 MB plan, 1.16 times the plan (``scripts/peak_sites.py``);
+      AAM head, peaks at 58.9 MB of whole-process ``tracemalloc`` against a
+      50.8 MB plan, 1.16 times the plan (``scripts/peak_sites.py --net
+      DF-RevNet89``);
     - the optimizer step's chunk buffers;
     - allocator slack;
     - parameters outside the network, such as the AAM head that training

@@ -35,10 +35,11 @@ Execution protocol (used by the engine):
   which the engine counts once.
 * ``forward`` also takes a ``Planned`` shape in place of each array, and
   then returns ``Planned`` ones and calls no op: a primitive returns
-  ``Planned(_shape(x.shape))``, and a sum of ``Planned`` arrays is a new
-  one. It tapes what it tapes on arrays, so the engine's one walk, run on
-  planned arrays, plans the ledger, a ReLU's output shared with its
-  consumer included.
+  ``Planned(_shape(x.shape))``, a sum of ``Planned`` arrays is a new one,
+  and a ufunc written into a ``Planned`` ``out=`` returns that one. It
+  tapes what it tapes on arrays, a ``DFBottleneck``'s channel groups
+  included, so the engine's one walk, run on planned arrays, plans the
+  ledger, a ReLU's output shared with its consumer included.
 * ``replay_vjp(gy, x, ys=None, gs=None)`` of a chain (a ``Sequential``)
   replays it from x on the captured statistics and backpropagates gy,
   returning ``(y - chain(x), dL/dx)`` with y popped off ``ys``, or None
@@ -46,12 +47,14 @@ Execution protocol (used by the engine):
   ``gs`` the second item is ``g + dL/dx``, g popped off ``gs``, as a
   chain's ``backward(gy, entries, gs)`` returns it; ``rebuild(ys, x)``
   forms the first item alone. ``RevBlock.rev_backward`` and every
-  ``backward_from_input`` replay each chain this way; a ``DFBottleneck``
-  replays and walks back one channel group at a time, each a plain chain
-  of its layers narrowed to the group, and folds each group's share into
-  the popped y and g. ``replay(x, tape, keep_output)`` is the replay
-  both share: without ``keep_output`` it skips a last layer whose
-  backward reads only its input.
+  ``backward_from_input`` replay each chain this way. Both are defined on
+  ``Sequential`` alone, as one loop over the chains ``_chains(x)`` lists:
+  a plain chain is its own one chain, and a ``DFBottleneck`` lists its
+  layers narrowed to each channel group. Each chain is replayed and
+  walked back before the next, and its shares fold into the popped y and
+  g (``_fold``). ``replay(x, tape, keep_output)`` is the replay both
+  share: without ``keep_output`` it skips a last layer whose backward
+  reads only its input.
 * The engine runs a network as *units*, each one layer: a ``RevRun``, a
   ``Sequential`` segment of plain primitives, or a ``ResidualBlock``. In
   stored mode it calls a unit's ``backward`` on the unit's own tape. In
@@ -136,7 +139,8 @@ class Planned:
     def __add__(self, other):
         return Planned(self.shape)  # a sum is a new array
 
-    __sub__ = __add__
+    def __array_ufunc__(self, ufunc, method, *inputs, out):
+        return out[0]  # a ufunc given out= writes into that array
 
 
 class Layer:
@@ -337,13 +341,23 @@ class Linear(Layer):
 
 
 class Sequential(Layer):
-    """A flat chain of primitive layers; tape entries are one per sub-layer."""
+    """A flat chain of primitive layers; tape entries are one per sub-layer.
+
+    ``replay_vjp`` and ``rebuild`` run the chain as the chains ``_chains(x)``
+    lists, one after another, and fold their shares into one result
+    (``_fold``). A plain chain is its own one chain; a ``DFBottleneck`` is
+    one chain per channel group.
+    """
 
     def __init__(self, layers):
         self.layers = list(layers)
 
     def children(self):
         return self.layers
+
+    def _chains(self, x):
+        """The chains whose shares on x fold into this chain's results."""
+        return (self,)
 
     def forward(self, x, tape=None, replay=False):
         for l in self.layers:
@@ -361,7 +375,7 @@ class Sequential(Layer):
         for i, l in enumerate(reversed(self.layers)):
             entry = entries.pop()
             gy = l.backward(gy, entry, owned=True) if i else l.backward(gy, entry)
-        return gy if gs is None else gs.pop() + gy
+        return _fold(None, gy, gs, np.add)
 
     def replay(self, x, tape, keep_output):
         """Replay the chain on x onto ``tape`` on the captured statistics and
@@ -374,27 +388,38 @@ class Sequential(Layer):
         return None
 
     def replay_vjp(self, gy, x, ys=None, gs=None):
-        """Replay the chain on x onto a tape and walk it back for gy.
+        """Replay each of x's chains onto a tape and walk it back for gy,
+        one chain after another.
 
-        Returns (y - chain(x), dL/dx), popping y off ``ys``; y is dropped
-        before the tape is walked. With ``gs`` the second item is
-        ``gs.pop() + dL/dx``, as ``backward`` returns it. Without ``ys`` the
-        first item is None, and ``replay`` skips the last layer where it
-        can. gy is handed to ``backward`` by pop, so a caller that keeps no
-        reference to it frees it once the last layer's VJP has returned.
+        Returns (y - chain(x), dL/dx), popping y off ``ys``. With ``gs`` the
+        second item is ``gs.pop() + dL/dx``, as ``backward`` returns it.
+        Each chain's share of the output folds into the first item before
+        its tape is walked, and its share of dL/dx into the second. Without
+        ``ys`` the first item is None, and ``replay`` skips each chain's
+        last layer where it can. The last chain is handed gy by pop, so a
+        caller that keeps no reference to it frees it once that chain's last
+        VJP has returned.
         """
         gys, gy = [gy], None
-        tape = []
-        out = self.replay(x, tape, keep_output=ys is not None)
-        rest = None if ys is None else ys.pop() - out
-        del out  # the tape alone holds what backward reads, so pops free it
-        gx = self.backward(gys.pop(), tape)
-        return rest, (gx if gs is None else gs.pop() + gx)
+        chains = self._chains(x)
+        rest = gx = None
+        for chain in chains:
+            tape = []
+            out = chain.replay(x, tape, keep_output=ys is not None)
+            if ys is not None:
+                rest = _fold(rest, out, ys, np.subtract)
+            del out  # the tape alone holds what backward reads, so pops free it
+            last = chain is chains[-1]
+            gx = _fold(gx, chain.backward(gys.pop() if last else gys[0], tape), gs, np.add)
+        return rest, gx
 
     def rebuild(self, ys, x):
-        """``ys.pop() - chain(x)`` on the captured statistics, as
-        ``replay_vjp`` forms it, without a tape or a VJP."""
-        return ys.pop() - self.forward(x, replay=True)
+        """``ys.pop() - chain(x)`` on the captured statistics, folded as
+        ``replay_vjp`` folds it, without a tape or a VJP."""
+        rest = None
+        for chain in self._chains(x):
+            rest = _fold(rest, chain.forward(x, replay=True), ys, np.subtract)
+        return rest
 
     def backward_from_input(self, gy, x):
         # checkpoint style: replay the chain from its saved input; gy is
@@ -450,27 +475,31 @@ def make_residual_fn(kind, width, *, rng, dtype, stride=1, c_in=None):
 def _channel_groups(x, conv1):
     """Slices of conv1's output channels: as few groups as keep each group's
     array within max(x's bytes, FLAT_SHIFT_BYTES), balanced to one channel.
+    Scalars are as wide as conv1's weights, so a ``Planned`` x is grouped
+    as an array of its shape is.
 
     Balanced rather than filled in order, a group has one channel only where
     one channel fills half the budget: a one-channel group's batch
     statistics round differently from the whole tensor's.
     """
     n, _, f, t = x.shape
-    mid, stride = conv1.c_out, conv1.stride
-    channel = n * ops.conv_out_size(f, stride) * ops.conv_out_size(t, stride) * x.itemsize
-    count = -(-mid // max(1, max(x.nbytes, ops.FLAT_SHIFT_BYTES) // channel))
+    mid, stride, width = conv1.c_out, conv1.stride, conv1.w.value.itemsize
+    channel = n * ops.conv_out_size(f, stride) * ops.conv_out_size(t, stride) * width
+    count = -(-mid // max(1, max(math.prod(x.shape) * width, ops.FLAT_SHIFT_BYTES) // channel))
     bounds = [mid * i // count for i in range(count + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _fold(total, part, base, op):
-    """Fold one channel group's share into a running total.
+    """Fold one chain's share into a running total.
 
     Returns ``op(total, part)`` written into total. The first share, with
     total None, becomes the total: ``op(base.pop(), part)`` written into
     part, or part itself when ``base`` is None (only with np.add). So a
-    group loop computes ``((base op s1) op s2) op ...`` with no array beyond
-    its shares, and never writes the one popped off ``base``.
+    chain loop computes ``((base op s1) op s2) op ...`` with no array beyond
+    its shares, and never writes the one popped off ``base``. A share is a
+    chain's output or dL/dx, which nothing else reads: no residual branch
+    ends in a layer that tapes its output.
     """
     if total is None:
         return part if base is None else op(base.pop(), part, out=part)
@@ -497,12 +526,15 @@ class DFBottleneck(Sequential):
     the whole layer's, so their gradients, running statistics and steps
     land in g's slice of the whole. Groups are as few as keep each group's
     array within the larger of x's bytes and ``ops.FLAT_SHIFT_BYTES``.
-    Untaped, a forward keeps nothing of a group; taped, it tapes x and then
-    each group's chain tape [x, h, r, r, d], which ``backward`` pops group
-    by group. ``replay_vjp`` walks each group's tape back right after
-    replaying it. So no mode holds a 4x-wide array, and a stored branch
-    computes what its replay does, bit for bit. A ``Planned`` x is planned
-    by the plain chain, the middle whole: the same distinct bytes.
+
+    The branch defines only what differs from a plain chain: ``_chains``,
+    and the taped forward and its ``backward``. Untaped, a forward keeps
+    nothing of a group; taped, it tapes x and then each group's chain tape
+    [x, h, r, r, d], which ``backward`` pops group by group. ``replay_vjp``
+    and ``rebuild`` are the plain chain's, which walk each group's tape back
+    right after replaying it. So no mode holds a 4x-wide array, and a stored
+    branch computes what its replay does, bit for bit. A ``Planned`` x runs
+    the same group loop, so a plan tapes what a run tapes.
 
     Each method folds the group shares straight into the array it returns,
     in group order (``_fold``): ``rebuild`` and ``replay_vjp`` form
@@ -514,27 +546,17 @@ class DFBottleneck(Sequential):
     """
 
     def forward(self, x, tape=None, replay=False):
-        if isinstance(x, Planned):
-            return super().forward(x, tape, replay=replay)
-        return self._fold_forward(x, tape, replay)
-
-    def rebuild(self, ys, x):
-        return self._fold_forward(x, None, True, ys, np.subtract)
-
-    def _fold_forward(self, x, tape, replay, base=None, op=np.add):
-        """The forward on an array, its shares folded by ``_fold``. A
-        capture gives the whole BN its groups' statistics, concatenated."""
+        # a capture gives the whole BN its groups' statistics, concatenated
         if tape is not None:
             tape.append(x)
         out, stats = None, []
         for chain in self._chains(x):
             sub = None if tape is None else []
-            out = _fold(out, chain.forward(x, sub, replay), base, op)
+            out = _fold(out, chain.forward(x, sub, replay), None, np.add)
             if tape is not None:
                 tape.append(sub)
-            if not replay:
-                stats.append(chain.layers[1].saved_stats)
-        if not replay:
+            stats.append(chain.layers[1].saved_stats)
+        if not (replay or isinstance(x, Planned)):
             self.layers[1].saved_stats = tuple(np.concatenate(s) for s in zip(*stats))
         return out
 
@@ -547,30 +569,18 @@ class DFBottleneck(Sequential):
             gx = _fold(gx, chain.backward(gy, entries.pop()), gs, np.add)
         return gx
 
-    def replay_vjp(self, gy, x, ys=None, gs=None):
-        """``Sequential.replay_vjp``, each group's VJP run right after its
-        replay; without ``ys`` no group's last conv runs."""
-        rest = gx = None
-        for chain in self._chains(x):
-            tape = []
-            out = chain.replay(x, tape, keep_output=ys is not None)
-            if ys is not None:
-                rest = _fold(rest, out, ys, np.subtract)
-            del out
-            gx = _fold(gx, chain.backward(gy, tape), gs, np.add)
-        return rest, gx
-
     def _chains(self, x):
-        """The branch narrowed to each channel group of x, one chain at a time.
+        """The branch narrowed to each channel group of x, in group order.
 
         Built per call, not kept: a kept chain would hold the slices of its
         BN's captured statistics alive beside the whole's.
         """
         conv1, bn, relu, dw, conv2 = self.layers
+        chains = []
         for g in _channel_groups(x, conv1):
             c = g.stop - g.start
             stats = None if bn.saved_stats is None else tuple(s[g] for s in bn.saved_stats)
-            yield Sequential([
+            chains.append(Sequential([
                 _narrowed(conv1, c_out=c, w=conv1.w.view(g)),
                 _narrowed(bn, c=c, gamma=bn.gamma.view(g), beta=bn.beta.view(g),
                           running_mean=bn.running_mean[g], running_var=bn.running_var[g],
@@ -578,7 +588,8 @@ class DFBottleneck(Sequential):
                 relu,
                 _narrowed(dw, c_in=c, c_out=c, w=dw.w.view(g)),
                 _narrowed(conv2, c_in=c, w=conv2.w.view((slice(None), g))),
-            ])
+            ]))
+        return chains
 
 
 class ResidualBlock(Layer):
@@ -650,7 +661,7 @@ class RevBlock(Layer):
         return y1, y2
 
     # backward, inverse and rev_backward fold a branch's shares into the
-    # pair in the same order (DFBottleneck), so their results are bit-equal
+    # pair in the same order (``_fold``), so their results are bit-equal
 
     def backward(self, gy, entry):
         f_tape, g_tape = entry

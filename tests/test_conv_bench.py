@@ -9,7 +9,6 @@ itself shows up there.
 
 import importlib.util
 import sys
-import types
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +35,11 @@ def conv_bench(monkeypatch):
 def result_bytes(name, x_shape, w_shape, tail):
     """float32 bytes of the call's new results: y for a conv, y and any
     captured (mean, var) for a batch norm, and dL/dx for every VJP, whose
-    parameter cotangents are added into the accumulators passed."""
+    parameter cotangents are added into the accumulators passed, but none
+    for a VJP given ``out``, which writes dL/dx into its gy."""
     x_bytes = 4 * np.prod(x_shape)
+    if "out" in tail:
+        return 0
     if name.endswith("_vjp"):
         return x_bytes
     if name == "batchnorm2d":
@@ -61,33 +63,63 @@ def test_records_and_measures_every_op(conv_bench, net):
     assert {key[3] for key in calls if key[0] == "batchnorm2d"} == {(), ("replay",)}
     rng = np.random.default_rng(0)
     for name, x_shape, w_shape, tail in sorted(calls):
-        # a dense call passes its stride, a depthwise one nothing
+        # a dense call passes its stride, a depthwise one nothing; only the
+        # VJPs of ReLU, batch norm and depthwise conv are given out=
         if name in ("conv2d", "conv2d_vjp"):
-            assert len(tail) == 1
+            assert len(tail) == 1 and tail[0] != "out"
+        elif name in ("relu_vjp", "batchnorm2d_vjp", "depthwise_conv2d_vjp"):
+            assert tail in ((), ("out",))
         elif name != "batchnorm2d":
             assert tail == ()
         sec, peak, held, in_bytes = conv_bench.measure(name, x_shape, w_shape, tail, 1, rng)
-        assert sec > 0 and peak >= held > 0 and in_bytes > 0
+        assert sec > 0 and peak > 0 and peak >= held and in_bytes > 0
         # no result is a view pinning a larger buffer, and no call keeps
         # scratch alive
         assert held == result_bytes(name, x_shape, w_shape, tail), name
 
 
+def test_records_the_vjps_a_chain_hands_its_own_cotangent(conv_bench):
+    # a chain's last VJP gets the caller's cotangent and makes a fresh
+    # dL/dx; every earlier one writes into the cotangent the chain made. A
+    # conv, batch norm and ReLU segment ends in its ReLU, and a DF group
+    # chain's batch norm and depthwise conv always have a later layer
+    calls = conv_bench.layer_calls(*conv_bench.NETS["train-rev-df"])
+
+    def tails(op):
+        return {key[3] for key in calls if key[0] == op}
+
+    assert tails("relu_vjp") == {(), ("out",)}
+    assert tails("batchnorm2d_vjp") == tails("depthwise_conv2d_vjp") == {("out",)}
+
+
+@pytest.mark.parametrize("name, x_shape, w_shape", [
+    ("relu_vjp", (2, 3, 6, 5), ()),
+    ("batchnorm2d_vjp", (2, 3, 6, 5), (3,)),
+    ("depthwise_conv2d_vjp", (2, 3, 6, 5), (3, 1, 3, 3)),
+])
+def test_out_calls_write_into_a_gy_restored_between_calls(conv_bench, name, x_shape,
+                                                          w_shape):
+    args, kwargs, restore = conv_bench._arguments(name, x_shape, w_shape, ("out",),
+                                                  np.random.default_rng(0))
+    gy = kwargs["out"]
+    assert gy is args[1 if name == "relu_vjp" else 2]
+    first = gy.copy()
+    fresh = getattr(ops, name)(*args)
+    got = getattr(ops, name)(*args, **kwargs)
+    assert (got if name == "relu_vjp" else got[0]) is gy
+    np.testing.assert_array_equal(gy, fresh if name == "relu_vjp" else fresh[0])
+    restore()
+    np.testing.assert_array_equal(gy, first)
+
+
 def test_against_times_another_checkout_as_its_layers_called_it(conv_bench):
     rng = np.random.default_rng(0)
-    call = ("conv2d_vjp", (2, 3, 6, 5), (4, 3, 3, 3), (1,))
     try:
         other = conv_bench.load_ops(SCRIPT.parents[1])
         assert other is not ops and other.conv2d_vjp is not ops.conv2d_vjp
-        assert all(sec > 0 for sec in conv_bench.compare(*call, 2, rng, other))
+        for call in [("conv2d_vjp", (2, 3, 6, 5), (4, 3, 3, 3), (1,)),
+                     ("relu_vjp", (2, 3, 6, 5), (), ("out",))]:
+            assert all(sec > 0 for sec in conv_bench.compare(*call, 2, rng, other))
     finally:
         for name in [m for m in sys.modules if m.split(".")[0] == "revmem_against"]:
             del sys.modules[name]
-    # a VJP from before the accumulators returns a fresh dL/dw, which is
-    # added into the accumulator, as that checkout's layers added it
-    fresh_only = types.SimpleNamespace(conv2d_vjp=lambda x, w, gy, stride=1:
-                                       ops.conv2d_vjp(x, w, gy, stride))
-    args, kwargs = conv_bench._arguments(*call, rng)
-    kwargs["gw"] += 1
-    conv_bench._layer_call(fresh_only, "conv2d_vjp")(*args, **kwargs)
-    np.testing.assert_array_equal(kwargs["gw"], 1 + ops.conv2d_vjp(*args)[1])

@@ -794,6 +794,25 @@ class TestOneWalk:
             assert len(pair) == 2 and all(isinstance(s, Planned) for s in pair)
             assert pair[0].shape == pair[1].shape and pair[0] is not pair[1]
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("case", ["train-df", "train-wide-q8", "df-type1"])
+    def test_plan_stores_what_run_forward_stores(self, rng, case, mode):
+        # the planned store nests as the real one does, down to each DF
+        # channel group's own tape, with a shape wherever an array sits; the
+        # DF nets' branches run in two to four groups
+        nets = {**WALK_NETS, "df-type1": lambda: (zoo.build(
+            zoo.toy_spec([1, 1], 16, "df_bottleneck", "type1"), np.float32, seed=1), 2, 32)}
+        net, n, frames = nets[case]()
+
+        def shapes(entry):
+            if isinstance(entry, (list, tuple)):
+                return type(entry)(shapes(e) for e in entry)
+            return None if entry is None else tuple(entry.shape)
+
+        _, store, _ = run_forward(net, batch(rng, n, frames, np.float32), mode)
+        planned = shapes(plan_store(net, mode, n, frames).entries)
+        assert planned == shapes(store.entries)
+
 
 @pytest.mark.parametrize("case", [*zoo.REGISTRY_NAMES, *WALK_NETS])
 def test_units_are_layers_partitioning_the_net(case):

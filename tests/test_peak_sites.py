@@ -41,10 +41,10 @@ def peak_sites(monkeypatch):
 # VJP, the segment's first, which keeps a fresh dL/dx since the segment's
 # cotangent is its caller's; in stored mode the backward's depthwise VJP of a
 # channel group of stage 2, the first the backward walks, while stage 1's
-# tape is still whole
+# tape is still whole. Each is (op, x, w): w is the group's kernel or none
 PEAK_OPS = {
-    "reversible": ("relu_vjp", (4, 16, 80, 32)),
-    "stored": ("depthwise_conv2d_vjp", (4, 16, 40, 16)),
+    "reversible": ("relu_vjp", (4, 16, 80, 32), ()),
+    "stored": ("depthwise_conv2d_vjp", (4, 16, 40, 16), (16, 1, 3, 3)),
 }
 
 
@@ -76,9 +76,13 @@ def test_reported_maximum_is_the_step_peak(peak_sites, mode):
     # the step peaks inside an op the report lists
     phase = max(report.phase_peaks, key=report.phase_peaks.get)
     assert phase == "backward"
-    (op, x_shape, _), site = max(report.sites[phase].items(), key=lambda kv: kv[1].peak)
+    (op, x_shape, w_shape, _), site = max(report.sites[phase].items(),
+                                          key=lambda kv: kv[1].peak)
     assert abs(site.peak - report.peak) <= DRIFT
-    assert (op, x_shape) == PEAK_OPS[mode]
+    assert (op, x_shape, w_shape) == PEAK_OPS[mode]
+    # the w column holds a weight, never a cotangent
+    relu_vjps = [key for key in report.sites[phase] if key[0] == "relu_vjp"]
+    assert relu_vjps and all(key[2] == () for key in relu_vjps)
     assert 0 < site.entry < site.peak
     assert set(report.sites) == set(peak_sites.PHASES)
 
