@@ -53,16 +53,14 @@ import numpy as np
 
 from revmem import engine, ops, zoo
 from tracer import Tracer
+from workloads import TRAIN
 
-# (net spec or registry name, batch, frames): the benchmark nets, the
-# paper's reversible DF net and, for registry-scale stride-2 dense convs,
-# the type1 baseline ResNet34
-NETS = {
-    "train-rev-df": (zoo.toy_spec([4, 4], 16, "df_bottleneck", "type2"), 4, 32),
-    "train-wide-q8": (zoo.toy_spec([1, 1], 64, "basic", "type1"), 2, 8),
-    "DF-RevNet89": ("DF-RevNet89", 1, 200),
-    "ResNet34": ("ResNet34", 1, 200),
-}
+# (net spec or registry name, batch, frames): the benchmark's reversible
+# nets as its workloads configure them, the paper's reversible DF net and,
+# for registry-scale stride-2 dense convs, the type1 baseline ResNet34
+NETS = {name: (zoo.toy_spec(list(c.stage_blocks), c.width, c.kind, c.net_type), c.batch, c.frames)
+        for name, c in TRAIN.items() if name in ("train-rev-df", "train-wide-q8")}
+NETS |= {"DF-RevNet89": ("DF-RevNet89", 1, 200), "ResNet34": ("ResNet34", 1, 200)}
 CONV_OPS = ("conv2d", "conv2d_vjp", "depthwise_conv2d", "depthwise_conv2d_vjp")
 OPS = CONV_OPS + ("batchnorm2d", "batchnorm2d_vjp", "relu_vjp")
 # each VJP's parameter-cotangent accumulators, in the order of its results

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Where a training step's memory peaks: per phase, the ops with the highest tracemalloc peak.
 
-Builds each net of scripts/conv_bench.py's NETS in float32 at seed 1, with
-tracemalloc running from before the build, so "resident" covers the
-weights, gradients, optimizer state, the 10-class AAM head and the batch.
-After one warm-up step with adam8 it takes two more steps on the same
-batch:
+Builds each net of scripts/conv_bench.py's NETS in float32 at seed 1 and
+steps it with revmem.loss.Trainer, the step ``revmem train`` runs, with
+adam8 and a 10-class AAM head, on one fixed batch. tracemalloc runs from
+before the build, so "resident" covers the weights, gradients, optimizer
+state, the head and the batch. After one warm-up step it takes two more
+steps on the same batch:
 
 1. one with nothing patched, which gives each phase's peak (forward with
    the loss, backward, optimizer step) and so the step's peak;
@@ -52,8 +53,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from revmem import engine, loss, ops, optim, zoo
-from revmem.layers import Param
+from revmem import engine, ops, zoo
+from revmem.loss import Trainer
 from tracer import Tracer
 
 NETS = conv_bench.NETS  # the default nets; any registry net runs at batch 1 and 200 frames
@@ -86,41 +87,15 @@ class Report:
         return max(self.phase_peaks.values())
 
 
-class Step:
-    """One net with its head, optimizer and a fixed batch."""
-
-    def __init__(self, spec, batch, frames, mode):
-        self.mode = mode
-        self.net = zoo.build(spec, np.float32, seed=1)
-        rng = np.random.default_rng(1)
-        self.head = Param(rng.normal(0.0, 0.1, (self.net.embedding_dim, CLASSES))
-                          .astype(np.float32))
-        self.opt = optim.make_optimizer("adam8", self.net.params() + [self.head], 1e-3)
-        self.x = rng.standard_normal((batch, *self.net.input_spec, frames), dtype=np.float32)
-        self.labels = np.arange(batch) % CLASSES
-
-    def phases(self):
-        """The step's phases in order, each as (name, function)."""
-        held = {}
-
-        def forward():
-            emb, held["store"], _ = engine.run_forward(self.net, self.x, self.mode)
-            _, demb, held["dhead"] = loss.aam_softmax_loss(emb, self.labels, self.head.value)
-            held["demb"] = demb.astype(emb.dtype)
-
-        def backward():
-            engine.run_backward(self.net, held.pop("store"), held.pop("demb"), self.mode)
-            self.head.grad += held.pop("dhead").astype(self.head.value.dtype)
-
-        def step():
-            self.opt.step()
-            self.opt.zero_grad()
-
-        return (("forward", forward), ("backward", backward), ("step", step))
-
-    def run(self):
-        for _, fn in self.phases():
-            fn()
+def setup(spec, batch, frames, mode):
+    """A Trainer of the net spec builds, and its step's phases in order on
+    one fixed batch, each as (name, function)."""
+    trainer = Trainer(zoo.build(spec, np.float32, seed=1), CLASSES, "adam8", mode, seed=1)
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((batch, *trainer.net.input_spec, frames), dtype=np.float32)
+    labels = np.arange(batch) % CLASSES
+    return trainer, (("forward", lambda: trainer.forward(x, labels)),
+                     ("backward", trainer.backward), ("step", trainer.step))
 
 
 def _op_hooks():
@@ -145,20 +120,21 @@ def profile(spec, batch, frames, mode="reversible") -> Report:
     """Phase peaks of one plain step and op sites of one traced step."""
     tracemalloc.start()
     try:
-        step = Step(spec, batch, frames, mode)
-        step.run()  # warm-up: the optimizer allocates its state
+        trainer, phases = setup(spec, batch, frames, mode)
+        for _, fn in phases:  # warm-up
+            fn()
         resident = tracemalloc.get_traced_memory()[0]
         phase_peaks = {}
-        for name, fn in step.phases():
+        for name, fn in phases:
             tracemalloc.reset_peak()
             fn()
             phase_peaks[name] = tracemalloc.get_traced_memory()[1]
-        plan = engine.ledger_plan(step.net, batch, frames, mode, "adam8").total()
+        plan = engine.ledger_plan(trainer.net, batch, frames, mode, "adam8").total()
         report = Report(resident, phase_peaks, plan)
         tracer = Tracer(_op_hooks(), memory=True)
         before = tracemalloc.get_traced_memory()[0]
         with tracer:
-            for i, (name, fn) in enumerate(step.phases()):
+            for i, (name, fn) in enumerate(phases):
                 with tracer.operation(i, name):  # each op span's .op is its phase
                     fn()
         # a step ends where it began, so what the traced step left is records

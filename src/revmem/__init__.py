@@ -18,7 +18,7 @@ from .errors import (
     StateOverflowError,
 )
 from .layers import Param, RevBlock, RevDownsample
-from .loss import aam_softmax_loss
+from .loss import Trainer, aam_softmax_loss
 from .quant import (
     DynamicTreeMap,
     QuantizedState,

@@ -24,11 +24,10 @@ import numpy as np
 
 from . import gradcheck as gc
 from .eer import cosine_scores, eer_from_scores, read_embedding_file, read_score_file
-from .engine import ledger_plan, run_backward, run_forward
+from .engine import ledger_plan
 from .errors import ConfigError, QuantizationError, RevmemError, StateOverflowError
-from .layers import Param
-from .loss import aam_softmax_loss
-from .optim import OPTIMIZERS, Sgd, make_optimizer
+from .loss import Trainer
+from .optim import OPTIMIZERS
 from .quant import (
     BLOCK_SIZE,
     default_map,
@@ -98,33 +97,6 @@ def cmd_gradcheck(cfg) -> int:
     return 1 if failed else 0
 
 
-def _default_lr(optim: str) -> float:
-    return 0.02 if OPTIMIZERS[optim][0] is Sgd else 1e-3
-
-
-def _train_setup(cfg):
-    spec = _load_spec(cfg)
-    if spec is None:
-        spec = toy_spec([2, 2], 16, "df_bottleneck")
-    dtype = _dtype(cfg)
-    net = build(spec, dtype=dtype, seed=cfg.seed)
-    data = SynthDataset(cfg.classes, frames=cfg.frames, seed=cfg.seed, dtype=dtype)
-    rng = np.random.default_rng(cfg.seed + 1)
-    head = Param(rng.normal(0, 0.1, (net.embedding_dim, cfg.classes)).astype(dtype))
-    lr = cfg.lr if cfg.lr is not None else _default_lr(cfg.optim)
-    opt = make_optimizer(cfg.optim, net.params() + [head], lr, weight_decay=0.05,
-                         block_size=cfg.block_size)
-    return net, data, head, opt
-
-
-def _train_step(net, head, x, labels, mode):
-    emb, store, ledger = run_forward(net, x, mode)
-    loss, demb, dhead = aam_softmax_loss(emb, labels, head.value)
-    run_backward(net, store, demb.astype(emb.dtype), mode)
-    head.grad += dhead.astype(head.value.dtype)
-    return loss, emb, ledger
-
-
 def _diverged(cfg, rows: list[str], message: str) -> int:
     """Write the loss log so far and report the divergence (exit code 1)."""
     _write(cfg, "\n".join(rows) + "\n")
@@ -141,27 +113,31 @@ def cmd_train(cfg) -> int:
     if cfg.out:  # fail before training, not after the last step
         _check_writable(cfg.out)
         _check_writable(_embeddings_path(cfg.out))
-    net, data, head, opt = _train_setup(cfg)
+    spec = _load_spec(cfg)
+    if spec is None:
+        spec = toy_spec([2, 2], 16, "df_bottleneck")
+    dtype = _dtype(cfg)
+    net = build(spec, dtype=dtype, seed=cfg.seed)
+    data = SynthDataset(cfg.classes, frames=cfg.frames, seed=cfg.seed, dtype=dtype)
+    trainer = Trainer(net, cfg.classes, cfg.optim, cfg.mode, cfg.lr, seed=cfg.seed,
+                      block_size=cfg.block_size)
     # total_bytes is run_forward's ledger: no optimizer state, no AAM head
     rows = ["step,loss,activation_bytes,total_bytes"]
-    emb = None
-    labels = None
     for step in range(cfg.steps + 1):
         x, labels = data.batch(cfg.batch)
-        loss, emb, ledger = _train_step(net, head, x, labels, cfg.mode)
+        loss, emb, ledger = trainer.forward(x, labels)
         rows.append(f"{step},{loss:.9e},{ledger.activations},{ledger.total()}")
         if not np.isfinite(loss):
             return _diverged(cfg, rows, f"training diverged at step {step}")
-        if step == cfg.steps:
-            opt.zero_grad()
+        if step == cfg.steps:  # the last step is an evaluation: no backward, no update
             break
+        trainer.backward()
         try:
-            opt.step()
+            trainer.step()
         except QuantizationError as exc:  # an 8-bit step refused, nothing written
             reason = ("8-bit state overflow" if isinstance(exc, StateOverflowError)
                       else "non-finite gradient")
             return _diverged(cfg, rows, f"training diverged at step {step} ({reason}): {exc}")
-        opt.zero_grad()
     _write(cfg, "\n".join(rows) + "\n")
     if cfg.out:
         _write_file(_embeddings_path(cfg.out),

@@ -59,14 +59,14 @@ class MemoryLedger:
       segment's tape from its saved input; in a ``RevBlock``, one branch at
       a time: a basic or bottleneck branch's tape, or one channel group of
       a DF bottleneck's middle) and each op's scratch buffers. At toy scale
-      they are about 1.7 MB whatever the depth: on ``toy_spec([d, d], 16,
-      "df_bottleneck")`` at batch 4 and 32 frames, the measured rise of a
-      reversible forward and backward exceeds the planned total by 1.9,
-      1.7 and 1.1 MB at d = 2, 8 and 32. They grow with the activations:
-      DF-RevNet89 at batch 1 and 200 frames, stepping with adam8 and the
-      AAM head, peaks at 58.9 MB of whole-process ``tracemalloc`` against a
-      50.8 MB plan, 1.16 times the plan (``scripts/peak_sites.py --net
-      DF-RevNet89``);
+      they are about 2 MB whatever the depth: on ``toy_spec([d, d], 16,
+      "df_bottleneck")`` at batch 4 and 32 frames, a reversible forward and
+      backward rises 1.98, 2.00 and 2.10 MB above the planned activations
+      and workspace at d = 2, 8 and 32 (README.md's Notes give the
+      command). They grow with the activations: DF-RevNet89 at batch 1 and
+      200 frames, stepping with adam8 and the AAM head, peaks at 58.9 MB of
+      whole-process ``tracemalloc`` against a 50.8 MB plan, 1.16 times the
+      plan (``python3 scripts/peak_sites.py --net DF-RevNet89``);
     - the optimizer step's chunk buffers;
     - allocator slack;
     - parameters outside the network, such as the AAM head that training

@@ -182,7 +182,6 @@ class Layer:
 
 class Conv2d(Layer):
     def __init__(self, c_in, c_out, k, stride=1, *, rng, dtype):
-        self.c_in, self.c_out, self.k = c_in, c_out, k
         self.stride = stride
         self.w = Param(he_uniform(rng, (c_out, c_in, k, k), c_in * k * k, dtype))
 
@@ -190,10 +189,7 @@ class Conv2d(Layer):
         return [self.w]
 
     def _shape(self, shape):
-        n, c, f, t = shape
-        if c != self.c_in:
-            raise ShapeError(f"{type(self).__name__} expects {self.c_in} channels, got {c}")
-        return n, self.c_out, ops.conv_out_size(f, self.stride), ops.conv_out_size(t, self.stride)
+        return ops.conv2d_shape(shape, self.w.value, self.stride)
 
     def _apply(self, x, replay):
         return ops.conv2d(x, self.w.value, self.stride)
@@ -204,14 +200,15 @@ class Conv2d(Layer):
 
 class DepthwiseConv2d(Conv2d):
     """One k x k filter per channel at stride 1, padded to keep the size;
-    shares Conv2d's geometry and tape."""
+    shares Conv2d's parameter and tape."""
 
     stride = 1
 
     def __init__(self, c, k=3, *, rng, dtype):
-        self.c_in = self.c_out = c
-        self.k = k
         self.w = Param(he_uniform(rng, (c, 1, k, k), k * k, dtype))
+
+    def _shape(self, shape):
+        return ops.depthwise_conv2d_shape(shape, self.w.value)
 
     def _apply(self, x, replay):
         return ops.depthwise_conv2d(x, self.w.value)
@@ -233,7 +230,6 @@ class BatchNorm2d(Layer):
     momentum = 0.1  # running-statistics update rate
 
     def __init__(self, c, *, dtype):
-        self.c = c
         self.gamma = Param(np.ones(c, dtype))
         self.beta = Param(np.zeros(c, dtype))
         self.running_mean = np.zeros(c, dtype)
@@ -244,9 +240,7 @@ class BatchNorm2d(Layer):
         return [self.gamma, self.beta]
 
     def _shape(self, shape):
-        if shape[1] != self.c:
-            raise ShapeError(f"batch norm expects {self.c} channels, got {shape[1]}")
-        return shape
+        return ops.batchnorm2d_shape(shape, self.gamma.value, self.beta.value)
 
     def replayed_stats(self):
         """The statistics captured on the step's first forward, for a replay."""
@@ -287,7 +281,7 @@ class BatchNorm2d(Layer):
         return int(mean.nbytes + var.nbytes)
 
     def stat_elems(self):
-        return 2 * self.c
+        return 2 * self.gamma.size
 
 
 class ReLU(Layer):
@@ -320,7 +314,6 @@ class GlobalStatPool(Layer):
 
 class Linear(Layer):
     def __init__(self, d_in, d_out, *, rng, dtype):
-        self.d_in, self.d_out = d_in, d_out
         self.w = Param(he_uniform(rng, (d_in, d_out), d_in, dtype))
         self.b = Param(np.zeros(d_out, dtype))
 
@@ -328,10 +321,7 @@ class Linear(Layer):
         return [self.w, self.b]
 
     def _shape(self, shape):
-        n, d = shape
-        if d != self.d_in:
-            raise ShapeError(f"linear expects width {self.d_in}, got {d}")
-        return n, self.d_out
+        return ops.linear_shape(shape, self.w.value, self.b.value)
 
     def _apply(self, x, replay):
         return ops.linear(x, self.w.value, self.b.value)
@@ -483,7 +473,8 @@ def _channel_groups(x, conv1):
     statistics round differently from the whole tensor's.
     """
     n, _, f, t = x.shape
-    mid, stride, width = conv1.c_out, conv1.stride, conv1.w.value.itemsize
+    w = conv1.w.value
+    mid, stride, width = w.shape[0], conv1.stride, w.itemsize
     channel = n * ops.conv_out_size(f, stride) * ops.conv_out_size(t, stride) * width
     count = -(-mid // max(1, max(math.prod(x.shape) * width, ops.FLAT_SHIFT_BYTES) // channel))
     bounds = [mid * i // count for i in range(count + 1)]
@@ -578,16 +569,15 @@ class DFBottleneck(Sequential):
         conv1, bn, relu, dw, conv2 = self.layers
         chains = []
         for g in _channel_groups(x, conv1):
-            c = g.stop - g.start
             stats = None if bn.saved_stats is None else tuple(s[g] for s in bn.saved_stats)
             chains.append(Sequential([
-                _narrowed(conv1, c_out=c, w=conv1.w.view(g)),
-                _narrowed(bn, c=c, gamma=bn.gamma.view(g), beta=bn.beta.view(g),
+                _narrowed(conv1, w=conv1.w.view(g)),
+                _narrowed(bn, gamma=bn.gamma.view(g), beta=bn.beta.view(g),
                           running_mean=bn.running_mean[g], running_var=bn.running_var[g],
                           saved_stats=stats),
                 relu,
-                _narrowed(dw, c_in=c, c_out=c, w=dw.w.view(g)),
-                _narrowed(conv2, c_in=c, w=conv2.w.view((slice(None), g))),
+                _narrowed(dw, w=dw.w.view(g)),
+                _narrowed(conv2, w=conv2.w.view((slice(None), g))),
             ]))
         return chains
 
@@ -642,7 +632,6 @@ class RevBlock(Layer):
     reversible = True
 
     def __init__(self, kind, half_width, *, rng, dtype):
-        self.half_width = half_width
         self.f = make_residual_fn(kind, half_width, rng=rng, dtype=dtype)
         self.g = make_residual_fn(kind, half_width, rng=rng, dtype=dtype)
 

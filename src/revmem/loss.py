@@ -5,6 +5,9 @@ class logit is scale * cos(theta + margin), all others scale * cos(theta),
 followed by softmax cross-entropy averaged over the batch. Where
 theta + margin would pass pi (non-monotone region), the guarded form
 cos(theta) - margin * sin(margin) is used instead.
+
+``Trainer`` is the one training step against that loss, which
+``revmem train`` and ``scripts/peak_sites.py`` both run.
 """
 
 from __future__ import annotations
@@ -13,7 +16,11 @@ import math
 
 import numpy as np
 
+from .engine import run_backward, run_forward
 from .errors import ConfigError, ShapeError
+from .layers import Param
+from .optim import OPTIMIZERS, Sgd, make_optimizer
+from .quant import BLOCK_SIZE
 
 _SIN_FLOOR = 1e-12  # keeps the margin chain rule finite for aligned pairs
 
@@ -90,3 +97,45 @@ def aam_softmax_loss(embeddings: np.ndarray, labels: np.ndarray, weights: np.nda
     demb = (de - e * (de * e).sum(axis=1, keepdims=True)) / e_norm
     dweights = (dw - w * (dw * w).sum(axis=0, keepdims=True)) / w_norm
     return loss, demb, dweights
+
+
+class Trainer:
+    """One AAM training step of ``net`` against a head of ``classes`` weight columns.
+
+    The head is drawn from ``default_rng(seed + 1)`` in the net's dtype. One
+    optimizer, ``optim`` with weight decay 0.05 at ``lr`` (by default 0.02
+    for the SGD rule and 1e-3 for Adam's), updates the net and the head.
+    The step runs as three phases, so a profiler can measure each on its
+    own: ``forward`` runs the net and the loss, ``backward`` the net's
+    backward and the head's gradient, and ``step`` the update and
+    ``zero_grad``.
+    """
+
+    def __init__(self, net, classes, optim, mode, lr=None, *, seed=0, block_size=BLOCK_SIZE):
+        self.net, self.mode = net, mode
+        rng = np.random.default_rng(seed + 1)
+        self.head = Param(rng.normal(0, 0.1, (net.embedding_dim, classes)).astype(net.dtype))
+        if lr is None:
+            lr = 0.02 if OPTIMIZERS[optim][0] is Sgd else 1e-3
+        self.opt = make_optimizer(optim, net.params() + [self.head], lr, weight_decay=0.05,
+                                  block_size=block_size)
+        self._held = None  # what backward needs of the last forward
+
+    def forward(self, x, labels):
+        """The net and the loss on one batch: (loss, embeddings, run_forward's ledger)."""
+        emb, store, ledger = run_forward(self.net, x, self.mode)
+        loss, demb, dhead = aam_softmax_loss(emb, labels, self.head.value)
+        self._held = store, demb.astype(emb.dtype), dhead
+        return loss, emb, ledger
+
+    def backward(self):
+        """The last forward's backward: the net's gradients and the head's."""
+        store, demb, dhead = self._held
+        self._held = None
+        run_backward(self.net, store, demb, self.mode)
+        self.head.grad += dhead.astype(self.head.value.dtype)
+
+    def step(self):
+        """The optimizer's update, then ``zero_grad``."""
+        self.opt.step()
+        self.opt.zero_grad()

@@ -24,13 +24,17 @@ that reads gy no more (a chain's inner layers, in layers.py) holds one
 array where it held two. Each reads a slice of gy before it writes that
 slice: a mask block, a channel band, or a depthwise block of whole planes.
 
+Each op with parameters (``conv2d``, ``depthwise_conv2d``, ``batchnorm2d``,
+``linear``) checks its input against them in a companion ``*_shape``, which
+takes the input's shape alone and returns the output's: a layer's planned
+forward calls it, so a plan refuses a shape with the op's own message.
+
 Convolutions are cross-correlations (no kernel flip) with a square kernel
 of odd side k, zero-padded by ``k // 2`` on every side, so an output side
-is ``ceil(d / stride)``, computed by ``conv_out_size``, which layer shape
-planning shares. A depthwise conv runs at stride 1 only. These are the only
-forms the networks build. Every forward output and every dL/dx is a
-contiguous array that no larger buffer backs, so its ``nbytes`` is the
-memory it holds.
+is ``ceil(d / stride)``, computed by ``conv_out_size``. A depthwise conv
+runs at stride 1 only. These are the only forms the networks build. Every
+forward output and every dL/dx is a contiguous array that no larger buffer
+backs, so its ``nbytes`` is the memory it holds.
 
 There are eight conv kernel forms. Each was picked as the fastest measured
 for its calls by ``python3 scripts/conv_bench.py`` (float32, one OpenBLAS
@@ -166,9 +170,9 @@ GSP_VAR_EPS = 1e-10
 FLAT_SHIFT_BYTES = 1 << 18
 
 
-def _require_4d(x: np.ndarray, name: str) -> None:
-    if x.ndim != 4:
-        raise ShapeError(f"{name} must be rank-4 (n, c, f, t), got shape {x.shape}")
+def _require_4d(shape: tuple, name: str) -> None:
+    if len(shape) != 4:
+        raise ShapeError(f"{name} must be rank-4 (n, c, f, t), got shape {shape}")
 
 
 def conv_out_size(d: int, stride: int) -> int:
@@ -228,8 +232,8 @@ def _copy_padded_rows(buf, x, lo, count, pad):
     buf[..., bottom : count + 1, :] = 0
 
 
-def _check_conv_args(x, w, stride):
-    _require_4d(x, "input")
+def _check_conv_args(x_shape, w, stride):
+    _require_4d(x_shape, "input")
     if w.ndim != 4:
         raise ShapeError(f"kernel must be rank-4, got shape {w.shape}")
     if stride < 1 or int(stride) != stride:
@@ -239,14 +243,14 @@ def _check_conv_args(x, w, stride):
         raise ConfigError(f"kernel must be square with odd sides, got {kh}x{kw}")
 
 
-def _out_shape(x, w, stride) -> tuple[int, int, int, int]:
+def _out_shape(x_shape, w, stride) -> tuple[int, int, int, int]:
     """The conv's output shape (n, c_out, fo, to)."""
-    return (x.shape[0], w.shape[0], conv_out_size(x.shape[2], stride),
-            conv_out_size(x.shape[3], stride))
+    return (x_shape[0], w.shape[0], conv_out_size(x_shape[2], stride),
+            conv_out_size(x_shape[3], stride))
 
 
 def _check_cotangent(x, w, gy, stride):
-    expected = _out_shape(x, w, stride)
+    expected = _out_shape(x.shape, w, stride)
     if gy.shape != expected:
         raise ShapeError(f"dL/dy has shape {gy.shape} but the forward's output has shape "
                          f"{expected}")
@@ -289,14 +293,17 @@ def _pointwise_conv2d_vjp(x, w, gy, stride, gw):
     return gx, gw
 
 
+def conv2d_shape(x_shape: tuple, w: np.ndarray, stride: int = 1) -> tuple:
+    """conv2d's output shape for an input of shape ``x_shape``, checked as conv2d checks it."""
+    _check_conv_args(x_shape, w, stride)
+    if x_shape[1] != w.shape[1]:
+        raise ShapeError(f"input has {x_shape[1]} channels but kernel expects {w.shape[1]}")
+    return _out_shape(x_shape, w, stride)
+
+
 def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
     """Cross-correlate x (n, c_in, f, t) with w (c_out, c_in, k, k), padded by k // 2."""
-    _check_conv_args(x, w, stride)
-    if x.shape[1] != w.shape[1]:
-        raise ShapeError(
-            f"input has {x.shape[1]} channels but kernel expects {w.shape[1]}"
-        )
-    n, _, fo, to = shape = _out_shape(x, w, stride)
+    n, _, fo, to = shape = conv2d_shape(x.shape, w, stride)
     if _is_pointwise(w):
         y = np.matmul(w[:, :, 0, 0], x[:, :, ::stride, ::stride].reshape(n, x.shape[1], fo * to))
         return y.reshape(shape)
@@ -350,7 +357,7 @@ def conv2d_vjp(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cotangents (dL/dx, dL/dw) of conv2d given dL/dy; dL/dw is added into
     ``gw`` when given, else into zeros."""
-    _check_conv_args(x, w, stride)
+    _check_conv_args(x.shape, w, stride)
     _check_cotangent(x, w, gy, stride)
     gw = _accumulator(gw, w.shape, np.result_type(x, gy), "dL/dw")
     if _is_pointwise(w):
@@ -440,14 +447,17 @@ def _strided_conv2d_vjp(x, w, gy, stride, gw):
     return gx, gw
 
 
-def _check_depthwise_args(x, w):
-    _check_conv_args(x, w, 1)
+def depthwise_conv2d_shape(x_shape: tuple, w: np.ndarray) -> tuple:
+    """depthwise_conv2d's output shape for an input of shape ``x_shape``, checked as the
+    op checks it."""
+    _check_conv_args(x_shape, w, 1)
     if w.shape[1] != 1:
         raise ShapeError(f"depthwise kernel must be (c, 1, k, k), got {w.shape}")
-    if x.shape[1] != w.shape[0]:
+    if x_shape[1] != w.shape[0]:
         raise ShapeError(
-            f"input has {x.shape[1]} channels but depthwise kernel has {w.shape[0]}"
+            f"input has {x_shape[1]} channels but depthwise kernel has {w.shape[0]}"
         )
+    return _out_shape(x_shape, w, 1)
 
 
 def _depthwise_blocks(planes, f, t, k2, dtype):
@@ -514,10 +524,9 @@ def depthwise_conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per-channel stride-1 convolution; w has shape (c, 1, k, k), one filter per channel."""
     # One column copy and one batched GEMM per block: the per-plane taps
     # (m, 1, k*k) times the block's columns write its output rows in place.
-    _check_depthwise_args(x, w)
+    y = np.empty(depthwise_conv2d_shape(x.shape, w), dtype=np.result_type(x, w))
     n, c, f, t = x.shape
     k = w.shape[2]
-    y = np.empty(_out_shape(x, w, 1), dtype=np.result_type(x, w))
     ys = y.reshape(n * c, f * t)
     taps = np.tile(w.reshape(c, 1, k * k).astype(y.dtype), (n, 1, 1))  # per plane
     for block, flat, cols in _depthwise_columns(x.reshape(n * c, f * t), f, t, k, y.dtype):
@@ -539,7 +548,7 @@ def depthwise_conv2d_vjp(
     # of whole planes copies its planes of dL/dy into the columns before it
     # writes them, so out may be gy; a band of a plane reads its
     # neighbours' rows too, so banded planes build dL/dx apart and copy it.
-    _check_depthwise_args(x, w)
+    depthwise_conv2d_shape(x.shape, w)
     _check_cotangent(x, w, gy, 1)
     n, c, f, t = x.shape
     k = w.shape[2]
@@ -561,6 +570,15 @@ def depthwise_conv2d_vjp(
     return gx, gw
 
 
+def batchnorm2d_shape(x_shape: tuple, gamma: np.ndarray, beta: np.ndarray) -> tuple:
+    """batchnorm2d's output shape, ``x_shape`` itself, checked as the op checks it."""
+    _require_4d(x_shape, "input")
+    if gamma.shape != (x_shape[1],) or beta.shape != (x_shape[1],):
+        raise ShapeError(f"input has {x_shape[1]} channels but batch norm gamma/beta have "
+                         f"shapes {gamma.shape}/{beta.shape}")
+    return x_shape
+
+
 def batchnorm2d(
     x: np.ndarray,
     gamma: np.ndarray,
@@ -574,12 +592,7 @@ def batchnorm2d(
     actually used, so callers can capture and later replay them (pass `stats`)
     for deterministic recomputation.
     """
-    _require_4d(x, "input")
-    c = x.shape[1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(
-            f"gamma/beta must have shape ({c},), got {gamma.shape}/{beta.shape}"
-        )
+    batchnorm2d_shape(x.shape, gamma, beta)
     if stats is None:
         count = x.shape[0] * x.shape[2] * x.shape[3]
         if count == 1 and eps == 0.0:
@@ -666,14 +679,20 @@ def relu_vjp(x: np.ndarray, gy: np.ndarray, out: np.ndarray | None = None) -> np
     return gx
 
 
-def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Affine map on flat vectors: (n, d_in) @ (d_in, d_out) + (d_out,)."""
-    if x.ndim != 2:
-        raise ShapeError(f"linear input must be (n, d_in), got shape {x.shape}")
-    if x.shape[1] != w.shape[0]:
-        raise ShapeError(f"linear expects d_in={w.shape[0]}, got {x.shape[1]}")
+def linear_shape(x_shape: tuple, w: np.ndarray, b: np.ndarray) -> tuple:
+    """linear's output shape for an input of shape ``x_shape``, checked as the op checks it."""
+    if len(x_shape) != 2:
+        raise ShapeError(f"linear input must be (n, d_in), got shape {x_shape}")
+    if x_shape[1] != w.shape[0]:
+        raise ShapeError(f"linear expects d_in={w.shape[0]}, got {x_shape[1]}")
     if b.shape != (w.shape[1],):
         raise ShapeError(f"bias must have shape ({w.shape[1]},), got {b.shape}")
+    return x_shape[0], w.shape[1]
+
+
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Affine map on flat vectors: (n, d_in) @ (d_in, d_out) + (d_out,)."""
+    linear_shape(x.shape, w, b)
     return x @ w + b
 
 
@@ -700,7 +719,7 @@ def channel_split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Both halves are copies at every batch size, so dropping one frees it: at
     n = 1 a half is contiguous already, and a view of it would pin x whole.
     """
-    _require_4d(x, "input")
+    _require_4d(x.shape, "input")
     c = x.shape[1]
     if c % 2:
         raise ConfigError(f"channel_split requires an even channel count, got {c}")
@@ -709,8 +728,8 @@ def channel_split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def channel_concat(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    _require_4d(x1, "first input")
-    _require_4d(x2, "second input")
+    _require_4d(x1.shape, "first input")
+    _require_4d(x2.shape, "second input")
     if x1.shape[0] != x2.shape[0] or x1.shape[2:] != x2.shape[2:]:
         raise ShapeError(
             f"channel_concat needs matching (n, f, t), got {x1.shape} vs {x2.shape}"
@@ -724,7 +743,7 @@ def pixel_unshuffle(x: np.ndarray, r: int) -> np.ndarray:
     Output channel c*r*r + i*r + j holds input row offset i and column
     offset j, so the map is a fixed bijection on elements.
     """
-    _require_4d(x, "input")
+    _require_4d(x.shape, "input")
     if r < 2 or int(r) != r:
         raise ConfigError(f"ratio must be an integer >= 2, got {r}")
     n, c, f, t = x.shape
@@ -740,7 +759,7 @@ def pixel_unshuffle(x: np.ndarray, r: int) -> np.ndarray:
 
 def pixel_shuffle(y: np.ndarray, r: int) -> np.ndarray:
     """Exact inverse of pixel_unshuffle."""
-    _require_4d(y, "input")
+    _require_4d(y.shape, "input")
     if r < 2 or int(r) != r:
         raise ConfigError(f"ratio must be an integer >= 2, got {r}")
     n, c, fo, to = y.shape
@@ -758,7 +777,7 @@ def global_stat_pool(x: np.ndarray) -> np.ndarray:
     First half of the output is the means, second half the biased standard
     deviations, both flattened row-major over (c, f).
     """
-    _require_4d(x, "input")
+    _require_4d(x.shape, "input")
     n, c, f, _ = x.shape
     mean = x.mean(axis=3)
     var = x.var(axis=3)  # biased

@@ -82,9 +82,10 @@ class _Slot8(_Slot):
     def __init__(self, value: np.ndarray, block_size: int):
         self.qmap = default_map()
         self.block_size = block_size
-        self.state = quantize_blockwise(
-            np.zeros(value.shape, np.float32), self.qmap, block_size
-        )
+        # quantized zeros: ZERO_CODE (0x00) everywhere and absmax 0 in every block
+        self.state = QuantizedState(np.zeros(value.size, np.uint8),
+                                    np.zeros(-(-value.size // block_size), np.float32),
+                                    block_size, value.shape)
 
     def _blocks(self, lo: int, hi: int) -> slice:
         return slice(lo // self.block_size, -(-hi // self.block_size))

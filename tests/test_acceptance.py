@@ -27,8 +27,8 @@ from revmem.engine import (
 )
 from revmem.eer import eer_from_scores
 from revmem.layers import Param, Planned, RevBlock
-from revmem.loss import aam_softmax_loss
-from revmem.optim import Adam, Sgd, make_optimizer, optimizer_state_nbytes
+from revmem.loss import Trainer
+from revmem.optim import Adam, Sgd, optimizer_state_nbytes
 from revmem.synth import SynthDataset
 
 from conftest import mixed_err, random_toy_spec, scaled_err
@@ -197,18 +197,12 @@ def _train_loss_curve(optim_name, kind, lr, seed=0, steps=200, classes=24,
     spec = zoo.toy_spec([1, 1], width, kind)
     net = zoo.build(spec, dtype=np.float32, seed=seed)
     data = SynthDataset(classes, frames=8, noise=noise, seed=seed)
-    head_rng = np.random.default_rng(seed + 1)
-    head = Param(head_rng.normal(0, 0.1, (net.embedding_dim, classes)).astype(np.float32))
-    opt = make_optimizer(optim_name, net.params() + [head], lr, weight_decay=0.05)
+    trainer = Trainer(net, classes, optim_name, "reversible", lr, seed=seed)
     losses = []
     for _ in range(steps):
-        x, y = data.batch(batch)
-        emb, store, _ = run_forward(net, x, "reversible")
-        loss, demb, dhead = aam_softmax_loss(emb, y, head.value)
-        run_backward(net, store, demb.astype(np.float32), "reversible")
-        head.grad += dhead.astype(np.float32)
-        opt.step()
-        opt.zero_grad()
+        loss, _, _ = trainer.forward(*data.batch(batch))
+        trainer.backward()
+        trainer.step()
         losses.append(loss)
     return losses
 

@@ -7,7 +7,7 @@ import pytest
 
 from revmem import cli, zoo
 from revmem.cli import main
-from revmem.loss import aam_softmax_loss
+from revmem.loss import Trainer, aam_softmax_loss
 
 
 def run(args):
@@ -56,9 +56,9 @@ def test_unwritable_out_exits_2_naming_path(tmp_path, capsys, argv):
 def test_train_checks_out_paths_before_first_step(tmp_path, capsys, monkeypatch,
                                                    unwritable):
     steps = []
-    train_step = cli._train_step
-    monkeypatch.setattr(cli, "_train_step",
-                        lambda *a, **k: steps.append(1) or train_step(*a, **k))
+    forward = Trainer.forward
+    monkeypatch.setattr(Trainer, "forward",
+                        lambda *a, **k: steps.append(1) or forward(*a, **k))
     if unwritable == "log":
         out = tmp_path / "missing" / "x.csv"
         bad = out
@@ -203,14 +203,13 @@ class TestTrainCommand:
         assert run(["train", "--net", "NotANet", "--steps", "1"]) == 2
 
     def test_loss_dtype_mismatch_is_config_error(self, monkeypatch, capsys):
-        setup = cli._train_setup
+        setup = Trainer.__init__
 
-        def mixed(cfg):
-            net, data, head, opt = setup(cfg)
-            head.value = head.value.astype(np.float64)
-            return net, data, head, opt
+        def mixed(self, *args, **kwargs):
+            setup(self, *args, **kwargs)
+            self.head.value = self.head.value.astype(np.float64)
 
-        monkeypatch.setattr(cli, "_train_setup", mixed)
+        monkeypatch.setattr(Trainer, "__init__", mixed)
         assert run(["train", "--steps", "1"]) == 2
         err = capsys.readouterr().err
         assert "embeddings dtype float32" in err and "head weights dtype float64" in err
@@ -228,7 +227,7 @@ class TestTrainCommand:
                 dhead[0, 0] = np.nan
             return loss, demb, dhead
 
-        monkeypatch.setattr(cli, "aam_softmax_loss", poisoned)
+        monkeypatch.setattr("revmem.loss.aam_softmax_loss", poisoned)
         out = tmp_path / "train.csv"
         assert run(["train", "--optim", optim, "--steps", "5", "--out", str(out)]) == 1
         rows = out.read_text().strip().split("\n")
@@ -248,7 +247,7 @@ class TestTrainCommand:
                 dhead[0, 0] = 1e22
             return loss, demb, dhead
 
-        monkeypatch.setattr(cli, "aam_softmax_loss", huge)
+        monkeypatch.setattr("revmem.loss.aam_softmax_loss", huge)
         out = tmp_path / "train.csv"
         assert run(["train", "--optim", "adam8", "--steps", "5", "--out", str(out)]) == 1
         rows = out.read_text().strip().split("\n")

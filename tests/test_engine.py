@@ -19,7 +19,17 @@ from revmem.engine import (
     walk,
 )
 from revmem.errors import ConfigError, ShapeError, StateError
-from revmem.layers import BatchNorm2d, Conv2d, Planned, ReLU, ResidualBlock, RevBlock
+from revmem.layers import (
+    BatchNorm2d,
+    Conv2d,
+    DepthwiseConv2d,
+    GlobalStatPool,
+    Linear,
+    Planned,
+    ReLU,
+    ResidualBlock,
+    RevBlock,
+)
 from revmem.optim import OPTIMIZERS, make_optimizer
 
 from conftest import mixed_err, random_toy_spec
@@ -355,19 +365,37 @@ class TestRunShapes:
         run_backward(net, store, np.ones_like(out), mode)
         assert calls == {"channel_concat": runs, "pixel_shuffle": shuffles[case]}
 
-    @pytest.mark.parametrize("kind", ["basic", "df_bottleneck"])
-    def test_rev_block_of_the_wrong_width_raises(self, rng, kind):
-        # the stem's 8 channels split into halves of 4, and a block of half
-        # width 3 takes 3: the F branch's first conv refuses the half
+    # after an 8-channel stem, layers that take 7 channels, or 3 in a
+    # RevBlock, whose F branch's first conv gets a half of 4: (the layers,
+    # the message)
+    WRONG_WIDTH = {
+        "rev-basic": (lambda r, d: [RevBlock("basic", 3, rng=r, dtype=d)],
+                      "input has 4 channels but kernel expects 3"),
+        "rev-df_bottleneck": (lambda r, d: [RevBlock("df_bottleneck", 3, rng=r, dtype=d)],
+                              "input has 4 channels but kernel expects 3"),
+        "depthwise": (lambda r, d: [DepthwiseConv2d(7, rng=r, dtype=d)],
+                      "input has 8 channels but depthwise kernel has 7"),
+        "batch-norm": (lambda r, d: [BatchNorm2d(7, dtype=d)],
+                       "input has 8 channels but batch norm gamma/beta have shapes (7,)/(7,)"),
+        "linear": (lambda r, d: [GlobalStatPool(), Linear(7, 8, rng=r, dtype=d)],
+                   "linear expects d_in=7, got 1280"),
+    }
+
+    @pytest.mark.parametrize("case", WRONG_WIDTH)
+    def test_layer_of_the_wrong_width_raises_alike(self, rng, case):
+        # a plan refuses the width with the op's own message, as a run does
         dtype = np.float32
         build_rng = np.random.default_rng(0)
-        net = Network([Conv2d(1, 8, 3, rng=build_rng, dtype=dtype),
-                       RevBlock(kind, 3, rng=build_rng, dtype=dtype)], (1, 80), 8, dtype)
+        make, message = self.WRONG_WIDTH[case]
+        net = Network([Conv2d(1, 8, 3, rng=build_rng, dtype=dtype), *make(build_rng, dtype)],
+                      (1, 80), 8, dtype)
         for mode in MODES:
-            with pytest.raises(ShapeError, match="input has 4 channels but kernel expects 3"):
+            with pytest.raises(ShapeError) as ran:
                 run_forward(net, batch(rng, dtype=dtype), mode)
-            with pytest.raises(ShapeError, match="Conv2d expects 3 channels, got 4"):
+            with pytest.raises(ShapeError) as planned:
                 ledger_plan(net, 2, 8, mode)
+            assert str(ran.value) == message
+            assert str(planned.value) == str(ran.value)
 
     def test_odd_width_run_head_raises_alike(self, rng):
         # 7 channels reach the run's first block, which cannot halve them: a
@@ -778,10 +806,12 @@ class TestOneWalk:
 
         monkeypatch.setattr(RevBlock, "forward", record_pair)
         # a plan runs the layers' own forwards, so it may call no op of
-        # revmem.ops, only the shape arithmetic conv_out_size
+        # revmem.ops, only the shape arithmetic: conv_out_size and the ops'
+        # checked output shapes (conv2d_shape, ...), which take x's shape
         for name, fn in vars(ops).items():
             if (inspect.isfunction(fn) and fn.__module__ == ops.__name__
-                    and not name.startswith("_") and name != "conv_out_size"):
+                    and not name.startswith("_") and name != "conv_out_size"
+                    and not name.endswith("_shape")):
                 monkeypatch.setattr(ops, name, refuse)
         planned = plan_store(net, mode, n, frames)
         assert len(planned.entries) == len(store.entries) == len(net.units)

@@ -33,21 +33,21 @@ class TestComposition:
         b = branch("basic")
         kinds = [type(l) for l in b.layers]
         assert kinds == [Conv2d, BatchNorm2d, ReLU, Conv2d]
-        assert b.layers[0].k == 3 and b.layers[3].k == 3
+        assert b.layers[0].w.value.shape[2:] == b.layers[3].w.value.shape[2:] == (3, 3)
 
     def test_bottleneck_is_conv_bn_relu_conv_conv(self):
         b = branch("bottleneck")
         kinds = [type(l) for l in b.layers]
         assert kinds == [Conv2d, BatchNorm2d, ReLU, Conv2d, Conv2d]
-        assert [l.k for l in b.layers if isinstance(l, Conv2d)] == [1, 3, 1]
-        assert b.layers[0].c_out == 2  # quarter of the branch width
+        assert [l.w.value.shape[2] for l in b.layers if isinstance(l, Conv2d)] == [1, 3, 1]
+        assert len(b.layers[0].w.value) == 2  # quarter of the branch width
 
     def test_df_is_conv_bn_relu_dconv_conv(self):
         b = branch("df_bottleneck")
         kinds = [type(l) for l in b.layers]
         assert kinds == [Conv2d, BatchNorm2d, ReLU, DepthwiseConv2d, Conv2d]
-        assert b.layers[0].c_out == 32  # 4x expansion
-        assert b.layers[4].c_out == 8
+        assert len(b.layers[0].w.value) == 32  # 4x expansion
+        assert len(b.layers[4].w.value) == 8
 
     def test_all_branch_convs_are_stride_one(self):
         for kind in ("basic", "bottleneck", "df_bottleneck"):
@@ -169,7 +169,7 @@ class TestResidualBlock:
 
     def test_projection_on_width_change(self, rng):
         blk = ResidualBlock("basic", 8, 16, rng=rng, dtype=np.float64)
-        assert blk.proj is not None and blk.proj.k == 1
+        assert blk.proj is not None and blk.proj.w.value.shape[2] == 1
         x = rng.normal(size=(1, 8, 4, 4))
         assert blk.forward(x).shape == (1, 16, 4, 4)
 
@@ -411,17 +411,17 @@ class TestNarrowing:
         # update, and leaves the rest and the whole's captured ones alone
         b = branch("df_bottleneck")
         bn = b.layers[1]
-        bn.running_mean[...] = rng.normal(size=bn.c)
-        bn.running_var[...] = rng.uniform(0.5, 2.0, size=bn.c)
+        bn.running_mean[...] = rng.normal(size=bn.gamma.size)
+        bn.running_var[...] = rng.uniform(0.5, 2.0, size=bn.gamma.size)
         x = rng.normal(size=(2, 8, 6, 5))
         monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 12 * 2 * 6 * 5 * x.itemsize)
         g = layers._channel_groups(x, b.layers[0])[1]
         part = list(b._chains(x))[1].layers[1]
         arrays = bn.running_mean, bn.running_var
         before = [a.copy() for a in arrays]
-        stats = rng.normal(size=bn.c), rng.uniform(0.5, 2.0, size=bn.c)
+        stats = rng.normal(size=bn.gamma.size), rng.uniform(0.5, 2.0, size=bn.gamma.size)
         part.capture(stats[0][g], stats[1][g])
-        outside = np.ones(bn.c, bool)
+        outside = np.ones(bn.gamma.size, bool)
         outside[g] = False
         m = bn.momentum
         for run, new, old, stat in zip(arrays, (bn.running_mean, bn.running_var), before, stats):

@@ -123,6 +123,20 @@ class TestQuantizedVariants:
         assert quantized / dense <= 0.2505
         assert 1 - quantized / dense >= 0.749
 
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 24])
+    def test_fresh_state_is_quantized_zeros(self, size):
+        # a new slot is built without quantizing, with the same codes,
+        # absmax, dtypes and shape as quantizing a zero tensor; B = 8
+        shape = (size, 1)
+        opt = Adam([Param(np.ones(shape, np.float32))], block_size=8)
+        ref = quantize_blockwise(np.zeros(shape, np.float32), default_map(), 8)
+        for slots in opt.slots:
+            state = slots[0].state
+            for got, want in ((state.codes, ref.codes), (state.absmax, ref.absmax)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+            assert (state.block_size, state.shape) == (ref.block_size, ref.shape)
+
     def test_state_bytes_exact_formula(self):
         p = param(np.zeros(5000))
         opt = Sgd([p], block_size=2048)

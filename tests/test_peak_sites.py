@@ -63,11 +63,13 @@ def test_reported_maximum_is_the_step_peak(peak_sites, mode):
     # are compared
     tracemalloc.start()
     try:
-        step = peak_sites.Step(*cfg, mode)
-        step.run()
+        _, phases = peak_sites.setup(*cfg, mode)
+        for _, fn in phases:
+            fn()
         resident = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        step.run()
+        for _, fn in phases:
+            fn()
         step_rise = tracemalloc.get_traced_memory()[1] - resident
     finally:
         tracemalloc.stop()

@@ -39,7 +39,6 @@ class _ScalarLinear:
 def scalar_block(kf, kg):
     blk = RevBlock.__new__(RevBlock)
     blk.kind = "scalar"
-    blk.half_width = 1
     blk.f = Sequential([_ScalarLinear(kf)])
     blk.g = Sequential([_ScalarLinear(kg)])
     return blk

@@ -102,7 +102,7 @@ class TestRegistry:
     def test_revnet46_fc(self):
         net = zoo.build("RevNet46", dtype=np.float32)
         fc = net.layers[-1]
-        assert (fc.d_in, fc.d_out) == (6000, 256)
+        assert fc.w.value.shape == (6000, 256)
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown network"):
