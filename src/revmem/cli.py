@@ -24,7 +24,7 @@ import numpy as np
 
 from . import gradcheck as gc
 from .eer import cosine_scores, eer_from_scores, read_embedding_file, read_score_file
-from .engine import ledger_plan
+from .engine import MODES, ledger_plan
 from .errors import ConfigError, QuantizationError, RevmemError, StateOverflowError
 from .loss import Trainer
 from .optim import OPTIMIZERS
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, train_opts=False):
         sp.add_argument("--net", help="registry network name")
         sp.add_argument("--spec", dest="spec_path", help="network JSON file")
-        sp.add_argument("--mode", choices=["stored", "reversible"], default="reversible")
+        sp.add_argument("--mode", choices=MODES, default="reversible")
         sp.add_argument("--optim", default="adamw", choices=list(OPTIMIZERS))
         sp.add_argument("--batch", type=_count, default=6)
         if train_opts:

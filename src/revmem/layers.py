@@ -302,8 +302,7 @@ class ReLU(Layer):
 
 class GlobalStatPool(Layer):
     def _shape(self, shape):
-        n, c, f, t = shape
-        return n, 2 * c * f
+        return ops.global_stat_pool_shape(shape)
 
     def _apply(self, x, replay):
         return ops.global_stat_pool(x)
@@ -703,15 +702,9 @@ class RevDownsample(Layer):
     def forward(self, x, tape=None, replay=False):
         if tape is not None:
             tape.append(None)
-        if not isinstance(x[0], Planned):
-            return tuple(ops.pixel_unshuffle(s, self.r) for s in x)
-        n, _, f, t = x[0].shape  # a run's streams differ in channels alone
-        if f % self.r or t % self.r:
-            raise ConfigError(
-                f"spatial dims ({f}, {t}) must be divisible by ratio {self.r}"
-            )
-        return tuple(Planned((n, s.shape[1] * self.r * self.r, f // self.r, t // self.r))
-                     for s in x)
+        if isinstance(x[0], Planned):
+            return tuple(Planned(ops.pixel_unshuffle_shape(s.shape, self.r)) for s in x)
+        return tuple(ops.pixel_unshuffle(s, self.r) for s in x)
 
     def backward(self, gy, entry=None):
         # the rearrangement is a permutation, so its VJP is its inverse
@@ -789,10 +782,8 @@ class RevRun(Layer):
         """The head's split of x into a pair, planned when x is ``Planned``."""
         if not isinstance(x, Planned):
             return ops.channel_split(x)
-        n, c, f, t = x.shape
-        if c % 2:
-            raise ConfigError(f"channel_split requires an even channel count, got {c}")
-        return Planned((n, c // 2, f, t)), Planned((n, c // 2, f, t))
+        half = ops.channel_split_shape(x.shape)
+        return Planned(half), Planned(half)
 
     @staticmethod
     def _join(streams):
@@ -800,5 +791,4 @@ class RevRun(Layer):
             return streams[0]
         if not isinstance(streams[0], Planned):
             return ops.channel_concat(*streams)
-        n, _, f, t = streams[0].shape
-        return Planned((n, sum(s.shape[1] for s in streams), f, t))
+        return Planned(ops.channel_concat_shape(*(s.shape for s in streams)))

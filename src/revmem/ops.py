@@ -24,10 +24,14 @@ that reads gy no more (a chain's inner layers, in layers.py) holds one
 array where it held two. Each reads a slice of gy before it writes that
 slice: a mask block, a channel band, or a depthwise block of whole planes.
 
-Each op with parameters (``conv2d``, ``depthwise_conv2d``, ``batchnorm2d``,
-``linear``) checks its input against them in a companion ``*_shape``, which
-takes the input's shape alone and returns the output's: a layer's planned
-forward calls it, so a plan refuses a shape with the op's own message.
+Each op that a layer plans (``conv2d``, ``depthwise_conv2d``,
+``batchnorm2d``, ``linear``, ``global_stat_pool``, ``pixel_unshuffle``,
+``channel_split``, ``channel_concat``) checks its input, against its
+parameters where it has them, in a companion ``*_shape``, which takes the
+input's shape alone and returns the output's: a layer's planned forward
+calls it, so a plan refuses a shape with the op's own message. The VJPs
+of the ops with parameters and of ``global_stat_pool`` call it too, and
+refuse a dL/dy that is not of the output's shape.
 
 Convolutions are cross-correlations (no kernel flip) with a square kernel
 of odd side k, zero-padded by ``k // 2`` on every side, so an output side
@@ -92,12 +96,17 @@ instead. "Other kernels" are all but the 1x1:
    columns where a run wraps into the next row or leaves the plane are
    zero. The per-plane taps (m, 1, k*k) times the columns write the block's
    output in place. A block is the most planes whose columns fit
-   2 * ``FLAT_SHIFT_BYTES``; a plane whose columns exceed
-   3 * ``FLAT_SHIFT_BYTES`` runs alone, in bands of its rows. Scratch: the
-   column buffer and the per-plane taps. Interleaved with the k*k-pass tap
-   loop it replaced (40 calls each), forward and VJP took 0.39 and 0.49
-   ms at (4, 8, 80, 32) against 0.82 and 1.05 ms, and 1.41 and 1.87 ms at
-   DF-RevNet89's (1, 24, 80, 200) against 1.58 and 2.52 ms.
+   2 * ``FLAT_SHIFT_BYTES``, one plane at least, so a plane whose columns
+   exceed that runs alone and its columns size the buffer: 576,000 B at
+   DF-RevNet89's 200-frame float32 stage 1. Planes past
+   3 * ``FLAT_SHIFT_BYTES`` (3x3 planes of more than 21,845 elements at
+   float32, 10,922 at float64) once ran in bands of their rows instead,
+   which no benchmark workload nor registry net at 200 float32 frames
+   reached; a plane's columns are k*k/(n*c) of the op's input. Scratch:
+   the column buffer and the per-plane taps. Interleaved with the k*k-pass
+   tap loop it replaced (40 calls each), forward and VJP took 0.39 and
+   0.49 ms at (4, 8, 80, 32) against 0.82 and 1.05 ms, and 1.41 and 1.87
+   ms at DF-RevNet89's (1, 24, 80, 200) against 1.58 and 2.52 ms.
 8. ``depthwise_conv2d_vjp``: the gather form on the same blocks, with the
    columns built from dL/dy: the flipped per-plane taps times them write
    dL/dx in place, and they times x's planes are dL/dw, flipped. BLAS sums
@@ -105,10 +114,8 @@ instead. "Other kernels" are all but the 1x1:
    rounding, not bit for bit; equal inputs still give equal bits, so a
    replay matches its forward. Scratch: the column buffer, the per-plane
    taps, a per-plane dL/dw and its sum over the batch, w's size. With
-   ``out``, a block of whole planes writes dL/dx into it, gy itself
-   included, as its columns hold its planes of gy already; banded planes
-   read halo rows of their neighbours' gy, so they build a fresh dL/dx
-   and copy it into ``out``.
+   ``out``, each block writes dL/dx into it, gy itself included, as its
+   columns hold its planes of gy already and it reads no other plane.
 
 The other ops with full-size inputs keep these scratch rules (per-channel
 vectors aside):
@@ -157,16 +164,15 @@ GSP_VAR_EPS = 1e-10
 # (1, 48, 80, 200) -> 24 layer: 13.8 ms at 128 KiB against 17.3 ms at
 # 256 KiB (the unbanded form took about 20 ms). The depthwise kernels'
 # column buffer, k*k copies of its planes, also takes its bound from here:
-# twice this for a block of planes, three times for a plane alone
-# (_depthwise_blocks). At this bound itself a block of DF-RevNet89's
-# (1, 24, 80, 200) or (1, 48, 40, 100) held a band of a plane or one plane,
-# and paid a block's fixed cost that much more often: their forwards took
-# 3.29 and 1.18 ms against 1.35 and 0.74 ms (30 interleaved calls), with
-# peaks 0.38 and 0.28 MB lower. The batch-norm VJP's channel bands (a band
-# holds its channels' xhat and nothing else), relu_vjp's mask blocks and
-# linear_vjp's weight-row bands share the bound, and so does
-# the DF bottleneck's channel-group rule in layers.py, as the floor under the
-# branch input's bytes.
+# twice this for a block of whole planes, or one plane's columns where
+# those exceed it (_depthwise_columns). At this bound itself a block of
+# DF-RevNet89's (1, 48, 40, 100) held one plane, and paid a block's fixed
+# cost that much more often: its forward took 1.18 ms against 0.74 ms (30
+# interleaved calls), with a peak 0.28 MB lower. The batch-norm VJP's
+# channel bands (a band holds its channels' xhat and nothing else),
+# relu_vjp's mask blocks and linear_vjp's weight-row bands share the bound,
+# and so does the DF bottleneck's channel-group rule in layers.py, as the
+# floor under the branch input's bytes.
 FLAT_SHIFT_BYTES = 1 << 18
 
 
@@ -249,11 +255,11 @@ def _out_shape(x_shape, w, stride) -> tuple[int, int, int, int]:
             conv_out_size(x_shape[3], stride))
 
 
-def _check_cotangent(x, w, gy, stride):
-    expected = _out_shape(x.shape, w, stride)
-    if gy.shape != expected:
+def _check_cotangent(gy, y_shape):
+    """Refuse a dL/dy that is not of the forward's output shape."""
+    if gy.shape != tuple(y_shape):
         raise ShapeError(f"dL/dy has shape {gy.shape} but the forward's output has shape "
-                         f"{expected}")
+                         f"{tuple(y_shape)}")
 
 
 def _is_pointwise(w: np.ndarray) -> bool:
@@ -357,8 +363,7 @@ def conv2d_vjp(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cotangents (dL/dx, dL/dw) of conv2d given dL/dy; dL/dw is added into
     ``gw`` when given, else into zeros."""
-    _check_conv_args(x.shape, w, stride)
-    _check_cotangent(x, w, gy, stride)
+    _check_cotangent(gy, conv2d_shape(x.shape, w, stride))
     gw = _accumulator(gw, w.shape, np.result_type(x, gy), "dL/dw")
     if _is_pointwise(w):
         return _pointwise_conv2d_vjp(x, w, gy, stride, gw)
@@ -460,64 +465,45 @@ def depthwise_conv2d_shape(x_shape: tuple, w: np.ndarray) -> tuple:
     return _out_shape(x_shape, w, 1)
 
 
-def _depthwise_blocks(planes, f, t, k2, dtype):
-    """(planes, rows) of one block of the depthwise column buffer.
-
-    A block is the most whole (n, c) planes whose columns, k2 copies of
-    them, fit 2 * FLAT_SHIFT_BYTES, one plane at least. A plane whose
-    columns exceed 3 * FLAT_SHIFT_BYTES runs alone, in the fewest equal
-    bands of rows whose columns fit that.
-    """
-    row = k2 * t * dtype.itemsize  # the columns of one output row
-    if f * row <= 3 * FLAT_SHIFT_BYTES:
-        return max(1, min(planes, 2 * FLAT_SHIFT_BYTES // (f * row))), f
-    bands = -(-f * row // (3 * FLAT_SHIFT_BYTES))
-    return 1, -(-f // bands)
-
-
 def _depthwise_columns(src, f, t, k, dtype):
-    """Yield (planes, flat rows, columns) for each block of the depthwise kernels.
+    """Yield (planes, columns) for each block of the depthwise kernels.
 
-    src holds the flat (f*t) planes. A block's columns (m, k*k, h*t), for m
-    planes and h output rows (_depthwise_blocks), are each tap's flat run of
-    its planes in one reused buffer. Tap (i, j) reads a plane at a flat
-    shift of (i - pad) * t + j - pad, so a run is one slice copy. Where the
-    tap's column falls outside a row the run wraps into the next row; those
-    columns are zeroed after the copies. Before a plane's first row or past
-    its last a run is zero: a block of whole planes never writes there, so
-    the buffer's initial zeros stay, and a band writes them each time.
+    src holds the flat (f*t) planes. A block is the most whole planes whose
+    columns, (m, k*k, f*t) for m planes, fit 2 * FLAT_SHIFT_BYTES, one plane
+    at least, whatever its size: planes past 3 * FLAT_SHIFT_BYTES, which
+    once ran in bands of their rows, run alone. Each tap's flat run of a
+    block's planes goes into one reused buffer. Tap (i, j) reads a plane at
+    a flat shift of (i - pad) * t + j - pad, so a run is one slice copy.
+    Where the tap's column falls outside a row the run wraps into the next
+    row; those columns are zeroed after the copies. Before a plane's first
+    row or past its last a run is zero, and no block writes there, so the
+    buffer's initial zeros stay.
     """
-    size, rows = _depthwise_blocks(len(src), f, t, k * k, dtype)
-    cbuf = np.zeros((size, k * k, rows * t), dtype=dtype)
+    n = f * t
+    size = max(1, min(len(src), 2 * FLAT_SHIFT_BYTES // (k * k * n * dtype.itemsize)))
+    cbuf = np.zeros((size, k * k, n), dtype=dtype)
     pad = k // 2
-    bands = []  # (flat rows, runs); a run (tap, lo, hi, shift) copies plane entries
-    # lo + shift .. hi + shift - 1 to the tap's columns lo .. hi - 1
-    for r in range(0, f, rows):
-        n = min(rows, f - r) * t
-        runs = []
-        for tap in range(k * k):
-            i, j = divmod(tap, k)
-            shift = (r + i - pad) * t + j - pad
-            lo = min(max(-shift, 0), n)
-            runs.append((tap, lo, max(min(f * t - shift, n), lo), shift))
-        bands.append((slice(r * t, r * t + n), runs))
+    # a run (tap, lo, hi, shift) copies plane entries lo + shift ..
+    # hi + shift - 1 to the tap's columns lo .. hi - 1
+    runs = []
+    for tap in range(k * k):
+        i, j = divmod(tap, k)
+        shift = (i - pad) * t + j - pad
+        lo = min(max(-shift, 0), n)
+        runs.append((tap, lo, max(min(n - shift, n), lo), shift))
     # the wrapped columns of the taps (., j), as a slice of a row
     edges = [(j, slice(0, pad - j) if j < pad else slice(max(t + pad - j, 0), t))
              for j in range(k) if j != pad]
     for first in range(0, len(src), size):
         block = slice(first, first + size)
         planes = src[block]
-        for flat, runs in bands:
-            cols = cbuf[: len(planes), :, : flat.stop - flat.start]
-            for tap, lo, hi, shift in runs:
-                if rows < f:
-                    cols[:, tap, :lo] = 0
-                    cols[:, tap, hi:] = 0
-                cols[:, tap, lo:hi] = planes[:, lo + shift : hi + shift]
-            grid = cols.reshape(len(planes), k * k, -1, t)
-            for j, edge in edges:
-                grid[:, j::k, :, edge] = 0
-            yield block, flat, cols
+        cols = cbuf[: len(planes)]
+        for tap, lo, hi, shift in runs:
+            cols[:, tap, lo:hi] = planes[:, lo + shift : hi + shift]
+        grid = cols.reshape(len(planes), k * k, f, t)
+        for j, edge in edges:
+            grid[:, j::k, :, edge] = 0
+        yield block, cols
 
 
 def depthwise_conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -529,8 +515,8 @@ def depthwise_conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     k = w.shape[2]
     ys = y.reshape(n * c, f * t)
     taps = np.tile(w.reshape(c, 1, k * k).astype(y.dtype), (n, 1, 1))  # per plane
-    for block, flat, cols in _depthwise_columns(x.reshape(n * c, f * t), f, t, k, y.dtype):
-        np.matmul(taps[block], cols, out=ys[block, None, flat])
+    for block, cols in _depthwise_columns(x.reshape(n * c, f * t), f, t, k, y.dtype):
+        np.matmul(taps[block], cols, out=ys[block, None])
     return y
 
 
@@ -545,28 +531,21 @@ def depthwise_conv2d_vjp(
     # dL/dy: tap (i, j) of dL/dx is w[k-1-i, k-1-j] times the run of dL/dy
     # that the forward's tap (i, j) reads of x, so the flipped taps times the
     # columns are dL/dx, and the columns times x are dL/dw, flipped. A block
-    # of whole planes copies its planes of dL/dy into the columns before it
-    # writes them, so out may be gy; a band of a plane reads its
-    # neighbours' rows too, so banded planes build dL/dx apart and copy it.
-    depthwise_conv2d_shape(x.shape, w)
-    _check_cotangent(x, w, gy, 1)
+    # copies its planes of dL/dy into the columns before it writes their
+    # dL/dx, and reads no other plane, so out may be gy.
+    _check_cotangent(gy, depthwise_conv2d_shape(x.shape, w))
     n, c, f, t = x.shape
     k = w.shape[2]
     dtype = np.result_type(x, w, gy)
     gw = _accumulator(gw, w.shape, np.result_type(x, gy), "dL/dw")
     gx = _result(out, x.shape, x.dtype)
-    if out is not None and _depthwise_blocks(n * c, f, t, k * k, dtype)[1] < f:
-        gx = np.empty(x.shape, dtype=x.dtype)
     xs, gxs = x.reshape(n * c, f * t), gx.reshape(n * c, f * t)
     flipped = np.tile(w.reshape(c, 1, k * k)[:, :, ::-1].astype(dtype), (n, 1, 1))  # per plane
     planes = np.zeros((n * c, k * k, 1), dtype=np.result_type(x, gy))  # dL/dw per plane
-    for block, flat, cols in _depthwise_columns(gy.reshape(n * c, f * t), f, t, k, dtype):
-        planes[block] += np.matmul(cols, xs[block, flat, None])
-        np.matmul(flipped[block], cols, out=gxs[block, None, flat])
+    for block, cols in _depthwise_columns(gy.reshape(n * c, f * t), f, t, k, dtype):
+        planes[block] += np.matmul(cols, xs[block, :, None])
+        np.matmul(flipped[block], cols, out=gxs[block, None])
     gw += planes.reshape(n, c, k * k).sum(axis=0)[:, ::-1].reshape(c, 1, k, k)
-    if out is not None and gx is not out:
-        out[...] = gx
-        gx = out
     return gx, gw
 
 
@@ -631,6 +610,7 @@ def batchnorm2d_vjp(
     # both. Each channel's results read only its own slices, so they are
     # those of one pass over the whole tensor, bit for bit, and a band
     # reads its slice of gy before it writes that slice of dL/dx.
+    _check_cotangent(gy, batchnorm2d_shape(x.shape, gamma, gamma))  # beta has gamma's shape
     n, c, f, t = x.shape
     count = n * f * t
     inv = 1.0 / np.sqrt(var + eps)
@@ -704,6 +684,7 @@ def linear_vjp(
     ``gb`` when given, else into zeros; dL/dw in bands of w's rows of at
     most FLAT_SHIFT_BYTES (one row at least), so no second full-size dL/dw
     exists beside it."""
+    _check_cotangent(gy, linear_shape(x.shape, w, w[0]))  # a row of w has the bias's shape
     gw = _accumulator(gw, w.shape, np.result_type(x, gy), "dL/dw")
     gb = _accumulator(gb, w.shape[1:], gy.dtype, "dL/db")
     rows = max(1, FLAT_SHIFT_BYTES // (w.shape[1] * gw.itemsize))
@@ -713,28 +694,52 @@ def linear_vjp(
     return gy @ w.T, gw, gb
 
 
+def channel_split_shape(x_shape: tuple) -> tuple:
+    """The shape of each of channel_split's halves, checked as the op checks it."""
+    _require_4d(x_shape, "input")
+    n, c, f, t = x_shape
+    if c % 2:
+        raise ConfigError(f"channel_split requires an even channel count, got {c}")
+    return n, c // 2, f, t
+
+
 def channel_split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split evenly into the first and second half of the channel axis.
 
     Both halves are copies at every batch size, so dropping one frees it: at
     n = 1 a half is contiguous already, and a view of it would pin x whole.
     """
-    _require_4d(x.shape, "input")
-    c = x.shape[1]
-    if c % 2:
-        raise ConfigError(f"channel_split requires an even channel count, got {c}")
-    h = c // 2
+    h = channel_split_shape(x.shape)[1]
     return x[:, :h].copy(), x[:, h:].copy()
 
 
-def channel_concat(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    _require_4d(x1.shape, "first input")
-    _require_4d(x2.shape, "second input")
-    if x1.shape[0] != x2.shape[0] or x1.shape[2:] != x2.shape[2:]:
+def channel_concat_shape(x1_shape: tuple, x2_shape: tuple) -> tuple:
+    """channel_concat's output shape, checked as the op checks it."""
+    _require_4d(x1_shape, "first input")
+    _require_4d(x2_shape, "second input")
+    if x1_shape[0] != x2_shape[0] or x1_shape[2:] != x2_shape[2:]:
         raise ShapeError(
-            f"channel_concat needs matching (n, f, t), got {x1.shape} vs {x2.shape}"
+            f"channel_concat needs matching (n, f, t), got {x1_shape} vs {x2_shape}"
         )
+    return x1_shape[0], x1_shape[1] + x2_shape[1], *x1_shape[2:]
+
+
+def channel_concat(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    channel_concat_shape(x1.shape, x2.shape)
     return np.concatenate([x1, x2], axis=1)
+
+
+def pixel_unshuffle_shape(x_shape: tuple, r: int) -> tuple:
+    """pixel_unshuffle's output shape, checked as the op checks it."""
+    _require_4d(x_shape, "input")
+    if r < 2 or int(r) != r:
+        raise ConfigError(f"ratio must be an integer >= 2, got {r}")
+    n, c, f, t = x_shape
+    if f % r or t % r:
+        raise ConfigError(
+            f"spatial dims ({f}, {t}) must be divisible by ratio {r}"
+        )
+    return n, c * r * r, f // r, t // r
 
 
 def pixel_unshuffle(x: np.ndarray, r: int) -> np.ndarray:
@@ -743,18 +748,11 @@ def pixel_unshuffle(x: np.ndarray, r: int) -> np.ndarray:
     Output channel c*r*r + i*r + j holds input row offset i and column
     offset j, so the map is a fixed bijection on elements.
     """
-    _require_4d(x.shape, "input")
-    if r < 2 or int(r) != r:
-        raise ConfigError(f"ratio must be an integer >= 2, got {r}")
-    n, c, f, t = x.shape
-    if f % r or t % r:
-        raise ConfigError(
-            f"spatial dims ({f}, {t}) must be divisible by ratio {r}"
-        )
-    fo, to = f // r, t // r
+    _, _, fo, to = shape = pixel_unshuffle_shape(x.shape, r)
+    n, c = x.shape[:2]
     y = x.reshape(n, c, fo, r, to, r)
     y = y.transpose(0, 1, 3, 5, 2, 4)
-    return np.ascontiguousarray(y.reshape(n, c * r * r, fo, to))
+    return np.ascontiguousarray(y.reshape(shape))
 
 
 def pixel_shuffle(y: np.ndarray, r: int) -> np.ndarray:
@@ -771,13 +769,20 @@ def pixel_shuffle(y: np.ndarray, r: int) -> np.ndarray:
     return np.ascontiguousarray(x.reshape(n, ci, fo * r, to * r))
 
 
+def global_stat_pool_shape(x_shape: tuple) -> tuple:
+    """global_stat_pool's output shape, checked as the op checks it."""
+    _require_4d(x_shape, "input")
+    n, c, f, _ = x_shape
+    return n, 2 * c * f
+
+
 def global_stat_pool(x: np.ndarray) -> np.ndarray:
     """Per (channel, frequency) mean and std over time: (n, c, f, t) -> (n, 2*c*f).
 
     First half of the output is the means, second half the biased standard
     deviations, both flattened row-major over (c, f).
     """
-    _require_4d(x.shape, "input")
+    global_stat_pool_shape(x.shape)
     n, c, f, _ = x.shape
     mean = x.mean(axis=3)
     var = x.var(axis=3)  # biased
@@ -786,6 +791,7 @@ def global_stat_pool(x: np.ndarray) -> np.ndarray:
 
 
 def global_stat_pool_vjp(x: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    _check_cotangent(gy, global_stat_pool_shape(x.shape))
     n, c, f, t = x.shape
     gmean = gy[:, : c * f].reshape(n, c, f)
     gstd = gy[:, c * f :].reshape(n, c, f)

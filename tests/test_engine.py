@@ -366,8 +366,8 @@ class TestRunShapes:
         assert calls == {"channel_concat": runs, "pixel_shuffle": shuffles[case]}
 
     # after an 8-channel stem, layers that take 7 channels, or 3 in a
-    # RevBlock, whose F branch's first conv gets a half of 4: (the layers,
-    # the message)
+    # RevBlock, whose F branch's first conv gets a half of 4, or a second
+    # pooling, which gets the first one's (n, 1280): (the layers, the message)
     WRONG_WIDTH = {
         "rev-basic": (lambda r, d: [RevBlock("basic", 3, rng=r, dtype=d)],
                       "input has 4 channels but kernel expects 3"),
@@ -379,6 +379,8 @@ class TestRunShapes:
                        "input has 8 channels but batch norm gamma/beta have shapes (7,)/(7,)"),
         "linear": (lambda r, d: [GlobalStatPool(), Linear(7, 8, rng=r, dtype=d)],
                    "linear expects d_in=7, got 1280"),
+        "pooling": (lambda r, d: [GlobalStatPool(), GlobalStatPool()],
+                    "input must be rank-4 (n, c, f, t), got shape (2, 1280)"),
     }
 
     @pytest.mark.parametrize("case", WRONG_WIDTH)

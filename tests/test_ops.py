@@ -38,13 +38,47 @@ def padded_taps(x, k, stride=1):
 
 def depthwise_scratch(shape, per_plane, k=3, itemsize=4):
     """The depthwise kernels' scratch rule for a float32 x of `shape`: one
-    column buffer of at most 2 * FLAT_SHIFT_BYTES, or 3 * FLAT_SHIFT_BYTES
-    for a plane that runs alone, and `per_plane` arrays of k*k values a
-    plane (the taps, and the VJP's dL/dw), plus numpy's ufunc buffers."""
+    column buffer of at most the larger of 2 * FLAT_SHIFT_BYTES and one
+    plane's k*k columns, and `per_plane` arrays of k*k values a plane (the
+    taps, and the VJP's dL/dw), plus numpy's ufunc buffers."""
     plane = k * k * shape[2] * shape[3] * itemsize  # one plane's columns
-    columns = (3 if plane > 2 * ops.FLAT_SHIFT_BYTES else 2) * ops.FLAT_SHIFT_BYTES
+    columns = max(2 * ops.FLAT_SHIFT_BYTES, plane)
     return (columns + per_plane * shape[0] * shape[1] * k * k * itemsize
             + TestScratchBounds.SLACK)
+
+
+def depthwise_reference(x, w, gy):
+    """(y, dL/dx, dL/dw) of the depthwise conv from x zero-padded whole.
+    dL/dx is the scatter form, each tap adding gy * w at its offset; BLAS
+    sums the kernels' gather form in its own order, so dL/dx agrees to
+    rounding."""
+    n, c, f, t = x.shape
+    k = w.shape[2]
+    pad = k // 2
+    taps = padded_taps(x, k)
+    y = sum(xs * w[:, 0, i, j][None, :, None, None] for i, j, xs in taps)
+    gxp = np.zeros((n, c, f + 2 * pad, t + 2 * pad), dtype=x.dtype)
+    gw = np.empty_like(w)
+    for i, j, xs in taps:
+        gxp[:, :, i : i + f, j : j + t] += gy * w[:, 0, i, j][None, :, None, None]
+        gw[:, 0, i, j] = (xs * gy).sum(axis=(0, 2, 3))
+    return y, gxp[:, :, pad : pad + f, pad : pad + t], gw
+
+
+def depthwise_blocks(monkeypatch):
+    """A list that gathers the planes of each block the depthwise kernels
+    run from here on, each block checked to hold its planes whole."""
+    blocks = []
+    columns = ops._depthwise_columns
+
+    def spy(src, f, t, k, dtype):
+        for block, cols in columns(src, f, t, k, dtype):
+            assert cols.shape[1:] == (k * k, f * t)
+            blocks.append(len(cols))
+            yield block, cols
+
+    monkeypatch.setattr(ops, "_depthwise_columns", spy)
+    return blocks
 
 
 class TestConv2d:
@@ -190,18 +224,44 @@ class TestConv2d:
             ops.depthwise_conv2d_vjp(x, np.zeros((2, 1, kh, kw)), np.zeros(x.shape))
 
 
-@pytest.mark.parametrize("vjp, w_shape, args, gy_shape, y_shape", [
-    (ops.depthwise_conv2d_vjp, (2, 1, 3, 3), (), (1, 2, 4, 4), (1, 2, 6, 6)),
-    (ops.conv2d_vjp, (3, 2, 3, 3), (1,), (1, 3, 4, 4), (1, 3, 6, 6)),
-    (ops.conv2d_vjp, (3, 2, 1, 1), (1,), (1, 3, 4, 4), (1, 3, 6, 6)),
-    (ops.conv2d_vjp, (3, 2, 3, 3), (2,), (1, 3, 6, 6), (1, 3, 3, 3)),
-], ids=["depthwise", "stride1", "pointwise", "strided"])
-def test_vjp_rejects_cotangent_of_another_shape(vjp, w_shape, args, gy_shape, y_shape):
+@pytest.mark.parametrize("vjp, x_shape, w_shapes, args, gy_shape, y_shape", [
+    (ops.depthwise_conv2d_vjp, (1, 2, 6, 6), [(2, 1, 3, 3)], (), (1, 2, 4, 4), (1, 2, 6, 6)),
+    (ops.conv2d_vjp, (1, 2, 6, 6), [(3, 2, 3, 3)], (1,), (1, 3, 4, 4), (1, 3, 6, 6)),
+    (ops.conv2d_vjp, (1, 2, 6, 6), [(3, 2, 1, 1)], (1,), (1, 3, 4, 4), (1, 3, 6, 6)),
+    (ops.conv2d_vjp, (1, 2, 6, 6), [(3, 2, 3, 3)], (2,), (1, 3, 6, 6), (1, 3, 3, 3)),
+    (ops.batchnorm2d_vjp, (1, 2, 6, 6), [(2,)], (np.ones(2), np.ones(2)), (1, 2, 4, 4),
+     (1, 2, 6, 6)),
+    (ops.linear_vjp, (2, 3), [(3, 4)], (), (2, 5), (2, 4)),
+    (ops.global_stat_pool_vjp, (1, 2, 6, 6), [], (), (1, 8), (1, 24)),
+], ids=["depthwise", "stride1", "pointwise", "strided", "batchnorm", "linear",
+        "global_stat_pool"])
+def test_vjp_rejects_cotangent_of_another_shape(vjp, x_shape, w_shapes, args, gy_shape,
+                                                y_shape):
     # a dL/dy that is not the forward's output must not yield full-size gradients
-    x, w, gy = np.ones((1, 2, 6, 6)), np.ones(w_shape), np.ones(gy_shape)
+    x, ws, gy = np.ones(x_shape), [np.ones(s) for s in w_shapes], np.ones(gy_shape)
     with pytest.raises(ShapeError, match=re.escape(f"{gy_shape}") + ".*"
                        + re.escape(f"{y_shape}")):
-        vjp(x, w, gy, *args)
+        vjp(x, *ws, gy, *args)
+
+
+@pytest.mark.parametrize("name, x_shape, params, gy_shape", [
+    ("conv2d", (1, 3, 4, 4), [(2, 2, 3, 3)], (1, 2, 4, 4)),
+    ("batchnorm2d", (1, 3, 4, 4), [(2,), (2,)], (1, 3, 4, 4)),
+    ("linear", (2, 3), [(2, 4), (4,)], (2, 4)),
+    ("global_stat_pool", (2, 640), [], (2, 1280)),
+], ids=["conv2d", "batchnorm2d", "linear", "global_stat_pool"])
+def test_vjp_refuses_an_input_as_its_forward_does(name, x_shape, params, gy_shape):
+    # an x that disagrees with the weights (or, pooled, has the wrong rank)
+    # meets the forward's check and message, not a numpy broadcast error
+    x, ps, gy = np.zeros(x_shape), [np.zeros(s) for s in params], np.zeros(gy_shape)
+    with pytest.raises(ShapeError) as forward:
+        getattr(ops, name)(x, *ps)
+    # a VJP takes the weight alone, then gy, and batch norm its statistics,
+    # which have gamma's shape
+    args = (x, *ps[:1], gy) + ((ps[0], ps[0]) if name == "batchnorm2d" else ())
+    with pytest.raises(ShapeError) as backward:
+        getattr(ops, name + "_vjp")(*args)
+    assert str(backward.value) == str(forward.value)
 
 
 class TestConvDtype:
@@ -312,46 +372,43 @@ class TestBlockedStride1Kernels:
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     def test_depthwise_matches_padded_reference(self, rng, monkeypatch, dtype, tol, k):
         n, c, f, t = 3, 5, 9, 7  # 15 planes: blocks of 4, 4, 4 and 3
-        pad = k // 2
         x = rng.normal(size=(n, c, f, t)).astype(dtype)
         w = rng.normal(size=(c, 1, k, k)).astype(dtype)
         plane = k * k * f * t  # one plane's columns
         monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 2 * plane * x.itemsize)
-        taps = padded_taps(x, k)
-        y_ref = sum(xs * w[:, 0, i, j][None, :, None, None] for i, j, xs in taps)
+        gy = rng.normal(size=x.shape).astype(dtype)
+        y_ref, gx_ref, gw_ref = depthwise_reference(x, w, gy)
         y = ops.depthwise_conv2d(x, w)
         assert y.dtype == dtype and scaled_err(y, y_ref) <= tol
-
-        gy = rng.normal(size=y.shape).astype(dtype)
         gx, gw = ops.depthwise_conv2d_vjp(x, w, gy)  # the same blocks, columns of dL/dy
-        # the scatter form: each tap adds gy * w at its offset; BLAS sums the
-        # gather form's taps in its own order, so dL/dx agrees to rounding
-        gxp = np.zeros((n, c, f + 2 * pad, t + 2 * pad), dtype=dtype)
-        gw_ref = np.empty_like(w)
-        for i, j, xs in taps:
-            gxp[:, :, i : i + y.shape[2], j : j + y.shape[3]] += gy * w[:, 0, i, j][
-                None, :, None, None]
-            gw_ref[:, 0, i, j] = (xs * gy).sum(axis=(0, 2, 3))
-        assert gx.dtype == dtype and scaled_err(gx, gxp[:, :, pad : pad + f, pad : pad + t]) <= tol
+        assert gx.dtype == dtype and scaled_err(gx, gx_ref) <= tol
         assert gw.dtype == dtype and scaled_err(gw, gw_ref) <= tol
 
     @pytest.mark.parametrize("k, shape, budget, blocks", [
-        (3, (3, 1, 5, 4), 5.0, (2, 5)), (5, (1, 2, 7, 3), 2.0, (1, 4)),
-        (3, (2, 1, 7, 2), 0.7, (1, 2))],
-        ids=["planes", "bands", "short-bands"])
-    def test_depthwise_gradients_over_blocks_and_bands(self, rng, monkeypatch, k, shape,
-                                                       budget, blocks):
+        (3, (3, 1, 5, 4), 5.0, [2, 1]), (5, (1, 2, 7, 3), 2.0, [1, 1]),
+        (3, (2, 1, 7, 2), 0.7, [1, 1])],
+        ids=["planes", "alone", "short-alone"])
+    def test_depthwise_gradients_over_blocks(self, rng, monkeypatch, k, shape, budget, blocks):
         # FLAT_SHIFT_BYTES of `budget` rows' columns gives blocks of two
-        # whole planes, the last one partial, or bands of four (two) rows of
-        # one plane, the last band partial
-        n, c, f, t = shape
-        x = rng.normal(size=shape)
+        # whole planes, the last one partial, or a plane whose columns
+        # exceed three times the bound, which once ran in bands of its rows:
+        # now each such plane runs alone as one block
+        c, t = shape[1], shape[3]
+        x, r = rng.normal(size=shape), rng.normal(size=shape)
         w = rng.normal(size=(c, 1, k, k))
-        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", int(budget * k * k * t * x.itemsize))
-        assert ops._depthwise_blocks(n * c, f, t, k * k, x.dtype) == blocks
-        r = rng.normal(size=shape)
-        gx, gw = ops.depthwise_conv2d_vjp(x, w, r)
-        out = lambda: ops.depthwise_conv2d(x, w)
+        ran = depthwise_blocks(monkeypatch)
+        for dtype, tol in [(np.float32, 1e-6), (np.float64, 1e-12)]:
+            itemsize = np.dtype(dtype).itemsize
+            monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", int(budget * k * k * t * itemsize))
+            args = [a.astype(dtype) for a in (x, w, r)]
+            y_ref, gx_ref, gw_ref = depthwise_reference(*args)
+            ran.clear()
+            y = ops.depthwise_conv2d(*args[:2])
+            gx, gw = ops.depthwise_conv2d_vjp(*args)
+            assert ran == blocks + blocks
+            assert scaled_err(y, y_ref) <= tol
+            assert scaled_err(gx, gx_ref) <= tol and scaled_err(gw, gw_ref) <= tol
+        out = lambda: ops.depthwise_conv2d(x, w)  # float64, as gx and gw
         assert mixed_err(gx, central_diff_proj(out, r, x)) <= 1e-6
         assert mixed_err(gw, central_diff_proj(out, r, w)) <= 1e-6
 
@@ -595,6 +652,18 @@ class TestScratchBounds:
         per_plane = 3 * n * c * 9 * 4  # the taps and the per-plane dL/dw and its sum
         assert peak <= gx.nbytes + gw.nbytes + 2 * ops.FLAT_SHIFT_BYTES + per_plane + self.SLACK
 
+    def test_depthwise_vjp_into_gy_holds_no_second_dx(self, arrays, monkeypatch):
+        # each plane's columns exceed three times the bound, where its rows
+        # once ran in bands that built a fresh dL/dx beside out: it runs
+        # alone as one block and writes dL/dx into gy as any block does
+        x, gy, _, _ = arrays
+        c, f, t = self.SHAPE[1:]
+        monkeypatch.setattr(ops, "FLAT_SHIFT_BYTES", 9 * f * t)  # a quarter of a plane's columns
+        w = np.random.default_rng(0).standard_normal((c, 1, 3, 3), dtype=np.float32)
+        peak, (gx, gw) = traced_peak(lambda: ops.depthwise_conv2d_vjp(x, w, gy, out=gy))
+        assert gx is gy
+        assert peak <= gw.nbytes + depthwise_scratch(self.SHAPE, per_plane=3) < x.nbytes
+
     def test_relu_vjp_holds_its_result_and_a_mask(self, arrays, monkeypatch):
         # the bool mask is taken in blocks of at most FLAT_SHIFT_BYTES
         # elements; at a quarter of the default, a whole mask (one byte per
@@ -713,7 +782,8 @@ class TestOutBuffer:
     ``out`` they are given, gy itself included, with a fresh dL/dx's bits:
     with FLAT_SHIFT_BYTES patched so that one pass runs, so that several
     mask blocks, channel bands or blocks of whole depthwise planes run, and
-    so that the depthwise planes run in bands of their rows."""
+    so that each depthwise plane's columns exceed three times the bound,
+    where its rows once ran in bands: now it runs alone as one block."""
 
     SHAPE = (3, 5, 9, 7)  # 15 planes of 9 rows
 
@@ -740,16 +810,16 @@ class TestOutBuffer:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("name", ["relu_vjp", "batchnorm2d_vjp", "depthwise_conv2d_vjp"])
     @pytest.mark.parametrize("into", ["gy", "other"])
-    def test_out_gives_the_fresh_bits(self, rng, layout, dtype, name, into):
+    def test_out_gives_the_fresh_bits(self, rng, monkeypatch, layout, dtype, name, into):
         op, head, gy, tail = self.call(rng, name, dtype)
-        if name == "depthwise_conv2d_vjp":
-            planes, rows = ops._depthwise_blocks(15, 9, 7, 9, np.dtype(dtype))
-            assert {"one": planes == 15, "blocks": 1 < planes < 15 and rows == 9,
-                    "bands": rows < 9}[layout]
         fresh = op(*head, gy, *tail)
         given = gy.copy()
         out = gy if into == "gy" else np.empty_like(gy)
+        ran = depthwise_blocks(monkeypatch)
         got = op(*head, gy, *tail, out=out)
+        if name == "depthwise_conv2d_vjp":
+            assert {"one": ran == [15], "blocks": len(ran) > 1 and max(ran) > 1,
+                    "bands": ran == [1] * 15}[layout]
         got_x, ref_x = (got, fresh) if name == "relu_vjp" else (got[0], fresh[0])
         assert got_x is out
         assert got_x.dtype == ref_x.dtype and got_x.tobytes() == ref_x.tobytes()
